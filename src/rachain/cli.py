@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import evaluation, synth, training
@@ -85,13 +86,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_CONFIG_FLAGS = {
-    "walks": int, "max_hops": int, "top_k": int, "lam": float, "dim": int,
-    "filter_dim": int, "layers": int, "heads": int, "curvature": float,
-    "init_radius": float, "affine_hidden": int, "epochs": int, "lr": float,
-    "batch_size": int, "clip_norm": float, "patience": int,
-    "epsilon": float, "seed": int,
-}
+_CONFIG_FLAGS = {name: typ for name, typ in typing.get_type_hints(TrainConfig).items()
+                 if typ in (int, float)}
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:

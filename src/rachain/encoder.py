@@ -3,10 +3,11 @@
 A chain becomes a token sequence [source_attr, r_l, ..., r_1, query_attr,
 end]: ball embeddings are pulled into the tangent space at the origin by the
 log map, linearly lifted when the filter dimension differs from the encoder
-dimension, and a learned end-of-chain token is appended. An encoder-only
-transformer (post-norm, residual, multi-head attention scaled by
-1/sqrt(model_dim)) contextualizes the sequence; the end token's output is the
-chain representation.
+dimension, and a learned end-of-chain token is appended. A chain set of
+mixed lengths is one batch: shorter chains are left-padded with zero tokens
+that the attention masks out. An encoder-only transformer (post-norm,
+residual, multi-head attention scaled by 1/sqrt(model_dim)) contextualizes
+the sequence; the end token's output is the chain representation.
 
 The numerical-aware affine transfer conditions that representation on the
 source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
@@ -216,43 +217,49 @@ class ChainEncoderParams:
 
 def chain_tokens(chains: list[RAChain], query_attribute: int,
                  embeddings: FilterEmbeddings, params: ChainEncoderParams,
-                 include_end: bool = True) -> Tensor:
-    """Token tensor (m, l + 3, dim) for m chains of one shared length l.
+                 include_end: bool = True) -> tuple[Tensor, np.ndarray]:
+    """Left-padded, masked tokens (m, L + 3, dim) and key mask (m, L + 3) for
+    m chains, L the longest chain length.
 
-    include_end=False drops the end-of-chain token (m, l + 2, dim), used by the
-    transformer-free variant that mean-pools the tokens.
+    A chain of length l fills the last l + 3 slots; the L - l leading pad
+    slots are exactly zero and masked out, so the end token is always last.
+    include_end=False drops the end-of-chain token (m, L + 2, dim), used by
+    the transformer-free variant that mean-pools the tokens.
     """
     m = len(chains)
-    length = chains[0].length
-    if any(c.length != length for c in chains):
-        raise ValueError("chains in one batch must share a length")
+    lengths = np.array([c.length for c in chains], dtype=np.int64)
+    longest = int(lengths.max())
+    n_attr = embeddings.attributes.shape[0]
     df = embeddings.dim
 
-    src_ids = np.array([c.source_attribute for c in chains], dtype=np.int64)
-    # query-adjacent relation next to the query token: store order reversed
-    rel_ids = np.array([list(reversed(c.relations)) for c in chains], dtype=np.int64)
-    qry_ids = np.full(m, query_attribute, dtype=np.int64)
+    # rows of [attributes; relations; zero]; the zero row fills pad slots
+    pad_row = n_attr + embeddings.relations.shape[0]
+    ids = np.full((m, longest + 2), pad_row, dtype=np.int64)
+    for i, c in enumerate(chains):
+        # query-adjacent relation next to the query token: store order reversed
+        ids[i, longest - c.length:] = [c.source_attribute,
+                                       *(n_attr + r for r in reversed(c.relations)),
+                                       query_attribute]
+    key_mask = np.arange(longest + 3) >= (longest - lengths)[:, None]
 
-    ap = reshape(take_rows(embeddings.attributes, src_ids), (m, 1, df))
-    rr = reshape(take_rows(embeddings.relations, rel_ids.reshape(-1)), (m, length, df))
-    aq = reshape(take_rows(embeddings.attributes, qry_ids), (m, 1, df))
-    ball = concat([ap, rr, aq], axis=1)
+    table = concat([embeddings.attributes, embeddings.relations, Tensor(np.zeros((1, df)))])
+    ball = reshape(take_rows(table, ids.reshape(-1)), (m, longest + 2, df))
     tangent = log_map_tensor(ball, embeddings.curvature)
     if params.lift is not None:
         tangent = matmul(tangent, params.lift)
     if not include_end:
-        return tangent
+        return tangent, key_mask[:, :-1]
     dim = params.stack.dim
     end = broadcast_to(reshape(params.end_token, (1, 1, dim)), (m, 1, dim))
-    return concat([tangent, end], axis=1)
+    return concat([tangent, end], axis=1), key_mask
 
 
 def encode_chains(chains: list[RAChain], query_attribute: int,
-                  embeddings: FilterEmbeddings, params: ChainEncoderParams,
-                  capture: list | None = None) -> Tensor:
-    """Chain representations (m, dim): the end token's contextualized output."""
-    tokens = chain_tokens(chains, query_attribute, embeddings, params)
-    out = transformer_stack(tokens, params.stack, capture=capture)
+                  embeddings: FilterEmbeddings, params: ChainEncoderParams) -> Tensor:
+    """Chain representations (m, dim): the end token's contextualized output,
+    from one masked pass over the left-padded chain set."""
+    tokens, key_mask = chain_tokens(chains, query_attribute, embeddings, params)
+    out = transformer_stack(tokens, params.stack, key_mask=key_mask)
     return getitem(out, (slice(None), -1))
 
 

@@ -84,27 +84,36 @@ def chain_scores(
     embeddings: FilterEmbeddings,
     lam: float = 0.5,
 ) -> np.ndarray:
-    """Affinity score per chain; chains sharing a pattern share one computation."""
-    scores = np.empty(len(chains))
+    """Affinity score per chain; chains sharing a pattern share one computation.
+
+    All patterns fold at once over relation rows left-padded with the origin,
+    which is exact because 0 (+) x == x.
+    """
+    if not chains:
+        return np.empty(0)
     pattern_slots: dict[tuple, list[int]] = {}
     for i, ch in enumerate(chains):
         pattern_slots.setdefault(ch.pattern, []).append(i)
 
-    by_length: dict[int, list[tuple]] = {}
-    for pattern in pattern_slots:
-        by_length.setdefault(len(pattern[1]), []).append(pattern)
+    rel_table = embeddings.relations.data
+    pad_row = rel_table.shape[0]
+    longest = max(len(rels) for _, rels in pattern_slots)
+    rel_ids = np.full((len(pattern_slots), longest), pad_row, dtype=np.int64)
+    for i, (_, rels) in enumerate(pattern_slots):
+        rel_ids[i, longest - len(rels):] = rels
+    src_ids = np.array([src for src, _ in pattern_slots], dtype=np.int64)
 
     c = embeddings.curvature
     aq = embeddings.attributes.data[query_attribute]
-    for length, patterns in by_length.items():
-        rel_ids = np.array([p[1] for p in patterns], dtype=np.int64)
-        src_ids = np.array([p[0] for p in patterns], dtype=np.int64)
-        folded = fold_relations(embeddings.relations.data[rel_ids], c)
-        d_attr = distance_raw(embeddings.attributes.data[src_ids], aq, c)
-        d_fold = distance_raw(folded, aq, c)
-        pattern_score = lam * d_attr + (1.0 - lam) * d_fold
-        for p, s in zip(patterns, pattern_score):
-            scores[pattern_slots[p]] = s
+    padded = np.concatenate([rel_table, np.zeros((1, rel_table.shape[1]))])
+    folded = fold_relations(padded[rel_ids], c)
+    d_attr = distance_raw(embeddings.attributes.data[src_ids], aq, c)
+    d_fold = distance_raw(folded, aq, c)
+    pattern_score = lam * d_attr + (1.0 - lam) * d_fold
+
+    scores = np.empty(len(chains))
+    for slots, s in zip(pattern_slots.values(), pattern_score):
+        scores[slots] = s
     return scores
 
 

@@ -80,11 +80,6 @@ def project_rows(x: np.ndarray, c: float = 1.0, margin: float = BALL_MARGIN) -> 
     return x * scale
 
 
-def ball_contains(x: np.ndarray, c: float = 1.0) -> bool:
-    x = np.asarray(x, dtype=np.float64)
-    return bool(np.all(c * np.sum(x * x, axis=-1) < 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class PoincareVector:
     """A validated point of the open c-ball."""
@@ -136,10 +131,6 @@ def distance_arcosh(a: PoincareVector, b: PoincareVector) -> float:
     if a.curvature != 1.0:
         raise ValueError("arcosh form is defined for curvature 1")
     return float(distance_arcosh_raw(a.coords, b.coords))
-
-
-def log_map_origin(a: PoincareVector) -> np.ndarray:
-    return log_map_origin_raw(a.coords, a.curvature)
 
 
 def project_to_ball(

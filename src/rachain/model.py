@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, mean, no_grad, take_rows
+from .autodiff import Parameter, Tensor, mul, no_grad, tensor_sum
 from .config import TrainConfig
 from .encoder import AffineNets, ChainEncoderParams, affine_transfer, chain_tokens, encode_chains
 from .filter import EnhancedToC, FilterEmbeddings, select_random_k, select_top_k
@@ -95,7 +95,9 @@ class Model:
                             cfg.filter_keep_largest)
 
     def forward(self, etoc: EnhancedToC) -> ForwardResult | None:
-        """None when no chain has a normalizable source value."""
+        """Prediction from the usable chains, encoded as one left-padded,
+        masked batch in their given order; None when no chain has a
+        normalizable source value."""
         cfg = self.config
         usable = [ch for ch in etoc.chains if self.stats.usable(ch.source_attribute)]
         if not usable:
@@ -106,25 +108,12 @@ class Model:
             [self.stats.normalize(ch.source_attribute, ch.source_value) for ch in usable])
         lengths = np.array([ch.length for ch in usable], dtype=np.int64)
 
-        groups: dict[int, list[int]] = {}
-        for i, ch in enumerate(usable):
-            groups.setdefault(ch.length, []).append(i)
-        parts = []
-        positions: list[int] = []
-        for length in sorted(groups):
-            idx = groups[length]
-            batch = [usable[i] for i in idx]
-            if cfg.use_chain_encoder:
-                parts.append(encode_chains(batch, qa, self.embeddings, self.encoder))
-            else:
-                tokens = chain_tokens(batch, qa, self.embeddings, self.encoder,
-                                      include_end=False)
-                parts.append(mean(tokens, axis=1))
-            positions.extend(idx)
-        reps_grouped = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-        restore = np.empty(m, dtype=np.int64)
-        restore[np.array(positions)] = np.arange(m)
-        reps = take_rows(reps_grouped, restore)
+        if cfg.use_chain_encoder:
+            reps = encode_chains(usable, qa, self.embeddings, self.encoder)
+        else:
+            tokens, key_mask = chain_tokens(usable, qa, self.embeddings, self.encoder,
+                                            include_end=False)
+            reps = mul(tensor_sum(tokens, axis=1), 1.0 / key_mask.sum(axis=1, keepdims=True))
 
         transferred = (affine_transfer(reps, values_norm, self.affine)
                        if cfg.use_numerical_aware else reps)

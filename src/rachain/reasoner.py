@@ -20,7 +20,6 @@ from .autodiff import (
     Tensor,
     add,
     clip,
-    concat,
     linear,
     mul,
     relu,
@@ -29,11 +28,10 @@ from .autodiff import (
     take_rows,
     tensor_sum,
 )
+from .config import PROJECTION_MODES
 from .encoder import TransformerParams, _normal, transformer_stack
 from .kg import AttributeStats, Query
 from .retrieval import RAChain
-
-PROJECTION_MODES = ("direct", "translation", "scaling", "combined")
 
 
 @dataclass
@@ -128,36 +126,26 @@ class TreeformerParams:
                 + [self.w_out, self.b_out])
 
 
-def weight_chains(chain_reps: Tensor, lengths: np.ndarray, params: TreeformerParams,
-                  pad_to: int | None = None) -> Tensor:
-    """Attention weights over the chain set; padded slots get exactly 0.
+def weight_chains(chain_reps: Tensor, lengths: np.ndarray,
+                  params: TreeformerParams) -> Tensor:
+    """Attention weights (m,) over the chain set, summing to 1.
 
-    Returns a vector of size max(pad_to, m) summing to 1 over the first m
-    slots. Permuting the chains permutes the weights identically (the stack
-    sees the chains as a set).
+    Chains of every length sit in one set, told apart by a learned length
+    embedding. Permuting the chains permutes the weights identically (the
+    stack sees the chains as a set).
     """
-    m, dim = chain_reps.shape
-    lengths = np.asarray(lengths, dtype=np.int64)
-    x = add(chain_reps, take_rows(params.length_table, lengths - 1))
-    total = m if pad_to is None else max(pad_to, m)
-    mask = None
-    if total > m:
-        x = concat([x, Tensor(np.zeros((total - m, dim)))], axis=0)
-        mask = np.arange(total) < m
-    out = transformer_stack_rows(x, params, mask)
-    logits = reshape(linear(out, params.w_out, params.b_out), (1, total))
-    omega = softmax(logits, mask=None if mask is None else mask[None, :])
-    return reshape(omega, (total,))
+    m = chain_reps.shape[0]
+    x = add(chain_reps, take_rows(params.length_table, np.asarray(lengths) - 1))
+    out = transformer_stack_rows(x, params)
+    logits = reshape(linear(out, params.w_out, params.b_out), (1, m))
+    return reshape(softmax(logits), (m,))
 
 
-def transformer_stack_rows(x: Tensor, params: TreeformerParams,
-                           mask: np.ndarray | None) -> Tensor:
+def transformer_stack_rows(x: Tensor, params: TreeformerParams) -> Tensor:
     """Run the treeformer stack over a single set of rows (adds/removes the
     batch axis)."""
     total, dim = x.shape
-    xb = reshape(x, (1, total, dim))
-    key_mask = None if mask is None else mask[None, :]
-    out = transformer_stack(xb, params.stack, key_mask=key_mask)
+    out = transformer_stack(reshape(x, (1, total, dim)), params.stack)
     return reshape(out, (total, dim))
 
 

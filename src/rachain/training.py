@@ -90,7 +90,7 @@ def _snapshot(model: Model) -> dict[str, np.ndarray]:
     return {p.name: p.data.copy() for p in model.all_parameters()}
 
 
-def _restore(model: Model, snap: dict[str, np.ndarray]) -> None:
+def _load_snapshot(model: Model, snap: dict[str, np.ndarray]) -> None:
     for p in model.all_parameters():
         p.data = snap[p.name].copy()
 
@@ -177,7 +177,7 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         prev_loss = train_loss
 
     if best_snap is not None:
-        _restore(model, best_snap)
+        _load_snapshot(model, best_snap)
     result.best_val = best_val if best_epoch >= 0 else float("nan")
     result.best_epoch = best_epoch
     return result

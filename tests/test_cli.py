@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from rachain.cli import main
+from rachain.cli import _config_from_args, build_parser, main
+from rachain.config import TrainConfig
 
 
 # src spans [0, 10] thanks to the standalone facts while rule sources stay in
@@ -238,3 +240,22 @@ class TestEntryPoint:
         assert code == 1
         assert captured.err.startswith("error:")
         assert len(captured.err.strip().splitlines()) == 1
+
+
+NUMERIC_FIELDS = [f for f in dataclasses.fields(TrainConfig)
+                  if type(f.default) in (int, float)]
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS, ids=[f.name for f in NUMERIC_FIELDS])
+def test_numeric_config_field_round_trips_through_its_flag(field):
+    # a valid value that differs from the default (dim and heads stay divisible)
+    if type(field.default) is int:
+        value = 2 * field.default or 3
+    else:
+        value = field.default / 2
+    flag = "--" + field.name.replace("_", "-")
+    args = build_parser().parse_args(["train", "--relational", "r.tsv", "--train", "t.tsv",
+                                      "--out", "run", flag, str(value)])
+    config = _config_from_args(args)
+    assert getattr(config, field.name) == value != field.default
+    assert type(getattr(config, field.name)) is type(field.default)

@@ -88,13 +88,14 @@ class TestTokens:
     def test_shape_with_and_without_end(self, setup):
         emb, params = setup
         chains = [make_chain(0, (1, 2)), make_chain(1, (3, 4), path_start=50)]
-        assert E.chain_tokens(chains, 2, emb, params).shape == (2, 5, 8)
-        assert E.chain_tokens(chains, 2, emb, params, include_end=False).shape == (2, 4, 8)
+        assert E.chain_tokens(chains, 2, emb, params)[0].shape == (2, 5, 8)
+        assert E.chain_tokens(chains, 2, emb, params,
+                              include_end=False)[0].shape == (2, 4, 8)
 
     def test_token_order_source_reversed_relations_query_end(self, setup):
         emb, params = setup
         chain = make_chain(1, (4, 2))  # stored source->query
-        tokens = E.chain_tokens([chain], 3, emb, params).data[0]
+        tokens = E.chain_tokens([chain], 3, emb, params)[0].data[0]
         lm = lambda row: np.array(oracle_log_map(row))
         np.testing.assert_allclose(tokens[0], lm(emb.attributes.data[1]), atol=1e-12)
         # the relation adjacent to the query leads; storage order is reversed
@@ -103,17 +104,30 @@ class TestTokens:
         np.testing.assert_allclose(tokens[3], lm(emb.attributes.data[3]), atol=1e-12)
         np.testing.assert_array_equal(tokens[4], params.end_token.data)
 
-    def test_mixed_lengths_rejected(self, setup):
+    def test_mixed_lengths_left_padded_and_masked(self, setup):
         emb, params = setup
-        with pytest.raises(ValueError, match="share a length"):
-            E.chain_tokens([make_chain(0, (1,)), make_chain(0, (1, 2), path_start=9)],
-                           0, emb, params)
+        short, long = make_chain(0, (1,)), make_chain(2, (3, 4, 5), path_start=9)
+        tokens, mask = E.chain_tokens([short, long], 1, emb, params)
+        assert tokens.shape == (2, 6, 8)
+        np.testing.assert_array_equal(mask, [[False, False, True, True, True, True],
+                                             [True] * 6])
+        # pad slots lead, hold exact zeros, and leave the end token last
+        np.testing.assert_array_equal(tokens.data[0, :2], np.zeros((2, 8)))
+        np.testing.assert_array_equal(tokens.data[:, -1],
+                                      np.stack([params.end_token.data] * 2))
+        alone, alone_mask = E.chain_tokens([short], 1, emb, params)
+        np.testing.assert_array_equal(tokens.data[0, 2:], alone.data[0])
+        assert alone_mask.all()
+        pooled, pooled_mask = E.chain_tokens([short, long], 1, emb, params,
+                                             include_end=False)
+        np.testing.assert_array_equal(pooled.data, tokens.data[:, :-1])
+        np.testing.assert_array_equal(pooled_mask, mask[:, :-1])
 
     def test_lift_changes_width(self, rng):
         emb = FilterEmbeddings.create(rng, 6, 4, dim=4)
         params = E.ChainEncoderParams.create(rng, filter_dim=4, dim=8, n_layers=1, heads=2)
         assert params.lift is not None
-        tokens = E.chain_tokens([make_chain(0, (1,))], 2, emb, params)
+        tokens, _ = E.chain_tokens([make_chain(0, (1,))], 2, emb, params)
         assert tokens.shape == (1, 4, 8)
         raw = E.log_map_tensor(Tensor(emb.attributes.data[[0]])).data
         np.testing.assert_allclose(tokens.data[0, 0], raw[0] @ params.lift.data,
@@ -171,9 +185,41 @@ class TestTransformer:
         chains = [make_chain(0, (1, 2)), make_chain(2, (3, 5), path_start=40)]
         reps = E.encode_chains(chains, 1, emb, params)
         assert reps.shape == (2, 8)
-        tokens = E.chain_tokens(chains, 1, emb, params)
-        full = E.transformer_stack(tokens, params.stack).data
+        tokens, mask = E.chain_tokens(chains, 1, emb, params)
+        full = E.transformer_stack(tokens, params.stack, key_mask=mask).data
         np.testing.assert_array_equal(reps.data, full[:, -1])
+
+
+class TestPaddedEncoding:
+    @pytest.mark.parametrize("filter_dim", [8, 4], ids=["no_lift", "lift"])
+    def test_padded_batch_matches_chains_encoded_alone(self, filter_dim, rng):
+        """One masked pass over lengths 3, 1, 2 equals three unpadded passes,
+        in values and in the gradients of a fixed mix of the rows."""
+        emb = FilterEmbeddings.create(rng, n_relations=6, n_attributes=4, dim=filter_dim)
+        params = E.ChainEncoderParams.create(rng, filter_dim=filter_dim, dim=8,
+                                             n_layers=2, heads=2)
+        assert (params.lift is not None) == (filter_dim != 8)
+        chains = [make_chain(0, (1, 2, 3)), make_chain(1, (4,), path_start=20),
+                  make_chain(3, (5, 0), path_start=40)]
+        mix = rng.standard_normal((3, 8))
+        weights = [emb.relations, emb.attributes, *params.parameters()]
+
+        def grads(loss):
+            for w in weights:
+                w.grad = None
+            ad.backward(loss)
+            return [w.grad.copy() for w in weights]
+
+        padded = E.encode_chains(chains, 2, emb, params)
+        padded_grads = grads(ad.tensor_sum(ad.mul(padded, mix)))
+        alone = [E.encode_chains([c], 2, emb, params) for c in chains]
+        alone_loss = ad.tensor_sum(ad.mul(ad.concat(alone, axis=0), mix))
+        alone_grads = grads(alone_loss)
+
+        np.testing.assert_allclose(padded.data, np.concatenate([a.data for a in alone]),
+                                   rtol=0.0, atol=1e-12)
+        for w, got, want in zip(weights, padded_grads, alone_grads):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=w.name)
 
 
 class TestAffineTransfer:
@@ -225,33 +271,40 @@ class TestAffineTransfer:
 
 class TestEndToEndGradient:
     def test_finite_differences_through_encoder_and_transfer(self, rng):
-        """FD check on a full encode -> transfer -> scalar pipeline."""
+        """FD check on a full encode -> transfer -> scalar pipeline, for a
+        shared-length chain set and a left-padded mixed-length one."""
         import dataclasses
 
         dim, fdim, heads = 4, 3, 2
-        chains = [make_chain(0, (1, 2)), make_chain(1, (0, 3), path_start=30)]
+        chain_sets = [
+            [make_chain(0, (1, 2)), make_chain(1, (0, 3), path_start=30)],
+            [make_chain(0, (1, 2, 4)), make_chain(1, (3,), path_start=30),
+             make_chain(2, (0, 3), path_start=60)],
+        ]
         layer_const = E.LayerParams.create(rng, dim, 2 * dim, tag="c")
         nets_const = E.AffineNets.create(rng, dim=dim, hidden=4)
-        mix = rng.standard_normal((2, dim))
+        for chains in chain_sets:
+            mix = rng.standard_normal((len(chains), dim))
+            values = [0.75, -0.25, 1.5][:len(chains)]
 
-        def build(p):
-            emb = FilterEmbeddings(relations=p["rel"], attributes=p["attr"])
-            layer = dataclasses.replace(layer_const, ln1_gain=p["ln1_gain"])
-            stack = E.TransformerParams(layers=[layer], heads=heads, dim=dim)
-            params = E.ChainEncoderParams(stack=stack, end_token=p["end"],
-                                          lift=p["lift"])
-            nets = dataclasses.replace(nets_const, w2a=p["w2a"], b2b=p["b2b"])
-            reps = E.encode_chains(chains, 2, emb, params)
-            out = E.affine_transfer(reps, [0.75, -0.25], nets)
-            return ad.tensor_sum(ad.mul(out, mix))
+            def build(p):
+                emb = FilterEmbeddings(relations=p["rel"], attributes=p["attr"])
+                layer = dataclasses.replace(layer_const, ln1_gain=p["ln1_gain"])
+                stack = E.TransformerParams(layers=[layer], heads=heads, dim=dim)
+                params = E.ChainEncoderParams(stack=stack, end_token=p["end"],
+                                              lift=p["lift"])
+                nets = dataclasses.replace(nets_const, w2a=p["w2a"], b2b=p["b2b"])
+                reps = E.encode_chains(chains, 2, emb, params)
+                out = E.affine_transfer(reps, values, nets)
+                return ad.tensor_sum(ad.mul(out, mix))
 
-        arrays = {
-            "rel": random_inball(rng, 5, fdim, radius=0.4),
-            "attr": random_inball(rng, 3, fdim, radius=0.4),
-            "end": rng.standard_normal(dim) * 0.5,
-            "lift": rng.standard_normal((fdim, dim)) * 0.5,
-            "ln1_gain": rng.uniform(0.8, 1.2, dim),
-            "w2a": rng.standard_normal((4, dim * dim)) * 0.1,
-            "b2b": rng.standard_normal(dim) * 0.1,
-        }
-        check_gradients(build, arrays, tol=1e-4)
+            arrays = {
+                "rel": random_inball(rng, 5, fdim, radius=0.4),
+                "attr": random_inball(rng, 3, fdim, radius=0.4),
+                "end": rng.standard_normal(dim) * 0.5,
+                "lift": rng.standard_normal((fdim, dim)) * 0.5,
+                "ln1_gain": rng.uniform(0.8, 1.2, dim),
+                "w2a": rng.standard_normal((4, dim * dim)) * 0.1,
+                "b2b": rng.standard_normal(dim) * 0.1,
+            }
+            check_gradients(build, arrays, tol=1e-4)

@@ -109,21 +109,6 @@ class TestWeighting:
                                    tree_params).data
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-9)
 
-    def test_padding_slots_get_exactly_zero(self, tree_params, rng):
-        reps = Tensor(rng.standard_normal((3, 8)))
-        omega = R.weight_chains(reps, np.array([1, 2, 3]), tree_params, pad_to=6)
-        assert omega.shape == (6,)
-        np.testing.assert_array_equal(omega.data[3:], np.zeros(3))
-        assert omega.data[:3].sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_padding_does_not_change_real_weights(self, tree_params, rng):
-        reps = rng.standard_normal((4, 8))
-        lengths = np.array([1, 1, 2, 3])
-        plain = R.weight_chains(Tensor(reps.copy()), lengths, tree_params).data
-        padded = R.weight_chains(Tensor(reps.copy()), lengths, tree_params,
-                                 pad_to=9).data
-        np.testing.assert_allclose(padded[:4], plain, atol=1e-9)
-
     def test_length_embedding_differentiates_equal_reps(self, tree_params, rng):
         row = rng.standard_normal(8)
         reps = Tensor(np.stack([row, row]))
