@@ -4,6 +4,11 @@ A Tensor records the op that produced it (parent tensors + a backward
 closure); backward() topologically sorts that tape and accumulates gradients
 into .grad. Only the primitives the model needs are implemented, each checked
 against central finite differences in the test suite.
+
+The recording switch (`_grad_enabled`, set by `no_grad`) and the gradient
+accumulator of a running `backward` (`_active_grads`) are module globals, so
+the library is single-threaded: neither is re-entrant nor safe to use from
+several threads at once.
 """
 
 from __future__ import annotations

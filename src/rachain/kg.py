@@ -1,15 +1,23 @@
 """Knowledge-graph storage.
 
 Relational facts are (head, relation, tail) triples; numerical facts are
-(entity, attribute, value) triples. Loading interns names to dense ids,
-synthesizes one inverse per base relation (ids R..2R-1 for base ids 0..R-1),
-and builds adjacency plus a per-entity numerical index. Only training-split
-numerical facts enter the graph; validation/test values stay outside it so
-retrieval can never see a held-out answer.
+(entity, attribute, value) triples. Loading interns names to dense ids and
+synthesizes one inverse per base relation (ids R..2R-1 for base ids 0..R-1).
+Only training-split numerical facts enter the graph; validation/test values
+stay outside it so retrieval can never see a held-out answer.
+
+The graph is indexed in CSR (compressed sparse row) form, one offset array
+per table: the out-edges of entity e are `edge_rel[i]`, `edge_tail[i]` for
+`i` in `edge_indptr[e]:edge_indptr[e + 1]`, and its facts are `fact_attr[i]`,
+`fact_value[i]` for `i` in `fact_indptr[e]:fact_indptr[e + 1]`. Rows are
+sorted stably by head, so each entity's edges and facts keep the order of
+`relational_triples` and `numerical_triples`; duplicate triples stay as
+separate entries.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,11 +109,15 @@ class KnowledgeGraph:
     relational_triples: list[tuple[int, int, int]]  # includes inverse triples
     numerical_triples: list[tuple[int, int, float]]  # training-split facts
     num_base_relations: int
-    adjacency: list[list[tuple[int, int]]] = field(default_factory=list)
-    numerical_index: list[list[tuple[int, float]]] = field(default_factory=list)
     entity_index: dict[str, int] = field(default_factory=dict)
     relation_index: dict[str, int] = field(default_factory=dict)
     attribute_index: dict[str, int] = field(default_factory=dict)
+    edge_indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_rel: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_tail: np.ndarray = field(init=False, repr=False, compare=False)
+    fact_indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    fact_attr: np.ndarray = field(init=False, repr=False, compare=False)
+    fact_value: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entity_index:
@@ -114,14 +126,13 @@ class KnowledgeGraph:
             self.relation_index = {n: i for i, n in enumerate(self.relation_names)}
         if not self.attribute_index:
             self.attribute_index = {n: i for i, n in enumerate(self.attribute_names)}
-        if not self.adjacency:
-            self.adjacency = [[] for _ in self.entity_names]
-            for h, r, t in self.relational_triples:
-                self.adjacency[h].append((r, t))
-        if not self.numerical_index:
-            self.numerical_index = [[] for _ in self.entity_names]
-            for e, a, v in self.numerical_triples:
-                self.numerical_index[e].append((a, v))
+        n = self.n_entities
+        edges = _table(self.relational_triples, np.int64)
+        self.edge_indptr, (self.edge_rel, self.edge_tail) = _csr(
+            edges[:, 0], n, edges[:, 1], edges[:, 2])
+        facts = _table(self.numerical_triples, np.float64)
+        self.fact_indptr, (self.fact_attr, self.fact_value) = _csr(
+            facts[:, 0].astype(np.int64), n, facts[:, 1].astype(np.int64), facts[:, 2])
 
     @property
     def n_entities(self) -> int:
@@ -135,9 +146,34 @@ class KnowledgeGraph:
     def n_attributes(self) -> int:
         return len(self.attribute_names)
 
-    def invert_relation(self, relation: int) -> int:
+    def out_edges(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
+        """(relations, tails) of the entity's out-edges, in triple order."""
+        lo, hi = self.edge_indptr[entity], self.edge_indptr[entity + 1]
+        return self.edge_rel[lo:hi], self.edge_tail[lo:hi]
+
+    def facts(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
+        """(attributes, values) of the entity's training facts, in triple order."""
+        lo, hi = self.fact_indptr[entity], self.fact_indptr[entity + 1]
+        return self.fact_attr[lo:hi], self.fact_value[lo:hi]
+
+    def invert_relation(self, relation):
+        """The inverse relation id; elementwise on an array of ids."""
         r = self.num_base_relations
-        return relation + r if relation < r else relation - r
+        return (relation + r) % (2 * r)
+
+
+def _table(triples, dtype) -> np.ndarray:
+    """The triples as an (n, 3) array."""
+    flat = itertools.chain.from_iterable(triples)
+    return np.fromiter(flat, dtype, 3 * len(triples)).reshape(-1, 3)
+
+
+def _csr(rows: np.ndarray, n_rows: int, *columns: np.ndarray):
+    """Row offsets, and `columns` stably sorted by `rows`."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    return indptr, tuple(c[order] for c in columns)
 
 
 def _parse_rows(lines, n_cols: int, source: str):

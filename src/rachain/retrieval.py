@@ -2,15 +2,25 @@
 
 A chain ties a known numerical fact (source entity, attribute, value) to the
 query entity through a path of relations. Walks start at the query entity and
-move outward, truncating when they would revisit an entity; every attributed
-entity along the way yields one chain per attribute it carries (so one walk
-can emit chains of several lengths). Chains are stored in source -> query
-orientation: the walked path is reversed and each traversed relation replaced
-by its inverse, which keeps every stored hop a real edge of the graph.
+move outward over the graph's CSR edge arrays, truncating when they would
+revisit an entity; every attributed entity along the way yields one chain per
+attribute it carries (so one walk can emit chains of several lengths). Chains
+are stored in source -> query orientation: the walked path is reversed and
+each traversed relation replaced by its inverse, which keeps every stored hop
+a real edge of the graph.
+
+`sample_tree` draws all of a tree's randomness at once, as a
+(max_hops, walks) matrix of uniforms, and advances every walk together with
+array ops. Its result is the one the sequential loop (walk by walk, hop by
+hop, reading the same matrix) would give, chain order included: first-found
+order, at most `walks` chains. The uniforms replaced one `rng.integers` call
+per hop, so a given seed now samples a different tree than it did under that
+stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,45 +81,78 @@ def sample_tree(
 ) -> TreeOfChains:
     """Run `walks` random walks of up to max_hops steps from the query entity.
 
-    Neighbors are drawn uniformly over the adjacency list (parallel edges count
-    separately). Duplicate discoveries are dropped, and harvesting stops once
-    `walks` distinct chains exist, so len(result) <= walks.
+    Every uniform comes from one draw, u = rng.random((max_hops, walks)): at
+    hop h, walk w takes edge floor(u[h, w] * degree) of its entity's edge list
+    (parallel edges count separately). A walk ends at a dead end or where it
+    would revisit an entity. All walks advance together, one hop at a time;
+    the distinct prefixes of each hop are numbered by np.unique over the
+    packed key (parent prefix, relation, tail), whose first index is the
+    first walk that found the prefix. Each prefix yields one chain per
+    attribute of its end entity (the first fact in index order when an
+    attribute repeats). Chains come out in first-found order (walk, then hop,
+    then fact index) and stop at `walks`, so len(result) <= walks.
     """
-    rng = np.random.default_rng(seed)
-    seen: set[tuple] = set()
-    chains: list[RAChain] = []
-    for _ in range(walks):
-        cur = query.entity
-        path = [cur]
-        rels: list[int] = []
-        visited = {cur}
-        for _ in range(max_hops):
-            nbrs = kg.adjacency[cur]
-            if not nbrs:
-                break
-            rel, nxt = nbrs[rng.integers(len(nbrs))]
-            if nxt in visited:
-                break
-            path.append(nxt)
-            rels.append(rel)
-            visited.add(nxt)
-            cur = nxt
-            facts = kg.numerical_index[nxt]
-            if not facts:
-                continue
-            rev_path = tuple(reversed(path))
-            rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
-            for attr, value in facts:
-                key = (attr, rev_path, rev_rels)
-                if key in seen:
-                    continue
-                seen.add(key)
-                chains.append(RAChain(attr, rev_rels, query.attribute, value, rev_path))
-                if len(chains) >= walks:
-                    return TreeOfChains(query, chains)
-        if len(chains) >= walks:
+    n_entities, n_relations = kg.n_entities, kg.n_relations
+    # prefix ids restart at every hop, so a parent id is below `walks`; a
+    # tree has at most walks * max_hops prefixes
+    _check_packable(walks, n_relations, n_entities)
+    _check_packable(walks * max_hops, kg.n_attributes)
+    u = np.random.default_rng(seed).random((max_hops, walks))
+    path = np.empty((walks, max_hops + 1), dtype=np.int64)
+    path[:, 0] = query.entity
+    rels = np.empty((walks, max_hops), dtype=np.int64)
+    live = np.arange(walks)                    # walks still moving, ascending
+    prefix = np.zeros(walks, dtype=np.int64)   # each walk's prefix id at its last hop
+    found_walk, found_hop = [], []
+    for hop in range(max_hops):
+        cur = path[live, hop]
+        start = kg.edge_indptr[cur]
+        degree = kg.edge_indptr[cur + 1] - start
+        moving = degree > 0
+        live = live[moving]
+        edge = start[moving] + (u[hop, live] * degree[moving]).astype(np.int64)
+        nxt = kg.edge_tail[edge]
+        fresh = ~(path[live, :hop + 1] == nxt[:, None]).any(axis=1)
+        live, edge, nxt = live[fresh], edge[fresh], nxt[fresh]
+        if live.size == 0:
             break
+        path[live, hop + 1] = nxt
+        rels[live, hop] = kg.edge_rel[edge]
+        key = (prefix[live] * n_relations + rels[live, hop]) * n_entities + nxt
+        _, first, prefix[live] = np.unique(key, return_index=True, return_inverse=True)
+        found_walk.append(live[first])
+        found_hop.append(np.full(first.size, hop))
+    if not found_walk:
+        return TreeOfChains(query, [])
+
+    walk, hop = np.concatenate(found_walk), np.concatenate(found_hop)
+    order = np.lexsort((hop, walk))
+    walk, hop = walk[order], hop[order]
+    end = path[walk, hop + 1]
+    lo = kg.fact_indptr[end]
+    count = kg.fact_indptr[end + 1] - lo
+    owner = np.repeat(np.arange(end.size), count)   # facts of each prefix's end, in order
+    fact = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+    _, first = np.unique(owner * kg.n_attributes + kg.fact_attr[fact], return_index=True)
+    keep = np.sort(first)[:walks]
+    owner, fact = owner[keep], fact[keep]
+
+    used, local = np.unique(owner, return_inverse=True)
+    hops = hop[used].tolist()
+    inverted = kg.invert_relation(rels[walk[used]]).tolist()
+    entity_paths = [tuple(row[h + 1::-1]) for row, h in zip(path[walk[used]].tolist(), hops)]
+    relations = [tuple(row[h::-1]) for row, h in zip(inverted, hops)]
+    qa = query.attribute
+    chains = [RAChain(a, relations[i], qa, v, entity_paths[i])
+              for a, v, i in zip(kg.fact_attr[fact].tolist(),
+                                 kg.fact_value[fact].tolist(), local.tolist())]
     return TreeOfChains(query, chains)
+
+
+def _check_packable(*sizes: int) -> None:
+    """Raise if keys mixed-radix packed over `sizes` could overflow int64."""
+    if math.prod(sizes) > np.iinfo(np.int64).max:
+        raise OverflowError(f"packed key over sizes {sizes} would overflow int64")
 
 
 def enumerate_all_chains(
@@ -127,7 +170,7 @@ def enumerate_all_chains(
         nonlocal steps
         if len(rels) >= max_hops:
             return
-        for rel, nxt in kg.adjacency[cur]:
+        for rel, nxt in zip(*(col.tolist() for col in kg.out_edges(cur))):
             if nxt in visited:
                 continue
             steps += 1
@@ -136,14 +179,10 @@ def enumerate_all_chains(
             path.append(nxt)
             rels.append(rel)
             visited.add(nxt)
-            facts = kg.numerical_index[nxt]
-            if facts:
-                rev_path = tuple(reversed(path))
-                rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
-                for attr, value in facts:
-                    chains.append(
-                        RAChain(attr, rev_rels, query.attribute, value, rev_path)
-                    )
+            rev_path = tuple(reversed(path))
+            rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
+            for attr, value in zip(*(col.tolist() for col in kg.facts(nxt))):
+                chains.append(RAChain(attr, rev_rels, query.attribute, value, rev_path))
             visit(nxt, path, rels, visited)
             path.pop()
             rels.pop()
@@ -151,19 +190,3 @@ def enumerate_all_chains(
 
     visit(query.entity, [query.entity], [], {query.entity})
     return chains
-
-
-def chain_is_valid(chain: RAChain, kg: KnowledgeGraph, query: Query) -> bool:
-    """Every stored hop is a graph edge, the source fact exists, the path ends
-    at the query entity, and no entity repeats."""
-    if chain.entity_path[-1] != query.entity:
-        return False
-    if chain.query_attribute != query.attribute:
-        return False
-    if len(set(chain.entity_path)) != len(chain.entity_path):
-        return False
-    for i, rel in enumerate(chain.relations):
-        if (rel, chain.entity_path[i + 1]) not in kg.adjacency[chain.entity_path[i]]:
-            return False
-    facts = kg.numerical_index[chain.source_entity]
-    return (chain.source_attribute, chain.source_value) in facts

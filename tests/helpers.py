@@ -1,4 +1,5 @@
-"""Shared test utilities: independent scalar oracles and finite differences."""
+"""Shared test utilities: independent scalar oracles, the sequential chain
+sampler, and finite differences."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 import numpy as np
 
 from rachain import autodiff as ad
+from rachain.retrieval import RAChain, TreeOfChains
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,74 @@ def random_inball(rng: np.random.Generator, n: int, dim: int, radius: float = 0.
     direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
     r = radius * rng.random((n, 1)) ** (1.0 / dim)
     return direction * r
+
+
+# ---------------------------------------------------------------------------
+# retrieval oracles (plain python over the triple lists)
+
+
+def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> TreeOfChains:
+    """The sequential walk loop that `sample_tree` vectorises: walk by walk,
+    hop by hop, over adjacency lists rebuilt from `kg.relational_triples`.
+    Walk w takes neighbour int(u[h, w] * degree) at hop h, reading the same
+    `rng.random((max_hops, walks))` matrix as `sample_tree`."""
+    adjacency = [[] for _ in range(kg.n_entities)]
+    for h, r, t in kg.relational_triples:
+        adjacency[h].append((r, t))
+    facts = [[] for _ in range(kg.n_entities)]
+    for e, a, v in kg.numerical_triples:
+        facts[e].append((a, v))
+    u = np.random.default_rng(seed).random((max_hops, walks))
+    seen: set[tuple] = set()
+    chains: list[RAChain] = []
+    for w in range(walks):
+        cur = query.entity
+        path = [cur]
+        rels: list[int] = []
+        visited = {cur}
+        for hop in range(max_hops):
+            nbrs = adjacency[cur]
+            if not nbrs:
+                break
+            rel, nxt = nbrs[int(u[hop, w] * len(nbrs))]
+            if nxt in visited:
+                break
+            path.append(nxt)
+            rels.append(rel)
+            visited.add(nxt)
+            cur = nxt
+            if not facts[nxt]:
+                continue
+            rev_path = tuple(reversed(path))
+            rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
+            for attr, value in facts[nxt]:
+                key = (attr, rev_path, rev_rels)
+                if key in seen:
+                    continue
+                seen.add(key)
+                chains.append(RAChain(attr, rev_rels, query.attribute, value, rev_path))
+                if len(chains) >= walks:
+                    return TreeOfChains(query, chains)
+        if len(chains) >= walks:
+            break
+    return TreeOfChains(query, chains)
+
+
+def chain_is_valid(chain: RAChain, kg, query) -> bool:
+    """Every stored hop is a graph edge, the source fact exists, the path ends
+    at the query entity, and no entity repeats."""
+    if chain.entity_path[-1] != query.entity:
+        return False
+    if chain.query_attribute != query.attribute:
+        return False
+    if len(set(chain.entity_path)) != len(chain.entity_path):
+        return False
+    for i, rel in enumerate(chain.relations):
+        rels, tails = kg.out_edges(chain.entity_path[i])
+        if not np.any((rels == rel) & (tails == chain.entity_path[i + 1])):
+            return False
+    attrs, values = kg.facts(chain.source_entity)
+    return bool(np.any((attrs == chain.source_attribute) & (values == chain.source_value)))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ class TestLoading:
     def test_adjacency_matches_triples(self, tmp_path):
         paths = write_dataset(tmp_path, REL, TRAIN)
         kg, _ = K.load_dataset(paths["relational"], paths["train"])
-        from_adj = [(h, r, t) for h, nbrs in enumerate(kg.adjacency)
-                    for r, t in nbrs]
+        from_adj = [(h, r, t) for h in range(kg.n_entities)
+                    for r, t in zip(*(col.tolist() for col in kg.out_edges(h)))]
         assert sorted(from_adj) == sorted(kg.relational_triples)
 
     def test_invert_relation_is_involution(self, tmp_path):
@@ -85,9 +85,13 @@ class TestLoading:
         munich = kg.entity_index["munich"]
         pop = kg.attribute_index["population"]
         lat = kg.attribute_index["latitude"]
-        assert (pop, 2.1) not in kg.numerical_index[paris]
-        assert (lat, 48.1) not in kg.numerical_index[munich]
-        assert (lat, 52.5) in kg.numerical_index[kg.entity_index["berlin"]]
+
+        def facts(entity):
+            return list(zip(*(col.tolist() for col in kg.facts(entity))))
+
+        assert (pop, 2.1) not in facts(paris)
+        assert (lat, 48.1) not in facts(munich)
+        assert (lat, 52.5) in facts(kg.entity_index["berlin"])
 
     def test_optional_splits(self, tmp_path):
         paths = write_dataset(tmp_path, REL, TRAIN)

@@ -89,6 +89,26 @@ class TestForward:
         assert result is not None
         assert result.omega.data.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_mean_pooling_matches_each_chain_pooled_alone(self, monkeypatch):
+        # without the chain encoder a representation is the mean of the
+        # chain's own tokens, so left-padding it into a batch changes nothing
+        import rachain.model as model_module
+        pooled = []
+        transfer = model_module.affine_transfer
+
+        def capture(reps, *args):
+            pooled.append(reps.data.copy())
+            return transfer(reps, *args)
+
+        monkeypatch.setattr(model_module, "affine_transfer", capture)
+        model = make_model(use_chain_encoder=False)
+        etoc = mixed_etoc()
+        model.forward(etoc)
+        (batch,) = pooled
+        for i, chain in enumerate(etoc.chains):
+            model.forward(EnhancedToC(etoc.query, [chain], np.zeros(1)))
+            np.testing.assert_allclose(batch[i], pooled[-1][0], rtol=0, atol=1e-12)
+
     def test_uniform_weights_without_chain_weighting(self):
         model = make_model(use_chain_weighting=False)
         result = model.forward(mixed_etoc())

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from helpers import chain_is_valid, reference_sample_tree
 from rachain import kg as K
 from rachain import retrieval as R
 
@@ -48,7 +51,7 @@ class TestEnumeration:
         assert (v, (a, b, c), (r, s)) in keyed
         assert len(keyed) == 2
         for ch in chains:
-            assert R.chain_is_valid(ch, kg, query)
+            assert chain_is_valid(ch, kg, query)
 
     def test_source_is_never_the_query_entity(self):
         kg = build([("a", "r", "b")], [("a", "v", "1.0"), ("b", "v", "2.0")])
@@ -86,7 +89,7 @@ class TestSampling:
         assert len(keys) == len(set(keys))
         assert len(toc) <= 200
         for ch in toc.chains:
-            assert R.chain_is_valid(ch, kg, query)
+            assert chain_is_valid(ch, kg, query)
 
     def test_sampled_subset_of_enumerated(self):
         kg = line_graph()
@@ -115,12 +118,16 @@ class TestSampling:
             assert ch.length <= 2
 
     def test_cap_respected(self):
-        rel = [("hub", "r", f"x{i}") for i in range(20)]
-        train = [(f"x{i}", "v", str(float(i))) for i in range(20)]
-        kg = build(rel, train)
-        query = K.Query(kg.entity_index["hub"], kg.attribute_index["v"])
+        # the hub's only neighbour carries 20 facts, so every walk's first hop
+        # lands there and the cap falls inside its fact list, whatever the seed
+        train = [("x", f"v{i}", str(float(i))) for i in range(20)]
+        kg = build([("hub", "r", "x")], train)
+        query = K.Query(kg.entity_index["hub"], kg.attribute_index["v0"])
         toc = R.sample_tree(kg, query, walks=5, max_hops=2, seed=0)
         assert len(toc) == 5
+        attrs, values = kg.facts(kg.entity_index["x"])
+        assert [(c.source_attribute, c.source_value) for c in toc.chains] == \
+            list(zip(attrs[:5].tolist(), values[:5].tolist()))
 
     def test_deterministic_by_seed(self):
         kg = line_graph()
@@ -155,3 +162,136 @@ class TestSampling:
                    for c in toc.chains}
         assert sampled <= oracle
         assert len(sampled) >= 0.99 * len(oracle)
+
+
+def raw_graph(n_entities, n_base, triples, facts):
+    """A graph built straight from id triples: edges need not come with their
+    inverses, so entities can be dead ends or fully isolated."""
+    return K.KnowledgeGraph(
+        entity_names=[f"e{i}" for i in range(n_entities)],
+        relation_names=[f"r{i}" for i in range(n_base)]
+        + [f"r{i}_inv" for i in range(n_base)],
+        attribute_names=["a0", "a1", "a2"],
+        relational_triples=[tuple(int(x) for x in t) for t in triples],
+        numerical_triples=[(int(e), int(a), float(v)) for e, a, v in facts],
+        num_base_relations=n_base,
+    )
+
+
+def random_graph(rng):
+    """Small random graph with parallel edges, repeated (entity, attribute)
+    facts, a triangle and a dead end; some queries are isolated."""
+    n = int(rng.integers(4, 16))
+    n_base = int(rng.integers(1, 4))
+    triples = []
+    for _ in range(int(rng.integers(n, 3 * n))):
+        h, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+        r = int(rng.integers(2 * n_base))
+        triples.append((h, r, t))
+        if rng.random() < 0.6:
+            triples.append((t, (r + n_base) % (2 * n_base), h))
+    for i in rng.choice(len(triples), size=3):  # parallel edges
+        h, r, t = triples[i]
+        triples.insert(int(rng.integers(len(triples) + 1)), (h, r, t))
+        triples.append((h, int(rng.integers(2 * n_base)), t))
+    a, b, c = (int(x) for x in rng.choice(n, size=3, replace=False))
+    triples += [(a, 0, b), (b, 0, c), (c, 0, a)]
+    dead = int(rng.integers(n))
+    triples = [tr for tr in triples if tr[0] != dead]
+    query = int(rng.integers(n))
+    if rng.random() < 0.15:
+        triples = [tr for tr in triples if query not in (tr[0], tr[2])]
+    facts = []
+    for e in range(n):
+        for attr in range(3):
+            if rng.random() < 0.5:
+                facts.append((e, attr, float(rng.uniform(-5, 5))))
+                if rng.random() < 0.2:
+                    facts.append((e, attr, float(rng.uniform(-5, 5))))
+    order = rng.permutation(len(facts))
+    kg = raw_graph(n, n_base, triples, [facts[i] for i in order])
+    return kg, K.Query(query, int(rng.integers(3)))
+
+
+class TestEquivalence:
+    """The vectorised sampler against the sequential loop it replaced."""
+
+    def test_matches_sequential_loop_on_random_graphs(self):
+        rng = np.random.default_rng(2025)
+        seen = dict.fromkeys(("parallel", "repeat_fact", "dead_end", "isolated",
+                              "cap_hit", "nonempty"), 0)
+        for _ in range(60):
+            kg, query = random_graph(rng)
+            walks = int(rng.choice([1, 3, 8, 40, 200]))
+            max_hops = int(rng.integers(1, 5))
+            seed = int(rng.integers(2 ** 32))
+            got = R.sample_tree(kg, query, walks, max_hops, seed).chains
+            want = reference_sample_tree(kg, query, walks, max_hops, seed).chains
+            assert got == want
+            pairs = [(h, t) for h, _, t in kg.relational_triples]
+            seen["parallel"] += len(pairs) > len(set(pairs))
+            ea = [(e, a) for e, a, _ in kg.numerical_triples]
+            seen["repeat_fact"] += len(ea) > len(set(ea))
+            seen["dead_end"] += bool(np.any(np.diff(kg.edge_indptr) == 0))
+            seen["isolated"] += kg.out_edges(query.entity)[0].size == 0
+            seen["cap_hit"] += len(got) == walks
+            seen["nonempty"] += len(got) > 0
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("case", ["parallel", "repeat_fact", "dead_end",
+                                      "triangle", "isolated", "cap_mid_walk"])
+    def test_matches_sequential_loop_on_edge_cases(self, case):
+        # e0 is the query; attribute 0 on e1 and e2, attributes 0-2 on e3
+        facts = [(1, 0, 1.0), (2, 0, 2.0), (3, 0, 3.0), (3, 1, 4.0), (3, 2, 5.0)]
+        walks, max_hops = 50, 3
+        if case == "parallel":
+            triples = [(0, 0, 1), (0, 0, 1), (0, 1, 1), (0, 0, 2), (1, 0, 3), (2, 2, 3)]
+        elif case == "repeat_fact":
+            triples = [(0, 0, 3), (3, 1, 1)]
+            facts = [(3, 1, 9.0), (3, 1, 8.0), (1, 0, 1.0), (1, 0, 2.0), (1, 2, 0.5)]
+        elif case == "dead_end":
+            triples = [(0, 0, 1), (0, 0, 2), (2, 0, 3)]  # e1 and e3 have no out-edges
+        elif case == "triangle":
+            triples = [(0, 0, 1), (1, 0, 2), (2, 0, 0), (1, 2, 0), (2, 2, 1), (0, 2, 2)]
+        elif case == "isolated":
+            triples = [(1, 0, 2), (2, 2, 1), (3, 0, 1)]
+        else:  # e3 ends the first hop with three facts, and the walk could go on
+            triples = [(0, 0, 3), (3, 0, 1), (1, 0, 2)]
+            walks = 2
+        kg = raw_graph(4, 2, triples, facts)
+        query = K.Query(0, 0)
+        for seed in range(5):
+            got = R.sample_tree(kg, query, walks, max_hops, seed).chains
+            assert got == reference_sample_tree(kg, query, walks, max_hops, seed).chains
+        if case == "isolated":
+            assert got == []
+        if case == "cap_mid_walk":
+            assert [(c.source_attribute, c.entity_path) for c in got] == \
+                [(0, (3, 0)), (1, (3, 0))]
+
+    def test_first_hop_is_uniform_over_edge_list(self):
+        # the hub's edge list: (r, x0) twice, (s, x0), (r, x1), (r_inv, x2)
+        kg = build([("hub", "r", "x0"), ("hub", "r", "x0"), ("hub", "s", "x0"),
+                    ("hub", "r", "x1"), ("x2", "r", "hub")],
+                   [(x, "v", "1.0") for x in ("x0", "x1", "x2")])
+        hub = kg.entity_index["hub"]
+        rels, tails = kg.out_edges(hub)
+        assert len(rels) == 5
+        query = K.Query(hub, kg.attribute_index["v"])
+        n = 3000
+        counts: dict[tuple, int] = {}
+        for seed in range(n):
+            (chain,) = R.sample_tree(kg, query, walks=1, max_hops=1, seed=seed).chains
+            key = (kg.invert_relation(chain.relations[0]), chain.source_entity)
+            counts[key] = counts.get(key, 0) + 1
+        edges = list(zip(rels.tolist(), tails.tolist()))
+        assert set(counts) == set(edges)
+        for edge, count in counts.items():
+            p = edges.count(edge) / len(edges)
+            assert abs(count - n * p) < 4 * math.sqrt(n * p * (1 - p)), (edge, count)
+
+    def test_packed_key_overflow_raises(self):
+        kg = line_graph()
+        query = K.Query(kg.entity_index["c"], kg.attribute_index["v"])
+        with pytest.raises(OverflowError, match="overflow int64"):
+            R.sample_tree(kg, query, walks=2 ** 62, max_hops=3, seed=0)
