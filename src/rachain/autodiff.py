@@ -119,7 +119,9 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 # gradients in flight during one backward() run, keyed by id(tensor);
 # leaves (no recorded op) accumulate into .grad directly so repeated backward
-# calls sum, while intermediate gradients live only for the run
+# calls sum, while intermediate gradients live only for the run. A gradient
+# handed to _accumulate may be shared or a view, so it is stored as is and
+# never written in place: a second contribution makes a new sum.
 _active_grads: dict[int, np.ndarray] | None = None
 
 
@@ -132,10 +134,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
         return
     key = id(t)
-    if key in _active_grads:
-        _active_grads[key] += g
-    else:
-        _active_grads[key] = np.array(g, dtype=np.float64)
+    prev = _active_grads.get(key)
+    _active_grads[key] = g if prev is None else prev + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -426,20 +426,51 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# composites
+# fused layers: one tape node each, keeping no intermediate result alive
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
+    """x @ w + b for x (..., n), w (n, p) and b (p,) or None."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    out_data = x.data @ w.data
+    if b is not None:
+        b = _as_tensor(b)
+        out_data += b.data
+
+    def backward_fn(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        g2 = g.reshape(-1, g.shape[-1])
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, w.data.shape[0]).T @ g2)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(out_data, parents, backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(square(centered), axis=-1, keepdims=True)
-    xhat = div(centered, sqrt(add(var, eps)))
-    return add(mul(xhat, gain), bias)
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    gain and shift by bias."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered / std
+    rstd = 1.0 / std
+
+    def backward_fn(g):
+        axes = tuple(range(g.ndim - 1))
+        if gain.requires_grad:
+            _accumulate(gain, (g * xhat).sum(axis=axes))
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=axes))
+        if x.requires_grad:
+            gx = g * gain.data
+            gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            _accumulate(x, gx * rstd)
+
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn)
 
 
 # ---------------------------------------------------------------------------

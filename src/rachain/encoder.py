@@ -3,11 +3,13 @@
 A chain becomes a token sequence [source_attr, r_l, ..., r_1, query_attr,
 end]: ball embeddings are pulled into the tangent space at the origin by the
 log map, linearly lifted when the filter dimension differs from the encoder
-dimension, and a learned end-of-chain token is appended. A chain set of
-mixed lengths is one batch: shorter chains are left-padded with zero tokens
-that the attention masks out. An encoder-only transformer (post-norm,
-residual, multi-head attention scaled by 1/sqrt(model_dim)) contextualizes
-the sequence; the end token's output is the chain representation.
+dimension, and a learned end-of-chain token is appended. The chains of a
+whole mini-batch, of mixed lengths and queries, are one batch: shorter
+chains are left-padded with zero tokens that the attention masks out, and
+pad chains that fill a query's unused chain slots keep only the end token.
+An encoder-only transformer (post-norm, residual, multi-head attention
+scaled by 1/sqrt(model_dim)) contextualizes the sequence; the end token's
+output is the chain representation.
 
 The numerical-aware affine transfer conditions that representation on the
 source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
@@ -72,7 +74,13 @@ def decode_value(bits: np.ndarray) -> float:
 
 
 def encode_values(values) -> np.ndarray:
-    return np.stack([encode_value(v) for v in values])
+    """encode_value over a sequence of n values, as one (n, 64) array."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"cannot encode non-finite value {bad[0]}")
+    raw = values.astype(">f8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(raw, axis=1).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +160,14 @@ def _attention(x: Tensor, layer: LayerParams, heads: int, dim: int,
     def split(t: Tensor) -> Tensor:
         return swapaxes(reshape(t, (b, length, heads, head_dim)), 1, 2)
 
-    q = split(matmul(x, layer.wq))
-    k = split(matmul(x, layer.wk))
-    v = split(matmul(x, layer.wv))
+    q = split(linear(x, layer.wq))
+    k = split(linear(x, layer.wk))
+    v = split(linear(x, layer.wv))
     scores = mul(matmul(q, swapaxes(k, -1, -2)), 1.0 / np.sqrt(dim))
     mask4 = None if key_mask is None else key_mask[:, None, None, :]
     probs = softmax(scores, mask=mask4)
     ctx = reshape(swapaxes(matmul(probs, v), 1, 2), (b, length, dim))
-    return matmul(ctx, layer.wo), probs
+    return linear(ctx, layer.wo), probs
 
 
 def transformer_stack(x: Tensor, params: TransformerParams,
@@ -215,38 +223,44 @@ class ChainEncoderParams:
         return out
 
 
-def chain_tokens(chains: list[RAChain], query_attribute: int,
+def chain_tokens(chains: list[RAChain | None], query_attributes,
                  embeddings: FilterEmbeddings, params: ChainEncoderParams,
                  include_end: bool = True) -> tuple[Tensor, np.ndarray]:
     """Left-padded, masked tokens (m, L + 3, dim) and key mask (m, L + 3) for
     m chains, L the longest chain length.
 
-    A chain of length l fills the last l + 3 slots; the L - l leading pad
+    query_attributes is one attribute for every chain or one per chain. A
+    chain of length l fills the last l + 3 slots; the L - l leading pad
     slots are exactly zero and masked out, so the end token is always last.
+    A None entry is a pad chain: every slot is zero and only its end slot is
+    unmasked, so it gives a finite row that costs no gather to place.
     include_end=False drops the end-of-chain token (m, L + 2, dim), used by
     the transformer-free variant that mean-pools the tokens.
     """
     m = len(chains)
-    lengths = np.array([c.length for c in chains], dtype=np.int64)
-    longest = int(lengths.max())
+    query_attributes = np.broadcast_to(query_attributes, (m,))
+    longest = max(c.length for c in chains if c is not None)
     n_attr = embeddings.attributes.shape[0]
     df = embeddings.dim
 
     # rows of [attributes; relations; zero]; the zero row fills pad slots
     pad_row = n_attr + embeddings.relations.shape[0]
     ids = np.full((m, longest + 2), pad_row, dtype=np.int64)
-    for i, c in enumerate(chains):
+    first = np.full(m, longest + 2, dtype=np.int64)  # first unmasked slot
+    for i, (c, qa) in enumerate(zip(chains, query_attributes)):
+        if c is None:
+            continue
+        first[i] = longest - c.length
         # query-adjacent relation next to the query token: store order reversed
-        ids[i, longest - c.length:] = [c.source_attribute,
-                                       *(n_attr + r for r in reversed(c.relations)),
-                                       query_attribute]
-    key_mask = np.arange(longest + 3) >= (longest - lengths)[:, None]
+        ids[i, first[i]:] = [c.source_attribute,
+                             *(n_attr + r for r in reversed(c.relations)), qa]
+    key_mask = np.arange(longest + 3) >= first[:, None]
 
     table = concat([embeddings.attributes, embeddings.relations, Tensor(np.zeros((1, df)))])
     ball = reshape(take_rows(table, ids.reshape(-1)), (m, longest + 2, df))
     tangent = log_map_tensor(ball, embeddings.curvature)
     if params.lift is not None:
-        tangent = matmul(tangent, params.lift)
+        tangent = linear(tangent, params.lift)
     if not include_end:
         return tangent, key_mask[:, :-1]
     dim = params.stack.dim
@@ -254,11 +268,12 @@ def chain_tokens(chains: list[RAChain], query_attribute: int,
     return concat([tangent, end], axis=1), key_mask
 
 
-def encode_chains(chains: list[RAChain], query_attribute: int,
+def encode_chains(chains: list[RAChain | None], query_attributes,
                   embeddings: FilterEmbeddings, params: ChainEncoderParams) -> Tensor:
     """Chain representations (m, dim): the end token's contextualized output,
-    from one masked pass over the left-padded chain set."""
-    tokens, key_mask = chain_tokens(chains, query_attribute, embeddings, params)
+    from one masked pass over the left-padded chain set (see chain_tokens
+    for query_attributes and pad chains)."""
+    tokens, key_mask = chain_tokens(chains, query_attributes, embeddings, params)
     out = transformer_stack(tokens, params.stack, key_mask=key_mask)
     return getitem(out, (slice(None), -1))
 

@@ -1,10 +1,11 @@
 """The full pipeline as one object.
 
-Model.forward turns a filtered chain set into a normalized prediction with
-differentiable attention weights; Model.predict wraps retrieval, filtering,
-forward, and the attribute-mean fallback for queries with no usable chains.
-Checkpoints store every parameter array by name plus the config and
-normalization statistics needed to rebuild the model exactly.
+Model.forward turns the filtered chain sets of a mini-batch into normalized
+predictions with differentiable attention weights, in one masked pass and
+so one autodiff tape; Model.predict wraps retrieval, filtering, the same
+forward over a batch of one, and the attribute-mean fallback for queries
+with no usable chains. Checkpoints store every parameter array by name plus
+the config and normalization statistics needed to rebuild the model exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, mul, no_grad, tensor_sum
+from .autodiff import Parameter, Tensor, mul, no_grad, reshape, tensor_sum
 from .config import TrainConfig
 from .encoder import AffineNets, ChainEncoderParams, affine_transfer, chain_tokens, encode_chains
 from .filter import EnhancedToC, FilterEmbeddings, select_random_k, select_top_k
@@ -33,10 +34,14 @@ from .retrieval import RAChain, TreeOfChains, sample_tree
 
 @dataclass
 class ForwardResult:
-    prediction: Tensor          # scalar, normalized space
-    omega: Tensor               # (m,) attention weights
-    proposals: Tensor           # (m,) per-chain proposals, normalized
-    chains: list[RAChain]       # the m chains actually used, same order
+    """One row per query of the batch that has a usable chain; row i holds
+    len(chains[i]) chains in its leading slots and pads after them."""
+
+    prediction: Tensor           # (B,) normalized predictions
+    omega: Tensor                # (B, k) attention weights, exactly 0 on pad slots
+    proposals: Tensor            # (B, k) per-chain proposals, normalized
+    chains: list[list[RAChain]]  # per row, the chains actually used, slot order
+    rows: list[int]              # per row, the index of its query in the batch
 
 
 class Model:
@@ -94,52 +99,72 @@ class Model:
         return select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam,
                             cfg.filter_keep_largest)
 
-    def forward(self, etoc: EnhancedToC) -> ForwardResult | None:
-        """Prediction from the usable chains, encoded as one left-padded,
-        masked batch in their given order; None when no chain has a
-        normalizable source value."""
+    def forward(self, etocs: list[EnhancedToC]) -> ForwardResult | None:
+        """Predictions for a mini-batch of chain sets; None when no query has
+        a chain with a normalizable source value.
+
+        Each query's usable chains, in their given order, fill the leading
+        slots of its row of k = the largest usable count; pad chains fill
+        the rest. All B*k chains are encoded in one left-padded, masked
+        pass, reshaped to (B, k, dim) for the treeformer, and masked out of
+        omega, so a pad slot adds exactly nothing to a prediction or a
+        gradient. A batch of one has no pad slot.
+        """
         cfg = self.config
-        usable = [ch for ch in etoc.chains if self.stats.usable(ch.source_attribute)]
-        if not usable:
+        rows, chains = [], []
+        for i, etoc in enumerate(etocs):
+            usable = [ch for ch in etoc.chains if self.stats.usable(ch.source_attribute)]
+            if usable:
+                rows.append(i)
+                chains.append(usable)
+        if not rows:
             return None
-        m = len(usable)
-        qa = etoc.query.attribute
+        b = len(rows)
+        k = max(len(row) for row in chains)
+        slots = [ch for row in chains for ch in row + [None] * (k - len(row))]
+        mask = np.array([ch is not None for ch in slots]).reshape(b, k)
+        query_attributes = np.repeat([etocs[i].query.attribute for i in rows], k)
         values_norm = np.array(
-            [self.stats.normalize(ch.source_attribute, ch.source_value) for ch in usable])
-        lengths = np.array([ch.length for ch in usable], dtype=np.int64)
+            [0.0 if ch is None else self.stats.normalize(ch.source_attribute, ch.source_value)
+             for ch in slots])
 
         if cfg.use_chain_encoder:
-            reps = encode_chains(usable, qa, self.embeddings, self.encoder)
+            reps = encode_chains(slots, query_attributes, self.embeddings, self.encoder)
         else:
-            tokens, key_mask = chain_tokens(usable, qa, self.embeddings, self.encoder,
-                                            include_end=False)
-            reps = mul(tensor_sum(tokens, axis=1), 1.0 / key_mask.sum(axis=1, keepdims=True))
+            tokens, key_mask = chain_tokens(slots, query_attributes, self.embeddings,
+                                            self.encoder, include_end=False)
+            # a pad chain has no token: its zero sum is divided by 1
+            counts = np.maximum(key_mask.sum(axis=1, keepdims=True), 1)
+            reps = mul(tensor_sum(tokens, axis=1), 1.0 / counts)
 
         transferred = (affine_transfer(reps, values_norm, self.affine)
                        if cfg.use_numerical_aware else reps)
-        proposals = project_values(transferred, values_norm, self.heads)
+        proposals = reshape(project_values(transferred, values_norm, self.heads), (b, k))
         if cfg.use_chain_weighting:
-            omega = weight_chains(reps, lengths, self.tree)
+            lengths = np.array([1 if ch is None else ch.length for ch in slots])
+            omega = weight_chains(reshape(reps, (b, k, reps.shape[-1])),
+                                  lengths.reshape(b, k), self.tree, mask)
         else:
-            omega = Tensor(np.full(m, 1.0 / m))
+            omega = Tensor(mask / mask.sum(axis=1, keepdims=True))
         prediction = aggregate(omega, proposals)
-        return ForwardResult(prediction, omega, proposals, usable)
+        return ForwardResult(prediction, omega, proposals, chains, rows)
 
     def predict(self, kg: KnowledgeGraph, query: Query, seed: int = 0) -> PredictionTrace:
-        """Retrieval + filter + forward without gradients; falls back to the
-        attribute's training mean when no chain is available."""
+        """Retrieval + filter + forward over a batch of this one query,
+        without gradients; falls back to the attribute's training mean when
+        no chain is available."""
         with no_grad():
             toc = self.retrieve(kg, query, seed)
             etoc = self.select(toc, seed)
-            result = self.forward(etoc)
+            result = self.forward([etoc])
         if result is None:
             value = float(self.means[query.attribute])
             norm = (self.stats.normalize(query.attribute, value)
                     if self.stats.usable(query.attribute) else float("nan"))
             return PredictionTrace(query=query, predicted_norm=norm,
                                    predicted_value=value, fallback="attribute-mean")
-        return build_trace(query, result.chains, result.omega.data,
-                           result.proposals.data, self.stats)
+        return build_trace(query, result.chains[0], result.omega.data[0],
+                           result.proposals.data[0], self.stats)
 
 
 # ---------------------------------------------------------------------------

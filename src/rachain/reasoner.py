@@ -4,9 +4,10 @@ Each selected chain proposes a value for the query attribute by transforming
 its source value in normalized space (translation, scaling, both, or a direct
 readout), then a second transformer attends across the chain set (no
 positional encoding; a learned length embedding is added instead) and a
-masked softmax turns its outputs into mixture weights. The final prediction
-is the weight-averaged proposal, denormalized under the query attribute's
-training scale.
+masked softmax turns its outputs into mixture weights. The chain sets of a
+mini-batch run as one (B, k, dim) pass whose key mask hides the pad slots of
+smaller sets. The final prediction is the weight-averaged proposal,
+denormalized under the query attribute's training scale.
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ class TreeformerParams:
     length_table: Parameter  # (max_hops, dim), row length-1
     stack: TransformerParams
     w_out: Parameter
-    b_out: Parameter
 
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int, n_layers: int, heads: int,
@@ -118,40 +118,44 @@ class TreeformerParams:
             length_table=Parameter(_normal(rng, (max_hops, dim)), name="tree.lengths"),
             stack=TransformerParams.create(rng, dim, n_layers, heads, tag="tree"),
             w_out=Parameter(_normal(rng, (dim, 1), 0.05), name="tree.w_out"),
-            b_out=Parameter(np.zeros(1), name="tree.b_out"),
         )
 
     def parameters(self) -> list[Parameter]:
-        return ([self.length_table] + self.stack.parameters()
-                + [self.w_out, self.b_out])
+        return [self.length_table] + self.stack.parameters() + [self.w_out]
 
 
-def weight_chains(chain_reps: Tensor, lengths: np.ndarray,
-                  params: TreeformerParams) -> Tensor:
-    """Attention weights (m,) over the chain set, summing to 1.
+def weight_chains(chain_reps: Tensor, lengths: np.ndarray, params: TreeformerParams,
+                  key_mask: np.ndarray | None = None) -> Tensor:
+    """Attention weights (..., k) over chain sets of k slots, summing to 1
+    over each set.
 
-    Chains of every length sit in one set, told apart by a learned length
-    embedding. Permuting the chains permutes the weights identically (the
-    stack sees the chains as a set).
+    chain_reps is (..., k, dim) and lengths (..., k); key_mask (..., k),
+    when given, marks the real chains, and the other slots get weight
+    exactly 0. Chains of every length sit in one set, told apart by a
+    learned length embedding. Permuting the chains of a set permutes its
+    weights identically (the stack sees the chains as a set).
     """
-    m = chain_reps.shape[0]
-    x = add(chain_reps, take_rows(params.length_table, np.asarray(lengths) - 1))
-    out = transformer_stack_rows(x, params)
-    logits = reshape(linear(out, params.w_out, params.b_out), (1, m))
-    return reshape(softmax(logits), (m,))
+    lengths = np.asarray(lengths)
+    x = add(chain_reps, take_rows(params.length_table, lengths - 1))
+    out = transformer_stack_rows(x, params, key_mask)
+    logits = reshape(linear(out, params.w_out), lengths.shape)
+    return softmax(logits, mask=key_mask)
 
 
-def transformer_stack_rows(x: Tensor, params: TreeformerParams) -> Tensor:
-    """Run the treeformer stack over a single set of rows (adds/removes the
-    batch axis)."""
-    total, dim = x.shape
-    out = transformer_stack(reshape(x, (1, total, dim)), params.stack)
-    return reshape(out, (total, dim))
+def transformer_stack_rows(x: Tensor, params: TreeformerParams,
+                           key_mask: np.ndarray | None = None) -> Tensor:
+    """Run the treeformer stack over chain sets x (..., k, dim), each set
+    attending only to its unmasked slots."""
+    k, dim = x.shape[-2:]
+    mask = None if key_mask is None else key_mask.reshape(-1, k)
+    out = transformer_stack(reshape(x, (-1, k, dim)), params.stack, key_mask=mask)
+    return reshape(out, x.shape)
 
 
 def aggregate(omega: Tensor, proposals: Tensor) -> Tensor:
-    """Weighted mixture of per-chain proposals (scalar, normalized space)."""
-    return tensor_sum(mul(omega, proposals))
+    """Weighted mixture of each set's proposals over the last axis
+    (normalized space)."""
+    return tensor_sum(mul(omega, proposals), axis=-1)
 
 
 # ---------------------------------------------------------------------------

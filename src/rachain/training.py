@@ -1,8 +1,9 @@
 """Training loop.
 
 Each epoch re-samples chains for every training query (unless cache_toc
-reuses the first epoch's trees), filters them, runs the forward pipeline, and
-applies Adam on the mini-batch mean loss over normalized values. Training
+reuses the first epoch's trees) and filters them. Each mini-batch then runs
+as one batched forward, so one autodiff tape and one backward pass, and
+Adam steps on the batch's mean loss over normalized values. Training
 stops at the epoch budget, when the epoch loss moves less than epsilon, or
 when validation MAE stops improving for `patience` epochs; the best
 validation snapshot wins.
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, Tensor, absolute, backward, clip_global_norm, square, sub
+from .autodiff import Adam, Tensor, absolute, backward, clip_global_norm, square, sub, tensor_sum
+from .filter import EnhancedToC
 from .kg import DatasetSplit, KnowledgeGraph, Query, queries_from_triples
 from .model import Model
 from .retrieval import TreeOfChains
@@ -49,7 +51,8 @@ def seed_for(base: int, channel: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence([base, channel, epoch, index]).generate_state(1)[0])
 
 
-def loss_term(prediction: Tensor, target_norm: float, kind: str) -> Tensor:
+def loss_term(prediction: Tensor, target_norm, kind: str) -> Tensor:
+    """Per-query loss, elementwise over a vector of predictions and targets."""
     diff = sub(prediction, target_norm)
     return square(diff) if kind == "l2" else absolute(diff)
 
@@ -73,14 +76,15 @@ def scoped_queries(kg: KnowledgeGraph, triples, model: Model) -> list[Query]:
     return out
 
 
-def validation_mae(model: Model, kg: KnowledgeGraph, queries: list[Query],
-                   epoch: int) -> float:
-    """Mean absolute error in normalized space (fallbacks included)."""
+def validation_mae(model: Model, kg: KnowledgeGraph, queries: list[Query]) -> float:
+    """Mean absolute error in normalized space (fallbacks included). Query i
+    samples its chains with the same seed every epoch, so epochs are
+    compared on the same samples."""
     if not queries:
         return float("nan")
     errs = []
     for i, q in enumerate(queries):
-        trace = model.predict(kg, q, seed=seed_for(model.config.seed, 1, epoch, i))
+        trace = model.predict(kg, q, seed=seed_for(model.config.seed, 1, 0, i))
         target_norm = model.stats.normalize(q.attribute, q.target)
         errs.append(abs(trace.predicted_norm - target_norm))
     return float(np.mean(errs))
@@ -93,6 +97,32 @@ def _snapshot(model: Model) -> dict[str, np.ndarray]:
 def _load_snapshot(model: Model, snap: dict[str, np.ndarray]) -> None:
     for p in model.all_parameters():
         p.data = snap[p.name].copy()
+
+
+def _step(model: Model, opt: Adam, etocs: list[EnhancedToC], queries: list[Query],
+          epoch: int) -> tuple[float, int]:
+    """One optimizer step on a mini-batch: one forward, one loss vector, one
+    backward seeded with 1/B for the B queries with a usable chain. Returns
+    the summed loss and B. The tape dies with this call, before the next
+    batch builds its own."""
+    fwd = model.forward(etocs)
+    if fwd is None:
+        return 0.0, 0
+    targets = np.array([model.stats.normalize(queries[i].attribute, queries[i].target)
+                        for i in fwd.rows])
+    terms = loss_term(fwd.prediction, targets, model.config.loss)
+    bad = np.flatnonzero(~np.isfinite(terms.data))
+    if bad.size:
+        query = queries[fwd.rows[bad[0]]]
+        raise TrainingFault(
+            f"non-finite loss at epoch {epoch} for query "
+            f"(entity={query.entity}, attribute={query.attribute})")
+    b = len(fwd.rows)
+    opt.zero_grad()
+    backward(tensor_sum(terms), seed=1.0 / b)
+    clip_global_norm(opt.params, model.config.clip_norm)
+    opt.step()
+    return float(terms.data.sum()), b
 
 
 def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
@@ -119,44 +149,26 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         used = 0
         empty = 0
         for lo in range(0, len(order), cfg.batch_size):
-            chunk = order[lo:lo + cfg.batch_size]
-            terms = []
+            chunk = [int(qi) for qi in order[lo:lo + cfg.batch_size]]
+            etocs = []
             for qi in chunk:
-                qi = int(qi)
-                query = train_queries[qi]
-                sample_epoch = 0 if cfg.cache_toc else epoch
                 if cfg.cache_toc and qi in toc_cache:
                     toc = toc_cache[qi]
                 else:
-                    toc = model.retrieve(kg, query,
+                    sample_epoch = 0 if cfg.cache_toc else epoch
+                    toc = model.retrieve(kg, train_queries[qi],
                                          seed_for(cfg.seed, 0, sample_epoch, qi))
                     if cfg.cache_toc:
                         toc_cache[qi] = toc
-                etoc = model.select(toc, seed_for(cfg.seed, 2, epoch, qi))
-                fwd = model.forward(etoc)
-                if fwd is None:
-                    empty += 1
-                    continue
-                target_norm = model.stats.normalize(query.attribute, query.target)
-                term = loss_term(fwd.prediction, target_norm, cfg.loss)
-                if not np.isfinite(term.data):
-                    raise TrainingFault(
-                        f"non-finite loss at epoch {epoch} for query "
-                        f"(entity={query.entity}, attribute={query.attribute})")
-                terms.append(term)
-            if not terms:
-                continue
-            opt.zero_grad()
-            inv = 1.0 / len(terms)
-            for term in terms:
-                backward(term, seed=inv)
-            clip_global_norm(opt.params, cfg.clip_norm)
-            opt.step()
-            total_loss += sum(t.item() for t in terms)
-            used += len(terms)
+                etocs.append(model.select(toc, seed_for(cfg.seed, 2, epoch, qi)))
+            batch_loss, batch_used = _step(model, opt, etocs,
+                                           [train_queries[qi] for qi in chunk], epoch)
+            total_loss += batch_loss
+            used += batch_used
+            empty += len(chunk) - batch_used
 
         train_loss = total_loss / max(used, 1)
-        val_mae = validation_mae(model, kg, val_queries, epoch)
+        val_mae = validation_mae(model, kg, val_queries)
         stats = EpochStats(epoch=epoch, train_loss=train_loss, val_mae=val_mae,
                            seconds=time.perf_counter() - started,
                            queries_used=used, queries_empty=empty)

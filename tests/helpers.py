@@ -1,5 +1,6 @@
 """Shared test utilities: independent scalar oracles, the sequential chain
-sampler, and finite differences."""
+sampler, the composite forms of the fused autodiff layers, the per-query
+model forward, and finite differences."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import math
 import numpy as np
 
 from rachain import autodiff as ad
+from rachain.encoder import affine_transfer, chain_tokens, encode_chains
+from rachain.reasoner import aggregate, project_values, weight_chains
 from rachain.retrieval import RAChain, TreeOfChains
 
 
@@ -123,6 +126,58 @@ def chain_is_valid(chain: RAChain, kg, query) -> bool:
             return False
     attrs, values = kg.facts(chain.source_entity)
     return bool(np.any((attrs == chain.source_attribute) & (values == chain.source_value)))
+
+
+# ---------------------------------------------------------------------------
+# autodiff oracles: the fused layers built from primitive ops
+
+
+def composite_linear(x, w, b=None):
+    out = ad.matmul(x, w)
+    return out if b is None else ad.add(out, b)
+
+
+def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.mean(ad.square(centered), axis=-1, keepdims=True)
+    xhat = ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    return ad.add(ad.mul(xhat, gain), bias)
+
+
+# ---------------------------------------------------------------------------
+# model oracle: one query per forward
+
+
+def reference_forward(model, etoc):
+    """The per-query forward that `Model.forward` batches: one query's usable
+    chains as one left-padded chain set and an unpadded treeformer pass.
+    Returns (prediction scalar, omega (m,), proposals (m,), chains) as
+    tensors, or None when no chain is usable."""
+    cfg = model.config
+    usable = [ch for ch in etoc.chains if model.stats.usable(ch.source_attribute)]
+    if not usable:
+        return None
+    m = len(usable)
+    qa = etoc.query.attribute
+    values_norm = np.array(
+        [model.stats.normalize(ch.source_attribute, ch.source_value) for ch in usable])
+    lengths = np.array([ch.length for ch in usable], dtype=np.int64)
+    if cfg.use_chain_encoder:
+        reps = encode_chains(usable, qa, model.embeddings, model.encoder)
+    else:
+        tokens, key_mask = chain_tokens(usable, qa, model.embeddings, model.encoder,
+                                        include_end=False)
+        reps = ad.mul(ad.tensor_sum(tokens, axis=1),
+                      1.0 / key_mask.sum(axis=1, keepdims=True))
+    transferred = (affine_transfer(reps, values_norm, model.affine)
+                   if cfg.use_numerical_aware else reps)
+    proposals = project_values(transferred, values_norm, model.heads)
+    if cfg.use_chain_weighting:
+        omega = weight_chains(reps, lengths, model.tree)
+    else:
+        omega = ad.Tensor(np.full(m, 1.0 / m))
+    return aggregate(omega, proposals), omega, proposals, usable
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +329,26 @@ def grad_cases(rng: np.random.Generator):
           "g": rng.uniform(0.5, 1.5, 6),
           "b": rng.standard_normal(6)},
          lambda p: ad.tensor_sum(ad.square(ad.layer_norm(p["a"], p["g"], p["b"]))))
+    case("layer_norm_3d",
+         {"a": rng.standard_normal((2, 3, 6)),
+          "g": rng.uniform(0.5, 1.5, 6),
+          "b": rng.standard_normal(6)},
+         lambda p: ad.tensor_sum(ad.mul(ad.layer_norm(p["a"], p["g"], p["b"]),
+                                        rng_const_236)))
     case("linear",
          {"x": rng.standard_normal((3, 4)), "w": rng.standard_normal((4, 2)),
           "b": rng.standard_normal(2)},
          lambda p: ad.tensor_sum(ad.square(ad.linear(p["x"], p["w"], p["b"]))))
+    case("linear_no_bias",
+         {"x": rng.standard_normal((3, 4)), "w": rng.standard_normal((4, 2))},
+         lambda p: ad.tensor_sum(ad.square(ad.linear(p["x"], p["w"]))))
+    case("linear_3d",
+         {"x": rng.standard_normal((2, 3, 4)), "w": rng.standard_normal((4, 2)),
+          "b": rng.standard_normal(2)},
+         lambda p: ad.tensor_sum(ad.square(ad.linear(p["x"], p["w"], p["b"]))))
+    case("linear_3d_no_bias",
+         {"x": rng.standard_normal((2, 3, 4)), "w": rng.standard_normal((4, 2))},
+         lambda p: ad.tensor_sum(ad.square(ad.linear(p["x"], p["w"]))))
     return cases
 
 
@@ -285,3 +356,4 @@ def grad_cases(rng: np.random.Generator):
 _mix_rng = np.random.default_rng(12345)
 rng_const_34 = _mix_rng.standard_normal((3, 4))
 rng_const_35 = _mix_rng.standard_normal((3, 5))
+rng_const_236 = _mix_rng.standard_normal((2, 3, 6))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import check_gradients, grad_cases, max_rel_err, numeric_grad
+from helpers import (
+    check_gradients,
+    composite_layer_norm,
+    composite_linear,
+    grad_cases,
+    max_rel_err,
+    numeric_grad,
+)
 from rachain import autodiff as ad
 from rachain.hyperbolic import BALL_MARGIN
 
@@ -126,6 +133,42 @@ class TestOps:
         expected = np.zeros((3, 4))
         expected[:, -1] = 1.0
         np.testing.assert_allclose(p.grad, expected, atol=0)
+
+
+def _values_and_grads(op, arrays, mix):
+    params = {k: ad.Parameter(v.copy(), name=k) for k, v in arrays.items()}
+    out = op(**params)
+    ad.backward(ad.tensor_sum(ad.mul(out, mix)))
+    return out.data, {k: p.grad for k, p in params.items()}
+
+
+class TestFusedOps:
+    """The fused linear and layer_norm nodes against the primitive-op
+    composites they replace."""
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_linear_matches_composite(self, rng, x_shape, bias):
+        arrays = {"x": rng.standard_normal(x_shape), "w": rng.standard_normal((4, 3))}
+        if bias:
+            arrays["b"] = rng.standard_normal(3)
+        mix = rng.standard_normal(x_shape[:-1] + (3,))
+        fused, fused_grads = _values_and_grads(ad.linear, arrays, mix)
+        ref, ref_grads = _values_and_grads(composite_linear, arrays, mix)
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+        for name in arrays:
+            np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape", [(5, 6), (2, 3, 6)], ids=["2d", "3d"])
+    def test_layer_norm_matches_composite(self, rng, x_shape):
+        arrays = {"x": rng.standard_normal(x_shape) * 3 + 1,
+                  "gain": rng.uniform(0.5, 1.5, 6), "bias": rng.standard_normal(6)}
+        mix = rng.standard_normal(x_shape)
+        fused, fused_grads = _values_and_grads(ad.layer_norm, arrays, mix)
+        ref, ref_grads = _values_and_grads(composite_layer_norm, arrays, mix)
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+        for name in arrays:
+            np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
 
 
 class TestComposite:

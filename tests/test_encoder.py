@@ -54,9 +54,13 @@ class TestBits:
             E.decode_value(bad)
 
     def test_encode_values_stacks(self):
-        out = E.encode_values([1.0, -2.0, 0.5])
-        assert out.shape == (3, 64)
-        assert out[1].tolist() == E.encode_value(-2.0).tolist()
+        values = [1.0, -2.0, 0.5, -0.0, 5e-324, 1e308]
+        out = E.encode_values(values)
+        assert out.shape == (6, 64)
+        for row, v in zip(out, values):
+            assert row.tolist() == E.encode_value(v).tolist()
+        with pytest.raises(ValueError, match="non-finite"):
+            E.encode_values([1.0, float("inf")])
 
 
 class TestLogMapTensor:

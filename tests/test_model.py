@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import reference_forward
 from rachain import autodiff as ad
 from rachain.config import TrainConfig
 from rachain.filter import EnhancedToC
@@ -50,42 +51,42 @@ class TestForward:
     def test_contract_and_identity_opening(self):
         model = make_model(mode="scaling")
         etoc = mixed_etoc()
-        result = model.forward(etoc)
+        result = model.forward([etoc])
         assert result is not None
-        assert result.omega.shape == (4,)
-        assert result.proposals.shape == (4,)
+        assert result.omega.shape == (1, 4)
+        assert result.proposals.shape == (1, 4)
         assert result.omega.data.sum() == pytest.approx(1.0, abs=1e-12)
         # at initialization each proposal is exactly its normalized source value
         np.testing.assert_array_equal(result.proposals.data,
-                                      [0.25, 0.25, 0.75, 0.75])
-        assert result.prediction.data == pytest.approx(
-            float(result.omega.data @ result.proposals.data), abs=1e-12)
+                                      [[0.25, 0.25, 0.75, 0.75]])
+        assert result.prediction.data[0] == pytest.approx(
+            float(result.omega.data[0] @ result.proposals.data[0]), abs=1e-12)
 
     def test_chain_order_preserved_across_length_groups(self):
         model = make_model(mode="translation")
         etoc = mixed_etoc()
-        result = model.forward(etoc)
-        assert result.chains == etoc.chains
+        result = model.forward([etoc])
+        assert result.chains == [etoc.chains]
         # translation opens as the identity too, so order is observable
         np.testing.assert_array_equal(result.proposals.data,
-                                      [0.25, 0.25, 0.75, 0.75])
+                                      [[0.25, 0.25, 0.75, 0.75]])
 
     def test_unusable_sources_are_dropped(self):
         model = make_model()
         chains = [make_chain(0, (1,), 5.0, 0),
                   make_chain(2, (3,), 1.0, 10)]  # attribute 2 has no stats
-        result = model.forward(EnhancedToC(Query(99, 1), chains, np.zeros(2)))
-        assert result.chains == [chains[0]]
-        assert result.omega.shape == (1,)
+        result = model.forward([EnhancedToC(Query(99, 1), chains, np.zeros(2))])
+        assert result.chains == [[chains[0]]]
+        assert result.omega.shape == (1, 1)
 
     def test_none_when_nothing_usable(self):
         model = make_model()
         chains = [make_chain(2, (3,), 1.0, 10)]
-        assert model.forward(EnhancedToC(Query(99, 1), chains, np.zeros(1))) is None
+        assert model.forward([EnhancedToC(Query(99, 1), chains, np.zeros(1))]) is None
 
     def test_mean_pooling_variant_runs(self):
         model = make_model(use_chain_encoder=False)
-        result = model.forward(mixed_etoc())
+        result = model.forward([mixed_etoc()])
         assert result is not None
         assert result.omega.data.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -103,16 +104,16 @@ class TestForward:
         monkeypatch.setattr(model_module, "affine_transfer", capture)
         model = make_model(use_chain_encoder=False)
         etoc = mixed_etoc()
-        model.forward(etoc)
+        model.forward([etoc])
         (batch,) = pooled
         for i, chain in enumerate(etoc.chains):
-            model.forward(EnhancedToC(etoc.query, [chain], np.zeros(1)))
+            model.forward([EnhancedToC(etoc.query, [chain], np.zeros(1))])
             np.testing.assert_allclose(batch[i], pooled[-1][0], rtol=0, atol=1e-12)
 
     def test_uniform_weights_without_chain_weighting(self):
         model = make_model(use_chain_weighting=False)
-        result = model.forward(mixed_etoc())
-        np.testing.assert_array_equal(result.omega.data, np.full(4, 0.25))
+        result = model.forward([mixed_etoc()])
+        np.testing.assert_array_equal(result.omega.data, np.full((1, 4), 0.25))
 
 
 def _kick_zero_opens(model, rng):
@@ -123,21 +124,78 @@ def _kick_zero_opens(model, rng):
             p.data = p.data + rng.normal(scale=0.01, size=p.data.shape)
 
 
+VARIANTS = pytest.mark.parametrize("kw", [
+    dict(mode="scaling"),
+    dict(mode="translation"),
+    dict(mode="combined"),
+    dict(mode="direct"),
+    dict(use_chain_encoder=False),
+    dict(use_numerical_aware=False),
+    dict(use_chain_weighting=False),
+], ids=["scaling", "translation", "combined", "direct",
+        "no_chain_encoder", "no_numerical_aware", "no_chain_weighting"])
+
+
+def mixed_batch():
+    """Five queries: chain counts 4, 0 usable, 2 of 3 usable, 1 and 6, of
+    lengths 1 to 3, over both usable attributes."""
+    full = mixed_etoc()
+    unusable = EnhancedToC(Query(98, 0), [make_chain(2, (3,), 1.0, 40)], np.zeros(1))
+    part = EnhancedToC(Query(97, 0), [make_chain(1, (2, 5), 7.0, 50, query_attr=0),
+                                      make_chain(2, (1,), 4.0, 60, query_attr=0),
+                                      make_chain(0, (4,), 9.0, 70, query_attr=0)],
+                       np.zeros(3))
+    single = EnhancedToC(Query(96, 1), [make_chain(0, (5, 1, 0), 1.0, 80)], np.zeros(1))
+    many = EnhancedToC(Query(95, 1), [make_chain(i % 2, (i % 6,) * (1 + i % 3),
+                                                 5.0 + 0.5 * i, 100 + 10 * i)
+                                      for i in range(6)], np.zeros(6))
+    return [full, unusable, part, single, many]
+
+
+class TestBatchedEquivalence:
+    """The batched forward against the per-query forward it replaced
+    (`helpers.reference_forward`), row by row and in the gradients."""
+
+    @VARIANTS
+    def test_matches_per_query_forward(self, kw, rng):
+        model = make_model(**kw)
+        _kick_zero_opens(model, rng)
+        etocs = mixed_batch()
+        targets = rng.uniform(0.0, 1.0, len(etocs))
+
+        result = model.forward(etocs)
+        assert result.rows == [0, 2, 3, 4]
+        b = len(result.rows)
+        loss = ad.tensor_sum(ad.square(ad.sub(result.prediction, targets[result.rows])))
+        ad.backward(loss, seed=1.0 / b)
+        batched = {p.name: p.grad.copy() for p in model.parameters()}
+
+        for p in model.parameters():
+            p.grad = None
+        assert reference_forward(model, etocs[1]) is None
+        for r, i in enumerate(result.rows):
+            prediction, omega, proposals, chains = reference_forward(model, etocs[i])
+            m = len(chains)
+            assert result.chains[r] == chains
+            np.testing.assert_allclose(result.prediction.data[r], prediction.data,
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(result.omega.data[r, :m], omega.data,
+                                       rtol=0, atol=1e-10)
+            assert np.all(result.omega.data[r, m:] == 0.0)
+            np.testing.assert_allclose(result.proposals.data[r, :m], proposals.data,
+                                       rtol=0, atol=1e-10)
+            ad.backward(ad.square(ad.sub(prediction, targets[i])), seed=1.0 / b)
+        for p in model.parameters():
+            np.testing.assert_allclose(batched[p.name], p.grad, rtol=0, atol=1e-10,
+                                       err_msg=p.name)
+
+
 class TestGradientCoverage:
-    @pytest.mark.parametrize("kw", [
-        dict(mode="scaling"),
-        dict(mode="translation"),
-        dict(mode="combined"),
-        dict(mode="direct"),
-        dict(use_chain_encoder=False),
-        dict(use_numerical_aware=False),
-        dict(use_chain_weighting=False),
-    ], ids=["scaling", "translation", "combined", "direct",
-            "no_chain_encoder", "no_numerical_aware", "no_chain_weighting"])
+    @VARIANTS
     def test_every_trainable_parameter_gets_gradient(self, kw, rng):
         model = make_model(**kw)
         _kick_zero_opens(model, rng)
-        result = model.forward(mixed_etoc())
+        result = model.forward([mixed_etoc()])
         loss = ad.square(ad.sub(result.prediction, 0.3))
         ad.backward(loss)
         for p in model.parameters():
@@ -271,8 +329,8 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         etoc = mixed_etoc()
         with ad.no_grad():
-            a = model.forward(etoc).prediction.data
-            b = loaded.forward(etoc).prediction.data
+            a = model.forward([etoc]).prediction.data
+            b = loaded.forward([etoc]).prediction.data
         np.testing.assert_array_equal(a, b)
 
     def test_missing_parameter_detected(self, tmp_path):
