@@ -8,7 +8,7 @@ one prediction.
 """
 
 from .config import TrainConfig
-from .filter import EnhancedToC, FilterEmbeddings, select_random_k, select_top_k
+from .filter import FilterEmbeddings, select_random_k, select_top_k
 from .kg import (
     AttributeStats,
     DatasetSplit,
@@ -26,7 +26,6 @@ from .training import TrainResult, train
 __all__ = [
     "AttributeStats",
     "DatasetSplit",
-    "EnhancedToC",
     "FilterEmbeddings",
     "KnowledgeGraph",
     "Model",

@@ -1,7 +1,10 @@
 """Chain encoder.
 
-A chain becomes a token sequence [source_attr, r_l, ..., r_1, query_attr,
-end]: ball embeddings are pulled into the tangent space at the origin by the
+A chain stored source -> query as relations (r_1, ..., r_l), r_1 leaving
+the source and r_l reaching the query entity, becomes the token sequence
+[source_attr, r_l, ..., r_1, query_attr, end]: the query-adjacent relation
+follows the source token and the source-adjacent one precedes the query
+token. Ball embeddings are pulled into the tangent space at the origin by the
 log map, linearly lifted when the filter dimension differs from the encoder
 dimension, and a learned end-of-chain token is appended. The chains of a
 whole mini-batch, of mixed lengths and queries, are one batch: shorter
@@ -48,7 +51,6 @@ from .autodiff import (
     tensor_sum,
 )
 from .filter import FilterEmbeddings
-from .retrieval import RAChain
 
 # ---------------------------------------------------------------------------
 # Float64 bit-stream
@@ -153,7 +155,7 @@ class TransformerParams:
 
 
 def _attention(x: Tensor, layer: LayerParams, heads: int, dim: int,
-               key_mask: np.ndarray | None):
+               key_mask: np.ndarray | None) -> Tensor:
     b, length, _ = x.shape
     head_dim = dim // heads
 
@@ -167,17 +169,14 @@ def _attention(x: Tensor, layer: LayerParams, heads: int, dim: int,
     mask4 = None if key_mask is None else key_mask[:, None, None, :]
     probs = softmax(scores, mask=mask4)
     ctx = reshape(swapaxes(matmul(probs, v), 1, 2), (b, length, dim))
-    return linear(ctx, layer.wo), probs
+    return linear(ctx, layer.wo)
 
 
 def transformer_stack(x: Tensor, params: TransformerParams,
-                      key_mask: np.ndarray | None = None,
-                      capture: list | None = None) -> Tensor:
+                      key_mask: np.ndarray | None = None) -> Tensor:
     """Post-norm encoder: x = LN(x + attn(x)); x = LN(x + ffn(x)) per layer."""
     for layer in params.layers:
-        attn_out, probs = _attention(x, layer, params.heads, params.dim, key_mask)
-        if capture is not None:
-            capture.append(probs.data)
+        attn_out = _attention(x, layer, params.heads, params.dim, key_mask)
         x = layer_norm(add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
         hidden = relu(linear(x, layer.ffn_w1, layer.ffn_b1))
         ffn_out = linear(hidden, layer.ffn_w2, layer.ffn_b2)
@@ -223,40 +222,39 @@ class ChainEncoderParams:
         return out
 
 
-def chain_tokens(chains: list[RAChain | None], query_attributes,
+def chain_tokens(source_attribute: np.ndarray, relations: np.ndarray, query_attributes,
                  embeddings: FilterEmbeddings, params: ChainEncoderParams,
                  include_end: bool = True) -> tuple[Tensor, np.ndarray]:
     """Left-padded, masked tokens (m, L + 3, dim) and key mask (m, L + 3) for
-    m chains, L the longest chain length.
+    m chains given as rows of a chain set (`retrieval.TreeOfChains` layout:
+    relations right-padded with -1), L the longest chain length.
 
     query_attributes is one attribute for every chain or one per chain. A
     chain of length l fills the last l + 3 slots; the L - l leading pad
     slots are exactly zero and masked out, so the end token is always last.
-    A None entry is a pad chain: every slot is zero and only its end slot is
-    unmasked, so it gives a finite row that costs no gather to place.
-    include_end=False drops the end-of-chain token (m, L + 2, dim), used by
-    the transformer-free variant that mean-pools the tokens.
+    A row with no relation is a pad chain: every slot is zero and only its
+    end slot is unmasked, so it gives a finite row that costs no gather to
+    place. include_end=False drops the end-of-chain token (m, L + 2, dim),
+    used by the transformer-free variant that mean-pools the tokens.
     """
-    m = len(chains)
-    query_attributes = np.broadcast_to(query_attributes, (m,))
-    longest = max(c.length for c in chains if c is not None)
-    n_attr = embeddings.attributes.shape[0]
+    m = len(source_attribute)
+    lengths = (relations >= 0).sum(axis=1)
+    longest = int(lengths.max())
+    n_rel = embeddings.relations.shape[0]
     df = embeddings.dim
 
-    # rows of [attributes; relations; zero]; the zero row fills pad slots
-    pad_row = n_attr + embeddings.relations.shape[0]
-    ids = np.full((m, longest + 2), pad_row, dtype=np.int64)
-    first = np.full(m, longest + 2, dtype=np.int64)  # first unmasked slot
-    for i, (c, qa) in enumerate(zip(chains, query_attributes)):
-        if c is None:
-            continue
-        first[i] = longest - c.length
-        # query-adjacent relation next to the query token: store order reversed
-        ids[i, first[i]:] = [c.source_attribute,
-                             *(n_attr + r for r in reversed(c.relations)), qa]
+    # rows of [relations; attributes; zero], so a -1 pad id reads the zero
+    # row; read backwards, right-padded relations are left-padded in token
+    # order, the query-adjacent relation first
+    ids = np.full((m, longest + 2), -1, dtype=np.int64)
+    ids[:, 1:-1] = relations[:, longest - 1::-1]
+    real = lengths > 0
+    first = np.where(real, longest - lengths, longest + 2)  # first unmasked slot
+    ids[real, first[real]] = n_rel + source_attribute[real]
+    ids[real, -1] = n_rel + np.broadcast_to(query_attributes, (m,))[real]
     key_mask = np.arange(longest + 3) >= first[:, None]
 
-    table = concat([embeddings.attributes, embeddings.relations, Tensor(np.zeros((1, df)))])
+    table = concat([embeddings.relations, embeddings.attributes, Tensor(np.zeros((1, df)))])
     ball = reshape(take_rows(table, ids.reshape(-1)), (m, longest + 2, df))
     tangent = log_map_tensor(ball, embeddings.curvature)
     if params.lift is not None:
@@ -268,12 +266,13 @@ def chain_tokens(chains: list[RAChain | None], query_attributes,
     return concat([tangent, end], axis=1), key_mask
 
 
-def encode_chains(chains: list[RAChain | None], query_attributes,
+def encode_chains(source_attribute: np.ndarray, relations: np.ndarray, query_attributes,
                   embeddings: FilterEmbeddings, params: ChainEncoderParams) -> Tensor:
     """Chain representations (m, dim): the end token's contextualized output,
     from one masked pass over the left-padded chain set (see chain_tokens
-    for query_attributes and pad chains)."""
-    tokens, key_mask = chain_tokens(chains, query_attributes, embeddings, params)
+    for the arguments and pad chains)."""
+    tokens, key_mask = chain_tokens(source_attribute, relations, query_attributes,
+                                    embeddings, params)
     out = transformer_stack(tokens, params.stack, key_mask=key_mask)
     return getitem(out, (slice(None), -1))
 

@@ -196,10 +196,10 @@ def filter_composition(model: Model, kg: KnowledgeGraph, triples,
         slot = acc.setdefault(q.attribute, {"q": 0, "tree": 0, "kept": 0,
                                             "tree_same": 0, "kept_same": 0})
         slot["q"] += 1
-        slot["tree"] += len(toc.chains)
-        slot["kept"] += len(etoc.chains)
-        slot["tree_same"] += sum(c.source_attribute == q.attribute for c in toc.chains)
-        slot["kept_same"] += sum(c.source_attribute == q.attribute for c in etoc.chains)
+        slot["tree"] += len(toc)
+        slot["kept"] += len(etoc)
+        slot["tree_same"] += int(np.sum(toc.source_attribute == q.attribute))
+        slot["kept_same"] += int(np.sum(etoc.source_attribute == q.attribute))
     audits = []
     for attr in sorted(acc):
         s = acc[attr]

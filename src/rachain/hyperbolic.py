@@ -1,14 +1,11 @@
 """Poincare-ball geometry: Mobius addition, distances, origin log map.
 
 All points live in the open ball { x : c * ||x||^2 < 1 } for curvature
-parameter c > 0. Raw kernels operate on plain float64 arrays (vectors on the
-last axis, broadcasting over leading axes); thin wrappers validate and carry
-curvature via PoincareVector.
+parameter c > 0. The kernels operate on plain float64 arrays (vectors on the
+last axis, broadcasting over leading axes).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,65 +75,6 @@ def project_rows(x: np.ndarray, c: float = 1.0, margin: float = BALL_MARGIN) -> 
     n = np.linalg.norm(x, axis=-1, keepdims=True)
     scale = np.where(n > max_norm, max_norm / np.where(n > 0.0, n, 1.0), 1.0)
     return x * scale
-
-
-@dataclass(frozen=True, eq=False)
-class PoincareVector:
-    """A validated point of the open c-ball."""
-
-    coords: np.ndarray
-    curvature: float = 1.0
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.ndim != 1:
-            raise ValueError(f"expected a single vector, got shape {coords.shape}")
-        if self.curvature <= 0.0:
-            raise ValueError(f"curvature must be positive, got {self.curvature}")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coordinates must be finite")
-        if self.curvature * float(coords @ coords) >= 1.0:
-            raise ValueError(
-                f"point with squared norm {float(coords @ coords):.6g} lies outside "
-                f"the open ball of curvature {self.curvature}"
-            )
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
-def _check_pair(a: PoincareVector, b: PoincareVector) -> None:
-    if a.curvature != b.curvature:
-        raise ValueError(f"curvature mismatch: {a.curvature} vs {b.curvature}")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def mobius_add(a: PoincareVector, b: PoincareVector) -> PoincareVector:
-    _check_pair(a, b)
-    out = mobius_add_raw(a.coords, b.coords, a.curvature)
-    return PoincareVector(out, a.curvature)
-
-
-def distance(a: PoincareVector, b: PoincareVector) -> float:
-    _check_pair(a, b)
-    return float(distance_raw(a.coords, b.coords, a.curvature))
-
-
-def distance_arcosh(a: PoincareVector, b: PoincareVector) -> float:
-    """c = 1 arcosh form; agrees with distance() on the unit ball."""
-    _check_pair(a, b)
-    if a.curvature != 1.0:
-        raise ValueError("arcosh form is defined for curvature 1")
-    return float(distance_arcosh_raw(a.coords, b.coords))
-
-
-def project_to_ball(
-    coords: np.ndarray, curvature: float = 1.0, margin: float = BALL_MARGIN
-) -> PoincareVector:
-    return PoincareVector(project_rows(coords, curvature, margin), curvature)
 
 
 def random_ball_rows(

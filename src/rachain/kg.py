@@ -55,7 +55,8 @@ class DatasetSplit:
 
 @dataclass
 class AttributeStats:
-    """Per-attribute training-value ranges used for min-max normalization."""
+    """Per-attribute training-value ranges used for min-max normalization;
+    `usable` and `normalize` work elementwise on arrays of ids."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -80,16 +81,16 @@ class AttributeStats:
         return [a for a in range(self.n_attributes)
                 if self.counts[a] > 0 and self.mins[a] == self.maxs[a]]
 
-    def _check(self, attribute: int) -> None:
-        if self.counts[attribute] == 0:
+    def _check(self, attribute) -> None:
+        if np.any(self.counts[attribute] == 0):
             raise StatsUnavailableError(f"attribute {attribute} has no training values")
-        if self.mins[attribute] == self.maxs[attribute]:
+        if np.any(self.mins[attribute] == self.maxs[attribute]):
             raise DegenerateAttributeError(
                 f"attribute {attribute} has a single training value "
                 f"{self.mins[attribute]}; min-max scale undefined"
             )
 
-    def normalize(self, attribute: int, value: float) -> float:
+    def normalize(self, attribute, value):
         self._check(attribute)
         return (value - self.mins[attribute]) / (self.maxs[attribute] - self.mins[attribute])
 
@@ -97,8 +98,8 @@ class AttributeStats:
         self._check(attribute)
         return value * (self.maxs[attribute] - self.mins[attribute]) + self.mins[attribute]
 
-    def usable(self, attribute: int) -> bool:
-        return bool(self.counts[attribute] > 0 and self.mins[attribute] < self.maxs[attribute])
+    def usable(self, attribute):
+        return (self.counts[attribute] > 0) & (self.mins[attribute] < self.maxs[attribute])
 
 
 @dataclass

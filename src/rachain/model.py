@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor, mul, no_grad, reshape, tensor_sum
 from .config import TrainConfig
 from .encoder import AffineNets, ChainEncoderParams, affine_transfer, chain_tokens, encode_chains
-from .filter import EnhancedToC, FilterEmbeddings, select_random_k, select_top_k
+from .filter import FilterEmbeddings, select_random_k, select_top_k
 from .kg import AttributeStats, KnowledgeGraph, Query
 from .reasoner import (
     PredictionTrace,
@@ -29,7 +29,7 @@ from .reasoner import (
     project_values,
     weight_chains,
 )
-from .retrieval import RAChain, TreeOfChains, sample_tree
+from .retrieval import TreeOfChains, sample_tree
 
 
 @dataclass
@@ -40,7 +40,7 @@ class ForwardResult:
     prediction: Tensor           # (B,) normalized predictions
     omega: Tensor                # (B, k) attention weights, exactly 0 on pad slots
     proposals: Tensor            # (B, k) per-chain proposals, normalized
-    chains: list[list[RAChain]]  # per row, the chains actually used, slot order
+    chains: list[TreeOfChains]   # per row, the chains actually used, slot order
     rows: list[int]              # per row, the index of its query in the batch
 
 
@@ -92,47 +92,45 @@ class Model:
     def retrieve(self, kg: KnowledgeGraph, query: Query, seed: int) -> TreeOfChains:
         return sample_tree(kg, query, self.config.walks, self.config.max_hops, seed)
 
-    def select(self, toc: TreeOfChains, seed: int = 0) -> EnhancedToC:
+    def select(self, toc: TreeOfChains, seed: int = 0) -> TreeOfChains:
         cfg = self.config
         if not cfg.use_filter:
             return select_random_k(toc, cfg.top_k, seed)
         return select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam,
                             cfg.filter_keep_largest)
 
-    def forward(self, etocs: list[EnhancedToC]) -> ForwardResult | None:
+    def forward(self, etocs: list[TreeOfChains]) -> ForwardResult | None:
         """Predictions for a mini-batch of chain sets; None when no query has
         a chain with a normalizable source value.
 
         Each query's usable chains, in their given order, fill the leading
-        slots of its row of k = the largest usable count; pad chains fill
-        the rest. All B*k chains are encoded in one left-padded, masked
-        pass, reshaped to (B, k, dim) for the treeformer, and masked out of
-        omega, so a pad slot adds exactly nothing to a prediction or a
-        gradient. A batch of one has no pad slot.
+        slots of its row of k = the largest usable count; pad chains (rows
+        with no relation) fill the rest. All B*k chains are encoded in one
+        left-padded, masked pass, reshaped to (B, k, dim) for the
+        treeformer, and masked out of omega, so a pad slot adds exactly
+        nothing to a prediction or a gradient. A batch of one has no pad
+        slot and no padding copy.
         """
         cfg = self.config
-        rows, chains = [], []
-        for i, etoc in enumerate(etocs):
-            usable = [ch for ch in etoc.chains if self.stats.usable(ch.source_attribute)]
-            if usable:
-                rows.append(i)
-                chains.append(usable)
+        usable = [etoc.take(self.stats.usable(etoc.source_attribute)) for etoc in etocs]
+        rows = [i for i, toc in enumerate(usable) if len(toc)]
         if not rows:
             return None
-        b = len(rows)
-        k = max(len(row) for row in chains)
-        slots = [ch for row in chains for ch in row + [None] * (k - len(row))]
-        mask = np.array([ch is not None for ch in slots]).reshape(b, k)
+        chains = [usable[i] for i in rows]
+        b, k = len(rows), max(len(toc) for toc in chains)
+        mask = np.arange(k) < np.array([len(toc) for toc in chains])[:, None]
+        src = _padded([toc.source_attribute for toc in chains], mask, 0)
+        relations = _padded([toc.relations for toc in chains], mask, -1)
+        values_norm = _padded([self.stats.normalize(toc.source_attribute, toc.source_value)
+                               for toc in chains], mask, 0.0)
         query_attributes = np.repeat([etocs[i].query.attribute for i in rows], k)
-        values_norm = np.array(
-            [0.0 if ch is None else self.stats.normalize(ch.source_attribute, ch.source_value)
-             for ch in slots])
 
         if cfg.use_chain_encoder:
-            reps = encode_chains(slots, query_attributes, self.embeddings, self.encoder)
+            reps = encode_chains(src, relations, query_attributes, self.embeddings,
+                                 self.encoder)
         else:
-            tokens, key_mask = chain_tokens(slots, query_attributes, self.embeddings,
-                                            self.encoder, include_end=False)
+            tokens, key_mask = chain_tokens(src, relations, query_attributes,
+                                            self.embeddings, self.encoder, include_end=False)
             # a pad chain has no token: its zero sum is divided by 1
             counts = np.maximum(key_mask.sum(axis=1, keepdims=True), 1)
             reps = mul(tensor_sum(tokens, axis=1), 1.0 / counts)
@@ -141,7 +139,7 @@ class Model:
                        if cfg.use_numerical_aware else reps)
         proposals = reshape(project_values(transferred, values_norm, self.heads), (b, k))
         if cfg.use_chain_weighting:
-            lengths = np.array([1 if ch is None else ch.length for ch in slots])
+            lengths = np.maximum((relations >= 0).sum(axis=1), 1)
             omega = weight_chains(reshape(reps, (b, k, reps.shape[-1])),
                                   lengths.reshape(b, k), self.tree, mask)
         else:
@@ -163,8 +161,18 @@ class Model:
                     if self.stats.usable(query.attribute) else float("nan"))
             return PredictionTrace(query=query, predicted_norm=norm,
                                    predicted_value=value, fallback="attribute-mean")
-        return build_trace(query, result.chains[0], result.omega.data[0],
+        return build_trace(query, result.chains[0].chains, result.omega.data[0],
                            result.proposals.data[0], self.stats)
+
+
+def _padded(parts: list[np.ndarray], mask: np.ndarray, fill) -> np.ndarray:
+    """The rows of parts[i] in the leading slots of row i of `mask` (B, k) and
+    `fill` in the others, as B * k rows; a single part is not copied."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.full((mask.size,) + parts[0].shape[1:], fill, dtype=parts[0].dtype)
+    out[mask.reshape(-1)] = np.concatenate(parts)
+    return out
 
 
 # ---------------------------------------------------------------------------

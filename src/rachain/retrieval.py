@@ -63,17 +63,55 @@ class RAChain:
         return self.entity_path[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeOfChains:
-    query: Query
-    chains: list[RAChain]
+    """A query's chain set as parallel arrays, one row per chain.
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.chains
+    Rows run source -> query and are padded on the right with -1: a chain
+    of length l fills relations[i, :l] (source-adjacent relation first) and
+    entity_path[i, :l + 1] (source first, query last). A row with no
+    relation is a pad chain. `scores`, set by the filter, holds one affinity
+    score per row. RAChain objects are built only on request, by `chains`.
+    """
+
+    query: Query
+    source_attribute: np.ndarray  # (n,) int64
+    source_value: np.ndarray      # (n,) float64
+    relations: np.ndarray         # (n, max_hops) int64
+    entity_path: np.ndarray       # (n, max_hops + 1) int64
+    scores: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.chains)
+        return len(self.source_attribute)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return (self.relations >= 0).sum(axis=1)
+
+    def take(self, rows, scores: np.ndarray | None = None) -> "TreeOfChains":
+        """The chains of `rows`, in that order, with `scores` (one per row)."""
+        return TreeOfChains(self.query, self.source_attribute[rows], self.source_value[rows],
+                            self.relations[rows], self.entity_path[rows], scores)
+
+    @property
+    def chains(self) -> list[RAChain]:
+        """The rows as RAChain objects, for display and checks."""
+        qa = self.query.attribute
+        return [RAChain(a, tuple(rels[:n]), qa, v, tuple(path[:n + 1]))
+                for a, v, rels, path, n in zip(
+                    self.source_attribute.tolist(), self.source_value.tolist(),
+                    self.relations.tolist(), self.entity_path.tolist(),
+                    self.lengths.tolist())]
+
+
+def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
+    """RAChain's checks on every row at once: a relation at least, one more
+    entity than relations, and no entity visited twice."""
+    n_rel = (relations >= 0).sum(axis=1)
+    ordered = np.sort(entity_path, axis=1)
+    if (np.any(n_rel < 1) or np.any((entity_path >= 0).sum(axis=1) != n_rel + 1)
+            or np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0))):
+        raise ValueError("a sampled chain is not a simple path of its relations")
 
 
 def sample_tree(
@@ -90,7 +128,8 @@ def sample_tree(
     first walk that found the prefix. Each prefix yields one chain per
     attribute of its end entity (the first fact in index order when an
     attribute repeats). Chains come out in first-found order (walk, then hop,
-    then fact index) and stop at `walks`, so len(result) <= walks.
+    then fact index) and stop at `walks`, so len(result) <= walks. Every
+    row is checked by `_check_rows` before it is returned.
     """
     n_entities, n_relations = kg.n_entities, kg.n_relations
     # prefix ids restart at every hop, so a parent id is below `walks`; a
@@ -98,12 +137,12 @@ def sample_tree(
     _check_packable(walks, n_relations, n_entities)
     _check_packable(walks * max_hops, kg.n_attributes)
     u = np.random.default_rng(seed).random((max_hops, walks))
-    path = np.empty((walks, max_hops + 1), dtype=np.int64)
+    path = np.full((walks, max_hops + 1), -1, dtype=np.int64)
     path[:, 0] = query.entity
-    rels = np.empty((walks, max_hops), dtype=np.int64)
+    rels = np.full((walks, max_hops), -1, dtype=np.int64)
     live = np.arange(walks)                    # walks still moving, ascending
     prefix = np.zeros(walks, dtype=np.int64)   # each walk's prefix id at its last hop
-    found_walk, found_hop = [], []
+    found_walk, found_hop = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for hop in range(max_hops):
         cur = path[live, hop]
         start = kg.edge_indptr[cur]
@@ -122,8 +161,6 @@ def sample_tree(
         _, first, prefix[live] = np.unique(key, return_index=True, return_inverse=True)
         found_walk.append(live[first])
         found_hop.append(np.full(first.size, hop))
-    if not found_walk:
-        return TreeOfChains(query, [])
 
     walk, hop = np.concatenate(found_walk), np.concatenate(found_hop)
     order = np.lexsort((hop, walk))
@@ -137,16 +174,16 @@ def sample_tree(
     keep = np.sort(first)[:walks]
     owner, fact = owner[keep], fact[keep]
 
-    used, local = np.unique(owner, return_inverse=True)
-    hops = hop[used].tolist()
-    inverted = kg.invert_relation(rels[walk[used]]).tolist()
-    entity_paths = [tuple(row[h + 1::-1]) for row, h in zip(path[walk[used]].tolist(), hops)]
-    relations = [tuple(row[h::-1]) for row, h in zip(inverted, hops)]
-    qa = query.attribute
-    chains = [RAChain(a, relations[i], qa, v, entity_paths[i])
-              for a, v, i in zip(kg.fact_attr[fact].tolist(),
-                                 kg.fact_value[fact].tolist(), local.tolist())]
-    return TreeOfChains(query, chains)
+    # each prefix read backwards from its end: column j holds walk column
+    # hop + 1 - j, and the columns past the prefix's start stay -1
+    walk, hop = walk[owner], hop[owner]
+    back = hop[:, None] + 1 - np.arange(max_hops + 1)
+    inside = back >= 0
+    entity_path = np.where(inside, path[walk[:, None], np.maximum(back, 0)], -1)
+    relations = np.where(inside[:, 1:], kg.invert_relation(
+        rels[walk[:, None], np.maximum(back[:, 1:], 0)]), -1)
+    _check_rows(relations, entity_path)
+    return TreeOfChains(query, kg.fact_attr[fact], kg.fact_value[fact], relations, entity_path)
 
 
 def _check_packable(*sizes: int) -> None:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, Tensor, absolute, backward, clip_global_norm, square, sub, tensor_sum
-from .filter import EnhancedToC
 from .kg import DatasetSplit, KnowledgeGraph, Query, queries_from_triples
 from .model import Model
 from .retrieval import TreeOfChains
@@ -99,7 +98,7 @@ def _load_snapshot(model: Model, snap: dict[str, np.ndarray]) -> None:
         p.data = snap[p.name].copy()
 
 
-def _step(model: Model, opt: Adam, etocs: list[EnhancedToC], queries: list[Query],
+def _step(model: Model, opt: Adam, etocs: list[TreeOfChains], queries: list[Query],
           epoch: int) -> tuple[float, int]:
     """One optimizer step on a mini-batch: one forward, one loss vector, one
     backward seeded with 1/B for the B queries with a usable chain. Returns

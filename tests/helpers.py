@@ -1,15 +1,19 @@
-"""Shared test utilities: independent scalar oracles, the sequential chain
-sampler, the composite forms of the fused autodiff layers, the per-query
-model forward, and finite differences."""
+"""Shared test utilities: independent scalar oracles, validated single-point
+geometry and per-chain filter scoring, hand-built chain sets, the sequential
+chain sampler, the composite forms of the fused autodiff layers, the
+per-query model forward, and finite differences."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from rachain import autodiff as ad
 from rachain.encoder import affine_transfer, chain_tokens, encode_chains
+from rachain.filter import FilterEmbeddings, fold_relations
+from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
 from rachain.reasoner import aggregate, project_values, weight_chains
 from rachain.retrieval import RAChain, TreeOfChains
 
@@ -61,6 +65,101 @@ def random_inball(rng: np.random.Generator, n: int, dim: int, radius: float = 0.
 
 
 # ---------------------------------------------------------------------------
+# validated single points of the ball
+
+
+@dataclass(frozen=True, eq=False)
+class PoincareVector:
+    """A validated point of the open c-ball."""
+
+    coords: np.ndarray
+    curvature: float = 1.0
+
+    def __post_init__(self):
+        coords = np.asarray(self.coords, dtype=np.float64)
+        if coords.ndim != 1:
+            raise ValueError(f"expected a single vector, got shape {coords.shape}")
+        if self.curvature <= 0.0:
+            raise ValueError(f"curvature must be positive, got {self.curvature}")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("coordinates must be finite")
+        if self.curvature * float(coords @ coords) >= 1.0:
+            raise ValueError(
+                f"point with squared norm {float(coords @ coords):.6g} lies outside "
+                f"the open ball of curvature {self.curvature}"
+            )
+        object.__setattr__(self, "coords", coords)
+
+    @property
+    def dim(self) -> int:
+        return self.coords.shape[0]
+
+
+def _check_pair(a: PoincareVector, b: PoincareVector) -> None:
+    if a.curvature != b.curvature:
+        raise ValueError(f"curvature mismatch: {a.curvature} vs {b.curvature}")
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def mobius_add(a: PoincareVector, b: PoincareVector) -> PoincareVector:
+    _check_pair(a, b)
+    out = mobius_add_raw(a.coords, b.coords, a.curvature)
+    return PoincareVector(out, a.curvature)
+
+
+def distance(a: PoincareVector, b: PoincareVector) -> float:
+    _check_pair(a, b)
+    return float(distance_raw(a.coords, b.coords, a.curvature))
+
+
+def project_to_ball(
+    coords: np.ndarray, curvature: float = 1.0, margin: float = BALL_MARGIN
+) -> PoincareVector:
+    return PoincareVector(project_rows(coords, curvature, margin), curvature)
+
+
+# ---------------------------------------------------------------------------
+# filter oracles: one chain at a time
+
+
+def embed_chain(chain: RAChain, embeddings: FilterEmbeddings) -> np.ndarray:
+    rows = embeddings.relations.data[list(chain.relations)]
+    return fold_relations(rows[None], embeddings.curvature)[0]
+
+
+def affinity_score(
+    chain: RAChain, query_attribute: int, embeddings: FilterEmbeddings, lam: float = 0.5
+) -> float:
+    aq = embeddings.attributes.data[query_attribute]
+    ap = embeddings.attributes.data[chain.source_attribute]
+    hc = embed_chain(chain, embeddings)
+    c = embeddings.curvature
+    d_attr = float(distance_raw(ap, aq, c))
+    d_fold = float(distance_raw(hc, aq, c))
+    return lam * d_attr + (1.0 - lam) * d_fold
+
+
+# ---------------------------------------------------------------------------
+# hand-built chain sets
+
+
+def chain_set(query, chains, max_hops: int = 3, scores=None) -> TreeOfChains:
+    """RAChain objects as a chain set in the sampler's array layout. The set's
+    query supplies the chains' query attribute, as it does for sampled sets."""
+    n = len(chains)
+    relations = np.full((n, max_hops), -1, dtype=np.int64)
+    entity_path = np.full((n, max_hops + 1), -1, dtype=np.int64)
+    for i, ch in enumerate(chains):
+        relations[i, :ch.length] = ch.relations
+        entity_path[i, :ch.length + 1] = ch.entity_path
+    return TreeOfChains(query, np.array([ch.source_attribute for ch in chains], dtype=np.int64),
+                        np.array([ch.source_value for ch in chains], dtype=np.float64),
+                        relations, entity_path,
+                        None if scores is None else np.asarray(scores, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
 # retrieval oracles (plain python over the triple lists)
 
 
@@ -105,10 +204,10 @@ def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> Tr
                 seen.add(key)
                 chains.append(RAChain(attr, rev_rels, query.attribute, value, rev_path))
                 if len(chains) >= walks:
-                    return TreeOfChains(query, chains)
+                    return chain_set(query, chains, max_hops)
         if len(chains) >= walks:
             break
-    return TreeOfChains(query, chains)
+    return chain_set(query, chains, max_hops)
 
 
 def chain_is_valid(chain: RAChain, kg, query) -> bool:
@@ -152,22 +251,26 @@ def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
 def reference_forward(model, etoc):
     """The per-query forward that `Model.forward` batches: one query's usable
     chains as one left-padded chain set and an unpadded treeformer pass.
-    Returns (prediction scalar, omega (m,), proposals (m,), chains) as
-    tensors, or None when no chain is usable."""
+    Returns the prediction scalar, omega (m,) and proposals (m,) as tensors
+    and the m used chains as RAChain objects, or None when no chain is
+    usable."""
     cfg = model.config
-    usable = [ch for ch in etoc.chains if model.stats.usable(ch.source_attribute)]
-    if not usable:
+    keep = [i for i, ch in enumerate(etoc.chains) if model.stats.usable(ch.source_attribute)]
+    if not keep:
         return None
-    m = len(usable)
+    usable = etoc.take(keep)
+    chains = usable.chains
+    m = len(chains)
     qa = etoc.query.attribute
     values_norm = np.array(
-        [model.stats.normalize(ch.source_attribute, ch.source_value) for ch in usable])
-    lengths = np.array([ch.length for ch in usable], dtype=np.int64)
+        [model.stats.normalize(ch.source_attribute, ch.source_value) for ch in chains])
+    lengths = np.array([ch.length for ch in chains], dtype=np.int64)
     if cfg.use_chain_encoder:
-        reps = encode_chains(usable, qa, model.embeddings, model.encoder)
+        reps = encode_chains(usable.source_attribute, usable.relations, qa,
+                             model.embeddings, model.encoder)
     else:
-        tokens, key_mask = chain_tokens(usable, qa, model.embeddings, model.encoder,
-                                        include_end=False)
+        tokens, key_mask = chain_tokens(usable.source_attribute, usable.relations, qa,
+                                        model.embeddings, model.encoder, include_end=False)
         reps = ad.mul(ad.tensor_sum(tokens, axis=1),
                       1.0 / key_mask.sum(axis=1, keepdims=True))
     transferred = (affine_transfer(reps, values_norm, model.affine)
@@ -177,7 +280,7 @@ def reference_forward(model, etoc):
         omega = weight_chains(reps, lengths, model.tree)
     else:
         omega = ad.Tensor(np.full(m, 1.0 / m))
-    return aggregate(omega, proposals), omega, proposals, usable
+    return aggregate(omega, proposals), omega, proposals, chains
 
 
 # ---------------------------------------------------------------------------

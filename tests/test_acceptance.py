@@ -19,17 +19,16 @@ import pytest
 import rachain.autodiff as ad
 import rachain.encoder as E
 import rachain.reasoner as R
-from helpers import check_gradients, random_inball
+from helpers import affinity_score, chain_set, check_gradients, random_inball
 from rachain import hyperbolic as H
 from rachain import synth
 from rachain.config import TrainConfig
 from rachain.evaluation import evaluate, run_ablations, train_mean_baseline
-from rachain.filter import FilterEmbeddings, affinity_score, select_top_k, top_k_order
+from rachain.filter import FilterEmbeddings, select_top_k, top_k_order
 from rachain.kg import (AttributeStats, Query, attribute_means, build_dataset,
                         load_dataset)
 from rachain.model import Model
-from rachain.retrieval import (RAChain, TreeOfChains, enumerate_all_chains,
-                               sample_tree)
+from rachain.retrieval import RAChain, enumerate_all_chains, sample_tree
 from rachain.training import scoped_queries, seed_for, train
 
 
@@ -79,8 +78,8 @@ def test_criterion_02_gradient_suite():
     dim, fdim, heads = 8, 6, 2
 
     # attention layer inside the chain encoder
-    chains = [_fd_chain(0, (1, 2)), _fd_chain(1, (0, 3), path_start=30),
-              _fd_chain(2, (4, 0), path_start=60)]
+    chains = chain_set(Query(0, 2), [_fd_chain(0, (1, 2)), _fd_chain(1, (0, 3), path_start=30),
+                                      _fd_chain(2, (4, 0), path_start=60)])
     layer_const = E.LayerParams.create(rng, dim, 2 * dim, tag="fd")
     mix_enc = rng.standard_normal((3, dim))
 
@@ -91,7 +90,7 @@ def test_criterion_02_gradient_suite():
         stack = E.TransformerParams(layers=[layer], heads=heads, dim=dim)
         params = E.ChainEncoderParams(stack=stack, end_token=p["end"],
                                       lift=p["lift"])
-        reps = E.encode_chains(chains, 2, emb, params)
+        reps = E.encode_chains(chains.source_attribute, chains.relations, 2, emb, params)
         return ad.tensor_sum(ad.mul(reps, mix_enc))
 
     check_gradients(build_attention, {
@@ -244,19 +243,21 @@ def test_criterion_04_filter_oracle():
         k = int(rng.integers(1, n + 5))
         scores = np.round(rng.random(n), 1)  # quantized: many exact ties
         chains = [random_chain(i) for i in range(n)]
-        got = top_k_order(scores, chains, k)
+        toc = chain_set(Query(entity=0, attribute=0), chains)
+        got = top_k_order(scores, toc, k).tolist()
         assert got == sort_oracle(scores, chains, k)
-        assert got == top_k_order(scores, chains, k)  # deterministic rerun
+        assert got == top_k_order(scores, toc, k).tolist()  # deterministic rerun
 
     # the full selection path agrees with independently recomputed scores
     emb = FilterEmbeddings.create(rng, n_relations=8, n_attributes=4, dim=5)
     for trial in range(10):
         chains = [random_chain(i) for i in range(20)]
         query = Query(entity=0, attribute=int(rng.integers(0, 4)), target=0.0)
-        kept = select_top_k(TreeOfChains(query, chains), emb, k=7, lam=0.5)
+        toc = chain_set(query, chains)
+        kept = select_top_k(toc, emb, k=7, lam=0.5)
         scores = np.array([affinity_score(c, query.attribute, emb, 0.5)
                            for c in chains])
-        expected = [chains[i] for i in sort_oracle(scores, chains, 7)]
+        expected = [toc.chains[i] for i in sort_oracle(scores, chains, 7)]
         assert kept.chains == expected
 
 

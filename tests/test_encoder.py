@@ -1,17 +1,44 @@
 import numpy as np
 import pytest
 
-from helpers import check_gradients, oracle_log_map, random_inball
+from helpers import chain_set, check_gradients, oracle_log_map, random_inball
 from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain.autodiff import Parameter, Tensor
 from rachain.filter import FilterEmbeddings
+from rachain.kg import Query
 from rachain.retrieval import RAChain
 
 
 def make_chain(src_attr, relations, value=1.0, path_start=100):
     path = tuple(range(path_start, path_start + len(relations) + 1))
     return RAChain(src_attr, tuple(relations), 0, value, path)
+
+
+def tokens_of(chains, query_attribute, emb, params, **kw):
+    """chain_tokens over hand-built chains, laid out as a chain set."""
+    s = chain_set(Query(0, query_attribute), chains)
+    return E.chain_tokens(s.source_attribute, s.relations, query_attribute, emb, params, **kw)
+
+
+def encode_of(chains, query_attribute, emb, params):
+    s = chain_set(Query(0, query_attribute), chains)
+    return E.encode_chains(s.source_attribute, s.relations, query_attribute, emb, params)
+
+
+@pytest.fixture
+def attention_probs(monkeypatch):
+    """The probability arrays of every attention softmax the encoder runs."""
+    seen = []
+    softmax = E.softmax
+
+    def recording(*args, **kwargs):
+        out = softmax(*args, **kwargs)
+        seen.append(out.data)
+        return out
+
+    monkeypatch.setattr(E, "softmax", recording)
+    return seen
 
 
 class TestBits:
@@ -92,14 +119,14 @@ class TestTokens:
     def test_shape_with_and_without_end(self, setup):
         emb, params = setup
         chains = [make_chain(0, (1, 2)), make_chain(1, (3, 4), path_start=50)]
-        assert E.chain_tokens(chains, 2, emb, params)[0].shape == (2, 5, 8)
-        assert E.chain_tokens(chains, 2, emb, params,
+        assert tokens_of(chains, 2, emb, params)[0].shape == (2, 5, 8)
+        assert tokens_of(chains, 2, emb, params,
                               include_end=False)[0].shape == (2, 4, 8)
 
     def test_token_order_source_reversed_relations_query_end(self, setup):
         emb, params = setup
         chain = make_chain(1, (4, 2))  # stored source->query
-        tokens = E.chain_tokens([chain], 3, emb, params)[0].data[0]
+        tokens = tokens_of([chain], 3, emb, params)[0].data[0]
         lm = lambda row: np.array(oracle_log_map(row))
         np.testing.assert_allclose(tokens[0], lm(emb.attributes.data[1]), atol=1e-12)
         # the relation adjacent to the query leads; storage order is reversed
@@ -111,7 +138,7 @@ class TestTokens:
     def test_mixed_lengths_left_padded_and_masked(self, setup):
         emb, params = setup
         short, long = make_chain(0, (1,)), make_chain(2, (3, 4, 5), path_start=9)
-        tokens, mask = E.chain_tokens([short, long], 1, emb, params)
+        tokens, mask = tokens_of([short, long], 1, emb, params)
         assert tokens.shape == (2, 6, 8)
         np.testing.assert_array_equal(mask, [[False, False, True, True, True, True],
                                              [True] * 6])
@@ -119,19 +146,38 @@ class TestTokens:
         np.testing.assert_array_equal(tokens.data[0, :2], np.zeros((2, 8)))
         np.testing.assert_array_equal(tokens.data[:, -1],
                                       np.stack([params.end_token.data] * 2))
-        alone, alone_mask = E.chain_tokens([short], 1, emb, params)
+        alone, alone_mask = tokens_of([short], 1, emb, params)
         np.testing.assert_array_equal(tokens.data[0, 2:], alone.data[0])
         assert alone_mask.all()
-        pooled, pooled_mask = E.chain_tokens([short, long], 1, emb, params,
+        pooled, pooled_mask = tokens_of([short, long], 1, emb, params,
                                              include_end=False)
         np.testing.assert_array_equal(pooled.data, tokens.data[:, :-1])
         np.testing.assert_array_equal(pooled_mask, mask[:, :-1])
+
+    def test_pad_row_is_zero_with_only_the_end_slot_unmasked(self, setup):
+        emb, params = setup
+        chain = make_chain(2, (1, 4))
+        real = chain_set(Query(0, 1), [chain])
+        source = np.append(real.source_attribute, 3)  # a pad row's source is never read
+        relations = np.vstack([real.relations, np.full((1, 3), -1)])
+        tokens, mask = E.chain_tokens(source, relations, 1, emb, params)
+        assert tokens.shape == (2, 5, 8)
+        np.testing.assert_array_equal(mask[1], [False, False, False, False, True])
+        np.testing.assert_array_equal(tokens.data[1, :-1], np.zeros((4, 8)))
+        np.testing.assert_array_equal(tokens.data[1, -1], params.end_token.data)
+        alone, alone_mask = tokens_of([chain], 1, emb, params)
+        np.testing.assert_array_equal(tokens.data[0], alone.data[0])
+        np.testing.assert_array_equal(mask[0], alone_mask[0])
+        pooled, pooled_mask = E.chain_tokens(source, relations, 1, emb, params,
+                                             include_end=False)
+        assert not pooled_mask[1].any()
+        np.testing.assert_array_equal(pooled.data[1], np.zeros((4, 8)))
 
     def test_lift_changes_width(self, rng):
         emb = FilterEmbeddings.create(rng, 6, 4, dim=4)
         params = E.ChainEncoderParams.create(rng, filter_dim=4, dim=8, n_layers=1, heads=2)
         assert params.lift is not None
-        tokens, _ = E.chain_tokens([make_chain(0, (1,))], 2, emb, params)
+        tokens, _ = tokens_of([make_chain(0, (1,))], 2, emb, params)
         assert tokens.shape == (1, 4, 8)
         raw = E.log_map_tensor(Tensor(emb.attributes.data[[0]])).data
         np.testing.assert_allclose(tokens.data[0, 0], raw[0] @ params.lift.data,
@@ -150,25 +196,24 @@ class TestTransformer:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
 
-    def test_attention_rows_are_distributions(self, setup, rng):
+    def test_attention_rows_are_distributions(self, setup, rng, attention_probs):
         emb, params = setup
         x = Tensor(rng.standard_normal((2, 4, 8)))
-        capture = []
-        E.transformer_stack(x, params.stack, capture=capture)
-        assert len(capture) == 2  # one per layer
-        for probs in capture:
+        E.transformer_stack(x, params.stack)
+        assert len(attention_probs) == 2  # one per layer
+        for probs in attention_probs:
             assert probs.shape == (2, 2, 4, 4)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(probs >= 0.0)
 
-    def test_key_mask_zeroes_attention_exactly(self, setup, rng):
+    def test_key_mask_zeroes_attention_exactly(self, setup, rng, attention_probs):
         emb, params = setup
         x = Tensor(rng.standard_normal((2, 4, 8)))
         mask = np.array([[True, True, False, True],
                          [True, False, True, True]])
-        capture = []
-        E.transformer_stack(x, params.stack, key_mask=mask, capture=capture)
-        for probs in capture:
+        E.transformer_stack(x, params.stack, key_mask=mask)
+        assert len(attention_probs) == 2
+        for probs in attention_probs:
             assert np.all(probs[0, :, :, 2] == 0.0)
             assert np.all(probs[1, :, :, 1] == 0.0)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
@@ -187,9 +232,9 @@ class TestTransformer:
     def test_encode_chains_returns_end_token_output(self, setup):
         emb, params = setup
         chains = [make_chain(0, (1, 2)), make_chain(2, (3, 5), path_start=40)]
-        reps = E.encode_chains(chains, 1, emb, params)
+        reps = encode_of(chains, 1, emb, params)
         assert reps.shape == (2, 8)
-        tokens, mask = E.chain_tokens(chains, 1, emb, params)
+        tokens, mask = tokens_of(chains, 1, emb, params)
         full = E.transformer_stack(tokens, params.stack, key_mask=mask).data
         np.testing.assert_array_equal(reps.data, full[:, -1])
 
@@ -214,9 +259,9 @@ class TestPaddedEncoding:
             ad.backward(loss)
             return [w.grad.copy() for w in weights]
 
-        padded = E.encode_chains(chains, 2, emb, params)
+        padded = encode_of(chains, 2, emb, params)
         padded_grads = grads(ad.tensor_sum(ad.mul(padded, mix)))
-        alone = [E.encode_chains([c], 2, emb, params) for c in chains]
+        alone = [encode_of([c], 2, emb, params) for c in chains]
         alone_loss = ad.tensor_sum(ad.mul(ad.concat(alone, axis=0), mix))
         alone_grads = grads(alone_loss)
 
@@ -298,7 +343,7 @@ class TestEndToEndGradient:
                 params = E.ChainEncoderParams(stack=stack, end_token=p["end"],
                                               lift=p["lift"])
                 nets = dataclasses.replace(nets_const, w2a=p["w2a"], b2b=p["b2b"])
-                reps = E.encode_chains(chains, 2, emb, params)
+                reps = encode_of(chains, 2, emb, params)
                 out = E.affine_transfer(reps, values, nets)
                 return ad.tensor_sum(ad.mul(out, mix))
 

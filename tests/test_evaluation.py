@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import chain_set
 from rachain import evaluation as EV
 from rachain.config import TrainConfig
-from rachain.filter import EnhancedToC
 from rachain.kg import AttributeStats, attribute_means, build_dataset
 from rachain.model import Model
 from rachain.reasoner import PredictionTrace
-from rachain.retrieval import RAChain, TreeOfChains
+from rachain.retrieval import RAChain
 
 
 def metrics_fixture():
@@ -205,9 +205,8 @@ class TestFilterAudit:
 
         tree = [chain(a1, 0), chain(a1, 10), chain(a1, 20), chain(a2, 30)]
         kept = [chain(a1, 0), chain(a1, 10)]
-        model.retrieve = lambda kg_, q, seed: TreeOfChains(q, list(tree))
-        model.select = lambda toc, seed=0: EnhancedToC(toc.query, list(kept),
-                                                       np.zeros(len(kept)))
+        model.retrieve = lambda kg_, q, seed: chain_set(q, tree)
+        model.select = lambda toc, seed=0: chain_set(toc.query, kept, scores=np.zeros(len(kept)))
         audits = EV.filter_composition(model, kg, [(0, a1, 5.0), (1, a1, 5.0)])
         assert len(audits) == 1
         audit = audits[0]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_distance, oracle_mobius
+from helpers import affinity_score, chain_set, embed_chain, oracle_distance, oracle_mobius
 from rachain import filter as F
 from rachain.kg import Query
-from rachain.retrieval import RAChain, TreeOfChains
+from rachain.retrieval import RAChain
 
 
 def make_embeddings(rng, n_relations=6, n_attributes=4, dim=5):
@@ -33,12 +33,12 @@ class TestFold:
         emb = make_embeddings(rng)
         chain = make_chain(1, (4, 2))
         expected = oracle_mobius(emb.relations.data[4], emb.relations.data[2])
-        np.testing.assert_allclose(F.embed_chain(chain, emb), expected, atol=1e-12)
+        np.testing.assert_allclose(embed_chain(chain, emb), expected, atol=1e-12)
 
     def test_fold_order_matters(self, rng):
         emb = make_embeddings(rng)
-        ab = F.embed_chain(make_chain(0, (0, 1)), emb)
-        ba = F.embed_chain(make_chain(0, (1, 0)), emb)
+        ab = embed_chain(make_chain(0, (0, 1)), emb)
+        ba = embed_chain(make_chain(0, (1, 0)), emb)
         assert not np.allclose(ab, ba)
 
 
@@ -50,12 +50,12 @@ class TestAffinity:
         fold = oracle_mobius(emb.relations.data[1], emb.relations.data[5])
         expected = (lam * oracle_distance(emb.attributes.data[2], emb.attributes.data[3])
                     + (1 - lam) * oracle_distance(fold, emb.attributes.data[3]))
-        assert F.affinity_score(chain, 3, emb, lam) == pytest.approx(expected, abs=1e-12)
+        assert affinity_score(chain, 3, emb, lam) == pytest.approx(expected, abs=1e-12)
 
     def test_identical_source_attribute_zeroes_first_term(self, rng):
         emb = make_embeddings(rng)
         chain = make_chain(3, (0,))
-        full = F.affinity_score(chain, 3, emb, lam=1.0)
+        full = affinity_score(chain, 3, emb, lam=1.0)
         assert full == pytest.approx(0.0, abs=1e-12)
 
     def test_chain_scores_match_single_scoring(self, rng):
@@ -63,15 +63,15 @@ class TestAffinity:
         chains = [make_chain(rng.integers(4), tuple(rng.integers(6, size=l)),
                              path_start=10 * i)
                   for i, l in enumerate([1, 2, 3, 2, 1, 3])]
-        scores = F.chain_scores(chains, 1, emb, lam=0.5)
+        scores = F.chain_scores(chain_set(Query(0, 1), chains), emb, lam=0.5)
         for ch, s in zip(chains, scores):
-            assert s == pytest.approx(F.affinity_score(ch, 1, emb, 0.5), abs=1e-12)
+            assert s == pytest.approx(affinity_score(ch, 1, emb, 0.5), abs=1e-12)
 
     def test_shared_pattern_shares_score(self, rng):
         emb = make_embeddings(rng)
         a = make_chain(1, (2, 3), path_start=0)
         b = make_chain(1, (2, 3), path_start=50)
-        scores = F.chain_scores([a, b], 2, emb)
+        scores = F.chain_scores(chain_set(Query(0, 2), [a, b]), emb)
         assert scores[0] == scores[1]
 
 
@@ -82,7 +82,7 @@ def toc_with_scores(rng, n):
                          path_start=10 * i)
               for i in range(n)]
     scores = np.round(rng.random(n), 1)  # coarse grid forces ties
-    return TreeOfChains(Query(0, 0), chains), scores
+    return chain_set(Query(0, 0), chains), scores
 
 
 class TestTopK:
@@ -98,12 +98,35 @@ class TestTopK:
         for _ in range(30):
             toc, scores = toc_with_scores(rng, 20)
             k = int(rng.integers(1, 25))
-            assert (F.top_k_order(scores, toc.chains, k)
+            assert (F.top_k_order(scores, toc, k).tolist()
                     == self.sort_oracle(scores, toc.chains, k))
+
+    def test_ties_reach_relations_then_source_attribute_then_row_order(self, rng):
+        # equal scores, lengths and entity paths within each group, so the
+        # later sort keys decide
+        by_relations = [make_chain(2, rels, path_start=0)
+                        for rels in [(3, 1), (1, 4), (1, 2), (0, 5)]]
+        by_source = [make_chain(src, (5,), path_start=7) for src in [3, 0, 2, 1]]
+        identical = [make_chain(0, (2,), value=v, path_start=20) for v in [1.0, 2.0, 3.0]]
+        chains = by_relations + by_source + identical
+        perm = rng.permutation(len(chains))
+        toc = chain_set(Query(0, 0), [chains[i] for i in perm])
+        scores = np.full(len(chains), 0.5)
+        for keep_largest in (False, True):
+            for k in range(1, len(chains) + 1):
+                assert (F.top_k_order(scores, toc, k, keep_largest).tolist()
+                        == self.sort_oracle(scores, toc.chains, k, keep_largest))
+        kept = [toc.chains[i] for i in F.top_k_order(scores, toc, len(chains))]
+        assert [c.source_attribute for c in kept[:4]] == [0, 1, 2, 3]
+        assert [c.relations for c in kept[7:]] == [(0, 5), (1, 2), (1, 4), (3, 1)]
+        # identical keys keep their input order, told apart by value only
+        order_in = [toc.chains[i].source_value for i in range(len(chains))
+                    if toc.chains[i].entity_path == (20, 21)]
+        assert [c.source_value for c in kept[4:7]] == order_in
 
     def test_keep_largest_flips(self, rng):
         toc, scores = toc_with_scores(rng, 12)
-        assert (F.top_k_order(scores, toc.chains, 4, keep_largest=True)
+        assert (F.top_k_order(scores, toc, 4, keep_largest=True).tolist()
                 == self.sort_oracle(scores, toc.chains, 4, keep_largest=True))
 
     def test_select_top_k_subset_and_sorted(self, rng):
@@ -111,32 +134,32 @@ class TestTopK:
         chains = [make_chain(int(rng.integers(4)),
                              tuple(int(r) for r in rng.integers(6, size=2)),
                              path_start=10 * i) for i in range(15)]
-        toc = TreeOfChains(Query(0, 1), chains)
+        toc = chain_set(Query(0, 1), chains)
+        chains = toc.chains
         etoc = F.select_top_k(toc, emb, k=6)
         assert len(etoc) == 6
         assert all(ch in chains for ch in etoc.chains)
         assert np.all(np.diff(etoc.scores) >= 0)
-        full = F.chain_scores(chains, 1, emb)
+        full = F.chain_scores(toc, emb)
         assert max(etoc.scores) <= min(
             full[i] for i in range(15) if chains[i] not in etoc.chains)
 
     def test_k_larger_than_tree_keeps_everything(self, rng):
         emb = make_embeddings(rng)
-        toc = TreeOfChains(Query(0, 1), [make_chain(0, (1,)), make_chain(1, (2,),
-                                                                         path_start=10)])
+        toc = chain_set(Query(0, 1), [make_chain(0, (1,)), make_chain(1, (2,), path_start=10)])
         etoc = F.select_top_k(toc, emb, k=10)
         assert len(etoc) == 2
 
     def test_empty_tree(self, rng):
         emb = make_embeddings(rng)
-        etoc = F.select_top_k(TreeOfChains(Query(0, 0), []), emb, k=5)
+        etoc = F.select_top_k(chain_set(Query(0, 0), []), emb, k=5)
         assert len(etoc) == 0
 
 
 class TestRandomK:
     def test_subset_size_and_determinism(self, rng):
         chains = [make_chain(0, (1,), path_start=10 * i) for i in range(9)]
-        toc = TreeOfChains(Query(0, 0), chains)
+        toc = chain_set(Query(0, 0), chains)
         a = F.select_random_k(toc, 4, seed=3)
         b = F.select_random_k(toc, 4, seed=3)
         assert len(a) == 4
@@ -145,7 +168,7 @@ class TestRandomK:
 
     def test_different_seeds_differ(self):
         chains = [make_chain(0, (1,), path_start=10 * i) for i in range(30)]
-        toc = TreeOfChains(Query(0, 0), chains)
+        toc = chain_set(Query(0, 0), chains)
         a = F.select_random_k(toc, 5, seed=1)
         b = F.select_random_k(toc, 5, seed=2)
         assert ([c.entity_path for c in a.chains]

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PoincareVector,
+    mobius_add,
     oracle_arcosh_distance,
     oracle_distance,
     oracle_log_map,
     oracle_mobius,
+    project_to_ball,
     random_inball,
 )
 from rachain import hyperbolic as H
@@ -65,10 +68,10 @@ class TestMobiusAddition:
                                        atol=0)
 
     def test_wrapper_validates_curvature_mismatch(self):
-        a = H.PoincareVector(np.array([0.1, 0.0]), curvature=1.0)
-        b = H.PoincareVector(np.array([0.1, 0.0]), curvature=2.0)
+        a = PoincareVector(np.array([0.1, 0.0]), curvature=1.0)
+        b = PoincareVector(np.array([0.1, 0.0]), curvature=2.0)
         with pytest.raises(ValueError, match="curvature"):
-            H.mobius_add(a, b)
+            mobius_add(a, b)
 
 
 class TestDistance:
@@ -155,14 +158,14 @@ class TestLogMap:
 class TestProjection:
     def test_outside_point_pulled_in(self):
         v = np.array([3.0, 4.0])
-        p = H.project_to_ball(v)
+        p = project_to_ball(v)
         n = np.linalg.norm(p.coords)
         assert n == pytest.approx(1.0 - H.BALL_MARGIN, abs=1e-12)
         np.testing.assert_allclose(p.coords / n, v / 5.0, atol=1e-12)
 
     def test_inside_point_untouched(self):
         v = np.array([0.2, -0.1])
-        np.testing.assert_allclose(H.project_to_ball(v).coords, v, atol=0)
+        np.testing.assert_allclose(project_to_ball(v).coords, v, atol=0)
 
     def test_project_rows_batched(self, rng):
         rows = rng.standard_normal((10, 4)) * 2.0
@@ -178,24 +181,24 @@ class TestProjection:
 class TestPoincareVector:
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError, match="outside"):
-            H.PoincareVector(np.array([1.0, 0.0]))
+            PoincareVector(np.array([1.0, 0.0]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            H.PoincareVector(np.array([np.nan, 0.0]))
+            PoincareVector(np.array([np.nan, 0.0]))
 
     def test_rejects_bad_curvature(self):
         with pytest.raises(ValueError, match="curvature"):
-            H.PoincareVector(np.array([0.1, 0.0]), curvature=0.0)
+            PoincareVector(np.array([0.1, 0.0]), curvature=0.0)
 
     def test_rejects_matrix(self):
         with pytest.raises(ValueError, match="single vector"):
-            H.PoincareVector(np.zeros((2, 2)))
+            PoincareVector(np.zeros((2, 2)))
 
     def test_curvature_scales_admissible_norm(self):
-        H.PoincareVector(np.array([0.45, 0.0]), curvature=4.0)
+        PoincareVector(np.array([0.45, 0.0]), curvature=4.0)
         with pytest.raises(ValueError):
-            H.PoincareVector(np.array([0.55, 0.0]), curvature=4.0)
+            PoincareVector(np.array([0.55, 0.0]), curvature=4.0)
 
 
 class TestRandomBallRows:

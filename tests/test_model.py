@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import reference_forward
+from helpers import chain_set, reference_forward
 from rachain import autodiff as ad
 from rachain.config import TrainConfig
-from rachain.filter import EnhancedToC
 from rachain.kg import AttributeStats, Query, attribute_means, build_dataset
 from rachain.model import Model, load_checkpoint, save_checkpoint
 from rachain.retrieval import RAChain
@@ -44,7 +43,7 @@ def mixed_etoc():
         make_chain(0, (0, 4, 2), 7.5, 20),  # norm 0.75
         make_chain(1, (2,), 8.0, 30),       # norm 0.75
     ]
-    return EnhancedToC(Query(99, 1), chains, np.zeros(len(chains)))
+    return chain_set(Query(99, 1), chains, scores=np.zeros(len(chains)))
 
 
 class TestForward:
@@ -66,7 +65,7 @@ class TestForward:
         model = make_model(mode="translation")
         etoc = mixed_etoc()
         result = model.forward([etoc])
-        assert result.chains == [etoc.chains]
+        assert [toc.chains for toc in result.chains] == [etoc.chains]
         # translation opens as the identity too, so order is observable
         np.testing.assert_array_equal(result.proposals.data,
                                       [[0.25, 0.25, 0.75, 0.75]])
@@ -75,14 +74,14 @@ class TestForward:
         model = make_model()
         chains = [make_chain(0, (1,), 5.0, 0),
                   make_chain(2, (3,), 1.0, 10)]  # attribute 2 has no stats
-        result = model.forward([EnhancedToC(Query(99, 1), chains, np.zeros(2))])
-        assert result.chains == [[chains[0]]]
+        result = model.forward([chain_set(Query(99, 1), chains)])
+        assert [toc.chains for toc in result.chains] == [[chains[0]]]
         assert result.omega.shape == (1, 1)
 
     def test_none_when_nothing_usable(self):
         model = make_model()
         chains = [make_chain(2, (3,), 1.0, 10)]
-        assert model.forward([EnhancedToC(Query(99, 1), chains, np.zeros(1))]) is None
+        assert model.forward([chain_set(Query(99, 1), chains)]) is None
 
     def test_mean_pooling_variant_runs(self):
         model = make_model(use_chain_encoder=False)
@@ -107,7 +106,7 @@ class TestForward:
         model.forward([etoc])
         (batch,) = pooled
         for i, chain in enumerate(etoc.chains):
-            model.forward([EnhancedToC(etoc.query, [chain], np.zeros(1))])
+            model.forward([chain_set(etoc.query, [chain])])
             np.testing.assert_allclose(batch[i], pooled[-1][0], rtol=0, atol=1e-12)
 
     def test_uniform_weights_without_chain_weighting(self):
@@ -140,15 +139,14 @@ def mixed_batch():
     """Five queries: chain counts 4, 0 usable, 2 of 3 usable, 1 and 6, of
     lengths 1 to 3, over both usable attributes."""
     full = mixed_etoc()
-    unusable = EnhancedToC(Query(98, 0), [make_chain(2, (3,), 1.0, 40)], np.zeros(1))
-    part = EnhancedToC(Query(97, 0), [make_chain(1, (2, 5), 7.0, 50, query_attr=0),
-                                      make_chain(2, (1,), 4.0, 60, query_attr=0),
-                                      make_chain(0, (4,), 9.0, 70, query_attr=0)],
-                       np.zeros(3))
-    single = EnhancedToC(Query(96, 1), [make_chain(0, (5, 1, 0), 1.0, 80)], np.zeros(1))
-    many = EnhancedToC(Query(95, 1), [make_chain(i % 2, (i % 6,) * (1 + i % 3),
-                                                 5.0 + 0.5 * i, 100 + 10 * i)
-                                      for i in range(6)], np.zeros(6))
+    unusable = chain_set(Query(98, 0), [make_chain(2, (3,), 1.0, 40)])
+    part = chain_set(Query(97, 0), [make_chain(1, (2, 5), 7.0, 50, query_attr=0),
+                                    make_chain(2, (1,), 4.0, 60, query_attr=0),
+                                    make_chain(0, (4,), 9.0, 70, query_attr=0)])
+    single = chain_set(Query(96, 1), [make_chain(0, (5, 1, 0), 1.0, 80)])
+    many = chain_set(Query(95, 1), [make_chain(i % 2, (i % 6,) * (1 + i % 3),
+                                               5.0 + 0.5 * i, 100 + 10 * i)
+                                    for i in range(6)])
     return [full, unusable, part, single, many]
 
 
@@ -176,7 +174,7 @@ class TestBatchedEquivalence:
         for r, i in enumerate(result.rows):
             prediction, omega, proposals, chains = reference_forward(model, etocs[i])
             m = len(chains)
-            assert result.chains[r] == chains
+            assert result.chains[r].chains == chains
             np.testing.assert_allclose(result.prediction.data[r], prediction.data,
                                        rtol=0, atol=1e-10)
             np.testing.assert_allclose(result.omega.data[r, :m], omega.data,
@@ -271,9 +269,7 @@ class TestPredict:
 class TestSelect:
     def test_filtered_selection_is_sorted_and_deterministic(self):
         model = make_model(top_k=2)
-        toc_chains = mixed_etoc().chains
-        from rachain.retrieval import TreeOfChains
-        toc = TreeOfChains(Query(99, 1), toc_chains)
+        toc = chain_set(Query(99, 1), mixed_etoc().chains)
         a = model.select(toc, seed=0)
         b = model.select(toc, seed=5)  # seed irrelevant when filtering
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]
@@ -282,8 +278,7 @@ class TestSelect:
 
     def test_unfiltered_selection_uses_seed(self):
         model = make_model(top_k=2, use_filter=False)
-        from rachain.retrieval import TreeOfChains
-        toc = TreeOfChains(Query(99, 1), mixed_etoc().chains)
+        toc = chain_set(Query(99, 1), mixed_etoc().chains)
         a = model.select(toc, seed=3)
         b = model.select(toc, seed=3)
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import chain_is_valid, reference_sample_tree
+from helpers import chain_is_valid, chain_set, reference_sample_tree
 from rachain import kg as K
 from rachain import retrieval as R
 
@@ -35,6 +35,37 @@ class TestRAChain:
         assert ch.length == 2
         assert ch.pattern == (3, (5, 6))
         assert ch.source_entity == 9
+
+
+class TestChainSet:
+    @pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+    def test_chains_round_trip_hand_built_sets(self, max_hops):
+        query = K.Query(50, 2)
+        chains = [R.RAChain(length % 3, tuple(range(length, 0, -1)), 2, 0.5 * length,
+                            tuple(range(10 * length, 11 * length + 1)))
+                  for length in range(1, max_hops + 1)]
+        chains += chains[::-1]
+        toc = chain_set(query, chains, max_hops)
+        assert toc.chains == chains
+        assert toc.lengths.tolist() == [c.length for c in chains]
+        # one layout: source first, -1 pads after the chain's end
+        assert toc.relations.shape == (len(chains), max_hops)
+        for row, path, c in zip(toc.relations, toc.entity_path, chains):
+            assert row.tolist() == list(c.relations) + [-1] * (max_hops - c.length)
+            assert path.tolist() == list(c.entity_path) + [-1] * (max_hops - c.length)
+        assert toc.take([1, 0]).chains == chains[1::-1]
+
+    def test_row_checks(self):
+        ok = chain_set(K.Query(9, 0), [R.RAChain(0, (1, 2), 0, 1.0, (5, 6, 9))])
+        R._check_rows(ok.relations, ok.entity_path)
+        bad = [
+            (np.array([[-1, -1]]), np.array([[5, -1, -1]])),     # no relation
+            (np.array([[1, -1]]), np.array([[5, 6, 9]])),        # path too long
+            (np.array([[1, 2]]), np.array([[5, 6, 5]])),         # revisit
+        ]
+        for relations, entity_path in bad:
+            with pytest.raises(ValueError, match="not a simple path"):
+                R._check_rows(relations, entity_path)
 
 
 class TestEnumeration:
@@ -140,7 +171,8 @@ class TestSampling:
         kg = build([("a", "r", "b"), ("c", "r", "d")], [("a", "v", "1.0")])
         query = K.Query(kg.entity_index["c"], kg.attribute_index["v"])
         toc = R.sample_tree(kg, query, walks=50, max_hops=3, seed=0)
-        assert toc.is_empty
+        assert len(toc) == 0
+        assert toc.relations.shape == (0, 3) and toc.entity_path.shape == (0, 4)
 
     def test_recovery_on_small_graph(self):
         rng = np.random.default_rng(77)
