@@ -51,6 +51,7 @@ from .autodiff import (
     tensor_sum,
 )
 from .filter import FilterEmbeddings
+from .retrieval import chain_lengths
 
 # ---------------------------------------------------------------------------
 # Float64 bit-stream
@@ -238,7 +239,7 @@ def chain_tokens(source_attribute: np.ndarray, relations: np.ndarray, query_attr
     used by the transformer-free variant that mean-pools the tokens.
     """
     m = len(source_attribute)
-    lengths = (relations >= 0).sum(axis=1)
+    lengths = chain_lengths(relations)
     longest = int(lengths.max())
     n_rel = embeddings.relations.shape[0]
     df = embeddings.dim

@@ -29,7 +29,7 @@ from .reasoner import (
     project_values,
     weight_chains,
 )
-from .retrieval import TreeOfChains, sample_tree
+from .retrieval import TreeOfChains, chain_lengths, sample_tree
 
 
 @dataclass
@@ -108,8 +108,7 @@ class Model:
         with no relation) fill the rest. All B*k chains are encoded in one
         left-padded, masked pass, reshaped to (B, k, dim) for the
         treeformer, and masked out of omega, so a pad slot adds exactly
-        nothing to a prediction or a gradient. A batch of one has no pad
-        slot and no padding copy.
+        nothing to a prediction or a gradient.
         """
         cfg = self.config
         usable = [etoc.take(self.stats.usable(etoc.source_attribute)) for etoc in etocs]
@@ -139,7 +138,7 @@ class Model:
                        if cfg.use_numerical_aware else reps)
         proposals = reshape(project_values(transferred, values_norm, self.heads), (b, k))
         if cfg.use_chain_weighting:
-            lengths = np.maximum((relations >= 0).sum(axis=1), 1)
+            lengths = np.maximum(chain_lengths(relations), 1)
             omega = weight_chains(reshape(reps, (b, k, reps.shape[-1])),
                                   lengths.reshape(b, k), self.tree, mask)
         else:
@@ -167,9 +166,7 @@ class Model:
 
 def _padded(parts: list[np.ndarray], mask: np.ndarray, fill) -> np.ndarray:
     """The rows of parts[i] in the leading slots of row i of `mask` (B, k) and
-    `fill` in the others, as B * k rows; a single part is not copied."""
-    if len(parts) == 1:
-        return parts[0]
+    `fill` in the others, as B * k rows."""
     out = np.full((mask.size,) + parts[0].shape[1:], fill, dtype=parts[0].dtype)
     out[mask.reshape(-1)] = np.concatenate(parts)
     return out

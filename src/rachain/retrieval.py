@@ -86,7 +86,7 @@ class TreeOfChains:
 
     @property
     def lengths(self) -> np.ndarray:
-        return (self.relations >= 0).sum(axis=1)
+        return chain_lengths(self.relations)
 
     def take(self, rows, scores: np.ndarray | None = None) -> "TreeOfChains":
         """The chains of `rows`, in that order, with `scores` (one per row)."""
@@ -104,10 +104,15 @@ class TreeOfChains:
                     self.lengths.tolist())]
 
 
+def chain_lengths(relations: np.ndarray) -> np.ndarray:
+    """Each row's chain length: its relation ids that are not the -1 pad."""
+    return (relations >= 0).sum(axis=1)
+
+
 def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
     """RAChain's checks on every row at once: a relation at least, one more
     entity than relations, and no entity visited twice."""
-    n_rel = (relations >= 0).sum(axis=1)
+    n_rel = chain_lengths(relations)
     ordered = np.sort(entity_path, axis=1)
     if (np.any(n_rel < 1) or np.any((entity_path >= 0).sum(axis=1) != n_rel + 1)
             or np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0))):

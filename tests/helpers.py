@@ -64,6 +64,23 @@ def random_inball(rng: np.random.Generator, n: int, dim: int, radius: float = 0.
     return direction * r
 
 
+def distance_arcosh_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unit-ball (c = 1) distance in arcosh form.
+
+        d(x, y) = arcosh(1 + 2 ||x - y||^2 / ((1 - ||x||^2)(1 - ||y||^2)))
+
+    Evaluated as log1p(t + sqrt(t (t + 2))) with t the fraction term, which is
+    exact near t = 0 where arcosh(1 + t) loses precision.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    dd = np.sum((x - y) ** 2, axis=-1)
+    ax = 1.0 - np.sum(x * x, axis=-1)
+    ay = 1.0 - np.sum(y * y, axis=-1)
+    t = 2.0 * dd / (ax * ay)
+    return np.log1p(t + np.sqrt(t * (t + 2.0)))
+
+
 # ---------------------------------------------------------------------------
 # validated single points of the ball
 
