@@ -303,26 +303,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g / a.data)
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out_data = np.sqrt(a.data)
@@ -390,14 +370,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out_data, (a,), backward_fn)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:

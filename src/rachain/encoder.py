@@ -22,8 +22,6 @@ E_a^T e_chain + E_b. At initialization E_a is the identity and E_b zero.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,27 +55,9 @@ from .retrieval import chain_lengths
 # Float64 bit-stream
 
 
-def encode_value(value: float) -> np.ndarray:
-    """The 64 bits of the value's IEEE-754 double encoding, sign bit first."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"cannot encode non-finite value {value}")
-    raw = struct.pack(">d", value)
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).astype(np.float64)
-
-
-def decode_value(bits: np.ndarray) -> float:
-    bits = np.asarray(bits)
-    if bits.shape != (64,):
-        raise ValueError(f"expected 64 bits, got shape {bits.shape}")
-    if not np.all((bits == 0.0) | (bits == 1.0)):
-        raise ValueError("bits must be 0 or 1")
-    raw = np.packbits(bits.astype(np.uint8)).tobytes()
-    return struct.unpack(">d", raw)[0]
-
-
 def encode_values(values) -> np.ndarray:
-    """encode_value over a sequence of n values, as one (n, 64) array."""
+    """The 64 bits of each value's IEEE-754 double encoding, sign bit first,
+    as one (n, 64) array for n values."""
     values = np.asarray(values, dtype=np.float64)
     bad = values[~np.isfinite(values)]
     if bad.size:

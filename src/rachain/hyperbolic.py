@@ -1,4 +1,4 @@
-"""Poincare-ball geometry: Mobius addition, distances, origin log map.
+"""Poincare-ball geometry: Mobius addition, distances, projection into the ball.
 
 All points live in the open ball { x : c * ||x||^2 < 1 } for curvature
 parameter c > 0. The kernels operate on plain float64 arrays (vectors on the
@@ -36,19 +36,6 @@ def distance_raw(x: np.ndarray, y: np.ndarray, c: float = 1.0) -> np.ndarray:
     # points kept off the boundary by BALL_MARGIN; clamp only guards rounding
     arg = np.minimum(arg, 1.0 - 1e-15)
     return (2.0 / sc) * np.arctanh(arg)
-
-
-def log_map_origin_raw(x: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Tangent-space coordinates at the origin: arctanh(sqrt(c)|x|) x / (sqrt(c)|x|).
-
-    Exact zeros for the origin itself.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    sc = np.sqrt(c)
-    n = np.linalg.norm(x, axis=-1, keepdims=True)
-    safe = np.where(n > 0.0, n, 1.0)
-    scale = np.arctanh(np.minimum(sc * n, 1.0 - 1e-15)) / (sc * safe)
-    return np.where(n > 0.0, scale * x, 0.0)
 
 
 def project_rows(x: np.ndarray, c: float = 1.0, margin: float = BALL_MARGIN) -> np.ndarray:

@@ -1,11 +1,15 @@
 """The full pipeline as one object.
 
 Model.forward turns the filtered chain sets of a mini-batch into normalized
-predictions with differentiable attention weights, in one masked pass and
-so one autodiff tape; Model.predict wraps retrieval, filtering, the same
-forward over a batch of one, and the attribute-mean fallback for queries
-with no usable chains. Checkpoints store every parameter array by name plus
-the config and normalization statistics needed to rebuild the model exactly.
+predictions with differentiable attention weights, on one autodiff tape. The
+chain encoder reads only a chain's pattern (source attribute, relations,
+query attribute), so each distinct pattern of the batch is encoded once, in
+one masked pass, and gathered back to every chain that has it; the value
+transfer, projection and weighting stay per chain. Model.predict is
+retrieval followed by Model.predict_tree: filtering, the same forward over a
+batch of one, and the attribute-mean fallback for queries with no usable
+chains. Checkpoints store every parameter array by name plus the config and
+normalization statistics needed to rebuild the model exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, mul, no_grad, reshape, tensor_sum
+from .autodiff import Parameter, Tensor, mul, no_grad, reshape, take_rows, tensor_sum
 from .config import TrainConfig
 from .encoder import AffineNets, ChainEncoderParams, affine_transfer, chain_tokens, encode_chains
 from .filter import FilterEmbeddings, select_random_k, select_top_k
@@ -105,10 +109,13 @@ class Model:
 
         Each query's usable chains, in their given order, fill the leading
         slots of its row of k = the largest usable count; pad chains (rows
-        with no relation) fill the rest. All B*k chains are encoded in one
-        left-padded, masked pass, reshaped to (B, k, dim) for the
-        treeformer, and masked out of omega, so a pad slot adds exactly
-        nothing to a prediction or a gradient.
+        with no relation) fill the rest. The B*k chains' distinct patterns
+        are encoded in one left-padded, masked pass and gathered back to
+        (B*k, dim), so a repeated pattern costs one encoder row and its
+        gradient is the sum over its repeats; pad chains share one pattern
+        per query attribute. The representations are reshaped to
+        (B, k, dim) for the treeformer and pads are masked out of omega, so
+        a pad slot adds exactly nothing to a prediction or a gradient.
         """
         cfg = self.config
         usable = [etoc.take(self.stats.usable(etoc.source_attribute)) for etoc in etocs]
@@ -124,15 +131,17 @@ class Model:
                                for toc in chains], mask, 0.0)
         query_attributes = np.repeat([etocs[i].query.attribute for i in rows], k)
 
+        first, inverse = _distinct_rows(np.column_stack([src, relations, query_attributes]))
+        patterns = (src[first], relations[first], query_attributes[first])
         if cfg.use_chain_encoder:
-            reps = encode_chains(src, relations, query_attributes, self.embeddings,
-                                 self.encoder)
+            distinct = encode_chains(*patterns, self.embeddings, self.encoder)
         else:
-            tokens, key_mask = chain_tokens(src, relations, query_attributes,
-                                            self.embeddings, self.encoder, include_end=False)
+            tokens, key_mask = chain_tokens(*patterns, self.embeddings, self.encoder,
+                                            include_end=False)
             # a pad chain has no token: its zero sum is divided by 1
             counts = np.maximum(key_mask.sum(axis=1, keepdims=True), 1)
-            reps = mul(tensor_sum(tokens, axis=1), 1.0 / counts)
+            distinct = mul(tensor_sum(tokens, axis=1), 1.0 / counts)
+        reps = take_rows(distinct, inverse)
 
         transferred = (affine_transfer(reps, values_norm, self.affine)
                        if cfg.use_numerical_aware else reps)
@@ -147,13 +156,16 @@ class Model:
         return ForwardResult(prediction, omega, proposals, chains, rows)
 
     def predict(self, kg: KnowledgeGraph, query: Query, seed: int = 0) -> PredictionTrace:
-        """Retrieval + filter + forward over a batch of this one query,
-        without gradients; falls back to the attribute's training mean when
-        no chain is available."""
+        """Retrieval, then predict_tree on the sampled tree with the same seed."""
+        return self.predict_tree(self.retrieve(kg, query, seed), seed)
+
+    def predict_tree(self, toc: TreeOfChains, seed: int = 0) -> PredictionTrace:
+        """Filter + forward over a batch of this one tree's query, without
+        gradients; falls back to the attribute's training mean when no chain
+        is available."""
+        query = toc.query
         with no_grad():
-            toc = self.retrieve(kg, query, seed)
-            etoc = self.select(toc, seed)
-            result = self.forward([etoc])
+            result = self.forward([self.select(toc, seed)])
         if result is None:
             value = float(self.means[query.attribute])
             norm = (self.stats.normalize(query.attribute, value)
@@ -162,6 +174,17 @@ class Model:
                                    predicted_value=value, fallback="attribute-mean")
         return build_trace(query, result.chains[0].chains, result.omega.data[0],
                            result.proposals.data[0], self.stats)
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows of an integer array (n, w): the index of the first
+    occurrence of each distinct row, and for every row the position of its
+    row among those. One 1-D unique over a byte view of the rows, which is
+    cheaper than np.unique(axis=0) at the few dozen rows of a prediction."""
+    keys = np.ascontiguousarray(keys)
+    view = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def _padded(parts: list[np.ndarray], mask: np.ndarray, fill) -> np.ndarray:

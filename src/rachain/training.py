@@ -3,7 +3,9 @@
 Each epoch re-samples chains for every training query (unless cache_toc
 reuses the first epoch's trees) and filters them. Each mini-batch then runs
 as one batched forward, so one autodiff tape and one backward pass, and
-Adam steps on the batch's mean loss over normalized values. Training
+Adam steps on the batch's mean loss over normalized values. Validation
+samples each query's tree once per run, since every epoch would sample it
+with the same seed, and re-runs only the filter and forward. Training
 stops at the epoch budget, when the epoch loss moves less than epsilon, or
 when validation MAE stops improving for `patience` epochs; the best
 validation snapshot wins.
@@ -75,15 +77,21 @@ def scoped_queries(kg: KnowledgeGraph, triples, model: Model) -> list[Query]:
     return out
 
 
-def validation_mae(model: Model, kg: KnowledgeGraph, queries: list[Query]) -> float:
+def validation_mae(model: Model, kg: KnowledgeGraph, queries: list[Query],
+                   trees: dict[int, TreeOfChains] | None = None) -> float:
     """Mean absolute error in normalized space (fallbacks included). Query i
     samples its chains with the same seed every epoch, so epochs are
-    compared on the same samples."""
+    compared on the same samples; `trees` keeps query i's tree across calls,
+    so it is sampled once and only the filter and forward run again."""
     if not queries:
         return float("nan")
+    trees = {} if trees is None else trees
     errs = []
     for i, q in enumerate(queries):
-        trace = model.predict(kg, q, seed=seed_for(model.config.seed, 1, 0, i))
+        seed = seed_for(model.config.seed, 1, 0, i)
+        if i not in trees:
+            trees[i] = model.retrieve(kg, q, seed)
+        trace = model.predict_tree(trees[i], seed)
         target_norm = model.stats.normalize(q.attribute, q.target)
         errs.append(abs(trace.predicted_norm - target_norm))
     return float(np.mean(errs))
@@ -135,6 +143,7 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
     opt = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
     toc_cache: dict[int, TreeOfChains] = {}
+    val_trees: dict[int, TreeOfChains] = {}
     result = TrainResult(model=model)
     best_snap: dict[str, np.ndarray] | None = None
     best_val = float("inf")
@@ -167,7 +176,7 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
             empty += len(chunk) - batch_used
 
         train_loss = total_loss / max(used, 1)
-        val_mae = validation_mae(model, kg, val_queries)
+        val_mae = validation_mae(model, kg, val_queries, val_trees)
         stats = EpochStats(epoch=epoch, train_loss=train_loss, val_mae=val_mae,
                            seconds=time.perf_counter() - started,
                            queries_used=used, queries_empty=empty)

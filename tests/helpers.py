@@ -1,11 +1,13 @@
-"""Shared test utilities: independent scalar oracles, validated single-point
-geometry and per-chain filter scoring, hand-built chain sets, the sequential
-chain sampler, the composite forms of the fused autodiff layers, the
-per-query model forward, and finite differences."""
+"""Shared test utilities: independent scalar oracles, the array origin log
+map, the single-value bit codec, validated single-point geometry and
+per-chain filter scoring, hand-built chain sets, the sequential chain
+sampler, test-only autodiff ops and the composite forms of the fused
+layers, the per-query model forward, and finite differences."""
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,42 @@ def distance_arcosh_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ay = 1.0 - np.sum(y * y, axis=-1)
     t = 2.0 * dd / (ax * ay)
     return np.log1p(t + np.sqrt(t * (t + 2.0)))
+
+
+def log_map_origin_raw(x: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """Tangent-space coordinates at the origin: arctanh(sqrt(c)|x|) x / (sqrt(c)|x|).
+
+    Exact zeros for the origin itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    sc = np.sqrt(c)
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    safe = np.where(n > 0.0, n, 1.0)
+    scale = np.arctanh(np.minimum(sc * n, 1.0 - 1e-15)) / (sc * safe)
+    return np.where(n > 0.0, scale * x, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# single-value bit codec (struct-based oracle of encoder.encode_values)
+
+
+def encode_value(value: float) -> np.ndarray:
+    """The 64 bits of the value's IEEE-754 double encoding, sign bit first."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot encode non-finite value {value}")
+    raw = struct.pack(">d", value)
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).astype(np.float64)
+
+
+def decode_value(bits: np.ndarray) -> float:
+    bits = np.asarray(bits)
+    if bits.shape != (64,):
+        raise ValueError(f"expected 64 bits, got shape {bits.shape}")
+    if not np.all((bits == 0.0) | (bits == 1.0)):
+        raise ValueError("bits must be 0 or 1")
+    raw = np.packbits(bits.astype(np.uint8)).tobytes()
+    return struct.unpack(">d", raw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +283,29 @@ def chain_is_valid(chain: RAChain, kg, query) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# autodiff oracles: the fused layers built from primitive ops
+# autodiff oracles: test-only ops, and the fused layers built from primitives
+
+
+def exp(a):
+    """Elementwise exp as a tape node."""
+    a = ad._as_tensor(a)
+    out = np.exp(a.data)
+    return ad._make(out, (a,), lambda g: ad._accumulate(a, g * out))
+
+
+def log(a):
+    """Elementwise natural log as a tape node."""
+    a = ad._as_tensor(a)
+    return ad._make(np.log(a.data), (a,), lambda g: ad._accumulate(a, g / a.data))
+
+
+def mean(a, axis=None, keepdims: bool = False):
+    """Mean over `axis` (all axes when None) as a sum times 1/count."""
+    a = ad._as_tensor(a)
+    count = a.data.size if axis is None else np.prod(
+        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+    )
+    return ad.mul(ad.tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
 def composite_linear(x, w, b=None):
@@ -254,9 +314,9 @@ def composite_linear(x, w, b=None):
 
 
 def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
-    mu = ad.mean(x, axis=-1, keepdims=True)
+    mu = mean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
-    var = ad.mean(ad.square(centered), axis=-1, keepdims=True)
+    var = mean(ad.square(centered), axis=-1, keepdims=True)
     xhat = ad.div(centered, ad.sqrt(ad.add(var, eps)))
     return ad.add(ad.mul(xhat, gain), bias)
 
@@ -351,7 +411,8 @@ def check_gradients(build, arrays: dict[str, np.ndarray], tol: float = 1e-4) -> 
 
 
 def grad_cases(rng: np.random.Generator):
-    """(name, arrays, build) triples covering every differentiable primitive.
+    """(name, arrays, build) triples covering every differentiable primitive,
+    and the test-only exp, log and mean above.
 
     Shapes stay small (<= 16 per axis) and inputs avoid kinks (relu/abs/clip
     boundaries) so central differences are trustworthy.
@@ -410,10 +471,10 @@ def grad_cases(rng: np.random.Generator):
          lambda p: ad.tensor_sum(ad.relu(p["a"])))
     case("exp",
          {"a": rng.standard_normal((3, 4))},
-         lambda p: ad.tensor_sum(ad.exp(p["a"])))
+         lambda p: ad.tensor_sum(exp(p["a"])))
     case("log",
          {"a": rng.uniform(0.5, 2.0, (3, 4))},
-         lambda p: ad.tensor_sum(ad.log(p["a"])))
+         lambda p: ad.tensor_sum(log(p["a"])))
     case("sqrt",
          {"a": rng.uniform(0.5, 2.0, (3, 4))},
          lambda p: ad.tensor_sum(ad.sqrt(p["a"])))
@@ -434,7 +495,7 @@ def grad_cases(rng: np.random.Generator):
          lambda p: ad.tensor_sum(ad.square(ad.tensor_sum(p["a"], axis=1))))
     case("mean_keepdims",
          {"a": rng.standard_normal((3, 4))},
-         lambda p: ad.tensor_sum(ad.square(ad.mean(p["a"], axis=-1, keepdims=True))))
+         lambda p: ad.tensor_sum(ad.square(mean(p["a"], axis=-1, keepdims=True))))
     case("softmax",
          {"a": rng.standard_normal((3, 5))},
          lambda p: ad.tensor_sum(ad.mul(ad.softmax(p["a"]), rng_const_35)))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import chain_set, check_gradients, oracle_log_map, random_inball
+from helpers import (chain_set, check_gradients, decode_value, encode_value, oracle_log_map,
+                     random_inball)
 from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain.autodiff import Parameter, Tensor
@@ -43,21 +44,21 @@ def attention_probs(monkeypatch):
 
 class TestBits:
     def test_one_is_0x3ff0(self):
-        bits = E.encode_value(1.0)
+        bits = encode_value(1.0)
         expected = [0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] + [0] * 52
         assert bits.tolist() == expected
 
     def test_minus_two_is_0xc000(self):
-        bits = E.encode_value(-2.0)
+        bits = encode_value(-2.0)
         expected = [1, 1] + [0] * 62
         assert bits.tolist() == expected
 
     def test_zero_is_all_zero_bits(self):
-        assert E.encode_value(0.0).tolist() == [0.0] * 64
+        assert encode_value(0.0).tolist() == [0.0] * 64
 
     def test_sign_bit_is_first(self):
-        assert E.encode_value(-1.0)[0] == 1.0
-        assert E.encode_value(1.0)[0] == 0.0
+        assert encode_value(-1.0)[0] == 1.0
+        assert encode_value(1.0)[0] == 0.0
 
     def test_round_trip_exact(self, rng):
         values = np.concatenate([
@@ -65,27 +66,27 @@ class TestBits:
             np.array([0.0, -0.0, 1.0, -1.0, np.pi, 2.0**-1030]),
         ])
         for v in values:
-            assert E.decode_value(E.encode_value(v)) == v
+            assert decode_value(encode_value(v)) == v
 
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                E.encode_value(bad)
+                encode_value(bad)
 
     def test_decode_validates_shape_and_values(self):
         with pytest.raises(ValueError, match="64 bits"):
-            E.decode_value(np.zeros(63))
+            decode_value(np.zeros(63))
         bad = np.zeros(64)
         bad[5] = 2.0
         with pytest.raises(ValueError, match="0 or 1"):
-            E.decode_value(bad)
+            decode_value(bad)
 
     def test_encode_values_stacks(self):
         values = [1.0, -2.0, 0.5, -0.0, 5e-324, 1e308]
         out = E.encode_values(values)
         assert out.shape == (6, 64)
         for row, v in zip(out, values):
-            assert row.tolist() == E.encode_value(v).tolist()
+            assert row.tolist() == encode_value(v).tolist()
         with pytest.raises(ValueError, match="non-finite"):
             E.encode_values([1.0, float("inf")])
 

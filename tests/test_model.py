@@ -150,6 +150,56 @@ def mixed_batch():
     return [full, unusable, part, single, many]
 
 
+def pattern_batch():
+    """Four queries whose chains repeat patterns: (0, (1, 2)) twice in the
+    first query with different paths and values and again in the third, the
+    relations (1, 2) under source attributes 0 and 1 and under query
+    attributes 1 and 0, and pad slots in the last three rows (k = 4)."""
+    first = chain_set(Query(90, 1), [make_chain(0, (1, 2), 2.5, 0),
+                                     make_chain(0, (1, 2), 7.5, 10),
+                                     make_chain(1, (1, 2), 6.0, 20),
+                                     make_chain(0, (3,), 1.0, 30)])
+    second = chain_set(Query(91, 0), [make_chain(0, (1, 2), 5.0, 40, query_attr=0),
+                                      make_chain(1, (1, 2), 8.0, 50, query_attr=0),
+                                      make_chain(2, (4,), 1.0, 60, query_attr=0)])
+    third = chain_set(Query(92, 1), [make_chain(0, (1, 2), 9.0, 70)])
+    fourth = chain_set(Query(93, 0), [make_chain(1, (5,), 7.0, 80, query_attr=0)])
+    return [first, second, third, fourth]
+
+
+def assert_matches_reference(model, etocs, targets):
+    """Model.forward over the batch against `helpers.reference_forward` per
+    query: rows, chains, predictions, omega, proposals and the gradients of
+    the 1/B-seeded squared loss, all within 1e-10. Returns the result."""
+    result = model.forward(etocs)
+    b = len(result.rows)
+    loss = ad.tensor_sum(ad.square(ad.sub(result.prediction, targets[result.rows])))
+    ad.backward(loss, seed=1.0 / b)
+    batched = {p.name: p.grad.copy() for p in model.parameters()}
+
+    for p in model.parameters():
+        p.grad = None
+    for i, etoc in enumerate(etocs):
+        if i not in result.rows:
+            assert reference_forward(model, etoc) is None
+    for r, i in enumerate(result.rows):
+        prediction, omega, proposals, chains = reference_forward(model, etocs[i])
+        m = len(chains)
+        assert result.chains[r].chains == chains
+        np.testing.assert_allclose(result.prediction.data[r], prediction.data,
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(result.omega.data[r, :m], omega.data,
+                                   rtol=0, atol=1e-10)
+        assert np.all(result.omega.data[r, m:] == 0.0)
+        np.testing.assert_allclose(result.proposals.data[r, :m], proposals.data,
+                                   rtol=0, atol=1e-10)
+        ad.backward(ad.square(ad.sub(prediction, targets[i])), seed=1.0 / b)
+    for p in model.parameters():
+        np.testing.assert_allclose(batched[p.name], p.grad, rtol=0, atol=1e-10,
+                                   err_msg=p.name)
+    return result
+
+
 class TestBatchedEquivalence:
     """The batched forward against the per-query forward it replaced
     (`helpers.reference_forward`), row by row and in the gradients."""
@@ -159,33 +209,34 @@ class TestBatchedEquivalence:
         model = make_model(**kw)
         _kick_zero_opens(model, rng)
         etocs = mixed_batch()
-        targets = rng.uniform(0.0, 1.0, len(etocs))
-
-        result = model.forward(etocs)
+        result = assert_matches_reference(model, etocs, rng.uniform(0.0, 1.0, len(etocs)))
         assert result.rows == [0, 2, 3, 4]
-        b = len(result.rows)
-        loss = ad.tensor_sum(ad.square(ad.sub(result.prediction, targets[result.rows])))
-        ad.backward(loss, seed=1.0 / b)
-        batched = {p.name: p.grad.copy() for p in model.parameters()}
 
-        for p in model.parameters():
-            p.grad = None
-        assert reference_forward(model, etocs[1]) is None
-        for r, i in enumerate(result.rows):
-            prediction, omega, proposals, chains = reference_forward(model, etocs[i])
-            m = len(chains)
-            assert result.chains[r].chains == chains
-            np.testing.assert_allclose(result.prediction.data[r], prediction.data,
-                                       rtol=0, atol=1e-10)
-            np.testing.assert_allclose(result.omega.data[r, :m], omega.data,
-                                       rtol=0, atol=1e-10)
-            assert np.all(result.omega.data[r, m:] == 0.0)
-            np.testing.assert_allclose(result.proposals.data[r, :m], proposals.data,
-                                       rtol=0, atol=1e-10)
-            ad.backward(ad.square(ad.sub(prediction, targets[i])), seed=1.0 / b)
-        for p in model.parameters():
-            np.testing.assert_allclose(batched[p.name], p.grad, rtol=0, atol=1e-10,
-                                       err_msg=p.name)
+    @VARIANTS
+    def test_encodes_each_distinct_pattern_once(self, kw, rng, monkeypatch):
+        import rachain.model as model_module
+        # the mean-pool variant tokenizes the patterns without the encoder
+        name = "encode_chains" if kw.get("use_chain_encoder", True) else "chain_tokens"
+        inner = getattr(model_module, name)
+        received = []
+
+        def recording(source_attribute, relations, query_attributes, *args, **kwargs):
+            qa = np.broadcast_to(query_attributes, source_attribute.shape)
+            received.extend(zip(source_attribute.tolist(), map(tuple, relations.tolist()),
+                                qa.tolist()))
+            return inner(source_attribute, relations, query_attributes, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, name, recording)
+        model = make_model(**kw)
+        _kick_zero_opens(model, rng)
+        etocs = pattern_batch()
+        assert_matches_reference(model, etocs, rng.uniform(0.0, 1.0, len(etocs)))
+
+        pad = (-1, -1, -1)
+        expected = {(0, (1, 2, -1), 1), (1, (1, 2, -1), 1), (0, (3, -1, -1), 1),
+                    (0, (1, 2, -1), 0), (1, (1, 2, -1), 0), (1, (5, -1, -1), 0),
+                    (0, pad, 0), (0, pad, 1)}
+        assert sorted(received) == sorted(expected)
 
 
 class TestGradientCoverage:

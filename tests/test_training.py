@@ -97,8 +97,8 @@ class TestValidationMae:
         span = model.stats.maxs[dst] - model.stats.mins[dst]
         queries = [Query(0, dst, target=model.stats.denormalize(dst, 0.5)),
                    Query(1, dst, target=model.stats.denormalize(dst, 0.9))]
-        model.predict = lambda kg, q, seed: PredictionTrace(
-            query=q, predicted_norm=0.7, predicted_value=0.0)
+        model.predict_tree = lambda toc, seed: PredictionTrace(
+            query=toc.query, predicted_norm=0.7, predicted_value=0.0)
         mae = T.validation_mae(model, kg, queries)
         assert mae == pytest.approx((0.2 + 0.2) / 2)
 
@@ -181,6 +181,34 @@ class TestTrainLoop:
         model.encoder.end_token.data[:] = np.nan
         with pytest.raises(T.TrainingFault, match=r"non-finite loss .*entity="):
             T.train(model, kg, split)
+
+
+class TestValidationTrees:
+    def test_each_tree_is_sampled_once_per_train_call(self, monkeypatch):
+        import rachain.model as model_module
+        kg, split = affine_task()
+        sampled = []
+        sample = model_module.sample_tree
+
+        def counting(kg, query, *args):
+            sampled.append(query)
+            return sample(kg, query, *args)
+
+        monkeypatch.setattr(model_module, "sample_tree", counting)
+        cached = T.train(task_model(kg, split, epochs=3), kg, split)
+        val_queries = T.scoped_queries(kg, split.valid, task_model(kg, split))
+        assert len(cached.history) == 3
+        assert [sampled.count(q) for q in val_queries] == [1, 1]
+
+        # the same run re-sampling every validation tree every epoch
+        sampled.clear()
+        validate = T.validation_mae
+        monkeypatch.setattr(T, "validation_mae",
+                            lambda model, kg, queries, trees: validate(model, kg, queries))
+        fresh = T.train(task_model(kg, split, epochs=3), kg, split)
+        assert [sampled.count(q) for q in val_queries] == [3, 3]
+        assert ([(h.train_loss, h.val_mae) for h in cached.history]
+                == [(h.train_loss, h.val_mae) for h in fresh.history])
 
 
 class TestHistoryCsv:
