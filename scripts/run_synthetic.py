@@ -119,8 +119,8 @@ def main() -> int:
     print(evaluation.format_filter_audit(audits), end="")
 
     queries = training.scoped_queries(kg, split.test, model)
-    traces = [model.predict(kg, q, seed=training.seed_for(config.seed, 6, 0, i))
-              for i, q in enumerate(queries)]
+    traces = model.predict_batch(
+        kg, queries, [training.seed_for(config.seed, 6, 0, i) for i in range(len(queries))])
     patterns = top_patterns(traces)
     pattern_report = format_pattern_report(patterns, kg.relation_names,
                                            kg.attribute_names, limit=10)

@@ -8,7 +8,7 @@ one prediction.
 """
 
 from .config import TrainConfig
-from .filter import FilterEmbeddings, select_random_k, select_top_k
+from .filter import FilterEmbeddings, select_random_k, select_top_k, select_top_k_batch
 from .kg import (
     AttributeStats,
     DatasetSplit,
@@ -20,7 +20,7 @@ from .kg import (
 )
 from .model import Model, load_checkpoint, save_checkpoint
 from .reasoner import PredictionTrace
-from .retrieval import RAChain, TreeOfChains, enumerate_all_chains, sample_tree
+from .retrieval import RAChain, TreeOfChains, enumerate_all_chains, sample_tree, sample_trees
 from .training import TrainResult, train
 
 __all__ = [
@@ -41,8 +41,10 @@ __all__ = [
     "load_dataset",
     "queries_from_triples",
     "sample_tree",
+    "sample_trees",
     "save_checkpoint",
     "select_random_k",
     "select_top_k",
+    "select_top_k_batch",
     "train",
 ]

@@ -276,14 +276,23 @@ def getitem(a: Tensor, key) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows along axis 0; repeated indices scatter-add in backward."""
+    """Gather rows along axis 0; repeated indices scatter-add in backward.
+
+    The backward sorts the indices stably and sums each run of equal ones
+    with np.add.reduceat, so repeats add up in the order they appear."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out_data = a.data[idx]
 
     def backward_fn(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
+        flat = idx.reshape(-1)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            ids = flat[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            rows = g.reshape((flat.size,) + a.data.shape[1:])[order]
+            buf[ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         _accumulate(a, buf)
 
     return _make(out_data, (a,), backward_fn)

@@ -260,8 +260,8 @@ def cmd_explain(args) -> int:
     if not triples:
         raise ValueError("no queries to explain")
     queries = training.scoped_queries(kg, triples, model)
-    traces = [model.predict(kg, q, seed=training.seed_for(args.seed, 6, 0, i))
-              for i, q in enumerate(queries)]
+    traces = model.predict_batch(
+        kg, queries, [training.seed_for(args.seed, 6, 0, i) for i in range(len(queries))])
     patterns = top_patterns(traces)
     report = format_pattern_report(patterns, kg.relation_names, kg.attribute_names,
                                    limit=args.limit)

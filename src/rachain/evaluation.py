@@ -4,7 +4,9 @@ component-ablation harness, and a composition audit of the chain filter.
 Native metrics (MAE, RMSE) are in each attribute's own units. The averaged
 metrics normalize every error by the attribute's training span first and then
 weight each attribute equally, so wide-range attributes cannot drown out
-narrow ones.
+narrow ones. Predictions and the filter audit run one chunk of
+config.batch_size queries at a time: one retrieval, one selection and (for
+predictions) one forward per chunk.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ def _split_queries(kg: KnowledgeGraph, model: Model, triples) -> tuple[list[Quer
 
 
 def evaluate(model: Model, kg: KnowledgeGraph, triples, seed: int = 0) -> MetricsReport:
-    """Predict every query in `triples` and score against its held-out value."""
+    """Predict every query in `triples` (`Model.predict_batch`, query i with
+    channel-3 seed i) and score against its held-out value."""
     queries, skipped = _split_queries(kg, model, triples)
     per_attr: dict[int, list[tuple[float, int]]] = {}
     spans: dict[int, float] = {}
-    for i, q in enumerate(queries):
-        trace = model.predict(kg, q, seed=seed_for(seed, 3, 0, i))
+    seeds = [seed_for(seed, 3, 0, i) for i in range(len(queries))]
+    for q, trace in zip(queries, model.predict_batch(kg, queries, seeds)):
         err = abs(trace.predicted_value - q.target)
         per_attr.setdefault(q.attribute, []).append((err, int(trace.fallback is not None)))
         spans[q.attribute] = float(model.stats.maxs[q.attribute] - model.stats.mins[q.attribute])
@@ -187,19 +190,25 @@ class FilterAudit:
 
 def filter_composition(model: Model, kg: KnowledgeGraph, triples,
                        seed: int = 0) -> list[FilterAudit]:
-    """How strongly selection concentrates on same-attribute sources."""
+    """How strongly selection concentrates on same-attribute sources; one
+    retrieval and one selection per chunk of config.batch_size queries."""
     queries, _ = _split_queries(kg, model, triples)
     acc: dict[int, dict[str, float]] = {}
-    for i, q in enumerate(queries):
-        toc = model.retrieve(kg, q, seed_for(seed, 4, 0, i))
-        etoc = model.select(toc, seed_for(seed, 5, 0, i))
-        slot = acc.setdefault(q.attribute, {"q": 0, "tree": 0, "kept": 0,
-                                            "tree_same": 0, "kept_same": 0})
-        slot["q"] += 1
-        slot["tree"] += len(toc)
-        slot["kept"] += len(etoc)
-        slot["tree_same"] += int(np.sum(toc.source_attribute == q.attribute))
-        slot["kept_same"] += int(np.sum(etoc.source_attribute == q.attribute))
+    size = model.config.batch_size
+    for lo in range(0, len(queries), size):
+        chunk = range(lo, min(lo + size, len(queries)))
+        tocs = model.retrieve(kg, [queries[i] for i in chunk],
+                              [seed_for(seed, 4, 0, i) for i in chunk])
+        etocs = model.select(tocs, [seed_for(seed, 5, 0, i) for i in chunk])
+        for i, toc, etoc in zip(chunk, tocs, etocs):
+            q = queries[i]
+            slot = acc.setdefault(q.attribute, {"q": 0, "tree": 0, "kept": 0,
+                                                "tree_same": 0, "kept_same": 0})
+            slot["q"] += 1
+            slot["tree"] += len(toc)
+            slot["kept"] += len(etoc)
+            slot["tree_same"] += int(np.sum(toc.source_attribute == q.attribute))
+            slot["kept_same"] += int(np.sum(etoc.source_attribute == q.attribute))
     audits = []
     for attr in sorted(acc):
         s = acc[attr]

@@ -9,7 +9,10 @@ affinity score mixes two geodesic distances to the query attribute,
 Scores are distances, so lower means more relevant and selection keeps the
 k smallest by default (keep_largest flips the orientation). Ties break on
 (length, entity path, relations, source attribute) so selection is a total
-order and reproducible.
+order and reproducible. `select_top_k_batch` selects for a chunk of trees at
+once: one score per distinct pattern of the chunk, and one sort over its
+rows with the tree index as the primary key. `select_top_k` is the one-tree
+case.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .autodiff import Parameter
 from .hyperbolic import distance_raw, mobius_add_raw, random_ball_rows
-from .retrieval import TreeOfChains
+from .retrieval import TreeOfChains, chain_lengths, distinct_rows
 
 
 @dataclass
@@ -60,38 +63,78 @@ def fold_relations(rel_rows: np.ndarray, curvature: float = 1.0) -> np.ndarray:
     return acc
 
 
-def chain_scores(toc: TreeOfChains, embeddings: FilterEmbeddings,
-                 lam: float = 0.5) -> np.ndarray:
-    """Affinity score of every chain of the set against its query attribute.
+def chain_scores(source_attribute: np.ndarray, relations: np.ndarray, query_attribute,
+                 embeddings: FilterEmbeddings, lam: float = 0.5) -> np.ndarray:
+    """Affinity score of chain rows (source attribute, -1-padded relations)
+    against their query attributes, one per row or one for all rows.
 
     Every row folds at once over its relation ids, the -1 pads indexing an
     appended origin row; that is exact because x (+) 0 == x.
     """
     c, rel, att = embeddings.curvature, embeddings.relations.data, embeddings.attributes.data
-    folded = fold_relations(np.concatenate([rel, np.zeros((1, rel.shape[1]))])[toc.relations], c)
-    aq = att[toc.query.attribute]
-    d_attr, d_fold = distance_raw(att[toc.source_attribute], aq, c), distance_raw(folded, aq, c)
+    folded = fold_relations(np.concatenate([rel, np.zeros((1, rel.shape[1]))])[relations], c)
+    aq = att[query_attribute]
+    d_attr, d_fold = distance_raw(att[source_attribute], aq, c), distance_raw(folded, aq, c)
     return lam * d_attr + (1.0 - lam) * d_fold
 
 
-def top_k_order(scores: np.ndarray, toc: TreeOfChains, k: int,
-                keep_largest: bool = False) -> np.ndarray:
-    """Row indices of the k best chains, best first, with deterministic ties
-    (one stable sort on score, length, entity path, relations, source
-    attribute)."""
-    sign = -1.0 if keep_largest else 1.0
+def top_k_rows(scores: np.ndarray, tree: np.ndarray, source_attribute: np.ndarray,
+               relations: np.ndarray, entity_path: np.ndarray, k: int,
+               keep_largest: bool = False) -> np.ndarray:
+    """Row indices of the k best rows of every tree, trees in ascending order
+    and best first within each, with deterministic ties: per tree, the order
+    of one stable sort on score, length, entity path, relations, source
+    attribute. `tree` holds each row's tree index.
+
+    A 2-key sort (tree, score) finds each tree's k-th best score; only the
+    rows at or better than it can be among a tree's k best, since score is
+    the primary key, so only they take the full tie-break sort.
+    """
+    signed = -scores if keep_largest else scores
+    by_score = np.lexsort((signed, tree))
+    grouped = tree[by_score]
+    start, end = np.searchsorted(grouped, grouped), np.searchsorted(grouped, grouped, "right")
+    kth = np.empty_like(signed)  # each row's tree's k-th best score
+    kth[by_score] = signed[by_score[np.minimum(start + k, end) - 1]]
+    rows = np.flatnonzero(~(signed > kth))  # NaN scores stay in, as in a full sort
     # np.lexsort sorts by its last key first
-    keys = ([toc.source_attribute] + list(toc.relations.T[::-1])
-            + list(toc.entity_path.T[::-1]) + [toc.lengths, sign * scores])
-    return np.lexsort(keys)[:k]
+    keys = ([source_attribute[rows]] + list(relations[rows].T[::-1])
+            + list(entity_path[rows].T[::-1])
+            + [chain_lengths(relations[rows]), signed[rows], tree[rows]])
+    order = rows[np.lexsort(keys)]
+    grouped = tree[order]
+    return order[np.arange(order.size) - np.searchsorted(grouped, grouped) < k]
+
+
+def select_top_k_batch(tocs: list[TreeOfChains], embeddings: FilterEmbeddings, k: int,
+                       lam: float = 0.5, keep_largest: bool = False) -> list[TreeOfChains]:
+    """Each tree's k best-scoring chains, best first, with their scores, in
+    one pass over all the trees. A score depends only on the chain's pattern
+    (source attribute, relations, query attribute), so it is computed once
+    per distinct pattern of the pass and gathered back to every chain that
+    has it. Tree i's result does not depend on the other trees."""
+    sizes = [len(toc) for toc in tocs]
+    tree = np.repeat(np.arange(len(tocs)), sizes)
+    source_attribute = np.concatenate([toc.source_attribute for toc in tocs])
+    relations = np.concatenate([toc.relations for toc in tocs])
+    query_attribute = np.array([toc.query.attribute for toc in tocs], dtype=np.int64)[tree]
+    first, inverse = distinct_rows(np.column_stack([source_attribute, relations,
+                                                    query_attribute]))
+    scores = chain_scores(source_attribute[first], relations[first], query_attribute[first],
+                          embeddings, lam)[inverse]
+    order = top_k_rows(scores, tree, source_attribute, relations,
+                       np.concatenate([toc.entity_path for toc in tocs]), k, keep_largest)
+    offsets = np.cumsum([0] + sizes)
+    bounds = np.searchsorted(tree[order], np.arange(len(tocs) + 1)).tolist()
+    return [toc.take(order[a:b] - offset, scores[order[a:b]])
+            for toc, offset, a, b in zip(tocs, offsets.tolist(), bounds[:-1], bounds[1:])]
 
 
 def select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int, lam: float = 0.5,
                  keep_largest: bool = False) -> TreeOfChains:
-    """The k best-scoring chains, best first, with their scores."""
-    scores = chain_scores(toc, embeddings, lam)
-    order = top_k_order(scores, toc, k, keep_largest)
-    return toc.take(order, scores[order])
+    """One tree's case of `select_top_k_batch`: its k best-scoring chains,
+    best first, with their scores."""
+    return select_top_k_batch([toc], embeddings, k, lam, keep_largest)[0]
 
 
 def select_random_k(toc: TreeOfChains, k: int, seed: int) -> TreeOfChains:

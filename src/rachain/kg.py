@@ -94,7 +94,7 @@ class AttributeStats:
         self._check(attribute)
         return (value - self.mins[attribute]) / (self.maxs[attribute] - self.mins[attribute])
 
-    def denormalize(self, attribute: int, value: float) -> float:
+    def denormalize(self, attribute, value):
         self._check(attribute)
         return value * (self.maxs[attribute] - self.mins[attribute]) + self.mins[attribute]
 

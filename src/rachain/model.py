@@ -5,11 +5,14 @@ predictions with differentiable attention weights, on one autodiff tape. The
 chain encoder reads only a chain's pattern (source attribute, relations,
 query attribute), so each distinct pattern of the batch is encoded once, in
 one masked pass, and gathered back to every chain that has it; the value
-transfer, projection and weighting stay per chain. Model.predict is
-retrieval followed by Model.predict_tree: filtering, the same forward over a
-batch of one, and the attribute-mean fallback for queries with no usable
-chains. Checkpoints store every parameter array by name plus the config and
-normalization statistics needed to rebuild the model exactly.
+transfer, projection and weighting stay per chain. Model.predict_batch
+serves a list of queries chunk by chunk: one retrieval pass for the chunk's
+trees, one filter pass that scores each distinct pattern once, one forward,
+and the attribute-mean fallback for queries with no usable chains.
+Model.predict is its one-query case and Model.predict_trees serves trees
+already sampled (validation keeps them across epochs). Checkpoints store
+every parameter array by name plus the config and normalization statistics
+needed to rebuild the model exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor, mul, no_grad, reshape, take_rows, tensor_sum
 from .config import TrainConfig
 from .encoder import AffineNets, ChainEncoderParams, affine_transfer, chain_tokens, encode_chains
-from .filter import FilterEmbeddings, select_random_k, select_top_k
+from .filter import FilterEmbeddings, select_random_k, select_top_k, select_top_k_batch
 from .kg import AttributeStats, KnowledgeGraph, Query
 from .reasoner import (
     PredictionTrace,
@@ -33,7 +36,7 @@ from .reasoner import (
     project_values,
     weight_chains,
 )
-from .retrieval import TreeOfChains, chain_lengths, sample_tree
+from .retrieval import TreeOfChains, chain_lengths, distinct_rows, sample_tree, sample_trees
 
 
 @dataclass
@@ -93,15 +96,18 @@ class Model:
 
     # -- pipeline ----------------------------------------------------------
 
-    def retrieve(self, kg: KnowledgeGraph, query: Query, seed: int) -> TreeOfChains:
-        return sample_tree(kg, query, self.config.walks, self.config.max_hops, seed)
+    def retrieve(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> list[TreeOfChains]:
+        """The trees of `queries`, query i's sampled with seeds[i], in one pass."""
+        return sample_trees(kg, queries, self.config.walks, self.config.max_hops, seeds)
 
-    def select(self, toc: TreeOfChains, seed: int = 0) -> TreeOfChains:
+    def select(self, tocs: list[TreeOfChains], seeds) -> list[TreeOfChains]:
+        """Each tree's top_k chains: the filter's k best, in one pass over the
+        trees, or with the filter off k drawn at random with seeds[i]."""
         cfg = self.config
         if not cfg.use_filter:
-            return select_random_k(toc, cfg.top_k, seed)
-        return select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam,
-                            cfg.filter_keep_largest)
+            return [select_random_k(toc, cfg.top_k, seed) for toc, seed in zip(tocs, seeds)]
+        return select_top_k_batch(tocs, self.embeddings, cfg.top_k, cfg.lam,
+                                  cfg.filter_keep_largest)
 
     def forward(self, etocs: list[TreeOfChains]) -> ForwardResult | None:
         """Predictions for a mini-batch of chain sets; None when no query has
@@ -131,7 +137,7 @@ class Model:
                                for toc in chains], mask, 0.0)
         query_attributes = np.repeat([etocs[i].query.attribute for i in rows], k)
 
-        first, inverse = _distinct_rows(np.column_stack([src, relations, query_attributes]))
+        first, inverse = distinct_rows(np.column_stack([src, relations, query_attributes]))
         patterns = (src[first], relations[first], query_attributes[first])
         if cfg.use_chain_encoder:
             distinct = encode_chains(*patterns, self.embeddings, self.encoder)
@@ -156,35 +162,56 @@ class Model:
         return ForwardResult(prediction, omega, proposals, chains, rows)
 
     def predict(self, kg: KnowledgeGraph, query: Query, seed: int = 0) -> PredictionTrace:
-        """Retrieval, then predict_tree on the sampled tree with the same seed."""
-        return self.predict_tree(self.retrieve(kg, query, seed), seed)
+        """predict_batch for one query. Retrieval and selection go through the
+        one-tree cases of the batched functions (sample_tree, select_top_k),
+        so that a single prediction shows up under their names."""
+        cfg = self.config
+        toc = sample_tree(kg, query, cfg.walks, cfg.max_hops, seed)
+        if cfg.use_filter:
+            toc = select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam, cfg.filter_keep_largest)
+        else:
+            toc = select_random_k(toc, cfg.top_k, seed)
+        return self._traces([toc])[0]
 
-    def predict_tree(self, toc: TreeOfChains, seed: int = 0) -> PredictionTrace:
-        """Filter + forward over a batch of this one tree's query, without
-        gradients; falls back to the attribute's training mean when no chain
-        is available."""
-        query = toc.query
+    def predict_batch(self, kg: KnowledgeGraph, queries: list[Query],
+                      seeds) -> list[PredictionTrace]:
+        """One trace per query, query i's chains sampled and selected with
+        seeds[i]; each chunk of config.batch_size queries makes one
+        retrieval, one selection and one forward."""
+        size = self.config.batch_size
+        traces = []
+        for lo in range(0, len(queries), size):
+            chunk = seeds[lo:lo + size]
+            traces += self.predict_trees(self.retrieve(kg, queries[lo:lo + size], chunk), chunk)
+        return traces
+
+    def predict_trees(self, tocs: list[TreeOfChains], seeds) -> list[PredictionTrace]:
+        """predict_batch's selection, forward and traces for trees already
+        sampled (one chunk)."""
+        return self._traces(self.select(tocs, seeds))
+
+    def _traces(self, etocs: list[TreeOfChains]) -> list[PredictionTrace]:
+        """One forward over the selected sets without gradients, and a trace
+        per set; a set with no usable chain falls back to its attribute's
+        training mean."""
         with no_grad():
-            result = self.forward([self.select(toc, seed)])
-        if result is None:
+            result = self.forward(etocs)
+        rows = {} if result is None else {i: row for row, i in enumerate(result.rows)}
+        traces = []
+        for i, etoc in enumerate(etocs):
+            query = etoc.query
+            if i in rows:
+                row, m = rows[i], len(result.chains[rows[i]])
+                traces.append(build_trace(query, result.chains[row].chains,
+                                          result.omega.data[row, :m],
+                                          result.proposals.data[row, :m], self.stats))
+                continue
             value = float(self.means[query.attribute])
             norm = (self.stats.normalize(query.attribute, value)
                     if self.stats.usable(query.attribute) else float("nan"))
-            return PredictionTrace(query=query, predicted_norm=norm,
-                                   predicted_value=value, fallback="attribute-mean")
-        return build_trace(query, result.chains[0].chains, result.omega.data[0],
-                           result.proposals.data[0], self.stats)
-
-
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the rows of an integer array (n, w): the index of the first
-    occurrence of each distinct row, and for every row the position of its
-    row among those. One 1-D unique over a byte view of the rows, which is
-    cheaper than np.unique(axis=0) at the few dozen rows of a prediction."""
-    keys = np.ascontiguousarray(keys)
-    view = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+            traces.append(PredictionTrace(query=query, predicted_norm=norm,
+                                          predicted_value=value, fallback="attribute-mean"))
+        return traces
 
 
 def _padded(parts: list[np.ndarray], mask: np.ndarray, fill) -> np.ndarray:

@@ -162,7 +162,7 @@ def aggregate(omega: Tensor, proposals: Tensor) -> Tensor:
 # explainability
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainContribution:
     chain: RAChain
     weight: float
@@ -181,21 +181,20 @@ class PredictionTrace:
 
 def build_trace(query: Query, chains: list[RAChain], omega: np.ndarray,
                 proposals_norm: np.ndarray, stats: AttributeStats) -> PredictionTrace:
+    """The trace of one query's forward row: its m used chains with their
+    weights and proposals (the row's first m slots), largest weight first."""
     final_norm = float(np.sum(omega * proposals_norm))
+    values = stats.denormalize(query.attribute, proposals_norm)
     contributions = [
-        ChainContribution(
-            chain=ch,
-            weight=float(w),
-            proposal_norm=float(p),
-            proposal_value=stats.denormalize(query.attribute, float(p)),
-        )
-        for ch, w, p in zip(chains, omega, proposals_norm)
+        ChainContribution(chain=ch, weight=w, proposal_norm=p, proposal_value=v)
+        for ch, w, p, v in zip(chains, omega.tolist(), proposals_norm.tolist(),
+                               values.tolist())
     ]
     contributions.sort(key=lambda c: -c.weight)
     return PredictionTrace(
         query=query,
         predicted_norm=final_norm,
-        predicted_value=stats.denormalize(query.attribute, final_norm),
+        predicted_value=float(stats.denormalize(query.attribute, final_norm)),
         contributions=contributions,
     )
 

@@ -9,13 +9,15 @@ are stored in source -> query orientation: the walked path is reversed and
 each traversed relation replaced by its inverse, which keeps every stored hop
 a real edge of the graph.
 
-`sample_tree` draws all of a tree's randomness at once, as a
-(max_hops, walks) matrix of uniforms, and advances every walk together with
-array ops. Its result is the one the sequential loop (walk by walk, hop by
-hop, reading the same matrix) would give, chain order included: first-found
-order, at most `walks` chains. The uniforms replaced one `rng.integers` call
-per hop, so a given seed now samples a different tree than it did under that
-stream.
+`sample_trees` samples the trees of a chunk of queries in one array pass.
+Each query draws all of its tree's randomness at once, as a (max_hops,
+walks) matrix of uniforms from its own seed, and every walk of every query
+advances together with array ops. A tree is the one the sequential loop
+(walk by walk, hop by hop, reading the same matrix) would give, chain order
+included: first-found order, at most `walks` chains; it does not depend on
+the other queries of the chunk. `sample_tree` is the one-query case. The
+uniforms replaced one `rng.integers` call per hop, so a given seed now
+samples a different tree than it did under that stream.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .kg import KnowledgeGraph, Query
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RAChain:
     """Relation path from an attributed source entity to the query entity."""
 
@@ -109,6 +111,17 @@ def chain_lengths(relations: np.ndarray) -> np.ndarray:
     return (relations >= 0).sum(axis=1)
 
 
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows of an integer array (n, w): the index of the first
+    occurrence of each distinct row, and for every row the position of its
+    row among those. One 1-D unique over a byte view of the rows, which is
+    cheaper than np.unique(axis=0)."""
+    keys = np.ascontiguousarray(keys)
+    view = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
 def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
     """RAChain's checks on every row at once: a relation at least, one more
     entity than relations, and no entity visited twice."""
@@ -119,34 +132,47 @@ def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
         raise ValueError("a sampled chain is not a simple path of its relations")
 
 
-def sample_tree(
-    kg: KnowledgeGraph, query: Query, walks: int, max_hops: int, seed: int
-) -> TreeOfChains:
-    """Run `walks` random walks of up to max_hops steps from the query entity.
+def sample_tree(kg: KnowledgeGraph, query: Query, walks: int, max_hops: int,
+                seed: int) -> TreeOfChains:
+    """One query's case of `sample_trees`."""
+    return sample_trees(kg, [query], walks, max_hops, [seed])[0]
 
-    Every uniform comes from one draw, u = rng.random((max_hops, walks)): at
-    hop h, walk w takes edge floor(u[h, w] * degree) of its entity's edge list
-    (parallel edges count separately). A walk ends at a dead end or where it
-    would revisit an entity. All walks advance together, one hop at a time;
-    the distinct prefixes of each hop are numbered by np.unique over the
-    packed key (parent prefix, relation, tail), whose first index is the
-    first walk that found the prefix. Each prefix yields one chain per
+
+def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops: int,
+                 seeds) -> list[TreeOfChains]:
+    """Run `walks` random walks of up to max_hops steps from each query's
+    entity, the walks of all queries in one array pass. Query i's tree
+    depends only on (queries[i], seeds[i]), not on the other queries.
+
+    Query i draws its uniforms at once, u = rng(seeds[i]).random((max_hops,
+    walks)): at hop h, its walk w takes edge floor(u[h, w] * degree) of its
+    entity's edge list (parallel edges count separately). A walk ends at a
+    dead end or where it would revisit an entity. All walks advance together,
+    one hop at a time; the distinct prefixes of each hop are numbered by
+    np.unique over the packed key (parent prefix, relation, tail), whose
+    first index is the first walk that found the prefix. Every walk's prefix
+    starts at its query's index, so the prefixes of two queries never merge,
+    even for the same query twice. Each prefix yields one chain per
     attribute of its end entity (the first fact in index order when an
-    attribute repeats). Chains come out in first-found order (walk, then hop,
-    then fact index) and stop at `walks`, so len(result) <= walks. Every
-    row is checked by `_check_rows` before it is returned.
+    attribute repeats). A tree's chains come out in first-found order (walk,
+    then hop, then fact index) and stop at `walks`, so len(tree) <= walks.
+    Every row is checked by `_check_rows` before it is returned.
     """
+    if not queries:
+        return []
     n_entities, n_relations = kg.n_entities, kg.n_relations
-    # prefix ids restart at every hop, so a parent id is below `walks`; a
-    # tree has at most walks * max_hops prefixes
-    _check_packable(walks, n_relations, n_entities)
-    _check_packable(walks * max_hops, kg.n_attributes)
-    u = np.random.default_rng(seed).random((max_hops, walks))
-    path = np.full((walks, max_hops + 1), -1, dtype=np.int64)
-    path[:, 0] = query.entity
-    rels = np.full((walks, max_hops), -1, dtype=np.int64)
-    live = np.arange(walks)                    # walks still moving, ascending
-    prefix = np.zeros(walks, dtype=np.int64)   # each walk's prefix id at its last hop
+    n_walks = len(queries) * walks
+    # prefix ids restart at every hop, so a parent id is below n_walks; the
+    # pass has at most n_walks * max_hops prefixes
+    _check_packable(n_walks, n_relations, n_entities)
+    _check_packable(n_walks * max_hops, kg.n_attributes)
+    u = np.concatenate([np.random.default_rng(seed).random((max_hops, walks))
+                        for seed in seeds], axis=1)
+    path = np.full((n_walks, max_hops + 1), -1, dtype=np.int64)
+    path[:, 0] = np.repeat([q.entity for q in queries], walks)
+    rels = np.full((n_walks, max_hops), -1, dtype=np.int64)
+    live = np.arange(n_walks)   # walks still moving, ascending; walk g is query g // walks's
+    prefix = live // walks      # each walk's prefix id at its last hop
     found_walk, found_hop = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for hop in range(max_hops):
         cur = path[live, hop]
@@ -176,7 +202,11 @@ def sample_tree(
     owner = np.repeat(np.arange(end.size), count)   # facts of each prefix's end, in order
     fact = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
     _, first = np.unique(owner * kg.n_attributes + kg.fact_attr[fact], return_index=True)
-    keep = np.sort(first)[:walks]
+    first = np.sort(first)
+    # the first `walks` chains of each tree; a tree's chains are contiguous
+    tree = walk[owner[first]] // walks
+    rank = np.arange(first.size) - np.searchsorted(tree, tree)
+    keep = first[rank < walks]
     owner, fact = owner[keep], fact[keep]
 
     # each prefix read backwards from its end: column j holds walk column
@@ -188,7 +218,11 @@ def sample_tree(
     relations = np.where(inside[:, 1:], kg.invert_relation(
         rels[walk[:, None], np.maximum(back[:, 1:], 0)]), -1)
     _check_rows(relations, entity_path)
-    return TreeOfChains(query, kg.fact_attr[fact], kg.fact_value[fact], relations, entity_path)
+    source_attribute, source_value = kg.fact_attr[fact], kg.fact_value[fact]
+    bounds = np.searchsorted(walk // walks, np.arange(len(queries) + 1))
+    return [TreeOfChains(query, source_attribute[a:b], source_value[a:b],
+                         relations[a:b], entity_path[a:b])
+            for query, a, b in zip(queries, bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def _check_packable(*sizes: int) -> None:

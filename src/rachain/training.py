@@ -1,14 +1,15 @@
 """Training loop.
 
 Each epoch re-samples chains for every training query (unless cache_toc
-reuses the first epoch's trees) and filters them. Each mini-batch then runs
-as one batched forward, so one autodiff tape and one backward pass, and
-Adam steps on the batch's mean loss over normalized values. Validation
-samples each query's tree once per run, since every epoch would sample it
-with the same seed, and re-runs only the filter and forward. Training
-stops at the epoch budget, when the epoch loss moves less than epsilon, or
-when validation MAE stops improving for `patience` epochs; the best
-validation snapshot wins.
+reuses the first epoch's trees) and filters them, one retrieval pass and
+one filter pass per mini-batch. Each mini-batch then runs as one batched
+forward, so one autodiff tape and one backward pass, and Adam steps on the
+batch's mean loss over normalized values. Validation samples each query's
+tree once per run, since every epoch would sample it with the same seed,
+and re-runs only the filter and forward, one chunk of batch_size queries
+at a time. Training stops at the epoch budget, when the epoch loss moves
+less than epsilon, or when validation MAE stops improving for `patience`
+epochs; the best validation snapshot wins.
 """
 
 from __future__ import annotations
@@ -77,23 +78,35 @@ def scoped_queries(kg: KnowledgeGraph, triples, model: Model) -> list[Query]:
     return out
 
 
+def _sampled_trees(model: Model, kg: KnowledgeGraph, queries: list[Query], indices,
+                  seed_of, trees: dict[int, TreeOfChains]) -> list[TreeOfChains]:
+    """The trees of queries[i] for i in `indices`. Those not in `trees` are
+    sampled in one pass, query i with seed_of(i), and stored there."""
+    misses = [i for i in indices if i not in trees]
+    trees.update(zip(misses, model.retrieve(kg, [queries[i] for i in misses],
+                                            [seed_of(i) for i in misses])))
+    return [trees[i] for i in indices]
+
+
 def validation_mae(model: Model, kg: KnowledgeGraph, queries: list[Query],
                    trees: dict[int, TreeOfChains] | None = None) -> float:
-    """Mean absolute error in normalized space (fallbacks included). Query i
-    samples its chains with the same seed every epoch, so epochs are
-    compared on the same samples; `trees` keeps query i's tree across calls,
-    so it is sampled once and only the filter and forward run again."""
+    """Mean absolute error in normalized space (fallbacks included), one
+    chunk of config.batch_size queries at a time. Query i samples its chains
+    with the same seed every epoch, so epochs are compared on the same
+    samples; `trees` keeps query i's tree across calls, so it is sampled
+    once and only the filter and forward run again."""
     if not queries:
         return float("nan")
     trees = {} if trees is None else trees
+    base, size = model.config.seed, model.config.batch_size
     errs = []
-    for i, q in enumerate(queries):
-        seed = seed_for(model.config.seed, 1, 0, i)
-        if i not in trees:
-            trees[i] = model.retrieve(kg, q, seed)
-        trace = model.predict_tree(trees[i], seed)
-        target_norm = model.stats.normalize(q.attribute, q.target)
-        errs.append(abs(trace.predicted_norm - target_norm))
+    for lo in range(0, len(queries), size):
+        chunk = range(lo, min(lo + size, len(queries)))
+        seeds = [seed_for(base, 1, 0, i) for i in chunk]
+        tocs = _sampled_trees(model, kg, queries, chunk, lambda i: seed_for(base, 1, 0, i), trees)
+        for i, trace in zip(chunk, model.predict_trees(tocs, seeds)):
+            q = queries[i]
+            errs.append(abs(trace.predicted_norm - model.stats.normalize(q.attribute, q.target)))
     return float(np.mean(errs))
 
 
@@ -158,17 +171,11 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         empty = 0
         for lo in range(0, len(order), cfg.batch_size):
             chunk = [int(qi) for qi in order[lo:lo + cfg.batch_size]]
-            etocs = []
-            for qi in chunk:
-                if cfg.cache_toc and qi in toc_cache:
-                    toc = toc_cache[qi]
-                else:
-                    sample_epoch = 0 if cfg.cache_toc else epoch
-                    toc = model.retrieve(kg, train_queries[qi],
-                                         seed_for(cfg.seed, 0, sample_epoch, qi))
-                    if cfg.cache_toc:
-                        toc_cache[qi] = toc
-                etocs.append(model.select(toc, seed_for(cfg.seed, 2, epoch, qi)))
+            sample_epoch = 0 if cfg.cache_toc else epoch
+            tocs = _sampled_trees(model, kg, train_queries, chunk,
+                                 lambda qi: seed_for(cfg.seed, 0, sample_epoch, qi),
+                                 toc_cache if cfg.cache_toc else {})
+            etocs = model.select(tocs, [seed_for(cfg.seed, 2, epoch, qi) for qi in chunk])
             batch_loss, batch_used = _step(model, opt, etocs,
                                            [train_queries[qi] for qi in chunk], epoch)
             total_loss += batch_loss

@@ -1,7 +1,7 @@
 """Shared test utilities: independent scalar oracles, the array origin log
 map, the single-value bit codec, validated single-point geometry and
 per-chain filter scoring, hand-built chain sets, the sequential chain
-sampler, test-only autodiff ops and the composite forms of the fused
+sampler, the per-tree top-k selection, test-only autodiff ops and the composite forms of the fused
 layers, the per-query model forward, and finite differences."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from rachain import autodiff as ad
 from rachain.encoder import affine_transfer, chain_tokens, encode_chains
-from rachain.filter import FilterEmbeddings, fold_relations
+from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
 from rachain.reasoner import aggregate, project_values, weight_chains
 from rachain.retrieval import RAChain, TreeOfChains
@@ -263,6 +263,27 @@ def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> Tr
         if len(chains) >= walks:
             break
     return chain_set(query, chains, max_hops)
+
+
+def top_k_order(scores: np.ndarray, toc: TreeOfChains, k: int,
+                keep_largest: bool = False) -> np.ndarray:
+    """`top_k_rows` on one tree: the row indices of its k best chains."""
+    return top_k_rows(scores, np.zeros(len(toc), dtype=np.int64), toc.source_attribute,
+                      toc.relations, toc.entity_path, k, keep_largest)
+
+
+def reference_select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
+                           lam: float = 0.5, keep_largest: bool = False) -> TreeOfChains:
+    """The per-tree selection that `select_top_k_batch` batches: every row of
+    the tree scored against the tree's query attribute, then one stable sort
+    of all rows on score, length, entity path, relations, source attribute."""
+    scores = chain_scores(toc.source_attribute, toc.relations, toc.query.attribute,
+                          embeddings, lam)
+    sign = -1.0 if keep_largest else 1.0
+    keys = ([toc.source_attribute] + list(toc.relations.T[::-1])
+            + list(toc.entity_path.T[::-1]) + [toc.lengths, sign * scores])
+    order = np.lexsort(keys)[:k]
+    return toc.take(order, scores[order])
 
 
 def chain_is_valid(chain: RAChain, kg, query) -> bool:

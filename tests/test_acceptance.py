@@ -20,12 +20,13 @@ import rachain.autodiff as ad
 import rachain.encoder as E
 import rachain.reasoner as R
 from helpers import (affinity_score, chain_set, check_gradients, decode_value,
-                     distance_arcosh_raw, log_map_origin_raw, random_inball)
+                     distance_arcosh_raw, log_map_origin_raw, random_inball,
+                     top_k_order)
 from rachain import hyperbolic as H
 from rachain import synth
 from rachain.config import TrainConfig
 from rachain.evaluation import evaluate, run_ablations, train_mean_baseline
-from rachain.filter import FilterEmbeddings, select_top_k, top_k_order
+from rachain.filter import FilterEmbeddings, select_top_k
 from rachain.kg import (AttributeStats, Query, attribute_means, build_dataset,
                         load_dataset)
 from rachain.model import Model

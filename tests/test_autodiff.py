@@ -80,6 +80,19 @@ class TestOps:
         ad.backward(out)
         np.testing.assert_allclose(p.grad, [[1, 1], [2, 2], [0, 0]], atol=0)
 
+    @pytest.mark.parametrize("idx", [[4, 0, 4, 2, 0, 4, 1], [], [[3, 3], [0, 3], [1, 0]],
+                                     [0, 1, 2, 3, 4, 5]],
+                             ids=["unsorted_repeats", "empty", "2d", "each_once"])
+    def test_take_rows_backward_matches_add_at(self, rng, idx):
+        idx = np.array(idx, dtype=np.int64)
+        p = ad.Parameter(rng.normal(size=(6, 3)))
+        out = ad.take_rows(p, idx)
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.tensor_sum(ad.mul(out, g)))
+        want = np.zeros_like(p.data)
+        np.add.at(want, idx, g)
+        np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+
     def test_softmax_rows_sum_to_one(self, rng):
         x = ad.Tensor(rng.standard_normal((4, 7)))
         p = ad.softmax(x)

@@ -27,6 +27,12 @@ def metrics_fixture():
     return kg, split, model
 
 
+def stub_predictions(model, predict_one):
+    """Replace the model's batched entry with `predict_one` per query."""
+    model.predict_batch = lambda kg_, queries, seeds: [
+        predict_one(kg_, q, seed) for q, seed in zip(queries, seeds)]
+
+
 class TestEvaluate:
     def test_known_errors_give_known_metrics(self):
         kg, split, model = metrics_fixture()
@@ -37,7 +43,7 @@ class TestEvaluate:
             return PredictionTrace(query=q, predicted_norm=0.0,
                                    predicted_value=q.target + err)
 
-        model.predict = fake_predict
+        stub_predictions(model, fake_predict)
         report = EV.evaluate(model, kg, split.test)
         by_name = {r.name: r for r in report.rows}
 
@@ -59,8 +65,8 @@ class TestEvaluate:
 
     def test_unusable_attribute_is_skipped_not_scored(self):
         kg, split, model = metrics_fixture()
-        model.predict = lambda kg_, q, seed=0: PredictionTrace(
-            query=q, predicted_norm=0.0, predicted_value=q.target)
+        stub_predictions(model, lambda kg_, q, seed=0: PredictionTrace(
+            query=q, predicted_norm=0.0, predicted_value=q.target))
         report = EV.evaluate(model, kg, split.test)
         assert report.skipped_attributes == ["a3"]
         assert "a3" not in {r.name for r in report.rows}
@@ -73,7 +79,7 @@ class TestEvaluate:
             return PredictionTrace(query=q, predicted_norm=0.0,
                                    predicted_value=q.target, fallback=fb)
 
-        model.predict = fake_predict
+        stub_predictions(model, fake_predict)
         report = EV.evaluate(model, kg, split.test)
         by_name = {r.name: r for r in report.rows}
         assert by_name["a1"].fallbacks == 1
@@ -112,8 +118,8 @@ def split_rows(triples, kg):
 class TestFormatting:
     def report(self):
         kg, split, model = metrics_fixture()
-        model.predict = lambda kg_, q, seed=0: PredictionTrace(
-            query=q, predicted_norm=0.0, predicted_value=q.target + 1.0)
+        stub_predictions(model, lambda kg_, q, seed=0: PredictionTrace(
+            query=q, predicted_norm=0.0, predicted_value=q.target + 1.0))
         return EV.evaluate(model, kg, split.test)
 
     def test_text_table_mentions_every_attribute(self):
@@ -205,8 +211,9 @@ class TestFilterAudit:
 
         tree = [chain(a1, 0), chain(a1, 10), chain(a1, 20), chain(a2, 30)]
         kept = [chain(a1, 0), chain(a1, 10)]
-        model.retrieve = lambda kg_, q, seed: chain_set(q, tree)
-        model.select = lambda toc, seed=0: chain_set(toc.query, kept, scores=np.zeros(len(kept)))
+        model.retrieve = lambda kg_, queries, seeds: [chain_set(q, tree) for q in queries]
+        model.select = lambda tocs, seeds: [
+            chain_set(toc.query, kept, scores=np.zeros(len(kept))) for toc in tocs]
         audits = EV.filter_composition(model, kg, [(0, a1, 5.0), (1, a1, 5.0)])
         assert len(audits) == 1
         audit = audits[0]

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import affinity_score, chain_set, embed_chain, oracle_distance, oracle_mobius
+from helpers import (
+    affinity_score,
+    chain_set,
+    embed_chain,
+    oracle_distance,
+    oracle_mobius,
+    reference_select_top_k,
+    top_k_order,
+)
 from rachain import filter as F
 from rachain.kg import Query
 from rachain.retrieval import RAChain
@@ -63,7 +71,8 @@ class TestAffinity:
         chains = [make_chain(rng.integers(4), tuple(rng.integers(6, size=l)),
                              path_start=10 * i)
                   for i, l in enumerate([1, 2, 3, 2, 1, 3])]
-        scores = F.chain_scores(chain_set(Query(0, 1), chains), emb, lam=0.5)
+        toc = chain_set(Query(0, 1), chains)
+        scores = F.chain_scores(toc.source_attribute, toc.relations, 1, emb, lam=0.5)
         for ch, s in zip(chains, scores):
             assert s == pytest.approx(affinity_score(ch, 1, emb, 0.5), abs=1e-12)
 
@@ -71,7 +80,8 @@ class TestAffinity:
         emb = make_embeddings(rng)
         a = make_chain(1, (2, 3), path_start=0)
         b = make_chain(1, (2, 3), path_start=50)
-        scores = F.chain_scores(chain_set(Query(0, 2), [a, b]), emb)
+        toc = chain_set(Query(0, 2), [a, b])
+        scores = F.chain_scores(toc.source_attribute, toc.relations, 2, emb)
         assert scores[0] == scores[1]
 
 
@@ -98,7 +108,7 @@ class TestTopK:
         for _ in range(30):
             toc, scores = toc_with_scores(rng, 20)
             k = int(rng.integers(1, 25))
-            assert (F.top_k_order(scores, toc, k).tolist()
+            assert (top_k_order(scores, toc, k).tolist()
                     == self.sort_oracle(scores, toc.chains, k))
 
     def test_ties_reach_relations_then_source_attribute_then_row_order(self, rng):
@@ -114,9 +124,9 @@ class TestTopK:
         scores = np.full(len(chains), 0.5)
         for keep_largest in (False, True):
             for k in range(1, len(chains) + 1):
-                assert (F.top_k_order(scores, toc, k, keep_largest).tolist()
+                assert (top_k_order(scores, toc, k, keep_largest).tolist()
                         == self.sort_oracle(scores, toc.chains, k, keep_largest))
-        kept = [toc.chains[i] for i in F.top_k_order(scores, toc, len(chains))]
+        kept = [toc.chains[i] for i in top_k_order(scores, toc, len(chains))]
         assert [c.source_attribute for c in kept[:4]] == [0, 1, 2, 3]
         assert [c.relations for c in kept[7:]] == [(0, 5), (1, 2), (1, 4), (3, 1)]
         # identical keys keep their input order, told apart by value only
@@ -126,7 +136,7 @@ class TestTopK:
 
     def test_keep_largest_flips(self, rng):
         toc, scores = toc_with_scores(rng, 12)
-        assert (F.top_k_order(scores, toc, 4, keep_largest=True).tolist()
+        assert (top_k_order(scores, toc, 4, keep_largest=True).tolist()
                 == self.sort_oracle(scores, toc.chains, 4, keep_largest=True))
 
     def test_select_top_k_subset_and_sorted(self, rng):
@@ -140,7 +150,7 @@ class TestTopK:
         assert len(etoc) == 6
         assert all(ch in chains for ch in etoc.chains)
         assert np.all(np.diff(etoc.scores) >= 0)
-        full = F.chain_scores(toc, emb)
+        full = F.chain_scores(toc.source_attribute, toc.relations, 1, emb)
         assert max(etoc.scores) <= min(
             full[i] for i in range(15) if chains[i] not in etoc.chains)
 
@@ -154,6 +164,76 @@ class TestTopK:
         emb = make_embeddings(rng)
         etoc = F.select_top_k(chain_set(Query(0, 0), []), emb, k=5)
         assert len(etoc) == 0
+
+
+def random_patterns(rng, n):
+    return [(int(rng.integers(4)), tuple(int(r) for r in rng.integers(6, size=rng.integers(1, 4))))
+            for _ in range(n)]
+
+
+def random_tree(rng, query, n, patterns):
+    """n chains over a few patterns, so scores tie: shared patterns on
+    different paths, and rows that differ only in value."""
+    chains = []
+    for _ in range(n):
+        src, rels = patterns[int(rng.integers(len(patterns)))]
+        start = 10 * int(rng.integers(max(n // 2, 1)))  # repeated paths too
+        chains.append(make_chain(src, rels, value=float(rng.integers(3)), path_start=start))
+    return chain_set(query, chains)
+
+
+class TestBatchedSelection:
+    """select_top_k_batch over a chunk of trees against the per-tree
+    selection it replaced."""
+
+    @pytest.mark.parametrize("keep_largest", [False, True])
+    def test_matches_per_tree_selection(self, rng, keep_largest):
+        emb = make_embeddings(rng)
+        for _ in range(25):
+            # two query attributes; the same patterns appear under both
+            patterns = random_patterns(rng, 4)
+            tocs = [random_tree(rng, Query(i, int(rng.integers(1, 3))),
+                                int(rng.integers(0, 30)), patterns)
+                    for i in range(int(rng.integers(1, 6)))]
+            k = int(rng.integers(1, 12))
+            lam = float(rng.choice([0.0, 0.5, 1.0]))
+            got = F.select_top_k_batch(tocs, emb, k, lam, keep_largest)
+            assert len(got) == len(tocs)
+            for toc, etoc in zip(tocs, got):
+                want = reference_select_top_k(toc, emb, k, lam, keep_largest)
+                assert etoc.query == toc.query
+                assert etoc.chains == want.chains
+                np.testing.assert_array_equal(etoc.source_value, want.source_value)
+                np.testing.assert_allclose(etoc.scores, want.scores, rtol=0, atol=1e-12)
+                one = F.select_top_k(toc, emb, k, lam, keep_largest)
+                assert one.chains == want.chains
+
+    def test_same_pattern_under_two_query_attributes(self, rng):
+        emb = make_embeddings(rng)
+        chains = [make_chain(0, (1, 2), path_start=0), make_chain(3, (4,), path_start=10)]
+        tocs = [chain_set(Query(0, 1), chains), chain_set(Query(1, 2), chains)]
+        got = F.select_top_k_batch(tocs, emb, k=2)
+        for toc, etoc in zip(tocs, got):
+            want = reference_select_top_k(toc, emb, 2)
+            assert etoc.chains == want.chains
+            np.testing.assert_allclose(etoc.scores, want.scores, rtol=0, atol=1e-12)
+        assert not np.allclose(np.sort(got[0].scores), np.sort(got[1].scores))
+
+    def test_top_k_rows_matches_sort_oracle_per_tree(self, rng):
+        oracle = TestTopK().sort_oracle
+        for _ in range(30):
+            parts = [toc_with_scores(rng, int(rng.integers(0, 15))) for _ in range(4)]
+            tree = np.repeat(np.arange(4), [len(toc) for toc, _ in parts])
+            cat = [np.concatenate([getattr(toc, name) for toc, _ in parts])
+                   for name in ("source_attribute", "relations", "entity_path")]
+            scores = np.concatenate([s for _, s in parts])
+            k = int(rng.integers(0, 8))
+            for keep_largest in (False, True):
+                got = F.top_k_rows(scores, tree, *cat, k, keep_largest)
+                offsets = np.cumsum([0] + [len(toc) for toc, _ in parts])
+                want = [offsets[t] + i for t, (toc, s) in enumerate(parts)
+                        for i in oracle(s, toc.chains, k, keep_largest)]
+                assert got.tolist() == want
 
 
 class TestRandomK:

@@ -317,12 +317,64 @@ class TestPredict:
         assert all(p.grad is None for p in model.all_parameters())
 
 
+def random_dataset(rng, n=40):
+    """A random graph with two attributes on about half of its entities, and
+    an edge x -> y apart from it whose ends hold no fact."""
+    relational = [(f"e{h}", f"r{int(rng.integers(3))}", f"e{t}")
+                  for h, t in (rng.choice(n, size=2, replace=False) for _ in range(3 * n))]
+    used = sorted({e for h, _, t in relational for e in (h, t)})
+    train = [(e, f"a{a}", repr(float(rng.uniform(0, 10))))
+             for e in used for a in range(2) if rng.random() < 0.5]
+    return build_dataset(relational + [("x", "r0", "y")],
+                         train + [(used[0], "a0", "0.0"), (used[1], "a0", "10.0"),
+                                  (used[0], "a1", "0.0"), (used[1], "a1", "10.0")])
+
+
+class TestPredictBatch:
+    """Model.predict_batch against one Model.predict per query."""
+
+    @pytest.mark.parametrize("kw", [dict(), dict(use_filter=False),
+                                    dict(filter_keep_largest=True),
+                                    dict(use_chain_weighting=False)],
+                             ids=["filter", "no_filter", "keep_largest", "no_weighting"])
+    def test_matches_predict(self, kw, rng):
+        kg, split = random_dataset(rng)
+        stats = AttributeStats.from_triples(split.train, len(kg.attribute_names))
+        means = attribute_means(split.train, len(kg.attribute_names))
+        model = Model(len(kg.relation_names), len(kg.attribute_names), stats, means,
+                      small_config(walks=32, top_k=6, batch_size=4, **kw))
+        _kick_zero_opens(model, rng)
+        isolated = Query(kg.entity_index["x"], kg.attribute_index["a1"])
+        queries = [Query(int(rng.integers(40)), int(rng.integers(2))) for _ in range(9)]
+        queries += [isolated, queries[0]]
+        seeds = [int(s) for s in rng.integers(2 ** 32, size=len(queries))]
+        seeds[-1] = seeds[0]
+        batched = model.predict_batch(kg, queries, seeds)
+        assert len(batched) == len(queries)
+        fallbacks = 0
+        for query, seed, got in zip(queries, seeds, batched):
+            want = model.predict(kg, query, seed)
+            assert got.query == query and got.fallback == want.fallback
+            fallbacks += got.fallback is not None
+            assert got.predicted_norm == pytest.approx(want.predicted_norm, rel=0, abs=1e-10)
+            assert got.predicted_value == pytest.approx(want.predicted_value, rel=1e-10)
+            got_map = {c.chain: (c.weight, c.proposal_norm, c.proposal_value)
+                       for c in got.contributions}
+            want_map = {c.chain: (c.weight, c.proposal_norm, c.proposal_value)
+                        for c in want.contributions}
+            assert got_map.keys() == want_map.keys()
+            for chain, values in got_map.items():
+                np.testing.assert_allclose(values, want_map[chain], rtol=1e-10, atol=1e-10)
+        assert 0 < fallbacks < len(queries)
+        assert all(p.grad is None for p in model.all_parameters())
+
+
 class TestSelect:
     def test_filtered_selection_is_sorted_and_deterministic(self):
         model = make_model(top_k=2)
         toc = chain_set(Query(99, 1), mixed_etoc().chains)
-        a = model.select(toc, seed=0)
-        b = model.select(toc, seed=5)  # seed irrelevant when filtering
+        (a,) = model.select([toc], [0])
+        (b,) = model.select([toc], [5])  # seed irrelevant when filtering
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]
         assert len(a) == 2
         assert np.all(np.diff(a.scores) >= 0)
@@ -330,8 +382,8 @@ class TestSelect:
     def test_unfiltered_selection_uses_seed(self):
         model = make_model(top_k=2, use_filter=False)
         toc = chain_set(Query(99, 1), mixed_etoc().chains)
-        a = model.select(toc, seed=3)
-        b = model.select(toc, seed=3)
+        (a,) = model.select([toc], [3])
+        (b,) = model.select([toc], [3])
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]
         assert len(a) == 2
 

@@ -327,3 +327,63 @@ class TestEquivalence:
         query = K.Query(kg.entity_index["c"], kg.attribute_index["v"])
         with pytest.raises(OverflowError, match="overflow int64"):
             R.sample_tree(kg, query, walks=2 ** 62, max_hops=3, seed=0)
+
+
+class TestBatchedSampling:
+    """sample_trees over a chunk of queries against one sequential loop per
+    query: a tree must not depend on the other queries of its chunk."""
+
+    def test_matches_per_query_loop_on_random_graphs(self):
+        rng = np.random.default_rng(7)
+        seen = dict.fromkeys(("cap_hit", "isolated", "repeated", "repeated_seed",
+                              "nonempty"), 0)
+        for _ in range(50):
+            kg, query = random_graph(rng)
+            walks = int(rng.choice([1, 3, 8, 40]))
+            max_hops = int(rng.integers(1, 5))
+            queries = [query] + [K.Query(int(rng.integers(kg.n_entities)), int(rng.integers(3)))
+                                 for _ in range(int(rng.integers(0, 5)))]
+            seeds = [int(s) for s in rng.integers(2 ** 32, size=len(queries))]
+            if rng.random() < 0.5:  # the same query again, half the time with its seed
+                i = int(rng.integers(len(queries)))
+                queries.append(queries[i])
+                seeds.append(seeds[i] if rng.random() < 0.5 else int(rng.integers(2 ** 32)))
+            trees = R.sample_trees(kg, queries, walks, max_hops, seeds)
+            assert len(trees) == len(queries)
+            for query, seed, tree in zip(queries, seeds, trees):
+                assert tree.query == query
+                assert tree.chains == reference_sample_tree(kg, query, walks, max_hops,
+                                                            seed).chains
+                seen["cap_hit"] += len(tree) == walks
+                seen["isolated"] += kg.out_edges(query.entity)[0].size == 0
+                seen["nonempty"] += len(tree) > 0
+            seen["repeated"] += len(set(queries)) < len(queries)
+            seen["repeated_seed"] += len(set(zip(queries, seeds))) < len(queries)
+        assert min(seen.values()) > 0, seen
+
+    def test_repeated_and_isolated_queries_in_one_chunk(self):
+        # e0 -> e3 -> e1 -> e2; e3 holds three facts, so two walks cap a tree
+        kg = raw_graph(5, 1, [(0, 0, 3), (3, 0, 1), (1, 0, 2)],
+                       [(1, 0, 1.0), (2, 0, 2.0), (3, 0, 3.0), (3, 1, 4.0), (3, 2, 5.0)])
+        q, isolated = K.Query(0, 0), K.Query(4, 1)
+        queries, seeds = [q, isolated, q, q], [3, 3, 3, 4]
+        trees = R.sample_trees(kg, queries, 2, 3, seeds)
+        for query, seed, tree in zip(queries, seeds, trees):
+            assert tree.chains == reference_sample_tree(kg, query, 2, 3, seed).chains
+        assert len(trees[0]) == len(trees[2]) == 2 and len(trees[1]) == 0
+        assert trees[1].relations.shape == (0, 3)
+        assert trees[1].entity_path.shape == (0, 4)
+        assert R.sample_trees(kg, [], 2, 3, []) == []
+
+    def test_sample_tree_is_the_one_query_case(self):
+        kg, query = random_graph(np.random.default_rng(3))
+        (tree,) = R.sample_trees(kg, [query], 40, 3, [5])
+        assert R.sample_tree(kg, query, 40, 3, 5).chains == tree.chains
+
+    def test_packed_key_overflow_counts_every_walk_of_the_chunk(self):
+        kg = line_graph()
+        query = K.Query(kg.entity_index["c"], kg.attribute_index["v"])
+        walks = 2 ** 59  # one query's keys fit in int64; two queries' do not
+        R._check_packable(walks, kg.n_relations, kg.n_entities)
+        with pytest.raises(OverflowError, match="overflow int64"):
+            R.sample_trees(kg, [query, query], walks, 3, [0, 1])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_sample_tree, reference_select_top_k
 from rachain import training as T
 from rachain.config import TrainConfig
 from rachain.kg import AttributeStats, DatasetSplit, Query, attribute_means, build_dataset
@@ -97,8 +98,8 @@ class TestValidationMae:
         span = model.stats.maxs[dst] - model.stats.mins[dst]
         queries = [Query(0, dst, target=model.stats.denormalize(dst, 0.5)),
                    Query(1, dst, target=model.stats.denormalize(dst, 0.9))]
-        model.predict_tree = lambda toc, seed: PredictionTrace(
-            query=toc.query, predicted_norm=0.7, predicted_value=0.0)
+        model.predict_trees = lambda tocs, seeds: [PredictionTrace(
+            query=toc.query, predicted_norm=0.7, predicted_value=0.0) for toc in tocs]
         mae = T.validation_mae(model, kg, queries)
         assert mae == pytest.approx((0.2 + 0.2) / 2)
 
@@ -188,13 +189,13 @@ class TestValidationTrees:
         import rachain.model as model_module
         kg, split = affine_task()
         sampled = []
-        sample = model_module.sample_tree
+        sample = model_module.sample_trees
 
-        def counting(kg, query, *args):
-            sampled.append(query)
-            return sample(kg, query, *args)
+        def counting(kg, queries, *args):
+            sampled.extend(queries)
+            return sample(kg, queries, *args)
 
-        monkeypatch.setattr(model_module, "sample_tree", counting)
+        monkeypatch.setattr(model_module, "sample_trees", counting)
         cached = T.train(task_model(kg, split, epochs=3), kg, split)
         val_queries = T.scoped_queries(kg, split.valid, task_model(kg, split))
         assert len(cached.history) == 3
@@ -209,6 +210,38 @@ class TestValidationTrees:
         assert [sampled.count(q) for q in val_queries] == [3, 3]
         assert ([(h.train_loss, h.val_mae) for h in cached.history]
                 == [(h.train_loss, h.val_mae) for h in fresh.history])
+
+
+class TestPerQueryEquivalence:
+    """train against the per-query retrieval, selection and validation
+    predictions that its chunked calls replaced."""
+
+    @pytest.mark.parametrize("cache_toc", [False, True])
+    def test_history_matches_per_query_path(self, cache_toc, monkeypatch):
+        kg, split = affine_task()
+        batched = T.train(task_model(kg, split, epochs=3, cache_toc=cache_toc), kg, split)
+
+        def retrieve(self, kg, queries, seeds):
+            cfg = self.config
+            return [reference_sample_tree(kg, q, cfg.walks, cfg.max_hops, seed)
+                    for q, seed in zip(queries, seeds)]
+
+        def select(self, tocs, seeds):
+            cfg = self.config
+            return [reference_select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam,
+                                           cfg.filter_keep_largest) for toc in tocs]
+
+        predict_trees = Model.predict_trees
+        monkeypatch.setattr(Model, "retrieve", retrieve)
+        monkeypatch.setattr(Model, "select", select)
+        monkeypatch.setattr(Model, "predict_trees", lambda self, tocs, seeds: [
+            predict_trees(self, [toc], [seed])[0] for toc, seed in zip(tocs, seeds)])
+        per_query = T.train(task_model(kg, split, epochs=3, cache_toc=cache_toc), kg, split)
+        assert len(batched.history) == 3
+        assert ([h.train_loss for h in batched.history]
+                == [h.train_loss for h in per_query.history])
+        np.testing.assert_allclose([h.val_mae for h in batched.history],
+                                   [h.val_mae for h in per_query.history], rtol=0, atol=1e-12)
 
 
 class TestHistoryCsv:
