@@ -51,16 +51,11 @@ def base_config(args) -> TrainConfig:
         attributes=("val",))
 
 
-def progress(row):
-    val = "" if row.val_mae != row.val_mae else f"  val_mae {row.val_mae:.4f}"
-    print(f"  epoch {row.epoch:>3}  loss {row.train_loss:.6f}{val}"
-          f"  ({row.seconds:.1f}s)")
-
-
 def run_variant(name, config, kg, split, stats, means, quiet=False):
     model = Model(kg.n_relations, kg.n_attributes, stats, means, config)
     started = time.perf_counter()
-    result = train(model, kg, split, progress=None if quiet else progress)
+    result = train(model, kg, split, progress=None if quiet else
+                   lambda row: print("  " + training.format_epoch(row)))
     elapsed = time.perf_counter() - started
     report = evaluation.evaluate(model, kg, split.test, seed=config.seed)
     print(f"{name}: test MAE/span {report.average_mae_norm:.4f} after "
@@ -86,8 +81,8 @@ def main() -> int:
 
     (out / "spec.json").write_text(json.dumps(SPEC, indent=2), encoding="utf-8")
     meta = synth.generate(synth.SynthSpec.from_dict(SPEC), args.dataset_seed, data)
-    print(f"dataset: {meta['entities']} entities, {meta['relational_triples']} "
-          f"relational triples, {meta['numerical']} numerical values")
+    print(f"dataset: {meta['entities']} entities, {meta['relational_rows']} "
+          f"relational rows, {meta['numerical']} numerical values")
 
     kg, split = load_dataset(data / "relational.tsv", data / "train.tsv",
                              data / "valid.tsv", data / "test.tsv")

@@ -55,7 +55,7 @@ def main() -> int:
     means = attribute_means(split.train, kg.n_attributes)
     print(f"loaded {kg.n_entities} entities, {kg.num_base_relations} relations "
           f"({kg.n_relations} with inverses), {kg.n_attributes} attributes, "
-          f"{len(kg.relational_triples)} edges")
+          f"{len(kg.edge_tail)} edges")
     print(format_stats_report(kg, stats), end="")
 
     config = TrainConfig(
@@ -66,14 +66,9 @@ def main() -> int:
         attributes=tuple(a for a in args.attributes.split(",") if a))
     model = Model(kg.n_relations, kg.n_attributes, stats, means, config)
 
-    def progress(row):
-        val = "" if row.val_mae != row.val_mae else f"  val_mae {row.val_mae:.4f}"
-        print(f"epoch {row.epoch:>3}  loss {row.train_loss:.6f}{val}"
-              f"  ({row.seconds:.1f}s, {row.queries_used} queries)")
-
     print(f"\ntraining on {', '.join(config.attributes)} ...")
     started = time.perf_counter()
-    result = train(model, kg, split, progress=progress)
+    result = train(model, kg, split, progress=lambda row: print(training.format_epoch(row)))
     elapsed = time.perf_counter() - started
     print(f"stopped after {len(result.history)} epochs "
           f"({result.stop_reason}, {elapsed / 60:.1f} min)")

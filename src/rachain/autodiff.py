@@ -52,45 +52,9 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
 
 class Parameter(Tensor):

@@ -9,9 +9,9 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-import typing
 from pathlib import Path
 
 from . import evaluation, synth, training
@@ -63,8 +63,8 @@ def cmd_ingest(args) -> int:
             "base_relations": kg.num_base_relations,
             "relations_with_inverses": kg.n_relations,
             "attributes": kg.n_attributes,
-            "relational_triples": len(kg.relational_triples),
-            "numerical_triples": {
+            "edges_with_inverses": len(kg.edge_tail),
+            "numerical_facts": {
                 "train": len(split.train),
                 "valid": len(split.valid),
                 "test": len(split.test),
@@ -81,28 +81,33 @@ def cmd_ingest(args) -> int:
 def cmd_synth(args) -> int:
     spec = synth.SynthSpec.from_file(args.spec)
     meta = synth.generate(spec, args.seed, args.out)
-    print(f"wrote {meta['entities']} entities, {meta['relational_triples']} relational "
-          f"triples, {meta['numerical']} numerical values to {args.out}")
+    print(f"wrote {meta['entities']} entities, {meta['relational_rows']} relational "
+          f"rows, {meta['numerical']} numerical values to {args.out}")
     return 0
 
 
-_CONFIG_FLAGS = {name: typ for name, typ in typing.get_type_hints(TrainConfig).items()
-                 if typ in (int, float)}
+_CHOICES = {"mode": PROJECTION_MODES, "loss": LOSSES}
+
+
+def _names(text: str) -> list[str]:
+    return [a for a in text.split(",") if a]
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field, its value stored under the field's
+    name; None when absent. Bool fields take --x/--no-x, with a `use_`
+    prefix dropped (--no-filter sets use_filter to False)."""
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    for name, typ in _CONFIG_FLAGS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
-    p.add_argument("--mode", choices=PROJECTION_MODES, default=None)
-    p.add_argument("--loss", choices=LOSSES, default=None)
-    p.add_argument("--attributes", default=None,
-                   help="comma-separated attribute names to train/evaluate on")
-    p.add_argument("--cache-toc", action="store_true", default=None)
-    p.add_argument("--keep-largest", action="store_true", default=None,
-                   help="flip filter orientation to keep the largest scores")
-    for switch in ("filter", "chain-encoder", "numerical-aware", "chain-weighting"):
-        p.add_argument(f"--no-{switch}", action="store_true", default=None)
+    for f in dataclasses.fields(TrainConfig):
+        flag = "--" + f.name.removeprefix("use_").replace("_", "-")
+        kind = type(f.default)
+        if kind is bool:
+            p.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
+        elif f.name == "attributes":
+            p.add_argument(flag, dest=f.name, type=_names,
+                           help="comma-separated attribute names to train/evaluate on")
+        else:
+            p.add_argument(flag, dest=f.name, type=kind, choices=_CHOICES.get(f.name))
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -110,23 +115,10 @@ def _config_from_args(args) -> TrainConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name)
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            data[name] = value
-    if args.mode is not None:
-        data["mode"] = args.mode
-    if args.loss is not None:
-        data["loss"] = args.loss
-    if args.attributes is not None:
-        data["attributes"] = [a for a in args.attributes.split(",") if a]
-    if args.cache_toc:
-        data["cache_toc"] = True
-    if args.keep_largest:
-        data["filter_keep_largest"] = True
-    for switch in ("filter", "chain_encoder", "numerical_aware", "chain_weighting"):
-        if getattr(args, f"no_{switch}"):
-            data[f"use_{switch}"] = False
+            data[f.name] = value
     return TrainConfig.from_dict(data)
 
 
@@ -137,12 +129,7 @@ def cmd_train(args) -> int:
     means = attribute_means(split.train, kg.n_attributes)
     model = Model(kg.n_relations, kg.n_attributes, stats, means, config)
 
-    def progress(row):
-        val = "" if row.val_mae != row.val_mae else f"  val_mae {row.val_mae:.4f}"
-        print(f"epoch {row.epoch:>4}  loss {row.train_loss:.6f}{val}  "
-              f"({row.seconds:.1f}s, {row.queries_used} queries)")
-
-    result = train(model, kg, split, progress=progress)
+    result = train(model, kg, split, progress=lambda row: print(training.format_epoch(row)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     extra = {

@@ -17,7 +17,6 @@ class TrainConfig:
     max_hops: int = 3          # longest relation path
     top_k: int = 256           # chains kept after filtering
     lam: float = 0.5           # affinity mix: attribute distance vs fold distance
-    filter_keep_largest: bool = False
     # architecture
     dim: int = 256             # encoder width
     filter_dim: int = 128      # ball embedding width

@@ -164,15 +164,6 @@ def run_ablations(kg: KnowledgeGraph, split: DatasetSplit, base_config: TrainCon
     return outcomes
 
 
-def format_ablations(outcomes: dict[str, AblationOutcome]) -> str:
-    lines = [f"{'variant':<20} {'avg MAE/span':>12} {'avg RMSE/span':>13} {'epochs':>7}"]
-    for name, out in outcomes.items():
-        lines.append(f"{name:<20} {out.report.average_mae_norm:>12.4f} "
-                     f"{out.report.average_rmse_norm:>13.4f} "
-                     f"{len(out.result.history):>7}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # filter composition audit
 

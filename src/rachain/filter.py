@@ -7,12 +7,11 @@ affinity score mixes two geodesic distances to the query attribute,
     score = lam * d(source_attr, query_attr) + (1 - lam) * d(fold, query_attr).
 
 Scores are distances, so lower means more relevant and selection keeps the
-k smallest by default (keep_largest flips the orientation). Ties break on
-(length, entity path, relations, source attribute) so selection is a total
-order and reproducible. `select_top_k_batch` selects for a chunk of trees at
-once: one score per distinct pattern of the chunk, and one sort over its
-rows with the tree index as the primary key. `select_top_k` is the one-tree
-case.
+k smallest. Ties break on (length, entity path, relations, source
+attribute) so selection is a total order and reproducible.
+`select_top_k_batch` selects for a chunk of trees at once: one score per
+distinct pattern of the chunk, and one sort over its rows with the tree
+index as the primary key. `select_top_k` is the one-tree case.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ def chain_scores(source_attribute: np.ndarray, relations: np.ndarray, query_attr
 
 
 def top_k_rows(scores: np.ndarray, tree: np.ndarray, source_attribute: np.ndarray,
-               relations: np.ndarray, entity_path: np.ndarray, k: int,
-               keep_largest: bool = False) -> np.ndarray:
+               relations: np.ndarray, entity_path: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the k best rows of every tree, trees in ascending order
     and best first within each, with deterministic ties: per tree, the order
     of one stable sort on score, length, entity path, relations, source
@@ -90,24 +88,23 @@ def top_k_rows(scores: np.ndarray, tree: np.ndarray, source_attribute: np.ndarra
     rows at or better than it can be among a tree's k best, since score is
     the primary key, so only they take the full tie-break sort.
     """
-    signed = -scores if keep_largest else scores
-    by_score = np.lexsort((signed, tree))
+    by_score = np.lexsort((scores, tree))
     grouped = tree[by_score]
     start, end = np.searchsorted(grouped, grouped), np.searchsorted(grouped, grouped, "right")
-    kth = np.empty_like(signed)  # each row's tree's k-th best score
-    kth[by_score] = signed[by_score[np.minimum(start + k, end) - 1]]
-    rows = np.flatnonzero(~(signed > kth))  # NaN scores stay in, as in a full sort
+    kth = np.empty_like(scores)  # each row's tree's k-th best score
+    kth[by_score] = scores[by_score[np.minimum(start + k, end) - 1]]
+    rows = np.flatnonzero(~(scores > kth))  # NaN scores stay in, as in a full sort
     # np.lexsort sorts by its last key first
     keys = ([source_attribute[rows]] + list(relations[rows].T[::-1])
             + list(entity_path[rows].T[::-1])
-            + [chain_lengths(relations[rows]), signed[rows], tree[rows]])
+            + [chain_lengths(relations[rows]), scores[rows], tree[rows]])
     order = rows[np.lexsort(keys)]
     grouped = tree[order]
     return order[np.arange(order.size) - np.searchsorted(grouped, grouped) < k]
 
 
 def select_top_k_batch(tocs: list[TreeOfChains], embeddings: FilterEmbeddings, k: int,
-                       lam: float = 0.5, keep_largest: bool = False) -> list[TreeOfChains]:
+                       lam: float = 0.5) -> list[TreeOfChains]:
     """Each tree's k best-scoring chains, best first, with their scores, in
     one pass over all the trees. A score depends only on the chain's pattern
     (source attribute, relations, query attribute), so it is computed once
@@ -123,18 +120,18 @@ def select_top_k_batch(tocs: list[TreeOfChains], embeddings: FilterEmbeddings, k
     scores = chain_scores(source_attribute[first], relations[first], query_attribute[first],
                           embeddings, lam)[inverse]
     order = top_k_rows(scores, tree, source_attribute, relations,
-                       np.concatenate([toc.entity_path for toc in tocs]), k, keep_largest)
+                       np.concatenate([toc.entity_path for toc in tocs]), k)
     offsets = np.cumsum([0] + sizes)
     bounds = np.searchsorted(tree[order], np.arange(len(tocs) + 1)).tolist()
     return [toc.take(order[a:b] - offset, scores[order[a:b]])
             for toc, offset, a, b in zip(tocs, offsets.tolist(), bounds[:-1], bounds[1:])]
 
 
-def select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int, lam: float = 0.5,
-                 keep_largest: bool = False) -> TreeOfChains:
+def select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
+                 lam: float = 0.5) -> TreeOfChains:
     """One tree's case of `select_top_k_batch`: its k best-scoring chains,
     best first, with their scores."""
-    return select_top_k_batch([toc], embeddings, k, lam, keep_largest)[0]
+    return select_top_k_batch([toc], embeddings, k, lam)[0]
 
 
 def select_random_k(toc: TreeOfChains, k: int, seed: int) -> TreeOfChains:

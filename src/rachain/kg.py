@@ -6,19 +6,21 @@ synthesizes one inverse per base relation (ids R..2R-1 for base ids 0..R-1).
 Only training-split numerical facts enter the graph; validation/test values
 stay outside it so retrieval can never see a held-out answer.
 
-The graph is indexed in CSR (compressed sparse row) form, one offset array
-per table: the out-edges of entity e are `edge_rel[i]`, `edge_tail[i]` for
-`i` in `edge_indptr[e]:edge_indptr[e + 1]`, and its facts are `fact_attr[i]`,
-`fact_value[i]` for `i` in `fact_indptr[e]:fact_indptr[e + 1]`. Rows are
-sorted stably by head, so each entity's edges and facts keep the order of
-`relational_triples` and `numerical_triples`; duplicate triples stay as
-separate entries.
+The graph is stored once, in CSR (compressed sparse row) form, one offset
+array per table: the out-edges of entity e are `edge_rel[i]`, `edge_tail[i]`
+for `i` in `edge_indptr[e]:edge_indptr[e + 1]`, and its facts are
+`fact_attr[i]`, `fact_value[i]` for `i` in `fact_indptr[e]:fact_indptr[e + 1]`.
+`KnowledgeGraph` is built from an (n, 3) array of (head, relation, tail) ids
+and the training facts, and keeps only these arrays. Rows are sorted stably
+by head, so each entity keeps input order: every relational row's edge
+followed by its inverse, and the training facts in file order. Duplicate
+rows stay as separate entries. `len(kg.edge_tail)` counts the edges,
+inverses included, and `len(kg.fact_attr)` the training facts.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -77,10 +79,6 @@ class AttributeStats:
     def n_attributes(self) -> int:
         return len(self.counts)
 
-    def degenerate_attributes(self) -> list[int]:
-        return [a for a in range(self.n_attributes)
-                if self.counts[a] > 0 and self.mins[a] == self.maxs[a]]
-
     def _check(self, attribute) -> None:
         if np.any(self.counts[attribute] == 0):
             raise StatsUnavailableError(f"attribute {attribute} has no training values")
@@ -107,8 +105,8 @@ class KnowledgeGraph:
     entity_names: list[str]
     relation_names: list[str]  # base relations first, then their inverses
     attribute_names: list[str]
-    relational_triples: list[tuple[int, int, int]]  # includes inverse triples
-    numerical_triples: list[tuple[int, int, float]]  # training-split facts
+    edges: InitVar[np.ndarray]  # (n, 3) head, relation, tail ids, inverses included
+    train_facts: InitVar[list[tuple[int, int, float]]]  # training-split facts
     num_base_relations: int
     entity_index: dict[str, int] = field(default_factory=dict)
     relation_index: dict[str, int] = field(default_factory=dict)
@@ -120,7 +118,7 @@ class KnowledgeGraph:
     fact_attr: np.ndarray = field(init=False, repr=False, compare=False)
     fact_value: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges, train_facts):
         if not self.entity_index:
             self.entity_index = {n: i for i, n in enumerate(self.entity_names)}
         if not self.relation_index:
@@ -128,10 +126,10 @@ class KnowledgeGraph:
         if not self.attribute_index:
             self.attribute_index = {n: i for i, n in enumerate(self.attribute_names)}
         n = self.n_entities
-        edges = _table(self.relational_triples, np.int64)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         self.edge_indptr, (self.edge_rel, self.edge_tail) = _csr(
             edges[:, 0], n, edges[:, 1], edges[:, 2])
-        facts = _table(self.numerical_triples, np.float64)
+        facts = np.asarray(train_facts, dtype=np.float64).reshape(-1, 3)
         self.fact_indptr, (self.fact_attr, self.fact_value) = _csr(
             facts[:, 0].astype(np.int64), n, facts[:, 1].astype(np.int64), facts[:, 2])
 
@@ -148,12 +146,12 @@ class KnowledgeGraph:
         return len(self.attribute_names)
 
     def out_edges(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
-        """(relations, tails) of the entity's out-edges, in triple order."""
+        """(relations, tails) of the entity's out-edges, in input order."""
         lo, hi = self.edge_indptr[entity], self.edge_indptr[entity + 1]
         return self.edge_rel[lo:hi], self.edge_tail[lo:hi]
 
     def facts(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
-        """(attributes, values) of the entity's training facts, in triple order."""
+        """(attributes, values) of the entity's training facts, in file order."""
         lo, hi = self.fact_indptr[entity], self.fact_indptr[entity + 1]
         return self.fact_attr[lo:hi], self.fact_value[lo:hi]
 
@@ -161,12 +159,6 @@ class KnowledgeGraph:
         """The inverse relation id; elementwise on an array of ids."""
         r = self.num_base_relations
         return (relation + r) % (2 * r)
-
-
-def _table(triples, dtype) -> np.ndarray:
-    """The triples as an (n, 3) array."""
-    flat = itertools.chain.from_iterable(triples)
-    return np.fromiter(flat, dtype, 3 * len(triples)).reshape(-1, 3)
 
 
 def _csr(rows: np.ndarray, n_rows: int, *columns: np.ndarray):
@@ -229,22 +221,19 @@ def build_dataset(
     attribute_names: list[str] = []
     attribute_index: dict[str, int] = {}
 
-    base_triples = []
-    for h, r, t in relational_rows:
-        hid = _intern(h, entity_index, entity_names)
-        rid = _intern(r, relation_index, relation_names)
-        tid = _intern(t, entity_index, entity_names)
-        base_triples.append((hid, rid, tid))
+    base = np.array([(_intern(h, entity_index, entity_names),
+                      _intern(r, relation_index, relation_names),
+                      _intern(t, entity_index, entity_names))
+                     for h, r, t in relational_rows], dtype=np.int64).reshape(-1, 3)
 
     n_base = len(relation_names)
     for name in list(relation_names):
         relation_index[name + INVERSE_SUFFIX] = len(relation_names)
         relation_names.append(name + INVERSE_SUFFIX)
 
-    relational_triples = []
-    for h, r, t in base_triples:
-        relational_triples.append((h, r, t))
-        relational_triples.append((t, r + n_base, h))
+    # each edge, then its inverse (t, r + n_base, h): this order is each
+    # entity's out-edge order, which fixes the tree a seed samples
+    edges = np.stack([base, base[:, ::-1] + [0, n_base, 0]], axis=1).reshape(-1, 3)
 
     def resolve_split(rows, label):
         triples = []
@@ -272,8 +261,8 @@ def build_dataset(
         entity_names=entity_names,
         relation_names=relation_names,
         attribute_names=attribute_names,
-        relational_triples=relational_triples,
-        numerical_triples=train,
+        edges=edges,
+        train_facts=train,
         num_base_relations=n_base,
         entity_index=entity_index,
         relation_index=relation_index,
@@ -316,8 +305,8 @@ def format_stats_report(kg: KnowledgeGraph, stats: AttributeStats) -> str:
         f"base relations      {kg.num_base_relations}",
         f"relations (w/ inv)  {kg.n_relations}",
         f"attributes          {kg.n_attributes}",
-        f"relational triples  {len(kg.relational_triples)}",
-        f"numerical triples   {len(kg.numerical_triples)}",
+        f"relational triples  {len(kg.edge_tail)}",
+        f"numerical triples   {len(kg.fact_attr)}",
         "",
         f"{'attribute':<32} {'count':>8} {'min':>14} {'max':>14}",
     ]

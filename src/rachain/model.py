@@ -106,8 +106,7 @@ class Model:
         cfg = self.config
         if not cfg.use_filter:
             return [select_random_k(toc, cfg.top_k, seed) for toc, seed in zip(tocs, seeds)]
-        return select_top_k_batch(tocs, self.embeddings, cfg.top_k, cfg.lam,
-                                  cfg.filter_keep_largest)
+        return select_top_k_batch(tocs, self.embeddings, cfg.top_k, cfg.lam)
 
     def forward(self, etocs: list[TreeOfChains]) -> ForwardResult | None:
         """Predictions for a mini-batch of chain sets; None when no query has
@@ -168,7 +167,7 @@ class Model:
         cfg = self.config
         toc = sample_tree(kg, query, cfg.walks, cfg.max_hops, seed)
         if cfg.use_filter:
-            toc = select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam, cfg.filter_keep_largest)
+            toc = select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam)
         else:
             toc = select_random_k(toc, cfg.top_k, seed)
         return self._traces([toc])[0]

@@ -92,16 +92,17 @@ class ProjectionHeads:
 
 def project_values(transferred: Tensor, source_norm: np.ndarray,
                    heads: ProjectionHeads) -> Tensor:
-    """Per-chain proposals in normalized space, clamped to [0, 1]."""
-    n = Tensor(np.asarray(source_norm, dtype=np.float64))
-    if heads.mode == "translation":
-        out = add(n, heads.beta(transferred))
-    elif heads.mode == "scaling":
-        out = mul(heads.alpha(transferred), n)
-    elif heads.mode == "combined":
-        out = mul(heads.alpha(transferred), add(n, heads.beta(transferred)))
-    else:
-        out = heads.direct(transferred)
+    """Per-chain proposals in normalized space, clamped to [0, 1]: the
+    direct head's readout if there is one, else alpha * (n + beta) over the
+    source values n, a missing head left out of the formula."""
+    if heads.direct is not None:
+        return clip(heads.direct(transferred), 0.0, 1.0)
+    alpha = None if heads.alpha is None else heads.alpha(transferred)
+    out = Tensor(np.asarray(source_norm, dtype=np.float64))
+    if heads.beta is not None:
+        out = add(out, heads.beta(transferred))
+    if alpha is not None:
+        out = mul(alpha, out)
     return clip(out, 0.0, 1.0)
 
 

@@ -181,7 +181,7 @@ def generate(spec: SynthSpec, seed: int, out_dir) -> dict:
         "files": {k: str(v) for k, v in paths.items()},
         "rules": rule_meta,
         "entities": len({n for h, _, t in relational for n in (h, t)}),
-        "relational_triples": len(relational),
+        "relational_rows": len(relational),
         "numerical": {"train": len(train), "valid": len(valid), "test": len(test)},
     }
     with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:

@@ -210,6 +210,14 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
     return result
 
 
+def format_epoch(stats: EpochStats) -> str:
+    """One progress line per epoch; val_mae is left out when it is NaN (no
+    validation queries)."""
+    val = "" if np.isnan(stats.val_mae) else f"  val_mae {stats.val_mae:.4f}"
+    return (f"epoch {stats.epoch:>4}  loss {stats.train_loss:.6f}{val}  "
+            f"({stats.seconds:.1f}s, {stats.queries_used} queries)")
+
+
 def epochs_to_csv(history: list[EpochStats]) -> str:
     lines = ["epoch,train_loss,val_mae,seconds,queries_used,queries_empty"]
     for h in history:

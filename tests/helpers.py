@@ -215,20 +215,18 @@ def chain_set(query, chains, max_hops: int = 3, scores=None) -> TreeOfChains:
 
 
 # ---------------------------------------------------------------------------
-# retrieval oracles (plain python over the triple lists)
+# retrieval oracles (plain python over per-entity lists)
 
 
 def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> TreeOfChains:
     """The sequential walk loop that `sample_tree` vectorises: walk by walk,
-    hop by hop, over adjacency lists rebuilt from `kg.relational_triples`.
-    Walk w takes neighbour int(u[h, w] * degree) at hop h, reading the same
-    `rng.random((max_hops, walks))` matrix as `sample_tree`."""
-    adjacency = [[] for _ in range(kg.n_entities)]
-    for h, r, t in kg.relational_triples:
-        adjacency[h].append((r, t))
-    facts = [[] for _ in range(kg.n_entities)]
-    for e, a, v in kg.numerical_triples:
-        facts[e].append((a, v))
+    hop by hop, over python lists of each entity's `kg.out_edges` and
+    `kg.facts`. Walk w takes neighbour int(u[h, w] * degree) at hop h,
+    reading the same `rng.random((max_hops, walks))` matrix as `sample_tree`."""
+    adjacency = [list(zip(*(col.tolist() for col in kg.out_edges(e))))
+                 for e in range(kg.n_entities)]
+    facts = [list(zip(*(col.tolist() for col in kg.facts(e))))
+             for e in range(kg.n_entities)]
     u = np.random.default_rng(seed).random((max_hops, walks))
     seen: set[tuple] = set()
     chains: list[RAChain] = []
@@ -265,23 +263,21 @@ def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> Tr
     return chain_set(query, chains, max_hops)
 
 
-def top_k_order(scores: np.ndarray, toc: TreeOfChains, k: int,
-                keep_largest: bool = False) -> np.ndarray:
+def top_k_order(scores: np.ndarray, toc: TreeOfChains, k: int) -> np.ndarray:
     """`top_k_rows` on one tree: the row indices of its k best chains."""
     return top_k_rows(scores, np.zeros(len(toc), dtype=np.int64), toc.source_attribute,
-                      toc.relations, toc.entity_path, k, keep_largest)
+                      toc.relations, toc.entity_path, k)
 
 
 def reference_select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
-                           lam: float = 0.5, keep_largest: bool = False) -> TreeOfChains:
+                           lam: float = 0.5) -> TreeOfChains:
     """The per-tree selection that `select_top_k_batch` batches: every row of
     the tree scored against the tree's query attribute, then one stable sort
     of all rows on score, length, entity path, relations, source attribute."""
     scores = chain_scores(toc.source_attribute, toc.relations, toc.query.attribute,
                           embeddings, lam)
-    sign = -1.0 if keep_largest else 1.0
     keys = ([toc.source_attribute] + list(toc.relations.T[::-1])
-            + list(toc.entity_path.T[::-1]) + [toc.lengths, sign * scores])
+            + list(toc.entity_path.T[::-1]) + [toc.lengths, scores])
     order = np.lexsort(keys)[:k]
     return toc.take(order, scores[order])
 
@@ -482,7 +478,7 @@ def grad_cases(rng: np.random.Generator):
          lambda p: ad.tensor_sum(ad.square(ad.concat([p["a"], p["b"]], axis=0))))
     case("getitem",
          {"a": rng.standard_normal((4, 5))},
-         lambda p: ad.tensor_sum(ad.square(p["a"][1:3, ::2])))
+         lambda p: ad.tensor_sum(ad.square(ad.getitem(p["a"], np.s_[1:3, ::2]))))
     case("take_rows_repeated",
          {"a": rng.standard_normal((5, 3))},
          lambda p: ad.tensor_sum(ad.square(

@@ -461,7 +461,7 @@ def test_criterion_09_real_data_desk_check():
     assert kg.n_entities == 15404
     assert kg.num_base_relations == 32
     assert kg.n_attributes == 7
-    assert len(kg.relational_triples) == 2 * 122886
+    assert len(kg.edge_tail) == 2 * 122886
     assert len(split.train) + len(split.valid) + len(split.test) == 23520
 
     config = TrainConfig(

@@ -80,7 +80,7 @@ class TestSynthAndIngest:
         # 16 instances x (source, target) + 4 standalone entities
         assert summary["entities"] == 36
         # 16 sources + 4 standalone + 12 of 16 targets
-        assert summary["numerical_triples"]["train"] == 32
+        assert summary["numerical_facts"]["train"] == 32
         assert (out / "attributes.txt").read_text().splitlines() == ["src", "dst"]
 
 
@@ -104,11 +104,11 @@ class TestTrain:
         config_path = workspace / "config.json"
         code = main(["train", *dataset_args(workspace),
                      "--config", str(config_path), "--epochs", "1",
-                     "--no-filter", "--keep-largest", "--out", str(out)])
+                     "--no-filter", "--cache-toc", "--out", str(out)])
         assert code == 0
         saved = json.loads((out / "config.json").read_text())
         assert saved["use_filter"] is False
-        assert saved["filter_keep_largest"] is True
+        assert saved["cache_toc"] is True
 
     def test_unknown_config_key_fails_cleanly(self, workspace, capsys):
         bad = workspace / "bad_config.json"
@@ -259,3 +259,39 @@ def test_numeric_config_field_round_trips_through_its_flag(field):
     config = _config_from_args(args)
     assert getattr(config, field.name) == value != field.default
     assert type(getattr(config, field.name)) is type(field.default)
+
+
+def _other_field_cases():
+    """(field, flag arguments, expected value) for every field that is not a
+    number: both spellings of each bool, a non-default choice, and a list."""
+    cases = []
+    for f in dataclasses.fields(TrainConfig):
+        if f in NUMERIC_FIELDS:
+            continue
+        flag = "--" + f.name.removeprefix("use_").replace("_", "-")
+        if type(f.default) is bool:
+            cases += [(f.name, [flag], True), (f.name, ["--no-" + flag[2:]], False)]
+        elif f.name == "attributes":
+            cases.append((f.name, [flag, "a,b"], ("a", "b")))
+        else:
+            value = {"mode": "direct", "loss": "l1"}[f.name]
+            assert value != f.default
+            cases.append((f.name, [flag, value], value))
+    return cases
+
+
+OTHER_CASES = _other_field_cases()
+
+
+@pytest.mark.parametrize("name,argv,expected", OTHER_CASES,
+                         ids=[" ".join(argv) for _, argv, _ in OTHER_CASES])
+def test_other_config_field_round_trips_through_its_flag(name, argv, expected):
+    args = build_parser().parse_args(["train", "--relational", "r.tsv", "--train", "t.tsv",
+                                      "--out", "run", *argv])
+    config = _config_from_args(args)
+    assert getattr(config, name) == expected
+    assert type(getattr(config, name)) is type(expected)
+    # the other fields keep their defaults
+    assert ({k: v for k, v in config.to_dict().items() if k != name}
+            == {k: v for k, v in TrainConfig().to_dict().items() if k != name})
+

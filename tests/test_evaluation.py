@@ -187,18 +187,6 @@ class TestAblations:
         with pytest.raises(ValueError, match="unknown ablation"):
             EV.run_ablations(kg, split, config, stats, means, variants=("nope",))
 
-    def test_format_ablations_lists_variants(self):
-        kg, split = ablation_task()
-        config = TrainConfig(walks=8, max_hops=2, top_k=4, dim=8, filter_dim=8,
-                             layers=1, heads=2, affine_hidden=16, epochs=1,
-                             batch_size=4, seed=5, attributes=("dst",))
-        stats = AttributeStats.from_triples(split.train, len(kg.attribute_names))
-        means = attribute_means(split.train, len(kg.attribute_names))
-        outcomes = EV.run_ablations(kg, split, config, stats, means,
-                                    variants=("full",))
-        text = EV.format_ablations(outcomes)
-        assert "full" in text and "avg MAE/span" in text
-
 
 class TestFilterAudit:
     def test_same_attribute_fractions(self):

@@ -96,10 +96,9 @@ def toc_with_scores(rng, n):
 
 
 class TestTopK:
-    def sort_oracle(self, scores, chains, k, keep_largest=False):
-        sign = -1.0 if keep_largest else 1.0
+    def sort_oracle(self, scores, chains, k):
         order = sorted(range(len(chains)),
-                       key=lambda i: (sign * scores[i], chains[i].length,
+                       key=lambda i: (scores[i], chains[i].length,
                                       chains[i].entity_path, chains[i].relations,
                                       chains[i].source_attribute))
         return order[:k]
@@ -122,10 +121,9 @@ class TestTopK:
         perm = rng.permutation(len(chains))
         toc = chain_set(Query(0, 0), [chains[i] for i in perm])
         scores = np.full(len(chains), 0.5)
-        for keep_largest in (False, True):
-            for k in range(1, len(chains) + 1):
-                assert (top_k_order(scores, toc, k, keep_largest).tolist()
-                        == self.sort_oracle(scores, toc.chains, k, keep_largest))
+        for k in range(1, len(chains) + 1):
+            assert (top_k_order(scores, toc, k).tolist()
+                    == self.sort_oracle(scores, toc.chains, k))
         kept = [toc.chains[i] for i in top_k_order(scores, toc, len(chains))]
         assert [c.source_attribute for c in kept[:4]] == [0, 1, 2, 3]
         assert [c.relations for c in kept[7:]] == [(0, 5), (1, 2), (1, 4), (3, 1)]
@@ -133,11 +131,6 @@ class TestTopK:
         order_in = [toc.chains[i].source_value for i in range(len(chains))
                     if toc.chains[i].entity_path == (20, 21)]
         assert [c.source_value for c in kept[4:7]] == order_in
-
-    def test_keep_largest_flips(self, rng):
-        toc, scores = toc_with_scores(rng, 12)
-        assert (top_k_order(scores, toc, 4, keep_largest=True).tolist()
-                == self.sort_oracle(scores, toc.chains, 4, keep_largest=True))
 
     def test_select_top_k_subset_and_sorted(self, rng):
         emb = make_embeddings(rng)
@@ -186,8 +179,7 @@ class TestBatchedSelection:
     """select_top_k_batch over a chunk of trees against the per-tree
     selection it replaced."""
 
-    @pytest.mark.parametrize("keep_largest", [False, True])
-    def test_matches_per_tree_selection(self, rng, keep_largest):
+    def test_matches_per_tree_selection(self, rng):
         emb = make_embeddings(rng)
         for _ in range(25):
             # two query attributes; the same patterns appear under both
@@ -197,15 +189,15 @@ class TestBatchedSelection:
                     for i in range(int(rng.integers(1, 6)))]
             k = int(rng.integers(1, 12))
             lam = float(rng.choice([0.0, 0.5, 1.0]))
-            got = F.select_top_k_batch(tocs, emb, k, lam, keep_largest)
+            got = F.select_top_k_batch(tocs, emb, k, lam)
             assert len(got) == len(tocs)
             for toc, etoc in zip(tocs, got):
-                want = reference_select_top_k(toc, emb, k, lam, keep_largest)
+                want = reference_select_top_k(toc, emb, k, lam)
                 assert etoc.query == toc.query
                 assert etoc.chains == want.chains
                 np.testing.assert_array_equal(etoc.source_value, want.source_value)
                 np.testing.assert_allclose(etoc.scores, want.scores, rtol=0, atol=1e-12)
-                one = F.select_top_k(toc, emb, k, lam, keep_largest)
+                one = F.select_top_k(toc, emb, k, lam)
                 assert one.chains == want.chains
 
     def test_same_pattern_under_two_query_attributes(self, rng):
@@ -228,12 +220,11 @@ class TestBatchedSelection:
                    for name in ("source_attribute", "relations", "entity_path")]
             scores = np.concatenate([s for _, s in parts])
             k = int(rng.integers(0, 8))
-            for keep_largest in (False, True):
-                got = F.top_k_rows(scores, tree, *cat, k, keep_largest)
-                offsets = np.cumsum([0] + [len(toc) for toc, _ in parts])
-                want = [offsets[t] + i for t, (toc, s) in enumerate(parts)
-                        for i in oracle(s, toc.chains, k, keep_largest)]
-                assert got.tolist() == want
+            got = F.top_k_rows(scores, tree, *cat, k)
+            offsets = np.cumsum([0] + [len(toc) for toc, _ in parts])
+            want = [offsets[t] + i for t, (toc, s) in enumerate(parts)
+                    for i in oracle(s, toc.chains, k)]
+            assert got.tolist() == want
 
 
 class TestRandomK:

@@ -42,7 +42,8 @@ class TestLoading:
         assert kg.num_base_relations == 3
         assert kg.n_relations == 6
         assert kg.n_attributes == 2
-        assert len(kg.relational_triples) == 2 * len(REL)
+        assert len(kg.edge_tail) == 2 * len(REL)
+        assert len(kg.fact_attr) == len(TRAIN)
         assert len(split.train) == 4
         assert len(split.valid) == 1
         assert len(split.test) == 1
@@ -54,7 +55,8 @@ class TestLoading:
     def test_every_base_triple_has_exactly_one_inverse(self, tmp_path):
         paths = write_dataset(tmp_path, REL, TRAIN)
         kg, _ = K.load_dataset(paths["relational"], paths["train"])
-        triples = kg.relational_triples
+        heads = np.repeat(np.arange(kg.n_entities), np.diff(kg.edge_indptr))
+        triples = list(zip(heads.tolist(), kg.edge_rel.tolist(), kg.edge_tail.tolist()))
         base = [(h, r, t) for h, r, t in triples if r < kg.num_base_relations]
         for h, r, t in base:
             inv = (t, r + kg.num_base_relations, h)
@@ -62,11 +64,24 @@ class TestLoading:
         assert len(base) * 2 == len(triples)
 
     def test_adjacency_matches_triples(self, tmp_path):
-        paths = write_dataset(tmp_path, REL, TRAIN)
+        # each entity's edges in input order: every row's edge, then its
+        # inverse; a self-loop, a parallel edge and a repeated fact stay apart
+        rel = REL + [("paris", "twinned_with", "paris"), ("berlin", "capital_of", "germany")]
+        train = TRAIN + [("berlin", "population", "3.8")]
+        paths = write_dataset(tmp_path, rel, train)
         kg, _ = K.load_dataset(paths["relational"], paths["train"])
-        from_adj = [(h, r, t) for h in range(kg.n_entities)
-                    for r, t in zip(*(col.tolist() for col in kg.out_edges(h)))]
-        assert sorted(from_adj) == sorted(kg.relational_triples)
+        ent = kg.entity_index
+        edges = [[] for _ in range(kg.n_entities)]
+        for h, r, t in rel:
+            r = kg.relation_index[r]
+            edges[ent[h]].append((r, ent[t]))
+            edges[ent[t]].append((r + kg.num_base_relations, ent[h]))
+        facts = [[] for _ in range(kg.n_entities)]
+        for e, a, v in train:
+            facts[ent[e]].append((kg.attribute_index[a], float(v)))
+        for e in range(kg.n_entities):
+            assert list(zip(*(col.tolist() for col in kg.out_edges(e)))) == edges[e]
+            assert list(zip(*(col.tolist() for col in kg.facts(e)))) == facts[e]
 
     def test_invert_relation_is_involution(self, tmp_path):
         paths = write_dataset(tmp_path, REL, TRAIN)
@@ -153,7 +168,6 @@ class TestStats:
 
     def test_degenerate_attribute_flagged_and_rejected(self):
         s = self.make_stats()
-        assert s.degenerate_attributes() == [1]
         assert not s.usable(1)
         with pytest.raises(K.DegenerateAttributeError):
             s.normalize(1, 5.0)

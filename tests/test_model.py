@@ -334,9 +334,8 @@ class TestPredictBatch:
     """Model.predict_batch against one Model.predict per query."""
 
     @pytest.mark.parametrize("kw", [dict(), dict(use_filter=False),
-                                    dict(filter_keep_largest=True),
                                     dict(use_chain_weighting=False)],
-                             ids=["filter", "no_filter", "keep_largest", "no_weighting"])
+                             ids=["filter", "no_filter", "no_weighting"])
     def test_matches_predict(self, kw, rng):
         kg, split = random_dataset(rng)
         stats = AttributeStats.from_triples(split.train, len(kg.attribute_names))

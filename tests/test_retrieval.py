@@ -204,8 +204,8 @@ def raw_graph(n_entities, n_base, triples, facts):
         relation_names=[f"r{i}" for i in range(n_base)]
         + [f"r{i}_inv" for i in range(n_base)],
         attribute_names=["a0", "a1", "a2"],
-        relational_triples=[tuple(int(x) for x in t) for t in triples],
-        numerical_triples=[(int(e), int(a), float(v)) for e, a, v in facts],
+        edges=triples,
+        train_facts=facts,
         num_base_relations=n_base,
     )
 
@@ -260,10 +260,12 @@ class TestEquivalence:
             got = R.sample_tree(kg, query, walks, max_hops, seed).chains
             want = reference_sample_tree(kg, query, walks, max_hops, seed).chains
             assert got == want
-            pairs = [(h, t) for h, _, t in kg.relational_triples]
-            seen["parallel"] += len(pairs) > len(set(pairs))
-            ea = [(e, a) for e, a, _ in kg.numerical_triples]
-            seen["repeat_fact"] += len(ea) > len(set(ea))
+            heads = np.repeat(np.arange(kg.n_entities), np.diff(kg.edge_indptr))
+            pairs = set(zip(heads.tolist(), kg.edge_tail.tolist()))
+            seen["parallel"] += len(kg.edge_tail) > len(pairs)
+            owners = np.repeat(np.arange(kg.n_entities), np.diff(kg.fact_indptr))
+            ea = set(zip(owners.tolist(), kg.fact_attr.tolist()))
+            seen["repeat_fact"] += len(kg.fact_attr) > len(ea)
             seen["dead_end"] += bool(np.any(np.diff(kg.edge_indptr) == 0))
             seen["isolated"] += kg.out_edges(query.entity)[0].size == 0
             seen["cap_hit"] += len(got) == walks

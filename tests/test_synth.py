@@ -93,7 +93,7 @@ class TestGenerate:
         kg, split = load_dataset(tmp_path / "relational.tsv", tmp_path / "train.tsv",
                                  tmp_path / "valid.tsv", tmp_path / "test.tsv")
         assert kg.n_entities == meta["entities"]
-        assert len(kg.relational_triples) == 2 * meta["relational_triples"]
+        assert len(kg.edge_tail) == 2 * meta["relational_rows"]
         assert len(split.train) == meta["numerical"]["train"]
         assert len(split.test) == meta["numerical"]["test"]
         # two-hop rule: source, one mid, target per instance

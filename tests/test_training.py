@@ -228,8 +228,8 @@ class TestPerQueryEquivalence:
 
         def select(self, tocs, seeds):
             cfg = self.config
-            return [reference_select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam,
-                                           cfg.filter_keep_largest) for toc in tocs]
+            return [reference_select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam)
+                    for toc in tocs]
 
         predict_trees = Model.predict_trees
         monkeypatch.setattr(Model, "retrieve", retrieve)
@@ -254,3 +254,10 @@ class TestHistoryCsv:
         assert len(lines) == 3
         assert lines[1].startswith("0,0.50000000,0.25000000,")
         assert lines[1].endswith(",10,2")
+
+    def test_epoch_line(self):
+        row = T.EpochStats(3, 0.5, 0.25, 1.5, 10, 2)
+        assert (T.format_epoch(row)
+                == "epoch    3  loss 0.500000  val_mae 0.2500  (1.5s, 10 queries)")
+        no_val = T.EpochStats(3, 0.5, float("nan"), 1.5, 10, 2)
+        assert T.format_epoch(no_val) == "epoch    3  loss 0.500000  (1.5s, 10 queries)"
