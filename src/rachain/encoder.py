@@ -18,6 +18,10 @@ The numerical-aware affine transfer conditions that representation on the
 source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
 drives two MLPs producing a matrix E_a and shift E_b, giving
 E_a^T e_chain + E_b. At initialization E_a is the identity and E_b zero.
+E_a and E_b depend only on the value's bits, so rows that share a value
+share them: the rows are grouped by value (value_groups) and each group's
+E_a is built once and applied to the group's rows in one batched matmul,
+never as a per-row (m, d, d) tensor.
 """
 
 from __future__ import annotations
@@ -296,15 +300,65 @@ class AffineNets:
                 self.w1b, self.b1b, self.w2b, self.b2b]
 
 
+def value_groups(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows grouped by source value for the batched affine transfer.
+
+    Rows are keyed on their float64 bits, so -0.0 and 0.0 (whose bit
+    streams differ) stay apart. With n distinct values among m rows and
+    width = ceil(m / n), each value's rows, in row order, are cut into
+    groups of at most `width`, so there are G <= 2n groups and fewer than
+    3m slots in the (G, width) layout; all-distinct values give width 1 and
+    G = m. Returns (distinct (n,) values, group_value (G,) index of each
+    group's value in distinct, source (G, width) the row in each slot, row 0
+    in pad slots, slot (m,) each row's flat index into source).
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    m = len(values)
+    # a set is the cheapest test at prediction size; it merges 0.0 and
+    # -0.0, which only sends such a batch down the bit-keyed path below
+    if len(set(values.tolist())) == m:
+        rows = np.arange(m)
+        return values, rows, rows.reshape(m, 1), rows
+    order = np.argsort(values.view(np.int64), kind="stable")
+    keys = values.view(np.int64)[order]
+    # bounds of each value's run of rows in sorted order, then m
+    is_bound = np.empty(m + 1, dtype=bool)
+    is_bound[0] = is_bound[m] = True
+    np.not_equal(keys[1:], keys[:-1], out=is_bound[1:m])
+    bounds = np.flatnonzero(is_bound)
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
+    width = -(-m // len(starts))
+    groups = (counts + (width - 1)) // width
+    # a value's r-th row takes slot r of its first group: its sorted
+    # position shifted by the pad slots of the values before it
+    pad_before = (np.cumsum(groups) - groups) * width - starts
+    slot = np.empty(m, dtype=np.int64)
+    slot[order] = np.arange(m) + np.repeat(pad_before, counts)
+    group_value = np.repeat(np.arange(len(starts)), groups)
+    source = np.zeros((len(group_value), width), dtype=np.int64)
+    source.reshape(-1)[slot] = np.arange(m)
+    return values[order[starts]], group_value, source, slot
+
+
 def affine_transfer(chain_reps: Tensor, values, nets: AffineNets) -> Tensor:
-    """E_a(value)^T e_chain + E_b(value), batched over m chains."""
-    m = chain_reps.shape[0]
+    """E_a(value)^T e_chain + E_b(value), batched over m chains.
+
+    The bits of each distinct value are encoded once, and E_a and E_b are
+    built once per value group (see value_groups), never per row. The chains
+    are laid out as (G, width, d), transferred with one (G, width, d) @
+    (G, d, d) matmul plus each group's E_b, and gathered back to (m, d). A
+    pad slot of the layout reads row 0 of chain_reps; its output is never
+    gathered back, so it adds exactly zero to every gradient.
+    """
     d = nets.dim
-    bits = Tensor(encode_values(values))
+    distinct, group_value, source, slot = value_groups(values)
+    g = len(group_value)
+    bits = Tensor(encode_values(distinct)[group_value])
     ha = relu(linear(bits, nets.w1a, nets.b1a))
-    ea = reshape(linear(ha, nets.w2a, nets.b2a), (m, d, d))
+    ea = reshape(linear(ha, nets.w2a, nets.b2a), (g, d, d))
     hb = relu(linear(bits, nets.w1b, nets.b1b))
-    eb = linear(hb, nets.w2b, nets.b2b)
+    eb = reshape(linear(hb, nets.w2b, nets.b2b), (g, 1, d))
     # row-vector form: (e^T E_a)^T == E_a^T e
-    transferred = reshape(matmul(reshape(chain_reps, (m, 1, d)), ea), (m, d))
-    return add(transferred, eb)
+    grouped = add(matmul(take_rows(chain_reps, source), ea), eb)
+    return take_rows(reshape(grouped, (source.size, d)), slot)

@@ -184,11 +184,6 @@ def _parse_rows(lines, n_cols: int, source: str):
         yield lineno, cols
 
 
-def _read_relational(path) -> list[tuple[str, str, str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [(h, r, t) for _, (h, r, t) in _parse_rows(fh, 3, str(path))]
-
-
 def _read_numerical(path) -> list[tuple[int, str, str, str]]:
     with open(path, encoding="utf-8") as fh:
         return [(lineno, e, a, v) for lineno, (e, a, v) in _parse_rows(fh, 3, str(path))]
@@ -221,10 +216,12 @@ def build_dataset(
     attribute_names: list[str] = []
     attribute_index: dict[str, int] = {}
 
-    base = np.array([(_intern(h, entity_index, entity_names),
-                      _intern(r, relation_index, relation_names),
-                      _intern(t, entity_index, entity_names))
-                     for h, r, t in relational_rows], dtype=np.int64).reshape(-1, 3)
+    # one row at a time, so a streamed file is never held whole
+    base = np.fromiter((i for h, r, t in relational_rows
+                        for i in (_intern(h, entity_index, entity_names),
+                                  _intern(r, relation_index, relation_names),
+                                  _intern(t, entity_index, entity_names))),
+                       dtype=np.int64).reshape(-1, 3)
 
     n_base = len(relation_names)
     for name in list(relation_names):
@@ -272,16 +269,17 @@ def build_dataset(
 
 
 def load_dataset(relational_path, train_path, valid_path=None, test_path=None):
-    """Load TSV files (head<TAB>relation<TAB>tail / entity<TAB>attribute<TAB>value)."""
-    rel_rows = _read_relational(relational_path)
-    kg, split = build_dataset(
-        rel_rows,
-        _read_numerical(train_path) if train_path is not None else [],
-        _read_numerical(valid_path) if valid_path is not None else [],
-        _read_numerical(test_path) if test_path is not None else [],
-        sources=(str(train_path), str(valid_path), str(test_path)),
-    )
-    return kg, split
+    """Load TSV files (head<TAB>relation<TAB>tail / entity<TAB>attribute<TAB>value).
+
+    The relational file is streamed into build_dataset row by row."""
+    with open(relational_path, encoding="utf-8") as fh:
+        return build_dataset(
+            (row for _, row in _parse_rows(fh, 3, str(relational_path))),
+            _read_numerical(train_path) if train_path is not None else [],
+            _read_numerical(valid_path) if valid_path is not None else [],
+            _read_numerical(test_path) if test_path is not None else [],
+            sources=(str(train_path), str(valid_path), str(test_path)),
+        )
 
 
 def queries_from_triples(triples) -> list[Query]:

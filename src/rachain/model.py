@@ -5,7 +5,8 @@ predictions with differentiable attention weights, on one autodiff tape. The
 chain encoder reads only a chain's pattern (source attribute, relations,
 query attribute), so each distinct pattern of the batch is encoded once, in
 one masked pass, and gathered back to every chain that has it; the value
-transfer, projection and weighting stay per chain. Model.predict_batch
+transfer builds its map once per group of chains sharing a source value;
+projection and weighting stay per chain. Model.predict_batch
 serves a list of queries chunk by chunk: one retrieval pass for the chunk's
 trees, one filter pass that scores each distinct pattern once, one forward,
 and the attribute-mean fallback for queries with no usable chains.
@@ -118,7 +119,10 @@ class Model:
         are encoded in one left-padded, masked pass and gathered back to
         (B*k, dim), so a repeated pattern costs one encoder row and its
         gradient is the sum over its repeats; pad chains share one pattern
-        per query attribute. The representations are reshaped to
+        per query attribute. The value transfer builds E_a once per group of
+        chains that share a normalized source value (pad chains carry 0.0,
+        so they fall in that value's groups); see encoder.affine_transfer.
+        The representations are reshaped to
         (B, k, dim) for the treeformer and pads are masked out of omega, so
         a pad slot adds exactly nothing to a prediction or a gradient.
         """
@@ -130,10 +134,11 @@ class Model:
         chains = [usable[i] for i in rows]
         b, k = len(rows), max(len(toc) for toc in chains)
         mask = np.arange(k) < np.array([len(toc) for toc in chains])[:, None]
-        src = _padded([toc.source_attribute for toc in chains], mask, 0)
-        relations = _padded([toc.relations for toc in chains], mask, -1)
-        values_norm = _padded([self.stats.normalize(toc.source_attribute, toc.source_value)
-                               for toc in chains], mask, 0.0)
+        src_flat = np.concatenate([toc.source_attribute for toc in chains])
+        src = _padded(src_flat, mask, 0)
+        relations = _padded(np.concatenate([toc.relations for toc in chains]), mask, -1)
+        values_norm = _padded(self.stats.normalize(
+            src_flat, np.concatenate([toc.source_value for toc in chains])), mask, 0.0)
         query_attributes = np.repeat([etocs[i].query.attribute for i in rows], k)
 
         first, inverse = distinct_rows(np.column_stack([src, relations, query_attributes]))
@@ -213,11 +218,11 @@ class Model:
         return traces
 
 
-def _padded(parts: list[np.ndarray], mask: np.ndarray, fill) -> np.ndarray:
-    """The rows of parts[i] in the leading slots of row i of `mask` (B, k) and
-    `fill` in the others, as B * k rows."""
-    out = np.full((mask.size,) + parts[0].shape[1:], fill, dtype=parts[0].dtype)
-    out[mask.reshape(-1)] = np.concatenate(parts)
+def _padded(rows: np.ndarray, mask: np.ndarray, fill) -> np.ndarray:
+    """`rows`, query after query, in the leading slots of each query's row of
+    `mask` (B, k) and `fill` in the others, as B * k rows."""
+    out = np.full((mask.size,) + rows.shape[1:], fill, dtype=rows.dtype)
+    out[mask.reshape(-1)] = rows
     return out
 
 

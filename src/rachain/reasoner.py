@@ -64,7 +64,6 @@ class HeadParams:
 
 @dataclass
 class ProjectionHeads:
-    mode: str
     alpha: HeadParams | None = None
     beta: HeadParams | None = None
     direct: HeadParams | None = None
@@ -73,7 +72,7 @@ class ProjectionHeads:
     def create(cls, rng: np.random.Generator, dim: int, mode: str):
         if mode not in PROJECTION_MODES:
             raise ValueError(f"unknown projection mode {mode!r}; pick from {PROJECTION_MODES}")
-        heads = cls(mode=mode)
+        heads = cls()
         if mode in ("scaling", "combined"):
             heads.alpha = HeadParams.create(rng, dim, "proj.alpha", bias_init=1.0)
         if mode in ("translation", "combined"):

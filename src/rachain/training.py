@@ -99,15 +99,15 @@ def validation_mae(model: Model, kg: KnowledgeGraph, queries: list[Query],
         return float("nan")
     trees = {} if trees is None else trees
     base, size = model.config.seed, model.config.batch_size
-    errs = []
+    predicted = []
     for lo in range(0, len(queries), size):
         chunk = range(lo, min(lo + size, len(queries)))
         seeds = [seed_for(base, 1, 0, i) for i in chunk]
         tocs = _sampled_trees(model, kg, queries, chunk, lambda i: seed_for(base, 1, 0, i), trees)
-        for i, trace in zip(chunk, model.predict_trees(tocs, seeds)):
-            q = queries[i]
-            errs.append(abs(trace.predicted_norm - model.stats.normalize(q.attribute, q.target)))
-    return float(np.mean(errs))
+        predicted += [trace.predicted_norm for trace in model.predict_trees(tocs, seeds)]
+    targets = model.stats.normalize(np.array([q.attribute for q in queries]),
+                                    np.array([q.target for q in queries]))
+    return float(np.mean(np.abs(np.array(predicted) - targets)))
 
 
 def _snapshot(model: Model) -> dict[str, np.ndarray]:
@@ -128,8 +128,8 @@ def _step(model: Model, opt: Adam, etocs: list[TreeOfChains], queries: list[Quer
     fwd = model.forward(etocs)
     if fwd is None:
         return 0.0, 0
-    targets = np.array([model.stats.normalize(queries[i].attribute, queries[i].target)
-                        for i in fwd.rows])
+    targets = model.stats.normalize(np.array([queries[i].attribute for i in fwd.rows]),
+                                    np.array([queries[i].target for i in fwd.rows]))
     terms = loss_term(fwd.prediction, targets, model.config.loss)
     bad = np.flatnonzero(~np.isfinite(terms.data))
     if bad.size:

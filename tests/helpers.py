@@ -2,7 +2,7 @@
 map, the single-value bit codec, validated single-point geometry and
 per-chain filter scoring, hand-built chain sets, the sequential chain
 sampler, the per-tree top-k selection, test-only autodiff ops and the composite forms of the fused
-layers, the per-query model forward, and finite differences."""
+layers, the per-row affine transfer, the per-query model forward, and finite differences."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rachain import autodiff as ad
-from rachain.encoder import affine_transfer, chain_tokens, encode_chains
+from rachain.encoder import AffineNets, chain_tokens, encode_chains, encode_values
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
 from rachain.reasoner import aggregate, project_values, weight_chains
@@ -339,7 +339,21 @@ def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
 
 
 # ---------------------------------------------------------------------------
-# model oracle: one query per forward
+# model oracles: the per-row affine transfer, one query per forward
+
+
+def reference_affine_transfer(chain_reps, values, nets: AffineNets):
+    """The per-row transfer that `encoder.affine_transfer` groups by value:
+    one E_a (d, d) and one E_b built from every row's own bit stream."""
+    m = chain_reps.shape[0]
+    d = nets.dim
+    bits = ad.Tensor(encode_values(values))
+    ha = ad.relu(ad.linear(bits, nets.w1a, nets.b1a))
+    ea = ad.reshape(ad.linear(ha, nets.w2a, nets.b2a), (m, d, d))
+    hb = ad.relu(ad.linear(bits, nets.w1b, nets.b1b))
+    eb = ad.linear(hb, nets.w2b, nets.b2b)
+    transferred = ad.reshape(ad.matmul(ad.reshape(chain_reps, (m, 1, d)), ea), (m, d))
+    return ad.add(transferred, eb)
 
 
 def reference_forward(model, etoc):
@@ -367,7 +381,7 @@ def reference_forward(model, etoc):
                                         model.embeddings, model.encoder, include_end=False)
         reps = ad.mul(ad.tensor_sum(tokens, axis=1),
                       1.0 / key_mask.sum(axis=1, keepdims=True))
-    transferred = (affine_transfer(reps, values_norm, model.affine)
+    transferred = (reference_affine_transfer(reps, values_norm, model.affine)
                    if cfg.use_numerical_aware else reps)
     proposals = project_values(transferred, values_norm, model.heads)
     if cfg.use_chain_weighting:

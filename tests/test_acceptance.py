@@ -133,12 +133,11 @@ def test_criterion_02_gradient_suite():
         tags = {"translation": ("b",), "scaling": ("a",),
                 "combined": ("a", "b"), "direct": ("d",)}[mode]
 
-        def build_heads(p, mode=mode, tags=tags):
+        def build_heads(p, tags=tags):
             def head(t):
                 return R.HeadParams(w1=p[f"{t}.w1"], b1=p[f"{t}.b1"],
                                     w2=p[f"{t}.w2"], b2=p[f"{t}.b2"])
             heads = R.ProjectionHeads(
-                mode=mode,
                 alpha=head("a") if "a" in tags else None,
                 beta=head("b") if "b" in tags else None,
                 direct=head("d") if "d" in tags else None)

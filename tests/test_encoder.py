@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (chain_set, check_gradients, decode_value, encode_value, oracle_log_map,
-                     random_inball)
+                     random_inball, reference_affine_transfer)
 from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain.autodiff import Parameter, Tensor
@@ -317,6 +319,134 @@ class TestAffineTransfer:
         assert reps.grad is not None and np.any(reps.grad != 0.0)
         assert nets.w2a.grad is not None and np.any(nets.w2a.grad != 0.0)
         assert nets.b2b.grad is not None and np.any(nets.b2b.grad != 0.0)
+
+
+# values drawn from a small pool, so most lists repeat some of them
+pooled_values = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 2024.0, 7.25]) | st.floats(
+        -1e6, 1e6, allow_nan=False), min_size=1, max_size=60)
+
+
+class TestValueGroups:
+    @given(pooled_values)
+    @settings(max_examples=300, deadline=None)
+    def test_layout(self, values):
+        values = np.array(values)
+        m = len(values)
+        bits = values.view(np.int64)
+        n = len(np.unique(bits))
+        distinct, group_value, source, slot = E.value_groups(values)
+        g, width = source.shape
+        assert g == len(group_value)
+        assert width == -(-m // n)
+        assert len(np.unique(distinct.view(np.int64))) == len(distinct) == n
+        # every row lands in exactly one slot of the (G, width) layout,
+        # and that slot holds it
+        assert len(np.unique(slot)) == m
+        np.testing.assert_array_equal(source.reshape(-1)[slot], np.arange(m))
+        assert source.min() >= 0 and source.max() < m  # pad slots read a real row
+        # a group holds one bit pattern: its value's
+        group = slot // width
+        np.testing.assert_array_equal(distinct.view(np.int64)[group_value[group]], bits)
+        # a value's rows fill its groups in row order
+        for key in np.unique(bits):
+            assert np.all(np.diff(slot[bits == key]) > 0)
+        assert g <= 2 * n
+        assert g * width < 3 * m
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=40, unique_by=lambda v: np.float64(v).view(np.int64)))
+    @settings(max_examples=100, deadline=None)
+    def test_all_distinct_is_one_row_per_group(self, values):
+        if len(values) % 2:  # half the examples also hold both signed zeros
+            seen = {np.float64(v).view(np.int64) for v in values}
+            values = values + [z for z in (0.0, -0.0) if np.float64(z).view(np.int64) not in seen]
+        distinct, group_value, source, slot = E.value_groups(values)
+        m = len(values)
+        assert source.shape == (m, 1) and len(group_value) == m
+        np.testing.assert_array_equal(source[slot, 0], np.arange(m))
+        np.testing.assert_array_equal(distinct[group_value[slot]].view(np.int64),
+                                      np.array(values).view(np.int64))
+
+    def test_signed_zeros_stay_apart(self):
+        distinct, group_value, source, slot = E.value_groups([0.0, -0.0, 0.0, -0.0])
+        assert len(distinct) == 2 and source.shape == (2, 2)
+        assert slot[0] // 2 == slot[2] // 2 != slot[1] // 2 == slot[3] // 2
+
+
+def generic_nets(rng, dim, hidden):
+    """Affine nets with every layer random, so E_a and E_b vary with the bits."""
+    nets = E.AffineNets.create(rng, dim=dim, hidden=hidden)
+    for p in nets.parameters():
+        p.data = p.data + rng.standard_normal(p.data.shape) * 0.1
+    return nets
+
+
+VALUE_SETS = pytest.mark.parametrize("values", [
+    [0.25, -7.5, 3.0, 0.125, 1e6, -2.0],
+    [0.75] * 7,
+    [0.5] * 9 + [0.1, 0.2, 0.3, 0.4],
+    [0.0, -0.0, 0.0, 0.3, -0.0, 0.0],
+    [0.6, 0.2, 0.6, 0.9] + [0.0] * 5,  # a batch row's pad slots carry 0.0
+], ids=["distinct", "equal", "dominant", "signed_zeros", "pad_zeros"])
+
+
+class TestGroupedTransfer:
+    @VALUE_SETS
+    def test_matches_per_row_transfer(self, values, rng):
+        d = 4
+        nets = generic_nets(rng, d, 6)
+        reps = Parameter(rng.standard_normal((len(values), d)), name="reps")
+        mix = rng.standard_normal((len(values), d))
+        results = []
+        for transfer in (E.affine_transfer, reference_affine_transfer):
+            for p in [reps] + nets.parameters():
+                p.grad = None
+            out = transfer(reps, values, nets)
+            ad.backward(ad.tensor_sum(ad.mul(out, mix)))
+            results.append([out.data] + [p.grad for p in [reps] + nets.parameters()])
+        names = ["out", "reps"] + [p.name for p in nets.parameters()]
+        for name, got, want in zip(names, *results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_finite_differences_with_repeated_values(self, rng):
+        import dataclasses
+
+        d = 3
+        nets_const = generic_nets(rng, d, 4)
+        values = [0.5, -0.0, 0.5, 0.0, 0.5, 1.25, 0.5]
+        mix = rng.standard_normal((len(values), d))
+
+        def build(p):
+            nets = dataclasses.replace(nets_const, w1a=p["w1a"], w2a=p["w2a"], b2a=p["b2a"],
+                                       w1b=p["w1b"], w2b=p["w2b"])
+            return ad.tensor_sum(ad.mul(E.affine_transfer(p["reps"], values, nets), mix))
+
+        check_gradients(build, {
+            "reps": rng.standard_normal((len(values), d)),
+            "w1a": rng.standard_normal((64, 4)) * 0.1,
+            "w2a": rng.standard_normal((4, d * d)) * 0.1,
+            "b2a": rng.standard_normal(d * d) * 0.1,
+            "w1b": rng.standard_normal((64, 4)) * 0.1,
+            "w2b": rng.standard_normal((4, d)) * 0.1,
+        }, tol=1e-4)
+
+    @VALUE_SETS
+    def test_e_a_is_built_per_group(self, values, rng, monkeypatch):
+        nets = generic_nets(rng, 3, 4)
+        rows = []
+        linear = E.linear
+
+        def recording(x, w, b=None):
+            if w is nets.w1a:
+                rows.append(x.shape[0])
+            return linear(x, w, b)
+
+        monkeypatch.setattr(E, "linear", recording)
+        E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))), values, nets)
+        n = len(np.unique(np.array(values).view(np.int64)))
+        (seen,) = rows
+        assert seen <= 2 * n
 
 
 class TestEndToEndGradient:
