@@ -20,7 +20,7 @@ from .kg import (
 )
 from .model import Model, load_checkpoint, save_checkpoint
 from .reasoner import PredictionTrace
-from .retrieval import RAChain, TreeOfChains, enumerate_all_chains, sample_tree, sample_trees
+from .retrieval import RAChain, TreeOfChains, sample_tree, sample_trees
 from .training import TrainResult, train
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "TrainResult",
     "TreeOfChains",
     "attribute_means",
-    "enumerate_all_chains",
     "load_checkpoint",
     "load_dataset",
     "queries_from_triples",

@@ -3,7 +3,9 @@
 A Tensor records the op that produced it (parent tensors + a backward
 closure); backward() topologically sorts that tape and accumulates gradients
 into .grad. Only the primitives the model needs are implemented, each checked
-against central finite differences in the test suite.
+against central finite differences in the test suite. The layers the model
+runs most (`linear`, `layer_norm` and masked scaled `attention`) are fused:
+one tape node each, keeping only what their backward reads.
 
 The recording switch (`_grad_enabled`, set by `no_grad`) and the gradient
 accumulator of a running `backward` (`_active_grads`) are module globals, so
@@ -371,7 +373,7 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused layers: one tape node each, keeping no intermediate result alive
+# fused layers: one tape node each, keeping only what their backward reads
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -416,6 +418,45 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accumulate(x, gx * rstd)
 
     return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray | None = None,
+              scale: float = 1.0) -> Tensor:
+    """softmax(scale * q k^T) v for q (b, ..., lq, d), k (b, ..., lk, d) and
+    v (b, ..., lk, dv) sharing their leading axes.
+
+    key_mask (b, lk), when given, marks the keys each batch row may attend
+    to; masked keys get weight exactly 0.0 and zero gradient, and every row
+    must keep >= 1 key. The operations run in the order of the composite
+    matmul, scale, masked softmax and matmul, so the output is bit-identical
+    to it, but only the weights are kept for the backward.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask, dtype=bool)
+        if not key_mask.any(axis=-1).all():
+            raise ValueError("attention key_mask removes every key of some row")
+        shape = key_mask.shape[:1] + (1,) * (p.ndim - 2) + key_mask.shape[1:]
+        np.copyto(p, -np.inf, where=~key_mask.reshape(shape))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        if v.requires_grad:
+            _accumulate(v, np.swapaxes(p, -1, -2) @ g)
+        if q.requires_grad or k.requires_grad:
+            dp = g @ np.swapaxes(v.data, -1, -2)
+            ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+            ds *= scale
+            if q.requires_grad:
+                _accumulate(q, ds @ k.data)
+            if k.requires_grad:
+                _accumulate(k, np.swapaxes(ds, -1, -2) @ q.data)
+
+    return _make(p @ v.data, (q, k, v), backward_fn)
 
 
 # ---------------------------------------------------------------------------

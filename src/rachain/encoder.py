@@ -11,8 +11,11 @@ whole mini-batch, of mixed lengths and queries, are one batch: shorter
 chains are left-padded with zero tokens that the attention masks out, and
 pad chains that fill a query's unused chain slots keep only the end token.
 An encoder-only transformer (post-norm, residual, multi-head attention
-scaled by 1/sqrt(model_dim)) contextualizes the sequence; the end token's
-output is the chain representation.
+scaled by 1/sqrt(model_dim), one fused `attention` tape node per layer)
+contextualizes the sequence; the end token's output is the chain
+representation. Only that output is read, so the last layer computes the
+end token alone: its keys and values still come from every token, but its
+query, residual, layer norms and feed-forward run on one row per chain.
 
 The numerical-aware affine transfer conditions that representation on the
 source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
@@ -35,6 +38,7 @@ from .autodiff import (
     Tensor,
     add,
     arctanh,
+    attention,
     broadcast_to,
     concat,
     div,
@@ -45,7 +49,6 @@ from .autodiff import (
     mul,
     relu,
     reshape,
-    softmax,
     sqrt,
     square,
     swapaxes,
@@ -139,30 +142,40 @@ class TransformerParams:
         return [p for layer in self.layers for p in layer.parameters()]
 
 
-def _attention(x: Tensor, layer: LayerParams, heads: int, dim: int,
+def _attention(x: Tensor, context: Tensor, layer: LayerParams, heads: int, dim: int,
                key_mask: np.ndarray | None) -> Tensor:
-    b, length, _ = x.shape
+    """Multi-head attention of the rows x (b, lq, dim) over the rows context
+    (b, lk, dim), which supply the keys and values."""
+    b = x.shape[0]
     head_dim = dim // heads
 
     def split(t: Tensor) -> Tensor:
-        return swapaxes(reshape(t, (b, length, heads, head_dim)), 1, 2)
+        return swapaxes(reshape(t, (b, t.shape[1], heads, head_dim)), 1, 2)
 
     q = split(linear(x, layer.wq))
-    k = split(linear(x, layer.wk))
-    v = split(linear(x, layer.wv))
-    scores = mul(matmul(q, swapaxes(k, -1, -2)), 1.0 / np.sqrt(dim))
-    mask4 = None if key_mask is None else key_mask[:, None, None, :]
-    probs = softmax(scores, mask=mask4)
-    ctx = reshape(swapaxes(matmul(probs, v), 1, 2), (b, length, dim))
-    return linear(ctx, layer.wo)
+    k = split(linear(context, layer.wk))
+    v = split(linear(context, layer.wv))
+    ctx = attention(q, k, v, key_mask, 1.0 / np.sqrt(dim))
+    return linear(reshape(swapaxes(ctx, 1, 2), x.shape), layer.wo)
 
 
 def transformer_stack(x: Tensor, params: TransformerParams,
-                      key_mask: np.ndarray | None = None) -> Tensor:
-    """Post-norm encoder: x = LN(x + attn(x)); x = LN(x + ffn(x)) per layer."""
-    for layer in params.layers:
-        attn_out = _attention(x, layer, params.heads, params.dim, key_mask)
-        x = layer_norm(add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
+                      key_mask: np.ndarray | None = None,
+                      last_only: bool = False) -> Tensor:
+    """Post-norm encoder: x = LN(x + attn(x)); x = LN(x + ffn(x)) per layer,
+    attention being one fused `attention` node per layer.
+
+    A row depends on the other rows only through the keys and values, so
+    with last_only the final layer computes only the last row of x (its
+    keys and values still come from every row) and the result is
+    (b, 1, dim), equal to the last row of the full result.
+    """
+    for i, layer in enumerate(params.layers):
+        rows = x
+        if last_only and i == len(params.layers) - 1:
+            rows = getitem(x, (slice(None), slice(-1, None)))
+        attn_out = _attention(rows, x, layer, params.heads, params.dim, key_mask)
+        x = layer_norm(add(rows, attn_out), layer.ln1_gain, layer.ln1_bias)
         hidden = relu(linear(x, layer.ffn_w1, layer.ffn_b1))
         ffn_out = linear(hidden, layer.ffn_w2, layer.ffn_b2)
         x = layer_norm(add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
@@ -258,8 +271,8 @@ def encode_chains(source_attribute: np.ndarray, relations: np.ndarray, query_att
     for the arguments and pad chains)."""
     tokens, key_mask = chain_tokens(source_attribute, relations, query_attributes,
                                     embeddings, params)
-    out = transformer_stack(tokens, params.stack, key_mask=key_mask)
-    return getitem(out, (slice(None), -1))
+    out = transformer_stack(tokens, params.stack, key_mask=key_mask, last_only=True)
+    return reshape(out, (len(source_attribute), params.stack.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,6 @@ class KnowledgeGraph:
     def n_attributes(self) -> int:
         return len(self.attribute_names)
 
-    def out_edges(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
-        """(relations, tails) of the entity's out-edges, in input order."""
-        lo, hi = self.edge_indptr[entity], self.edge_indptr[entity + 1]
-        return self.edge_rel[lo:hi], self.edge_tail[lo:hi]
-
     def facts(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
         """(attributes, values) of the entity's training facts, in file order."""
         lo, hi = self.fact_indptr[entity], self.fact_indptr[entity + 1]

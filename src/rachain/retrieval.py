@@ -229,40 +229,3 @@ def _check_packable(*sizes: int) -> None:
     """Raise if keys mixed-radix packed over `sizes` could overflow int64."""
     if math.prod(sizes) > np.iinfo(np.int64).max:
         raise OverflowError(f"packed key over sizes {sizes} would overflow int64")
-
-
-def enumerate_all_chains(
-    kg: KnowledgeGraph, query: Query, max_hops: int, max_paths: int = 1_000_000
-) -> list[RAChain]:
-    """Deterministic DFS over every simple path of <= max_hops edges.
-
-    Ground truth for the sampler on small graphs; raises if the path count
-    passes max_paths.
-    """
-    chains: list[RAChain] = []
-    steps = 0
-
-    def visit(cur: int, path: list[int], rels: list[int], visited: set[int]) -> None:
-        nonlocal steps
-        if len(rels) >= max_hops:
-            return
-        for rel, nxt in zip(*(col.tolist() for col in kg.out_edges(cur))):
-            if nxt in visited:
-                continue
-            steps += 1
-            if steps > max_paths:
-                raise RuntimeError(f"chain enumeration exceeded {max_paths} paths")
-            path.append(nxt)
-            rels.append(rel)
-            visited.add(nxt)
-            rev_path = tuple(reversed(path))
-            rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
-            for attr, value in zip(*(col.tolist() for col in kg.facts(nxt))):
-                chains.append(RAChain(attr, rev_rels, query.attribute, value, rev_path))
-            visit(nxt, path, rels, visited)
-            path.pop()
-            rels.pop()
-            visited.remove(nxt)
-
-    visit(query.entity, [query.entity], [], {query.entity})
-    return chains

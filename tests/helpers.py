@@ -1,8 +1,10 @@
 """Shared test utilities: independent scalar oracles, the array origin log
 map, the single-value bit codec, validated single-point geometry and
-per-chain filter scoring, hand-built chain sets, the sequential chain
-sampler, the per-tree top-k selection, test-only autodiff ops and the composite forms of the fused
-layers, the per-row affine transfer, the per-query model forward, and finite differences."""
+per-chain filter scoring, hand-built chain sets, a graph's out-edges, the
+exhaustive chain enumerator, the sequential chain sampler, the per-tree
+top-k selection, test-only autodiff ops and the composite forms of the fused
+layers, the unfused full-row transformer, the per-row affine transfer, the
+per-query model forward, and finite differences."""
 
 from __future__ import annotations
 
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from rachain import autodiff as ad
-from rachain.encoder import AffineNets, chain_tokens, encode_chains, encode_values
+from rachain.encoder import AffineNets, chain_tokens, encode_values
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
-from rachain.reasoner import aggregate, project_values, weight_chains
+from rachain.reasoner import aggregate, project_values
 from rachain.retrieval import RAChain, TreeOfChains
 
 
@@ -218,12 +220,53 @@ def chain_set(query, chains, max_hops: int = 3, scores=None) -> TreeOfChains:
 # retrieval oracles (plain python over per-entity lists)
 
 
+def out_edges(kg, entity: int) -> tuple[np.ndarray, np.ndarray]:
+    """(relations, tails) of the entity's out-edges, in input order."""
+    lo, hi = kg.edge_indptr[entity], kg.edge_indptr[entity + 1]
+    return kg.edge_rel[lo:hi], kg.edge_tail[lo:hi]
+
+
+def enumerate_all_chains(kg, query, max_hops: int, max_paths: int = 1_000_000) -> list[RAChain]:
+    """Deterministic DFS over every simple path of <= max_hops edges.
+
+    Ground truth for the sampler on small graphs; raises if the path count
+    passes max_paths.
+    """
+    chains: list[RAChain] = []
+    steps = 0
+
+    def visit(cur: int, path: list[int], rels: list[int], visited: set[int]) -> None:
+        nonlocal steps
+        if len(rels) >= max_hops:
+            return
+        for rel, nxt in zip(*(col.tolist() for col in out_edges(kg, cur))):
+            if nxt in visited:
+                continue
+            steps += 1
+            if steps > max_paths:
+                raise RuntimeError(f"chain enumeration exceeded {max_paths} paths")
+            path.append(nxt)
+            rels.append(rel)
+            visited.add(nxt)
+            rev_path = tuple(reversed(path))
+            rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
+            for attr, value in zip(*(col.tolist() for col in kg.facts(nxt))):
+                chains.append(RAChain(attr, rev_rels, query.attribute, value, rev_path))
+            visit(nxt, path, rels, visited)
+            path.pop()
+            rels.pop()
+            visited.remove(nxt)
+
+    visit(query.entity, [query.entity], [], {query.entity})
+    return chains
+
+
 def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> TreeOfChains:
     """The sequential walk loop that `sample_tree` vectorises: walk by walk,
-    hop by hop, over python lists of each entity's `kg.out_edges` and
+    hop by hop, over python lists of each entity's `out_edges` and
     `kg.facts`. Walk w takes neighbour int(u[h, w] * degree) at hop h,
     reading the same `rng.random((max_hops, walks))` matrix as `sample_tree`."""
-    adjacency = [list(zip(*(col.tolist() for col in kg.out_edges(e))))
+    adjacency = [list(zip(*(col.tolist() for col in out_edges(kg, e))))
                  for e in range(kg.n_entities)]
     facts = [list(zip(*(col.tolist() for col in kg.facts(e))))
              for e in range(kg.n_entities)]
@@ -292,7 +335,7 @@ def chain_is_valid(chain: RAChain, kg, query) -> bool:
     if len(set(chain.entity_path)) != len(chain.entity_path):
         return False
     for i, rel in enumerate(chain.relations):
-        rels, tails = kg.out_edges(chain.entity_path[i])
+        rels, tails = out_edges(kg, chain.entity_path[i])
         if not np.any((rels == rel) & (tails == chain.entity_path[i + 1])):
             return False
     attrs, values = kg.facts(chain.source_entity)
@@ -338,8 +381,51 @@ def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
     return ad.add(ad.mul(xhat, gain), bias)
 
 
+def reference_attention(q, k, v, key_mask=None, scale: float = 1.0):
+    """The composite form of `ad.attention`: two matmuls, a scale and a
+    masked softmax, five tape nodes."""
+    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale)
+    mask = None
+    if key_mask is not None:
+        mask = key_mask.reshape(key_mask.shape[:1] + (1,) * (scores.ndim - 2)
+                                + key_mask.shape[1:])
+    return ad.matmul(ad.softmax(scores, mask=mask), v)
+
+
 # ---------------------------------------------------------------------------
-# model oracles: the per-row affine transfer, one query per forward
+# model oracles: the unfused full-row transformer, the per-row affine
+# transfer, one query per forward
+
+
+def reference_transformer_stack(x, params, key_mask=None):
+    """`encoder.transformer_stack` with composite attention, every layer
+    computing every row."""
+    b, length, dim = x.shape
+    head_dim = dim // params.heads
+
+    def split(t):
+        return ad.swapaxes(ad.reshape(t, (b, length, params.heads, head_dim)), 1, 2)
+
+    for layer in params.layers:
+        ctx = reference_attention(split(ad.linear(x, layer.wq)), split(ad.linear(x, layer.wk)),
+                                  split(ad.linear(x, layer.wv)), key_mask,
+                                  1.0 / np.sqrt(dim))
+        attn_out = ad.linear(ad.reshape(ad.swapaxes(ctx, 1, 2), (b, length, dim)), layer.wo)
+        x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
+        hidden = ad.relu(ad.linear(x, layer.ffn_w1, layer.ffn_b1))
+        ffn_out = ad.linear(hidden, layer.ffn_w2, layer.ffn_b2)
+        x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
+    return x
+
+
+def reference_encode_chains(source_attribute, relations, query_attributes, embeddings,
+                            params):
+    """`encoder.encode_chains` over the full stack: every layer computes
+    every token, then the end token's row is read."""
+    tokens, key_mask = chain_tokens(source_attribute, relations, query_attributes,
+                                    embeddings, params)
+    out = reference_transformer_stack(tokens, params.stack, key_mask)
+    return ad.getitem(out, (slice(None), -1))
 
 
 def reference_affine_transfer(chain_reps, values, nets: AffineNets):
@@ -374,8 +460,8 @@ def reference_forward(model, etoc):
         [model.stats.normalize(ch.source_attribute, ch.source_value) for ch in chains])
     lengths = np.array([ch.length for ch in chains], dtype=np.int64)
     if cfg.use_chain_encoder:
-        reps = encode_chains(usable.source_attribute, usable.relations, qa,
-                             model.embeddings, model.encoder)
+        reps = reference_encode_chains(usable.source_attribute, usable.relations, qa,
+                                       model.embeddings, model.encoder)
     else:
         tokens, key_mask = chain_tokens(usable.source_attribute, usable.relations, qa,
                                         model.embeddings, model.encoder, include_end=False)
@@ -385,7 +471,9 @@ def reference_forward(model, etoc):
                    if cfg.use_numerical_aware else reps)
     proposals = project_values(transferred, values_norm, model.heads)
     if cfg.use_chain_weighting:
-        omega = weight_chains(reps, lengths, model.tree)
+        x = ad.add(reps, ad.take_rows(model.tree.length_table, lengths - 1))
+        out = reference_transformer_stack(ad.reshape(x, (1,) + x.shape), model.tree.stack)
+        omega = ad.softmax(ad.reshape(ad.linear(out, model.tree.w_out), (m,)))
     else:
         omega = ad.Tensor(np.full(m, 1.0 / m))
     return aggregate(omega, proposals), omega, proposals, chains
@@ -561,6 +649,13 @@ def grad_cases(rng: np.random.Generator):
     case("linear_3d_no_bias",
          {"x": rng.standard_normal((2, 3, 4)), "w": rng.standard_normal((4, 2))},
          lambda p: ad.tensor_sum(ad.square(ad.linear(p["x"], p["w"]))))
+    key_mask = np.array([[True, True, False, True],
+                         [True, True, True, True]])
+    case("attention",
+         {"q": rng.standard_normal((2, 2, 3, 4)), "k": rng.standard_normal((2, 2, 4, 4)),
+          "v": rng.standard_normal((2, 2, 4, 3))},
+         lambda p: ad.tensor_sum(ad.mul(ad.attention(p["q"], p["k"], p["v"], key_mask, 0.5),
+                                        rng_const_2233)))
     return cases
 
 
@@ -569,3 +664,4 @@ _mix_rng = np.random.default_rng(12345)
 rng_const_34 = _mix_rng.standard_normal((3, 4))
 rng_const_35 = _mix_rng.standard_normal((3, 5))
 rng_const_236 = _mix_rng.standard_normal((2, 3, 6))
+rng_const_2233 = _mix_rng.standard_normal((2, 2, 3, 3))

@@ -20,8 +20,8 @@ import rachain.autodiff as ad
 import rachain.encoder as E
 import rachain.reasoner as R
 from helpers import (affinity_score, chain_set, check_gradients, decode_value,
-                     distance_arcosh_raw, log_map_origin_raw, random_inball,
-                     top_k_order)
+                     distance_arcosh_raw, enumerate_all_chains, log_map_origin_raw,
+                     random_inball, top_k_order)
 from rachain import hyperbolic as H
 from rachain import synth
 from rachain.config import TrainConfig
@@ -30,7 +30,7 @@ from rachain.filter import FilterEmbeddings, select_top_k
 from rachain.kg import (AttributeStats, Query, attribute_means, build_dataset,
                         load_dataset)
 from rachain.model import Model
-from rachain.retrieval import RAChain, enumerate_all_chains, sample_tree
+from rachain.retrieval import RAChain, sample_tree
 from rachain.training import scoped_queries, seed_for, train
 
 

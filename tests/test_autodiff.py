@@ -8,6 +8,7 @@ from helpers import (
     grad_cases,
     max_rel_err,
     numeric_grad,
+    reference_attention,
 )
 from rachain import autodiff as ad
 from rachain.hyperbolic import BALL_MARGIN
@@ -112,6 +113,13 @@ class TestOps:
         with pytest.raises(ValueError, match="every slot"):
             ad.softmax(x, mask=mask)
 
+    def test_attention_rejects_fully_masked_row(self):
+        q = ad.Tensor(np.zeros((2, 1, 3)))
+        kv = ad.Tensor(np.zeros((2, 4, 3)))
+        mask = np.array([[True, False, False, True], [False, False, False, False]])
+        with pytest.raises(ValueError, match="every key"):
+            ad.attention(q, kv, kv, key_mask=mask)
+
     def test_masked_slots_get_zero_gradient(self):
         p = ad.Parameter(np.array([[1.0, 2.0, 3.0]]))
         mask = np.array([[True, False, True]])
@@ -156,8 +164,8 @@ def _values_and_grads(op, arrays, mix):
 
 
 class TestFusedOps:
-    """The fused linear and layer_norm nodes against the primitive-op
-    composites they replace."""
+    """The fused linear, layer_norm and attention nodes against the
+    primitive-op composites they replace."""
 
     @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
@@ -182,6 +190,28 @@ class TestFusedOps:
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
         for name in arrays:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(2,), (2, 3)], ids=["3d", "4d"])
+    @pytest.mark.parametrize("masked", [True, False], ids=["mask", "no_mask"])
+    def test_attention_matches_composite(self, rng, lead, masked):
+        arrays = {"q": rng.standard_normal(lead + (3, 4)),
+                  "k": rng.standard_normal(lead + (5, 4)),
+                  "v": rng.standard_normal(lead + (5, 2))}
+        mask = None
+        if masked:
+            mask = np.array([[True, False, True, True, True],
+                             [False, True, True, False, True]])
+        mix = rng.standard_normal(lead + (3, 2))
+        fused, fused_grads = _values_and_grads(
+            lambda **p: ad.attention(**p, key_mask=mask, scale=0.5), arrays, mix)
+        ref, ref_grads = _values_and_grads(
+            lambda **p: reference_attention(**p, key_mask=mask, scale=0.5), arrays, mix)
+        np.testing.assert_array_equal(fused, ref)
+        for name in arrays:
+            np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
+        if masked:
+            assert np.all(fused_grads["k"][0, ..., 1, :] == 0.0)
+            assert np.all(fused_grads["v"][1, ..., 3, :] == 0.0)
 
 
 class TestComposite:

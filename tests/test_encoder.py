@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (chain_set, check_gradients, decode_value, encode_value, oracle_log_map,
-                     random_inball, reference_affine_transfer)
+                     random_inball, reference_affine_transfer, reference_encode_chains)
 from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain.autodiff import Parameter, Tensor
 from rachain.filter import FilterEmbeddings
 from rachain.kg import Query
+from rachain.reasoner import TreeformerParams, weight_chains
 from rachain.retrieval import RAChain
 
 
@@ -31,16 +32,19 @@ def encode_of(chains, query_attribute, emb, params):
 
 @pytest.fixture
 def attention_probs(monkeypatch):
-    """The probability arrays of every attention softmax the encoder runs."""
+    """The weight arrays of every attention the encoder runs, read by calling
+    `attention` again with v = identity, since p @ I == p exactly."""
     seen = []
-    softmax = E.softmax
+    attention = E.attention
 
-    def recording(*args, **kwargs):
-        out = softmax(*args, **kwargs)
-        seen.append(out.data)
-        return out
+    def recording(q, k, v, key_mask=None, scale=1.0):
+        lk = k.shape[-2]
+        eye = np.broadcast_to(np.eye(lk), k.shape[:-1] + (lk,))
+        with ad.no_grad():
+            seen.append(attention(q, k, Tensor(eye), key_mask, scale).data)
+        return attention(q, k, v, key_mask, scale)
 
-    monkeypatch.setattr(E, "softmax", recording)
+    monkeypatch.setattr(E, "attention", recording)
     return seen
 
 
@@ -272,6 +276,65 @@ class TestPaddedEncoding:
                                    rtol=0.0, atol=1e-12)
         for w, got, want in zip(weights, padded_grads, alone_grads):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=w.name)
+
+
+class TestEndTokenOnly:
+    """encode_chains runs its last layer on the end token only."""
+
+    # lengths 3, 1, 2 and a pad chain, two query attributes
+    SOURCE = np.array([0, 1, 3, 0])
+    RELATIONS = np.array([[1, 2, 3], [4, -1, -1], [5, 0, -1], [-1, -1, -1]])
+    QUERY = np.array([2, 2, 1, 2])
+
+    def test_matches_full_stack(self, rng):
+        """Values and every gradient equal the unfused stack that computes
+        every token in every layer."""
+        emb = FilterEmbeddings.create(rng, n_relations=6, n_attributes=4, dim=4)
+        params = E.ChainEncoderParams.create(rng, filter_dim=4, dim=8, n_layers=2, heads=2)
+        assert params.lift is not None
+        mix = rng.standard_normal((4, 8))
+        weights = [emb.relations, emb.attributes, *params.parameters()]
+
+        def run(encode):
+            for w in weights:
+                w.grad = None
+            out = encode(self.SOURCE, self.RELATIONS, self.QUERY, emb, params)
+            ad.backward(ad.tensor_sum(ad.mul(out, mix)))
+            return out.data, [w.grad.copy() for w in weights]
+
+        got, got_grads = run(E.encode_chains)
+        want, want_grads = run(reference_encode_chains)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        for w, g, h in zip(weights, got_grads, want_grads):
+            np.testing.assert_allclose(g, h, rtol=0.0, atol=1e-12, err_msg=w.name)
+
+    def test_only_keys_and_values_of_the_last_layer_see_every_slot(self, setup, rng,
+                                                                   monkeypatch):
+        emb, params = setup
+        tree = TreeformerParams.create(rng, dim=8, n_layers=2, heads=2, max_hops=3)
+        seen = []
+        linear = E.linear
+
+        def recording(x, w, b=None):
+            seen.append((w.name, x.shape))
+            return linear(x, w, b)
+
+        monkeypatch.setattr(E, "linear", recording)
+        E.encode_chains(self.SOURCE, self.RELATIONS, self.QUERY, emb, params)
+        slots = self.RELATIONS.shape[1] + 3
+        shapes = dict(seen)
+        assert len(shapes) == len(seen) == 12  # six weights a layer, each used once
+        for name, shape in seen:
+            layer, weight = name.split(".")[1:]
+            full = layer == "layer0" or weight in ("wk", "wv")
+            assert shape[:2] == (4, slots if full else 1), name
+
+        seen.clear()
+        lengths = np.array([[1, 2, 3], [3, 1, 1]])
+        mask = np.array([[True, True, True], [True, True, False]])
+        weight_chains(Tensor(rng.standard_normal((2, 3, 8))), lengths, tree, mask)
+        assert len(seen) == 12
+        assert all(shape[:2] == (2, 3) for _, shape in seen)
 
 
 class TestAffineTransfer:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import out_edges
 from rachain import kg as K
 
 
@@ -80,7 +81,7 @@ class TestLoading:
         for e, a, v in train:
             facts[ent[e]].append((kg.attribute_index[a], float(v)))
         for e in range(kg.n_entities):
-            assert list(zip(*(col.tolist() for col in kg.out_edges(e)))) == edges[e]
+            assert list(zip(*(col.tolist() for col in out_edges(kg, e)))) == edges[e]
             assert list(zip(*(col.tolist() for col in kg.facts(e)))) == facts[e]
 
     def test_invert_relation_is_involution(self, tmp_path):

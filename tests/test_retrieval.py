@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import chain_is_valid, chain_set, reference_sample_tree
+from helpers import (chain_is_valid, chain_set, enumerate_all_chains, out_edges,
+                     reference_sample_tree)
 from rachain import kg as K
 from rachain import retrieval as R
 
@@ -72,7 +73,7 @@ class TestEnumeration:
     def test_line_graph_chains(self):
         kg = line_graph()
         query = K.Query(kg.entity_index["c"], kg.attribute_index["v"])
-        chains = R.enumerate_all_chains(kg, query, max_hops=3)
+        chains = enumerate_all_chains(kg, query, max_hops=3)
         keyed = {(c.source_attribute, c.entity_path, c.relations) for c in chains}
         a, b, c = (kg.entity_index[n] for n in "abc")
         r, s = kg.relation_index["r"], kg.relation_index["s"]
@@ -87,22 +88,22 @@ class TestEnumeration:
     def test_source_is_never_the_query_entity(self):
         kg = build([("a", "r", "b")], [("a", "v", "1.0"), ("b", "v", "2.0")])
         query = K.Query(kg.entity_index["a"], kg.attribute_index["v"])
-        chains = R.enumerate_all_chains(kg, query, max_hops=3)
+        chains = enumerate_all_chains(kg, query, max_hops=3)
         assert all(c.source_entity != query.entity for c in chains)
 
     def test_hop_limit(self):
         kg = build([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d")],
                    [("a", "v", "1.0")])
         query = K.Query(kg.entity_index["d"], kg.attribute_index["v"])
-        assert R.enumerate_all_chains(kg, query, max_hops=2) == []
-        assert len(R.enumerate_all_chains(kg, query, max_hops=3)) == 1
+        assert enumerate_all_chains(kg, query, max_hops=2) == []
+        assert len(enumerate_all_chains(kg, query, max_hops=3)) == 1
 
     def test_guard_raises(self):
         rel = [(f"e{i}", "r", f"e{j}") for i in range(8) for j in range(8) if i != j]
         kg = build(rel, [("e0", "v", "1.0")])
         query = K.Query(kg.entity_index["e7"], kg.attribute_index["v"])
         with pytest.raises(RuntimeError, match="exceeded"):
-            R.enumerate_all_chains(kg, query, max_hops=3, max_paths=10)
+            enumerate_all_chains(kg, query, max_hops=3, max_paths=10)
 
 
 class TestSampling:
@@ -126,7 +127,7 @@ class TestSampling:
         kg = line_graph()
         query = K.Query(kg.entity_index["c"], kg.attribute_index["v"])
         oracle = {(c.source_attribute, c.entity_path, c.relations)
-                  for c in R.enumerate_all_chains(kg, query, max_hops=3)}
+                  for c in enumerate_all_chains(kg, query, max_hops=3)}
         toc = R.sample_tree(kg, query, walks=100, max_hops=3, seed=3)
         assert all((c.source_attribute, c.entity_path, c.relations) in oracle
                    for c in toc.chains)
@@ -187,7 +188,7 @@ class TestSampling:
         kg = build(rel, train)
         query = K.Query(kg.entity_index["e0"], kg.attribute_index["v"])
         oracle = {(c.source_attribute, c.entity_path, c.relations)
-                  for c in R.enumerate_all_chains(kg, query, max_hops=3)}
+                  for c in enumerate_all_chains(kg, query, max_hops=3)}
         walks = max(50 * len(oracle), 50)
         toc = R.sample_tree(kg, query, walks=walks, max_hops=3, seed=123)
         sampled = {(c.source_attribute, c.entity_path, c.relations)
@@ -267,7 +268,7 @@ class TestEquivalence:
             ea = set(zip(owners.tolist(), kg.fact_attr.tolist()))
             seen["repeat_fact"] += len(kg.fact_attr) > len(ea)
             seen["dead_end"] += bool(np.any(np.diff(kg.edge_indptr) == 0))
-            seen["isolated"] += kg.out_edges(query.entity)[0].size == 0
+            seen["isolated"] += out_edges(kg, query.entity)[0].size == 0
             seen["cap_hit"] += len(got) == walks
             seen["nonempty"] += len(got) > 0
         assert min(seen.values()) > 0, seen
@@ -309,7 +310,7 @@ class TestEquivalence:
                     ("hub", "r", "x1"), ("x2", "r", "hub")],
                    [(x, "v", "1.0") for x in ("x0", "x1", "x2")])
         hub = kg.entity_index["hub"]
-        rels, tails = kg.out_edges(hub)
+        rels, tails = out_edges(kg, hub)
         assert len(rels) == 5
         query = K.Query(hub, kg.attribute_index["v"])
         n = 3000
@@ -357,7 +358,7 @@ class TestBatchedSampling:
                 assert tree.chains == reference_sample_tree(kg, query, walks, max_hops,
                                                             seed).chains
                 seen["cap_hit"] += len(tree) == walks
-                seen["isolated"] += kg.out_edges(query.entity)[0].size == 0
+                seen["isolated"] += out_edges(kg, query.entity)[0].size == 0
                 seen["nonempty"] += len(tree) > 0
             seen["repeated"] += len(set(queries)) < len(queries)
             seen["repeated_seed"] += len(set(zip(queries, seeds))) < len(queries)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import out_edges
 from rachain import synth
 from rachain.kg import load_dataset
 
@@ -130,7 +131,7 @@ class TestGenerate:
         rule_entities = {e for e in kg.entity_names if e.startswith("r0_")}
         for name in names:
             eid = kg.entity_index[name]
-            neighbors = {kg.entity_names[t] for t in kg.out_edges(eid)[1].tolist()}
+            neighbors = {kg.entity_names[t] for t in out_edges(kg, eid)[1].tolist()}
             assert neighbors.isdisjoint(rule_entities)
 
     def test_mid_attribute_stamps_every_intermediate(self, tmp_path):
