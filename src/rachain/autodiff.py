@@ -7,6 +7,9 @@ against central finite differences in the test suite. The layers the model
 runs most (`linear`, `layer_norm` and masked scaled `attention`) are fused:
 one tape node each, keeping only what their backward reads.
 
+Model parts are dataclasses of Parameters and lists of parts; `parameters`
+walks their fields, so a part's fields are the one list of what it trains.
+
 The recording switch (`_grad_enabled`, set by `no_grad`) and the gradient
 accumulator of a running `backward` (`_active_grads`) are module globals, so
 the library is single-threaded: neither is re-entrant nor safe to use from
@@ -16,6 +19,7 @@ several threads at once.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 import numpy as np
 
@@ -68,6 +72,22 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
         self.name = name
         self.ball = ball
+
+
+def parameters(*owners) -> list[Parameter]:
+    """The Parameters held by `owners`, depth first in declaration order: a
+    Parameter is itself, a dataclass instance gives its fields in
+    `dataclasses.fields` order and a list its items; anything else (None,
+    an int width, a float curvature) gives nothing."""
+    out: list[Parameter] = []
+    for owner in owners:
+        if isinstance(owner, Parameter):
+            out.append(owner)
+        elif isinstance(owner, list):
+            out += parameters(*owner)
+        elif dataclasses.is_dataclass(owner) and not isinstance(owner, type):
+            out += parameters(*(getattr(owner, f.name) for f in dataclasses.fields(owner)))
+    return out
 
 
 def _as_tensor(x) -> Tensor:

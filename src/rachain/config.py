@@ -54,9 +54,14 @@ class TrainConfig:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         for name in ("walks", "max_hops", "top_k", "dim", "filter_dim", "layers",
-                     "heads", "epochs", "batch_size"):
+                     "heads", "affine_hidden", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("clip_norm", "curvature"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.lr >= 0.0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.attributes is not None:
             self.attributes = tuple(self.attributes)
 

@@ -116,11 +116,6 @@ class LayerParams:
             ln2_bias=Parameter(np.zeros(dim), name=f"{tag}.ln2_bias"),
         )
 
-    def parameters(self) -> list[Parameter]:
-        return [self.wq, self.wk, self.wv, self.wo, self.ln1_gain, self.ln1_bias,
-                self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
-                self.ln2_gain, self.ln2_bias]
-
 
 @dataclass
 class TransformerParams:
@@ -137,9 +132,6 @@ class TransformerParams:
         layers = [LayerParams.create(rng, dim, ffn_dim, f"{tag}.layer{i}")
                   for i in range(n_layers)]
         return cls(layers=layers, heads=heads, dim=dim)
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
 
 
 def _attention(x: Tensor, context: Tensor, layer: LayerParams, heads: int, dim: int,
@@ -212,12 +204,6 @@ class ChainEncoderParams:
             end_token=Parameter(_normal(rng, (dim,)), name="enc.end_token"),
             lift=lift,
         )
-
-    def parameters(self) -> list[Parameter]:
-        out = self.stack.parameters() + [self.end_token]
-        if self.lift is not None:
-            out.append(self.lift)
-        return out
 
 
 def chain_tokens(source_attribute: np.ndarray, relations: np.ndarray, query_attributes,
@@ -307,10 +293,6 @@ class AffineNets:
             b2b=Parameter(np.zeros(dim), name="affine.b2b"),
             dim=dim,
         )
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w1a, self.b1a, self.w2a, self.b2a,
-                self.w1b, self.b1b, self.w2b, self.b2b]
 
 
 def value_groups(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, mul, no_grad, reshape, take_rows, tensor_sum
+from .autodiff import Parameter, Tensor, mul, no_grad, parameters, reshape, take_rows, tensor_sum
 from .config import TrainConfig
 from .encoder import AffineNets, ChainEncoderParams, affine_transfer, chain_tokens, encode_chains
 from .filter import FilterEmbeddings, select_random_k, select_top_k, select_top_k_batch
@@ -75,25 +75,18 @@ class Model:
     # -- parameter sets ----------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        """Parameters the configured variant actually trains."""
+        """Parameters the configured variant trains, in all_parameters order;
+        with the chain encoder off its lift (None if unused) still trains."""
         cfg = self.config
-        out = [self.embeddings.relations, self.embeddings.attributes]
-        if cfg.use_chain_encoder:
-            out += self.encoder.parameters()
-        elif self.encoder.lift is not None:
-            out.append(self.encoder.lift)
-        if cfg.use_numerical_aware:
-            out += self.affine.parameters()
-        out += self.heads.parameters()
-        if cfg.use_chain_weighting:
-            out += self.tree.parameters()
-        return out
+        return parameters(self.embeddings,
+                          self.encoder if cfg.use_chain_encoder else self.encoder.lift,
+                          self.affine if cfg.use_numerical_aware else None,
+                          self.heads,
+                          self.tree if cfg.use_chain_weighting else None)
 
     def all_parameters(self) -> list[Parameter]:
-        """Every parameter the model owns (checkpointing)."""
-        return ([self.embeddings.relations, self.embeddings.attributes]
-                + self.encoder.parameters() + self.affine.parameters()
-                + self.heads.parameters() + self.tree.parameters())
+        """Every parameter the model owns (checkpointing), in field order."""
+        return parameters(self.embeddings, self.encoder, self.affine, self.heads, self.tree)
 
     # -- pipeline ----------------------------------------------------------
 

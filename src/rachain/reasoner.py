@@ -54,9 +54,6 @@ class HeadParams:
             b2=Parameter(np.full(1, bias_init), name=f"{tag}.b2"),
         )
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def __call__(self, x: Tensor) -> Tensor:
         m = x.shape[0]
         return reshape(linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2), (m,))
@@ -80,13 +77,6 @@ class ProjectionHeads:
         if mode == "direct":
             heads.direct = HeadParams.create(rng, dim, "proj.direct", bias_init=0.5)
         return heads
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for head in (self.alpha, self.beta, self.direct):
-            if head is not None:
-                out.extend(head.parameters())
-        return out
 
 
 def project_values(transferred: Tensor, source_norm: np.ndarray,
@@ -119,9 +109,6 @@ class TreeformerParams:
             stack=TransformerParams.create(rng, dim, n_layers, heads, tag="tree"),
             w_out=Parameter(_normal(rng, (dim, 1), 0.05), name="tree.w_out"),
         )
-
-    def parameters(self) -> list[Parameter]:
-        return [self.length_table] + self.stack.parameters() + [self.w_out]
 
 
 def weight_chains(chain_reps: Tensor, lengths: np.ndarray, params: TreeformerParams,

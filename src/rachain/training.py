@@ -1,15 +1,15 @@
 """Training loop.
 
-Each epoch re-samples chains for every training query (unless cache_toc
-reuses the first epoch's trees) and filters them, one retrieval pass and
-one filter pass per mini-batch. Each mini-batch then runs as one batched
-forward, so one autodiff tape and one backward pass, and Adam steps on the
-batch's mean loss over normalized values. Validation samples each query's
-tree once per run, since every epoch would sample it with the same seed,
-and re-runs only the filter and forward, one chunk of batch_size queries
-at a time. Training stops at the epoch budget, when the epoch loss moves
-less than epsilon, or when validation MAE stops improving for `patience`
-epochs; the best validation snapshot wins.
+A tree depends only on its query and seed, so the trees every epoch would
+sample alike are sampled once per train call, before the first epoch: the
+validation trees, and under cache_toc the training trees; otherwise each
+mini-batch samples its trees with its epoch's seeds. Each mini-batch
+filters its trees and runs as one batched forward, so one autodiff tape
+and one backward pass, and Adam steps on the batch's mean loss over
+normalized values. Validation re-runs only the filter and forward, one
+chunk of batch_size trees at a time. Training stops at the epoch budget,
+when the epoch loss moves less than epsilon, or when validation MAE stops
+improving for `patience` epochs; the best validation snapshot wins.
 """
 
 from __future__ import annotations
@@ -78,33 +78,25 @@ def scoped_queries(kg: KnowledgeGraph, triples, model: Model) -> list[Query]:
     return out
 
 
-def _sampled_trees(model: Model, kg: KnowledgeGraph, queries: list[Query], indices,
-                  seed_of, trees: dict[int, TreeOfChains]) -> list[TreeOfChains]:
-    """The trees of queries[i] for i in `indices`. Those not in `trees` are
-    sampled in one pass, query i with seed_of(i), and stored there."""
-    misses = [i for i in indices if i not in trees]
-    trees.update(zip(misses, model.retrieve(kg, [queries[i] for i in misses],
-                                            [seed_of(i) for i in misses])))
-    return [trees[i] for i in indices]
+def _retrieve_in_chunks(model: Model, kg: KnowledgeGraph, queries: list[Query],
+                        seeds: list[int]) -> list[TreeOfChains]:
+    """The tree of each query, query i's sampled with seeds[i]; one
+    retrieval pass per chunk of config.batch_size queries."""
+    size = model.config.batch_size
+    return [toc for lo in range(0, len(queries), size)
+            for toc in model.retrieve(kg, queries[lo:lo + size], seeds[lo:lo + size])]
 
 
-def validation_mae(model: Model, kg: KnowledgeGraph, queries: list[Query],
-                   trees: dict[int, TreeOfChains] | None = None) -> float:
-    """Mean absolute error in normalized space (fallbacks included), one
-    chunk of config.batch_size queries at a time. Query i samples its chains
-    with the same seed every epoch, so epochs are compared on the same
-    samples; `trees` keeps query i's tree across calls, so it is sampled
-    once and only the filter and forward run again."""
-    if not queries:
+def validation_mae(model: Model, tocs: list[TreeOfChains], seeds: list[int]) -> float:
+    """Mean absolute error in normalized space (fallbacks included) of the
+    predictions from the sampled trees `tocs`, tree i's selection drawn
+    with seeds[i], one chunk of config.batch_size trees at a time."""
+    if not tocs:
         return float("nan")
-    trees = {} if trees is None else trees
-    base, size = model.config.seed, model.config.batch_size
-    predicted = []
-    for lo in range(0, len(queries), size):
-        chunk = range(lo, min(lo + size, len(queries)))
-        seeds = [seed_for(base, 1, 0, i) for i in chunk]
-        tocs = _sampled_trees(model, kg, queries, chunk, lambda i: seed_for(base, 1, 0, i), trees)
-        predicted += [trace.predicted_norm for trace in model.predict_trees(tocs, seeds)]
+    size = model.config.batch_size
+    predicted = [trace.predicted_norm for lo in range(0, len(tocs), size)
+                 for trace in model.predict_trees(tocs[lo:lo + size], seeds[lo:lo + size])]
+    queries = [toc.query for toc in tocs]
     targets = model.stats.normalize(np.array([q.attribute for q in queries]),
                                     np.array([q.target for q in queries]))
     return float(np.mean(np.abs(np.array(predicted) - targets)))
@@ -155,8 +147,12 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
 
     opt = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
-    toc_cache: dict[int, TreeOfChains] = {}
-    val_trees: dict[int, TreeOfChains] = {}
+    val_seeds = [seed_for(cfg.seed, 1, 0, i) for i in range(len(val_queries))]
+    val_trees = _retrieve_in_chunks(model, kg, val_queries, val_seeds)
+    train_trees = None
+    if cfg.cache_toc:
+        train_trees = _retrieve_in_chunks(model, kg, train_queries, [
+            seed_for(cfg.seed, 0, 0, i) for i in range(len(train_queries))])
     result = TrainResult(model=model)
     best_snap: dict[str, np.ndarray] | None = None
     best_val = float("inf")
@@ -171,10 +167,11 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         empty = 0
         for lo in range(0, len(order), cfg.batch_size):
             chunk = [int(qi) for qi in order[lo:lo + cfg.batch_size]]
-            sample_epoch = 0 if cfg.cache_toc else epoch
-            tocs = _sampled_trees(model, kg, train_queries, chunk,
-                                 lambda qi: seed_for(cfg.seed, 0, sample_epoch, qi),
-                                 toc_cache if cfg.cache_toc else {})
+            if train_trees is None:
+                tocs = model.retrieve(kg, [train_queries[qi] for qi in chunk],
+                                      [seed_for(cfg.seed, 0, epoch, qi) for qi in chunk])
+            else:
+                tocs = [train_trees[qi] for qi in chunk]
             etocs = model.select(tocs, [seed_for(cfg.seed, 2, epoch, qi) for qi in chunk])
             batch_loss, batch_used = _step(model, opt, etocs,
                                            [train_queries[qi] for qi in chunk], epoch)
@@ -183,7 +180,7 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
             empty += len(chunk) - batch_used
 
         train_loss = total_loss / max(used, 1)
-        val_mae = validation_mae(model, kg, val_queries, val_trees)
+        val_mae = validation_mae(model, val_trees, val_seeds)
         stats = EpochStats(epoch=epoch, train_loss=train_loss, val_mae=val_mae,
                            seconds=time.perf_counter() - started,
                            queries_used=used, queries_empty=empty)

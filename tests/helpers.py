@@ -4,7 +4,8 @@ per-chain filter scoring, hand-built chain sets, a graph's out-edges, the
 exhaustive chain enumerator, the sequential chain sampler, the per-tree
 top-k selection, test-only autodiff ops and the composite forms of the fused
 layers, the unfused full-row transformer, the per-row affine transfer, the
-per-query model forward, and finite differences."""
+per-query model forward, the hand-written parameter lists, and finite
+differences."""
 
 from __future__ import annotations
 
@@ -477,6 +478,38 @@ def reference_forward(model, etoc):
     else:
         omega = ad.Tensor(np.full(m, 1.0 / m))
     return aggregate(omega, proposals), omega, proposals, chains
+
+
+def reference_parameters(model, trained: bool) -> list:
+    """The model's parameter lists written out by hand, part by part: what
+    `Model.parameters()` (trained=True) and `Model.all_parameters()`
+    (trained=False) return by walking the parts' dataclass fields."""
+    cfg = model.config
+
+    def stack(params):
+        return [p for layer in params.layers
+                for p in (layer.wq, layer.wk, layer.wv, layer.wo, layer.ln1_gain,
+                          layer.ln1_bias, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2,
+                          layer.ffn_b2, layer.ln2_gain, layer.ln2_bias)]
+
+    enc, nets, tree = model.encoder, model.affine, model.tree
+    lift = [] if enc.lift is None else [enc.lift]
+    encoder = stack(enc.stack) + [enc.end_token] + lift
+    affine = [nets.w1a, nets.b1a, nets.w2a, nets.b2a,
+              nets.w1b, nets.b1b, nets.w2b, nets.b2b]
+    heads = [p for head in (model.heads.alpha, model.heads.beta, model.heads.direct)
+             if head is not None for p in (head.w1, head.b1, head.w2, head.b2)]
+    weighting = [tree.length_table] + stack(tree.stack) + [tree.w_out]
+    out = [model.embeddings.relations, model.embeddings.attributes]
+    if not trained:
+        return out + encoder + affine + heads + weighting
+    out += encoder if cfg.use_chain_encoder else lift
+    if cfg.use_numerical_aware:
+        out += affine
+    out += heads
+    if cfg.use_chain_weighting:
+        out += weighting
+    return out
 
 
 # ---------------------------------------------------------------------------

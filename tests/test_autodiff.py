@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,31 @@ class TestComposite:
             return ad.tensor_sum(ad.mul(ad.softmax(h), mix))
 
         check_gradients(build, arrays, tol=1e-4)
+
+
+class TestParameters:
+    def test_depth_first_in_declaration_order(self):
+        @dataclass
+        class Leaf:
+            w: ad.Parameter
+            width: int
+            b: ad.Parameter
+
+        @dataclass
+        class Tree:
+            first: ad.Parameter
+            leaves: list
+            missing: ad.Parameter | None
+            last: ad.Parameter
+            scale: float = 1.0
+
+        p = {name: ad.Parameter(np.zeros(1), name=name) for name in "abcdefg"}
+        tree = Tree(first=p["a"], leaves=[Leaf(p["b"], 3, p["c"]), Leaf(p["d"], 4, p["e"])],
+                    missing=None, last=p["f"])
+        walked = ad.parameters(tree, None, 5, p["g"])
+        assert [q.name for q in walked] == list("abcdefg")
+        assert all(q is p[q.name] for q in walked)
+        assert ad.parameters() == [] and ad.parameters(None, 2, 0.5) == []
 
 
 class TestAdam:

@@ -23,6 +23,12 @@ def test_defaults_construct():
         ({"lam": 1.5}, "lam must lie in"),
         ({"walks": 0}, "walks must be >= 1"),
         ({"epochs": -3}, "epochs must be >= 1"),
+        ({"affine_hidden": 0}, "affine_hidden must be >= 1"),
+        ({"clip_norm": 0.0}, "clip_norm must be > 0"),
+        ({"clip_norm": -1.0}, "clip_norm must be > 0"),
+        ({"curvature": 0.0}, "curvature must be > 0"),
+        ({"curvature": -1.0}, "curvature must be > 0"),
+        ({"lr": -1e-4}, "lr must be >= 0"),
     ],
 )
 def test_invalid_values_rejected(kwargs, fragment):

@@ -7,7 +7,7 @@ from helpers import (chain_set, check_gradients, decode_value, encode_value, ora
                      random_inball, reference_affine_transfer, reference_encode_chains)
 from rachain import autodiff as ad
 from rachain import encoder as E
-from rachain.autodiff import Parameter, Tensor
+from rachain.autodiff import Parameter, Tensor, parameters
 from rachain.filter import FilterEmbeddings
 from rachain.kg import Query
 from rachain.reasoner import TreeformerParams, weight_chains
@@ -258,7 +258,7 @@ class TestPaddedEncoding:
         chains = [make_chain(0, (1, 2, 3)), make_chain(1, (4,), path_start=20),
                   make_chain(3, (5, 0), path_start=40)]
         mix = rng.standard_normal((3, 8))
-        weights = [emb.relations, emb.attributes, *params.parameters()]
+        weights = [emb.relations, emb.attributes, *parameters(params)]
 
         def grads(loss):
             for w in weights:
@@ -293,7 +293,7 @@ class TestEndTokenOnly:
         params = E.ChainEncoderParams.create(rng, filter_dim=4, dim=8, n_layers=2, heads=2)
         assert params.lift is not None
         mix = rng.standard_normal((4, 8))
-        weights = [emb.relations, emb.attributes, *params.parameters()]
+        weights = [emb.relations, emb.attributes, *parameters(params)]
 
         def run(encode):
             for w in weights:
@@ -440,7 +440,7 @@ class TestValueGroups:
 def generic_nets(rng, dim, hidden):
     """Affine nets with every layer random, so E_a and E_b vary with the bits."""
     nets = E.AffineNets.create(rng, dim=dim, hidden=hidden)
-    for p in nets.parameters():
+    for p in parameters(nets):
         p.data = p.data + rng.standard_normal(p.data.shape) * 0.1
     return nets
 
@@ -463,12 +463,12 @@ class TestGroupedTransfer:
         mix = rng.standard_normal((len(values), d))
         results = []
         for transfer in (E.affine_transfer, reference_affine_transfer):
-            for p in [reps] + nets.parameters():
+            for p in [reps] + parameters(nets):
                 p.grad = None
             out = transfer(reps, values, nets)
             ad.backward(ad.tensor_sum(ad.mul(out, mix)))
-            results.append([out.data] + [p.grad for p in [reps] + nets.parameters()])
-        names = ["out", "reps"] + [p.name for p in nets.parameters()]
+            results.append([out.data] + [p.grad for p in [reps] + parameters(nets)])
+        names = ["out", "reps"] + [p.name for p in parameters(nets)]
         for name, got, want in zip(names, *results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 

@@ -1,11 +1,12 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from helpers import chain_set, reference_forward
+from helpers import chain_set, reference_forward, reference_parameters
 from rachain import autodiff as ad
-from rachain.config import TrainConfig
+from rachain.config import PROJECTION_MODES, TrainConfig
 from rachain.kg import AttributeStats, Query, attribute_means, build_dataset
 from rachain.model import Model, load_checkpoint, save_checkpoint
 from rachain.retrieval import RAChain
@@ -266,6 +267,23 @@ class TestGradientCoverage:
         names = [p.name for p in model.all_parameters()]
         assert len(names) == len(set(names))
         assert {p.name for p in model.parameters()} <= set(names)
+
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    def test_walked_lists_match_hand_written_lists(self, mode):
+        """Every switch setting, with and without the lift, at one and two
+        layers: the same objects in the same order (clip_global_norm sums
+        the squared gradients in this order)."""
+        for enc, num, wgt, filter_dim, layers in itertools.product(
+                (True, False), (True, False), (True, False), (6, 8), (1, 2)):
+            model = make_model(mode=mode, use_chain_encoder=enc, use_numerical_aware=num,
+                               use_chain_weighting=wgt, filter_dim=filter_dim,
+                               layers=layers)
+            assert (model.encoder.lift is None) == (filter_dim == model.config.dim)
+            for trained, walked in ((True, model.parameters()),
+                                    (False, model.all_parameters())):
+                expected = reference_parameters(model, trained)
+                assert len(walked) == len(expected)
+                assert all(a is b for a, b in zip(walked, expected))
 
 
 def tiny_graph():

@@ -3,7 +3,7 @@ import pytest
 
 from rachain import autodiff as ad
 from rachain import reasoner as R
-from rachain.autodiff import Tensor
+from rachain.autodiff import Tensor, parameters
 from rachain.kg import AttributeStats, Query
 from rachain.retrieval import RAChain
 
@@ -23,7 +23,7 @@ class TestHeads:
         head = R.HeadParams.create(rng, dim=4, tag="h", bias_init=0.0)
         x = Tensor(rng.standard_normal((3, 4)))
         ad.backward(ad.tensor_sum(ad.square(ad.add(head(x), 1.0))))
-        for p in head.parameters():
+        for p in parameters(head):
             assert p.grad is not None
 
     def test_create_heads_per_mode(self, rng):
@@ -37,7 +37,7 @@ class TestHeads:
             heads = R.ProjectionHeads.create(rng, 4, mode)
             for name in ("alpha", "beta", "direct"):
                 assert (getattr(heads, name) is not None) == (name in names)
-            assert len(heads.parameters()) == 4 * len(names)
+            assert len(parameters(heads)) == 4 * len(names)
 
     def test_unknown_mode_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown projection mode"):

@@ -98,15 +98,17 @@ class TestValidationMae:
         span = model.stats.maxs[dst] - model.stats.mins[dst]
         queries = [Query(0, dst, target=model.stats.denormalize(dst, 0.5)),
                    Query(1, dst, target=model.stats.denormalize(dst, 0.9))]
+        seeds = [5, 6]
+        tocs = model.retrieve(kg, queries, seeds)
         model.predict_trees = lambda tocs, seeds: [PredictionTrace(
             query=toc.query, predicted_norm=0.7, predicted_value=0.0) for toc in tocs]
-        mae = T.validation_mae(model, kg, queries)
+        mae = T.validation_mae(model, tocs, seeds)
         assert mae == pytest.approx((0.2 + 0.2) / 2)
 
     def test_empty_validation_is_nan(self):
         kg, split = affine_task()
         model = task_model(kg, split)
-        assert np.isnan(T.validation_mae(model, kg, []))
+        assert np.isnan(T.validation_mae(model, [], []))
 
 
 class TestTrainLoop:
@@ -162,8 +164,11 @@ class TestTrainLoop:
         # the restored parameters are not the initial ones (training moved)
         assert any(not np.array_equal(before[p.name], p.data)
                    for p in model.all_parameters())
-        # and validation at the restored state reproduces the best MAE
-        mae = T.validation_mae(model, kg, T.scoped_queries(kg, split.valid, model))
+        # and validation at the restored state, on trees sampled with the
+        # seeds train used, reproduces the best MAE
+        queries = T.scoped_queries(kg, split.valid, model)
+        seeds = [T.seed_for(model.config.seed, 1, 0, i) for i in range(len(queries))]
+        mae = T.validation_mae(model, model.retrieve(kg, queries, seeds), seeds)
         assert mae == pytest.approx(result.best_val, abs=1e-12)
 
     def test_no_trainable_queries_raises(self):
@@ -204,10 +209,10 @@ class TestValidationTrees:
         # the same run re-sampling every validation tree every epoch
         sampled.clear()
         validate = T.validation_mae
-        monkeypatch.setattr(T, "validation_mae",
-                            lambda model, kg, queries, trees: validate(model, kg, queries))
+        monkeypatch.setattr(T, "validation_mae", lambda model, tocs, seeds: validate(
+            model, model.retrieve(kg, [toc.query for toc in tocs], seeds), seeds))
         fresh = T.train(task_model(kg, split, epochs=3), kg, split)
-        assert [sampled.count(q) for q in val_queries] == [3, 3]
+        assert [sampled.count(q) for q in val_queries] == [4, 4]  # 1 up front + 3 epochs
         assert ([(h.train_loss, h.val_mae) for h in cached.history]
                 == [(h.train_loss, h.val_mae) for h in fresh.history])
 
