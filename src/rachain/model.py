@@ -96,7 +96,8 @@ class Model:
 
     def select(self, tocs: list[TreeOfChains], seeds) -> list[TreeOfChains]:
         """Each tree's top_k chains: the filter's k best, in one pass over the
-        trees, or with the filter off k drawn at random with seeds[i]."""
+        trees, or with the filter off k drawn at random with seeds[i] (the
+        filter reads no seed, so `seeds` may then be None)."""
         cfg = self.config
         if not cfg.use_filter:
             return [select_random_k(toc, cfg.top_k, seed) for toc, seed in zip(tocs, seeds)]

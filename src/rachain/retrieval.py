@@ -18,6 +18,12 @@ included: first-found order, at most `walks` chains; it does not depend on
 the other queries of the chunk. `sample_tree` is the one-query case. The
 uniforms replaced one `rng.integers` call per hop, so a given seed now
 samples a different tree than it did under that stream.
+
+Deduplication works on packed int64 keys: `first_occurrences` numbers the
+distinct keys of a 1-D array with one unstable sort, as np.unique's index
+and inverse would but without its stable sort, and `distinct_rows` packs
+each row of a small-integer array into one such key (the filter and the
+model dedupe chain patterns with it).
 """
 
 from __future__ import annotations
@@ -111,24 +117,47 @@ def chain_lengths(relations: np.ndarray) -> np.ndarray:
     return (relations >= 0).sum(axis=1)
 
 
+def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For 1-D integer keys: the index of the first occurrence of each
+    distinct key, in ascending key order, and for every key the position of
+    its key among those; the arrays of np.unique(keys, return_index=True,
+    return_inverse=True)[1:]. One unstable argsort: equal keys form a run of
+    the sorted order, in no particular order within it, so a run's first
+    index is its smallest."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.empty(keys.size, dtype=bool)  # where a run of equal keys begins
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    run = starts.cumsum()
+    run -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = run
+    return np.minimum.reduceat(order, starts.nonzero()[0]), inverse
+
+
 def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the rows of an integer array (n, w): the index of the first
-    occurrence of each distinct row, and for every row the position of its
-    row among those. One 1-D unique over a byte view of the rows, which is
-    cheaper than np.unique(axis=0)."""
-    keys = np.ascontiguousarray(keys)
-    view = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+    """For the rows of an integer array (n, w) with entries >= -1: the index
+    of the first occurrence of each distinct row, rows in ascending
+    lexicographic order, and for every row the position of its row among
+    those. Each row packs into one int64, mixed radix over the columns'
+    spans (max + 2, the -1 pad being digit 0), so one `first_occurrences`
+    dedupes them; raises OverflowError if the spans' product passes int64."""
+    spans = (keys.max(axis=0, initial=-1) + 2).tolist()
+    _check_packable(*spans)
+    radix = [math.prod(spans[j + 1:]) for j in range(len(spans))]  # of each column's digit
+    return first_occurrences(keys @ radix + sum(radix))  # (keys + 1) @ radix
 
 
 def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
     """RAChain's checks on every row at once: a relation at least, one more
-    entity than relations, and no entity visited twice."""
+    entity than relations, and no entity visited twice (each column against
+    the columns after it)."""
     n_rel = chain_lengths(relations)
-    ordered = np.sort(entity_path, axis=1)
     if (np.any(n_rel < 1) or np.any((entity_path >= 0).sum(axis=1) != n_rel + 1)
-            or np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0))):
+            or any(np.any((entity_path[:, i + 1:] == entity_path[:, i, None])
+                          & (entity_path[:, i, None] >= 0))
+                   for i in range(entity_path.shape[1] - 1))):
         raise ValueError("a sampled chain is not a simple path of its relations")
 
 
@@ -148,15 +177,19 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     walks)): at hop h, its walk w takes edge floor(u[h, w] * degree) of its
     entity's edge list (parallel edges count separately). A walk ends at a
     dead end or where it would revisit an entity. All walks advance together,
-    one hop at a time; the distinct prefixes of each hop are numbered by
-    np.unique over the packed key (parent prefix, relation, tail), whose
-    first index is the first walk that found the prefix. Every walk's prefix
-    starts at its query's index, so the prefixes of two queries never merge,
-    even for the same query twice. Each prefix yields one chain per
-    attribute of its end entity (the first fact in index order when an
-    attribute repeats). A tree's chains come out in first-found order (walk,
-    then hop, then fact index) and stop at `walks`, so len(tree) <= walks.
-    Every row is checked by `_check_rows` before it is returned.
+    one hop at a time, each carrying its prefix id and the entity it reached
+    at every hop so far. The distinct prefixes of each hop are numbered by
+    `first_occurrences` over the packed key (parent prefix, relation, tail),
+    whose first index is the first walk that found the prefix; each new
+    prefix keeps its parent, relation and end entity, so the prefixes form a
+    tree, and a chain's row is read from its prefix's end up to the query.
+    Every walk's prefix starts at its query's index, so the prefixes of two
+    queries never merge, even for the same query twice. Each prefix yields
+    one chain per attribute of its end entity (the first fact in index order
+    when an attribute repeats). A tree's chains come out in first-found
+    order (walk, then hop, then fact index) and stop at `walks`, so
+    len(tree) <= walks. Every row is checked by `_check_rows` before it is
+    returned.
     """
     if not queries:
         return []
@@ -168,58 +201,73 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     _check_packable(n_walks * max_hops, kg.n_attributes)
     u = np.concatenate([np.random.default_rng(seed).random((max_hops, walks))
                         for seed in seeds], axis=1)
-    path = np.full((n_walks, max_hops + 1), -1, dtype=np.int64)
-    path[:, 0] = np.repeat([q.entity for q in queries], walks)
-    rels = np.full((n_walks, max_hops), -1, dtype=np.int64)
-    live = np.arange(n_walks)   # walks still moving, ascending; walk g is query g // walks's
-    prefix = live // walks      # each walk's prefix id at its last hop
-    found_walk, found_hop = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for hop in range(max_hops):
-        cur = path[live, hop]
-        start = kg.edge_indptr[cur]
-        degree = kg.edge_indptr[cur + 1] - start
+    origin = np.array([q.entity for q in queries], dtype=np.int64)
+    # the walks still moving, ascending (walk g is query g // walks's), each
+    # with its prefix id and the entity it stood on at every hop so far
+    walk = np.arange(n_walks)
+    prefix = walk // walks
+    visited = [origin[prefix]]
+    # per hop, each new prefix's first walk, parent prefix (its query's index
+    # at hop 0), relation oriented toward the query, and end entity
+    finder, parent, relation, tail = [], [], [], []
+    # a walk at a dead end reads a clipped edge and drops out with the
+    # revisits; with no edge at all there is nothing to clip to
+    for hop in range(max_hops if kg.edge_tail.size else 0):
+        start = kg.edge_indptr[visited[-1]]
+        degree = kg.edge_indptr[visited[-1] + 1] - start
+        edge = start + (u[hop, walk] * degree).astype(np.int64)
+        nxt = kg.edge_tail.take(edge, mode="clip")
         moving = degree > 0
-        live = live[moving]
-        edge = start[moving] + (u[hop, live] * degree[moving]).astype(np.int64)
-        nxt = kg.edge_tail[edge]
-        fresh = ~(path[live, :hop + 1] == nxt[:, None]).any(axis=1)
-        live, edge, nxt = live[fresh], edge[fresh], nxt[fresh]
-        if live.size == 0:
+        for entity in visited:
+            moving &= nxt != entity
+        moving = np.flatnonzero(moving)
+        if moving.size == 0:
             break
-        path[live, hop + 1] = nxt
-        rels[live, hop] = kg.edge_rel[edge]
-        key = (prefix[live] * n_relations + rels[live, hop]) * n_entities + nxt
-        _, first, prefix[live] = np.unique(key, return_index=True, return_inverse=True)
-        found_walk.append(live[first])
-        found_hop.append(np.full(first.size, hop))
+        walk, prefix, nxt = walk[moving], prefix[moving], nxt[moving]
+        rel = kg.edge_rel[edge[moving]]
+        first, new_prefix = first_occurrences((prefix * n_relations + rel) * n_entities + nxt)
+        finder.append(walk[first])
+        parent.append(prefix[first])
+        relation.append(kg.invert_relation(rel[first]))
+        tail.append(nxt[first])
+        prefix = new_prefix
+        visited = [entity[moving] for entity in visited] + [nxt]
 
-    walk, hop = np.concatenate(found_walk), np.concatenate(found_hop)
-    order = np.lexsort((hop, walk))
-    walk, hop = walk[order], hop[order]
-    end = path[walk, hop + 1]
+    # each prefix's row, read from its end up the tree: column j holds the
+    # end of its ancestor j hops up, the query comes last, -1 pads after
+    sizes = [t.size for t in tail]
+    entity_path = np.full((sum(sizes), max_hops + 1), -1, dtype=np.int64)
+    relations = np.full((sum(sizes), max_hops), -1, dtype=np.int64)
+    offset = 0
+    for hop, size in enumerate(sizes):
+        rows, ids = slice(offset, offset + size), np.arange(size)
+        for j in range(hop + 1):
+            entity_path[rows, j] = tail[hop - j][ids]
+            relations[rows, j] = relation[hop - j][ids]
+            ids = parent[hop - j][ids]
+        entity_path[rows, hop + 1] = origin[ids]
+        offset += size
+    walk = np.concatenate([np.empty(0, dtype=np.int64)] + finder)
+    hop = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.argsort(walk * max_hops + hop)  # a walk finds one prefix per hop at most
+    walk = walk[order]
+    end = entity_path[order, 0]
     lo = kg.fact_indptr[end]
     count = kg.fact_indptr[end + 1] - lo
     owner = np.repeat(np.arange(end.size), count)   # facts of each prefix's end, in order
     fact = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    _, first = np.unique(owner * kg.n_attributes + kg.fact_attr[fact], return_index=True)
-    first = np.sort(first)
+    first = np.sort(first_occurrences(owner * kg.n_attributes + kg.fact_attr[fact])[0])
     # the first `walks` chains of each tree; a tree's chains are contiguous
     tree = walk[owner[first]] // walks
     rank = np.arange(first.size) - np.searchsorted(tree, tree)
     keep = first[rank < walks]
     owner, fact = owner[keep], fact[keep]
 
-    # each prefix read backwards from its end: column j holds walk column
-    # hop + 1 - j, and the columns past the prefix's start stay -1
-    walk, hop = walk[owner], hop[owner]
-    back = hop[:, None] + 1 - np.arange(max_hops + 1)
-    inside = back >= 0
-    entity_path = np.where(inside, path[walk[:, None], np.maximum(back, 0)], -1)
-    relations = np.where(inside[:, 1:], kg.invert_relation(
-        rels[walk[:, None], np.maximum(back[:, 1:], 0)]), -1)
+    rows = order[owner]
+    entity_path, relations = entity_path[rows], relations[rows]
     _check_rows(relations, entity_path)
     source_attribute, source_value = kg.fact_attr[fact], kg.fact_value[fact]
-    bounds = np.searchsorted(walk // walks, np.arange(len(queries) + 1))
+    bounds = np.searchsorted(walk[owner] // walks, np.arange(len(queries) + 1))
     return [TreeOfChains(query, source_attribute[a:b], source_value[a:b],
                          relations[a:b], entity_path[a:b])
             for query, a, b in zip(queries, bounds[:-1].tolist(), bounds[1:].tolist())]

@@ -172,7 +172,8 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
                                       [seed_for(cfg.seed, 0, epoch, qi) for qi in chunk])
             else:
                 tocs = [train_trees[qi] for qi in chunk]
-            etocs = model.select(tocs, [seed_for(cfg.seed, 2, epoch, qi) for qi in chunk])
+            etocs = model.select(tocs, None if cfg.use_filter else
+                                 [seed_for(cfg.seed, 2, epoch, qi) for qi in chunk])
             batch_loss, batch_used = _step(model, opt, etocs,
                                            [train_queries[qi] for qi in chunk], epoch)
             total_loss += batch_loss

@@ -1,11 +1,11 @@
 """Shared test utilities: independent scalar oracles, the array origin log
 map, the single-value bit codec, validated single-point geometry and
 per-chain filter scoring, hand-built chain sets, a graph's out-edges, the
-exhaustive chain enumerator, the sequential chain sampler, the per-tree
-top-k selection, test-only autodiff ops and the composite forms of the fused
-layers, the unfused full-row transformer, the per-row affine transfer, the
-per-query model forward, the hand-written parameter lists, and finite
-differences."""
+exhaustive chain enumerator, the sequential chain sampler, the sort-based
+row check, the np.unique row dedupe, the per-tree top-k selection,
+test-only autodiff ops and the composite forms of the fused layers, the
+unfused full-row transformer, the per-row affine transfer, the per-query
+model forward, the hand-written parameter lists, and finite differences."""
 
 from __future__ import annotations
 
@@ -305,6 +305,24 @@ def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> Tr
         if len(chains) >= walks:
             break
     return chain_set(query, chains, max_hops)
+
+
+def reference_check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
+    """The sort-based row check that `retrieval._check_rows` replaced: every
+    row's entity path sorted, then adjacent equal entities are a revisit."""
+    n_rel = (relations >= 0).sum(axis=1)
+    ordered = np.sort(entity_path, axis=1)
+    if (np.any(n_rel < 1) or np.any((entity_path >= 0).sum(axis=1) != n_rel + 1)
+            or np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0))):
+        raise ValueError("a sampled chain is not a simple path of its relations")
+
+
+def reference_distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique over the rows, the oracle of `retrieval.distinct_rows`: the
+    first index of each distinct row, rows in ascending lexicographic order,
+    and each row's position among them."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def top_k_order(scores: np.ndarray, toc: TreeOfChains, k: int) -> np.ndarray:

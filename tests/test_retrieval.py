@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (chain_is_valid, chain_set, enumerate_all_chains, out_edges,
-                     reference_sample_tree)
+                     reference_check_rows, reference_distinct_rows, reference_sample_tree)
 from rachain import kg as K
 from rachain import retrieval as R
 
@@ -67,6 +67,95 @@ class TestChainSet:
         for relations, entity_path in bad:
             with pytest.raises(ValueError, match="not a simple path"):
                 R._check_rows(relations, entity_path)
+
+
+class TestRowCheck:
+    """`_check_rows` compares column pairs; the sort-based check it replaced
+    is the oracle."""
+
+    def test_rejects_a_revisit_at_every_column_pair(self):
+        for length in (1, 2, 3):
+            relations = np.array([[1] * length + [-1] * (3 - length)])
+            for i in range(length + 1):
+                for j in range(i + 1, length + 1):  # (0, length): source is the query
+                    path = np.array([[10, 11, 12, 13][:length + 1] + [-1] * (3 - length)])
+                    path[0, j] = path[0, i]
+                    with pytest.raises(ValueError, match="not a simple path"):
+                        R._check_rows(relations, path)
+
+    def test_accepts_padded_simple_paths(self):
+        relations = np.array([[4, -1, -1], [4, 5, -1], [4, 5, 6]])
+        entity_path = np.array([[7, 0, -1, -1], [0, 7, 3, -1], [3, 0, 7, 9]])
+        R._check_rows(relations, entity_path)
+        R._check_rows(relations[:0], entity_path[:0])
+
+    def test_agrees_with_the_sort_based_check_on_random_rows(self):
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for _ in range(3000):
+            width = int(rng.integers(2, 6))
+            length = int(rng.integers(0, width))
+            relations = np.full((1, width - 1), -1)
+            relations[0, :length] = rng.integers(0, 4, size=length)
+            entity_path = np.full((1, width), -1)
+            filled = length + 1 if rng.random() < 0.9 else int(rng.integers(0, width + 1))
+            entity_path[0, :filled] = rng.integers(0, 6, size=filled)
+            verdicts = []
+            for check in (R._check_rows, reference_check_rows):
+                try:
+                    check(relations, entity_path)
+                    verdicts.append(True)
+                except ValueError:
+                    verdicts.append(False)
+            assert verdicts[0] == verdicts[1], (relations, entity_path)
+            outcomes.add(verdicts[0])
+        assert outcomes == {True, False}
+
+
+class TestFirstOccurrences:
+    """first_occurrences against np.unique(return_index, return_inverse)."""
+
+    @pytest.mark.parametrize("keys", [
+        [], [7], [3, 3, 3, 3], [5, 0, 9, 2, 7], [-4, 2, -4, -1, 0, -9, 2],
+        [np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max],
+        np.random.default_rng(4).integers(-30, 30, size=5000),
+    ], ids=["empty", "one", "all_equal", "all_distinct", "negative", "extremes", "repeats"])
+    def test_matches_np_unique(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        got = R.first_occurrences(keys)
+        want = np.unique(keys, return_index=True, return_inverse=True)[1:]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+class TestDistinctRows:
+    """distinct_rows against np.unique(axis=0)."""
+
+    @pytest.mark.parametrize("shape,low,high", [
+        ((400, 5), -1, 3), ((400, 5), -1, 40), ((300, 1), -1, 6), ((1, 4), -1, 2),
+        ((0, 5), -1, 3), ((0, 1), -1, 3),
+    ])
+    def test_matches_np_unique_rows(self, shape, low, high):
+        keys = np.random.default_rng(shape[0] + high).integers(low, high, size=shape)
+        for got, want in zip(R.distinct_rows(keys), reference_distinct_rows(keys)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_pattern_rows_with_pads(self):
+        # (source attribute, -1-padded relations, query attribute)
+        keys = np.array([[0, 3, -1, -1, 1], [0, 3, 2, -1, 1], [0, 3, -1, -1, 1],
+                         [2, -1, -1, -1, 1], [0, 3, 2, -1, 0], [2, -1, -1, -1, 1]])
+        first, inverse = R.distinct_rows(keys)
+        np.testing.assert_array_equal(keys[first][inverse], keys)
+        assert first.tolist() == [0, 4, 1, 3]  # a pad sorts before every relation
+        assert inverse.tolist() == [0, 2, 0, 3, 1, 3]
+
+    def test_overflow_raises(self):
+        # spans max + 2: 2**31 * (2**32 - 1) fits in int64, 2**31 * 2**32 does not
+        first, inverse = R.distinct_rows(np.array([[2 ** 31 - 2, 2 ** 32 - 3]] * 2))
+        assert first.tolist() == [0] and inverse.tolist() == [0, 0]
+        with pytest.raises(OverflowError, match="overflow int64"):
+            R.distinct_rows(np.array([[2 ** 31 - 2, 2 ** 32 - 2]]))
 
 
 class TestEnumeration:
@@ -363,6 +452,29 @@ class TestBatchedSampling:
             seen["repeated"] += len(set(queries)) < len(queries)
             seen["repeated_seed"] += len(set(zip(queries, seeds))) < len(queries)
         assert min(seen.values()) > 0, seen
+
+    def test_matches_per_query_loop_at_chunk_scale(self):
+        # 20 queries x 256 walks on a 40-entity graph: prefix keys repeat
+        # within every query, and queries share entities and repeat
+        rng = np.random.default_rng(31)
+        n, n_base = 40, 3
+        triples = []
+        for _ in range(120):
+            h, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+            r = int(rng.integers(n_base))
+            triples += [(h, r, t), (t, r + n_base, h)]
+        facts = [(e, int(a), float(rng.uniform(-5, 5)))
+                 for e in range(n) for a in range(3) if rng.random() < 0.4]
+        kg = raw_graph(n, n_base, triples, facts)
+        queries = [K.Query(int(rng.integers(n)), int(rng.integers(3))) for _ in range(20)]
+        seeds = [int(s) for s in rng.integers(2 ** 32, size=len(queries))]
+        walks, max_hops = 256, 3
+        trees = R.sample_trees(kg, queries, walks, max_hops, seeds)
+        for query, seed, tree in zip(queries, seeds, trees):
+            assert tree.chains == reference_sample_tree(kg, query, walks, max_hops,
+                                                        seed).chains
+        assert len(set(queries)) < len(queries)
+        assert sum(len(tree) for tree in trees) > 20 * len(queries)
 
     def test_repeated_and_isolated_queries_in_one_chunk(self):
         # e0 -> e3 -> e1 -> e2; e3 holds three facts, so two walks cap a tree

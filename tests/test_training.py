@@ -217,6 +217,55 @@ class TestValidationTrees:
                 == [(h.train_loss, h.val_mae) for h in fresh.history])
 
 
+class TestSelectionSeeds:
+    """Selection seeds (channel 2) are derived only when the filter is off,
+    the only case that reads them."""
+
+    def count_channel_2(self, monkeypatch):
+        calls = []
+        seed_for = T.seed_for
+
+        def counting(base, channel, epoch, index):
+            calls.append(channel)
+            return seed_for(base, channel, epoch, index)
+
+        monkeypatch.setattr(T, "seed_for", counting)
+        return lambda: calls.count(2)
+
+    def test_filter_on_derives_no_selection_seed(self, monkeypatch):
+        kg, split = affine_task()
+        count = self.count_channel_2(monkeypatch)
+        T.train(task_model(kg, split, epochs=3), kg, split)
+        assert count() == 0
+
+    def test_filter_off_selects_with_the_same_seeds(self, monkeypatch):
+        # every batch's selection still gets seed_for(seed, 2, epoch, query
+        # index), so a filter-off run is bit-identical to one that derived
+        # the seeds whatever the filter setting
+        kg, split = affine_task()
+        no_val = DatasetSplit(train=split.train, valid=[], test=[])
+        count = self.count_channel_2(monkeypatch)
+        passed = []
+        select = Model.select
+
+        def recording(self, tocs, seeds):
+            passed.append(list(seeds))
+            return select(self, tocs, seeds)
+
+        monkeypatch.setattr(Model, "select", recording)
+        model = task_model(kg, split, epochs=3, use_filter=False)
+        T.train(model, kg, no_val)
+        cfg, n = model.config, len(T.scoped_queries(kg, split.train, model))
+        assert count() == 3 * n
+        shuffle = np.random.default_rng(cfg.seed)
+        want = []
+        for epoch in range(3):
+            order = shuffle.permutation(n).tolist()
+            want += [[T.seed_for(cfg.seed, 2, epoch, qi) for qi in order[lo:lo + cfg.batch_size]]
+                     for lo in range(0, n, cfg.batch_size)]
+        assert passed == want
+
+
 class TestPerQueryEquivalence:
     """train against the per-query retrieval, selection and validation
     predictions that its chunked calls replaced."""
