@@ -4,8 +4,9 @@ A Tensor records the op that produced it (parent tensors + a backward
 closure); backward() topologically sorts that tape and accumulates gradients
 into .grad. Only the primitives the model needs are implemented, each checked
 against central finite differences in the test suite. The layers the model
-runs most (`linear`, `layer_norm` and masked scaled `attention`) are fused:
-one tape node each, keeping only what their backward reads.
+runs most (`linear`, `layer_norm` and masked scaled multi-head `attention`,
+which splits and merges its heads itself) are fused: one tape node each,
+keeping only what their backward reads.
 
 Model parts are dataclasses of Parameters and lists of parts; `parameters`
 walks their fields, so a part's fields are the one list of what it trains.
@@ -191,8 +192,8 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        _accumulate(a, _unbroadcast(g @ np.moveaxis(b.data, -1, -2), a.data.shape))
+        _accumulate(b, _unbroadcast(np.moveaxis(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -208,16 +209,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward_fn(g):
         _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.swapaxes(a.data, ax1, ax2)
-
-    def backward_fn(g):
-        _accumulate(a, np.swapaxes(g, ax1, ax2))
 
     return _make(out_data, (a,), backward_fn)
 
@@ -440,43 +431,55 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray | None = None,
-              scale: float = 1.0) -> Tensor:
-    """softmax(scale * q k^T) v for q (b, ..., lq, d), k (b, ..., lk, d) and
-    v (b, ..., lk, dv) sharing their leading axes.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              key_mask: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
+    """Multi-head softmax(scale * q k^T) v for the rows q (b, lq, dim) and
+    k, v (b, lk, dim): each row splits into `heads` slices of dim // heads,
+    every head attends on its own slices, and the heads' outputs are merged
+    back into (b, lq, dim) rows.
 
     key_mask (b, lk), when given, marks the keys each batch row may attend
     to; masked keys get weight exactly 0.0 and zero gradient, and every row
-    must keep >= 1 key. The operations run in the order of the composite
-    matmul, scale, masked softmax and matmul, so the output is bit-identical
-    to it, but only the weights are kept for the backward.
+    must keep >= 1 key. The heads are split as numpy views (reshape, then
+    swap the row and head axes), not as tape nodes, and the operations run
+    in the order of the per-head composite matmul, scale, masked softmax and
+    matmul, so the output is bit-identical to it, but only the weights are
+    kept for the backward.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    p = q.data @ np.swapaxes(k.data, -1, -2)
+
+    def split(a):  # (b, l, dim) -> (b, heads, l, dim // heads)
+        return a.reshape(a.shape[0], a.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (b, heads, l, dim // heads) -> (b, l, dim)
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ kh.transpose(0, 1, 3, 2)
     p *= scale
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
         if not key_mask.any(axis=-1).all():
             raise ValueError("attention key_mask removes every key of some row")
-        shape = key_mask.shape[:1] + (1,) * (p.ndim - 2) + key_mask.shape[1:]
-        np.copyto(p, -np.inf, where=~key_mask.reshape(shape))
+        np.copyto(p, -np.inf, where=~key_mask[:, None, None, :])
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
+        g = split(g)
         if v.requires_grad:
-            _accumulate(v, np.swapaxes(p, -1, -2) @ g)
+            _accumulate(v, merge(p.transpose(0, 1, 3, 2) @ g))
         if q.requires_grad or k.requires_grad:
-            dp = g @ np.swapaxes(v.data, -1, -2)
+            dp = g @ vh.transpose(0, 1, 3, 2)
             ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
             ds *= scale
             if q.requires_grad:
-                _accumulate(q, ds @ k.data)
+                _accumulate(q, merge(ds @ kh))
             if k.requires_grad:
-                _accumulate(k, np.swapaxes(ds, -1, -2) @ q.data)
+                _accumulate(k, merge(ds.transpose(0, 1, 3, 2) @ qh))
 
-    return _make(p @ v.data, (q, k, v), backward_fn)
+    return _make(merge(p @ vh), (q, k, v), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,6 @@ def _add_dataset_args(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--test", help="test numerical TSV")
 
 
-def _load_from_args(args) -> tuple[KnowledgeGraph, "object"]:
-    return load_dataset(args.relational, args.train, args.valid, args.test)
-
-
 def _dataset_paths(args) -> dict:
     return {
         "relational": str(Path(args.relational).resolve()),
@@ -50,7 +46,7 @@ def _dataset_paths(args) -> dict:
 
 
 def cmd_ingest(args) -> int:
-    kg, split = _load_from_args(args)
+    kg, split = load_dataset(args.relational, args.train, args.valid, args.test)
     stats = AttributeStats.from_triples(split.train, kg.n_attributes)
     report = format_stats_report(kg, stats)
     print(report, end="")
@@ -124,7 +120,7 @@ def _config_from_args(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    kg, split = _load_from_args(args)
+    kg, split = load_dataset(args.relational, args.train, args.valid, args.test)
     stats = AttributeStats.from_triples(split.train, kg.n_attributes)
     means = attribute_means(split.train, kg.n_attributes)
     model = Model(kg.n_relations, kg.n_attributes, stats, means, config)

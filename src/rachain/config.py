@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 PROJECTION_MODES = ("direct", "translation", "scaling", "combined")
@@ -78,8 +77,3 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))

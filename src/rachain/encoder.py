@@ -11,8 +11,10 @@ whole mini-batch, of mixed lengths and queries, are one batch: shorter
 chains are left-padded with zero tokens that the attention masks out, and
 pad chains that fill a query's unused chain slots keep only the end token.
 An encoder-only transformer (post-norm, residual, multi-head attention
-scaled by 1/sqrt(model_dim), one fused `attention` tape node per layer)
-contextualizes the sequence; the end token's output is the chain
+scaled by 1/sqrt(model_dim)) contextualizes the sequence. A layer's
+attention is five tape nodes: the q, k and v projections, one fused
+`attention` node that splits the rows into heads and merges them back
+itself, and the output projection. The end token's output is the chain
 representation. Only that output is read, so the last layer computes the
 end token alone: its keys and values still come from every token, but its
 query, residual, layer norms and feed-forward run on one row per chain.
@@ -51,7 +53,6 @@ from .autodiff import (
     reshape,
     sqrt,
     square,
-    swapaxes,
     take_rows,
     tensor_sum,
 )
@@ -134,28 +135,12 @@ class TransformerParams:
         return cls(layers=layers, heads=heads, dim=dim)
 
 
-def _attention(x: Tensor, context: Tensor, layer: LayerParams, heads: int, dim: int,
-               key_mask: np.ndarray | None) -> Tensor:
-    """Multi-head attention of the rows x (b, lq, dim) over the rows context
-    (b, lk, dim), which supply the keys and values."""
-    b = x.shape[0]
-    head_dim = dim // heads
-
-    def split(t: Tensor) -> Tensor:
-        return swapaxes(reshape(t, (b, t.shape[1], heads, head_dim)), 1, 2)
-
-    q = split(linear(x, layer.wq))
-    k = split(linear(context, layer.wk))
-    v = split(linear(context, layer.wv))
-    ctx = attention(q, k, v, key_mask, 1.0 / np.sqrt(dim))
-    return linear(reshape(swapaxes(ctx, 1, 2), x.shape), layer.wo)
-
-
 def transformer_stack(x: Tensor, params: TransformerParams,
                       key_mask: np.ndarray | None = None,
                       last_only: bool = False) -> Tensor:
     """Post-norm encoder: x = LN(x + attn(x)); x = LN(x + ffn(x)) per layer,
-    attention being one fused `attention` node per layer.
+    attn projecting q, k and v, running the fused multi-head `attention`
+    node and projecting its merged heads with wo.
 
     A row depends on the other rows only through the keys and values, so
     with last_only the final layer computes only the last row of x (its
@@ -166,7 +151,9 @@ def transformer_stack(x: Tensor, params: TransformerParams,
         rows = x
         if last_only and i == len(params.layers) - 1:
             rows = getitem(x, (slice(None), slice(-1, None)))
-        attn_out = _attention(rows, x, layer, params.heads, params.dim, key_mask)
+        attn_out = linear(attention(linear(rows, layer.wq), linear(x, layer.wk),
+                                    linear(x, layer.wv), params.heads, key_mask,
+                                    1.0 / np.sqrt(params.dim)), layer.wo)
         x = layer_norm(add(rows, attn_out), layer.ln1_gain, layer.ln1_bias)
         hidden = relu(linear(x, layer.ffn_w1, layer.ffn_b1))
         ffn_out = linear(hidden, layer.ffn_w2, layer.ffn_b2)

@@ -145,11 +145,6 @@ class KnowledgeGraph:
     def n_attributes(self) -> int:
         return len(self.attribute_names)
 
-    def facts(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
-        """(attributes, values) of the entity's training facts, in file order."""
-        lo, hi = self.fact_indptr[entity], self.fact_indptr[entity + 1]
-        return self.fact_attr[lo:hi], self.fact_value[lo:hi]
-
     def invert_relation(self, relation):
         """The inverse relation id; elementwise on an array of ids."""
         r = self.num_base_relations

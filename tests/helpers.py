@@ -1,8 +1,8 @@
 """Shared test utilities: independent scalar oracles, the array origin log
 map, the single-value bit codec, validated single-point geometry and
-per-chain filter scoring, hand-built chain sets, a graph's out-edges, the
-exhaustive chain enumerator, the sequential chain sampler, the sort-based
-row check, the np.unique row dedupe, the per-tree top-k selection,
+per-chain filter scoring, hand-built chain sets, a graph's out-edges and
+facts, the exhaustive chain enumerator, the sequential chain sampler, the
+sort-based row check, the np.unique row dedupe, the per-tree top-k selection,
 test-only autodiff ops and the composite forms of the fused layers, the
 unfused full-row transformer, the per-row affine transfer, the per-query
 model forward, the hand-written parameter lists, and finite differences."""
@@ -227,6 +227,12 @@ def out_edges(kg, entity: int) -> tuple[np.ndarray, np.ndarray]:
     return kg.edge_rel[lo:hi], kg.edge_tail[lo:hi]
 
 
+def facts(kg, entity: int) -> tuple[np.ndarray, np.ndarray]:
+    """(attributes, values) of the entity's training facts, in file order."""
+    lo, hi = kg.fact_indptr[entity], kg.fact_indptr[entity + 1]
+    return kg.fact_attr[lo:hi], kg.fact_value[lo:hi]
+
+
 def enumerate_all_chains(kg, query, max_hops: int, max_paths: int = 1_000_000) -> list[RAChain]:
     """Deterministic DFS over every simple path of <= max_hops edges.
 
@@ -251,7 +257,7 @@ def enumerate_all_chains(kg, query, max_hops: int, max_paths: int = 1_000_000) -
             visited.add(nxt)
             rev_path = tuple(reversed(path))
             rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
-            for attr, value in zip(*(col.tolist() for col in kg.facts(nxt))):
+            for attr, value in zip(*(col.tolist() for col in facts(kg, nxt))):
                 chains.append(RAChain(attr, rev_rels, query.attribute, value, rev_path))
             visit(nxt, path, rels, visited)
             path.pop()
@@ -265,12 +271,12 @@ def enumerate_all_chains(kg, query, max_hops: int, max_paths: int = 1_000_000) -
 def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> TreeOfChains:
     """The sequential walk loop that `sample_tree` vectorises: walk by walk,
     hop by hop, over python lists of each entity's `out_edges` and
-    `kg.facts`. Walk w takes neighbour int(u[h, w] * degree) at hop h,
+    `facts`. Walk w takes neighbour int(u[h, w] * degree) at hop h,
     reading the same `rng.random((max_hops, walks))` matrix as `sample_tree`."""
     adjacency = [list(zip(*(col.tolist() for col in out_edges(kg, e))))
                  for e in range(kg.n_entities)]
-    facts = [list(zip(*(col.tolist() for col in kg.facts(e))))
-             for e in range(kg.n_entities)]
+    entity_facts = [list(zip(*(col.tolist() for col in facts(kg, e))))
+                    for e in range(kg.n_entities)]
     u = np.random.default_rng(seed).random((max_hops, walks))
     seen: set[tuple] = set()
     chains: list[RAChain] = []
@@ -290,11 +296,11 @@ def reference_sample_tree(kg, query, walks: int, max_hops: int, seed: int) -> Tr
             rels.append(rel)
             visited.add(nxt)
             cur = nxt
-            if not facts[nxt]:
+            if not entity_facts[nxt]:
                 continue
             rev_path = tuple(reversed(path))
             rev_rels = tuple(kg.invert_relation(r) for r in reversed(rels))
-            for attr, value in facts[nxt]:
+            for attr, value in entity_facts[nxt]:
                 key = (attr, rev_path, rev_rels)
                 if key in seen:
                     continue
@@ -357,7 +363,7 @@ def chain_is_valid(chain: RAChain, kg, query) -> bool:
         rels, tails = out_edges(kg, chain.entity_path[i])
         if not np.any((rels == rel) & (tails == chain.entity_path[i + 1])):
             return False
-    attrs, values = kg.facts(chain.source_entity)
+    attrs, values = facts(kg, chain.source_entity)
     return bool(np.any((attrs == chain.source_attribute) & (values == chain.source_value)))
 
 
@@ -376,6 +382,13 @@ def log(a):
     """Elementwise natural log as a tape node."""
     a = ad._as_tensor(a)
     return ad._make(np.log(a.data), (a,), lambda g: ad._accumulate(a, g / a.data))
+
+
+def swapaxes(a, ax1: int, ax2: int):
+    """Swap two axes as a tape node."""
+    a = ad._as_tensor(a)
+    return ad._make(np.swapaxes(a.data, ax1, ax2), (a,),
+                    lambda g: ad._accumulate(a, np.swapaxes(g, ax1, ax2)))
 
 
 def mean(a, axis=None, keepdims: bool = False):
@@ -400,15 +413,19 @@ def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
     return ad.add(ad.mul(xhat, gain), bias)
 
 
-def reference_attention(q, k, v, key_mask=None, scale: float = 1.0):
-    """The composite form of `ad.attention`: two matmuls, a scale and a
-    masked softmax, five tape nodes."""
-    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale)
-    mask = None
-    if key_mask is not None:
-        mask = key_mask.reshape(key_mask.shape[:1] + (1,) * (scores.ndim - 2)
-                                + key_mask.shape[1:])
-    return ad.matmul(ad.softmax(scores, mask=mask), v)
+def reference_attention(q, k, v, heads: int, key_mask=None, scale: float = 1.0):
+    """The composite form of `ad.attention`: the rows split into heads by
+    reshape and swapaxes, two matmuls, a scale and a masked softmax per
+    head, and the heads merged back by swapaxes and reshape."""
+    b, lq, dim = q.shape
+
+    def split(t):
+        return swapaxes(ad.reshape(t, (b, t.shape[1], heads, dim // heads)), 1, 2)
+
+    scores = ad.mul(ad.matmul(split(q), swapaxes(split(k), -1, -2)), scale)
+    mask = None if key_mask is None else key_mask[:, None, None, :]
+    ctx = ad.matmul(ad.softmax(scores, mask=mask), split(v))
+    return ad.reshape(swapaxes(ctx, 1, 2), (b, lq, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +436,11 @@ def reference_attention(q, k, v, key_mask=None, scale: float = 1.0):
 def reference_transformer_stack(x, params, key_mask=None):
     """`encoder.transformer_stack` with composite attention, every layer
     computing every row."""
-    b, length, dim = x.shape
-    head_dim = dim // params.heads
-
-    def split(t):
-        return ad.swapaxes(ad.reshape(t, (b, length, params.heads, head_dim)), 1, 2)
-
     for layer in params.layers:
-        ctx = reference_attention(split(ad.linear(x, layer.wq)), split(ad.linear(x, layer.wk)),
-                                  split(ad.linear(x, layer.wv)), key_mask,
-                                  1.0 / np.sqrt(dim))
-        attn_out = ad.linear(ad.reshape(ad.swapaxes(ctx, 1, 2), (b, length, dim)), layer.wo)
+        ctx = reference_attention(ad.linear(x, layer.wq), ad.linear(x, layer.wk),
+                                  ad.linear(x, layer.wv), params.heads, key_mask,
+                                  1.0 / np.sqrt(params.dim))
+        attn_out = ad.linear(ctx, layer.wo)
         x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
         hidden = ad.relu(ad.linear(x, layer.ffn_w1, layer.ffn_b1))
         ffn_out = ad.linear(hidden, layer.ffn_w2, layer.ffn_b2)
@@ -582,7 +593,7 @@ def check_gradients(build, arrays: dict[str, np.ndarray], tol: float = 1e-4) -> 
 
 def grad_cases(rng: np.random.Generator):
     """(name, arrays, build) triples covering every differentiable primitive,
-    and the test-only exp, log and mean above.
+    and the test-only exp, log, swapaxes and mean above.
 
     Shapes stay small (<= 16 per axis) and inputs avoid kinks (relu/abs/clip
     boundaries) so central differences are trustworthy.
@@ -622,7 +633,7 @@ def grad_cases(rng: np.random.Generator):
     case("reshape_swap",
          {"a": rng.standard_normal((2, 3, 4))},
          lambda p: ad.tensor_sum(ad.square(
-             ad.swapaxes(ad.reshape(p["a"], (2, 12, 1)), 0, 1))))
+             swapaxes(ad.reshape(p["a"], (2, 12, 1)), 0, 1))))
     case("broadcast_to",
          {"a": rng.standard_normal((1, 4))},
          lambda p: ad.tensor_sum(ad.square(ad.broadcast_to(p["a"], (3, 4)))))
@@ -701,12 +712,17 @@ def grad_cases(rng: np.random.Generator):
          {"x": rng.standard_normal((2, 3, 4)), "w": rng.standard_normal((4, 2))},
          lambda p: ad.tensor_sum(ad.square(ad.linear(p["x"], p["w"]))))
     key_mask = np.array([[True, True, False, True],
-                         [True, True, True, True]])
+                         [False, True, True, True]])
     case("attention",
-         {"q": rng.standard_normal((2, 2, 3, 4)), "k": rng.standard_normal((2, 2, 4, 4)),
-          "v": rng.standard_normal((2, 2, 4, 3))},
-         lambda p: ad.tensor_sum(ad.mul(ad.attention(p["q"], p["k"], p["v"], key_mask, 0.5),
-                                        rng_const_2233)))
+         {"q": rng.standard_normal((2, 4, 6)), "k": rng.standard_normal((2, 4, 6)),
+          "v": rng.standard_normal((2, 4, 6))},
+         lambda p: ad.tensor_sum(ad.mul(ad.attention(p["q"], p["k"], p["v"], 2, key_mask, 0.5),
+                                        rng_const_246)))
+    case("attention_one_query",
+         {"q": rng.standard_normal((2, 1, 6)), "k": rng.standard_normal((2, 4, 6)),
+          "v": rng.standard_normal((2, 4, 6))},
+         lambda p: ad.tensor_sum(ad.mul(ad.attention(p["q"], p["k"], p["v"], 2, key_mask, 0.5),
+                                        rng_const_246[:, -1:])))
     return cases
 
 
@@ -715,4 +731,4 @@ _mix_rng = np.random.default_rng(12345)
 rng_const_34 = _mix_rng.standard_normal((3, 4))
 rng_const_35 = _mix_rng.standard_normal((3, 5))
 rng_const_236 = _mix_rng.standard_normal((2, 3, 6))
-rng_const_2233 = _mix_rng.standard_normal((2, 2, 3, 3))
+rng_const_246 = _mix_rng.standard_normal((2, 4, 6))

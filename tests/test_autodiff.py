@@ -120,7 +120,7 @@ class TestOps:
         kv = ad.Tensor(np.zeros((2, 4, 3)))
         mask = np.array([[True, False, False, True], [False, False, False, False]])
         with pytest.raises(ValueError, match="every key"):
-            ad.attention(q, kv, kv, key_mask=mask)
+            ad.attention(q, kv, kv, 1, key_mask=mask)
 
     def test_masked_slots_get_zero_gradient(self):
         p = ad.Parameter(np.array([[1.0, 2.0, 3.0]]))
@@ -193,27 +193,29 @@ class TestFusedOps:
         for name in arrays:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("lead", [(2,), (2, 3)], ids=["3d", "4d"])
+    @pytest.mark.parametrize("lq", [5, 1], ids=["full", "last"])
     @pytest.mark.parametrize("masked", [True, False], ids=["mask", "no_mask"])
-    def test_attention_matches_composite(self, rng, lead, masked):
-        arrays = {"q": rng.standard_normal(lead + (3, 4)),
-                  "k": rng.standard_normal(lead + (5, 4)),
-                  "v": rng.standard_normal(lead + (5, 2))}
+    def test_attention_matches_composite(self, rng, lq, masked):
+        # two heads of width 3 over 5 keys; lq == 1 is the last_only layer
+        arrays = {"q": rng.standard_normal((2, lq, 6)),
+                  "k": rng.standard_normal((2, 5, 6)),
+                  "v": rng.standard_normal((2, 5, 6))}
         mask = None
         if masked:
             mask = np.array([[True, False, True, True, True],
                              [False, True, True, False, True]])
-        mix = rng.standard_normal(lead + (3, 2))
+        mix = rng.standard_normal((2, lq, 6))
         fused, fused_grads = _values_and_grads(
-            lambda **p: ad.attention(**p, key_mask=mask, scale=0.5), arrays, mix)
+            lambda **p: ad.attention(**p, heads=2, key_mask=mask, scale=0.5), arrays, mix)
         ref, ref_grads = _values_and_grads(
-            lambda **p: reference_attention(**p, key_mask=mask, scale=0.5), arrays, mix)
+            lambda **p: reference_attention(**p, heads=2, key_mask=mask, scale=0.5),
+            arrays, mix)
         np.testing.assert_array_equal(fused, ref)
         for name in arrays:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
         if masked:
-            assert np.all(fused_grads["k"][0, ..., 1, :] == 0.0)
-            assert np.all(fused_grads["v"][1, ..., 3, :] == 0.0)
+            assert np.all(fused_grads["k"][0, 1] == 0.0)
+            assert np.all(fused_grads["v"][1, 3] == 0.0)
 
 
 class TestComposite:

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rachain
 from rachain.cli import _config_from_args, build_parser, main
 from rachain.config import TrainConfig
 
@@ -228,8 +231,13 @@ class TestExplain:
 
 class TestEntryPoint:
     def test_module_invocation_shows_help(self):
+        # the child must import the rachain this suite imports, whether it
+        # comes from an install or from a path pytest set up
+        package_root = str(Path(rachain.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "rachain.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "ingest" in proc.stdout and "explain" in proc.stdout
 

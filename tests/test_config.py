@@ -52,10 +52,3 @@ def test_round_trip_through_dict():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys.*wheels"):
         TrainConfig.from_dict({"wheels": 4})
-
-
-def test_from_file(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"walks": 32, "heads": 2, "dim": 16}))
-    cfg = TrainConfig.from_file(path)
-    assert (cfg.walks, cfg.heads, cfg.dim) == (32, 2, 16)

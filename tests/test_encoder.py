@@ -32,20 +32,36 @@ def encode_of(chains, query_attribute, emb, params):
 
 @pytest.fixture
 def attention_probs(monkeypatch):
-    """The weight arrays of every attention the encoder runs, read by calling
-    `attention` again with v = identity, since p @ I == p exactly."""
+    """The weight arrays (b, heads, lq, lk) of every attention the encoder
+    runs, recomputed in numpy from the q and k rows each call is given."""
     seen = []
     attention = E.attention
 
-    def recording(q, k, v, key_mask=None, scale=1.0):
-        lk = k.shape[-2]
-        eye = np.broadcast_to(np.eye(lk), k.shape[:-1] + (lk,))
-        with ad.no_grad():
-            seen.append(attention(q, k, Tensor(eye), key_mask, scale).data)
-        return attention(q, k, v, key_mask, scale)
+    def recording(q, k, v, heads, key_mask=None, scale=1.0):
+        def split(rows):
+            b, length, dim = rows.shape
+            return rows.data.reshape(b, length, heads, dim // heads).transpose(0, 2, 1, 3)
+
+        scores = scale * (split(q) @ split(k).transpose(0, 1, 3, 2))
+        if key_mask is not None:
+            scores = np.where(key_mask[:, None, None, :], scores, -np.inf)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        seen.append(weights / weights.sum(axis=-1, keepdims=True))
+        return attention(q, k, v, heads, key_mask, scale)
 
     monkeypatch.setattr(E, "attention", recording)
     return seen
+
+
+def op_nodes(out: Tensor) -> int:
+    """Tensors on the tape below `out` that an op recorded (leaves excluded)."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward_fn is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
 
 
 class TestBits:
@@ -224,6 +240,15 @@ class TestTransformer:
             assert np.all(probs[0, :, :, 2] == 0.0)
             assert np.all(probs[1, :, :, 1] == 0.0)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("last_only,nodes", [(False, 12), (True, 13)],
+                             ids=["all_rows", "last_only"])
+    def test_one_layer_is_twelve_tape_nodes(self, rng, last_only, nodes):
+        # q, k, v, attention, wo; add, layer norm; two linears, relu; add,
+        # layer norm; and the row slice of last_only
+        stack = E.TransformerParams.create(rng, dim=8, n_layers=1, heads=2)
+        x = Parameter(rng.standard_normal((2, 4, 8)))
+        assert op_nodes(E.transformer_stack(x, stack, last_only=last_only)) == nodes
 
     def test_deterministic(self, setup, rng):
         emb, params = setup

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import out_edges
+from helpers import facts, out_edges
 from rachain import kg as K
 
 
@@ -77,12 +77,12 @@ class TestLoading:
             r = kg.relation_index[r]
             edges[ent[h]].append((r, ent[t]))
             edges[ent[t]].append((r + kg.num_base_relations, ent[h]))
-        facts = [[] for _ in range(kg.n_entities)]
+        entity_facts = [[] for _ in range(kg.n_entities)]
         for e, a, v in train:
-            facts[ent[e]].append((kg.attribute_index[a], float(v)))
+            entity_facts[ent[e]].append((kg.attribute_index[a], float(v)))
         for e in range(kg.n_entities):
             assert list(zip(*(col.tolist() for col in out_edges(kg, e)))) == edges[e]
-            assert list(zip(*(col.tolist() for col in kg.facts(e)))) == facts[e]
+            assert list(zip(*(col.tolist() for col in facts(kg, e)))) == entity_facts[e]
 
     def test_invert_relation_is_involution(self, tmp_path):
         paths = write_dataset(tmp_path, REL, TRAIN)
@@ -102,12 +102,12 @@ class TestLoading:
         pop = kg.attribute_index["population"]
         lat = kg.attribute_index["latitude"]
 
-        def facts(entity):
-            return list(zip(*(col.tolist() for col in kg.facts(entity))))
+        def pairs(entity):
+            return list(zip(*(col.tolist() for col in facts(kg, entity))))
 
-        assert (pop, 2.1) not in facts(paris)
-        assert (lat, 48.1) not in facts(munich)
-        assert (lat, 52.5) in facts(kg.entity_index["berlin"])
+        assert (pop, 2.1) not in pairs(paris)
+        assert (lat, 48.1) not in pairs(munich)
+        assert (lat, 52.5) in pairs(kg.entity_index["berlin"])
 
     def test_optional_splits(self, tmp_path):
         paths = write_dataset(tmp_path, REL, TRAIN)

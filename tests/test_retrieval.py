@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (chain_is_valid, chain_set, enumerate_all_chains, out_edges,
+from helpers import (chain_is_valid, chain_set, enumerate_all_chains, facts, out_edges,
                      reference_check_rows, reference_distinct_rows, reference_sample_tree)
 from rachain import kg as K
 from rachain import retrieval as R
@@ -246,7 +246,7 @@ class TestSampling:
         query = K.Query(kg.entity_index["hub"], kg.attribute_index["v0"])
         toc = R.sample_tree(kg, query, walks=5, max_hops=2, seed=0)
         assert len(toc) == 5
-        attrs, values = kg.facts(kg.entity_index["x"])
+        attrs, values = facts(kg, kg.entity_index["x"])
         assert [(c.source_attribute, c.source_value) for c in toc.chains] == \
             list(zip(attrs[:5].tolist(), values[:5].tolist()))
 
