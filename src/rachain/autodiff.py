@@ -4,9 +4,10 @@ A Tensor records the op that produced it (parent tensors + a backward
 closure); backward() topologically sorts that tape and accumulates gradients
 into .grad. Only the primitives the model needs are implemented, each checked
 against central finite differences in the test suite. The layers the model
-runs most (`linear`, `layer_norm` and masked scaled multi-head `attention`,
-which splits and merges its heads itself) are fused: one tape node each,
-keeping only what their backward reads.
+runs most (`linear`, `layer_norm`, masked scaled multi-head `attention`,
+which splits and merges its heads itself, and the origin `log_map` of the
+Poincare ball) are fused: one tape node each, keeping only what their
+backward reads.
 
 Model parts are dataclasses of Parameters and lists of parts; `parameters`
 walks their fields, so a part's fields are the one list of what it trains.
@@ -173,17 +174,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward_fn)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), backward_fn)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product with broadcasting over leading batch axes (operands >= 2-D)."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -209,17 +199,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward_fn(g):
         _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    out_data = np.broadcast_to(a.data, shape).copy()
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
 
     return _make(out_data, (a,), backward_fn)
 
@@ -289,16 +268,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g * 0.5 / out_data)
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def square(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
@@ -315,16 +284,6 @@ def absolute(a: Tensor) -> Tensor:
         _accumulate(a, g * np.sign(a.data))
 
     return _make(np.abs(a.data), (a,), backward_fn)
-
-
-def arctanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.arctanh(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g / (1.0 - a.data * a.data))
-
-    return _make(out_data, (a,), backward_fn)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -480,6 +439,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                 _accumulate(k, merge(ds.transpose(0, 1, 3, 2) @ qh))
 
     return _make(merge(p @ vh), (q, k, v), backward_fn)
+
+
+def log_map(x: Tensor, curvature: float = 1.0) -> Tensor:
+    """Origin log map of the c-ball on the last axis,
+    x * arctanh(sqrt(c) n) / (sqrt(c) n) with n = sqrt(|x|^2 + 1e-30): the
+    floor keeps the norm smooth and maps the origin to the origin. The
+    operations run in the order of the composite (norm, scale, arctanh,
+    divide, multiply), so the output is bit-identical to it."""
+    x = _as_tensor(x)
+    n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + 1e-30)
+    sn = n * float(np.sqrt(curvature))
+    s = np.arctanh(sn) / sn
+
+    def backward_fn(g):
+        # d/dx of x * s(n): g * s plus x <g, x> (ds/dn) / n
+        dot = np.sum(g * x.data, axis=-1, keepdims=True)
+        _accumulate(x, g * s + x.data * ((1.0 / (1.0 - sn * sn) - s) / (n * n) * dot))
+
+    return _make(x.data * s, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

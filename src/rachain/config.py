@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 PROJECTION_MODES = ("direct", "translation", "scaling", "combined")
@@ -48,17 +49,20 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {PROJECTION_MODES}, got {self.mode!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.dim % self.heads != 0:
-            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         for name in ("walks", "max_hops", "top_k", "dim", "filter_dim", "layers",
                      "heads", "affine_hidden", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.dim % self.heads != 0:
+            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         for name in ("clip_norm", "curvature"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0.0 < self.init_radius < 1.0 / math.sqrt(self.curvature):
+            raise ValueError(f"init_radius must lie in (0, 1/sqrt(curvature)), "
+                             f"got {self.init_radius}")
         if not self.lr >= 0.0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.attributes is not None:

@@ -4,12 +4,15 @@ A chain stored source -> query as relations (r_1, ..., r_l), r_1 leaving
 the source and r_l reaching the query entity, becomes the token sequence
 [source_attr, r_l, ..., r_1, query_attr, end]: the query-adjacent relation
 follows the source token and the source-adjacent one precedes the query
-token. Ball embeddings are pulled into the tangent space at the origin by the
-log map, linearly lifted when the filter dimension differs from the encoder
-dimension, and a learned end-of-chain token is appended. The chains of a
-whole mini-batch, of mixed lengths and queries, are one batch: shorter
-chains are left-padded with zero tokens that the attention masks out, and
-pad chains that fill a query's unused chain slots keep only the end token.
+token, and a learned end-of-chain token is appended. The vocabulary is
+embedded once per batch: the ball rows of every relation and attribute are
+pulled into the tangent space at the origin by the fused `log_map` node,
+linearly lifted when the filter dimension differs from the encoder
+dimension, and stacked with the end token and a zero row into one table, so
+a batch's tokens are one gather from it. The chains of a whole mini-batch,
+of mixed lengths and queries, are one batch: shorter chains are left-padded
+with zero tokens that the attention masks out, and pad chains that fill a
+query's unused chain slots keep only the end token.
 An encoder-only transformer (post-norm, residual, multi-head attention
 scaled by 1/sqrt(model_dim)) contextualizes the sequence. A layer's
 attention is five tape nodes: the q, k and v projections, one fused
@@ -39,22 +42,16 @@ from .autodiff import (
     Parameter,
     Tensor,
     add,
-    arctanh,
     attention,
-    broadcast_to,
     concat,
-    div,
     getitem,
     layer_norm,
     linear,
+    log_map,
     matmul,
-    mul,
     relu,
     reshape,
-    sqrt,
-    square,
     take_rows,
-    tensor_sum,
 )
 from .filter import FilterEmbeddings
 from .retrieval import chain_lengths
@@ -165,14 +162,6 @@ def transformer_stack(x: Tensor, params: TransformerParams,
 # tokenization and encoding
 
 
-def log_map_tensor(x: Tensor, curvature: float = 1.0) -> Tensor:
-    """Differentiable origin log map; the 1e-30 floor keeps the norm smooth."""
-    sc = float(np.sqrt(curvature))
-    n = sqrt(add(tensor_sum(square(x), axis=-1, keepdims=True), 1e-30))
-    sn = mul(n, sc)
-    return mul(x, div(arctanh(sn), sn))
-
-
 @dataclass
 class ChainEncoderParams:
     stack: TransformerParams
@@ -200,41 +189,46 @@ def chain_tokens(source_attribute: np.ndarray, relations: np.ndarray, query_attr
     m chains given as rows of a chain set (`retrieval.TreeOfChains` layout:
     relations right-padded with -1), L the longest chain length.
 
-    query_attributes is one attribute for every chain or one per chain. A
-    chain of length l fills the last l + 3 slots; the L - l leading pad
-    slots are exactly zero and masked out, so the end token is always last.
-    A row with no relation is a pad chain: every slot is zero and only its
-    end slot is unmasked, so it gives a finite row that costs no gather to
-    place. include_end=False drops the end-of-chain token (m, L + 2, dim),
-    used by the transformer-free variant that mean-pools the tokens.
+    query_attributes is one attribute for every chain or one per chain. The
+    tokens are one gather from one table: the log-mapped (and lifted)
+    relation and attribute rows, the end token, then a zero row. A chain of
+    length l fills the last l + 3 slots; the L - l leading pad slots read
+    the zero row and are masked out, so the end token is always last. A row
+    with no relation is a pad chain: every slot but the end is zero and
+    only its end slot is unmasked, so it gives a finite row.
+    include_end=False drops the end-of-chain token (m, L + 2, dim) and
+    leaves it out of the table, for the transformer-free variant that
+    mean-pools the tokens.
     """
     m = len(source_attribute)
     lengths = chain_lengths(relations)
     longest = int(lengths.max())
     n_rel = embeddings.relations.shape[0]
-    df = embeddings.dim
 
-    # rows of [relations; attributes; zero], so a -1 pad id reads the zero
-    # row; read backwards, right-padded relations are left-padded in token
-    # order, the query-adjacent relation first
-    ids = np.full((m, longest + 2), -1, dtype=np.int64)
-    ids[:, 1:-1] = relations[:, longest - 1::-1]
+    # rows of [relations; attributes; end; zero], so a -1 pad id reads the
+    # zero row; read backwards, right-padded relations are left-padded in
+    # token order, the query-adjacent relation first
+    ids = np.full((m, longest + 3), -1, dtype=np.int64)
+    ids[:, 1:-2] = relations[:, longest - 1::-1]
     real = lengths > 0
     first = np.where(real, longest - lengths, longest + 2)  # first unmasked slot
     ids[real, first[real]] = n_rel + source_attribute[real]
-    ids[real, -1] = n_rel + np.broadcast_to(query_attributes, (m,))[real]
+    ids[real, -2] = n_rel + np.broadcast_to(query_attributes, (m,))[real]
+    ids[:, -1] = n_rel + embeddings.attributes.shape[0]
     key_mask = np.arange(longest + 3) >= first[:, None]
 
-    table = concat([embeddings.relations, embeddings.attributes, Tensor(np.zeros((1, df)))])
-    ball = reshape(take_rows(table, ids.reshape(-1)), (m, longest + 2, df))
-    tangent = log_map_tensor(ball, embeddings.curvature)
+    words = log_map(concat([embeddings.relations, embeddings.attributes]),
+                    embeddings.curvature)
     if params.lift is not None:
-        tangent = linear(tangent, params.lift)
-    if not include_end:
-        return tangent, key_mask[:, :-1]
+        words = linear(words, params.lift)
     dim = params.stack.dim
-    end = broadcast_to(reshape(params.end_token, (1, 1, dim)), (m, 1, dim))
-    return concat([tangent, end], axis=1), key_mask
+    rows = [words]
+    if include_end:
+        rows.append(reshape(params.end_token, (1, dim)))
+    else:
+        ids, key_mask = ids[:, :-1], key_mask[:, :-1]
+    table = concat(rows + [Tensor(np.zeros((1, dim)))])
+    return take_rows(table, ids), key_mask
 
 
 def encode_chains(source_attribute: np.ndarray, relations: np.ndarray, query_attributes,

@@ -4,8 +4,9 @@ per-chain filter scoring, hand-built chain sets, a graph's out-edges and
 facts, the exhaustive chain enumerator, the sequential chain sampler, the
 sort-based row check, the np.unique row dedupe, the per-tree top-k selection,
 test-only autodiff ops and the composite forms of the fused layers, the
-unfused full-row transformer, the per-row affine transfer, the per-query
-model forward, the hand-written parameter lists, and finite differences."""
+per-token chain tokens, the unfused full-row transformer, the per-row affine
+transfer, the per-query model forward, the hand-written parameter lists, and
+finite differences."""
 
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from rachain import autodiff as ad
-from rachain.encoder import AffineNets, chain_tokens, encode_values
+from rachain.encoder import AffineNets, encode_values
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
 from rachain.reasoner import aggregate, project_values
-from rachain.retrieval import RAChain, TreeOfChains
+from rachain.retrieval import RAChain, TreeOfChains, chain_lengths
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +385,38 @@ def log(a):
     return ad._make(np.log(a.data), (a,), lambda g: ad._accumulate(a, g / a.data))
 
 
+def div(a, b):
+    """Elementwise a / b as a tape node."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+
+    def backward_fn(g):
+        ad._accumulate(a, ad._unbroadcast(g / b.data, a.data.shape))
+        ad._accumulate(b, ad._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return ad._make(a.data / b.data, (a, b), backward_fn)
+
+
+def sqrt(a):
+    """Elementwise square root as a tape node."""
+    a = ad._as_tensor(a)
+    out = np.sqrt(a.data)
+    return ad._make(out, (a,), lambda g: ad._accumulate(a, g * 0.5 / out))
+
+
+def arctanh(a):
+    """Elementwise arctanh as a tape node."""
+    a = ad._as_tensor(a)
+    return ad._make(np.arctanh(a.data), (a,),
+                    lambda g: ad._accumulate(a, g / (1.0 - a.data * a.data)))
+
+
+def broadcast_to(a, shape):
+    """numpy broadcasting to `shape` as a tape node."""
+    a = ad._as_tensor(a)
+    return ad._make(np.broadcast_to(a.data, shape).copy(), (a,),
+                    lambda g: ad._accumulate(a, ad._unbroadcast(g, a.data.shape)))
+
+
 def swapaxes(a, ax1: int, ax2: int):
     """Swap two axes as a tape node."""
     a = ad._as_tensor(a)
@@ -409,7 +442,7 @@ def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
     mu = mean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
     var = mean(ad.square(centered), axis=-1, keepdims=True)
-    xhat = ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    xhat = div(centered, sqrt(ad.add(var, eps)))
     return ad.add(ad.mul(xhat, gain), bias)
 
 
@@ -426,6 +459,14 @@ def reference_attention(q, k, v, heads: int, key_mask=None, scale: float = 1.0):
     mask = None if key_mask is None else key_mask[:, None, None, :]
     ctx = ad.matmul(ad.softmax(scores, mask=mask), split(v))
     return ad.reshape(swapaxes(ctx, 1, 2), (b, lq, dim))
+
+
+def composite_log_map(x, curvature: float = 1.0):
+    """The composite form of `ad.log_map`: the floored norm, its scale by
+    sqrt(c), arctanh, a divide and a multiply, one tape node each."""
+    n = sqrt(ad.add(ad.tensor_sum(ad.square(x), axis=-1, keepdims=True), 1e-30))
+    sn = ad.mul(n, float(np.sqrt(curvature)))
+    return ad.mul(x, div(arctanh(sn), sn))
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +489,46 @@ def reference_transformer_stack(x, params, key_mask=None):
     return x
 
 
+def reference_chain_tokens(source_attribute, relations, query_attributes, embeddings,
+                           params, include_end: bool = True):
+    """The per-token form of `encoder.chain_tokens`: the ball rows gathered
+    token by token into (m, L + 2, filter_dim), the composite log map and
+    the lift run on every gathered token, and the end token broadcast to
+    every chain and concatenated last."""
+    m = len(source_attribute)
+    lengths = chain_lengths(relations)
+    longest = int(lengths.max())
+    n_rel = embeddings.relations.shape[0]
+    ids = np.full((m, longest + 2), -1, dtype=np.int64)
+    for i, length in enumerate(lengths.tolist()):
+        if length == 0:
+            continue
+        first = longest - length
+        ids[i, first] = n_rel + source_attribute[i]
+        ids[i, first + 1:-1] = relations[i, length - 1::-1]
+        ids[i, -1] = n_rel + np.broadcast_to(query_attributes, (m,))[i]
+    first = np.where(lengths > 0, longest - lengths, longest + 2)
+    key_mask = np.arange(longest + 3) >= first[:, None]
+    table = ad.concat([embeddings.relations, embeddings.attributes,
+                       ad.Tensor(np.zeros((1, embeddings.dim)))])
+    ball = ad.reshape(ad.take_rows(table, ids.reshape(-1)),
+                      (m, longest + 2, embeddings.dim))
+    tangent = composite_log_map(ball, embeddings.curvature)
+    if params.lift is not None:
+        tangent = ad.linear(tangent, params.lift)
+    if not include_end:
+        return tangent, key_mask[:, :-1]
+    dim = params.stack.dim
+    end = broadcast_to(ad.reshape(params.end_token, (1, 1, dim)), (m, 1, dim))
+    return ad.concat([tangent, end], axis=1), key_mask
+
+
 def reference_encode_chains(source_attribute, relations, query_attributes, embeddings,
                             params):
-    """`encoder.encode_chains` over the full stack: every layer computes
-    every token, then the end token's row is read."""
-    tokens, key_mask = chain_tokens(source_attribute, relations, query_attributes,
-                                    embeddings, params)
+    """`encoder.encode_chains` over per-token tokens and the full stack:
+    every layer computes every token, then the end token's row is read."""
+    tokens, key_mask = reference_chain_tokens(source_attribute, relations,
+                                              query_attributes, embeddings, params)
     out = reference_transformer_stack(tokens, params.stack, key_mask)
     return ad.getitem(out, (slice(None), -1))
 
@@ -493,8 +568,9 @@ def reference_forward(model, etoc):
         reps = reference_encode_chains(usable.source_attribute, usable.relations, qa,
                                        model.embeddings, model.encoder)
     else:
-        tokens, key_mask = chain_tokens(usable.source_attribute, usable.relations, qa,
-                                        model.embeddings, model.encoder, include_end=False)
+        tokens, key_mask = reference_chain_tokens(usable.source_attribute, usable.relations,
+                                                  qa, model.embeddings, model.encoder,
+                                                  include_end=False)
         reps = ad.mul(ad.tensor_sum(tokens, axis=1),
                       1.0 / key_mask.sum(axis=1, keepdims=True))
     transferred = (reference_affine_transfer(reps, values_norm, model.affine)
@@ -592,8 +668,8 @@ def check_gradients(build, arrays: dict[str, np.ndarray], tol: float = 1e-4) -> 
 
 
 def grad_cases(rng: np.random.Generator):
-    """(name, arrays, build) triples covering every differentiable primitive,
-    and the test-only exp, log, swapaxes and mean above.
+    """(name, arrays, build) triples covering every differentiable primitive
+    and fused layer, and the test-only ops above.
 
     Shapes stay small (<= 16 per axis) and inputs avoid kinks (relu/abs/clip
     boundaries) so central differences are trustworthy.
@@ -620,7 +696,7 @@ def grad_cases(rng: np.random.Generator):
          lambda p: ad.tensor_sum(ad.mul(p["a"], p["b"])))
     case("div",
          {"a": rng.standard_normal((3, 4)), "b": away_from_zero((3, 4), 0.5, 2.0)},
-         lambda p: ad.tensor_sum(ad.div(p["a"], p["b"])))
+         lambda p: ad.tensor_sum(div(p["a"], p["b"])))
     case("matmul",
          {"a": rng.standard_normal((3, 5)), "b": rng.standard_normal((5, 4))},
          lambda p: ad.tensor_sum(ad.square(ad.matmul(p["a"], p["b"]))))
@@ -636,7 +712,7 @@ def grad_cases(rng: np.random.Generator):
              swapaxes(ad.reshape(p["a"], (2, 12, 1)), 0, 1))))
     case("broadcast_to",
          {"a": rng.standard_normal((1, 4))},
-         lambda p: ad.tensor_sum(ad.square(ad.broadcast_to(p["a"], (3, 4)))))
+         lambda p: ad.tensor_sum(ad.square(broadcast_to(p["a"], (3, 4)))))
     case("concat",
          {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((4, 3))},
          lambda p: ad.tensor_sum(ad.square(ad.concat([p["a"], p["b"]], axis=0))))
@@ -658,7 +734,7 @@ def grad_cases(rng: np.random.Generator):
          lambda p: ad.tensor_sum(log(p["a"])))
     case("sqrt",
          {"a": rng.uniform(0.5, 2.0, (3, 4))},
-         lambda p: ad.tensor_sum(ad.sqrt(p["a"])))
+         lambda p: ad.tensor_sum(sqrt(p["a"])))
     case("square",
          {"a": rng.standard_normal((3, 4))},
          lambda p: ad.tensor_sum(ad.square(p["a"])))
@@ -667,7 +743,7 @@ def grad_cases(rng: np.random.Generator):
          lambda p: ad.tensor_sum(ad.absolute(p["a"])))
     case("arctanh",
          {"a": rng.uniform(-0.8, 0.8, (3, 4))},
-         lambda p: ad.tensor_sum(ad.arctanh(p["a"])))
+         lambda p: ad.tensor_sum(arctanh(p["a"])))
     case("clip_interior",
          {"a": rng.uniform(0.2, 0.8, (3, 4))},
          lambda p: ad.tensor_sum(ad.square(ad.clip(p["a"], 0.0, 1.0))))
@@ -723,6 +799,11 @@ def grad_cases(rng: np.random.Generator):
           "v": rng.standard_normal((2, 4, 6))},
          lambda p: ad.tensor_sum(ad.mul(ad.attention(p["q"], p["k"], p["v"], 2, key_mask, 0.5),
                                         rng_const_246[:, -1:])))
+    rows = random_inball(rng, 6, 3, radius=0.9)
+    rows[0] *= 0.9 / np.linalg.norm(rows[0])  # sqrt(c) |x| = 0.805
+    case("log_map",
+         {"a": rows},
+         lambda p: ad.tensor_sum(ad.mul(ad.log_map(p["a"], 0.8), rng_const_63)))
     return cases
 
 
@@ -732,3 +813,4 @@ rng_const_34 = _mix_rng.standard_normal((3, 4))
 rng_const_35 = _mix_rng.standard_normal((3, 5))
 rng_const_236 = _mix_rng.standard_normal((2, 3, 6))
 rng_const_246 = _mix_rng.standard_normal((2, 4, 6))
+rng_const_63 = _mix_rng.standard_normal((6, 3))

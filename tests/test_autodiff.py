@@ -7,9 +7,11 @@ from helpers import (
     check_gradients,
     composite_layer_norm,
     composite_linear,
+    composite_log_map,
     grad_cases,
     max_rel_err,
     numeric_grad,
+    random_inball,
     reference_attention,
 )
 from rachain import autodiff as ad
@@ -166,7 +168,7 @@ def _values_and_grads(op, arrays, mix):
 
 
 class TestFusedOps:
-    """The fused linear, layer_norm and attention nodes against the
+    """The fused linear, layer_norm, attention and log_map nodes against the
     primitive-op composites they replace."""
 
     @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
@@ -216,6 +218,23 @@ class TestFusedOps:
         if masked:
             assert np.all(fused_grads["k"][0, 1] == 0.0)
             assert np.all(fused_grads["v"][1, 3] == 0.0)
+
+    @pytest.mark.parametrize("curvature", [1.0, 0.6])
+    def test_log_map_matches_composite(self, rng, curvature):
+        # rows up to sqrt(c) |x| = 0.9, a tiny one and the all-zero origin row
+        x = random_inball(rng, 6, 5, radius=0.9 / np.sqrt(curvature))
+        x[1] *= 1e-9
+        x[4] = 0.0
+        arrays = {"x": x.reshape(2, 3, 5)}
+        mix = rng.standard_normal((2, 3, 5))
+        fused, fused_grads = _values_and_grads(
+            lambda x: ad.log_map(x, curvature), arrays, mix)
+        ref, ref_grads = _values_and_grads(
+            lambda x: composite_log_map(x, curvature), arrays, mix)
+        np.testing.assert_array_equal(fused, ref)
+        assert np.all(fused[1, 1] == 0.0)
+        np.testing.assert_allclose(fused_grads["x"], ref_grads["x"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused_grads["x"][1, 1], mix[1, 1], rtol=0, atol=1e-12)
 
 
 class TestComposite:

@@ -29,6 +29,10 @@ def test_defaults_construct():
         ({"curvature": 0.0}, "curvature must be > 0"),
         ({"curvature": -1.0}, "curvature must be > 0"),
         ({"lr": -1e-4}, "lr must be >= 0"),
+        ({"heads": 0}, "heads must be >= 1"),
+        ({"init_radius": 2.0}, "init_radius must lie in"),
+        ({"init_radius": 0.0}, "init_radius must lie in"),
+        ({"curvature": 4.0, "init_radius": 0.5}, "init_radius must lie in"),
     ],
 )
 def test_invalid_values_rejected(kwargs, fragment):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (chain_set, check_gradients, decode_value, encode_value, oracle_log_map,
-                     random_inball, reference_affine_transfer, reference_encode_chains)
+                     random_inball, reference_affine_transfer, reference_chain_tokens,
+                     reference_encode_chains)
 from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain.autodiff import Parameter, Tensor, parameters
@@ -114,19 +115,21 @@ class TestBits:
 
 
 class TestLogMapTensor:
+    """The fused `autodiff.log_map` node against the scalar oracle."""
+
     def test_matches_scalar_oracle(self, rng):
         x = random_inball(rng, 6, 4)
-        out = E.log_map_tensor(Tensor(x)).data
+        out = ad.log_map(Tensor(x)).data
         for row, expect in zip(out, [oracle_log_map(r) for r in x]):
             np.testing.assert_allclose(row, expect, atol=1e-12)
 
     def test_origin_maps_to_origin(self):
-        out = E.log_map_tensor(Tensor(np.zeros((2, 3)))).data
+        out = ad.log_map(Tensor(np.zeros((2, 3)))).data
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_curvature_scaling(self, rng):
         x = random_inball(rng, 4, 3, radius=0.5)
-        out = E.log_map_tensor(Tensor(x), curvature=0.25).data
+        out = ad.log_map(Tensor(x), curvature=0.25).data
         for row, expect in zip(out, [oracle_log_map(r, c=0.25) for r in x]):
             np.testing.assert_allclose(row, expect, atol=1e-12)
 
@@ -202,13 +205,62 @@ class TestTokens:
         assert params.lift is not None
         tokens, _ = tokens_of([make_chain(0, (1,))], 2, emb, params)
         assert tokens.shape == (1, 4, 8)
-        raw = E.log_map_tensor(Tensor(emb.attributes.data[[0]])).data
+        raw = ad.log_map(Tensor(emb.attributes.data[[0]])).data
         np.testing.assert_allclose(tokens.data[0, 0], raw[0] @ params.lift.data,
                                    atol=1e-12)
 
     def test_no_lift_when_widths_match(self, setup):
         _, params = setup
         assert params.lift is None
+
+
+class TestTokenTable:
+    """chain_tokens embeds the vocabulary once and gathers every token from
+    one table, against the per-token composite it replaced."""
+
+    # lengths 3, 1, 2 and two pad chains, two query attributes
+    SOURCE = np.array([0, 1, 3, 2, 0])
+    RELATIONS = np.array([[1, 2, 3], [4, -1, -1], [5, 0, -1], [-1, -1, -1], [-1, -1, -1]])
+    QUERY = np.array([2, 2, 1, 2, 1])
+
+    @pytest.mark.parametrize("include_end", [True, False], ids=["end", "no_end"])
+    @pytest.mark.parametrize("filter_dim", [8, 4], ids=["no_lift", "lift"])
+    def test_matches_per_token_reference(self, rng, filter_dim, include_end):
+        emb = FilterEmbeddings.create(rng, n_relations=6, n_attributes=4, dim=filter_dim,
+                                      curvature=0.7, init_radius=0.9)
+        params = E.ChainEncoderParams.create(rng, filter_dim=filter_dim, dim=8,
+                                             n_layers=1, heads=2)
+        assert (params.lift is not None) == (filter_dim != 8)
+        weights = [emb.relations, emb.attributes, params.end_token]
+        weights += [params.lift] if params.lift is not None else []
+
+        def run(tokens_fn):
+            for w in weights:
+                w.grad = None
+            tokens, mask = tokens_fn(self.SOURCE, self.RELATIONS, self.QUERY, emb, params,
+                                     include_end=include_end)
+            ad.backward(ad.tensor_sum(ad.mul(tokens, mix)))
+            return tokens.data, mask, [w.grad for w in weights]
+
+        mix = rng.standard_normal((5, 5 + include_end, 8))
+        got, got_mask, got_grads = run(E.chain_tokens)
+        want, want_mask, want_grads = run(reference_chain_tokens)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_mask, want_mask)
+        for w, g, h in zip(weights, got_grads, want_grads):
+            if w is params.end_token and not include_end:
+                assert g is None and h is None
+                continue
+            np.testing.assert_allclose(g, h, rtol=0.0, atol=1e-12, err_msg=w.name)
+
+    @pytest.mark.parametrize("filter_dim,nodes", [(4, 6), (8, 5)], ids=["lift", "no_lift"])
+    def test_one_gather_over_one_table(self, rng, filter_dim, nodes):
+        # concat, log_map, (lift,) end-token reshape, table concat, take_rows
+        emb = FilterEmbeddings.create(rng, n_relations=6, n_attributes=4, dim=filter_dim)
+        params = E.ChainEncoderParams.create(rng, filter_dim=filter_dim, dim=8,
+                                             n_layers=1, heads=2)
+        tokens, _ = E.chain_tokens(self.SOURCE, self.RELATIONS, self.QUERY, emb, params)
+        assert op_nodes(tokens) == nodes
 
 
 class TestTransformer:
