@@ -25,7 +25,7 @@ from rachain import evaluation, synth, training
 from rachain.config import TrainConfig
 from rachain.kg import AttributeStats, attribute_means, load_dataset
 from rachain.model import Model, save_checkpoint
-from rachain.reasoner import format_pattern_report, top_patterns
+from rachain.reasoner import format_pattern_report
 from rachain.training import train
 
 SPEC = {
@@ -113,10 +113,7 @@ def main() -> int:
           "attribute, before -> after filtering):")
     print(evaluation.format_filter_audit(audits), end="")
 
-    queries = training.scoped_queries(kg, split.test, model)
-    traces = model.predict_batch(
-        kg, queries, [training.seed_for(config.seed, 6, 0, i) for i in range(len(queries))])
-    patterns = top_patterns(traces)
+    patterns = evaluation.explain(model, kg, split.test, seed=config.seed)
     pattern_report = format_pattern_report(patterns, kg.relation_names,
                                            kg.attribute_names, limit=10)
     print("\nchain patterns by aggregate attention weight:")

@@ -25,7 +25,7 @@ from .kg import (
     load_dataset,
 )
 from .model import Model, load_checkpoint, save_checkpoint
-from .reasoner import format_pattern_report, top_patterns
+from .reasoner import format_pattern_report
 from .training import train
 
 
@@ -240,12 +240,7 @@ def cmd_explain(args) -> int:
             raise ValueError(f"unknown attribute {args.attribute!r}")
         aid = kg.attribute_index[args.attribute]
         triples = [t for t in triples if t[1] == aid]
-    if not triples:
-        raise ValueError("no queries to explain")
-    queries = training.scoped_queries(kg, triples, model)
-    traces = model.predict_batch(
-        kg, queries, [training.seed_for(args.seed, 6, 0, i) for i in range(len(queries))])
-    patterns = top_patterns(traces)
+    patterns = evaluation.explain(model, kg, triples, seed=args.seed)
     report = format_pattern_report(patterns, kg.relation_names, kg.attribute_names,
                                    limit=args.limit)
     print(report, end="")

@@ -1,12 +1,15 @@
 """Evaluation: per-attribute error metrics, the train-mean baseline, the
-component-ablation harness, and a composition audit of the chain filter.
+component-ablation harness, a composition audit of the chain filter, and the
+chain-pattern explanation (`explain`).
 
+Every report groups per-query arrays by attribute id, in ascending order.
 Native metrics (MAE, RMSE) are in each attribute's own units. The averaged
 metrics normalize every error by the attribute's training span first and then
 weight each attribute equally, so wide-range attributes cannot drown out
 narrow ones. Predictions and the filter audit run one chunk of
 config.batch_size queries at a time: one retrieval, one selection and (for
-predictions) one forward per chunk.
+predictions) one forward per chunk. Query i is seeded from `seed_for`
+channel 3 (evaluate), 4 and 5 (audit retrieval, selection) or 6 (explain).
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .kg import DatasetSplit, KnowledgeGraph, Query
+from .kg import AttributeStats, DatasetSplit, KnowledgeGraph, Query
 from .model import Model
+from .reasoner import top_patterns
 from .training import TrainResult, scoped_queries, seed_for, train
 
 
@@ -42,64 +46,57 @@ class MetricsReport:
     skipped_attributes: list[str] = field(default_factory=list)
 
 
-def _report_from_errors(kg: KnowledgeGraph, per_attr: dict[int, list[tuple[float, int]]],
-                        spans: dict[int, float], skipped: list[str]) -> MetricsReport:
+def _seeds(seed: int, channel: int, indices) -> list[int]:
+    return [seed_for(seed, channel, 0, i) for i in indices]
+
+
+def _attributes(queries: list[Query]) -> np.ndarray:
+    return np.array([q.attribute for q in queries], dtype=np.int64)
+
+
+def _report(kg: KnowledgeGraph, stats: AttributeStats, queries: list[Query],
+            predicted, fallback, skipped: list[str]) -> MetricsReport:
+    """Score predicted[i] against queries[i].target; fallback is a bool per query."""
+    attrs = _attributes(queries)
+    errors = np.abs(np.asarray(predicted, dtype=np.float64) - [q.target for q in queries])
     rows = []
-    for attr in sorted(per_attr):
-        pairs = per_attr[attr]
-        errs = np.array([e for e, _ in pairs])
-        span = spans[attr]
+    for attr in np.unique(attrs):
+        mask = attrs == attr
+        errs = errors[mask]
+        span = float(stats.maxs[attr] - stats.mins[attr])
+        mae, rmse = np.mean(errs), np.sqrt(np.mean(errs ** 2))
         rows.append(AttributeMetrics(
-            attribute=attr,
-            name=kg.attribute_names[attr],
-            count=len(errs),
-            mae=float(np.mean(errs)),
-            rmse=float(np.sqrt(np.mean(errs ** 2))),
-            mae_norm=float(np.mean(errs) / span),
-            rmse_norm=float(np.sqrt(np.mean(errs ** 2)) / span),
-            fallbacks=sum(f for _, f in pairs),
-        ))
+            attribute=int(attr), name=kg.attribute_names[attr], count=len(errs),
+            mae=float(mae), rmse=float(rmse),
+            mae_norm=float(mae / span), rmse_norm=float(rmse / span),
+            fallbacks=int(np.count_nonzero(fallback[mask]))))
     avg_mae = float(np.mean([r.mae_norm for r in rows])) if rows else float("nan")
     avg_rmse = float(np.mean([r.rmse_norm for r in rows])) if rows else float("nan")
     return MetricsReport(rows=rows, average_mae_norm=avg_mae,
-                         average_rmse_norm=avg_rmse,
-                         n_queries=sum(r.count for r in rows),
+                         average_rmse_norm=avg_rmse, n_queries=len(queries),
                          skipped_attributes=skipped)
 
 
 def _split_queries(kg: KnowledgeGraph, model: Model, triples) -> tuple[list[Query], list[str]]:
     queries = scoped_queries(kg, triples, model)
-    seen = {q.attribute for q in queries}
-    all_attrs = {a for _, a, _ in triples}
-    skipped = [kg.attribute_names[a] for a in sorted(all_attrs - seen)
-               if not model.stats.usable(a)]
-    return queries, skipped
+    unscored = sorted({a for _, a, _ in triples} - {q.attribute for q in queries})
+    return queries, [kg.attribute_names[a] for a in unscored if not model.stats.usable(a)]
 
 
 def evaluate(model: Model, kg: KnowledgeGraph, triples, seed: int = 0) -> MetricsReport:
     """Predict every query in `triples` (`Model.predict_batch`, query i with
     channel-3 seed i) and score against its held-out value."""
     queries, skipped = _split_queries(kg, model, triples)
-    per_attr: dict[int, list[tuple[float, int]]] = {}
-    spans: dict[int, float] = {}
-    seeds = [seed_for(seed, 3, 0, i) for i in range(len(queries))]
-    for q, trace in zip(queries, model.predict_batch(kg, queries, seeds)):
-        err = abs(trace.predicted_value - q.target)
-        per_attr.setdefault(q.attribute, []).append((err, int(trace.fallback is not None)))
-        spans[q.attribute] = float(model.stats.maxs[q.attribute] - model.stats.mins[q.attribute])
-    return _report_from_errors(kg, per_attr, spans, skipped)
+    traces = model.predict_batch(kg, queries, _seeds(seed, 3, range(len(queries))))
+    return _report(kg, model.stats, queries, [t.predicted_value for t in traces],
+                   np.array([t.fallback is not None for t in traces], dtype=bool), skipped)
 
 
 def train_mean_baseline(model: Model, kg: KnowledgeGraph, triples) -> MetricsReport:
     """Score the constant predictor that answers each attribute's training mean."""
     queries, skipped = _split_queries(kg, model, triples)
-    per_attr: dict[int, list[tuple[float, int]]] = {}
-    spans: dict[int, float] = {}
-    for q in queries:
-        err = abs(float(model.means[q.attribute]) - q.target)
-        per_attr.setdefault(q.attribute, []).append((err, 0))
-        spans[q.attribute] = float(model.stats.maxs[q.attribute] - model.stats.mins[q.attribute])
-    return _report_from_errors(kg, per_attr, spans, skipped)
+    return _report(kg, model.stats, queries, model.means[_attributes(queries)],
+                   np.zeros(len(queries), dtype=bool), skipped)
 
 
 def format_metrics(report: MetricsReport) -> str:
@@ -165,7 +162,7 @@ def run_ablations(kg: KnowledgeGraph, split: DatasetSplit, base_config: TrainCon
 
 
 # ---------------------------------------------------------------------------
-# filter composition audit
+# filter composition audit, and explanation
 
 
 @dataclass
@@ -183,35 +180,29 @@ def filter_composition(model: Model, kg: KnowledgeGraph, triples,
                        seed: int = 0) -> list[FilterAudit]:
     """How strongly selection concentrates on same-attribute sources; one
     retrieval and one selection per chunk of config.batch_size queries."""
-    queries, _ = _split_queries(kg, model, triples)
-    acc: dict[int, dict[str, float]] = {}
+    queries = scoped_queries(kg, triples, model)
+    # per query: tree chains, kept chains, and those sourced from its attribute
+    counts = np.zeros((len(queries), 4), dtype=np.int64)
     size = model.config.batch_size
     for lo in range(0, len(queries), size):
         chunk = range(lo, min(lo + size, len(queries)))
-        tocs = model.retrieve(kg, [queries[i] for i in chunk],
-                              [seed_for(seed, 4, 0, i) for i in chunk])
-        etocs = model.select(tocs, [seed_for(seed, 5, 0, i) for i in chunk])
+        tocs = model.retrieve(kg, [queries[i] for i in chunk], _seeds(seed, 4, chunk))
+        etocs = model.select(tocs, _seeds(seed, 5, chunk))
         for i, toc, etoc in zip(chunk, tocs, etocs):
-            q = queries[i]
-            slot = acc.setdefault(q.attribute, {"q": 0, "tree": 0, "kept": 0,
-                                                "tree_same": 0, "kept_same": 0})
-            slot["q"] += 1
-            slot["tree"] += len(toc)
-            slot["kept"] += len(etoc)
-            slot["tree_same"] += int(np.sum(toc.source_attribute == q.attribute))
-            slot["kept_same"] += int(np.sum(etoc.source_attribute == q.attribute))
+            attr = queries[i].attribute
+            counts[i] = (len(toc), len(etoc), np.sum(toc.source_attribute == attr),
+                         np.sum(etoc.source_attribute == attr))
+    attrs = _attributes(queries)
     audits = []
-    for attr in sorted(acc):
-        s = acc[attr]
+    for attr in np.unique(attrs):
+        mask = attrs == attr
+        tree, kept, tree_same, kept_same = map(int, counts[mask].sum(axis=0))
         audits.append(FilterAudit(
-            attribute=attr,
-            name=kg.attribute_names[attr],
-            queries=int(s["q"]),
-            tree_chains=int(s["tree"]),
-            kept_chains=int(s["kept"]),
-            tree_same_attribute=s["tree_same"] / max(s["tree"], 1),
-            kept_same_attribute=s["kept_same"] / max(s["kept"], 1),
-        ))
+            attribute=int(attr), name=kg.attribute_names[attr],
+            queries=int(np.count_nonzero(mask)),
+            tree_chains=tree, kept_chains=kept,
+            tree_same_attribute=tree_same / max(tree, 1),
+            kept_same_attribute=kept_same / max(kept, 1)))
     return audits
 
 
@@ -222,3 +213,14 @@ def format_filter_audit(audits: list[FilterAudit]) -> str:
         lines.append(f"{a.name:<28} {a.queries:>7} {a.tree_chains:>8} {a.kept_chains:>8} "
                      f"{a.tree_same_attribute:>15.3f} {a.kept_same_attribute:>15.3f}")
     return "\n".join(lines) + "\n"
+
+
+def explain(model: Model, kg: KnowledgeGraph, triples,
+            seed: int = 0) -> list[tuple[tuple, float, int]]:
+    """Chain patterns ranked by total attention weight over the scoped
+    queries of `triples` (`reasoner.top_patterns`)."""
+    queries = scoped_queries(kg, triples, model)
+    if not queries:
+        raise ValueError("no queries to explain")
+    return top_patterns(model.predict_batch(kg, queries,
+                                            _seeds(seed, 6, range(len(queries)))))

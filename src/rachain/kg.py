@@ -66,14 +66,11 @@ class AttributeStats:
 
     @classmethod
     def from_triples(cls, triples, n_attributes: int) -> "AttributeStats":
-        mins = np.full(n_attributes, np.inf)
-        maxs = np.full(n_attributes, -np.inf)
-        counts = np.zeros(n_attributes, dtype=np.int64)
-        for _, attr, value in triples:
-            mins[attr] = min(mins[attr], value)
-            maxs[attr] = max(maxs[attr], value)
-            counts[attr] += 1
-        return cls(mins, maxs, counts)
+        attrs, values = _attribute_columns(triples, n_attributes)
+        mins, maxs = np.full(n_attributes, np.inf), np.full(n_attributes, -np.inf)
+        np.minimum.at(mins, attrs, values)
+        np.maximum.at(maxs, attrs, values)
+        return cls(mins, maxs, np.bincount(attrs, minlength=n_attributes))
 
     @property
     def n_attributes(self) -> int:
@@ -276,15 +273,20 @@ def queries_from_triples(triples) -> list[Query]:
     return [Query(entity=e, attribute=a, target=v) for e, a, v in triples]
 
 
+def _attribute_columns(triples, n_attributes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The attribute ids and values of (entity, attribute, value) triples."""
+    attrs = np.fromiter((a for _, a, _ in triples), dtype=np.int64)
+    if np.any((attrs < 0) | (attrs >= n_attributes)):
+        raise ValueError(f"attribute ids must lie in [0, {n_attributes})")
+    return attrs, np.fromiter((v for _, _, v in triples), dtype=np.float64)
+
+
 def attribute_means(triples, n_attributes: int) -> np.ndarray:
     """Mean training value per attribute (nan where an attribute has none)."""
-    sums = np.zeros(n_attributes)
-    counts = np.zeros(n_attributes)
-    for _, a, v in triples:
-        sums[a] += v
-        counts[a] += 1
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    attrs, values = _attribute_columns(triples, n_attributes)
+    counts = np.bincount(attrs, minlength=n_attributes)
+    sums = np.bincount(attrs, weights=values, minlength=n_attributes)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def format_stats_report(kg: KnowledgeGraph, stats: AttributeStats) -> str:

@@ -5,8 +5,9 @@ facts, the exhaustive chain enumerator, the sequential chain sampler, the
 sort-based row check, the np.unique row dedupe, the per-tree top-k selection,
 test-only autodiff ops and the composite forms of the fused layers, the
 per-token chain tokens, the unfused full-row transformer, the per-row affine
-transfer, the per-query model forward, the hand-written parameter lists, and
-finite differences."""
+transfer, the per-query model forward, the hand-written parameter lists, the
+per-triple attribute statistics, the dict-accumulator evaluation reports and
+filter audit, and finite differences."""
 
 from __future__ import annotations
 
@@ -17,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from rachain import autodiff as ad
+from rachain import evaluation as EV
 from rachain.encoder import AffineNets, encode_values
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
 from rachain.reasoner import aggregate, project_values
 from rachain.retrieval import RAChain, TreeOfChains, chain_lengths
+from rachain.training import scoped_queries, seed_for
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +618,107 @@ def reference_parameters(model, trained: bool) -> list:
     if cfg.use_chain_weighting:
         out += weighting
     return out
+
+
+# ---------------------------------------------------------------------------
+# statistics and evaluation oracles: one triple or query at a time, with
+# per-attribute dict accumulators
+
+
+def reference_attribute_stats(triples, n_attributes: int):
+    """(mins, maxs, counts, means) per attribute, one triple at a time."""
+    mins = np.full(n_attributes, np.inf)
+    maxs = np.full(n_attributes, -np.inf)
+    counts = np.zeros(n_attributes, dtype=np.int64)
+    sums = np.zeros(n_attributes)
+    for _, attr, value in triples:
+        mins[attr] = min(mins[attr], value)
+        maxs[attr] = max(maxs[attr], value)
+        counts[attr] += 1
+        sums[attr] += value
+    with np.errstate(invalid="ignore"):
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    return mins, maxs, counts, means
+
+
+def _reference_queries(kg, model, triples):
+    queries = scoped_queries(kg, triples, model)
+    seen = {q.attribute for q in queries}
+    skipped = [kg.attribute_names[a] for a in sorted({a for _, a, _ in triples} - seen)
+               if not model.stats.usable(a)]
+    return queries, skipped
+
+
+def _reference_report(kg, model, per_attr, skipped):
+    rows = []
+    for attr in sorted(per_attr):
+        pairs = per_attr[attr]
+        errs = np.array([e for e, _ in pairs])
+        span = float(model.stats.maxs[attr] - model.stats.mins[attr])
+        rows.append(EV.AttributeMetrics(
+            attribute=attr,
+            name=kg.attribute_names[attr],
+            count=len(errs),
+            mae=float(np.mean(errs)),
+            rmse=float(np.sqrt(np.mean(errs ** 2))),
+            mae_norm=float(np.mean(errs) / span),
+            rmse_norm=float(np.sqrt(np.mean(errs ** 2)) / span),
+            fallbacks=sum(f for _, f in pairs),
+        ))
+    avg_mae = float(np.mean([r.mae_norm for r in rows])) if rows else float("nan")
+    avg_rmse = float(np.mean([r.rmse_norm for r in rows])) if rows else float("nan")
+    return EV.MetricsReport(rows=rows, average_mae_norm=avg_mae,
+                            average_rmse_norm=avg_rmse,
+                            n_queries=sum(r.count for r in rows),
+                            skipped_attributes=skipped)
+
+
+def reference_evaluate(model, kg, triples, seed: int = 0):
+    queries, skipped = _reference_queries(kg, model, triples)
+    per_attr = {}
+    seeds = [seed_for(seed, 3, 0, i) for i in range(len(queries))]
+    for q, trace in zip(queries, model.predict_batch(kg, queries, seeds)):
+        err = abs(trace.predicted_value - q.target)
+        per_attr.setdefault(q.attribute, []).append((err, int(trace.fallback is not None)))
+    return _reference_report(kg, model, per_attr, skipped)
+
+
+def reference_train_mean_baseline(model, kg, triples):
+    queries, skipped = _reference_queries(kg, model, triples)
+    per_attr = {}
+    for q in queries:
+        err = abs(float(model.means[q.attribute]) - q.target)
+        per_attr.setdefault(q.attribute, []).append((err, 0))
+    return _reference_report(kg, model, per_attr, skipped)
+
+
+def reference_filter_composition(model, kg, triples, seed: int = 0):
+    queries, _ = _reference_queries(kg, model, triples)
+    acc = {}
+    size = model.config.batch_size
+    for lo in range(0, len(queries), size):
+        chunk = range(lo, min(lo + size, len(queries)))
+        tocs = model.retrieve(kg, [queries[i] for i in chunk],
+                              [seed_for(seed, 4, 0, i) for i in chunk])
+        etocs = model.select(tocs, [seed_for(seed, 5, 0, i) for i in chunk])
+        for i, toc, etoc in zip(chunk, tocs, etocs):
+            q = queries[i]
+            slot = acc.setdefault(q.attribute, {"q": 0, "tree": 0, "kept": 0,
+                                                "tree_same": 0, "kept_same": 0})
+            slot["q"] += 1
+            slot["tree"] += len(toc)
+            slot["kept"] += len(etoc)
+            slot["tree_same"] += int(np.sum(toc.source_attribute == q.attribute))
+            slot["kept_same"] += int(np.sum(etoc.source_attribute == q.attribute))
+    return [EV.FilterAudit(
+        attribute=attr,
+        name=kg.attribute_names[attr],
+        queries=s["q"],
+        tree_chains=s["tree"],
+        kept_chains=s["kept"],
+        tree_same_attribute=s["tree_same"] / max(s["tree"], 1),
+        kept_same_attribute=s["kept_same"] / max(s["kept"], 1),
+    ) for attr, s in sorted(acc.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,33 @@ class TestExplain:
         assert code == 1
         assert "no queries to explain" in captured.err
 
+    @pytest.mark.parametrize("attribute", ["b", "c"], ids=["unusable", "out_of_scope"])
+    def test_explain_without_scoped_queries_fails_cleanly(self, tmp_path, capsys,
+                                                          attribute):
+        # b has test rows but a single training value; c is usable but outside
+        # the checkpoint's attribute scope
+        rows = {
+            "relational": [("e1", "p", "e2"), ("e2", "p", "e3"), ("e3", "p", "e4")],
+            "train": [("e1", "a", "0.0"), ("e2", "a", "10.0"), ("e1", "b", "3.0"),
+                      ("e1", "c", "1.0"), ("e2", "c", "5.0")],
+            "test": [("e3", "a", "4.0"), ("e3", "b", "4.0"), ("e3", "c", "2.0")],
+        }
+        paths = []
+        for name, table in rows.items():
+            path = tmp_path / f"{name}.tsv"
+            path.write_text("".join("\t".join(r) + "\n" for r in table))
+            paths += [f"--{name}", str(path)]
+        assert main(["train", *paths, "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--walks", "4", "--dim", "8", "--filter-dim", "8", "--heads", "2",
+                     "--affine-hidden", "8", "--attributes", "a"]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.npz")
+        capsys.readouterr()
+        assert main(["explain", "--checkpoint", ckpt, "--attribute", "a"]) == 0
+        code = main(["explain", "--checkpoint", ckpt, "--attribute", attribute])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "no queries to explain" in captured.err
+
 
 class TestEntryPoint:
     def test_module_invocation_shows_help(self):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import chain_set
+from helpers import (
+    chain_set,
+    reference_evaluate,
+    reference_filter_composition,
+    reference_train_mean_baseline,
+)
 from rachain import evaluation as EV
 from rachain.config import TrainConfig
 from rachain.kg import AttributeStats, attribute_means, build_dataset
@@ -217,3 +222,100 @@ class TestFilterAudit:
         text = EV.format_filter_audit([audit])
         assert "height" in text
         assert "0.350" in text and "0.900" in text
+
+
+def mixed_fixture(scope):
+    """Interleaved test rows over two scored attributes, a degenerate one
+    (a3), one with no training value (a5) and a usable one (a4) that
+    `scope` may leave out."""
+    relational = [(f"e{i}", "p", f"e{i + 1}") for i in range(1, 6)]
+    relational += [("e1", "q", "e4"), ("e5", "q", "e2")]
+    train = [("e1", "a1", "0.0"), ("e2", "a1", "10.0"), ("e5", "a1", "4.0"),
+             ("e1", "a2", "0.0"), ("e2", "a2", "2.0"), ("e4", "a3", "9.0"),
+             ("e1", "a4", "1.0"), ("e3", "a4", "3.0")]
+    test = [("e3", "a2", "1.0"), ("e1", "a1", "5.0"), ("e4", "a3", "9.0"),
+            ("e2", "a1", "5.0"), ("e6", "a2", "1.5"), ("e5", "a4", "2.0"),
+            ("e6", "a1", "3.0"), ("e4", "a5", "7.0"), ("e3", "a1", "8.0")]
+    kg, split = build_dataset(relational, train, (), test)
+    config = TrainConfig(walks=32, max_hops=3, top_k=2, dim=8, filter_dim=8,
+                         layers=1, heads=2, affine_hidden=16, batch_size=3,
+                         seed=3, attributes=scope)
+    stats = AttributeStats.from_triples(split.train, kg.n_attributes)
+    means = attribute_means(split.train, kg.n_attributes)
+    return kg, split, Model(kg.n_relations, kg.n_attributes, stats, means, config)
+
+
+def assert_same(report, reference):
+    # dataclass == is false on NaN (an empty report's averages); repr still
+    # tells apart every other float bit pattern
+    assert repr(report) == repr(reference)
+    if "nan" not in repr(report):
+        assert report == reference
+
+
+SCOPES = [None, ("a1", "a2", "a3")]
+SPLITS = ["test", "empty"]
+
+
+@pytest.mark.parametrize("scope", SCOPES, ids=["unscoped", "a4_out_of_scope"])
+@pytest.mark.parametrize("split_name", SPLITS)
+class TestMatchesDictAccumulators:
+    def triples(self, split, split_name):
+        return split.test if split_name == "test" else []
+
+    def test_evaluate_with_model(self, scope, split_name):
+        kg, split, model = mixed_fixture(scope)
+        triples = self.triples(split, split_name)
+        assert_same(EV.evaluate(model, kg, triples, seed=11),
+                    reference_evaluate(model, kg, triples, seed=11))
+
+    def test_evaluate_with_fallbacks(self, scope, split_name):
+        kg, split, model = mixed_fixture(scope)
+        triples = self.triples(split, split_name)
+
+        def fake_predict(kg_, q, seed=0):
+            fb = "attribute-mean" if q.entity % 2 else None
+            return PredictionTrace(query=q, predicted_norm=0.0, fallback=fb,
+                                   predicted_value=q.target + (q.entity - 2.6) / 3.0)
+
+        stub_predictions(model, fake_predict)
+        report = EV.evaluate(model, kg, triples)
+        assert_same(report, reference_evaluate(model, kg, triples))
+        if triples:
+            assert sum(r.fallbacks for r in report.rows) > 0
+            assert report.skipped_attributes == ["a3", "a5"]
+            assert ("a4" in {r.name for r in report.rows}) == (scope is None)
+
+    def test_train_mean_baseline(self, scope, split_name):
+        kg, split, model = mixed_fixture(scope)
+        triples = self.triples(split, split_name)
+        assert_same(EV.train_mean_baseline(model, kg, triples),
+                    reference_train_mean_baseline(model, kg, triples))
+
+    def test_filter_composition(self, scope, split_name):
+        kg, split, model = mixed_fixture(scope)
+        triples = self.triples(split, split_name)
+        assert_same(EV.filter_composition(model, kg, triples, seed=5),
+                    reference_filter_composition(model, kg, triples, seed=5))
+
+
+class TestExplain:
+    def test_ranks_patterns_of_scoped_queries(self):
+        kg, split, model = mixed_fixture(("a1", "a2", "a3"))
+        weights = [w for _, w, _ in EV.explain(model, kg, split.test, seed=2)]
+        assert weights and weights == sorted(weights, reverse=True)
+        # a3, a4 and a5 queries are not predicted at all
+        seen = []
+        stub_predictions(model, lambda kg_, q, seed=0: seen.append(q) or PredictionTrace(
+            query=q, predicted_norm=0.0, predicted_value=0.0))
+        assert EV.explain(model, kg, split.test) == []
+        assert {kg.attribute_names[q.attribute] for q in seen} == {"a1", "a2"}
+
+    @pytest.mark.parametrize("attribute", ["a3", "a4", "a5"])
+    def test_no_scoped_query_raises(self, attribute):
+        kg, split, model = mixed_fixture(("a1", "a2", "a3"))
+        aid = kg.attribute_index[attribute]
+        triples = [t for t in split.test if t[1] == aid]
+        assert triples
+        with pytest.raises(ValueError, match="no queries to explain"):
+            EV.explain(model, kg, triples)

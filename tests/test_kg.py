@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import facts, out_edges
+from helpers import facts, out_edges, reference_attribute_stats
 from rachain import kg as K
 
 
@@ -187,6 +187,35 @@ class TestStats:
         _, split = K.load_dataset(paths["relational"], paths["train"], paths["valid"])
         s = K.AttributeStats.from_triples(split.train, 2)
         assert s.maxs[0] == 3.7  # the out-of-range validation value is excluded
+
+
+class TestStatsMatchPerTripleLoop:
+    def check(self, triples, n_attributes):
+        mins, maxs, counts, means = reference_attribute_stats(triples, n_attributes)
+        s = K.AttributeStats.from_triples(triples, n_attributes)
+        assert s.mins.tobytes() == mins.tobytes()
+        assert s.maxs.tobytes() == maxs.tobytes()
+        assert s.counts.dtype == counts.dtype and np.array_equal(s.counts, counts)
+        assert K.attribute_means(triples, n_attributes).tobytes() == means.tobytes()
+
+    def test_random_facts_with_an_empty_attribute(self, rng):
+        attrs = rng.choice([0, 1, 3, 4], size=500)  # attribute 2 has no value
+        values = rng.normal(0.0, 1e3, size=500) * 10.0 ** rng.integers(-6, 6, size=500)
+        triples = [(int(i), int(a), float(v))
+                   for i, (a, v) in enumerate(zip(attrs, values))]
+        self.check(triples, 5)
+        assert np.isnan(K.attribute_means(triples, 5)[2])
+
+    def test_empty_triples(self):
+        self.check([], 3)
+
+    @pytest.mark.parametrize("attribute", [-1, 3])
+    def test_out_of_range_attribute_rejected(self, attribute):
+        triples = [(0, 0, 1.0), (1, attribute, 2.0)]
+        with pytest.raises(ValueError, match=r"attribute ids must lie in \[0, 3\)"):
+            K.AttributeStats.from_triples(triples, 3)
+        with pytest.raises(ValueError, match=r"attribute ids must lie in \[0, 3\)"):
+            K.attribute_means(triples, 3)
 
 
 class TestHelpers:
