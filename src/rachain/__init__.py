@@ -19,7 +19,7 @@ from .kg import (
     queries_from_triples,
 )
 from .model import Model, load_checkpoint, save_checkpoint
-from .reasoner import PredictionTrace
+from .reasoner import PredictionTrace, Predictions
 from .retrieval import RAChain, TreeOfChains, sample_tree, sample_trees
 from .training import TrainResult, train
 
@@ -30,6 +30,7 @@ __all__ = [
     "KnowledgeGraph",
     "Model",
     "PredictionTrace",
+    "Predictions",
     "Query",
     "RAChain",
     "TrainConfig",

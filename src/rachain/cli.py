@@ -67,10 +67,9 @@ def cmd_ingest(args) -> int:
             },
         }
         (out / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
-        (out / "entities.txt").write_text("\n".join(kg.entity_names) + "\n", encoding="utf-8")
-        (out / "relations.txt").write_text("\n".join(kg.relation_names) + "\n", encoding="utf-8")
-        (out / "attributes.txt").write_text("\n".join(kg.attribute_names) + "\n",
-                                            encoding="utf-8")
+        for name, names in (("entities", kg.entity_names), ("relations", kg.relation_names),
+                            ("attributes", kg.attribute_names)):
+            (out / f"{name}.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
     return 0
 
 
@@ -148,14 +147,11 @@ def cmd_train(args) -> int:
 def _load_model_and_data(args) -> tuple[Model, dict, KnowledgeGraph, "object"]:
     model, extra = load_checkpoint(args.checkpoint)
     stored = extra.get("dataset", {})
-    relational = args.relational or stored.get("relational")
-    train_path = args.train or stored.get("train")
-    if not relational or not train_path:
+    paths = [getattr(args, k) or stored.get(k) for k in ("relational", "train", "valid", "test")]
+    if not paths[0] or not paths[1]:
         raise ValueError("dataset paths missing: pass --relational/--train or use a "
                          "checkpoint that stored them")
-    valid = args.valid or stored.get("valid")
-    test = args.test or stored.get("test")
-    kg, split = load_dataset(relational, train_path, valid, test)
+    kg, split = load_dataset(*paths)
     return model, extra, kg, split
 
 

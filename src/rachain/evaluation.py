@@ -87,9 +87,9 @@ def evaluate(model: Model, kg: KnowledgeGraph, triples, seed: int = 0) -> Metric
     """Predict every query in `triples` (`Model.predict_batch`, query i with
     channel-3 seed i) and score against its held-out value."""
     queries, skipped = _split_queries(kg, model, triples)
-    traces = model.predict_batch(kg, queries, _seeds(seed, 3, range(len(queries))))
-    return _report(kg, model.stats, queries, [t.predicted_value for t in traces],
-                   np.array([t.fallback is not None for t in traces], dtype=bool), skipped)
+    predictions = model.predict_batch(kg, queries, _seeds(seed, 3, range(len(queries))))
+    return _report(kg, model.stats, queries, predictions.predicted_value,
+                   predictions.fallback, skipped)
 
 
 def train_mean_baseline(model: Model, kg: KnowledgeGraph, triples) -> MetricsReport:

@@ -116,12 +116,11 @@ class KnowledgeGraph:
     fact_value: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, edges, train_facts):
-        if not self.entity_index:
-            self.entity_index = {n: i for i, n in enumerate(self.entity_names)}
-        if not self.relation_index:
-            self.relation_index = {n: i for i, n in enumerate(self.relation_names)}
-        if not self.attribute_index:
-            self.attribute_index = {n: i for i, n in enumerate(self.attribute_names)}
+        for names, index in ((self.entity_names, self.entity_index),
+                             (self.relation_names, self.relation_index),
+                             (self.attribute_names, self.attribute_index)):
+            if not index:
+                index.update((n, i) for i, n in enumerate(names))
         n = self.n_entities
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         self.edge_indptr, (self.edge_rel, self.edge_tail) = _csr(
@@ -166,7 +165,7 @@ def _parse_rows(lines, n_cols: int, source: str):
             raise DatasetFormatError(
                 f"{source}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}"
             )
-        if any(not c for c in cols):
+        if "" in cols:
             raise DatasetFormatError(f"{source}:{lineno}: empty column")
         yield lineno, cols
 
@@ -237,9 +236,8 @@ def build_dataset(
             triples.append((entity_index[e], aid, value))
         return triples
 
-    train = resolve_split(train_rows, sources[0])
-    valid = resolve_split(valid_rows, sources[1])
-    test = resolve_split(test_rows, sources[2])
+    train, valid, test = (resolve_split(rows, label) for rows, label
+                          in zip((train_rows, valid_rows, test_rows), sources))
 
     kg = KnowledgeGraph(
         entity_names=entity_names,

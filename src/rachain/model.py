@@ -1,19 +1,15 @@
 """The full pipeline as one object.
 
 Model.forward turns the filtered chain sets of a mini-batch into normalized
-predictions with differentiable attention weights, on one autodiff tape. The
-chain encoder reads only a chain's pattern (source attribute, relations,
-query attribute), so each distinct pattern of the batch is encoded once, in
-one masked pass, and gathered back to every chain that has it; the value
-transfer builds its map once per group of chains sharing a source value;
-projection and weighting stay per chain. Model.predict_batch
-serves a list of queries chunk by chunk: one retrieval pass for the chunk's
-trees, one filter pass that scores each distinct pattern once, one forward,
-and the attribute-mean fallback for queries with no usable chains.
-Model.predict is its one-query case and Model.predict_trees serves trees
-already sampled (validation keeps them across epochs). Checkpoints store
-every parameter array by name plus the config and normalization statistics
-needed to rebuild the model exactly.
+predictions with differentiable attention weights, on one autodiff tape.
+Model.predict_batch serves a list of queries chunk by chunk, one retrieval
+pass, one filter pass that scores each distinct pattern once and one forward
+per chunk, with the attribute-mean fallback for queries with no usable
+chains; it returns one `Predictions` record of arrays. Model.predict is its
+one-query case, returned as that query's trace, and Model.predict_trees
+serves trees already sampled (validation keeps them across epochs).
+Checkpoints store every parameter array by name plus the config and
+normalization statistics needed to rebuild the model exactly.
 """
 
 from __future__ import annotations
@@ -30,10 +26,10 @@ from .filter import FilterEmbeddings, select_random_k, select_top_k, select_top_
 from .kg import AttributeStats, KnowledgeGraph, Query
 from .reasoner import (
     PredictionTrace,
+    Predictions,
     ProjectionHeads,
     TreeformerParams,
     aggregate,
-    build_trace,
     project_values,
     weight_chains,
 )
@@ -50,6 +46,7 @@ class ForwardResult:
     proposals: Tensor            # (B, k) per-chain proposals, normalized
     chains: list[TreeOfChains]   # per row, the chains actually used, slot order
     rows: list[int]              # per row, the index of its query in the batch
+    mask: np.ndarray             # (B, k) bool, True on the used slots
 
 
 class Model:
@@ -157,59 +154,55 @@ class Model:
         else:
             omega = Tensor(mask / mask.sum(axis=1, keepdims=True))
         prediction = aggregate(omega, proposals)
-        return ForwardResult(prediction, omega, proposals, chains, rows)
+        return ForwardResult(prediction, omega, proposals, chains, rows, mask)
 
     def predict(self, kg: KnowledgeGraph, query: Query, seed: int = 0) -> PredictionTrace:
-        """predict_batch for one query. Retrieval and selection go through the
-        one-tree cases of the batched functions (sample_tree, select_top_k),
-        so that a single prediction shows up under their names."""
+        """predict_batch for one query, as its trace. Retrieval and selection
+        go through the one-tree cases of the batched functions (sample_tree,
+        select_top_k), so that a single prediction shows up under their names."""
         cfg = self.config
         toc = sample_tree(kg, query, cfg.walks, cfg.max_hops, seed)
         if cfg.use_filter:
             toc = select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam)
         else:
             toc = select_random_k(toc, cfg.top_k, seed)
-        return self._traces([toc])[0]
+        return self._predictions([toc]).trace(0)
 
-    def predict_batch(self, kg: KnowledgeGraph, queries: list[Query],
-                      seeds) -> list[PredictionTrace]:
-        """One trace per query, query i's chains sampled and selected with
-        seeds[i]; each chunk of config.batch_size queries makes one
+    def predict_batch(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> Predictions:
+        """The predictions of `queries`, query i's chains sampled and selected
+        with seeds[i]; each chunk of config.batch_size queries makes one
         retrieval, one selection and one forward."""
         size = self.config.batch_size
-        traces = []
-        for lo in range(0, len(queries), size):
-            chunk = seeds[lo:lo + size]
-            traces += self.predict_trees(self.retrieve(kg, queries[lo:lo + size], chunk), chunk)
-        return traces
+        return Predictions.concatenate([
+            self.predict_trees(self.retrieve(kg, queries[lo:lo + size], seeds[lo:lo + size]),
+                               seeds[lo:lo + size])
+            for lo in range(0, len(queries), size)] or [self._predictions([])])
 
-    def predict_trees(self, tocs: list[TreeOfChains], seeds) -> list[PredictionTrace]:
-        """predict_batch's selection, forward and traces for trees already
-        sampled (one chunk)."""
-        return self._traces(self.select(tocs, seeds))
+    def predict_trees(self, tocs: list[TreeOfChains], seeds) -> Predictions:
+        """predict_batch's selection and forward for trees already sampled
+        (one chunk)."""
+        return self._predictions(self.select(tocs, seeds))
 
-    def _traces(self, etocs: list[TreeOfChains]) -> list[PredictionTrace]:
-        """One forward over the selected sets without gradients, and a trace
-        per set; a set with no usable chain falls back to its attribute's
-        training mean."""
+    def _predictions(self, etocs: list[TreeOfChains]) -> Predictions:
+        """One forward over the selected sets without gradients; a set with
+        no usable chain falls back to its attribute's training mean."""
         with no_grad():
             result = self.forward(etocs)
-        rows = {} if result is None else {i: row for row, i in enumerate(result.rows)}
-        traces = []
-        for i, etoc in enumerate(etocs):
-            query = etoc.query
-            if i in rows:
-                row, m = rows[i], len(result.chains[rows[i]])
-                traces.append(build_trace(query, result.chains[row].chains,
-                                          result.omega.data[row, :m],
-                                          result.proposals.data[row, :m], self.stats))
-                continue
-            value = float(self.means[query.attribute])
-            norm = (self.stats.normalize(query.attribute, value)
-                    if self.stats.usable(query.attribute) else float("nan"))
-            traces.append(PredictionTrace(query=query, predicted_norm=norm,
-                                          predicted_value=value, fallback="attribute-mean"))
-        return traces
+        used = {} if result is None else dict(zip(result.rows, result.chains))
+        tocs = [used[i] if i in used else etoc.take([]) for i, etoc in enumerate(etocs)]
+        fallback = np.array([i not in used for i in range(len(tocs))], dtype=bool)
+        attrs = np.array([toc.query.attribute for toc in tocs], dtype=np.int64)
+        norm, value = np.full(len(tocs), np.nan), self.means[attrs]
+        omega = proposals = np.empty(0)
+        if result is not None:  # its rows are the queries that do not fall back
+            omega, proposals = result.omega.data[result.mask], result.proposals.data[result.mask]
+            # each row's own sum: one over its pad slots too can differ in the last bits
+            norm[~fallback] = [np.sum(w[m] * p[m]) for w, p, m in
+                               zip(result.omega.data, result.proposals.data, result.mask)]
+        value[~fallback] = self.stats.denormalize(attrs[~fallback], norm[~fallback])
+        scaled = fallback & self.stats.usable(attrs)
+        norm[scaled] = self.stats.normalize(attrs[scaled], value[scaled])
+        return Predictions(tocs, norm, value, fallback, omega, proposals, self.stats)
 
 
 def _padded(rows: np.ndarray, mask: np.ndarray, fill) -> np.ndarray:
@@ -249,20 +242,14 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         config = TrainConfig.from_dict(meta["config"])
-        stats = AttributeStats(
-            mins=data["stats:mins"].copy(),
-            maxs=data["stats:maxs"].copy(),
-            counts=data["stats:counts"].copy(),
-        )
+        stats = AttributeStats(*(data[f"stats:{k}"].copy() for k in ("mins", "maxs", "counts")))
         model = Model(meta["n_relations"], meta["n_attributes"], stats,
                       data["means"].copy(), config)
         stored = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
     own = {p.name: p for p in model.all_parameters()}
     if set(stored) != set(own):
-        missing = set(own) - set(stored)
-        surplus = set(stored) - set(own)
-        raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, "
-                         f"surplus {sorted(surplus)}")
+        raise ValueError(f"checkpoint mismatch: missing {sorted(set(own) - set(stored))}, "
+                         f"surplus {sorted(set(stored) - set(own))}")
     for name, arr in stored.items():
         if own[name].data.shape != arr.shape:
             raise ValueError(f"shape mismatch for {name}: "

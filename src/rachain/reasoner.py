@@ -7,7 +7,9 @@ positional encoding; a learned length embedding is added instead) and a
 masked softmax turns its outputs into mixture weights. The chain sets of a
 mini-batch run as one (B, k, dim) pass whose key mask hides the pad slots of
 smaller sets. The final prediction is the weight-averaged proposal,
-denormalized under the query attribute's training scale.
+denormalized under the query attribute's training scale. A batch's results
+are one `Predictions` record of arrays; `Predictions.trace(i)` builds the
+contribution trace of the one query that is shown.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .autodiff import (
 from .config import PROJECTION_MODES
 from .encoder import TransformerParams, _normal, transformer_stack
 from .kg import AttributeStats, Query
-from .retrieval import RAChain
+from .retrieval import RAChain, TreeOfChains, chain_lengths, distinct_rows
 
 
 @dataclass
@@ -166,37 +168,66 @@ class PredictionTrace:
     fallback: str | None = None
 
 
-def build_trace(query: Query, chains: list[RAChain], omega: np.ndarray,
-                proposals_norm: np.ndarray, stats: AttributeStats) -> PredictionTrace:
-    """The trace of one query's forward row: its m used chains with their
-    weights and proposals (the row's first m slots), largest weight first."""
-    final_norm = float(np.sum(omega * proposals_norm))
-    values = stats.denormalize(query.attribute, proposals_norm)
-    contributions = [
-        ChainContribution(chain=ch, weight=w, proposal_norm=p, proposal_value=v)
-        for ch, w, p, v in zip(chains, omega.tolist(), proposals_norm.tolist(),
-                               values.tolist())
-    ]
-    contributions.sort(key=lambda c: -c.weight)
-    return PredictionTrace(
-        query=query,
-        predicted_norm=final_norm,
-        predicted_value=float(stats.denormalize(query.attribute, final_norm)),
-        contributions=contributions,
-    )
+@dataclass
+class Predictions:
+    """Predictions for n queries as arrays. Query i used the rows of tocs[i]
+    (none on a fallback to its attribute's training mean); their weights and
+    normalized proposals, in row order, are omega and proposals over
+    [offsets[i], offsets[i + 1]), offsets (n + 1,) being set from tocs."""
+
+    tocs: list[TreeOfChains]
+    predicted_norm: np.ndarray   # (n,)
+    predicted_value: np.ndarray  # (n,)
+    fallback: np.ndarray         # (n,) bool
+    omega: np.ndarray            # (offsets[-1],)
+    proposals: np.ndarray        # (offsets[-1],)
+    stats: AttributeStats
+
+    def __post_init__(self):
+        self.offsets = np.cumsum([0] + [len(toc) for toc in self.tocs])
+
+    def __len__(self) -> int:
+        return len(self.tocs)
+
+    @classmethod
+    def concatenate(cls, parts: list["Predictions"]) -> "Predictions":
+        """The predictions of `parts` (at least one) one after another."""
+        arrays = [np.concatenate([getattr(p, name) for p in parts]) for name in
+                  ("predicted_norm", "predicted_value", "fallback", "omega", "proposals")]
+        return cls([toc for p in parts for toc in p.tocs], *arrays, parts[0].stats)
+
+    def trace(self, i: int) -> PredictionTrace:
+        """Query i's trace: its used chains, largest weight first."""
+        toc, used = self.tocs[i], slice(self.offsets[i], self.offsets[i + 1])
+        omega, proposals = self.omega[used], self.proposals[used]
+        # a fallback query's attribute may have no scale to denormalize with
+        values = (self.stats.denormalize(toc.query.attribute, proposals).tolist()
+                  if len(toc) else [])
+        contributions = [ChainContribution(*row) for row in zip(
+            toc.chains, omega.tolist(), proposals.tolist(), values)]
+        contributions.sort(key=lambda c: -c.weight)
+        return PredictionTrace(toc.query, float(self.predicted_norm[i]),
+                               float(self.predicted_value[i]), contributions,
+                               "attribute-mean" if self.fallback[i] else None)
 
 
-def top_patterns(traces: list[PredictionTrace]) -> list[tuple[tuple, float, int]]:
-    """Chain patterns ranked by total attention weight across traces."""
-    weight: dict[tuple, float] = {}
-    count: dict[tuple, int] = {}
-    for trace in traces:
-        for contrib in trace.contributions:
-            pat = contrib.chain.pattern
-            weight[pat] = weight.get(pat, 0.0) + contrib.weight
-            count[pat] = count.get(pat, 0) + 1
-    ranked = sorted(weight, key=lambda p: -weight[p])
-    return [(p, weight[p], count[p]) for p in ranked]
+def top_patterns(predictions: Predictions) -> list[tuple[tuple, float, int]]:
+    """Chain patterns (source attribute, relations) ranked by total weight,
+    ties in first-seen order. Chains are taken query by query and each
+    query's by descending weight (stable), the order the totals add up in."""
+    if not predictions.omega.size:
+        return []
+    owner = np.repeat(np.arange(len(predictions)), np.diff(predictions.offsets))
+    order = np.lexsort((-predictions.omega, owner))
+    src = np.concatenate([toc.source_attribute for toc in predictions.tocs])[order]
+    relations = np.concatenate([toc.relations for toc in predictions.tocs])[order]
+    first, inverse = distinct_rows(np.column_stack([src, relations]))
+    totals = np.bincount(inverse, weights=predictions.omega[order])
+    ranked = np.lexsort((first, -totals))
+    rows, lengths = first[ranked], chain_lengths(relations)
+    return [((a, tuple(rels[:n])), w, c) for a, rels, n, w, c in zip(
+        src[rows].tolist(), relations[rows].tolist(), lengths[rows].tolist(),
+        totals[ranked].tolist(), np.bincount(inverse)[ranked].tolist())]
 
 
 def format_pattern_report(patterns, relation_names: list[str],

@@ -62,11 +62,6 @@ class RAChain:
         return len(self.relations)
 
     @property
-    def pattern(self) -> tuple[int, tuple[int, ...]]:
-        """(source attribute, relation path): the value-free shape of the chain."""
-        return (self.source_attribute, self.relations)
-
-    @property
     def source_entity(self) -> int:
         return self.entity_path[0]
 

@@ -61,21 +61,13 @@ def loss_term(prediction: Tensor, target_norm, kind: str) -> Tensor:
 
 def scoped_queries(kg: KnowledgeGraph, triples, model: Model) -> list[Query]:
     """Queries whose attribute is normalizable and inside the config scope."""
-    scope = None
-    if model.config.attributes is not None:
-        scope = set()
-        for name in model.config.attributes:
-            if name not in kg.attribute_index:
-                raise ValueError(f"unknown attribute {name!r} in config scope")
-            scope.add(kg.attribute_index[name])
-    out = []
-    for q in queries_from_triples(triples):
-        if not model.stats.usable(q.attribute):
-            continue
-        if scope is not None and q.attribute not in scope:
-            continue
-        out.append(q)
-    return out
+    names = model.config.attributes
+    unknown = [name for name in names or () if name not in kg.attribute_index]
+    if unknown:
+        raise ValueError(f"unknown attribute {unknown[0]!r} in config scope")
+    scope = None if names is None else {kg.attribute_index[name] for name in names}
+    return [q for q in queries_from_triples(triples)
+            if model.stats.usable(q.attribute) and (scope is None or q.attribute in scope)]
 
 
 def _retrieve_in_chunks(model: Model, kg: KnowledgeGraph, queries: list[Query],
@@ -94,12 +86,12 @@ def validation_mae(model: Model, tocs: list[TreeOfChains], seeds: list[int]) -> 
     if not tocs:
         return float("nan")
     size = model.config.batch_size
-    predicted = [trace.predicted_norm for lo in range(0, len(tocs), size)
-                 for trace in model.predict_trees(tocs[lo:lo + size], seeds[lo:lo + size])]
-    queries = [toc.query for toc in tocs]
-    targets = model.stats.normalize(np.array([q.attribute for q in queries]),
-                                    np.array([q.target for q in queries]))
-    return float(np.mean(np.abs(np.array(predicted) - targets)))
+    predicted = np.concatenate([
+        model.predict_trees(tocs[lo:lo + size], seeds[lo:lo + size]).predicted_norm
+        for lo in range(0, len(tocs), size)])
+    targets = model.stats.normalize(np.array([toc.query.attribute for toc in tocs]),
+                                    np.array([toc.query.target for toc in tocs]))
+    return float(np.mean(np.abs(predicted - targets)))
 
 
 def _snapshot(model: Model) -> dict[str, np.ndarray]:

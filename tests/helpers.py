@@ -6,8 +6,9 @@ sort-based row check, the np.unique row dedupe, the per-tree top-k selection,
 test-only autodiff ops and the composite forms of the fused layers, the
 per-token chain tokens, the unfused full-row transformer, the per-row affine
 transfer, the per-query model forward, the hand-written parameter lists, the
-per-triple attribute statistics, the dict-accumulator evaluation reports and
-filter audit, and finite differences."""
+per-query prediction traces and dict-accumulator pattern ranking, predictions
+that used no chain, the per-triple attribute statistics, the dict-accumulator
+evaluation reports and filter audit, and finite differences."""
 
 from __future__ import annotations
 
@@ -22,7 +23,13 @@ from rachain import evaluation as EV
 from rachain.encoder import AffineNets, encode_values
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
-from rachain.reasoner import aggregate, project_values
+from rachain.reasoner import (
+    ChainContribution,
+    PredictionTrace,
+    Predictions,
+    aggregate,
+    project_values,
+)
 from rachain.retrieval import RAChain, TreeOfChains, chain_lengths
 from rachain.training import scoped_queries, seed_for
 
@@ -621,6 +628,77 @@ def reference_parameters(model, trained: bool) -> list:
 
 
 # ---------------------------------------------------------------------------
+# prediction oracles: a trace per query from its padded forward row, and the
+# pattern ranking over traces with dict accumulators
+
+
+def reference_traces(model, etocs) -> list[PredictionTrace]:
+    """What `Model.predict_trees(...).trace(i)` gives for every i: one
+    forward over the selected sets without gradients, and a trace per set
+    from the first m slots of its row; a set with no usable chain falls back
+    to its attribute's training mean."""
+    with ad.no_grad():
+        result = model.forward(etocs)
+    rows = {} if result is None else {i: row for row, i in enumerate(result.rows)}
+    traces = []
+    for i, etoc in enumerate(etocs):
+        query = etoc.query
+        if i in rows:
+            row, m = rows[i], len(result.chains[rows[i]])
+            traces.append(reference_trace(query, result.chains[row].chains,
+                                          result.omega.data[row, :m],
+                                          result.proposals.data[row, :m], model.stats))
+            continue
+        value = float(model.means[query.attribute])
+        norm = (model.stats.normalize(query.attribute, value)
+                if model.stats.usable(query.attribute) else float("nan"))
+        traces.append(PredictionTrace(query=query, predicted_norm=norm,
+                                      predicted_value=value, fallback="attribute-mean"))
+    return traces
+
+
+def reference_trace(query, chains, omega, proposals_norm, stats) -> PredictionTrace:
+    """The trace of one query's m used chains with their weights and
+    proposals, largest weight first; the prediction is their own sum."""
+    final_norm = float(np.sum(omega * proposals_norm))
+    values = stats.denormalize(query.attribute, proposals_norm)
+    contributions = [
+        ChainContribution(chain=ch, weight=w, proposal_norm=p, proposal_value=v)
+        for ch, w, p, v in zip(chains, omega.tolist(), proposals_norm.tolist(),
+                               values.tolist())
+    ]
+    contributions.sort(key=lambda c: -c.weight)
+    return PredictionTrace(
+        query=query,
+        predicted_norm=final_norm,
+        predicted_value=float(stats.denormalize(query.attribute, final_norm)),
+        contributions=contributions,
+    )
+
+
+def reference_top_patterns(traces) -> list[tuple[tuple, float, int]]:
+    """Chain patterns ranked by total attention weight across traces, one
+    contribution at a time into dicts; ties keep first-seen order."""
+    weight: dict[tuple, float] = {}
+    count: dict[tuple, int] = {}
+    for trace in traces:
+        for contrib in trace.contributions:
+            pat = (contrib.chain.source_attribute, contrib.chain.relations)
+            weight[pat] = weight.get(pat, 0.0) + contrib.weight
+            count[pat] = count.get(pat, 0) + 1
+    ranked = sorted(weight, key=lambda p: -weight[p])
+    return [(p, weight[p], count[p]) for p in ranked]
+
+
+def chainless_predictions(queries, values, fallback, stats, norm: float = 0.0) -> Predictions:
+    """Predictions that used no chain: one value and fallback flag per
+    query, and `norm` as every normalized prediction."""
+    return Predictions([chain_set(q, []) for q in queries], np.full(len(queries), norm),
+                       np.asarray(values, dtype=np.float64), np.asarray(fallback, dtype=bool),
+                       np.empty(0), np.empty(0), stats)
+
+
+# ---------------------------------------------------------------------------
 # statistics and evaluation oracles: one triple or query at a time, with
 # per-attribute dict accumulators
 
@@ -677,9 +755,10 @@ def reference_evaluate(model, kg, triples, seed: int = 0):
     queries, skipped = _reference_queries(kg, model, triples)
     per_attr = {}
     seeds = [seed_for(seed, 3, 0, i) for i in range(len(queries))]
-    for q, trace in zip(queries, model.predict_batch(kg, queries, seeds)):
-        err = abs(trace.predicted_value - q.target)
-        per_attr.setdefault(q.attribute, []).append((err, int(trace.fallback is not None)))
+    predictions = model.predict_batch(kg, queries, seeds)
+    for q, value, fallback in zip(queries, predictions.predicted_value.tolist(),
+                                  predictions.fallback.tolist()):
+        per_attr.setdefault(q.attribute, []).append((abs(value - q.target), int(fallback)))
     return _reference_report(kg, model, per_attr, skipped)
 
 

@@ -25,13 +25,13 @@ from helpers import (affinity_score, chain_set, check_gradients, decode_value,
 from rachain import hyperbolic as H
 from rachain import synth
 from rachain.config import TrainConfig
-from rachain.evaluation import evaluate, run_ablations, train_mean_baseline
+from rachain.evaluation import evaluate, explain, run_ablations, train_mean_baseline
 from rachain.filter import FilterEmbeddings, select_top_k
 from rachain.kg import (AttributeStats, Query, attribute_means, build_dataset,
                         load_dataset)
 from rachain.model import Model
 from rachain.retrieval import RAChain, sample_tree
-from rachain.training import scoped_queries, seed_for, train
+from rachain.training import train
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +411,10 @@ def test_criterion_07_synthetic_end_to_end(synthetic_task, full_run):
 
     # the explanation report ranks the generative pattern first
     model, kg = full_run.model, t.kg
-    queries = scoped_queries(kg, t.split.test, model)
-    traces = [model.predict(kg, q, seed=seed_for(full_run.config.seed, 6, 0, i))
-              for i, q in enumerate(queries)]
+    patterns = explain(model, kg, t.split.test, seed=full_run.config.seed)
     generative = (kg.attribute_index["val"],
                   (kg.relation_index["p"], kg.relation_index["q"]))
-    assert R.top_patterns(traces)[0][0] == generative
+    assert patterns[0][0] == generative
 
 
 # ---------------------------------------------------------------------------

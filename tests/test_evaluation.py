@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     chain_set,
+    chainless_predictions,
     reference_evaluate,
     reference_filter_composition,
     reference_train_mean_baseline,
@@ -11,7 +12,6 @@ from rachain import evaluation as EV
 from rachain.config import TrainConfig
 from rachain.kg import AttributeStats, attribute_means, build_dataset
 from rachain.model import Model
-from rachain.reasoner import PredictionTrace
 from rachain.retrieval import RAChain
 
 
@@ -33,9 +33,13 @@ def metrics_fixture():
 
 
 def stub_predictions(model, predict_one):
-    """Replace the model's batched entry with `predict_one` per query."""
-    model.predict_batch = lambda kg_, queries, seeds: [
-        predict_one(kg_, q, seed) for q, seed in zip(queries, seeds)]
+    """Replace the model's batched entry with predictions that used no chain,
+    `predict_one` giving each query's (predicted value, fallback flag)."""
+    def predict_batch(kg_, queries, seeds):
+        outcomes = [predict_one(kg_, q, seed) for q, seed in zip(queries, seeds)]
+        return chainless_predictions(queries, [v for v, _ in outcomes],
+                                     [f for _, f in outcomes], model.stats)
+    model.predict_batch = predict_batch
 
 
 class TestEvaluate:
@@ -44,9 +48,7 @@ class TestEvaluate:
         errors = {"e1": 1.0, "e2": 7.0, "e3": 0.5}
 
         def fake_predict(kg_, q, seed=0):
-            err = errors[kg.entity_names[q.entity]]
-            return PredictionTrace(query=q, predicted_norm=0.0,
-                                   predicted_value=q.target + err)
+            return q.target + errors[kg.entity_names[q.entity]], False
 
         stub_predictions(model, fake_predict)
         report = EV.evaluate(model, kg, split.test)
@@ -70,8 +72,7 @@ class TestEvaluate:
 
     def test_unusable_attribute_is_skipped_not_scored(self):
         kg, split, model = metrics_fixture()
-        stub_predictions(model, lambda kg_, q, seed=0: PredictionTrace(
-            query=q, predicted_norm=0.0, predicted_value=q.target))
+        stub_predictions(model, lambda kg_, q, seed=0: (q.target, False))
         report = EV.evaluate(model, kg, split.test)
         assert report.skipped_attributes == ["a3"]
         assert "a3" not in {r.name for r in report.rows}
@@ -80,9 +81,7 @@ class TestEvaluate:
         kg, split, model = metrics_fixture()
 
         def fake_predict(kg_, q, seed=0):
-            fb = "attribute-mean" if kg.entity_names[q.entity] == "e2" else None
-            return PredictionTrace(query=q, predicted_norm=0.0,
-                                   predicted_value=q.target, fallback=fb)
+            return q.target, kg.entity_names[q.entity] == "e2"
 
         stub_predictions(model, fake_predict)
         report = EV.evaluate(model, kg, split.test)
@@ -123,8 +122,7 @@ def split_rows(triples, kg):
 class TestFormatting:
     def report(self):
         kg, split, model = metrics_fixture()
-        stub_predictions(model, lambda kg_, q, seed=0: PredictionTrace(
-            query=q, predicted_norm=0.0, predicted_value=q.target + 1.0))
+        stub_predictions(model, lambda kg_, q, seed=0: (q.target + 1.0, False))
         return EV.evaluate(model, kg, split.test)
 
     def test_text_table_mentions_every_attribute(self):
@@ -274,9 +272,7 @@ class TestMatchesDictAccumulators:
         triples = self.triples(split, split_name)
 
         def fake_predict(kg_, q, seed=0):
-            fb = "attribute-mean" if q.entity % 2 else None
-            return PredictionTrace(query=q, predicted_norm=0.0, fallback=fb,
-                                   predicted_value=q.target + (q.entity - 2.6) / 3.0)
+            return q.target + (q.entity - 2.6) / 3.0, bool(q.entity % 2)
 
         stub_predictions(model, fake_predict)
         report = EV.evaluate(model, kg, triples)
@@ -306,8 +302,7 @@ class TestExplain:
         assert weights and weights == sorted(weights, reverse=True)
         # a3, a4 and a5 queries are not predicted at all
         seen = []
-        stub_predictions(model, lambda kg_, q, seed=0: seen.append(q) or PredictionTrace(
-            query=q, predicted_norm=0.0, predicted_value=0.0))
+        stub_predictions(model, lambda kg_, q, seed=0: seen.append(q) or (0.0, False))
         assert EV.explain(model, kg, split.test) == []
         assert {kg.attribute_names[q.attribute] for q in seen} == {"a1", "a2"}
 

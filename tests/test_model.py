@@ -4,12 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from helpers import chain_set, reference_forward, reference_parameters
+from helpers import (
+    chain_set,
+    reference_forward,
+    reference_parameters,
+    reference_top_patterns,
+    reference_traces,
+)
+from perfbench.workloads import WORKLOADS, tiny
 from rachain import autodiff as ad
+from rachain import evaluation, reasoner, synth, training
 from rachain.config import PROJECTION_MODES, TrainConfig
-from rachain.kg import AttributeStats, Query, attribute_means, build_dataset
+from rachain.filter import select_random_k, select_top_k
+from rachain.kg import AttributeStats, Query, attribute_means, build_dataset, load_dataset
 from rachain.model import Model, load_checkpoint, save_checkpoint
-from rachain.retrieval import RAChain
+from rachain.reasoner import ChainContribution, PredictionTrace
+from rachain.retrieval import RAChain, sample_tree
 
 
 def small_config(**kw):
@@ -369,8 +379,8 @@ class TestPredictBatch:
         batched = model.predict_batch(kg, queries, seeds)
         assert len(batched) == len(queries)
         fallbacks = 0
-        for query, seed, got in zip(queries, seeds, batched):
-            want = model.predict(kg, query, seed)
+        for i, (query, seed) in enumerate(zip(queries, seeds)):
+            got, want = batched.trace(i), model.predict(kg, query, seed)
             assert got.query == query and got.fallback == want.fallback
             fallbacks += got.fallback is not None
             assert got.predicted_norm == pytest.approx(want.predicted_norm, rel=0, abs=1e-10)
@@ -384,6 +394,136 @@ class TestPredictBatch:
                 np.testing.assert_allclose(values, want_map[chain], rtol=1e-10, atol=1e-10)
         assert 0 < fallbacks < len(queries)
         assert all(p.grad is None for p in model.all_parameters())
+
+
+@pytest.fixture(scope="module")
+def bench_graph(tmp_path_factory):
+    """The graph the benchmark's tiny() workloads share, with seed 61."""
+    out = tmp_path_factory.mktemp("bench-graph")
+    synth.generate(synth.SynthSpec.from_dict(tiny(WORKLOADS["train_small"]).spec), 61, out)
+    return load_dataset(*(out / f"{name}.tsv" for name in ("relational", "train", "valid",
+                                                           "test")))
+
+
+def nudged_model(kg, split, config, rng):
+    """An untrained model whose zero-opened readouts are nudged, so that
+    weights and proposals differ from chain to chain."""
+    stats = AttributeStats.from_triples(split.train, kg.n_attributes)
+    model = Model(kg.n_relations, kg.n_attributes, stats,
+                  attribute_means(split.train, kg.n_attributes), config)
+    _kick_zero_opens(model, rng)
+    return model
+
+
+def trace_key(trace):
+    """A trace's fields with every float as hex, so that == is bit-equality."""
+    return (trace.query, trace.fallback, trace.predicted_norm.hex(),
+            trace.predicted_value.hex(),
+            [(c.chain, c.weight.hex(), c.proposal_norm.hex(), c.proposal_value.hex())
+             for c in trace.contributions])
+
+
+def assert_predictions_match_reference(model, kg, queries, seeds):
+    """predict_batch(...).trace(i), Model.predict and top_patterns against the
+    per-query trace loop and the dict-accumulator ranking; returns the number
+    of fallbacks."""
+    got = model.predict_batch(kg, queries, seeds)
+    size, cfg = model.config.batch_size, model.config
+    want = [trace for lo in range(0, len(queries), size) for trace in reference_traces(
+        model, model.select(model.retrieve(kg, queries[lo:lo + size], seeds[lo:lo + size]),
+                            seeds[lo:lo + size]))]
+    assert len(got) == len(want) == len(queries)
+    assert [trace_key(got.trace(i)) for i in range(len(got))] == list(map(trace_key, want))
+    assert reasoner.top_patterns(got) == reference_top_patterns(want)
+    for query, seed in zip(queries, seeds):
+        toc = sample_tree(kg, query, cfg.walks, cfg.max_hops, seed)
+        toc = (select_top_k(toc, model.embeddings, cfg.top_k, cfg.lam) if cfg.use_filter
+               else select_random_k(toc, cfg.top_k, seed))
+        assert trace_key(model.predict(kg, query, seed)) == trace_key(
+            reference_traces(model, [toc])[0])
+    return int(got.fallback.sum())
+
+
+BENCH_CASES = [("train_small", {}), ("predict_dense", {}), ("train_wide", {}),
+               ("train_small", {"use_filter": False}),
+               ("train_small", {"use_chain_weighting": False}),
+               ("train_small", {"mode": "direct"})]
+
+
+class TestPredictionsMatchTraces:
+    """The Predictions arrays against the per-query trace path they replaced,
+    bit for bit."""
+
+    @pytest.mark.parametrize("name, kw", BENCH_CASES,
+                             ids=["train_small", "predict_dense", "train_wide",
+                                  "no_filter", "no_weighting", "direct"])
+    def test_bench_workload(self, bench_graph, name, kw):
+        kg, split = bench_graph
+        config = TrainConfig.from_dict({**tiny(WORKLOADS[name]).config, **kw})
+        model = nudged_model(kg, split, config, np.random.default_rng(61))
+        queries = training.scoped_queries(kg, split.test + split.valid + split.train[:24],
+                                          model)
+        seeds = [training.seed_for(61, 3, 0, i) for i in range(len(queries))]
+        assert len(queries) > 2 * config.batch_size
+        assert assert_predictions_match_reference(model, kg, queries, seeds) == 0
+
+    @pytest.mark.parametrize("kw", [dict(), dict(use_filter=False),
+                                    dict(use_chain_weighting=False), dict(mode="direct")],
+                             ids=["filter", "no_filter", "no_weighting", "direct"])
+    def test_with_fallback_rows(self, kw, rng):
+        kg, split = random_dataset(rng)
+        model = nudged_model(kg, split, small_config(walks=32, top_k=6, batch_size=4,
+                                                            **kw), rng)
+        queries = [Query(int(rng.integers(40)), int(rng.integers(2))) for _ in range(9)]
+        queries.insert(3, Query(kg.entity_index["x"], kg.attribute_index["a1"]))
+        seeds = [int(s) for s in rng.integers(2 ** 32, size=len(queries))]
+        assert assert_predictions_match_reference(model, kg, queries, seeds) > 0
+
+    def test_no_queries(self):
+        kg, split = tiny_graph()
+        model = nudged_model(kg, split, small_config(), np.random.default_rng(0))
+        predictions = model.predict_batch(kg, [], [])
+        assert len(predictions) == 0 and predictions.offsets.tolist() == [0]
+        assert reasoner.top_patterns(predictions) == []
+
+
+class TestTracesOnlyWhereShown:
+    """Scoring, validation and explanation read the Predictions arrays and
+    build no trace object; a single prediction still builds its trace."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = dict.fromkeys(("RAChain", "ChainContribution", "PredictionTrace"), 0)
+
+        def counting(cls, method, name):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                counts[name] += 1
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, method, wrapper)
+
+        counting(RAChain, "__post_init__", "RAChain")
+        counting(ChainContribution, "__init__", "ChainContribution")
+        counting(PredictionTrace, "__init__", "PredictionTrace")
+        return counts
+
+    def test_scoring_builds_no_trace_object(self, bench_graph, built):
+        kg, split = bench_graph
+        config = TrainConfig.from_dict(tiny(WORKLOADS["train_small"]).config)
+        model = nudged_model(kg, split, config, np.random.default_rng(61))
+        triples = split.test + split.valid
+        report = evaluation.evaluate(model, kg, triples, seed=3)
+        queries = training.scoped_queries(kg, triples, model)
+        seeds = list(range(len(queries)))
+        mae = training.validation_mae(model, model.retrieve(kg, queries, seeds), seeds)
+        patterns = evaluation.explain(model, kg, triples, seed=3)
+        assert report.n_queries == len(queries) > 0 and np.isfinite(mae) and patterns
+        assert built == {"RAChain": 0, "ChainContribution": 0, "PredictionTrace": 0}
+        trace = model.predict(kg, queries[0], seed=0)
+        assert built == {"RAChain": len(trace.contributions),
+                         "ChainContribution": len(trace.contributions), "PredictionTrace": 1}
+        assert trace.contributions
 
 
 class TestSelect:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import chain_set, reference_top_patterns, reference_trace
 from rachain import autodiff as ad
 from rachain import reasoner as R
 from rachain.autodiff import Tensor, parameters
@@ -143,14 +144,22 @@ class TestTrace:
         # attribute 0 spans [10, 20]
         return AttributeStats.from_triples([(0, 0, 10.0), (1, 0, 20.0)], 1)
 
+    def predictions(self, sets, omega, proposals, norm, value):
+        """Predictions for (query, chains) sets with weights and proposals
+        over all their chains, set after set."""
+        return R.Predictions([chain_set(q, chains) for q, chains in sets], np.array(norm),
+                             np.array(value), np.zeros(len(sets), dtype=bool),
+                             np.array(omega), np.array(proposals), self.stats())
+
     def test_contributions_sorted_and_denormalized(self):
         chains = [make_chain(0, (1,), path_start=0),
                   make_chain(0, (2,), path_start=10),
                   make_chain(0, (3,), path_start=20)]
-        omega = np.array([0.2, 0.5, 0.3])
-        proposals = np.array([0.0, 1.0, 0.5])
-        trace = R.build_trace(Query(0, 0), chains, omega, proposals, self.stats())
+        predictions = self.predictions([(Query(0, 0), chains)], [0.2, 0.5, 0.3],
+                                       [0.0, 1.0, 0.5], [0.65], [16.5])
+        trace = predictions.trace(0)
         assert [c.weight for c in trace.contributions] == [0.5, 0.3, 0.2]
+        assert [c.chain for c in trace.contributions] == [chains[1], chains[2], chains[0]]
         assert trace.contributions[0].proposal_value == pytest.approx(20.0)
         assert trace.predicted_norm == pytest.approx(0.65)
         assert trace.predicted_value == pytest.approx(16.5)
@@ -160,14 +169,45 @@ class TestTrace:
         a = make_chain(0, (1, 2), path_start=0)
         b = make_chain(0, (1, 2), path_start=10)  # same pattern as a
         c = make_chain(1, (3,), path_start=20)
-        stats = self.stats()
-        t1 = R.build_trace(Query(0, 0), [a, c], np.array([0.4, 0.6]),
-                           np.array([0.5, 0.5]), stats)
-        t2 = R.build_trace(Query(1, 0), [b], np.array([1.0]),
-                           np.array([0.5]), stats)
-        ranked = R.top_patterns([t1, t2])
+        predictions = self.predictions([(Query(0, 0), [a, c]), (Query(1, 0), [b])],
+                                       [0.4, 0.6, 1.0], [0.5, 0.5, 0.5],
+                                       [0.5, 0.5], [15.0, 15.0])
+        ranked = R.top_patterns(predictions)
         assert ranked[0] == ((0, (1, 2)), pytest.approx(1.4), 2)
         assert ranked[1] == ((1, (3,)), pytest.approx(0.6), 1)
+
+    def test_top_patterns_against_dict_accumulators(self, rng):
+        """Patterns repeat across queries, weights tie exactly within a query
+        and totals tie across patterns: the totals are bit-equal and ties
+        keep first-seen order."""
+        stats = self.stats()
+        patterns = [(0, (1,)), (0, (1, 2)), (1, (3,)), (1, (1, 2)), (0, (2, 1))]
+        # tied totals of 1.0; (2, (4,)) is seen first but sorts after (2, (3, 4))
+        tie = [make_chain(2, (4,), path_start=0), make_chain(2, (3, 4), path_start=10)]
+        sets, omega = [(Query(0, 0), tie)], [0.5, 0.5]
+        for q in range(1, 40):
+            picks = rng.integers(len(patterns), size=int(rng.integers(0, 7)))
+            sets.append((Query(q, 0), [make_chain(*patterns[p], path_start=10 * j)
+                                       for j, p in enumerate(picks)]))
+            w = rng.dirichlet(np.ones(len(picks))) if len(picks) else np.empty(0)
+            if len(w) >= 3:
+                w[2] = w[1]  # an exact tie within the query
+            omega += w.tolist()
+        sets.append((Query(40, 0), tie[::-1]))
+        omega += [0.5, 0.5]
+        proposals = rng.uniform(0.0, 1.0, len(omega))
+        predictions = self.predictions(sets, omega, proposals, np.zeros(len(sets)),
+                                       np.zeros(len(sets)))
+        traces, lo = [], 0
+        for q, chains in sets:
+            hi = lo + len(chains)
+            traces.append(reference_trace(q, chains, np.array(omega[lo:hi]),
+                                          proposals[lo:hi], stats))
+            lo = hi
+        got, want = R.top_patterns(predictions), reference_top_patterns(traces)
+        assert [(p, w.hex(), n) for p, w, n in got] == [(p, w.hex(), n) for p, w, n in want]
+        assert sum(n for _, _, n in got) == len(omega)
+        assert [p for p, w, _ in got if w == 1.0] == [(2, (4,)), (2, (3, 4))]
 
     def test_pattern_report_names_and_limit(self):
         patterns = [((0, (1, 0)), 1.4, 2), ((1, (2,)), 0.6, 1)]

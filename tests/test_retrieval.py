@@ -34,7 +34,6 @@ class TestRAChain:
     def test_properties(self):
         ch = R.RAChain(3, (5, 6), 1, 2.5, (9, 8, 7))
         assert ch.length == 2
-        assert ch.pattern == (3, (5, 6))
         assert ch.source_entity == 9
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import reference_sample_tree, reference_select_top_k
+from helpers import chainless_predictions, reference_sample_tree, reference_select_top_k
 from rachain import training as T
 from rachain.config import TrainConfig
 from rachain.kg import AttributeStats, DatasetSplit, Query, attribute_means, build_dataset
 from rachain.model import Model
-from rachain.reasoner import PredictionTrace
+from rachain.reasoner import Predictions
 
 
 def affine_task():
@@ -100,8 +100,9 @@ class TestValidationMae:
                    Query(1, dst, target=model.stats.denormalize(dst, 0.9))]
         seeds = [5, 6]
         tocs = model.retrieve(kg, queries, seeds)
-        model.predict_trees = lambda tocs, seeds: [PredictionTrace(
-            query=toc.query, predicted_norm=0.7, predicted_value=0.0) for toc in tocs]
+        model.predict_trees = lambda tocs, seeds: chainless_predictions(
+            [toc.query for toc in tocs], np.zeros(len(tocs)), np.zeros(len(tocs)),
+            model.stats, norm=0.7)
         mae = T.validation_mae(model, tocs, seeds)
         assert mae == pytest.approx((0.2 + 0.2) / 2)
 
@@ -288,8 +289,9 @@ class TestPerQueryEquivalence:
         predict_trees = Model.predict_trees
         monkeypatch.setattr(Model, "retrieve", retrieve)
         monkeypatch.setattr(Model, "select", select)
-        monkeypatch.setattr(Model, "predict_trees", lambda self, tocs, seeds: [
-            predict_trees(self, [toc], [seed])[0] for toc, seed in zip(tocs, seeds)])
+        monkeypatch.setattr(Model, "predict_trees", lambda self, tocs, seeds: (
+            Predictions.concatenate([predict_trees(self, [toc], [seed])
+                                     for toc, seed in zip(tocs, seeds)])))
         per_query = T.train(task_model(kg, split, epochs=3, cache_toc=cache_toc), kg, split)
         assert len(batched.history) == 3
         assert ([h.train_loss for h in batched.history]
