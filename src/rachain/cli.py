@@ -158,7 +158,7 @@ def _load_model_and_data(args) -> tuple[Model, dict, KnowledgeGraph, "object"]:
 def cmd_eval(args) -> int:
     model, _, kg, split = _load_model_and_data(args)
     triples = getattr(split, args.split)
-    if not triples:
+    if len(triples) == 0:
         raise ValueError(f"split {args.split!r} is empty")
     report = evaluation.evaluate(model, kg, triples, seed=args.seed)
     print(evaluation.format_metrics(report), end="")
@@ -234,8 +234,7 @@ def cmd_explain(args) -> int:
     if args.attribute:
         if args.attribute not in kg.attribute_index:
             raise ValueError(f"unknown attribute {args.attribute!r}")
-        aid = kg.attribute_index[args.attribute]
-        triples = [t for t in triples if t[1] == aid]
+        triples = triples[triples["attribute"] == kg.attribute_index[args.attribute]]
     patterns = evaluation.explain(model, kg, triples, seed=args.seed)
     report = format_pattern_report(patterns, kg.relation_names, kg.attribute_names,
                                    limit=args.limit)

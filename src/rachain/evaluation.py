@@ -78,9 +78,10 @@ def _report(kg: KnowledgeGraph, stats: AttributeStats, queries: list[Query],
 
 
 def _split_queries(kg: KnowledgeGraph, model: Model, triples) -> tuple[list[Query], list[str]]:
+    """The scoped queries, and the split's attributes that lack a value scale."""
     queries = scoped_queries(kg, triples, model)
-    unscored = sorted({a for _, a, _ in triples} - {q.attribute for q in queries})
-    return queries, [kg.attribute_names[a] for a in unscored if not model.stats.usable(a)]
+    unusable = np.unique(triples["attribute"][~model.stats.usable(triples["attribute"])])
+    return queries, [kg.attribute_names[a] for a in unusable.tolist()]
 
 
 def evaluate(model: Model, kg: KnowledgeGraph, triples, seed: int = 0) -> MetricsReport:

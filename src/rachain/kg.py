@@ -1,18 +1,21 @@
 """Knowledge-graph storage.
 
 Relational facts are (head, relation, tail) triples; numerical facts are
-(entity, attribute, value) triples. Loading interns names to dense ids and
-synthesizes one inverse per base relation (ids R..2R-1 for base ids 0..R-1).
-Only training-split numerical facts enter the graph; validation/test values
-stay outside it so retrieval can never see a held-out answer.
+(entity, attribute, value) triples, each split one (n,) structured array of
+dtype `FACT` in file order (`as_facts` converts other rows). Loading interns
+names to dense ids in order of first appearance and synthesizes one inverse
+per base relation (ids R..2R-1 for base ids 0..R-1), named `name + "_inv"`;
+a base relation already named like another's inverse is rejected. Only
+training-split numerical facts enter the graph; validation/test values stay
+outside it so retrieval can never see a held-out answer.
 
 The graph is stored once, in CSR (compressed sparse row) form, one offset
 array per table: the out-edges of entity e are `edge_rel[i]`, `edge_tail[i]`
 for `i` in `edge_indptr[e]:edge_indptr[e + 1]`, and its facts are
 `fact_attr[i]`, `fact_value[i]` for `i` in `fact_indptr[e]:fact_indptr[e + 1]`.
 `KnowledgeGraph` is built from an (n, 3) array of (head, relation, tail) ids
-and the training facts, and keeps only these arrays. Rows are sorted stably
-by head, so each entity keeps input order: every relational row's edge
+and the training FACT array, and keeps only these arrays. Rows are sorted
+stably by head, so each entity keeps input order: every relational row's edge
 followed by its inverse, and the training facts in file order. Duplicate
 rows stay as separate entries. `len(kg.edge_tail)` counts the edges,
 inverses included, and `len(kg.fact_attr)` the training facts.
@@ -25,6 +28,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 INVERSE_SUFFIX = "_inv"
+FACT = np.dtype([("entity", np.int64), ("attribute", np.int64), ("value", np.float64)])
 
 
 class DatasetFormatError(ValueError):
@@ -48,11 +52,24 @@ class Query:
     target: float | None = None
 
 
+def as_facts(rows) -> np.ndarray:
+    """(entity, attribute, value) tuples, or a FACT array, as one (n,) FACT array."""
+    facts = np.asarray(rows, dtype=FACT)
+    if facts.ndim != 1:
+        raise ValueError(f"expected (entity, attribute, value) tuples, got shape {facts.shape}")
+    return facts
+
+
 @dataclass
 class DatasetSplit:
-    train: list[tuple[int, int, float]]
-    valid: list[tuple[int, int, float]]
-    test: list[tuple[int, int, float]]
+    """The numerical facts of each split, each one (n,) FACT array."""
+
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
+
+    def __post_init__(self):
+        self.train, self.valid, self.test = map(as_facts, (self.train, self.valid, self.test))
 
 
 @dataclass
@@ -65,8 +82,8 @@ class AttributeStats:
     counts: np.ndarray
 
     @classmethod
-    def from_triples(cls, triples, n_attributes: int) -> "AttributeStats":
-        attrs, values = _attribute_columns(triples, n_attributes)
+    def from_triples(cls, triples: np.ndarray, n_attributes: int) -> "AttributeStats":
+        attrs, values = _attribute_ids(triples, n_attributes), triples["value"]
         mins, maxs = np.full(n_attributes, np.inf), np.full(n_attributes, -np.inf)
         np.minimum.at(mins, attrs, values)
         np.maximum.at(maxs, attrs, values)
@@ -103,7 +120,7 @@ class KnowledgeGraph:
     relation_names: list[str]  # base relations first, then their inverses
     attribute_names: list[str]
     edges: InitVar[np.ndarray]  # (n, 3) head, relation, tail ids, inverses included
-    train_facts: InitVar[list[tuple[int, int, float]]]  # training-split facts
+    train_facts: InitVar[np.ndarray]  # training-split FACT array
     num_base_relations: int
     entity_index: dict[str, int] = field(default_factory=dict)
     relation_index: dict[str, int] = field(default_factory=dict)
@@ -125,9 +142,8 @@ class KnowledgeGraph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         self.edge_indptr, (self.edge_rel, self.edge_tail) = _csr(
             edges[:, 0], n, edges[:, 1], edges[:, 2])
-        facts = np.asarray(train_facts, dtype=np.float64).reshape(-1, 3)
         self.fact_indptr, (self.fact_attr, self.fact_value) = _csr(
-            facts[:, 0].astype(np.int64), n, facts[:, 1].astype(np.int64), facts[:, 2])
+            train_facts["entity"], n, train_facts["attribute"], train_facts["value"])
 
     @property
     def n_entities(self) -> int:
@@ -175,13 +191,6 @@ def _read_numerical(path) -> list[tuple[int, str, str, str]]:
         return [(lineno, e, a, v) for lineno, (e, a, v) in _parse_rows(fh, 3, str(path))]
 
 
-def _intern(name: str, index: dict[str, int], names: list[str]) -> int:
-    if name not in index:
-        index[name] = len(names)
-        names.append(name)
-    return index[name]
-
-
 def build_dataset(
     relational_rows,
     train_rows,
@@ -195,34 +204,33 @@ def build_dataset(
     *_rows: iterables of (entity, attribute, value) strings, or of
     (lineno, entity, attribute, value) when line context is available.
     """
-    entity_names: list[str] = []
-    entity_index: dict[str, int] = {}
-    relation_names: list[str] = []
-    relation_index: dict[str, int] = {}
-    attribute_names: list[str] = []
-    attribute_index: dict[str, int] = {}
+    # one dict per vocabulary: its keys are the names in id order
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    attributes: dict[str, int] = {}
 
     # one row at a time, so a streamed file is never held whole
     base = np.fromiter((i for h, r, t in relational_rows
-                        for i in (_intern(h, entity_index, entity_names),
-                                  _intern(r, relation_index, relation_names),
-                                  _intern(t, entity_index, entity_names))),
+                        for i in (entities.setdefault(h, len(entities)),
+                                  relations.setdefault(r, len(relations)),
+                                  entities.setdefault(t, len(entities)))),
                        dtype=np.int64).reshape(-1, 3)
 
-    n_base = len(relation_names)
-    for name in list(relation_names):
-        relation_index[name + INVERSE_SUFFIX] = len(relation_names)
-        relation_names.append(name + INVERSE_SUFFIX)
+    n_base = len(relations)
+    for name in list(relations):
+        if name + INVERSE_SUFFIX in relations:
+            raise DatasetFormatError(f"relation {name + INVERSE_SUFFIX!r} has the name "
+                                     f"of the inverse of relation {name!r}")
+        relations[name + INVERSE_SUFFIX] = len(relations)
 
     # each edge, then its inverse (t, r + n_base, h): this order is each
     # entity's out-edge order, which fixes the tree a seed samples
     edges = np.stack([base, base[:, ::-1] + [0, n_base, 0]], axis=1).reshape(-1, 3)
 
     def resolve_split(rows, label):
-        triples = []
         for row in rows:
             lineno, (e, a, v) = (row[0], row[1:]) if len(row) == 4 else ("?", row)
-            if e not in entity_index:
+            if e not in entities:
                 raise DatasetFormatError(
                     f"{label}:{lineno}: entity {e!r} does not appear in the relational graph"
                 )
@@ -232,24 +240,15 @@ def build_dataset(
                 raise DatasetFormatError(f"{label}:{lineno}: bad value {v!r}") from None
             if not np.isfinite(value):
                 raise DatasetFormatError(f"{label}:{lineno}: non-finite value {v!r}")
-            aid = _intern(a, attribute_index, attribute_names)
-            triples.append((entity_index[e], aid, value))
-        return triples
+            yield entities[e], attributes.setdefault(a, len(attributes)), value
 
-    train, valid, test = (resolve_split(rows, label) for rows, label
+    train, valid, test = (np.fromiter(resolve_split(rows, label), dtype=FACT) for rows, label
                           in zip((train_rows, valid_rows, test_rows), sources))
 
-    kg = KnowledgeGraph(
-        entity_names=entity_names,
-        relation_names=relation_names,
-        attribute_names=attribute_names,
-        edges=edges,
-        train_facts=train,
-        num_base_relations=n_base,
-        entity_index=entity_index,
-        relation_index=relation_index,
-        attribute_index=attribute_index,
-    )
+    kg = KnowledgeGraph(entity_names=list(entities), relation_names=list(relations),
+                        attribute_names=list(attributes), edges=edges, train_facts=train,
+                        num_base_relations=n_base, entity_index=entities,
+                        relation_index=relations, attribute_index=attributes)
     return kg, DatasetSplit(train=train, valid=valid, test=test)
 
 
@@ -257,33 +256,32 @@ def load_dataset(relational_path, train_path, valid_path=None, test_path=None):
     """Load TSV files (head<TAB>relation<TAB>tail / entity<TAB>attribute<TAB>value).
 
     The relational file is streamed into build_dataset row by row."""
+    paths = (train_path, valid_path, test_path)
     with open(relational_path, encoding="utf-8") as fh:
         return build_dataset(
             (row for _, row in _parse_rows(fh, 3, str(relational_path))),
-            _read_numerical(train_path) if train_path is not None else [],
-            _read_numerical(valid_path) if valid_path is not None else [],
-            _read_numerical(test_path) if test_path is not None else [],
-            sources=(str(train_path), str(valid_path), str(test_path)),
+            *(_read_numerical(p) if p is not None else [] for p in paths),
+            sources=tuple(map(str, paths)),
         )
 
 
-def queries_from_triples(triples) -> list[Query]:
-    return [Query(entity=e, attribute=a, target=v) for e, a, v in triples]
+def queries_from_triples(triples: np.ndarray) -> list[Query]:
+    return [Query(entity=e, attribute=a, target=v) for e, a, v in triples.tolist()]
 
 
-def _attribute_columns(triples, n_attributes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The attribute ids and values of (entity, attribute, value) triples."""
-    attrs = np.fromiter((a for _, a, _ in triples), dtype=np.int64)
+def _attribute_ids(facts: np.ndarray, n_attributes: int) -> np.ndarray:
+    """The attribute column of `facts`, checked to lie in [0, n_attributes)."""
+    attrs = facts["attribute"]
     if np.any((attrs < 0) | (attrs >= n_attributes)):
         raise ValueError(f"attribute ids must lie in [0, {n_attributes})")
-    return attrs, np.fromiter((v for _, _, v in triples), dtype=np.float64)
+    return attrs
 
 
-def attribute_means(triples, n_attributes: int) -> np.ndarray:
+def attribute_means(triples: np.ndarray, n_attributes: int) -> np.ndarray:
     """Mean training value per attribute (nan where an attribute has none)."""
-    attrs, values = _attribute_columns(triples, n_attributes)
+    attrs = _attribute_ids(triples, n_attributes)
     counts = np.bincount(attrs, minlength=n_attributes)
-    sums = np.bincount(attrs, weights=values, minlength=n_attributes)
+    sums = np.bincount(attrs, weights=triples["value"], minlength=n_attributes)
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 

@@ -59,15 +59,17 @@ def loss_term(prediction: Tensor, target_norm, kind: str) -> Tensor:
     return square(diff) if kind == "l2" else absolute(diff)
 
 
-def scoped_queries(kg: KnowledgeGraph, triples, model: Model) -> list[Query]:
-    """Queries whose attribute is normalizable and inside the config scope."""
+def scoped_queries(kg: KnowledgeGraph, triples: np.ndarray, model: Model) -> list[Query]:
+    """Queries of the FACT rows whose attribute is normalizable and in the config scope."""
     names = model.config.attributes
     unknown = [name for name in names or () if name not in kg.attribute_index]
     if unknown:
         raise ValueError(f"unknown attribute {unknown[0]!r} in config scope")
-    scope = None if names is None else {kg.attribute_index[name] for name in names}
-    return [q for q in queries_from_triples(triples)
-            if model.stats.usable(q.attribute) and (scope is None or q.attribute in scope)]
+    attrs = triples["attribute"]
+    keep = model.stats.usable(attrs)
+    if names is not None:
+        keep &= np.isin(attrs, [kg.attribute_index[name] for name in names])
+    return queries_from_triples(triples[keep])
 
 
 def _retrieve_in_chunks(model: Model, kg: KnowledgeGraph, queries: list[Query],

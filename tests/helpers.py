@@ -7,8 +7,9 @@ test-only autodiff ops and the composite forms of the fused layers, the
 per-token chain tokens, the unfused full-row transformer, the per-row affine
 transfer, the per-query model forward, the hand-written parameter lists, the
 per-query prediction traces and dict-accumulator pattern ranking, predictions
-that used no chain, the per-triple attribute statistics, the dict-accumulator
-evaluation reports and filter audit, and finite differences."""
+that used no chain, the per-triple attribute statistics and query scoping,
+the dict-accumulator evaluation reports and filter audit, and finite
+differences."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from rachain import evaluation as EV
 from rachain.encoder import AffineNets, encode_values
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
+from rachain.kg import Query
 from rachain.reasoner import (
     ChainContribution,
     PredictionTrace,
@@ -31,7 +33,7 @@ from rachain.reasoner import (
     project_values,
 )
 from rachain.retrieval import RAChain, TreeOfChains, chain_lengths
-from rachain.training import scoped_queries, seed_for
+from rachain.training import seed_for
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +711,7 @@ def reference_attribute_stats(triples, n_attributes: int):
     maxs = np.full(n_attributes, -np.inf)
     counts = np.zeros(n_attributes, dtype=np.int64)
     sums = np.zeros(n_attributes)
-    for _, attr, value in triples:
+    for _, attr, value in triples.tolist():
         mins[attr] = min(mins[attr], value)
         maxs[attr] = max(maxs[attr], value)
         counts[attr] += 1
@@ -719,10 +721,23 @@ def reference_attribute_stats(triples, n_attributes: int):
     return mins, maxs, counts, means
 
 
+def reference_scoped_queries(kg, triples, model):
+    """`training.scoped_queries` one (entity, attribute, value) tuple at a
+    time, with the scope as a set of ids."""
+    names = model.config.attributes
+    unknown = [name for name in names or () if name not in kg.attribute_index]
+    if unknown:
+        raise ValueError(f"unknown attribute {unknown[0]!r} in config scope")
+    scope = None if names is None else {kg.attribute_index[name] for name in names}
+    return [q for q in (Query(entity=e, attribute=a, target=v) for e, a, v in triples.tolist())
+            if model.stats.usable(q.attribute) and (scope is None or q.attribute in scope)]
+
+
 def _reference_queries(kg, model, triples):
-    queries = scoped_queries(kg, triples, model)
+    queries = reference_scoped_queries(kg, triples, model)
     seen = {q.attribute for q in queries}
-    skipped = [kg.attribute_names[a] for a in sorted({a for _, a, _ in triples} - seen)
+    skipped = [kg.attribute_names[a]
+               for a in sorted({a for _, a, _ in triples.tolist()} - seen)
                if not model.stats.usable(a)]
     return queries, skipped
 

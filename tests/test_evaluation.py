@@ -10,7 +10,7 @@ from helpers import (
 )
 from rachain import evaluation as EV
 from rachain.config import TrainConfig
-from rachain.kg import AttributeStats, attribute_means, build_dataset
+from rachain.kg import AttributeStats, as_facts, attribute_means, build_dataset
 from rachain.model import Model
 from rachain.retrieval import RAChain
 
@@ -116,7 +116,7 @@ class TestBaseline:
 
 def split_rows(triples, kg):
     return [(kg.entity_names[e], kg.attribute_names[a], repr(v))
-            for e, a, v in triples]
+            for e, a, v in triples.tolist()]
 
 
 class TestFormatting:
@@ -205,7 +205,7 @@ class TestFilterAudit:
         model.retrieve = lambda kg_, queries, seeds: [chain_set(q, tree) for q in queries]
         model.select = lambda tocs, seeds: [
             chain_set(toc.query, kept, scores=np.zeros(len(kept))) for toc in tocs]
-        audits = EV.filter_composition(model, kg, [(0, a1, 5.0), (1, a1, 5.0)])
+        audits = EV.filter_composition(model, kg, as_facts([(0, a1, 5.0), (1, a1, 5.0)]))
         assert len(audits) == 1
         audit = audits[0]
         assert audit.name == "a1"
@@ -259,7 +259,7 @@ SPLITS = ["test", "empty"]
 @pytest.mark.parametrize("split_name", SPLITS)
 class TestMatchesDictAccumulators:
     def triples(self, split, split_name):
-        return split.test if split_name == "test" else []
+        return split.test if split_name == "test" else as_facts([])
 
     def test_evaluate_with_model(self, scope, split_name):
         kg, split, model = mixed_fixture(scope)
@@ -277,7 +277,7 @@ class TestMatchesDictAccumulators:
         stub_predictions(model, fake_predict)
         report = EV.evaluate(model, kg, triples)
         assert_same(report, reference_evaluate(model, kg, triples))
-        if triples:
+        if len(triples):
             assert sum(r.fallbacks for r in report.rows) > 0
             assert report.skipped_attributes == ["a3", "a5"]
             assert ("a4" in {r.name for r in report.rows}) == (scope is None)
@@ -310,7 +310,7 @@ class TestExplain:
     def test_no_scoped_query_raises(self, attribute):
         kg, split, model = mixed_fixture(("a1", "a2", "a3"))
         aid = kg.attribute_index[attribute]
-        triples = [t for t in split.test if t[1] == aid]
-        assert triples
+        triples = split.test[split.test["attribute"] == aid]
+        assert len(triples)
         with pytest.raises(ValueError, match="no queries to explain"):
             EV.explain(model, kg, triples)

@@ -112,7 +112,8 @@ class TestLoading:
     def test_optional_splits(self, tmp_path):
         paths = write_dataset(tmp_path, REL, TRAIN)
         kg, split = K.load_dataset(paths["relational"], paths["train"])
-        assert split.valid == [] and split.test == []
+        assert len(split.valid) == len(split.test) == 0
+        assert split.valid.dtype == split.test.dtype == K.FACT
 
 
 class TestLoadErrors:
@@ -143,11 +144,66 @@ class TestLoadErrors:
         with pytest.raises(K.DatasetFormatError, match="empty column"):
             K.load_dataset(p, None)
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["base_first", "inverse_name_first"])
+    def test_relation_named_like_an_inverse(self, tmp_path, order):
+        rel = [("a", "x", "b"), ("b", "x" + K.INVERSE_SUFFIX, "c")][::order]
+        train = [("a", "population", "1.0")]
+        match = r"relation 'x_inv' .* inverse of relation 'x'"
+        with pytest.raises(K.DatasetFormatError, match=match):
+            K.build_dataset(rel, train)
+        paths = write_dataset(tmp_path, rel, train)
+        with pytest.raises(K.DatasetFormatError, match=match):
+            K.load_dataset(paths["relational"], paths["train"])
+
+    def test_inverse_suffix_in_a_free_name_is_kept(self):
+        kg, _ = K.build_dataset([("a", "x_inv", "b")], [("a", "population", "1.0")])
+        assert kg.relation_names == ["x_inv", "x_inv_inv"]
+        assert kg.relation_index == {"x_inv": 0, "x_inv_inv": 1}
+
+
+class TestFacts:
+    def test_split_rows_become_fact_arrays(self):
+        split = K.DatasetSplit(train=[(0, 1, 2.5), (2, 0, -1.0)], valid=[],
+                               test=K.as_facts([(3, 0, 4.0)]))
+        for facts in (split.train, split.valid, split.test):
+            assert facts.dtype == K.FACT and facts.ndim == 1
+        assert split.train.tolist() == [(0, 1, 2.5), (2, 0, -1.0)]
+        assert len(split.valid) == 0 and split.test.tolist() == [(3, 0, 4.0)]
+
+    @pytest.mark.parametrize("rows", [[[0, 1, 2.5], [2, 0, -1.0]], (0, 1, 2.5)],
+                             ids=["lists", "one_tuple"])
+    def test_rows_that_are_not_tuples_rejected(self, rows):
+        # a list of lists would broadcast each number into all three fields
+        with pytest.raises(ValueError, match=r"\(entity, attribute, value\) tuples"):
+            K.as_facts(rows)
+        with pytest.raises(ValueError, match=r"\(entity, attribute, value\) tuples"):
+            K.DatasetSplit(train=rows, valid=[], test=[])
+
+    def test_load_matches_line_by_line_parse(self, bench_files):
+        kg, split = K.load_dataset(*bench_files)
+        relational, *numerical = bench_files
+        entities, attributes = [], []
+        for line in relational.read_text(encoding="utf-8").splitlines():
+            for name in line.split("\t")[::2]:
+                if name not in entities:
+                    entities.append(name)
+        assert kg.entity_names == entities
+        for path, facts in zip(numerical, (split.train, split.valid, split.test)):
+            rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+            for _, name, _ in rows:
+                if name not in attributes:
+                    attributes.append(name)
+            assert facts.dtype == K.FACT and len(facts) == len(rows) > 0
+            assert facts["entity"].tolist() == [entities.index(e) for e, _, _ in rows]
+            assert facts["attribute"].tolist() == [attributes.index(a) for _, a, _ in rows]
+            assert facts["value"].tobytes() == np.array([float(v) for *_, v in rows]).tobytes()
+        assert kg.attribute_names == attributes
+
 
 class TestStats:
     def make_stats(self):
-        triples = [(0, 0, 354.9), (1, 0, 2014.0), (2, 0, 1000.0),
-                   (0, 1, 5.0), (1, 1, 5.0)]
+        triples = K.as_facts([(0, 0, 354.9), (1, 0, 2014.0), (2, 0, 1000.0),
+                              (0, 1, 5.0), (1, 1, 5.0)])
         return K.AttributeStats.from_triples(triples, 3)
 
     def test_min_max_counts(self):
@@ -201,17 +257,17 @@ class TestStatsMatchPerTripleLoop:
     def test_random_facts_with_an_empty_attribute(self, rng):
         attrs = rng.choice([0, 1, 3, 4], size=500)  # attribute 2 has no value
         values = rng.normal(0.0, 1e3, size=500) * 10.0 ** rng.integers(-6, 6, size=500)
-        triples = [(int(i), int(a), float(v))
-                   for i, (a, v) in enumerate(zip(attrs, values))]
+        triples = K.as_facts([(int(i), int(a), float(v))
+                              for i, (a, v) in enumerate(zip(attrs, values))])
         self.check(triples, 5)
         assert np.isnan(K.attribute_means(triples, 5)[2])
 
     def test_empty_triples(self):
-        self.check([], 3)
+        self.check(K.as_facts([]), 3)
 
     @pytest.mark.parametrize("attribute", [-1, 3])
     def test_out_of_range_attribute_rejected(self, attribute):
-        triples = [(0, 0, 1.0), (1, attribute, 2.0)]
+        triples = K.as_facts([(0, 0, 1.0), (1, attribute, 2.0)])
         with pytest.raises(ValueError, match=r"attribute ids must lie in \[0, 3\)"):
             K.AttributeStats.from_triples(triples, 3)
         with pytest.raises(ValueError, match=r"attribute ids must lie in \[0, 3\)"):
@@ -220,13 +276,14 @@ class TestStatsMatchPerTripleLoop:
 
 class TestHelpers:
     def test_attribute_means(self):
-        means = K.attribute_means([(0, 0, 2.0), (1, 0, 4.0), (2, 1, 7.0)], 3)
+        means = K.attribute_means(K.as_facts([(0, 0, 2.0), (1, 0, 4.0), (2, 1, 7.0)]), 3)
         assert means[0] == 3.0 and means[1] == 7.0
         assert np.isnan(means[2])
 
     def test_queries_from_triples(self):
-        qs = K.queries_from_triples([(3, 1, 9.5)])
+        qs = K.queries_from_triples(K.as_facts([(3, 1, 9.5)]))
         assert qs == [K.Query(entity=3, attribute=1, target=9.5)]
+        assert [type(f) for f in vars(qs[0]).values()] == [int, int, float]
 
     def test_stats_report_mentions_degenerate(self, tmp_path):
         paths = write_dataset(tmp_path, REL,

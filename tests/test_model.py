@@ -13,10 +13,10 @@ from helpers import (
 )
 from perfbench.workloads import WORKLOADS, tiny
 from rachain import autodiff as ad
-from rachain import evaluation, reasoner, synth, training
+from rachain import evaluation, reasoner, training
 from rachain.config import PROJECTION_MODES, TrainConfig
 from rachain.filter import select_random_k, select_top_k
-from rachain.kg import AttributeStats, Query, attribute_means, build_dataset, load_dataset
+from rachain.kg import AttributeStats, Query, as_facts, attribute_means, build_dataset
 from rachain.model import Model, load_checkpoint, save_checkpoint
 from rachain.reasoner import ChainContribution, PredictionTrace
 from rachain.retrieval import RAChain, sample_tree
@@ -31,7 +31,7 @@ def small_config(**kw):
 
 def make_stats():
     # attribute 0 spans [0, 10], attribute 1 spans [5, 9], attribute 2 unseen
-    triples = [(0, 0, 0.0), (1, 0, 10.0), (0, 1, 5.0), (1, 1, 9.0)]
+    triples = as_facts([(0, 0, 0.0), (1, 0, 10.0), (0, 1, 5.0), (1, 1, 9.0)])
     return AttributeStats.from_triples(triples, 3), attribute_means(triples, 3)
 
 
@@ -396,15 +396,6 @@ class TestPredictBatch:
         assert all(p.grad is None for p in model.all_parameters())
 
 
-@pytest.fixture(scope="module")
-def bench_graph(tmp_path_factory):
-    """The graph the benchmark's tiny() workloads share, with seed 61."""
-    out = tmp_path_factory.mktemp("bench-graph")
-    synth.generate(synth.SynthSpec.from_dict(tiny(WORKLOADS["train_small"]).spec), 61, out)
-    return load_dataset(*(out / f"{name}.tsv" for name in ("relational", "train", "valid",
-                                                           "test")))
-
-
 def nudged_model(kg, split, config, rng):
     """An untrained model whose zero-opened readouts are nudged, so that
     weights and proposals differ from chain to chain."""
@@ -461,8 +452,8 @@ class TestPredictionsMatchTraces:
         kg, split = bench_graph
         config = TrainConfig.from_dict({**tiny(WORKLOADS[name]).config, **kw})
         model = nudged_model(kg, split, config, np.random.default_rng(61))
-        queries = training.scoped_queries(kg, split.test + split.valid + split.train[:24],
-                                          model)
+        queries = training.scoped_queries(
+            kg, np.concatenate([split.test, split.valid, split.train[:24]]), model)
         seeds = [training.seed_for(61, 3, 0, i) for i in range(len(queries))]
         assert len(queries) > 2 * config.batch_size
         assert assert_predictions_match_reference(model, kg, queries, seeds) == 0
@@ -512,7 +503,7 @@ class TestTracesOnlyWhereShown:
         kg, split = bench_graph
         config = TrainConfig.from_dict(tiny(WORKLOADS["train_small"]).config)
         model = nudged_model(kg, split, config, np.random.default_rng(61))
-        triples = split.test + split.valid
+        triples = np.concatenate([split.test, split.valid])
         report = evaluation.evaluate(model, kg, triples, seed=3)
         queries = training.scoped_queries(kg, triples, model)
         seeds = list(range(len(queries)))

@@ -5,7 +5,7 @@ from helpers import chain_set, reference_top_patterns, reference_trace
 from rachain import autodiff as ad
 from rachain import reasoner as R
 from rachain.autodiff import Tensor, parameters
-from rachain.kg import AttributeStats, Query
+from rachain.kg import AttributeStats, Query, as_facts
 from rachain.retrieval import RAChain
 
 
@@ -142,7 +142,7 @@ class TestAggregate:
 class TestTrace:
     def stats(self):
         # attribute 0 spans [10, 20]
-        return AttributeStats.from_triples([(0, 0, 10.0), (1, 0, 20.0)], 1)
+        return AttributeStats.from_triples(as_facts([(0, 0, 10.0), (1, 0, 20.0)]), 1)
 
     def predictions(self, sets, omega, proposals, norm, value):
         """Predictions for (query, chains) sets with weights and proposals

@@ -294,7 +294,7 @@ def raw_graph(n_entities, n_base, triples, facts):
         + [f"r{i}_inv" for i in range(n_base)],
         attribute_names=["a0", "a1", "a2"],
         edges=triples,
-        train_facts=facts,
+        train_facts=K.as_facts(facts),
         num_base_relations=n_base,
     )
 

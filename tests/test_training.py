@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import chainless_predictions, reference_sample_tree, reference_select_top_k
+from helpers import (chainless_predictions, reference_sample_tree, reference_scoped_queries,
+                     reference_select_top_k)
+from perfbench.workloads import WORKLOADS, tiny
 from rachain import training as T
 from rachain.config import TrainConfig
 from rachain.kg import AttributeStats, DatasetSplit, Query, attribute_means, build_dataset
@@ -88,6 +90,50 @@ class TestScoping:
         model = task_model(kg, split, attributes=("dst", "nope"))
         with pytest.raises(ValueError, match="unknown attribute 'nope'"):
             T.scoped_queries(kg, split.train, model)
+
+
+def bench_model(kg, split, name, scope):
+    config = TrainConfig.from_dict({**tiny(WORKLOADS[name]).config, "attributes": scope})
+    return Model(kg.n_relations, kg.n_attributes,
+                 AttributeStats.from_triples(split.train, kg.n_attributes),
+                 attribute_means(split.train, kg.n_attributes), config)
+
+
+def query_fields(queries):
+    """Each query's fields with their types, the target as hex, so that ==
+    is bit-equality and an int never passes for a float."""
+    return [(type(q.entity), q.entity, type(q.attribute), q.attribute, type(q.target),
+             q.target.hex()) for q in queries]
+
+
+class TestScopedQueriesMatchTupleLoop:
+    """The column mask against the per-tuple scoping it replaced."""
+
+    @pytest.mark.parametrize("scope", [["val"], None], ids=["val", "unscoped"])
+    @pytest.mark.parametrize("split_name", ["train", "valid", "test"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_bench_graph(self, bench_graph, name, split_name, scope):
+        # every workload's tiny() graph is the shared bench graph
+        assert tiny(WORKLOADS[name]).spec == tiny(WORKLOADS["train_small"]).spec
+        kg, split = bench_graph
+        model = bench_model(kg, split, name, scope)
+        triples = getattr(split, split_name)
+        got = T.scoped_queries(kg, triples, model)
+        assert query_fields(got) == query_fields(reference_scoped_queries(kg, triples, model))
+        assert {type(v) for q in got for v in vars(q).values()} == {int, float}
+        assert got
+        if split_name == "train":  # held-out splits hold only val facts
+            assert len({q.attribute for q in got}) == (1 if scope else kg.n_attributes)
+
+    def test_unusable_attribute_dropped(self, bench_graph):
+        kg, split = bench_graph
+        model = bench_model(kg, split, "train_small", None)
+        model.stats.counts[kg.attribute_index["aux"]] = 0  # pretend aux has no scale
+        got = T.scoped_queries(kg, split.train, model)
+        assert query_fields(got) == query_fields(
+            reference_scoped_queries(kg, split.train, model))
+        assert kg.attribute_index["aux"] not in {q.attribute for q in got}
+        assert len(got) < len(split.train)
 
 
 class TestValidationMae:
