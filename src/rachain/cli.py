@@ -37,12 +37,8 @@ def _add_dataset_args(p: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _dataset_paths(args) -> dict:
-    return {
-        "relational": str(Path(args.relational).resolve()),
-        "train": str(Path(args.train).resolve()),
-        "valid": str(Path(args.valid).resolve()) if args.valid else None,
-        "test": str(Path(args.test).resolve()) if args.test else None,
-    }
+    return {k: str(Path(p).resolve()) if (p := getattr(args, k)) else None
+            for k in ("relational", "train", "valid", "test")}
 
 
 def cmd_ingest(args) -> int:

@@ -45,6 +45,17 @@ class TrainConfig:
     attributes: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):  # the type of the default, as for CLI flags
+            value, kind = getattr(self, f.name), type(f.default)
+            if f.name == "attributes":
+                kind, ok = "None or a list of str", value is None or (
+                    isinstance(value, (list, tuple)) and all(isinstance(a, str) for a in value))
+            else:  # a bool is no number; an int passes as a float
+                ok = (isinstance(value, (int, float) if kind is float else kind)
+                      and (kind is bool or not isinstance(value, bool)))
+            if not ok:
+                raise ValueError(f"{f.name} must be {getattr(kind, '__name__', kind)}, "
+                                 f"got {value!r}")
         if self.mode not in PROJECTION_MODES:
             raise ValueError(f"mode must be one of {PROJECTION_MODES}, got {self.mode!r}")
         if self.loss not in LOSSES:

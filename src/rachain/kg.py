@@ -2,12 +2,12 @@
 
 Relational facts are (head, relation, tail) triples; numerical facts are
 (entity, attribute, value) triples, each split one (n,) structured array of
-dtype `FACT` in file order (`as_facts` converts other rows). Loading interns
-names to dense ids in order of first appearance and synthesizes one inverse
-per base relation (ids R..2R-1 for base ids 0..R-1), named `name + "_inv"`;
-a base relation already named like another's inverse is rejected. Only
-training-split numerical facts enter the graph; validation/test values stay
-outside it so retrieval can never see a held-out answer.
+dtype `FACT` in file order (`as_facts` converts other rows). Loading streams
+each file through one loop that interns names to dense ids in order of first
+appearance, then synthesizes one inverse per base relation (ids R..2R-1 for
+base ids 0..R-1), named `name + "_inv"`, and rejects a base relation already
+named so. Only training-split numerical facts enter the graph; validation
+and test values stay outside it so retrieval can never see a held-out answer.
 
 The graph is stored once, in CSR (compressed sparse row) form, one offset
 array per table: the out-edges of entity e are `edge_rel[i]`, `edge_tail[i]`
@@ -23,7 +23,9 @@ inverses included, and `len(kg.fact_attr)` the training facts.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import InitVar, dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -140,8 +142,7 @@ class KnowledgeGraph:
                 index.update((n, i) for i, n in enumerate(names))
         n = self.n_entities
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-        self.edge_indptr, (self.edge_rel, self.edge_tail) = _csr(
-            edges[:, 0], n, edges[:, 1], edges[:, 2])
+        self.edge_indptr, (self.edge_rel, self.edge_tail) = _csr(edges[:, 0], n, *edges[:, 1:].T)
         self.fact_indptr, (self.fact_attr, self.fact_value) = _csr(
             train_facts["entity"], n, train_facts["attribute"], train_facts["value"])
 
@@ -167,54 +168,53 @@ def _csr(rows: np.ndarray, n_rows: int, *columns: np.ndarray):
     """Row offsets, and `columns` stably sorted by `rows`."""
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    order = np.argsort(rows, kind="stable")
+    # one sort of (row, position) keys packed into int64s (both must fit 63
+    # bits together): the position breaks ties, as a stable argsort would
+    bits = len(rows).bit_length()
+    order = np.sort((rows << bits) | np.arange(len(rows))) & ((1 << bits) - 1)
     return indptr, tuple(c[order] for c in columns)
 
 
-def _parse_rows(lines, n_cols: int, source: str):
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != n_cols:
-            raise DatasetFormatError(
-                f"{source}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}"
-            )
-        if "" in cols:
-            raise DatasetFormatError(f"{source}:{lineno}: empty column")
-        yield lineno, cols
+class _Ids(dict):
+    """Name -> id; looking up an unseen name gives it the next id."""
+
+    def __missing__(self, name):
+        self[name] = i = len(self)
+        return i
 
 
-def _read_numerical(path) -> list[tuple[int, str, str, str]]:
+def _parse_rows(path, numbered: bool):
+    """The 3 tab-separated columns of each non-blank line of `path`, streamed:
+    a list, or a (lineno, *columns) tuple if `numbered`."""
     with open(path, encoding="utf-8") as fh:
-        return [(lineno, e, a, v) for lineno, (e, a, v) in _parse_rows(fh, 3, str(path))]
+        for lineno, line in enumerate(fh, start=1):
+            cols = line.rstrip("\r\n").split("\t")
+            if len(cols) != 3 or "" in cols:
+                if cols == [""]:
+                    continue  # a blank line, still counted
+                raise DatasetFormatError(f"{path}:{lineno}: " + (
+                    f"expected 3 tab-separated columns, got {len(cols)}"
+                    if len(cols) != 3 else "empty column"))
+            yield (lineno, *cols) if numbered else cols
 
 
-def build_dataset(
-    relational_rows,
-    train_rows,
-    valid_rows=(),
-    test_rows=(),
-    sources: tuple[str, str, str] = ("<train>", "<valid>", "<test>"),
-) -> tuple[KnowledgeGraph, DatasetSplit]:
-    """Assemble a graph and splits from name-level rows.
+def build_dataset(relational_rows, train_rows, valid_rows=(), test_rows=(),
+                  sources: tuple[str, str, str] = ("<train>", "<valid>", "<test>"),
+                  ) -> tuple[KnowledgeGraph, DatasetSplit]:
+    """Assemble a graph and splits from name-level rows, one row at a time.
 
     relational_rows: iterable of (head, relation, tail) strings.
     *_rows: iterables of (entity, attribute, value) strings, or of
     (lineno, entity, attribute, value) when line context is available.
     """
-    # one dict per vocabulary: its keys are the names in id order
-    entities: dict[str, int] = {}
-    relations: dict[str, int] = {}
-    attributes: dict[str, int] = {}
-
-    # one row at a time, so a streamed file is never held whole
-    base = np.fromiter((i for h, r, t in relational_rows
-                        for i in (entities.setdefault(h, len(entities)),
-                                  relations.setdefault(r, len(relations)),
-                                  entities.setdefault(t, len(entities)))),
-                       dtype=np.int64).reshape(-1, 3)
+    entities, relations, attributes = _Ids(), _Ids(), _Ids()
+    ids = array("q")
+    add = ids.append
+    for h, r, t in relational_rows:
+        add(entities[h])
+        add(relations[r])
+        add(entities[t])
+    base = np.frombuffer(ids, dtype=np.int64).reshape(-1, 3)
 
     n_base = len(relations)
     for name in list(relations):
@@ -228,41 +228,37 @@ def build_dataset(
     edges = np.stack([base, base[:, ::-1] + [0, n_base, 0]], axis=1).reshape(-1, 3)
 
     def resolve_split(rows, label):
+        facts = []
         for row in rows:
-            lineno, (e, a, v) = (row[0], row[1:]) if len(row) == 4 else ("?", row)
-            if e not in entities:
-                raise DatasetFormatError(
-                    f"{label}:{lineno}: entity {e!r} does not appear in the relational graph"
-                )
+            e, a, v = row[-3:]
+            entity = entities.get(e)
             try:
                 value = float(v)
             except ValueError:
-                raise DatasetFormatError(f"{label}:{lineno}: bad value {v!r}") from None
-            if not np.isfinite(value):
-                raise DatasetFormatError(f"{label}:{lineno}: non-finite value {v!r}")
-            yield entities[e], attributes.setdefault(a, len(attributes)), value
+                value = None
+            if entity is None or value is None or not isfinite(value):
+                raise DatasetFormatError(f"{label}:{row[0] if len(row) == 4 else '?'}: " + (
+                    f"entity {e!r} does not appear in the relational graph" if entity is None
+                    else f"bad value {v!r}" if value is None else f"non-finite value {v!r}"))
+            facts.append((entity, attributes[a], value))
+        return np.fromiter(facts, dtype=FACT, count=len(facts))
 
-    train, valid, test = (np.fromiter(resolve_split(rows, label), dtype=FACT) for rows, label
+    train, valid, test = (resolve_split(rows, label) for rows, label
                           in zip((train_rows, valid_rows, test_rows), sources))
-
     kg = KnowledgeGraph(entity_names=list(entities), relation_names=list(relations),
                         attribute_names=list(attributes), edges=edges, train_facts=train,
-                        num_base_relations=n_base, entity_index=entities,
-                        relation_index=relations, attribute_index=attributes)
+                        num_base_relations=n_base, entity_index=dict(entities),
+                        relation_index=dict(relations), attribute_index=dict(attributes))
     return kg, DatasetSplit(train=train, valid=valid, test=test)
 
 
 def load_dataset(relational_path, train_path, valid_path=None, test_path=None):
-    """Load TSV files (head<TAB>relation<TAB>tail / entity<TAB>attribute<TAB>value).
-
-    The relational file is streamed into build_dataset row by row."""
+    """Load TSV files (head<TAB>relation<TAB>tail / entity<TAB>attribute<TAB>value),
+    each opened when build_dataset reaches it and streamed row by row."""
     paths = (train_path, valid_path, test_path)
-    with open(relational_path, encoding="utf-8") as fh:
-        return build_dataset(
-            (row for _, row in _parse_rows(fh, 3, str(relational_path))),
-            *(_read_numerical(p) if p is not None else [] for p in paths),
-            sources=tuple(map(str, paths)),
-        )
+    return build_dataset(_parse_rows(relational_path, False),
+                         *(() if p is None else _parse_rows(p, True) for p in paths),
+                         sources=tuple(map(str, paths)))
 
 
 def queries_from_triples(triples: np.ndarray) -> list[Query]:
@@ -301,7 +297,6 @@ def format_stats_report(kg: KnowledgeGraph, stats: AttributeStats) -> str:
             lines.append(f"{name:<32} {0:>8} {'-':>14} {'-':>14}  (no training values)")
             continue
         flag = "  (degenerate: min == max)" if stats.mins[a] == stats.maxs[a] else ""
-        lines.append(
-            f"{name:<32} {stats.counts[a]:>8} {stats.mins[a]:>14.4f} {stats.maxs[a]:>14.4f}{flag}"
-        )
+        lines.append(f"{name:<32} {stats.counts[a]:>8} {stats.mins[a]:>14.4f} "
+                     f"{stats.maxs[a]:>14.4f}{flag}")
     return "\n".join(lines) + "\n"

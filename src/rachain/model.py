@@ -224,9 +224,7 @@ def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
         if key in arrays:
             raise ValueError(f"duplicate parameter name {p.name!r}")
         arrays[key] = p.data
-    arrays["stats:mins"] = model.stats.mins
-    arrays["stats:maxs"] = model.stats.maxs
-    arrays["stats:counts"] = model.stats.counts
+    arrays.update((f"stats:{k}", getattr(model.stats, k)) for k in ("mins", "maxs", "counts"))
     arrays["means"] = model.means
     meta = {
         "config": model.config.to_dict(),

@@ -1,15 +1,15 @@
 """Shared test utilities: independent scalar oracles, the array origin log
 map, the single-value bit codec, validated single-point geometry and
-per-chain filter scoring, hand-built chain sets, a graph's out-edges and
-facts, the exhaustive chain enumerator, the sequential chain sampler, the
-sort-based row check, the np.unique row dedupe, the per-tree top-k selection,
-test-only autodiff ops and the composite forms of the fused layers, the
-per-token chain tokens, the unfused full-row transformer, the per-row affine
-transfer, the per-query model forward, the hand-written parameter lists, the
-per-query prediction traces and dict-accumulator pattern ranking, predictions
-that used no chain, the per-triple attribute statistics and query scoping,
-the dict-accumulator evaluation reports and filter audit, and finite
-differences."""
+per-chain filter scoring, hand-built chain sets, the row-generator graph
+loader and stable-argsort CSR, a graph's out-edges and facts, the exhaustive
+chain enumerator, the sequential chain sampler, the sort-based row check, the
+np.unique row dedupe, the per-tree top-k selection, test-only autodiff ops
+and the composite forms of the fused layers, the per-token chain tokens, the
+unfused full-row transformer, the per-row affine transfer, the per-query
+model forward, the hand-written parameter lists, the per-query prediction
+traces and dict-accumulator pattern ranking, predictions that used no chain,
+the per-triple attribute statistics and query scoping, the dict-accumulator
+evaluation reports and filter audit, and finite differences."""
 
 from __future__ import annotations
 
@@ -24,7 +24,14 @@ from rachain import evaluation as EV
 from rachain.encoder import AffineNets, encode_values
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
-from rachain.kg import Query
+from rachain.kg import (
+    FACT,
+    INVERSE_SUFFIX,
+    DatasetFormatError,
+    DatasetSplit,
+    KnowledgeGraph,
+    Query,
+)
 from rachain.reasoner import (
     ChainContribution,
     PredictionTrace,
@@ -228,6 +235,97 @@ def chain_set(query, chains, max_hops: int = 3, scores=None) -> TreeOfChains:
                         np.array([ch.source_value for ch in chains], dtype=np.float64),
                         relations, entity_path,
                         None if scores is None else np.asarray(scores, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# the row-generator graph loader (stable argsort CSR, setdefault interning)
+
+
+def reference_csr(rows: np.ndarray, n_rows: int, *columns: np.ndarray):
+    """Row offsets, and `columns` ordered by a stable argsort of `rows`."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    return indptr, tuple(c[order] for c in columns)
+
+
+def _reference_parse_rows(lines, n_cols: int, source: str):
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            raise DatasetFormatError(
+                f"{source}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}"
+            )
+        if "" in cols:
+            raise DatasetFormatError(f"{source}:{lineno}: empty column")
+        yield lineno, cols
+
+
+def _reference_read_numerical(path) -> list[tuple[int, str, str, str]]:
+    with open(path, encoding="utf-8") as fh:
+        return [(lineno, e, a, v) for lineno, (e, a, v)
+                in _reference_parse_rows(fh, 3, str(path))]
+
+
+def _reference_build_dataset(relational_rows, train_rows, valid_rows, test_rows, sources):
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    attributes: dict[str, int] = {}
+    base = np.fromiter((i for h, r, t in relational_rows
+                        for i in (entities.setdefault(h, len(entities)),
+                                  relations.setdefault(r, len(relations)),
+                                  entities.setdefault(t, len(entities)))),
+                       dtype=np.int64).reshape(-1, 3)
+    n_base = len(relations)
+    for name in list(relations):
+        if name + INVERSE_SUFFIX in relations:
+            raise DatasetFormatError(f"relation {name + INVERSE_SUFFIX!r} has the name "
+                                     f"of the inverse of relation {name!r}")
+        relations[name + INVERSE_SUFFIX] = len(relations)
+    edges = np.stack([base, base[:, ::-1] + [0, n_base, 0]], axis=1).reshape(-1, 3)
+
+    def resolve_split(rows, label):
+        for row in rows:
+            lineno, (e, a, v) = (row[0], row[1:]) if len(row) == 4 else ("?", row)
+            if e not in entities:
+                raise DatasetFormatError(
+                    f"{label}:{lineno}: entity {e!r} does not appear in the relational graph"
+                )
+            try:
+                value = float(v)
+            except ValueError:
+                raise DatasetFormatError(f"{label}:{lineno}: bad value {v!r}") from None
+            if not np.isfinite(value):
+                raise DatasetFormatError(f"{label}:{lineno}: non-finite value {v!r}")
+            yield entities[e], attributes.setdefault(a, len(attributes)), value
+
+    train, valid, test = (np.fromiter(resolve_split(rows, label), dtype=FACT) for rows, label
+                          in zip((train_rows, valid_rows, test_rows), sources))
+    kg = KnowledgeGraph(entity_names=list(entities), relation_names=list(relations),
+                        attribute_names=list(attributes), edges=edges, train_facts=train,
+                        num_base_relations=n_base, entity_index=entities,
+                        relation_index=relations, attribute_index=attributes)
+    kg.edge_indptr, (kg.edge_rel, kg.edge_tail) = reference_csr(
+        edges[:, 0], kg.n_entities, edges[:, 1], edges[:, 2])
+    kg.fact_indptr, (kg.fact_attr, kg.fact_value) = reference_csr(
+        train["entity"], kg.n_entities, train["attribute"], train["value"])
+    return kg, DatasetSplit(train=train, valid=valid, test=test)
+
+
+def reference_load_dataset(relational_path, train_path, valid_path=None, test_path=None):
+    """(graph, split) as `rachain.kg.load_dataset` gives them, by the row-generator
+    loader: relational rows through two generator layers, numerical files read
+    whole, `setdefault` interning and CSR arrays from `reference_csr`."""
+    paths = (train_path, valid_path, test_path)
+    with open(relational_path, encoding="utf-8") as fh:
+        return _reference_build_dataset(
+            (row for _, row in _reference_parse_rows(fh, 3, str(relational_path))),
+            *(_reference_read_numerical(p) if p is not None else [] for p in paths),
+            sources=tuple(map(str, paths)),
+        )
 
 
 # ---------------------------------------------------------------------------

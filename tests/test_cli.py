@@ -124,6 +124,16 @@ class TestTrain:
         assert "wheels" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_wrongly_typed_config_value_fails_cleanly(self, workspace, capsys):
+        bad = workspace / "float_epochs.json"
+        bad.write_text(json.dumps({**CONFIG, "epochs": 3.0}))
+        code = main(["train", *dataset_args(workspace), "--config", str(bad),
+                     "--out", str(workspace / "never")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: epochs must be int, got 3.0\n"
+        assert not (workspace / "never").exists()
+
 
 class TestEval:
     def test_eval_uses_stored_dataset_paths(self, workspace, capsys):

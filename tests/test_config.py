@@ -56,3 +56,31 @@ def test_round_trip_through_dict():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys.*wheels"):
         TrainConfig.from_dict({"wheels": 4})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"cache_toc": "no"}, "cache_toc must be bool, got 'no'"),
+        ({"use_filter": 0}, "use_filter must be bool, got 0"),
+        ({"epochs": 3.0}, "epochs must be int, got 3.0"),
+        ({"walks": True}, "walks must be int, got True"),
+        ({"walks": 2.5}, "walks must be int, got 2.5"),
+        ({"seed": "1"}, "seed must be int, got '1'"),
+        ({"lr": True}, "lr must be float, got True"),
+        ({"lam": "0.5"}, "lam must be float, got '0.5'"),
+        ({"mode": 3}, "mode must be str, got 3"),
+        ({"attributes": "val"}, "attributes must be None or a list of str, got 'val'"),
+        ({"attributes": ["val", 3]}, "attributes must be None or a list of str, got ['val', 3]"),
+        ({"attributes": {"val"}}, "attributes must be None or a list of str, got {'val'}"),
+    ],
+)
+def test_values_of_the_wrong_type_rejected(data, message):
+    with pytest.raises(ValueError) as info:
+        TrainConfig.from_dict(data)
+    assert str(info.value) == message
+
+
+def test_ints_taken_for_float_fields():
+    cfg = TrainConfig.from_dict({"lr": 1, "lam": 0, "clip_norm": 2, "attributes": []})
+    assert (cfg.lr, cfg.lam, cfg.clip_norm, cfg.attributes) == (1, 0, 2, ())

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import facts, out_edges, reference_attribute_stats
+from helpers import (
+    facts,
+    out_edges,
+    reference_attribute_stats,
+    reference_csr,
+    reference_load_dataset,
+)
 from rachain import kg as K
 
 
@@ -159,6 +165,190 @@ class TestLoadErrors:
         kg, _ = K.build_dataset([("a", "x_inv", "b")], [("a", "population", "1.0")])
         assert kg.relation_names == ["x_inv", "x_inv_inv"]
         assert kg.relation_index == {"x_inv": 0, "x_inv_inv": 1}
+
+
+def write_raw(directory, **texts):
+    """Each keyword's text written byte for byte (CRLF kept) to <name>.tsv."""
+    directory.mkdir(exist_ok=True)
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = directory / f"{name}.tsv"
+        paths[name].write_bytes(text.encode("utf-8"))
+    return paths
+
+
+REL_TEXT = "berlin\tcapital_of\tgermany\nparis\tcapital_of\tfrance\n"
+
+
+class TestLoadErrorMessages:
+    """Every DatasetFormatError message, compared whole."""
+
+    def check(self, expected, *paths):
+        with pytest.raises(K.DatasetFormatError) as info:
+            K.load_dataset(*paths)
+        assert str(info.value) == expected.format(*map(str, paths))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a\tr\tb\nc\tr\n", "{0}:2: expected 3 tab-separated columns, got 2"),
+        ("a\tr\tb\nc\tr\td\te", "{0}:2: expected 3 tab-separated columns, got 4"),
+        ("a\tr\tb\n   \n", "{0}:2: expected 3 tab-separated columns, got 1"),
+        ("a\tr\tb\r\n\r\nc\tr\r\n", "{0}:3: expected 3 tab-separated columns, got 2"),
+        ("a\tr\tb\n\n\na\t\tb\n", "{0}:4: empty column"),
+        ("\t\t\n", "{0}:1: empty column"),
+        ("a\tr\tb\r\nc\tr\t\r\n", "{0}:2: empty column"),
+    ], ids=["short", "long_no_final_newline", "whitespace_only", "crlf_after_blank",
+            "empty_after_blanks", "all_empty", "crlf_empty_last"])
+    def test_relational_rows(self, tmp_path, text, expected):
+        paths = write_raw(tmp_path, rel=text)
+        self.check(expected, paths["rel"], None)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("berlin\tpopulation\t3.7\r\n\r\natlantis\tpopulation\t1.0",
+         "{1}:3: entity 'atlantis' does not appear in the relational graph"),
+        ("berlin\tpopulation\tmany\n", "{1}:1: bad value 'many'"),
+        ("berlin\tpopulation\t\n", "{1}:1: empty column"),
+        ("berlin\tpopulation\n", "{1}:1: expected 3 tab-separated columns, got 2"),
+        ("\nberlin\tpopulation\tnan\n", "{1}:2: non-finite value 'nan'"),
+        ("berlin\tpopulation\tinf\n", "{1}:1: non-finite value 'inf'"),
+        ("berlin\tpopulation\t-inf\n", "{1}:1: non-finite value '-inf'"),
+    ], ids=["unknown_entity_crlf", "bad_value", "empty_value", "short", "nan", "inf",
+            "minus_inf"])
+    def test_train_rows(self, tmp_path, text, expected):
+        paths = write_raw(tmp_path, rel=REL_TEXT, train=text)
+        self.check(expected, paths["rel"], paths["train"])
+
+    def test_heldout_rows_cite_their_own_file(self, tmp_path):
+        paths = write_raw(tmp_path, rel=REL_TEXT, train="berlin\tpopulation\t3.7\n",
+                          valid="paris\tpopulation\t2.1\n\nrome\tpopulation\t2.8\n",
+                          test="paris\tlatitude\t48.9\r\nparis\tlatitude\t-nan")
+        self.check("{2}:3: entity 'rome' does not appear in the relational graph",
+                   paths["rel"], paths["train"], paths["valid"])
+        self.check("{2}:2: non-finite value '-nan'",
+                   paths["rel"], paths["train"], paths["test"])
+
+    def test_first_error_in_reading_order_wins(self, tmp_path):
+        bad = write_raw(tmp_path, rel="a\tr\tb\nc\tr\n", train="a\tp\n", valid="a\tp\tx\n")
+        good = write_raw(tmp_path / "good", rel="a\tr\tb\n", train="a\tp\t1\n")
+        self.check("{0}:2: expected 3 tab-separated columns, got 2",
+                   bad["rel"], bad["train"], bad["valid"])
+        self.check("{1}:1: expected 3 tab-separated columns, got 2",
+                   good["rel"], bad["train"], bad["valid"])
+        # a file is opened only when reading reaches it
+        self.check("{2}:1: bad value 'x'", good["rel"], good["train"], bad["valid"],
+                   tmp_path / "missing.tsv")
+
+    def test_inverse_name_collision(self, tmp_path):
+        paths = write_raw(tmp_path, rel="a\tx_inv\tb\r\nb\tx\tc", train="a\tp\t1.0\n")
+        self.check("relation 'x_inv' has the name of the inverse of relation 'x'",
+                   paths["rel"], paths["train"])
+
+    @pytest.mark.parametrize("row, expected", [
+        (("atlantis", "population", "1.0"),
+         "<train>:?: entity 'atlantis' does not appear in the relational graph"),
+        ((7, "berlin", "population", "x"), "<train>:7: bad value 'x'"),
+        ((7, "berlin", "population", "1e999"), "<train>:7: non-finite value '1e999'"),
+    ], ids=["unknown_entity", "bad_value_numbered", "overflow_numbered"])
+    def test_build_dataset_rows(self, row, expected):
+        with pytest.raises(K.DatasetFormatError) as info:
+            K.build_dataset(REL, [row])
+        assert str(info.value) == expected
+
+    def test_crlf_blank_lines_and_no_final_newline_load_like_lf(self, tmp_path):
+        lf = write_raw(tmp_path / "lf", rel=REL_TEXT,
+                       train="berlin\tpopulation\t3.7\nparis\tpopulation\t2.1\n")
+        crlf = write_raw(tmp_path / "crlf",
+                         rel=REL_TEXT.replace("\n", "\r\n\r\n").rstrip("\r\n"),
+                         train="\r\nberlin\tpopulation\t3.7\r\n\nparis\tpopulation\t2.1")
+        (kg_a, split_a), (kg_b, split_b) = (K.load_dataset(p["rel"], p["train"])
+                                            for p in (lf, crlf))
+        assert kg_a.entity_names == kg_b.entity_names == ["berlin", "germany", "paris",
+                                                          "france"]
+        assert kg_a.relation_names == kg_b.relation_names
+        assert np.array_equal(kg_a.edge_tail, kg_b.edge_tail)
+        assert split_a.train.tobytes() == split_b.train.tobytes()
+
+
+def random_graph_files(directory, rng):
+    """TSVs of a random graph with parallel edges, self-loops, repeated facts,
+    attributes that first appear in `valid` or `test`, blank lines and CRLF."""
+    names = [f"e{i}" for i in range(40)]
+    rel = [(names[h], f"r{r}", names[t]) for h, r, t
+           in zip(rng.integers(0, 30, 400), rng.integers(0, 6, 400), rng.integers(0, 30, 400))]
+    rel += rel[::7] + [(names[3], "r2", names[3]), (names[5], "r0", names[5])]
+    rng.shuffle(rel)
+    numeric = [(names[e], f"a{a}", repr(float(v))) for e, a, v
+              in zip(rng.integers(0, 30, 300), rng.integers(0, 4, 300), rng.normal(0, 50, 300))]
+    train = numeric[:200] + numeric[:200:9]
+    valid = numeric[200:250] + [(names[1], "a_valid_only", "1.5")]
+    test = numeric[250:] + [(names[2], "a_test_only", "-2e-3"), (names[2], "a_valid_only", "7")]
+
+    def text(rows, newline):
+        lines = ["\t".join(row) for row in rows]
+        lines.insert(len(lines) // 2, "")
+        return newline.join(lines)
+
+    return list(write_raw(directory, rel=text(rel, "\n"), train=text(train, "\r\n"),
+                          valid=text(valid, "\n") + "\n", test=text(test, "\r\n")).values())
+
+
+class TestLoadMatchesReference:
+    """`load_dataset` against the row-generator loader of `helpers`."""
+
+    def check(self, paths):
+        kg, split = K.load_dataset(*paths)
+        ref, ref_split = reference_load_dataset(*paths)
+        for name in ("entity_names", "relation_names", "attribute_names",
+                     "num_base_relations"):
+            assert getattr(kg, name) == getattr(ref, name)
+        for name in ("entity_index", "relation_index", "attribute_index"):
+            index = getattr(kg, name)
+            assert type(index) is dict and index == getattr(ref, name)
+            with pytest.raises(KeyError):
+                index["no such name"]
+            assert "no such name" not in index
+        for name in ("edge_indptr", "edge_rel", "edge_tail",
+                     "fact_indptr", "fact_attr", "fact_value"):
+            got, want = getattr(kg, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for got, want in zip((split.train, split.valid, split.test),
+                             (ref_split.train, ref_split.valid, ref_split.test)):
+            assert got.dtype == want.dtype == K.FACT and got.tobytes() == want.tobytes()
+
+    def test_bench_graph(self, bench_files):
+        self.check(bench_files)
+
+    def test_random_graph(self, tmp_path, rng):
+        paths = random_graph_files(tmp_path, rng)
+        self.check(paths)
+        kg, split = K.load_dataset(*paths)
+        assert {"a_valid_only", "a_test_only"} <= set(kg.attribute_names)
+        e3 = kg.entity_index["e3"]  # a self-loop
+        assert e3 in kg.edge_tail[kg.edge_indptr[e3]:kg.edge_indptr[e3 + 1]]
+
+    def test_optional_splits_absent(self, tmp_path, rng):
+        self.check(random_graph_files(tmp_path, rng)[:2])
+
+
+class TestCsr:
+    @pytest.mark.parametrize("rows", [[], [0], [1, 1], [2, 0], [0, 2, 2, 0, 2, 1, 0, 2, 2]],
+                             ids=["n0", "n1", "n2_ties", "n2", "ties"])
+    def test_matches_stable_argsort(self, rows):
+        rows = np.array(rows, dtype=np.int64)
+        n_rows = 4  # row 3 never appears
+        values = np.arange(len(rows), dtype=np.float64) * 1.5
+        got = K._csr(rows, n_rows, rows * 10, values)
+        want = reference_csr(rows, n_rows, rows * 10, values)
+        assert got[0].tobytes() == want[0].tobytes()
+        for a, b in zip(got[1], want[1]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_many_rows(self, rng):
+        rows = rng.integers(0, 1000, size=20_000)
+        rows[rows == 500] = 501  # an entity with no rows
+        got = K._csr(rows, 1200, np.arange(len(rows)))
+        want = reference_csr(rows, 1200, np.arange(len(rows)))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1][0].tobytes() == want[1][0].tobytes()
 
 
 class TestFacts:
