@@ -19,6 +19,12 @@ the other queries of the chunk. `sample_tree` is the one-query case. The
 uniforms replaced one `rng.integers` call per hop, so a given seed now
 samples a different tree than it did under that stream.
 
+A hop works on slots, a walk's (prefix, edge offset) pair, rather than on
+walks: a dense table of at most `SLOT_TABLE_PER_WALK` entries per walk finds
+the hop's distinct slots and each one's first walk (a hub on the frontier,
+which would need a larger table, sorts the slots instead), and the edge
+gathers and the revisit check run once per distinct slot.
+
 Deduplication works on packed int64 keys: `first_occurrences` numbers the
 distinct keys of a 1-D array with one unstable sort, as np.unique's index
 and inverse would but without its stable sort, and `distinct_rows` packs
@@ -156,6 +162,12 @@ def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
         raise ValueError("a sampled chain is not a simple path of its relations")
 
 
+# A hop finds its distinct slots with a dense table while the table holds at
+# most this many entries per walk, and sorts them past that (a hub on the
+# frontier), so its memory stays linear in the walks.
+SLOT_TABLE_PER_WALK = 4
+
+
 def sample_tree(kg: KnowledgeGraph, query: Query, walks: int, max_hops: int,
                 seed: int) -> TreeOfChains:
     """One query's case of `sample_trees`."""
@@ -168,23 +180,26 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     entity, the walks of all queries in one array pass. Query i's tree
     depends only on (queries[i], seeds[i]), not on the other queries.
 
-    Query i draws its uniforms at once, u = rng(seeds[i]).random((max_hops,
-    walks)): at hop h, its walk w takes edge floor(u[h, w] * degree) of its
+    Query i draws its uniforms at once, u[i] = rng(seeds[i]).random((max_hops,
+    walks)): at hop h, its walk w takes edge floor(u[i, h, w] * degree) of its
     entity's edge list (parallel edges count separately). A walk ends at a
     dead end or where it would revisit an entity. All walks advance together,
-    one hop at a time, each carrying its prefix id and the entity it reached
-    at every hop so far. The distinct prefixes of each hop are numbered by
-    `first_occurrences` over the packed key (parent prefix, relation, tail),
-    whose first index is the first walk that found the prefix; each new
-    prefix keeps its parent, relation and end entity, so the prefixes form a
-    tree, and a chain's row is read from its prefix's end up to the query.
-    Every walk's prefix starts at its query's index, so the prefixes of two
-    queries never merge, even for the same query twice. Each prefix yields
-    one chain per attribute of its end entity (the first fact in index order
-    when an attribute repeats). A tree's chains come out in first-found
-    order (walk, then hop, then fact index) and stop at `walks`, so
-    len(tree) <= walks. Every row is checked by `_check_rows` before it is
-    returned.
+    one hop at a time, each carrying only its prefix id; a prefix holds its
+    walk's row (entities and relations back to the query). A walk's slot at
+    a hop is prefix * width + the offset of its edge, width being the
+    largest degree on the frontier. The hop's distinct slots and each one's
+    first walk come from a dense table (`np.minimum.at` over walk ids) while
+    it holds at most SLOT_TABLE_PER_WALK entries per walk, and from
+    `first_occurrences` past that. The edge gathers and the revisit check
+    run once per distinct slot, and each kept slot becomes a new prefix;
+    slots whose parallel edges give one prefix the same (relation, tail)
+    become one, found by the first of their walks. Every walk's prefix
+    starts at its query's index, so the prefixes of two queries never merge,
+    even for the same query twice. Each prefix yields one chain per
+    attribute of its end entity (the first fact in index order when an
+    attribute repeats). A tree's chains come out in first-found order (walk,
+    then hop, then fact index) and stop at `walks`, so len(tree) <= walks.
+    Every row is checked by `_check_rows` before it is returned.
     """
     if not queries:
         return []
@@ -194,59 +209,94 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     # pass has at most n_walks * max_hops prefixes
     _check_packable(n_walks, n_relations, n_entities)
     _check_packable(n_walks * max_hops, kg.n_attributes)
-    u = np.concatenate([np.random.default_rng(seed).random((max_hops, walks))
-                        for seed in seeds], axis=1)
-    origin = np.array([q.entity for q in queries], dtype=np.int64)
-    # the walks still moving, ascending (walk g is query g // walks's), each
-    # with its prefix id and the entity it stood on at every hop so far
+    # query i's uniforms, u[i, h, w] for its walk w at hop h
+    u = np.empty((len(queries), max_hops, walks))
+    for seed, block in zip(seeds, u):
+        np.random.default_rng(seed).random(out=block)
+    indptr, edge_rel, edge_tail = kg.edge_indptr, kg.edge_rel, kg.edge_tail
+    # walk g (query g // walks's) stands on prefix[g]; a walk that stopped
+    # stands on the last prefix id, one past the real ones, whose degree is 0
     walk = np.arange(n_walks)
     prefix = walk // walks
-    visited = [origin[prefix]]
-    # per hop, each new prefix's first walk, parent prefix (its query's index
-    # at hop 0), relation oriented toward the query, and end entity
-    finder, parent, relation, tail = [], [], [], []
-    # a walk at a dead end reads a clipped edge and drops out with the
-    # revisits; with no edge at all there is nothing to clip to
-    for hop in range(max_hops if kg.edge_tail.size else 0):
-        start = kg.edge_indptr[visited[-1]]
-        degree = kg.edge_indptr[visited[-1] + 1] - start
-        edge = start + (u[hop, walk] * degree).astype(np.int64)
-        nxt = kg.edge_tail.take(edge, mode="clip")
-        moving = degree > 0
-        for entity in visited:
-            moving &= nxt != entity
-        moving = np.flatnonzero(moving)
-        if moving.size == 0:
+    # each prefix's row: its walk read backwards, alternating entity and
+    # relation from its end to its query (end, relation oriented toward the
+    # query, entity, ..., query), -1 padded; at hop 0 the prefixes are the
+    # queries
+    path = np.full((len(queries), 2 * max_hops + 1), -1, dtype=np.int64)
+    path[:, 0] = [q.entity for q in queries]
+    # per hop, each new prefix's first walk and its row
+    finder, paths = [], []
+    for hop in range(max_hops):
+        end = path[:, 0]
+        lo = indptr[end]
+        degree = np.zeros(len(path) + 1, dtype=np.int64)
+        np.subtract(indptr[end + 1], lo, out=degree[:-1])
+        width = int(degree.max())
+        if width == 0:
             break
-        walk, prefix, nxt = walk[moving], prefix[moving], nxt[moving]
-        rel = kg.edge_rel[edge[moving]]
-        first, new_prefix = first_occurrences((prefix * n_relations + rel) * n_entities + nxt)
-        finder.append(walk[first])
-        parent.append(prefix[first])
-        relation.append(kg.invert_relation(rel[first]))
-        tail.append(nxt[first])
-        prefix = new_prefix
-        visited = [entity[moving] for entity in visited] + [nxt]
+        # a walk's slot: its prefix and the offset of the edge it takes
+        slot = (u[:, hop] * degree[prefix].reshape(u[:, hop].shape)).astype(np.int64).ravel()
+        slot += prefix * width
+        # the distinct slots, ascending, with each one's first walk
+        n_slots = len(degree) * width
+        tabled = n_slots <= SLOT_TABLE_PER_WALK * n_walks
+        if tabled:
+            table = np.full(n_slots, n_walks)
+            np.minimum.at(table, slot, walk)
+            distinct = (table < n_walks).nonzero()[0]
+            first_walk = table[distinct]
+        else:  # a hub on the frontier: sort the slots (a walk's index is its id)
+            _check_packable(n_slots)
+            first_walk, inverse = first_occurrences(slot)
+            distinct = slot[first_walk]
+        # once per slot: its edge, and whether it is a dead end, the stopped
+        # walks' slot (its prefix has no row, so reads of it are clipped) or
+        # a revisit
+        owner, offset = np.divmod(distinct, width)
+        edge = lo.take(owner, mode="clip") + offset
+        nxt = edge_tail.take(edge, mode="clip")
+        kept = degree[owner] > 0
+        for entity in path[:, :2 * hop + 1:2].T:
+            kept &= entity.take(owner, mode="clip") != nxt
+        kept = kept.nonzero()[0]
+        if kept.size == 0:
+            break
+        owner, nxt, first_walk = owner[kept], nxt[kept], first_walk[kept]
+        rel = edge_rel[edge[kept]]
+        # parallel edges: the slots of one prefix that reach one (relation,
+        # tail) are one new prefix, found by the first of their walks; a hop
+        # seldom has any, and the merge is skipped unless a key repeats
+        key =(owner * n_relations + rel) * n_entities + nxt
+        ordered = np.sort(key)
+        new_prefix = np.arange(kept.size)
+        if (ordered[1:] == ordered[:-1]).any():
+            first, new_prefix = first_occurrences(key)
+            owner, rel, nxt, slot_walk = owner[first], rel[first], nxt[first], first_walk
+            first_walk = np.full(first.size, n_walks)
+            np.minimum.at(first_walk, new_prefix, slot_walk)
+        prev = path.take(owner, axis=0)
+        path = np.concatenate((nxt[:, None], kg.invert_relation(rel)[:, None], prev[:, :-2]),
+                              axis=1)
+        finder.append(first_walk)
+        paths.append(path)
+        if hop + 1 == max_hops:
+            break
+        # each walk moves to its slot's new prefix, or stops (on the id one
+        # past the new prefixes)
+        to = np.full(distinct.size, len(path))
+        to[kept] = new_prefix
+        if tabled:
+            table[distinct] = to
+            prefix = table[slot]
+        else:
+            prefix = to[inverse]
 
-    # each prefix's row, read from its end up the tree: column j holds the
-    # end of its ancestor j hops up, the query comes last, -1 pads after
-    sizes = [t.size for t in tail]
-    entity_path = np.full((sum(sizes), max_hops + 1), -1, dtype=np.int64)
-    relations = np.full((sum(sizes), max_hops), -1, dtype=np.int64)
-    offset = 0
-    for hop, size in enumerate(sizes):
-        rows, ids = slice(offset, offset + size), np.arange(size)
-        for j in range(hop + 1):
-            entity_path[rows, j] = tail[hop - j][ids]
-            relations[rows, j] = relation[hop - j][ids]
-            ids = parent[hop - j][ids]
-        entity_path[rows, hop + 1] = origin[ids]
-        offset += size
-    walk = np.concatenate([np.empty(0, dtype=np.int64)] + finder)
-    hop = np.repeat(np.arange(len(sizes)), sizes)
+    path = np.concatenate([path[:0]] + paths)
+    walk = np.concatenate([walk[:0]] + finder)
+    hop = np.repeat(np.arange(len(finder)), [f.size for f in finder])
     order = np.argsort(walk * max_hops + hop)  # a walk finds one prefix per hop at most
     walk = walk[order]
-    end = entity_path[order, 0]
+    end = path[:, 0].take(order)
     lo = kg.fact_indptr[end]
     count = kg.fact_indptr[end + 1] - lo
     owner = np.repeat(np.arange(end.size), count)   # facts of each prefix's end, in order
@@ -259,7 +309,8 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     owner, fact = owner[keep], fact[keep]
 
     rows = order[owner]
-    entity_path, relations = entity_path[rows], relations[rows]
+    entity_path = path[:, ::2].take(rows, axis=0)
+    relations = path[:, 1::2].take(rows, axis=0)
     _check_rows(relations, entity_path)
     source_attribute, source_value = kg.fact_attr[fact], kg.fact_value[fact]
     bounds = np.searchsorted(walk[owner] // walks, np.arange(len(queries) + 1))

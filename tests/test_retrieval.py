@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,3 +502,55 @@ class TestBatchedSampling:
         R._check_packable(walks, kg.n_relations, kg.n_entities)
         with pytest.raises(OverflowError, match="overflow int64"):
             R.sample_trees(kg, [query, query], walks, 3, [0, 1])
+
+    @pytest.mark.parametrize("per_walk", [0, 10 ** 9], ids=["always_sort", "always_table"])
+    @pytest.mark.parametrize("case", ["on_random_graphs", "at_chunk_scale"])
+    def test_both_slot_dedupes_match_the_per_query_loop(self, monkeypatch, per_walk, case):
+        # the slot table and the sort it falls back to give the same trees
+        monkeypatch.setattr(R, "SLOT_TABLE_PER_WALK", per_walk)
+        getattr(self, f"test_matches_per_query_loop_{case}")()
+
+    def test_a_hub_on_the_frontier_sorts_its_slots(self):
+        # 128 leaf queries, each with one edge to a hub of 6,000 out-edges:
+        # at hop 1 the frontier is 128 prefixes at the hub, so a table of
+        # prefixes x width slots would hold 129 x 6,000 int64s (6 MB)
+        n_leaves = 6000
+        hub = n_leaves
+        triples = ([(hub, 0, leaf) for leaf in range(n_leaves)]
+                   + [(leaf, 1, hub) for leaf in range(n_leaves)])
+        facts = [(leaf, leaf % 3, float(leaf)) for leaf in range(n_leaves)]
+        kg = raw_graph(n_leaves + 1, 1, triples, facts + [(hub, 0, -1.0)])
+        queries = [K.Query(leaf, 0) for leaf in range(0, 128 * 40, 40)]
+        seeds = list(range(len(queries)))
+        walks, max_hops = 4, 3
+        tracemalloc.start()
+        try:
+            trees = R.sample_trees(kg, queries, walks, max_hops, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
+        for i in range(0, len(queries), 8):
+            assert trees[i].chains == reference_sample_tree(kg, queries[i], walks, max_hops,
+                                                            seeds[i]).chains
+        assert all(tree.lengths.max() == 2 for tree in trees)  # every walk crossed the hub
+
+    def test_parallel_slots_merge_under_their_first_walk(self):
+        # e0's edges: (r0, e1) at offsets 0 and 2, (r1, e2) at offset 1; the
+        # seed makes a walk take offset 2 before any walk takes offset 1, and
+        # that one before any takes offset 0, so (r0, e1) is found first
+        triples = [(0, 0, 1), (0, 1, 2), (0, 0, 1), (3, 0, 0)]
+        kg = raw_graph(4, 2, triples, [(1, 0, 1.0), (2, 0, 2.0)])
+        walks, max_hops = 8, 2
+        for seed in range(2000):
+            offsets = (np.random.default_rng(seed).random((max_hops, walks))[0] * 3).astype(int)
+            firsts = [np.flatnonzero(offsets == k) for k in (2, 1, 0)]
+            if all(f.size for f in firsts) and firsts[0][0] < firsts[1][0] < firsts[2][0]:
+                break
+        else:
+            pytest.fail("no seed in range(2000) orders the offsets")
+        queries = [K.Query(3, 0), K.Query(0, 0)]  # e3 reaches e0's edges at hop 1
+        trees = R.sample_trees(kg, queries, walks, max_hops, [seed, seed])
+        for query, tree in zip(queries, trees):
+            assert tree.chains == reference_sample_tree(kg, query, walks, max_hops, seed).chains
+        assert [c.entity_path for c in trees[1].chains] == [(1, 0), (2, 0)]
