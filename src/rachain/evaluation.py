@@ -187,12 +187,12 @@ def filter_composition(model: Model, kg: KnowledgeGraph, triples,
     size = model.config.batch_size
     for lo in range(0, len(queries), size):
         chunk = range(lo, min(lo + size, len(queries)))
-        tocs = model.retrieve(kg, [queries[i] for i in chunk], _seeds(seed, 4, chunk))
-        etocs = model.select(tocs, _seeds(seed, 5, chunk))
-        for i, toc, etoc in zip(chunk, tocs, etocs):
-            attr = queries[i].attribute
-            counts[i] = (len(toc), len(etoc), np.sum(toc.source_attribute == attr),
-                         np.sum(etoc.source_attribute == attr))
+        toc = model.retrieve(kg, [queries[i] for i in chunk], _seeds(seed, 4, chunk))
+        etoc = model.select(toc, _seeds(seed, 5, chunk))
+        for j, t in enumerate((toc, etoc)):  # tree, then kept: columns j and 2 + j
+            same = t.source_attribute == t.query_attributes[t.tree]
+            counts[lo:lo + size, j] = t.sizes
+            counts[lo:lo + size, 2 + j] = np.bincount(t.tree[same], minlength=len(chunk))
     attrs = _attributes(queries)
     audits = []
     for attr in np.unique(attrs):

@@ -9,9 +9,9 @@ affinity score mixes two geodesic distances to the query attribute,
 Scores are distances, so lower means more relevant and selection keeps the
 k smallest. Ties break on (length, entity path, relations, source
 attribute) so selection is a total order and reproducible.
-`select_top_k_batch` selects for a chunk of trees at once: one score per
-distinct pattern of the chunk, and one sort over its rows with the tree
-index as the primary key. `select_top_k` is the one-tree case.
+`select_top_k_batch` selects for a chunk's record of trees at once: one
+score per distinct pattern of the chunk, and one sort over its rows with the
+tree index as the primary key. `select_top_k` is its traced one-query name.
 """
 
 from __future__ import annotations
@@ -94,47 +94,41 @@ def top_k_rows(scores: np.ndarray, tree: np.ndarray, source_attribute: np.ndarra
     kth = np.empty_like(scores)  # each row's tree's k-th best score
     kth[by_score] = scores[by_score[np.minimum(start + k, end) - 1]]
     rows = np.flatnonzero(~(scores > kth))  # NaN scores stay in, as in a full sort
+    relations = relations.take(rows, axis=0)
     # np.lexsort sorts by its last key first
-    keys = ([source_attribute[rows]] + list(relations[rows].T[::-1])
-            + list(entity_path[rows].T[::-1])
-            + [chain_lengths(relations[rows]), scores[rows], tree[rows]])
+    keys = ([source_attribute.take(rows)] + list(relations.T[::-1])
+            + list(entity_path.take(rows, axis=0).T[::-1])
+            + [chain_lengths(relations), scores.take(rows), tree.take(rows)])
     order = rows[np.lexsort(keys)]
     grouped = tree[order]
     return order[np.arange(order.size) - np.searchsorted(grouped, grouped) < k]
 
 
-def select_top_k_batch(tocs: list[TreeOfChains], embeddings: FilterEmbeddings, k: int,
-                       lam: float = 0.5) -> list[TreeOfChains]:
+def select_top_k_batch(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
+                       lam: float = 0.5) -> TreeOfChains:
     """Each tree's k best-scoring chains, best first, with their scores, in
-    one pass over all the trees. A score depends only on the chain's pattern
+    one pass over the record. A score depends only on the chain's pattern
     (source attribute, relations, query attribute), so it is computed once
-    per distinct pattern of the pass and gathered back to every chain that
-    has it. Tree i's result does not depend on the other trees."""
-    sizes = [len(toc) for toc in tocs]
-    tree = np.repeat(np.arange(len(tocs)), sizes)
-    source_attribute = np.concatenate([toc.source_attribute for toc in tocs])
-    relations = np.concatenate([toc.relations for toc in tocs])
-    query_attribute = np.array([toc.query.attribute for toc in tocs], dtype=np.int64)[tree]
-    first, inverse = distinct_rows(np.column_stack([source_attribute, relations,
+    per distinct pattern and gathered back to every chain that has it. Tree
+    i's result does not depend on the other trees."""
+    tree = toc.tree
+    query_attribute = toc.query_attributes[tree]
+    first, inverse = distinct_rows(np.column_stack([toc.source_attribute, toc.relations,
                                                     query_attribute]))
-    scores = chain_scores(source_attribute[first], relations[first], query_attribute[first],
-                          embeddings, lam)[inverse]
-    order = top_k_rows(scores, tree, source_attribute, relations,
-                       np.concatenate([toc.entity_path for toc in tocs]), k)
-    offsets = np.cumsum([0] + sizes)
-    bounds = np.searchsorted(tree[order], np.arange(len(tocs) + 1)).tolist()
-    return [toc.take(order[a:b] - offset, scores[order[a:b]])
-            for toc, offset, a, b in zip(tocs, offsets.tolist(), bounds[:-1], bounds[1:])]
+    scores = chain_scores(toc.source_attribute[first], toc.relations[first],
+                          query_attribute[first], embeddings, lam)[inverse]
+    rows = top_k_rows(scores, tree, toc.source_attribute, toc.relations, toc.entity_path, k)
+    return toc.take(rows, scores[rows])
 
 
-def select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
-                 lam: float = 0.5) -> TreeOfChains:
-    """One tree's case of `select_top_k_batch`: its k best-scoring chains,
-    best first, with their scores."""
-    return select_top_k_batch([toc], embeddings, k, lam)[0]
+# The one-query name: a single prediction's selection is traced under it.
+select_top_k = select_top_k_batch
 
 
-def select_random_k(toc: TreeOfChains, k: int, seed: int) -> TreeOfChains:
-    """Uniform selection with zero scores (the filter-off variant)."""
-    idx = np.random.default_rng(seed).permutation(len(toc))[:k]
-    return toc.take(idx, np.zeros(len(idx)))
+def select_random_k(toc: TreeOfChains, k: int, seeds) -> TreeOfChains:
+    """Uniform selection with zero scores (the filter-off variant): k rows
+    of tree i drawn with seeds[i]."""
+    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        start + np.random.default_rng(seed).permutation(size)[:k]
+        for seed, start, size in zip(seeds, toc.offsets.tolist(), toc.sizes.tolist())])
+    return toc.take(rows, np.zeros(rows.size))

@@ -1,11 +1,12 @@
 """The full pipeline as one object.
 
-Model.forward turns the filtered chain sets of a mini-batch into normalized
-predictions with differentiable attention weights, on one autodiff tape.
-Model.predict_batch serves a list of queries chunk by chunk, one retrieval
-pass, one filter pass that scores each distinct pattern once and one forward
-per chunk, with the attribute-mean fallback for queries with no usable
-chains; it returns one `Predictions` record of arrays. Model.predict is its
+A chunk of queries is one `TreeOfChains` record from retrieval to
+predictions. Model.forward turns a mini-batch's filtered chain sets into
+normalized predictions with differentiable attention weights, on one
+autodiff tape. Model.predict_batch serves queries chunk by chunk, one
+retrieval pass, one filter pass that scores each distinct pattern once and
+one forward per chunk, with the attribute-mean fallback for queries with no
+usable chains, as one `Predictions` record of arrays. Model.predict is its
 one-query case, returned as that query's trace, and Model.predict_trees
 serves trees already sampled (validation keeps them across epochs).
 Checkpoints store every parameter array by name plus the config and
@@ -38,14 +39,14 @@ from .retrieval import TreeOfChains, chain_lengths, distinct_rows, sample_tree, 
 
 @dataclass
 class ForwardResult:
-    """One row per query of the batch that has a usable chain; row i holds
-    len(chains[i]) chains in its leading slots and pads after them."""
+    """One row per query of the batch with a usable chain: row j is tree
+    rows[j] of `chains`, its chains in the leading slots and pads after."""
 
     prediction: Tensor           # (B,) normalized predictions
     omega: Tensor                # (B, k) attention weights, exactly 0 on pad slots
     proposals: Tensor            # (B, k) per-chain proposals, normalized
-    chains: list[TreeOfChains]   # per row, the chains actually used, slot order
-    rows: list[int]              # per row, the index of its query in the batch
+    chains: TreeOfChains         # the batch's trees cut to the chains used, slot order
+    rows: np.ndarray             # (B,) int, each row's tree index in the batch
     mask: np.ndarray             # (B, k) bool, True on the used slots
 
 
@@ -87,20 +88,24 @@ class Model:
 
     # -- pipeline ----------------------------------------------------------
 
-    def retrieve(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> list[TreeOfChains]:
-        """The trees of `queries`, query i's sampled with seeds[i], in one pass."""
-        return sample_trees(kg, queries, self.config.walks, self.config.max_hops, seeds)
+    def retrieve(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> TreeOfChains:
+        """The trees of `queries` as one record, query i's sampled with
+        seeds[i]; one pass per chunk of config.batch_size queries."""
+        cfg, size = self.config, self.config.batch_size
+        return TreeOfChains.concatenate([
+            sample_trees(kg, queries[lo:lo + size], cfg.walks, cfg.max_hops, seeds[lo:lo + size])
+            for lo in range(0, len(queries) or 1, size)])
 
-    def select(self, tocs: list[TreeOfChains], seeds) -> list[TreeOfChains]:
+    def select(self, toc: TreeOfChains, seeds) -> TreeOfChains:
         """Each tree's top_k chains: the filter's k best, in one pass over the
         trees, or with the filter off k drawn at random with seeds[i] (the
         filter reads no seed, so `seeds` may then be None)."""
         cfg = self.config
         if not cfg.use_filter:
-            return [select_random_k(toc, cfg.top_k, seed) for toc, seed in zip(tocs, seeds)]
-        return select_top_k_batch(tocs, self.embeddings, cfg.top_k, cfg.lam)
+            return select_random_k(toc, cfg.top_k, seeds)
+        return select_top_k_batch(toc, self.embeddings, cfg.top_k, cfg.lam)
 
-    def forward(self, etocs: list[TreeOfChains]) -> ForwardResult | None:
+    def forward(self, etoc: TreeOfChains) -> ForwardResult | None:
         """Predictions for a mini-batch of chain sets; None when no query has
         a chain with a normalizable source value.
 
@@ -113,24 +118,23 @@ class Model:
         per query attribute. The value transfer builds E_a once per group of
         chains that share a normalized source value (pad chains carry 0.0,
         so they fall in that value's groups); see encoder.affine_transfer.
-        The representations are reshaped to
-        (B, k, dim) for the treeformer and pads are masked out of omega, so
-        a pad slot adds exactly nothing to a prediction or a gradient.
+        The representations are reshaped to (B, k, dim) for the treeformer
+        and pads are masked out of omega, so a pad slot adds exactly nothing
+        to a prediction or a gradient.
         """
         cfg = self.config
-        usable = [etoc.take(self.stats.usable(etoc.source_attribute)) for etoc in etocs]
-        rows = [i for i, toc in enumerate(usable) if len(toc)]
-        if not rows:
+        chains = etoc.take(np.flatnonzero(self.stats.usable(etoc.source_attribute)))
+        sizes = chains.sizes
+        rows = np.flatnonzero(sizes)
+        if not rows.size:
             return None
-        chains = [usable[i] for i in rows]
-        b, k = len(rows), max(len(toc) for toc in chains)
-        mask = np.arange(k) < np.array([len(toc) for toc in chains])[:, None]
-        src_flat = np.concatenate([toc.source_attribute for toc in chains])
-        src = _padded(src_flat, mask, 0)
-        relations = _padded(np.concatenate([toc.relations for toc in chains]), mask, -1)
-        values_norm = _padded(self.stats.normalize(
-            src_flat, np.concatenate([toc.source_value for toc in chains])), mask, 0.0)
-        query_attributes = np.repeat([etocs[i].query.attribute for i in rows], k)
+        b, k = rows.size, int(sizes.max())
+        mask = np.arange(k) < sizes[rows, None]
+        src = _padded(chains.source_attribute, mask, 0)
+        relations = _padded(chains.relations, mask, -1)
+        values_norm = _padded(self.stats.normalize(chains.source_attribute,
+                                                   chains.source_value), mask, 0.0)
+        query_attributes = np.repeat(chains.query_attributes[rows], k)
 
         first, inverse = distinct_rows(np.column_stack([src, relations, query_attributes]))
         patterns = (src[first], relations[first], query_attributes[first])
@@ -157,42 +161,38 @@ class Model:
         return ForwardResult(prediction, omega, proposals, chains, rows, mask)
 
     def predict(self, kg: KnowledgeGraph, query: Query, seed: int = 0) -> PredictionTrace:
-        """predict_batch for one query, as its trace. Retrieval and selection
-        go through the one-tree cases of the batched functions (sample_tree,
-        select_top_k), so that a single prediction shows up under their names."""
+        """predict_batch for one query, as its trace, through the one-query
+        names (sample_tree, select_top_k) a single prediction is traced under."""
         cfg = self.config
         toc = sample_tree(kg, query, cfg.walks, cfg.max_hops, seed)
-        if cfg.use_filter:
-            toc = select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam)
-        else:
-            toc = select_random_k(toc, cfg.top_k, seed)
-        return self._predictions([toc]).trace(0)
+        toc = (select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam) if cfg.use_filter
+               else select_random_k(toc, cfg.top_k, [seed]))
+        return self._predictions(toc).trace(0)
 
     def predict_batch(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> Predictions:
         """The predictions of `queries`, query i's chains sampled and selected
         with seeds[i]; each chunk of config.batch_size queries makes one
         retrieval, one selection and one forward."""
-        size = self.config.batch_size
+        return self.predict_trees(self.retrieve(kg, queries, seeds), seeds)
+
+    def predict_trees(self, toc: TreeOfChains, seeds) -> Predictions:
+        """predict_batch's selection and forward for trees already sampled,
+        one chunk of config.batch_size trees at a time."""
+        n, size = len(toc.queries), self.config.batch_size
         return Predictions.concatenate([
-            self.predict_trees(self.retrieve(kg, queries[lo:lo + size], seeds[lo:lo + size]),
-                               seeds[lo:lo + size])
-            for lo in range(0, len(queries), size)] or [self._predictions([])])
+            self._predictions(self.select(toc.trees(range(lo, min(lo + size, n))),
+                                          seeds[lo:lo + size]))
+            for lo in range(0, n or 1, size)])
 
-    def predict_trees(self, tocs: list[TreeOfChains], seeds) -> Predictions:
-        """predict_batch's selection and forward for trees already sampled
-        (one chunk)."""
-        return self._predictions(self.select(tocs, seeds))
-
-    def _predictions(self, etocs: list[TreeOfChains]) -> Predictions:
+    def _predictions(self, etoc: TreeOfChains) -> Predictions:
         """One forward over the selected sets without gradients; a set with
         no usable chain falls back to its attribute's training mean."""
         with no_grad():
-            result = self.forward(etocs)
-        used = {} if result is None else dict(zip(result.rows, result.chains))
-        tocs = [used[i] if i in used else etoc.take([]) for i, etoc in enumerate(etocs)]
-        fallback = np.array([i not in used for i in range(len(tocs))], dtype=bool)
-        attrs = np.array([toc.query.attribute for toc in tocs], dtype=np.int64)
-        norm, value = np.full(len(tocs), np.nan), self.means[attrs]
+            result = self.forward(etoc)
+        chains = etoc.take([]) if result is None else result.chains
+        fallback = chains.sizes == 0
+        attrs = chains.query_attributes
+        norm, value = np.full(len(attrs), np.nan), self.means[attrs]
         omega = proposals = np.empty(0)
         if result is not None:  # its rows are the queries that do not fall back
             omega, proposals = result.omega.data[result.mask], result.proposals.data[result.mask]
@@ -202,7 +202,7 @@ class Model:
         value[~fallback] = self.stats.denormalize(attrs[~fallback], norm[~fallback])
         scaled = fallback & self.stats.usable(attrs)
         norm[scaled] = self.stats.normalize(attrs[scaled], value[scaled])
-        return Predictions(tocs, norm, value, fallback, omega, proposals, self.stats)
+        return Predictions(chains, norm, value, fallback, omega, proposals, self.stats)
 
 
 def _padded(rows: np.ndarray, mask: np.ndarray, fill) -> np.ndarray:

@@ -8,8 +8,8 @@ masked softmax turns its outputs into mixture weights. The chain sets of a
 mini-batch run as one (B, k, dim) pass whose key mask hides the pad slots of
 smaller sets. The final prediction is the weight-averaged proposal,
 denormalized under the query attribute's training scale. A batch's results
-are one `Predictions` record of arrays; `Predictions.trace(i)` builds the
-contribution trace of the one query that is shown.
+are one `Predictions` record of arrays and the used chains' `TreeOfChains`;
+`Predictions.trace(i)` builds the trace of the one query that is shown.
 """
 
 from __future__ import annotations
@@ -170,43 +170,41 @@ class PredictionTrace:
 
 @dataclass
 class Predictions:
-    """Predictions for n queries as arrays. Query i used the rows of tocs[i]
-    (none on a fallback to its attribute's training mean); their weights and
-    normalized proposals, in row order, are omega and proposals over
-    [offsets[i], offsets[i + 1]), offsets (n + 1,) being set from tocs."""
+    """Predictions for n queries as arrays. Query i used tree i of `chains`
+    (no rows on a fallback to its attribute's training mean); their weights
+    and normalized proposals, in row order, are omega and proposals over
+    chains.offsets[i]:chains.offsets[i + 1]."""
 
-    tocs: list[TreeOfChains]
+    chains: TreeOfChains         # n trees
     predicted_norm: np.ndarray   # (n,)
     predicted_value: np.ndarray  # (n,)
     fallback: np.ndarray         # (n,) bool
-    omega: np.ndarray            # (offsets[-1],)
-    proposals: np.ndarray        # (offsets[-1],)
+    omega: np.ndarray            # (len(chains),)
+    proposals: np.ndarray        # (len(chains),)
     stats: AttributeStats
 
-    def __post_init__(self):
-        self.offsets = np.cumsum([0] + [len(toc) for toc in self.tocs])
-
     def __len__(self) -> int:
-        return len(self.tocs)
+        return len(self.chains.queries)
 
     @classmethod
     def concatenate(cls, parts: list["Predictions"]) -> "Predictions":
         """The predictions of `parts` (at least one) one after another."""
         arrays = [np.concatenate([getattr(p, name) for p in parts]) for name in
                   ("predicted_norm", "predicted_value", "fallback", "omega", "proposals")]
-        return cls([toc for p in parts for toc in p.tocs], *arrays, parts[0].stats)
+        return cls(TreeOfChains.concatenate([p.chains for p in parts]), *arrays, parts[0].stats)
 
     def trace(self, i: int) -> PredictionTrace:
         """Query i's trace: its used chains, largest weight first."""
-        toc, used = self.tocs[i], slice(self.offsets[i], self.offsets[i + 1])
+        toc = self.chains if len(self) == 1 else self.chains.trees([i])  # one query: no gather
+        used, query = slice(*self.chains.offsets[i:i + 2]), toc.queries[0]
         omega, proposals = self.omega[used], self.proposals[used]
         # a fallback query's attribute may have no scale to denormalize with
-        values = (self.stats.denormalize(toc.query.attribute, proposals).tolist()
+        values = (self.stats.denormalize(query.attribute, proposals).tolist()
                   if len(toc) else [])
         contributions = [ChainContribution(*row) for row in zip(
             toc.chains, omega.tolist(), proposals.tolist(), values)]
         contributions.sort(key=lambda c: -c.weight)
-        return PredictionTrace(toc.query, float(self.predicted_norm[i]),
+        return PredictionTrace(query, float(self.predicted_norm[i]),
                                float(self.predicted_value[i]), contributions,
                                "attribute-mean" if self.fallback[i] else None)
 
@@ -217,10 +215,9 @@ def top_patterns(predictions: Predictions) -> list[tuple[tuple, float, int]]:
     query's by descending weight (stable), the order the totals add up in."""
     if not predictions.omega.size:
         return []
-    owner = np.repeat(np.arange(len(predictions)), np.diff(predictions.offsets))
-    order = np.lexsort((-predictions.omega, owner))
-    src = np.concatenate([toc.source_attribute for toc in predictions.tocs])[order]
-    relations = np.concatenate([toc.relations for toc in predictions.tocs])[order]
+    chains = predictions.chains
+    order = np.lexsort((-predictions.omega, chains.tree))
+    src, relations = chains.source_attribute[order], chains.relations[order]
     first, inverse = distinct_rows(np.column_stack([src, relations]))
     totals = np.bincount(inverse, weights=predictions.omega[order])
     ranked = np.lexsort((first, -totals))

@@ -9,33 +9,20 @@ are stored in source -> query orientation: the walked path is reversed and
 each traversed relation replaced by its inverse, which keeps every stored hop
 a real edge of the graph.
 
-`sample_trees` samples the trees of a chunk of queries in one array pass.
-Each query draws all of its tree's randomness at once, as a (max_hops,
-walks) matrix of uniforms from its own seed, and every walk of every query
-advances together with array ops. A tree is the one the sequential loop
-(walk by walk, hop by hop, reading the same matrix) would give, chain order
-included: first-found order, at most `walks` chains; it does not depend on
-the other queries of the chunk. `sample_tree` is the one-query case. The
-uniforms replaced one `rng.integers` call per hop, so a given seed now
-samples a different tree than it did under that stream.
-
-A hop works on slots, a walk's (prefix, edge offset) pair, rather than on
-walks: a dense table of at most `SLOT_TABLE_PER_WALK` entries per walk finds
-the hop's distinct slots and each one's first walk (a hub on the frontier,
-which would need a larger table, sorts the slots instead), and the edge
-gathers and the revisit check run once per distinct slot.
-
-Deduplication works on packed int64 keys: `first_occurrences` numbers the
-distinct keys of a 1-D array with one unstable sort, as np.unique's index
-and inverse would but without its stable sort, and `distinct_rows` packs
-each row of a small-integer array into one such key (the filter and the
-model dedupe chain patterns with it).
+`sample_trees` samples the trees of a chunk of queries in one array pass
+(walks, slots and dedupe are described there) into one `TreeOfChains`
+record; `sample_tree` remains only as the one-query name a single
+prediction is traced under. A tree is the one the sequential loop (walk by
+walk, hop by hop, reading the same uniforms) would give, chain order
+included. The uniforms replaced one `rng.integers` call per hop, so a given
+seed now samples a different tree than it did under that stream. The
+filter and the model dedupe chain patterns with `distinct_rows`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,48 +61,87 @@ class RAChain:
 
 @dataclass(eq=False)
 class TreeOfChains:
-    """A query's chain set as parallel arrays, one row per chain.
-
-    Rows run source -> query and are padded on the right with -1: a chain
-    of length l fills relations[i, :l] (source-adjacent relation first) and
-    entity_path[i, :l + 1] (source first, query last). A row with no
+    """The chain sets (trees) of n queries as parallel arrays, one row per
+    chain, tree after tree: tree i belongs to queries[i] and holds rows
+    offsets[i]:offsets[i + 1], none for a query with no chain. Rows run
+    source -> query and are padded on the right with -1: a chain of length l
+    fills relations[r, :l] (source-adjacent relation first) and
+    entity_path[r, :l + 1] (source first, query last). A row with no
     relation is a pad chain. `scores`, set by the filter, holds one affinity
-    score per row. RAChain objects are built only on request, by `chains`.
+    score per row. Every field after `offsets` has one entry per row.
+    RAChain objects are built only by `chains`.
     """
 
-    query: Query
-    source_attribute: np.ndarray  # (n,) int64
-    source_value: np.ndarray      # (n,) float64
-    relations: np.ndarray         # (n, max_hops) int64
-    entity_path: np.ndarray       # (n, max_hops + 1) int64
+    queries: list[Query]          # (n,)
+    offsets: np.ndarray           # (n + 1,) int64
+    source_attribute: np.ndarray  # (rows,) int64
+    source_value: np.ndarray      # (rows,) float64
+    relations: np.ndarray         # (rows, max_hops) int64
+    entity_path: np.ndarray       # (rows, max_hops + 1) int64
     scores: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.source_attribute)
 
     @property
+    def sizes(self) -> np.ndarray:
+        """Each tree's number of rows."""
+        return np.diff(self.offsets)
+
+    @property
+    def tree(self) -> np.ndarray:
+        """Each row's tree index."""
+        return np.repeat(np.arange(len(self.queries)), self.sizes)
+
+    @property
+    def query_attributes(self) -> np.ndarray:
+        """Each tree's query attribute."""
+        return np.array([q.attribute for q in self.queries], dtype=np.int64)
+
+    @property
     def lengths(self) -> np.ndarray:
         return chain_lengths(self.relations)
 
     def take(self, rows, scores: np.ndarray | None = None) -> "TreeOfChains":
-        """The chains of `rows`, in that order, with `scores` (one per row)."""
-        return TreeOfChains(self.query, self.source_attribute[rows], self.source_value[rows],
-                            self.relations[rows], self.entity_path[rows], scores)
+        """The chains of `rows` (ascending tree, any order within one), in
+        that order, with `scores` (one per row); every tree keeps its slot."""
+        offsets = np.searchsorted(self.tree.take(rows), np.arange(len(self.queries) + 1))
+        return self._gather(self.queries, offsets, rows, scores)
+
+    def trees(self, index) -> "TreeOfChains":
+        """Trees `index` (in that order, repeats allowed) with all their rows."""
+        sizes = self.sizes.take(index)
+        offsets = np.append(0, np.cumsum(sizes))
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets.take(index) - offsets[:-1], sizes)
+        return self._gather([self.queries[i] for i in index], offsets, rows,
+                            None if self.scores is None else self.scores.take(rows))
+
+    def _gather(self, queries, offsets, rows, scores) -> "TreeOfChains":
+        return TreeOfChains(queries, offsets, *(getattr(self, f.name).take(rows, axis=0)
+                                                for f in fields(self)[2:-1]), scores)
+
+    @classmethod
+    def concatenate(cls, parts: list["TreeOfChains"]) -> "TreeOfChains":
+        """The trees of `parts` (at least one) one after another; scores are
+        kept when every part has them."""
+        offsets = np.append(0, np.cumsum(np.concatenate([p.sizes for p in parts])))
+        columns = [[getattr(p, f.name) for p in parts] for f in fields(cls)[2:]]
+        arrays = [None if any(c is None for c in col) else np.concatenate(col) for col in columns]
+        return cls([q for p in parts for q in p.queries], offsets, *arrays)
 
     @property
     def chains(self) -> list[RAChain]:
-        """The rows as RAChain objects, for display and checks."""
-        qa = self.query.attribute
+        """The rows as RAChain objects, tree after tree, for display and checks."""
         return [RAChain(a, tuple(rels[:n]), qa, v, tuple(path[:n + 1]))
-                for a, v, rels, path, n in zip(
+                for qa, a, v, rels, path, n in zip(
+                    np.repeat(self.query_attributes, self.sizes).tolist(),
                     self.source_attribute.tolist(), self.source_value.tolist(),
-                    self.relations.tolist(), self.entity_path.tolist(),
-                    self.lengths.tolist())]
+                    self.relations.tolist(), self.entity_path.tolist(), self.lengths.tolist())]
 
 
 def chain_lengths(relations: np.ndarray) -> np.ndarray:
     """Each row's chain length: its relation ids that are not the -1 pad."""
-    return (relations >= 0).sum(axis=1)
+    return sum(relations[:, j] >= 0 for j in range(relations.shape[1]))
 
 
 def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,12 +196,12 @@ SLOT_TABLE_PER_WALK = 4
 
 def sample_tree(kg: KnowledgeGraph, query: Query, walks: int, max_hops: int,
                 seed: int) -> TreeOfChains:
-    """One query's case of `sample_trees`."""
-    return sample_trees(kg, [query], walks, max_hops, [seed])[0]
+    """One query's case of `sample_trees`, the name a prediction is traced under."""
+    return sample_trees(kg, [query], walks, max_hops, [seed])
 
 
 def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops: int,
-                 seeds) -> list[TreeOfChains]:
+                 seeds) -> TreeOfChains:
     """Run `walks` random walks of up to max_hops steps from each query's
     entity, the walks of all queries in one array pass. Query i's tree
     depends only on (queries[i], seeds[i]), not on the other queries.
@@ -198,11 +224,9 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     even for the same query twice. Each prefix yields one chain per
     attribute of its end entity (the first fact in index order when an
     attribute repeats). A tree's chains come out in first-found order (walk,
-    then hop, then fact index) and stop at `walks`, so len(tree) <= walks.
-    Every row is checked by `_check_rows` before it is returned.
+    then hop, then fact index) and stop at `walks`, so a tree has at most
+    `walks` rows. Every row is checked by `_check_rows` before it is returned.
     """
-    if not queries:
-        return []
     n_entities, n_relations = kg.n_entities, kg.n_relations
     n_walks = len(queries) * walks
     # prefix ids restart at every hop, so a parent id is below n_walks; the
@@ -312,11 +336,9 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     entity_path = path[:, ::2].take(rows, axis=0)
     relations = path[:, 1::2].take(rows, axis=0)
     _check_rows(relations, entity_path)
-    source_attribute, source_value = kg.fact_attr[fact], kg.fact_value[fact]
-    bounds = np.searchsorted(walk[owner] // walks, np.arange(len(queries) + 1))
-    return [TreeOfChains(query, source_attribute[a:b], source_value[a:b],
-                         relations[a:b], entity_path[a:b])
-            for query, a, b in zip(queries, bounds[:-1].tolist(), bounds[1:].tolist())]
+    offsets = np.searchsorted(walk[owner] // walks, np.arange(len(queries) + 1))
+    return TreeOfChains(list(queries), offsets, kg.fact_attr[fact], kg.fact_value[fact],
+                        relations, entity_path)
 
 
 def _check_packable(*sizes: int) -> None:

@@ -1,15 +1,16 @@
 """Training loop.
 
 A tree depends only on its query and seed, so the trees every epoch would
-sample alike are sampled once per train call, before the first epoch: the
-validation trees, and under cache_toc the training trees; otherwise each
-mini-batch samples its trees with its epoch's seeds. Each mini-batch
-filters its trees and runs as one batched forward, so one autodiff tape
-and one backward pass, and Adam steps on the batch's mean loss over
-normalized values. Validation re-runs only the filter and forward, one
-chunk of batch_size trees at a time. Training stops at the epoch budget,
-when the epoch loss moves less than epsilon, or when validation MAE stops
-improving for `patience` epochs; the best validation snapshot wins.
+sample alike are sampled once per train call, before the first epoch, as a
+record: the validation trees, and under cache_toc the training trees, from
+which each mini-batch gathers its own; otherwise each mini-batch samples its
+trees with its epoch's seeds. Each mini-batch filters its trees and runs as
+one batched forward, so one autodiff tape and one backward pass, and Adam
+steps on the batch's mean loss over normalized values. Validation re-runs
+only the filter and forward, one chunk of batch_size trees at a time.
+Training stops at the epoch budget, when the epoch loss moves less than
+epsilon, or when validation MAE stops improving for `patience` epochs; the
+best validation snapshot wins.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .retrieval import TreeOfChains
 
 
 class TrainingFault(RuntimeError):
-    """Non-finite loss or gradient, with the query that produced it."""
+    """Non-finite loss (naming its query) or gradient norm, with its epoch."""
 
 
 @dataclass
@@ -72,27 +73,15 @@ def scoped_queries(kg: KnowledgeGraph, triples: np.ndarray, model: Model) -> lis
     return queries_from_triples(triples[keep])
 
 
-def _retrieve_in_chunks(model: Model, kg: KnowledgeGraph, queries: list[Query],
-                        seeds: list[int]) -> list[TreeOfChains]:
-    """The tree of each query, query i's sampled with seeds[i]; one
-    retrieval pass per chunk of config.batch_size queries."""
-    size = model.config.batch_size
-    return [toc for lo in range(0, len(queries), size)
-            for toc in model.retrieve(kg, queries[lo:lo + size], seeds[lo:lo + size])]
-
-
-def validation_mae(model: Model, tocs: list[TreeOfChains], seeds: list[int]) -> float:
+def validation_mae(model: Model, toc: TreeOfChains, seeds: list[int]) -> float:
     """Mean absolute error in normalized space (fallbacks included) of the
-    predictions from the sampled trees `tocs`, tree i's selection drawn
-    with seeds[i], one chunk of config.batch_size trees at a time."""
-    if not tocs:
+    predictions from the sampled trees of `toc`, tree i's selection drawn
+    with seeds[i] (`Model.predict_trees`)."""
+    if not toc.queries:
         return float("nan")
-    size = model.config.batch_size
-    predicted = np.concatenate([
-        model.predict_trees(tocs[lo:lo + size], seeds[lo:lo + size]).predicted_norm
-        for lo in range(0, len(tocs), size)])
-    targets = model.stats.normalize(np.array([toc.query.attribute for toc in tocs]),
-                                    np.array([toc.query.target for toc in tocs]))
+    predicted = model.predict_trees(toc, seeds).predicted_norm
+    targets = model.stats.normalize(toc.query_attributes,
+                                    np.array([q.target for q in toc.queries]))
     return float(np.mean(np.abs(predicted - targets)))
 
 
@@ -105,30 +94,32 @@ def _load_snapshot(model: Model, snap: dict[str, np.ndarray]) -> None:
         p.data = snap[p.name].copy()
 
 
-def _step(model: Model, opt: Adam, etocs: list[TreeOfChains], queries: list[Query],
-          epoch: int) -> tuple[float, int]:
+def _step(model: Model, opt: Adam, etoc: TreeOfChains, epoch: int) -> tuple[float, int]:
     """One optimizer step on a mini-batch: one forward, one loss vector, one
     backward seeded with 1/B for the B queries with a usable chain. Returns
-    the summed loss and B. The tape dies with this call, before the next
-    batch builds its own."""
-    fwd = model.forward(etocs)
+    the summed loss and B. A non-finite loss or pre-clip gradient norm raises
+    TrainingFault before any parameter changes. The tape dies with this call,
+    before the next batch builds its own."""
+    fwd = model.forward(etoc)
     if fwd is None:
         return 0.0, 0
-    targets = model.stats.normalize(np.array([queries[i].attribute for i in fwd.rows]),
-                                    np.array([queries[i].target for i in fwd.rows]))
+    queries = [fwd.chains.queries[i] for i in fwd.rows.tolist()]
+    targets = model.stats.normalize(np.array([q.attribute for q in queries]),
+                                    np.array([q.target for q in queries]))
     terms = loss_term(fwd.prediction, targets, model.config.loss)
     bad = np.flatnonzero(~np.isfinite(terms.data))
     if bad.size:
-        query = queries[fwd.rows[bad[0]]]
+        query = queries[bad[0]]
         raise TrainingFault(
             f"non-finite loss at epoch {epoch} for query "
             f"(entity={query.entity}, attribute={query.attribute})")
-    b = len(fwd.rows)
     opt.zero_grad()
-    backward(tensor_sum(terms), seed=1.0 / b)
-    clip_global_norm(opt.params, model.config.clip_norm)
+    backward(tensor_sum(terms), seed=1.0 / len(queries))
+    norm = clip_global_norm(opt.params, model.config.clip_norm)
+    if not np.isfinite(norm):
+        raise TrainingFault(f"non-finite gradient norm {norm} at epoch {epoch}")
     opt.step()
-    return float(terms.data.sum()), b
+    return float(terms.data.sum()), len(queries)
 
 
 def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
@@ -142,11 +133,9 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
     opt = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
     val_seeds = [seed_for(cfg.seed, 1, 0, i) for i in range(len(val_queries))]
-    val_trees = _retrieve_in_chunks(model, kg, val_queries, val_seeds)
-    train_trees = None
-    if cfg.cache_toc:
-        train_trees = _retrieve_in_chunks(model, kg, train_queries, [
-            seed_for(cfg.seed, 0, 0, i) for i in range(len(train_queries))])
+    val_trees = model.retrieve(kg, val_queries, val_seeds)
+    train_trees = model.retrieve(kg, train_queries, [
+        seed_for(cfg.seed, 0, 0, i) for i in range(len(train_queries))]) if cfg.cache_toc else None
     result = TrainResult(model=model)
     best_snap: dict[str, np.ndarray] | None = None
     best_val = float("inf")
@@ -161,15 +150,12 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         empty = 0
         for lo in range(0, len(order), cfg.batch_size):
             chunk = [int(qi) for qi in order[lo:lo + cfg.batch_size]]
-            if train_trees is None:
-                tocs = model.retrieve(kg, [train_queries[qi] for qi in chunk],
-                                      [seed_for(cfg.seed, 0, epoch, qi) for qi in chunk])
-            else:
-                tocs = [train_trees[qi] for qi in chunk]
-            etocs = model.select(tocs, None if cfg.use_filter else
-                                 [seed_for(cfg.seed, 2, epoch, qi) for qi in chunk])
-            batch_loss, batch_used = _step(model, opt, etocs,
-                                           [train_queries[qi] for qi in chunk], epoch)
+            toc = train_trees.trees(chunk) if cfg.cache_toc else model.retrieve(
+                kg, [train_queries[qi] for qi in chunk],
+                [seed_for(cfg.seed, 0, epoch, qi) for qi in chunk])
+            etoc = model.select(toc, None if cfg.use_filter else
+                                [seed_for(cfg.seed, 2, epoch, qi) for qi in chunk])
+            batch_loss, batch_used = _step(model, opt, etoc, epoch)
             total_loss += batch_loss
             used += batch_used
             empty += len(chunk) - batch_used

@@ -222,19 +222,48 @@ def affinity_score(
 # hand-built chain sets
 
 
-def chain_set(query, chains, max_hops: int = 3, scores=None) -> TreeOfChains:
-    """RAChain objects as a chain set in the sampler's array layout. The set's
-    query supplies the chains' query attribute, as it does for sampled sets."""
+def chain_sets(queries, sets, max_hops: int = 3, scores=None) -> TreeOfChains:
+    """Per-query lists of RAChain objects as one record of trees in the
+    sampler's array layout, tree i holding sets[i] for queries[i]. A tree's
+    query supplies its chains' query attribute, as it does for sampled
+    trees."""
+    chains = [ch for chain_list in sets for ch in chain_list]
     n = len(chains)
     relations = np.full((n, max_hops), -1, dtype=np.int64)
     entity_path = np.full((n, max_hops + 1), -1, dtype=np.int64)
     for i, ch in enumerate(chains):
         relations[i, :ch.length] = ch.relations
         entity_path[i, :ch.length + 1] = ch.entity_path
-    return TreeOfChains(query, np.array([ch.source_attribute for ch in chains], dtype=np.int64),
+    return TreeOfChains(list(queries), np.cumsum([0] + [len(c) for c in sets]),
+                        np.array([ch.source_attribute for ch in chains], dtype=np.int64),
                         np.array([ch.source_value for ch in chains], dtype=np.float64),
                         relations, entity_path,
                         None if scores is None else np.asarray(scores, dtype=np.float64))
+
+
+def chain_set(query, chains, max_hops: int = 3, scores=None) -> TreeOfChains:
+    """RAChain objects as one query's tree (the record's n = 1 case)."""
+    return chain_sets([query], [chains], max_hops, scores)
+
+
+def each_tree(toc: TreeOfChains) -> list[TreeOfChains]:
+    """The trees of a record, each gathered as a one-query record."""
+    return [toc.trees([i]) for i in range(len(toc.queries))]
+
+
+def tree_arrays(toc: TreeOfChains, i: int) -> tuple:
+    """Tree i's row arrays (scores included), sliced by the record's offsets."""
+    rows = slice(toc.offsets[i], toc.offsets[i + 1])
+    return tuple(None if a is None else a[rows] for a in (
+        toc.source_attribute, toc.source_value, toc.relations, toc.entity_path, toc.scores))
+
+
+def assert_same_tree(got: tuple, want: tuple) -> None:
+    """Two trees' row arrays are equal, dtypes and shapes included."""
+    for a, b in zip(got, want, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +482,7 @@ def reference_select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: i
     """The per-tree selection that `select_top_k_batch` batches: every row of
     the tree scored against the tree's query attribute, then one stable sort
     of all rows on score, length, entity path, relations, source attribute."""
-    scores = chain_scores(toc.source_attribute, toc.relations, toc.query.attribute,
+    scores = chain_scores(toc.source_attribute, toc.relations, toc.queries[0].attribute,
                           embeddings, lam)
     keys = ([toc.source_attribute] + list(toc.relations.T[::-1])
             + list(toc.entity_path.T[::-1]) + [toc.lengths, scores])
@@ -657,20 +686,21 @@ def reference_affine_transfer(chain_reps, values, nets: AffineNets):
     return ad.add(transferred, eb)
 
 
-def reference_forward(model, etoc):
-    """The per-query forward that `Model.forward` batches: one query's usable
-    chains as one left-padded chain set and an unpadded treeformer pass.
-    Returns the prediction scalar, omega (m,) and proposals (m,) as tensors
-    and the m used chains as RAChain objects, or None when no chain is
-    usable."""
+def reference_forward(model, etoc, i: int = 0):
+    """The per-query forward that `Model.forward` batches: the usable chains
+    of tree i of the record `etoc` as one left-padded chain set and an
+    unpadded treeformer pass. Returns the prediction scalar, omega (m,) and
+    proposals (m,) as tensors and the m used chains as RAChain objects, or
+    None when no chain is usable."""
     cfg = model.config
-    keep = [i for i, ch in enumerate(etoc.chains) if model.stats.usable(ch.source_attribute)]
+    tree = etoc.trees([i])
+    keep = [r for r, ch in enumerate(tree.chains) if model.stats.usable(ch.source_attribute)]
     if not keep:
         return None
-    usable = etoc.take(keep)
+    usable = tree.take(keep)
     chains = usable.chains
     m = len(chains)
-    qa = etoc.query.attribute
+    qa = tree.queries[0].attribute
     values_norm = np.array(
         [model.stats.normalize(ch.source_attribute, ch.source_value) for ch in chains])
     lengths = np.array([ch.length for ch in chains], dtype=np.int64)
@@ -732,21 +762,20 @@ def reference_parameters(model, trained: bool) -> list:
 # pattern ranking over traces with dict accumulators
 
 
-def reference_traces(model, etocs) -> list[PredictionTrace]:
+def reference_traces(model, etoc) -> list[PredictionTrace]:
     """What `Model.predict_trees(...).trace(i)` gives for every i: one
-    forward over the selected sets without gradients, and a trace per set
-    from the first m slots of its row; a set with no usable chain falls back
-    to its attribute's training mean."""
+    forward over the record of selected sets without gradients, and a trace
+    per set from the first m slots of its row; a set with no usable chain
+    falls back to its attribute's training mean."""
     with ad.no_grad():
-        result = model.forward(etocs)
-    rows = {} if result is None else {i: row for row, i in enumerate(result.rows)}
+        result = model.forward(etoc)
+    rows = {} if result is None else {i: row for row, i in enumerate(result.rows.tolist())}
     traces = []
-    for i, etoc in enumerate(etocs):
-        query = etoc.query
+    for i, query in enumerate(etoc.queries):
         if i in rows:
-            row, m = rows[i], len(result.chains[rows[i]])
-            traces.append(reference_trace(query, result.chains[row].chains,
-                                          result.omega.data[row, :m],
+            row, used = rows[i], result.chains.trees([i])
+            m = len(used)
+            traces.append(reference_trace(query, used.chains, result.omega.data[row, :m],
                                           result.proposals.data[row, :m], model.stats))
             continue
         value = float(model.means[query.attribute])
@@ -793,7 +822,7 @@ def reference_top_patterns(traces) -> list[tuple[tuple, float, int]]:
 def chainless_predictions(queries, values, fallback, stats, norm: float = 0.0) -> Predictions:
     """Predictions that used no chain: one value and fallback flag per
     query, and `norm` as every normalized prediction."""
-    return Predictions([chain_set(q, []) for q in queries], np.full(len(queries), norm),
+    return Predictions(chain_sets(queries, [[]] * len(queries)), np.full(len(queries), norm),
                        np.asarray(values, dtype=np.float64), np.asarray(fallback, dtype=bool),
                        np.empty(0), np.empty(0), stats)
 
@@ -890,18 +919,19 @@ def reference_filter_composition(model, kg, triples, seed: int = 0):
     size = model.config.batch_size
     for lo in range(0, len(queries), size):
         chunk = range(lo, min(lo + size, len(queries)))
-        tocs = model.retrieve(kg, [queries[i] for i in chunk],
-                              [seed_for(seed, 4, 0, i) for i in chunk])
-        etocs = model.select(tocs, [seed_for(seed, 5, 0, i) for i in chunk])
-        for i, toc, etoc in zip(chunk, tocs, etocs):
+        toc = model.retrieve(kg, [queries[i] for i in chunk],
+                             [seed_for(seed, 4, 0, i) for i in chunk])
+        etoc = model.select(toc, [seed_for(seed, 5, 0, i) for i in chunk])
+        for j, i in enumerate(chunk):
             q = queries[i]
+            tree, kept = toc.trees([j]), etoc.trees([j])
             slot = acc.setdefault(q.attribute, {"q": 0, "tree": 0, "kept": 0,
                                                 "tree_same": 0, "kept_same": 0})
             slot["q"] += 1
-            slot["tree"] += len(toc)
-            slot["kept"] += len(etoc)
-            slot["tree_same"] += int(np.sum(toc.source_attribute == q.attribute))
-            slot["kept_same"] += int(np.sum(etoc.source_attribute == q.attribute))
+            slot["tree"] += len(tree)
+            slot["kept"] += len(kept)
+            slot["tree_same"] += int(np.sum(tree.source_attribute == q.attribute))
+            slot["kept_same"] += int(np.sum(kept.source_attribute == q.attribute))
     return [EV.FilterAudit(
         attribute=attr,
         name=kg.attribute_names[attr],

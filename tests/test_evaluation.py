@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    chain_set,
+    chain_sets,
     chainless_predictions,
     reference_evaluate,
     reference_filter_composition,
@@ -202,9 +202,9 @@ class TestFilterAudit:
 
         tree = [chain(a1, 0), chain(a1, 10), chain(a1, 20), chain(a2, 30)]
         kept = [chain(a1, 0), chain(a1, 10)]
-        model.retrieve = lambda kg_, queries, seeds: [chain_set(q, tree) for q in queries]
-        model.select = lambda tocs, seeds: [
-            chain_set(toc.query, kept, scores=np.zeros(len(kept))) for toc in tocs]
+        model.retrieve = lambda kg_, queries, seeds: chain_sets(queries, [tree] * len(queries))
+        model.select = lambda toc, seeds: chain_sets(
+            toc.queries, [kept] * len(toc.queries), scores=np.zeros(len(kept) * len(toc.queries)))
         audits = EV.filter_composition(model, kg, as_facts([(0, a1, 5.0), (1, a1, 5.0)]))
         assert len(audits) == 1
         audit = audits[0]

@@ -12,7 +12,7 @@ from helpers import (
 )
 from rachain import filter as F
 from rachain.kg import Query
-from rachain.retrieval import RAChain
+from rachain.retrieval import RAChain, TreeOfChains
 
 
 def make_embeddings(rng, n_relations=6, n_attributes=4, dim=5):
@@ -189,11 +189,11 @@ class TestBatchedSelection:
                     for i in range(int(rng.integers(1, 6)))]
             k = int(rng.integers(1, 12))
             lam = float(rng.choice([0.0, 0.5, 1.0]))
-            got = F.select_top_k_batch(tocs, emb, k, lam)
-            assert len(got) == len(tocs)
-            for toc, etoc in zip(tocs, got):
-                want = reference_select_top_k(toc, emb, k, lam)
-                assert etoc.query == toc.query
+            got = F.select_top_k_batch(TreeOfChains.concatenate(tocs), emb, k, lam)
+            assert got.queries == [q for toc in tocs for q in toc.queries]
+            for i, toc in enumerate(tocs):
+                etoc, want = got.trees([i]), reference_select_top_k(toc, emb, k, lam)
+                assert etoc.queries == toc.queries
                 assert etoc.chains == want.chains
                 np.testing.assert_array_equal(etoc.source_value, want.source_value)
                 np.testing.assert_allclose(etoc.scores, want.scores, rtol=0, atol=1e-12)
@@ -204,12 +204,12 @@ class TestBatchedSelection:
         emb = make_embeddings(rng)
         chains = [make_chain(0, (1, 2), path_start=0), make_chain(3, (4,), path_start=10)]
         tocs = [chain_set(Query(0, 1), chains), chain_set(Query(1, 2), chains)]
-        got = F.select_top_k_batch(tocs, emb, k=2)
-        for toc, etoc in zip(tocs, got):
-            want = reference_select_top_k(toc, emb, 2)
+        got = F.select_top_k_batch(TreeOfChains.concatenate(tocs), emb, k=2)
+        for i, toc in enumerate(tocs):
+            etoc, want = got.trees([i]), reference_select_top_k(toc, emb, 2)
             assert etoc.chains == want.chains
             np.testing.assert_allclose(etoc.scores, want.scores, rtol=0, atol=1e-12)
-        assert not np.allclose(np.sort(got[0].scores), np.sort(got[1].scores))
+        assert not np.allclose(np.sort(got.trees([0]).scores), np.sort(got.trees([1]).scores))
 
     def test_top_k_rows_matches_sort_oracle_per_tree(self, rng):
         oracle = TestTopK().sort_oracle
@@ -231,8 +231,8 @@ class TestRandomK:
     def test_subset_size_and_determinism(self, rng):
         chains = [make_chain(0, (1,), path_start=10 * i) for i in range(9)]
         toc = chain_set(Query(0, 0), chains)
-        a = F.select_random_k(toc, 4, seed=3)
-        b = F.select_random_k(toc, 4, seed=3)
+        a = F.select_random_k(toc, 4, seeds=[3])
+        b = F.select_random_k(toc, 4, seeds=[3])
         assert len(a) == 4
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]
         assert all(c in chains for c in a.chains)
@@ -240,10 +240,21 @@ class TestRandomK:
     def test_different_seeds_differ(self):
         chains = [make_chain(0, (1,), path_start=10 * i) for i in range(30)]
         toc = chain_set(Query(0, 0), chains)
-        a = F.select_random_k(toc, 5, seed=1)
-        b = F.select_random_k(toc, 5, seed=2)
+        a = F.select_random_k(toc, 5, seeds=[1])
+        b = F.select_random_k(toc, 5, seeds=[2])
         assert ([c.entity_path for c in a.chains]
                 != [c.entity_path for c in b.chains])
+
+    def test_each_tree_draws_with_its_own_seed(self):
+        sets = [[make_chain(0, (1,), path_start=10 * i + 1000 * t) for i in range(n)]
+                for t, n in enumerate([7, 0, 3, 12])]
+        tocs = [chain_set(Query(t, 0), chains) for t, chains in enumerate(sets)]
+        seeds = [5, 6, 7, 5]
+        got = F.select_random_k(TreeOfChains.concatenate(tocs), 4, seeds)
+        assert got.sizes.tolist() == [4, 0, 3, 4] and not got.scores.any()
+        for i, (toc, seed) in enumerate(zip(tocs, seeds)):
+            rows = np.random.default_rng(seed).permutation(len(toc))[:4]
+            assert got.trees([i]).chains == [toc.chains[r] for r in rows]
 
 
 class TestEmbeddings:

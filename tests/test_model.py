@@ -16,10 +16,11 @@ from rachain import autodiff as ad
 from rachain import evaluation, reasoner, training
 from rachain.config import PROJECTION_MODES, TrainConfig
 from rachain.filter import select_random_k, select_top_k
-from rachain.kg import AttributeStats, Query, as_facts, attribute_means, build_dataset
+from rachain.kg import (AttributeStats, DatasetSplit, Query, as_facts, attribute_means,
+                        build_dataset)
 from rachain.model import Model, load_checkpoint, save_checkpoint
 from rachain.reasoner import ChainContribution, PredictionTrace
-from rachain.retrieval import RAChain, sample_tree
+from rachain.retrieval import RAChain, TreeOfChains, sample_tree
 
 
 def small_config(**kw):
@@ -61,7 +62,7 @@ class TestForward:
     def test_contract_and_identity_opening(self):
         model = make_model(mode="scaling")
         etoc = mixed_etoc()
-        result = model.forward([etoc])
+        result = model.forward(etoc)
         assert result is not None
         assert result.omega.shape == (1, 4)
         assert result.proposals.shape == (1, 4)
@@ -75,8 +76,8 @@ class TestForward:
     def test_chain_order_preserved_across_length_groups(self):
         model = make_model(mode="translation")
         etoc = mixed_etoc()
-        result = model.forward([etoc])
-        assert [toc.chains for toc in result.chains] == [etoc.chains]
+        result = model.forward(etoc)
+        assert result.chains.chains == etoc.chains
         # translation opens as the identity too, so order is observable
         np.testing.assert_array_equal(result.proposals.data,
                                       [[0.25, 0.25, 0.75, 0.75]])
@@ -85,18 +86,18 @@ class TestForward:
         model = make_model()
         chains = [make_chain(0, (1,), 5.0, 0),
                   make_chain(2, (3,), 1.0, 10)]  # attribute 2 has no stats
-        result = model.forward([chain_set(Query(99, 1), chains)])
-        assert [toc.chains for toc in result.chains] == [[chains[0]]]
+        result = model.forward(chain_set(Query(99, 1), chains))
+        assert result.chains.chains == [chains[0]]
         assert result.omega.shape == (1, 1)
 
     def test_none_when_nothing_usable(self):
         model = make_model()
         chains = [make_chain(2, (3,), 1.0, 10)]
-        assert model.forward([chain_set(Query(99, 1), chains)]) is None
+        assert model.forward(chain_set(Query(99, 1), chains)) is None
 
     def test_mean_pooling_variant_runs(self):
         model = make_model(use_chain_encoder=False)
-        result = model.forward([mixed_etoc()])
+        result = model.forward(mixed_etoc())
         assert result is not None
         assert result.omega.data.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -114,15 +115,15 @@ class TestForward:
         monkeypatch.setattr(model_module, "affine_transfer", capture)
         model = make_model(use_chain_encoder=False)
         etoc = mixed_etoc()
-        model.forward([etoc])
+        model.forward(etoc)
         (batch,) = pooled
         for i, chain in enumerate(etoc.chains):
-            model.forward([chain_set(etoc.query, [chain])])
+            model.forward(chain_set(etoc.queries[0], [chain]))
             np.testing.assert_allclose(batch[i], pooled[-1][0], rtol=0, atol=1e-12)
 
     def test_uniform_weights_without_chain_weighting(self):
         model = make_model(use_chain_weighting=False)
-        result = model.forward([mixed_etoc()])
+        result = model.forward(mixed_etoc())
         np.testing.assert_array_equal(result.omega.data, np.full((1, 4), 0.25))
 
 
@@ -158,7 +159,7 @@ def mixed_batch():
     many = chain_set(Query(95, 1), [make_chain(i % 2, (i % 6,) * (1 + i % 3),
                                                5.0 + 0.5 * i, 100 + 10 * i)
                                     for i in range(6)])
-    return [full, unusable, part, single, many]
+    return TreeOfChains.concatenate([full, unusable, part, single, many])
 
 
 def pattern_batch():
@@ -175,14 +176,15 @@ def pattern_batch():
                                       make_chain(2, (4,), 1.0, 60, query_attr=0)])
     third = chain_set(Query(92, 1), [make_chain(0, (1, 2), 9.0, 70)])
     fourth = chain_set(Query(93, 0), [make_chain(1, (5,), 7.0, 80, query_attr=0)])
-    return [first, second, third, fourth]
+    return TreeOfChains.concatenate([first, second, third, fourth])
 
 
-def assert_matches_reference(model, etocs, targets):
-    """Model.forward over the batch against `helpers.reference_forward` per
-    query: rows, chains, predictions, omega, proposals and the gradients of
-    the 1/B-seeded squared loss, all within 1e-10. Returns the result."""
-    result = model.forward(etocs)
+def assert_matches_reference(model, etoc, targets):
+    """Model.forward over the batch's record against
+    `helpers.reference_forward` per query: rows, chains, predictions, omega,
+    proposals and the gradients of the 1/B-seeded squared loss, all within
+    1e-10. Returns the result."""
+    result = model.forward(etoc)
     b = len(result.rows)
     loss = ad.tensor_sum(ad.square(ad.sub(result.prediction, targets[result.rows])))
     ad.backward(loss, seed=1.0 / b)
@@ -190,13 +192,13 @@ def assert_matches_reference(model, etocs, targets):
 
     for p in model.parameters():
         p.grad = None
-    for i, etoc in enumerate(etocs):
-        if i not in result.rows:
-            assert reference_forward(model, etoc) is None
-    for r, i in enumerate(result.rows):
-        prediction, omega, proposals, chains = reference_forward(model, etocs[i])
+    for i in range(len(etoc.queries)):
+        if i not in result.rows.tolist():
+            assert reference_forward(model, etoc, i) is None
+    for r, i in enumerate(result.rows.tolist()):
+        prediction, omega, proposals, chains = reference_forward(model, etoc, i)
         m = len(chains)
-        assert result.chains[r].chains == chains
+        assert result.chains.trees([i]).chains == chains
         np.testing.assert_allclose(result.prediction.data[r], prediction.data,
                                    rtol=0, atol=1e-10)
         np.testing.assert_allclose(result.omega.data[r, :m], omega.data,
@@ -219,9 +221,10 @@ class TestBatchedEquivalence:
     def test_matches_per_query_forward(self, kw, rng):
         model = make_model(**kw)
         _kick_zero_opens(model, rng)
-        etocs = mixed_batch()
-        result = assert_matches_reference(model, etocs, rng.uniform(0.0, 1.0, len(etocs)))
-        assert result.rows == [0, 2, 3, 4]
+        etoc = mixed_batch()
+        result = assert_matches_reference(model, etoc, rng.uniform(0.0, 1.0, 5))
+        assert result.rows.tolist() == [0, 2, 3, 4]
+        assert result.chains.sizes.tolist() == [4, 0, 2, 1, 6]
 
     @VARIANTS
     def test_encodes_each_distinct_pattern_once(self, kw, rng, monkeypatch):
@@ -240,8 +243,7 @@ class TestBatchedEquivalence:
         monkeypatch.setattr(model_module, name, recording)
         model = make_model(**kw)
         _kick_zero_opens(model, rng)
-        etocs = pattern_batch()
-        assert_matches_reference(model, etocs, rng.uniform(0.0, 1.0, len(etocs)))
+        assert_matches_reference(model, pattern_batch(), rng.uniform(0.0, 1.0, 4))
 
         pad = (-1, -1, -1)
         expected = {(0, (1, 2, -1), 1), (1, (1, 2, -1), 1), (0, (3, -1, -1), 1),
@@ -255,7 +257,7 @@ class TestGradientCoverage:
     def test_every_trainable_parameter_gets_gradient(self, kw, rng):
         model = make_model(**kw)
         _kick_zero_opens(model, rng)
-        result = model.forward([mixed_etoc()])
+        result = model.forward(mixed_etoc())
         loss = ad.square(ad.sub(result.prediction, 0.3))
         ad.backward(loss)
         for p in model.parameters():
@@ -429,9 +431,9 @@ def assert_predictions_match_reference(model, kg, queries, seeds):
     for query, seed in zip(queries, seeds):
         toc = sample_tree(kg, query, cfg.walks, cfg.max_hops, seed)
         toc = (select_top_k(toc, model.embeddings, cfg.top_k, cfg.lam) if cfg.use_filter
-               else select_random_k(toc, cfg.top_k, seed))
+               else select_random_k(toc, cfg.top_k, [seed]))
         assert trace_key(model.predict(kg, query, seed)) == trace_key(
-            reference_traces(model, [toc])[0])
+            reference_traces(model, toc)[0])
     return int(got.fallback.sum())
 
 
@@ -474,17 +476,21 @@ class TestPredictionsMatchTraces:
         kg, split = tiny_graph()
         model = nudged_model(kg, split, small_config(), np.random.default_rng(0))
         predictions = model.predict_batch(kg, [], [])
-        assert len(predictions) == 0 and predictions.offsets.tolist() == [0]
+        assert len(predictions) == 0 and predictions.chains.offsets.tolist() == [0]
         assert reasoner.top_patterns(predictions) == []
 
 
 class TestTracesOnlyWhereShown:
     """Scoring, validation and explanation read the Predictions arrays and
-    build no trace object; a single prediction still builds its trace."""
+    build no trace object; a single prediction still builds its trace. A
+    chunk of queries travels as one TreeOfChains record, so the records a
+    call builds do not grow with its queries."""
+
+    TRACES = ("RAChain", "ChainContribution", "PredictionTrace")
 
     @pytest.fixture
     def built(self, monkeypatch):
-        counts = dict.fromkeys(("RAChain", "ChainContribution", "PredictionTrace"), 0)
+        counts = dict.fromkeys(self.TRACES + ("TreeOfChains",), 0)
 
         def counting(cls, method, name):
             original = getattr(cls, method)
@@ -497,6 +503,7 @@ class TestTracesOnlyWhereShown:
         counting(RAChain, "__post_init__", "RAChain")
         counting(ChainContribution, "__init__", "ChainContribution")
         counting(PredictionTrace, "__init__", "PredictionTrace")
+        counting(TreeOfChains, "__init__", "TreeOfChains")
         return counts
 
     def test_scoring_builds_no_trace_object(self, bench_graph, built):
@@ -510,19 +517,55 @@ class TestTracesOnlyWhereShown:
         mae = training.validation_mae(model, model.retrieve(kg, queries, seeds), seeds)
         patterns = evaluation.explain(model, kg, triples, seed=3)
         assert report.n_queries == len(queries) > 0 and np.isfinite(mae) and patterns
-        assert built == {"RAChain": 0, "ChainContribution": 0, "PredictionTrace": 0}
+        traces = {name: built[name] for name in self.TRACES}
+        assert traces == {"RAChain": 0, "ChainContribution": 0, "PredictionTrace": 0}
         trace = model.predict(kg, queries[0], seed=0)
-        assert built == {"RAChain": len(trace.contributions),
-                         "ChainContribution": len(trace.contributions), "PredictionTrace": 1}
+        traces = {name: built[name] for name in self.TRACES}
+        assert traces == {"RAChain": len(trace.contributions),
+                          "ChainContribution": len(trace.contributions), "PredictionTrace": 1}
         assert trace.contributions
+
+    @pytest.mark.parametrize("cache_toc", [False, True])
+    def test_chain_set_records_do_not_grow_with_queries(self, bench_graph, built, cache_toc):
+        kg, split = bench_graph
+        # one chunk per call, so a count that grows with the queries is per query
+        config = TrainConfig.from_dict({**tiny(WORKLOADS["train_small"]).config,
+                                        "batch_size": 4096, "epochs": 1,
+                                        "cache_toc": cache_toc})
+        triples = np.concatenate([split.test, split.valid, split.train])
+
+        def records(n):
+            """The TreeOfChains records each call builds over n triples."""
+            model = nudged_model(kg, split, config, np.random.default_rng(61))
+            part = triples[:n]
+            queries = training.scoped_queries(kg, part, model)
+            seeds = list(range(len(queries)))
+            toc = model.retrieve(kg, queries, seeds)
+            calls = {
+                "evaluate": lambda: evaluation.evaluate(model, kg, part, seed=3),
+                "validation_mae": lambda: training.validation_mae(model, toc, seeds),
+                "explain": lambda: evaluation.explain(model, kg, part, seed=3),
+                "train": lambda: training.train(model, kg, DatasetSplit(
+                    train=part, valid=part, test=part[:0])),
+            }
+            counts = {}
+            for name, call in calls.items():
+                before = built["TreeOfChains"]
+                call()
+                counts[name] = built["TreeOfChains"] - before
+            return len(queries), counts
+
+        (few, small), (many, large) = records(12), records(len(triples))
+        assert 0 < few < many and min(small.values()) > 0
+        assert small == large
 
 
 class TestSelect:
     def test_filtered_selection_is_sorted_and_deterministic(self):
         model = make_model(top_k=2)
         toc = chain_set(Query(99, 1), mixed_etoc().chains)
-        (a,) = model.select([toc], [0])
-        (b,) = model.select([toc], [5])  # seed irrelevant when filtering
+        a = model.select(toc, [0])
+        b = model.select(toc, [5])  # seed irrelevant when filtering
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]
         assert len(a) == 2
         assert np.all(np.diff(a.scores) >= 0)
@@ -530,8 +573,8 @@ class TestSelect:
     def test_unfiltered_selection_uses_seed(self):
         model = make_model(top_k=2, use_filter=False)
         toc = chain_set(Query(99, 1), mixed_etoc().chains)
-        (a,) = model.select([toc], [3])
-        (b,) = model.select([toc], [3])
+        a = model.select(toc, [3])
+        b = model.select(toc, [3])
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]
         assert len(a) == 2
 
@@ -575,8 +618,8 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         etoc = mixed_etoc()
         with ad.no_grad():
-            a = model.forward([etoc]).prediction.data
-            b = loaded.forward([etoc]).prediction.data
+            a = model.forward(etoc).prediction.data
+            b = loaded.forward(etoc).prediction.data
         np.testing.assert_array_equal(a, b)
 
     def test_missing_parameter_detected(self, tmp_path):

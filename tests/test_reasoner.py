@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import chain_set, reference_top_patterns, reference_trace
+from helpers import chain_sets, reference_top_patterns, reference_trace
 from rachain import autodiff as ad
 from rachain import reasoner as R
 from rachain.autodiff import Tensor, parameters
@@ -147,7 +147,7 @@ class TestTrace:
     def predictions(self, sets, omega, proposals, norm, value):
         """Predictions for (query, chains) sets with weights and proposals
         over all their chains, set after set."""
-        return R.Predictions([chain_set(q, chains) for q, chains in sets], np.array(norm),
+        return R.Predictions(chain_sets(*zip(*sets)), np.array(norm),
                              np.array(value), np.zeros(len(sets), dtype=bool),
                              np.array(omega), np.array(proposals), self.stats())
 

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (chain_is_valid, chain_set, enumerate_all_chains, facts, out_edges,
-                     reference_check_rows, reference_distinct_rows, reference_sample_tree)
+from helpers import (assert_same_tree, chain_is_valid, chain_set, each_tree,
+                     enumerate_all_chains, facts, out_edges, reference_check_rows,
+                     reference_distinct_rows, reference_sample_tree, tree_arrays)
 from rachain import kg as K
 from rachain import retrieval as R
 
@@ -441,9 +442,9 @@ class TestBatchedSampling:
                 queries.append(queries[i])
                 seeds.append(seeds[i] if rng.random() < 0.5 else int(rng.integers(2 ** 32)))
             trees = R.sample_trees(kg, queries, walks, max_hops, seeds)
-            assert len(trees) == len(queries)
-            for query, seed, tree in zip(queries, seeds, trees):
-                assert tree.query == query
+            assert trees.queries == queries and len(trees.offsets) == len(queries) + 1
+            for query, seed, tree in zip(queries, seeds, each_tree(trees)):
+                assert tree.queries == [query]
                 assert tree.chains == reference_sample_tree(kg, query, walks, max_hops,
                                                             seed).chains
                 seen["cap_hit"] += len(tree) == walks
@@ -470,11 +471,11 @@ class TestBatchedSampling:
         seeds = [int(s) for s in rng.integers(2 ** 32, size=len(queries))]
         walks, max_hops = 256, 3
         trees = R.sample_trees(kg, queries, walks, max_hops, seeds)
-        for query, seed, tree in zip(queries, seeds, trees):
+        for query, seed, tree in zip(queries, seeds, each_tree(trees)):
             assert tree.chains == reference_sample_tree(kg, query, walks, max_hops,
                                                         seed).chains
         assert len(set(queries)) < len(queries)
-        assert sum(len(tree) for tree in trees) > 20 * len(queries)
+        assert len(trees) > 20 * len(queries)
 
     def test_repeated_and_isolated_queries_in_one_chunk(self):
         # e0 -> e3 -> e1 -> e2; e3 holds three facts, so two walks cap a tree
@@ -483,16 +484,18 @@ class TestBatchedSampling:
         q, isolated = K.Query(0, 0), K.Query(4, 1)
         queries, seeds = [q, isolated, q, q], [3, 3, 3, 4]
         trees = R.sample_trees(kg, queries, 2, 3, seeds)
-        for query, seed, tree in zip(queries, seeds, trees):
+        for query, seed, tree in zip(queries, seeds, each_tree(trees)):
             assert tree.chains == reference_sample_tree(kg, query, 2, 3, seed).chains
-        assert len(trees[0]) == len(trees[2]) == 2 and len(trees[1]) == 0
-        assert trees[1].relations.shape == (0, 3)
-        assert trees[1].entity_path.shape == (0, 4)
-        assert R.sample_trees(kg, [], 2, 3, []) == []
+        assert trees.sizes.tolist()[:3] == [2, 0, 2]
+        isolated_tree = trees.trees([1])
+        assert isolated_tree.relations.shape == (0, 3)
+        assert isolated_tree.entity_path.shape == (0, 4)
+        empty = R.sample_trees(kg, [], 2, 3, [])
+        assert empty.queries == [] and empty.offsets.tolist() == [0] and len(empty) == 0
 
     def test_sample_tree_is_the_one_query_case(self):
         kg, query = random_graph(np.random.default_rng(3))
-        (tree,) = R.sample_trees(kg, [query], 40, 3, [5])
+        tree = R.sample_trees(kg, [query], 40, 3, [5])
         assert R.sample_tree(kg, query, 40, 3, 5).chains == tree.chains
 
     def test_packed_key_overflow_counts_every_walk_of_the_chunk(self):
@@ -531,9 +534,10 @@ class TestBatchedSampling:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, peak
         for i in range(0, len(queries), 8):
-            assert trees[i].chains == reference_sample_tree(kg, queries[i], walks, max_hops,
-                                                            seeds[i]).chains
-        assert all(tree.lengths.max() == 2 for tree in trees)  # every walk crossed the hub
+            assert trees.trees([i]).chains == reference_sample_tree(
+                kg, queries[i], walks, max_hops, seeds[i]).chains
+        # every walk crossed the hub
+        assert all(tree.lengths.max() == 2 for tree in each_tree(trees))
 
     def test_parallel_slots_merge_under_their_first_walk(self):
         # e0's edges: (r0, e1) at offsets 0 and 2, (r1, e2) at offset 1; the
@@ -551,6 +555,84 @@ class TestBatchedSampling:
             pytest.fail("no seed in range(2000) orders the offsets")
         queries = [K.Query(3, 0), K.Query(0, 0)]  # e3 reaches e0's edges at hop 1
         trees = R.sample_trees(kg, queries, walks, max_hops, [seed, seed])
-        for query, tree in zip(queries, trees):
+        for query, tree in zip(queries, each_tree(trees)):
             assert tree.chains == reference_sample_tree(kg, query, walks, max_hops, seed).chains
-        assert [c.entity_path for c in trees[1].chains] == [(1, 0), (2, 0)]
+        assert [c.entity_path for c in trees.trees([1]).chains] == [(1, 0), (2, 0)]
+
+
+class TestRecord:
+    """One TreeOfChains record holds a chunk's trees as CSR rows; gathering
+    trees, concatenating chunk records and the one-query name keep every
+    query's rows as the sequential loop samples them."""
+
+    @staticmethod
+    def chunk(seed: int, n: int = 6):
+        rng = np.random.default_rng(seed)
+        kg, query = random_graph(rng)
+        queries = [query] + [K.Query(int(rng.integers(kg.n_entities)), int(rng.integers(3)))
+                             for _ in range(n - 1)]
+        seeds = [int(s) for s in rng.integers(2 ** 32, size=n)]
+        return kg, queries, seeds
+
+    @staticmethod
+    def assert_matches_loop(kg, toc, queries, seeds, walks, max_hops):
+        assert toc.queries == queries and len(toc.offsets) == len(queries) + 1
+        for i, (query, seed) in enumerate(zip(queries, seeds)):
+            assert_same_tree(tree_arrays(toc, i), tree_arrays(
+                reference_sample_tree(kg, query, walks, max_hops, seed), 0))
+
+    def test_gathering_shuffled_and_repeated_trees(self):
+        for case in range(20):
+            kg, queries, seeds = self.chunk(case)
+            trees = R.sample_trees(kg, queries, 8, 3, seeds)
+            rng = np.random.default_rng(100 + case)
+            for index in (rng.permutation(len(queries)),
+                          rng.integers(len(queries), size=2 * len(queries)), []):
+                index = [int(i) for i in index]
+                self.assert_matches_loop(kg, trees.trees(index), [queries[i] for i in index],
+                                         [seeds[i] for i in index], 8, 3)
+
+    def test_concatenating_chunk_records(self):
+        for case in range(20):
+            kg, queries, seeds = self.chunk(case, n=7)
+            parts = [R.sample_trees(kg, queries[lo:lo + 3], 8, 3, seeds[lo:lo + 3])
+                     for lo in range(0, len(queries), 3)]
+            whole = R.TreeOfChains.concatenate(parts)
+            self.assert_matches_loop(kg, whole, queries, seeds, 8, 3)
+            one_pass = R.sample_trees(kg, queries, 8, 3, seeds)
+            assert whole.offsets.tolist() == one_pass.offsets.tolist()
+            for i in range(len(queries)):
+                assert_same_tree(tree_arrays(whole, i), tree_arrays(one_pass, i))
+
+    def test_sample_tree_is_tree_i_of_sample_trees(self):
+        for case in range(20):
+            kg, queries, seeds = self.chunk(case)
+            trees = R.sample_trees(kg, queries, 40, 3, seeds)
+            for i, (query, seed) in enumerate(zip(queries, seeds)):
+                one = R.sample_tree(kg, query, 40, 3, seed)
+                assert one.queries == [query] and one.offsets.tolist() == [0, len(one)]
+                assert_same_tree(tree_arrays(one, 0), tree_arrays(trees, i))
+
+    def test_an_empty_tree_keeps_its_slot(self):
+        # e0 -> e1 carries a fact; e2 is isolated
+        kg = raw_graph(3, 1, [(0, 0, 1)], [(1, 0, 1.0)])
+        queries = [K.Query(2, 0), K.Query(0, 0), K.Query(2, 0)]
+        trees = R.sample_trees(kg, queries, 4, 2, [0, 1, 2])
+        assert trees.offsets.tolist() == [0, 0, 1, 1]
+        assert trees.tree.tolist() == [1]
+        assert [len(t) for t in each_tree(trees)] == [0, 1, 0]
+        # taking no row keeps every slot; so does gathering the empty trees
+        assert trees.take([]).offsets.tolist() == [0, 0, 0, 0]
+        assert trees.trees([2, 0]).offsets.tolist() == [0, 0, 0]
+        assert trees.take([0], np.array([0.5])).scores.tolist() == [0.5]
+
+    def test_take_keeps_tree_order_and_rows(self):
+        query_a, query_b = K.Query(9, 0), K.Query(8, 1)
+        a = [R.RAChain(0, (1,), 0, 1.0, (5, 9)), R.RAChain(1, (2, 3), 0, 2.0, (4, 6, 9))]
+        b = [R.RAChain(2, (0,), 1, 3.0, (7, 8))]
+        toc = R.TreeOfChains.concatenate([chain_set(query_a, a), chain_set(query_b, b)])
+        assert toc.tree.tolist() == [0, 0, 1] and toc.sizes.tolist() == [2, 1]
+        kept = toc.take([1, 2])
+        assert kept.offsets.tolist() == [0, 1, 2]
+        assert kept.chains == [a[1], b[0]]
+        assert toc.trees([1, 0]).chains == b + a

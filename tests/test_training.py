@@ -9,6 +9,7 @@ from rachain.config import TrainConfig
 from rachain.kg import AttributeStats, DatasetSplit, Query, attribute_means, build_dataset
 from rachain.model import Model
 from rachain.reasoner import Predictions
+from rachain.retrieval import TreeOfChains
 
 
 def affine_task():
@@ -145,17 +146,17 @@ class TestValidationMae:
         queries = [Query(0, dst, target=model.stats.denormalize(dst, 0.5)),
                    Query(1, dst, target=model.stats.denormalize(dst, 0.9))]
         seeds = [5, 6]
-        tocs = model.retrieve(kg, queries, seeds)
-        model.predict_trees = lambda tocs, seeds: chainless_predictions(
-            [toc.query for toc in tocs], np.zeros(len(tocs)), np.zeros(len(tocs)),
+        toc = model.retrieve(kg, queries, seeds)
+        model.predict_trees = lambda toc, seeds: chainless_predictions(
+            toc.queries, np.zeros(len(toc.queries)), np.zeros(len(toc.queries)),
             model.stats, norm=0.7)
-        mae = T.validation_mae(model, tocs, seeds)
+        mae = T.validation_mae(model, toc, seeds)
         assert mae == pytest.approx((0.2 + 0.2) / 2)
 
     def test_empty_validation_is_nan(self):
         kg, split = affine_task()
         model = task_model(kg, split)
-        assert np.isnan(T.validation_mae(model, [], []))
+        assert np.isnan(T.validation_mae(model, model.retrieve(kg, [], []), []))
 
 
 class TestTrainLoop:
@@ -235,6 +236,24 @@ class TestTrainLoop:
         with pytest.raises(T.TrainingFault, match=r"non-finite loss .*entity="):
             T.train(model, kg, split)
 
+    def test_non_finite_gradient_raises_before_the_step(self, monkeypatch):
+        # a NaN gradient with a finite loss: the pre-clip norm is NaN, so
+        # the first step must raise and leave every parameter as it was
+        kg, split = affine_task()
+        model = task_model(kg, split, epochs=1)
+        before = {p.name: p.data.copy() for p in model.all_parameters()}
+        backward = T.backward
+
+        def poisoned(*args, **kwargs):
+            backward(*args, **kwargs)
+            model.encoder.end_token.grad.flat[0] = np.nan
+
+        monkeypatch.setattr(T, "backward", poisoned)
+        with pytest.raises(T.TrainingFault, match=r"non-finite gradient norm .*epoch 0"):
+            T.train(model, kg, split)
+        for p in model.all_parameters():
+            np.testing.assert_array_equal(p.data, before[p.name], err_msg=p.name)
+
 
 class TestValidationTrees:
     def test_each_tree_is_sampled_once_per_train_call(self, monkeypatch):
@@ -256,8 +275,8 @@ class TestValidationTrees:
         # the same run re-sampling every validation tree every epoch
         sampled.clear()
         validate = T.validation_mae
-        monkeypatch.setattr(T, "validation_mae", lambda model, tocs, seeds: validate(
-            model, model.retrieve(kg, [toc.query for toc in tocs], seeds), seeds))
+        monkeypatch.setattr(T, "validation_mae", lambda model, toc, seeds: validate(
+            model, model.retrieve(kg, toc.queries, seeds), seeds))
         fresh = T.train(task_model(kg, split, epochs=3), kg, split)
         assert [sampled.count(q) for q in val_queries] == [4, 4]  # 1 up front + 3 epochs
         assert ([(h.train_loss, h.val_mae) for h in cached.history]
@@ -295,9 +314,9 @@ class TestSelectionSeeds:
         passed = []
         select = Model.select
 
-        def recording(self, tocs, seeds):
+        def recording(self, toc, seeds):
             passed.append(list(seeds))
-            return select(self, tocs, seeds)
+            return select(self, toc, seeds)
 
         monkeypatch.setattr(Model, "select", recording)
         model = task_model(kg, split, epochs=3, use_filter=False)
@@ -324,20 +343,22 @@ class TestPerQueryEquivalence:
 
         def retrieve(self, kg, queries, seeds):
             cfg = self.config
-            return [reference_sample_tree(kg, q, cfg.walks, cfg.max_hops, seed)
-                    for q, seed in zip(queries, seeds)]
+            return TreeOfChains.concatenate([
+                reference_sample_tree(kg, q, cfg.walks, cfg.max_hops, seed)
+                for q, seed in zip(queries, seeds)])
 
-        def select(self, tocs, seeds):
+        def select(self, toc, seeds):
             cfg = self.config
-            return [reference_select_top_k(toc, self.embeddings, cfg.top_k, cfg.lam)
-                    for toc in tocs]
+            return TreeOfChains.concatenate([
+                reference_select_top_k(toc.trees([i]), self.embeddings, cfg.top_k, cfg.lam)
+                for i in range(len(toc.queries))])
 
         predict_trees = Model.predict_trees
         monkeypatch.setattr(Model, "retrieve", retrieve)
         monkeypatch.setattr(Model, "select", select)
-        monkeypatch.setattr(Model, "predict_trees", lambda self, tocs, seeds: (
-            Predictions.concatenate([predict_trees(self, [toc], [seed])
-                                     for toc, seed in zip(tocs, seeds)])))
+        monkeypatch.setattr(Model, "predict_trees", lambda self, toc, seeds: (
+            Predictions.concatenate([predict_trees(self, toc.trees([i]), [seed])
+                                     for i, seed in enumerate(seeds)])))
         per_query = T.train(task_model(kg, split, epochs=3, cache_toc=cache_toc), kg, split)
         assert len(batched.history) == 3
         assert ([h.train_loss for h in batched.history]
