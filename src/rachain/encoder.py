@@ -11,8 +11,7 @@ linearly lifted when the filter dimension differs from the encoder
 dimension, and stacked with the end token and a zero row into one table, so
 a batch's tokens are one gather from it. The chains of a whole mini-batch,
 of mixed lengths and queries, are one batch: shorter chains are left-padded
-with zero tokens that the attention masks out, and pad chains that fill a
-query's unused chain slots keep only the end token.
+with zero tokens that the attention masks out.
 An encoder-only transformer (post-norm, residual, multi-head attention
 scaled by 1/sqrt(model_dim)) contextualizes the sequence. A layer's
 attention is five tape nodes: the q, k and v projections, one fused
@@ -192,10 +191,8 @@ def chain_tokens(source_attribute: np.ndarray, relations: np.ndarray, query_attr
     query_attributes is one attribute for every chain or one per chain. The
     tokens are one gather from one table: the log-mapped (and lifted)
     relation and attribute rows, the end token, then a zero row. A chain of
-    length l fills the last l + 3 slots; the L - l leading pad slots read
-    the zero row and are masked out, so the end token is always last. A row
-    with no relation is a pad chain: every slot but the end is zero and
-    only its end slot is unmasked, so it gives a finite row.
+    length l >= 1 fills the last l + 3 slots; the L - l leading pad slots
+    read the zero row and are masked out, so the end token is always last.
     include_end=False drops the end-of-chain token (m, L + 2, dim) and
     leaves it out of the table, for the transformer-free variant that
     mean-pools the tokens.
@@ -210,10 +207,9 @@ def chain_tokens(source_attribute: np.ndarray, relations: np.ndarray, query_attr
     # token order, the query-adjacent relation first
     ids = np.full((m, longest + 3), -1, dtype=np.int64)
     ids[:, 1:-2] = relations[:, longest - 1::-1]
-    real = lengths > 0
-    first = np.where(real, longest - lengths, longest + 2)  # first unmasked slot
-    ids[real, first[real]] = n_rel + source_attribute[real]
-    ids[real, -2] = n_rel + np.broadcast_to(query_attributes, (m,))[real]
+    first = longest - lengths  # each row's first unmasked slot, its source
+    ids[np.arange(m), first] = n_rel + source_attribute
+    ids[:, -2] = n_rel + np.asarray(query_attributes)
     ids[:, -1] = n_rel + embeddings.attributes.shape[0]
     key_mask = np.arange(longest + 3) >= first[:, None]
 
@@ -235,7 +231,7 @@ def encode_chains(source_attribute: np.ndarray, relations: np.ndarray, query_att
                   embeddings: FilterEmbeddings, params: ChainEncoderParams) -> Tensor:
     """Chain representations (m, dim): the end token's contextualized output,
     from one masked pass over the left-padded chain set (see chain_tokens
-    for the arguments and pad chains)."""
+    for the arguments)."""
     tokens, key_mask = chain_tokens(source_attribute, relations, query_attributes,
                                     embeddings, params)
     out = transformer_stack(tokens, params.stack, key_mask=key_mask, last_only=True)

@@ -106,8 +106,8 @@ def top_k_rows(scores: np.ndarray, tree: np.ndarray, source_attribute: np.ndarra
 
 def select_top_k_batch(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
                        lam: float = 0.5) -> TreeOfChains:
-    """Each tree's k best-scoring chains, best first, with their scores, in
-    one pass over the record. A score depends only on the chain's pattern
+    """Each tree's k best-scoring chains, best first, in one pass over the
+    record. A score depends only on the chain's pattern
     (source attribute, relations, query attribute), so it is computed once
     per distinct pattern and gathered back to every chain that has it. Tree
     i's result does not depend on the other trees."""
@@ -118,7 +118,7 @@ def select_top_k_batch(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
     scores = chain_scores(toc.source_attribute[first], toc.relations[first],
                           query_attribute[first], embeddings, lam)[inverse]
     rows = top_k_rows(scores, tree, toc.source_attribute, toc.relations, toc.entity_path, k)
-    return toc.take(rows, scores[rows])
+    return toc.take(rows)
 
 
 # The one-query name: a single prediction's selection is traced under it.
@@ -126,9 +126,9 @@ select_top_k = select_top_k_batch
 
 
 def select_random_k(toc: TreeOfChains, k: int, seeds) -> TreeOfChains:
-    """Uniform selection with zero scores (the filter-off variant): k rows
-    of tree i drawn with seeds[i]."""
+    """Uniform selection (the filter-off variant): k rows of tree i drawn
+    with seeds[i]."""
     rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         start + np.random.default_rng(seed).permutation(size)[:k]
         for seed, start, size in zip(seeds, toc.offsets.tolist(), toc.sizes.tolist())])
-    return toc.take(rows, np.zeros(rows.size))
+    return toc.take(rows)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, mul, no_grad, parameters, reshape, take_rows, tensor_sum
+from .autodiff import Parameter, Tensor, concat, mul, no_grad, parameters, take_rows, tensor_sum
 from .config import TrainConfig
 from .encoder import AffineNets, ChainEncoderParams, affine_transfer, chain_tokens, encode_chains
 from .filter import FilterEmbeddings, select_random_k, select_top_k, select_top_k_batch
@@ -90,11 +90,18 @@ class Model:
 
     def retrieve(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> TreeOfChains:
         """The trees of `queries` as one record, query i's sampled with
-        seeds[i]; one pass per chunk of config.batch_size queries."""
-        cfg, size = self.config, self.config.batch_size
-        return TreeOfChains.concatenate([
-            sample_trees(kg, queries[lo:lo + size], cfg.walks, cfg.max_hops, seeds[lo:lo + size])
-            for lo in range(0, len(queries) or 1, size)])
+        seeds[i]; one pass per chunk of config.batch_size queries. Training
+        keeps such records across epochs; predict_batch keeps none."""
+        return TreeOfChains.concatenate([self._sample(kg, queries[c], seeds[c])
+                                         for c in self._chunks(len(queries))])
+
+    def _sample(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> TreeOfChains:
+        return sample_trees(kg, queries, self.config.walks, self.config.max_hops, seeds)
+
+    def _chunks(self, n: int) -> list[slice]:
+        """The config.batch_size chunks of n items (one empty chunk for none)."""
+        size = self.config.batch_size
+        return [slice(lo, lo + size) for lo in range(0, n or 1, size)]
 
     def select(self, toc: TreeOfChains, seeds) -> TreeOfChains:
         """Each tree's top_k chains: the filter's k best, in one pass over the
@@ -109,17 +116,17 @@ class Model:
         """Predictions for a mini-batch of chain sets; None when no query has
         a chain with a normalizable source value.
 
-        Each query's usable chains, in their given order, fill the leading
-        slots of its row of k = the largest usable count; pad chains (rows
-        with no relation) fill the rest. The B*k chains' distinct patterns
-        are encoded in one left-padded, masked pass and gathered back to
-        (B*k, dim), so a repeated pattern costs one encoder row and its
-        gradient is the sum over its repeats; pad chains share one pattern
-        per query attribute. The value transfer builds E_a once per group of
-        chains that share a normalized source value (pad chains carry 0.0,
-        so they fall in that value's groups); see encoder.affine_transfer.
-        The representations are reshaped to (B, k, dim) for the treeformer
-        and pads are masked out of omega, so a pad slot adds exactly nothing
+        The per-chain layers run on the usable chains as flat rows, in record
+        order. Their distinct patterns are encoded in one left-padded, masked
+        pass and gathered back to the rows, so a repeated pattern costs one
+        encoder row and its gradient is the sum over its repeats. The value
+        transfer builds E_a once per group of chains that share a normalized
+        source value (see encoder.affine_transfer), and the heads project
+        every row. Only the treeformer looks across a query's chains, so only
+        it sees the (B, k) slots: row j holds query rows[j]'s chains in its
+        leading slots, k being the largest usable count, and each other slot
+        reads an appended zero row with length 1 and proposal 0. The key mask
+        hides those slots, so their omega is exactly 0 and they add nothing
         to a prediction or a gradient.
         """
         cfg = self.config
@@ -128,13 +135,9 @@ class Model:
         rows = np.flatnonzero(sizes)
         if not rows.size:
             return None
-        b, k = rows.size, int(sizes.max())
-        mask = np.arange(k) < sizes[rows, None]
-        src = _padded(chains.source_attribute, mask, 0)
-        relations = _padded(chains.relations, mask, -1)
-        values_norm = _padded(self.stats.normalize(chains.source_attribute,
-                                                   chains.source_value), mask, 0.0)
-        query_attributes = np.repeat(chains.query_attributes[rows], k)
+        src, relations = chains.source_attribute, chains.relations
+        values_norm = self.stats.normalize(src, chains.source_value)
+        query_attributes = chains.query_attributes[chains.tree]
 
         first, inverse = distinct_rows(np.column_stack([src, relations, query_attributes]))
         patterns = (src[first], relations[first], query_attributes[first])
@@ -143,18 +146,22 @@ class Model:
         else:
             tokens, key_mask = chain_tokens(*patterns, self.embeddings, self.encoder,
                                             include_end=False)
-            # a pad chain has no token: its zero sum is divided by 1
-            counts = np.maximum(key_mask.sum(axis=1, keepdims=True), 1)
-            distinct = mul(tensor_sum(tokens, axis=1), 1.0 / counts)
+            distinct = mul(tensor_sum(tokens, axis=1), 1.0 / key_mask.sum(axis=1, keepdims=True))
         reps = take_rows(distinct, inverse)
-
         transferred = (affine_transfer(reps, values_norm, self.affine)
                        if cfg.use_numerical_aware else reps)
-        proposals = reshape(project_values(transferred, values_norm, self.heads), (b, k))
+        proposals = project_values(transferred, values_norm, self.heads)
+
+        # each (B, k) slot's row, and in a pad slot the zero row appended last
+        b, k = rows.size, int(sizes.max())
+        mask = np.arange(k) < sizes[rows, None]
+        slot = np.full((b, k), len(chains))
+        slot[mask] = np.arange(len(chains))
+        proposals = take_rows(concat([proposals, Tensor(np.zeros(1))]), slot)
         if cfg.use_chain_weighting:
-            lengths = np.maximum(chain_lengths(relations), 1)
-            omega = weight_chains(reshape(reps, (b, k, reps.shape[-1])),
-                                  lengths.reshape(b, k), self.tree, mask)
+            slotted = take_rows(concat([reps, Tensor(np.zeros((1, reps.shape[-1])))]), slot)
+            lengths = np.append(chain_lengths(relations), 1)[slot]
+            omega = weight_chains(slotted, lengths, self.tree, mask)
         else:
             omega = Tensor(mask / mask.sum(axis=1, keepdims=True))
         prediction = aggregate(omega, proposals)
@@ -172,17 +179,19 @@ class Model:
     def predict_batch(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> Predictions:
         """The predictions of `queries`, query i's chains sampled and selected
         with seeds[i]; each chunk of config.batch_size queries makes one
-        retrieval, one selection and one forward."""
-        return self.predict_trees(self.retrieve(kg, queries, seeds), seeds)
+        retrieval, one selection and one forward, and its trees are dropped
+        before the next chunk is sampled."""
+        return Predictions.concatenate([
+            self._predictions(self.select(self._sample(kg, queries[c], seeds[c]), seeds[c]))
+            for c in self._chunks(len(queries))])
 
     def predict_trees(self, toc: TreeOfChains, seeds) -> Predictions:
         """predict_batch's selection and forward for trees already sampled,
         one chunk of config.batch_size trees at a time."""
-        n, size = len(toc.queries), self.config.batch_size
+        index = range(len(toc.queries))
         return Predictions.concatenate([
-            self._predictions(self.select(toc.trees(range(lo, min(lo + size, n))),
-                                          seeds[lo:lo + size]))
-            for lo in range(0, n or 1, size)])
+            self._predictions(self.select(toc.trees(index[c]), seeds[c]))
+            for c in self._chunks(len(index))])
 
     def _predictions(self, etoc: TreeOfChains) -> Predictions:
         """One forward over the selected sets without gradients; a set with
@@ -203,14 +212,6 @@ class Model:
         scaled = fallback & self.stats.usable(attrs)
         norm[scaled] = self.stats.normalize(attrs[scaled], value[scaled])
         return Predictions(chains, norm, value, fallback, omega, proposals, self.stats)
-
-
-def _padded(rows: np.ndarray, mask: np.ndarray, fill) -> np.ndarray:
-    """`rows`, query after query, in the leading slots of each query's row of
-    `mask` (B, k) and `fill` in the others, as B * k rows."""
-    out = np.full((mask.size,) + rows.shape[1:], fill, dtype=rows.dtype)
-    out[mask.reshape(-1)] = rows
-    return out
 
 
 # ---------------------------------------------------------------------------

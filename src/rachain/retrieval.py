@@ -66,9 +66,8 @@ class TreeOfChains:
     offsets[i]:offsets[i + 1], none for a query with no chain. Rows run
     source -> query and are padded on the right with -1: a chain of length l
     fills relations[r, :l] (source-adjacent relation first) and
-    entity_path[r, :l + 1] (source first, query last). A row with no
-    relation is a pad chain. `scores`, set by the filter, holds one affinity
-    score per row. Every field after `offsets` has one entry per row.
+    entity_path[r, :l + 1] (source first, query last); every row has a
+    relation at least. Every field after `offsets` has one entry per row.
     RAChain objects are built only by `chains`.
     """
 
@@ -78,7 +77,6 @@ class TreeOfChains:
     source_value: np.ndarray      # (rows,) float64
     relations: np.ndarray         # (rows, max_hops) int64
     entity_path: np.ndarray       # (rows, max_hops + 1) int64
-    scores: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.source_attribute)
@@ -102,32 +100,29 @@ class TreeOfChains:
     def lengths(self) -> np.ndarray:
         return chain_lengths(self.relations)
 
-    def take(self, rows, scores: np.ndarray | None = None) -> "TreeOfChains":
+    def take(self, rows) -> "TreeOfChains":
         """The chains of `rows` (ascending tree, any order within one), in
-        that order, with `scores` (one per row); every tree keeps its slot."""
+        that order; every tree keeps its slot."""
         offsets = np.searchsorted(self.tree.take(rows), np.arange(len(self.queries) + 1))
-        return self._gather(self.queries, offsets, rows, scores)
+        return self._gather(self.queries, offsets, rows)
 
     def trees(self, index) -> "TreeOfChains":
         """Trees `index` (in that order, repeats allowed) with all their rows."""
         sizes = self.sizes.take(index)
         offsets = np.append(0, np.cumsum(sizes))
         rows = np.arange(offsets[-1]) + np.repeat(self.offsets.take(index) - offsets[:-1], sizes)
-        return self._gather([self.queries[i] for i in index], offsets, rows,
-                            None if self.scores is None else self.scores.take(rows))
+        return self._gather([self.queries[i] for i in index], offsets, rows)
 
-    def _gather(self, queries, offsets, rows, scores) -> "TreeOfChains":
+    def _gather(self, queries, offsets, rows) -> "TreeOfChains":
         return TreeOfChains(queries, offsets, *(getattr(self, f.name).take(rows, axis=0)
-                                                for f in fields(self)[2:-1]), scores)
+                                                for f in fields(self)[2:]))
 
     @classmethod
     def concatenate(cls, parts: list["TreeOfChains"]) -> "TreeOfChains":
-        """The trees of `parts` (at least one) one after another; scores are
-        kept when every part has them."""
+        """The trees of `parts` (at least one) one after another."""
         offsets = np.append(0, np.cumsum(np.concatenate([p.sizes for p in parts])))
-        columns = [[getattr(p, f.name) for p in parts] for f in fields(cls)[2:]]
-        arrays = [None if any(c is None for c in col) else np.concatenate(col) for col in columns]
-        return cls([q for p in parts for q in p.queries], offsets, *arrays)
+        return cls([q for p in parts for q in p.queries], offsets,
+                   *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)[2:]))
 
     @property
     def chains(self) -> list[RAChain]:

@@ -222,7 +222,7 @@ def affinity_score(
 # hand-built chain sets
 
 
-def chain_sets(queries, sets, max_hops: int = 3, scores=None) -> TreeOfChains:
+def chain_sets(queries, sets, max_hops: int = 3) -> TreeOfChains:
     """Per-query lists of RAChain objects as one record of trees in the
     sampler's array layout, tree i holding sets[i] for queries[i]. A tree's
     query supplies its chains' query attribute, as it does for sampled
@@ -237,13 +237,12 @@ def chain_sets(queries, sets, max_hops: int = 3, scores=None) -> TreeOfChains:
     return TreeOfChains(list(queries), np.cumsum([0] + [len(c) for c in sets]),
                         np.array([ch.source_attribute for ch in chains], dtype=np.int64),
                         np.array([ch.source_value for ch in chains], dtype=np.float64),
-                        relations, entity_path,
-                        None if scores is None else np.asarray(scores, dtype=np.float64))
+                        relations, entity_path)
 
 
-def chain_set(query, chains, max_hops: int = 3, scores=None) -> TreeOfChains:
+def chain_set(query, chains, max_hops: int = 3) -> TreeOfChains:
     """RAChain objects as one query's tree (the record's n = 1 case)."""
-    return chain_sets([query], [chains], max_hops, scores)
+    return chain_sets([query], [chains], max_hops)
 
 
 def each_tree(toc: TreeOfChains) -> list[TreeOfChains]:
@@ -252,18 +251,16 @@ def each_tree(toc: TreeOfChains) -> list[TreeOfChains]:
 
 
 def tree_arrays(toc: TreeOfChains, i: int) -> tuple:
-    """Tree i's row arrays (scores included), sliced by the record's offsets."""
+    """Tree i's row arrays, sliced by the record's offsets."""
     rows = slice(toc.offsets[i], toc.offsets[i + 1])
-    return tuple(None if a is None else a[rows] for a in (
-        toc.source_attribute, toc.source_value, toc.relations, toc.entity_path, toc.scores))
+    return tuple(a[rows] for a in (
+        toc.source_attribute, toc.source_value, toc.relations, toc.entity_path))
 
 
 def assert_same_tree(got: tuple, want: tuple) -> None:
     """Two trees' row arrays are equal, dtypes and shapes included."""
     for a, b in zip(got, want, strict=True):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +483,7 @@ def reference_select_top_k(toc: TreeOfChains, embeddings: FilterEmbeddings, k: i
                           embeddings, lam)
     keys = ([toc.source_attribute] + list(toc.relations.T[::-1])
             + list(toc.entity_path.T[::-1]) + [toc.lengths, scores])
-    order = np.lexsort(keys)[:k]
-    return toc.take(order, scores[order])
+    return toc.take(np.lexsort(keys)[:k])
 
 
 def chain_is_valid(chain: RAChain, kg, query) -> bool:
@@ -640,14 +636,11 @@ def reference_chain_tokens(source_attribute, relations, query_attributes, embedd
     n_rel = embeddings.relations.shape[0]
     ids = np.full((m, longest + 2), -1, dtype=np.int64)
     for i, length in enumerate(lengths.tolist()):
-        if length == 0:
-            continue
         first = longest - length
         ids[i, first] = n_rel + source_attribute[i]
         ids[i, first + 1:-1] = relations[i, length - 1::-1]
         ids[i, -1] = n_rel + np.broadcast_to(query_attributes, (m,))[i]
-    first = np.where(lengths > 0, longest - lengths, longest + 2)
-    key_mask = np.arange(longest + 3) >= first[:, None]
+    key_mask = np.arange(longest + 3) >= (longest - lengths)[:, None]
     table = ad.concat([embeddings.relations, embeddings.attributes,
                        ad.Tensor(np.zeros((1, embeddings.dim)))])
     ball = ad.reshape(ad.take_rows(table, ids.reshape(-1)),

@@ -180,25 +180,6 @@ class TestTokens:
         np.testing.assert_array_equal(pooled.data, tokens.data[:, :-1])
         np.testing.assert_array_equal(pooled_mask, mask[:, :-1])
 
-    def test_pad_row_is_zero_with_only_the_end_slot_unmasked(self, setup):
-        emb, params = setup
-        chain = make_chain(2, (1, 4))
-        real = chain_set(Query(0, 1), [chain])
-        source = np.append(real.source_attribute, 3)  # a pad row's source is never read
-        relations = np.vstack([real.relations, np.full((1, 3), -1)])
-        tokens, mask = E.chain_tokens(source, relations, 1, emb, params)
-        assert tokens.shape == (2, 5, 8)
-        np.testing.assert_array_equal(mask[1], [False, False, False, False, True])
-        np.testing.assert_array_equal(tokens.data[1, :-1], np.zeros((4, 8)))
-        np.testing.assert_array_equal(tokens.data[1, -1], params.end_token.data)
-        alone, alone_mask = tokens_of([chain], 1, emb, params)
-        np.testing.assert_array_equal(tokens.data[0], alone.data[0])
-        np.testing.assert_array_equal(mask[0], alone_mask[0])
-        pooled, pooled_mask = E.chain_tokens(source, relations, 1, emb, params,
-                                             include_end=False)
-        assert not pooled_mask[1].any()
-        np.testing.assert_array_equal(pooled.data[1], np.zeros((4, 8)))
-
     def test_lift_changes_width(self, rng):
         emb = FilterEmbeddings.create(rng, 6, 4, dim=4)
         params = E.ChainEncoderParams.create(rng, filter_dim=4, dim=8, n_layers=1, heads=2)
@@ -218,10 +199,10 @@ class TestTokenTable:
     """chain_tokens embeds the vocabulary once and gathers every token from
     one table, against the per-token composite it replaced."""
 
-    # lengths 3, 1, 2 and two pad chains, two query attributes
-    SOURCE = np.array([0, 1, 3, 2, 0])
-    RELATIONS = np.array([[1, 2, 3], [4, -1, -1], [5, 0, -1], [-1, -1, -1], [-1, -1, -1]])
-    QUERY = np.array([2, 2, 1, 2, 1])
+    # lengths 3, 1, 2, two query attributes
+    SOURCE = np.array([0, 1, 3])
+    RELATIONS = np.array([[1, 2, 3], [4, -1, -1], [5, 0, -1]])
+    QUERY = np.array([2, 2, 1])
 
     @pytest.mark.parametrize("include_end", [True, False], ids=["end", "no_end"])
     @pytest.mark.parametrize("filter_dim", [8, 4], ids=["no_lift", "lift"])
@@ -242,7 +223,7 @@ class TestTokenTable:
             ad.backward(ad.tensor_sum(ad.mul(tokens, mix)))
             return tokens.data, mask, [w.grad for w in weights]
 
-        mix = rng.standard_normal((5, 5 + include_end, 8))
+        mix = rng.standard_normal((3, 5 + include_end, 8))
         got, got_mask, got_grads = run(E.chain_tokens)
         want, want_mask, want_grads = run(reference_chain_tokens)
         np.testing.assert_array_equal(got, want)
@@ -358,10 +339,10 @@ class TestPaddedEncoding:
 class TestEndTokenOnly:
     """encode_chains runs its last layer on the end token only."""
 
-    # lengths 3, 1, 2 and a pad chain, two query attributes
-    SOURCE = np.array([0, 1, 3, 0])
-    RELATIONS = np.array([[1, 2, 3], [4, -1, -1], [5, 0, -1], [-1, -1, -1]])
-    QUERY = np.array([2, 2, 1, 2])
+    # lengths 3, 1, 2, two query attributes
+    SOURCE = np.array([0, 1, 3])
+    RELATIONS = np.array([[1, 2, 3], [4, -1, -1], [5, 0, -1]])
+    QUERY = np.array([2, 2, 1])
 
     def test_matches_full_stack(self, rng):
         """Values and every gradient equal the unfused stack that computes
@@ -369,7 +350,7 @@ class TestEndTokenOnly:
         emb = FilterEmbeddings.create(rng, n_relations=6, n_attributes=4, dim=4)
         params = E.ChainEncoderParams.create(rng, filter_dim=4, dim=8, n_layers=2, heads=2)
         assert params.lift is not None
-        mix = rng.standard_normal((4, 8))
+        mix = rng.standard_normal((3, 8))
         weights = [emb.relations, emb.attributes, *parameters(params)]
 
         def run(encode):
@@ -404,7 +385,7 @@ class TestEndTokenOnly:
         for name, shape in seen:
             layer, weight = name.split(".")[1:]
             full = layer == "layer0" or weight in ("wk", "wv")
-            assert shape[:2] == (4, slots if full else 1), name
+            assert shape[:2] == (3, slots if full else 1), name
 
         seen.clear()
         lengths = np.array([[1, 2, 3], [3, 1, 1]])
@@ -527,7 +508,7 @@ VALUE_SETS = pytest.mark.parametrize("values", [
     [0.75] * 7,
     [0.5] * 9 + [0.1, 0.2, 0.3, 0.4],
     [0.0, -0.0, 0.0, 0.3, -0.0, 0.0],
-    [0.6, 0.2, 0.6, 0.9] + [0.0] * 5,  # a batch row's pad slots carry 0.0
+    [0.6, 0.2, 0.6, 0.9] + [0.0] * 5,  # one value on most rows, after distinct ones
 ], ids=["distinct", "equal", "dominant", "signed_zeros", "pad_zeros"])
 
 

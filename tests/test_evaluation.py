@@ -203,8 +203,7 @@ class TestFilterAudit:
         tree = [chain(a1, 0), chain(a1, 10), chain(a1, 20), chain(a2, 30)]
         kept = [chain(a1, 0), chain(a1, 10)]
         model.retrieve = lambda kg_, queries, seeds: chain_sets(queries, [tree] * len(queries))
-        model.select = lambda toc, seeds: chain_sets(
-            toc.queries, [kept] * len(toc.queries), scores=np.zeros(len(kept) * len(toc.queries)))
+        model.select = lambda toc, seeds: chain_sets(toc.queries, [kept] * len(toc.queries))
         audits = EV.filter_composition(model, kg, as_facts([(0, a1, 5.0), (1, a1, 5.0)]))
         assert len(audits) == 1
         audit = audits[0]

@@ -142,9 +142,10 @@ class TestTopK:
         etoc = F.select_top_k(toc, emb, k=6)
         assert len(etoc) == 6
         assert all(ch in chains for ch in etoc.chains)
-        assert np.all(np.diff(etoc.scores) >= 0)
+        kept = F.chain_scores(etoc.source_attribute, etoc.relations, 1, emb)
+        assert np.all(np.diff(kept) >= 0)
         full = F.chain_scores(toc.source_attribute, toc.relations, 1, emb)
-        assert max(etoc.scores) <= min(
+        assert max(kept) <= min(
             full[i] for i in range(15) if chains[i] not in etoc.chains)
 
     def test_k_larger_than_tree_keeps_everything(self, rng):
@@ -196,20 +197,27 @@ class TestBatchedSelection:
                 assert etoc.queries == toc.queries
                 assert etoc.chains == want.chains
                 np.testing.assert_array_equal(etoc.source_value, want.source_value)
-                np.testing.assert_allclose(etoc.scores, want.scores, rtol=0, atol=1e-12)
                 one = F.select_top_k(toc, emb, k, lam)
                 assert one.chains == want.chains
 
-    def test_same_pattern_under_two_query_attributes(self, rng):
+    def test_same_pattern_under_two_query_attributes(self, rng, monkeypatch):
         emb = make_embeddings(rng)
         chains = [make_chain(0, (1, 2), path_start=0), make_chain(3, (4,), path_start=10)]
         tocs = [chain_set(Query(0, 1), chains), chain_set(Query(1, 2), chains)]
+        scored = []
+        score = F.chain_scores
+
+        def recording(source_attribute, relations, query_attribute, *args):
+            scored.extend(zip(source_attribute.tolist(), query_attribute.tolist()))
+            return score(source_attribute, relations, query_attribute, *args)
+
+        monkeypatch.setattr(F, "chain_scores", recording)
         got = F.select_top_k_batch(TreeOfChains.concatenate(tocs), emb, k=2)
+        # each pattern is scored once under each query attribute
+        assert sorted(scored) == [(0, 1), (0, 2), (3, 1), (3, 2)]
         for i, toc in enumerate(tocs):
             etoc, want = got.trees([i]), reference_select_top_k(toc, emb, 2)
             assert etoc.chains == want.chains
-            np.testing.assert_allclose(etoc.scores, want.scores, rtol=0, atol=1e-12)
-        assert not np.allclose(np.sort(got.trees([0]).scores), np.sort(got.trees([1]).scores))
 
     def test_top_k_rows_matches_sort_oracle_per_tree(self, rng):
         oracle = TestTopK().sort_oracle
@@ -251,7 +259,7 @@ class TestRandomK:
         tocs = [chain_set(Query(t, 0), chains) for t, chains in enumerate(sets)]
         seeds = [5, 6, 7, 5]
         got = F.select_random_k(TreeOfChains.concatenate(tocs), 4, seeds)
-        assert got.sizes.tolist() == [4, 0, 3, 4] and not got.scores.any()
+        assert got.sizes.tolist() == [4, 0, 3, 4]
         for i, (toc, seed) in enumerate(zip(tocs, seeds)):
             rows = np.random.default_rng(seed).permutation(len(toc))[:4]
             assert got.trees([i]).chains == [toc.chains[r] for r in rows]

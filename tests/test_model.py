@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from perfbench.workloads import WORKLOADS, tiny
 from rachain import autodiff as ad
 from rachain import evaluation, reasoner, training
 from rachain.config import PROJECTION_MODES, TrainConfig
-from rachain.filter import select_random_k, select_top_k
+from rachain.filter import chain_scores, select_random_k, select_top_k
 from rachain.kg import (AttributeStats, DatasetSplit, Query, as_facts, attribute_means,
                         build_dataset)
 from rachain.model import Model, load_checkpoint, save_checkpoint
@@ -55,7 +56,7 @@ def mixed_etoc():
         make_chain(0, (0, 4, 2), 7.5, 20),  # norm 0.75
         make_chain(1, (2,), 8.0, 30),       # norm 0.75
     ]
-    return chain_set(Query(99, 1), chains, scores=np.zeros(len(chains)))
+    return chain_set(Query(99, 1), chains)
 
 
 class TestForward:
@@ -166,7 +167,8 @@ def pattern_batch():
     """Four queries whose chains repeat patterns: (0, (1, 2)) twice in the
     first query with different paths and values and again in the third, the
     relations (1, 2) under source attributes 0 and 1 and under query
-    attributes 1 and 0, and pad slots in the last three rows (k = 4)."""
+    attributes 1 and 0, and pad slots in the treeformer's last three rows
+    (k = 4)."""
     first = chain_set(Query(90, 1), [make_chain(0, (1, 2), 2.5, 0),
                                      make_chain(0, (1, 2), 7.5, 10),
                                      make_chain(1, (1, 2), 6.0, 20),
@@ -245,11 +247,36 @@ class TestBatchedEquivalence:
         _kick_zero_opens(model, rng)
         assert_matches_reference(model, pattern_batch(), rng.uniform(0.0, 1.0, 4))
 
-        pad = (-1, -1, -1)
         expected = {(0, (1, 2, -1), 1), (1, (1, 2, -1), 1), (0, (3, -1, -1), 1),
-                    (0, (1, 2, -1), 0), (1, (1, 2, -1), 0), (1, (5, -1, -1), 0),
-                    (0, pad, 0), (0, pad, 1)}
+                    (0, (1, 2, -1), 0), (1, (1, 2, -1), 0), (1, (5, -1, -1), 0)}
         assert sorted(received) == sorted(expected)
+
+    @VARIANTS
+    def test_per_chain_layers_see_only_the_used_chains(self, kw, monkeypatch):
+        # 13 used chains in a (4, 6) slot layout: only the treeformer pads
+        import rachain.model as model_module
+        received = {}
+
+        def recording(name):
+            inner = getattr(model_module, name)
+
+            def wrapper(reps, *args):
+                received[name] = reps.shape
+                return inner(reps, *args)
+            monkeypatch.setattr(model_module, name, wrapper)
+
+        recording("affine_transfer")
+        recording("project_values")
+        model = make_model(**kw)
+        result = model.forward(mixed_batch())
+        m, dim = len(result.chains), model.config.dim
+        assert m == 13 and result.mask.shape == (4, 6)
+        want = {"project_values": (m, dim)}
+        if model.config.use_numerical_aware:
+            want["affine_transfer"] = (m, dim)
+        assert received == want
+        assert np.all(result.proposals.data[~result.mask] == 0.0)
+        assert np.all(result.omega.data[~result.mask] == 0.0)
 
 
 class TestGradientCoverage:
@@ -396,6 +423,31 @@ class TestPredictBatch:
                 np.testing.assert_allclose(values, want_map[chain], rtol=1e-10, atol=1e-10)
         assert 0 < fallbacks < len(queries)
         assert all(p.grad is None for p in model.all_parameters())
+
+    def test_memory_does_not_grow_with_the_chunks(self, bench_graph):
+        # a chunk's trees are dropped before the next chunk is sampled, so
+        # eight chunks peak about where one does
+        kg, split = bench_graph
+        config = TrainConfig.from_dict({**tiny(WORKLOADS["train_small"]).config,
+                                        "walks": 128, "batch_size": 4, "top_k": 2,
+                                        "dim": 8, "filter_dim": 8, "heads": 2,
+                                        "affine_hidden": 8})
+        stats = AttributeStats.from_triples(split.train, kg.n_attributes)
+        model = Model(kg.n_relations, kg.n_attributes, stats,
+                      attribute_means(split.train, kg.n_attributes), config)
+        queries = training.scoped_queries(kg, split.train, model)[:32]
+        assert len(queries) == 32
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                model.predict_batch(kg, queries[:n], list(range(n)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # warm-up: first-call allocations are not per chunk
+        assert peak(32) <= 1.5 * peak(4)
 
 
 def nudged_model(kg, split, config, rng):
@@ -568,7 +620,8 @@ class TestSelect:
         b = model.select(toc, [5])  # seed irrelevant when filtering
         assert [c.entity_path for c in a.chains] == [c.entity_path for c in b.chains]
         assert len(a) == 2
-        assert np.all(np.diff(a.scores) >= 0)
+        scores = chain_scores(a.source_attribute, a.relations, 1, model.embeddings)
+        assert np.all(np.diff(scores) >= 0)
 
     def test_unfiltered_selection_uses_seed(self):
         model = make_model(top_k=2, use_filter=False)

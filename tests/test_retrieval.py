@@ -624,7 +624,6 @@ class TestRecord:
         # taking no row keeps every slot; so does gathering the empty trees
         assert trees.take([]).offsets.tolist() == [0, 0, 0, 0]
         assert trees.trees([2, 0]).offsets.tolist() == [0, 0, 0]
-        assert trees.take([0], np.array([0.5])).scores.tolist() == [0.5]
 
     def test_take_keeps_tree_order_and_rows(self):
         query_a, query_b = K.Query(9, 0), K.Query(8, 1)

@@ -1,10 +1,36 @@
 """Smoke tests of the experiment scripts: each runs as a child process."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_output_digests_repeat_with_the_same_seed(tmp_path):
+    """Same seed, same run: two runs on the small workloads digest alike,
+    the checkpoint the first one saves included."""
+    runs = []
+    for i in range(2):
+        out = tmp_path / f"digests{i}.json"
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "output_digests.py"), "--tiny",
+                               "--seed", "7", "--traces", "8", "--checkpoint-dir",
+                               str(tmp_path / "ckpt"), "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(out.read_text(encoding="utf-8")))
+    first, second = runs
+    assert first == second
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "predict_dense.npz", "train_small.npz", "train_wide.npz"]
+    for name in ("train_small", "predict_dense", "train_wide"):
+        keys = first[name]
+        assert {"trees/test/chunked", "predict/valid", "train/parameters",
+                "checkpoint/evaluate/test"} <= set(keys)
+    # the untrained and the trained model predict differently
+    assert first["train_wide"]["predict_batch/test"] != first["train_wide"][
+        "checkpoint/predict_batch/test"]
 
 
 def test_run_synthetic_writes_metrics_and_patterns(tmp_path):
