@@ -11,10 +11,11 @@ is built from the workload's config. The script then digests, per split
   selected/<split>           `Model.select` of the chunked trees
   predict_batch/<split>      every `Predictions` array and its chains
   evaluate/<split>, explain/<split>, filter_composition/<split>
-  predict/<split>            `Model.predict` traces of up to --traces queries
+  predict/<split>            `Model.predict` traces of the first 60 queries
+                             (8 with --tiny)
 
 and a 2-epoch `train` on the workload's train subset (the benchmark's
-selection of training queries): epoch losses, validation MAE, best epoch,
+selection of training queries, `perfbench.harness._train_split`): epoch losses, validation MAE, best epoch,
 stop reason and the final parameters. Floats are digested by their bits
 (arrays) or as hex (scalars), so equal digests mean bit-identical outputs.
 
@@ -44,16 +45,17 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT))
 
+from perfbench.harness import _set_up, _train_split, generate  # noqa: E402
 from perfbench.workloads import WORKLOADS, tiny  # noqa: E402
-from rachain import evaluation, synth, training  # noqa: E402
+from rachain import evaluation, training  # noqa: E402
 from rachain.config import TrainConfig  # noqa: E402
-from rachain.kg import AttributeStats, DatasetSplit, attribute_means, load_dataset  # noqa: E402
 from rachain.model import Model, load_checkpoint, save_checkpoint  # noqa: E402
 from rachain.retrieval import TreeOfChains, sample_tree  # noqa: E402
 
 SPLITS = ("test", "valid")
 TREE_FIELDS = ("offsets", "source_attribute", "source_value", "relations", "entity_path")
 PREDICTION_FIELDS = ("predicted_norm", "predicted_value", "fallback", "omega", "proposals")
+TRACES, TINY_TRACES = 60, 8  # Model.predict traces per split
 
 
 def plain(value):
@@ -88,12 +90,6 @@ def tree_digest(toc: TreeOfChains) -> str:
     return digest(plain(toc.queries), *(np.asarray(getattr(toc, f)) for f in TREE_FIELDS))
 
 
-def build_model(kg, split, config: TrainConfig) -> Model:
-    stats = AttributeStats.from_triples(split.train, kg.n_attributes)
-    return Model(kg.n_relations, kg.n_attributes, stats,
-                 attribute_means(split.train, kg.n_attributes), config)
-
-
 def prediction_digests(model: Model, kg, split, traces: int) -> dict[str, str]:
     out = {}
     for name in SPLITS:
@@ -114,23 +110,10 @@ def prediction_digests(model: Model, kg, split, traces: int) -> dict[str, str]:
     return out
 
 
-def train_split(workload, kg, split, model, seed: int) -> DatasetSplit:
-    """The benchmark's training queries for one train call: all, or a seeded subset."""
-    rows = [(q.entity, q.attribute, q.target)
-            for q in training.scoped_queries(kg, split.train, model)]
-    if workload.train_queries is not None and workload.train_queries < len(rows):
-        keep = np.random.default_rng(seed).permutation(len(rows))[:workload.train_queries]
-        rows = [rows[i] for i in sorted(keep)]
-    return DatasetSplit(train=rows, valid=split.valid if workload.validate else [], test=[])
-
-
 def workload_digests(workload, seed: int, traces: int, checkpoint_dir: Path | None,
                      data_dir: Path) -> dict[str, str]:
-    synth.generate(synth.SynthSpec.from_dict(workload.spec), seed, data_dir)
-    kg, split = load_dataset(*(data_dir / f"{n}.tsv"
-                               for n in ("relational", "train", "valid", "test")))
     config = TrainConfig.from_dict({**workload.config, "epochs": 2})
-    model = build_model(kg, split, config)
+    kg, split, model = _set_up(generate(workload, seed, data_dir), config)
     out = {}
     for name in SPLITS:
         queries = training.scoped_queries(kg, getattr(split, name), model)
@@ -143,8 +126,8 @@ def workload_digests(workload, seed: int, traces: int, checkpoint_dir: Path | No
         out[f"selected/{name}"] = tree_digest(model.select(chunked, seeds))
     out.update(prediction_digests(model, kg, split, traces))
 
-    trained = build_model(kg, split, config)
-    result = training.train(trained, kg, train_split(workload, kg, split, trained, seed))
+    trained = Model(kg.n_relations, kg.n_attributes, model.stats, model.means, config)
+    result = training.train(trained, kg, _train_split(workload, kg, split, trained, seed))
     out["train/history"] = digest([(h.epoch, h.train_loss, h.val_mae, h.queries_used,
                                     h.queries_empty) for h in result.history],
                                   result.best_epoch, result.stop_reason)
@@ -164,21 +147,18 @@ def workload_digests(workload, seed: int, traces: int, checkpoint_dir: Path | No
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=7, help="graph and train-subset seed")
-    parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS),
-                        default=list(WORKLOADS))
     parser.add_argument("--tiny", action="store_true",
                         help="the workloads' small smoke-test form (perfbench.workloads.tiny)")
-    parser.add_argument("--traces", type=int, default=60,
-                        help="Model.predict traces per split")
     parser.add_argument("--checkpoint-dir", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
 
     digests = {}
-    for name in args.workloads:
-        workload = tiny(WORKLOADS[name]) if args.tiny else WORKLOADS[name]
+    traces = TINY_TRACES if args.tiny else TRACES
+    for name, workload in WORKLOADS.items():
+        workload = tiny(workload) if args.tiny else workload
         with tempfile.TemporaryDirectory() as tmp:
-            digests[name] = workload_digests(workload, args.seed, args.traces,
+            digests[name] = workload_digests(workload, args.seed, traces,
                                              args.checkpoint_dir, Path(tmp))
     digests["all"] = digest(digests)
     text = json.dumps(digests, indent=2, sort_keys=True) + "\n"

@@ -181,17 +181,20 @@ class Model:
         with seeds[i]; each chunk of config.batch_size queries makes one
         retrieval, one selection and one forward, and its trees are dropped
         before the next chunk is sampled."""
-        return Predictions.concatenate([
-            self._predictions(self.select(self._sample(kg, queries[c], seeds[c]), seeds[c]))
-            for c in self._chunks(len(queries))])
+        return self._predict_chunks(len(queries), seeds,
+                                    lambda c: self._sample(kg, queries[c], seeds[c]))
 
     def predict_trees(self, toc: TreeOfChains, seeds) -> Predictions:
         """predict_batch's selection and forward for trees already sampled,
         one chunk of config.batch_size trees at a time."""
         index = range(len(toc.queries))
-        return Predictions.concatenate([
-            self._predictions(self.select(toc.trees(index[c]), seeds[c]))
-            for c in self._chunks(len(index))])
+        return self._predict_chunks(len(index), seeds, lambda c: toc.trees(index[c]))
+
+    def _predict_chunks(self, n: int, seeds, trees_of) -> Predictions:
+        """One selection and one forward per chunk c of the n queries, over
+        the chunk's trees trees_of(c)."""
+        return Predictions.concatenate([self._predictions(self.select(trees_of(c), seeds[c]))
+                                        for c in self._chunks(n)])
 
     def _predictions(self, etoc: TreeOfChains) -> Predictions:
         """One forward over the selected sets without gradients; a set with

@@ -15,7 +15,7 @@ def test_output_digests_repeat_with_the_same_seed(tmp_path):
     for i in range(2):
         out = tmp_path / f"digests{i}.json"
         proc = subprocess.run([sys.executable, str(SCRIPTS / "output_digests.py"), "--tiny",
-                               "--seed", "7", "--traces", "8", "--checkpoint-dir",
+                               "--seed", "7", "--checkpoint-dir",
                                str(tmp_path / "ckpt"), "--out", str(out)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
