@@ -148,6 +148,10 @@ def _load_model_and_data(args) -> tuple[Model, dict, KnowledgeGraph, "object"]:
         raise ValueError("dataset paths missing: pass --relational/--train or use a "
                          "checkpoint that stored them")
     kg, split = load_dataset(*paths)
+    for name in ("n_relations", "n_attributes"):
+        if getattr(kg, name) != getattr(model, name):
+            raise ValueError(f"the graph has {getattr(kg, name)} {name[2:]} but the checkpoint "
+                             f"was trained with {getattr(model, name)}")
     return model, extra, kg, split
 
 

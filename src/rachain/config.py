@@ -62,10 +62,11 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        for name in ("walks", "max_hops", "top_k", "dim", "filter_dim", "layers",
-                     "heads", "affine_hidden", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ("walks", "max_hops", "top_k", "dim", "filter_dim", "layers", "heads",
+                     "affine_hidden", "epochs", "batch_size", "seed", "patience"):
+            low = 0 if name in ("seed", "patience") else 1
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         for name in ("clip_norm", "curvature"):

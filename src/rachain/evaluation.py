@@ -184,15 +184,14 @@ def filter_composition(model: Model, kg: KnowledgeGraph, triples,
     queries = scoped_queries(kg, triples, model)
     # per query: tree chains, kept chains, and those sourced from its attribute
     counts = np.zeros((len(queries), 4), dtype=np.int64)
-    size = model.config.batch_size
-    for lo in range(0, len(queries), size):
-        chunk = range(lo, min(lo + size, len(queries)))
-        toc = model.retrieve(kg, [queries[i] for i in chunk], _seeds(seed, 4, chunk))
+    for c in model.chunks(len(queries)):
+        chunk = range(len(queries))[c]
+        toc = model.retrieve(kg, queries[c], _seeds(seed, 4, chunk))
         etoc = model.select(toc, _seeds(seed, 5, chunk))
         for j, t in enumerate((toc, etoc)):  # tree, then kept: columns j and 2 + j
             same = t.source_attribute == t.query_attributes[t.tree]
-            counts[lo:lo + size, j] = t.sizes
-            counts[lo:lo + size, 2 + j] = np.bincount(t.tree[same], minlength=len(chunk))
+            counts[c, j] = t.sizes
+            counts[c, 2 + j] = np.bincount(t.tree[same], minlength=len(chunk))
     attrs = _attributes(queries)
     audits = []
     for attr in np.unique(attrs):

@@ -9,8 +9,8 @@ one forward per chunk, with the attribute-mean fallback for queries with no
 usable chains, as one `Predictions` record of arrays. Model.predict is its
 one-query case, returned as that query's trace, and Model.predict_trees
 serves trees already sampled (validation keeps them across epochs).
-Checkpoints store every parameter array by name plus the config and
-normalization statistics needed to rebuild the model exactly.
+Checkpoints store every parameter array by name (Model.state) plus the
+config and normalization statistics needed to rebuild the model exactly.
 """
 
 from __future__ import annotations
@@ -39,15 +39,13 @@ from .retrieval import TreeOfChains, chain_lengths, distinct_rows, sample_tree, 
 
 @dataclass
 class ForwardResult:
-    """One row per query of the batch with a usable chain: row j is tree
-    rows[j] of `chains`, its chains in the leading slots and pads after."""
+    """Entry j of `prediction` is the j-th tree of `chains` with a nonzero
+    size; omega and proposals are per chain of `chains`, in row order."""
 
-    prediction: Tensor           # (B,) normalized predictions
-    omega: Tensor                # (B, k) attention weights, exactly 0 on pad slots
-    proposals: Tensor            # (B, k) per-chain proposals, normalized
-    chains: TreeOfChains         # the batch's trees cut to the chains used, slot order
-    rows: np.ndarray             # (B,) int, each row's tree index in the batch
-    mask: np.ndarray             # (B, k) bool, True on the used slots
+    prediction: Tensor           # (B,) normalized predictions, sum of omega * proposals
+    omega: np.ndarray            # (len(chains),) attention weights
+    proposals: np.ndarray        # (len(chains),) per-chain proposals, normalized
+    chains: TreeOfChains         # the batch's trees cut to the chains used
 
 
 class Model:
@@ -86,6 +84,29 @@ class Model:
         """Every parameter the model owns (checkpointing), in field order."""
         return parameters(self.embeddings, self.encoder, self.affine, self.heads, self.tree)
 
+    def state(self) -> dict[str, np.ndarray]:
+        """A copy of every parameter array, by name."""
+        state: dict[str, np.ndarray] = {}
+        for p in self.all_parameters():
+            if p.name in state:
+                raise ValueError(f"duplicate parameter name {p.name!r}")
+            state[p.name] = p.data.copy()
+        return state
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Set every parameter to a float64 copy of its array in `state`,
+        which must hold exactly the model's names, each at its shape."""
+        own = {p.name: p for p in self.all_parameters()}
+        if set(state) != set(own):
+            raise ValueError(f"checkpoint mismatch: missing {sorted(set(own) - set(state))}, "
+                             f"surplus {sorted(set(state) - set(own))}")
+        for name, arr in state.items():
+            if own[name].data.shape != arr.shape:
+                raise ValueError(f"shape mismatch for {name}: "
+                                 f"{own[name].data.shape} vs {arr.shape}")
+        for name, arr in state.items():
+            own[name].data = arr.astype(np.float64)
+
     # -- pipeline ----------------------------------------------------------
 
     def retrieve(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> TreeOfChains:
@@ -93,12 +114,12 @@ class Model:
         seeds[i]; one pass per chunk of config.batch_size queries. Training
         keeps such records across epochs; predict_batch keeps none."""
         return TreeOfChains.concatenate([self._sample(kg, queries[c], seeds[c])
-                                         for c in self._chunks(len(queries))])
+                                         for c in self.chunks(len(queries))])
 
     def _sample(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> TreeOfChains:
         return sample_trees(kg, queries, self.config.walks, self.config.max_hops, seeds)
 
-    def _chunks(self, n: int) -> list[slice]:
+    def chunks(self, n: int) -> list[slice]:
         """The config.batch_size chunks of n items (one empty chunk for none)."""
         size = self.config.batch_size
         return [slice(lo, lo + size) for lo in range(0, n or 1, size)]
@@ -123,17 +144,18 @@ class Model:
         transfer builds E_a once per group of chains that share a normalized
         source value (see encoder.affine_transfer), and the heads project
         every row. Only the treeformer looks across a query's chains, so only
-        it sees the (B, k) slots: row j holds query rows[j]'s chains in its
-        leading slots, k being the largest usable count, and each other slot
-        reads an appended zero row with length 1 and proposal 0. The key mask
-        hides those slots, so their omega is exactly 0 and they add nothing
-        to a prediction or a gradient.
+        it and the prediction sum see the (B, k) slots, none of which leaves
+        this call: row j holds the j-th query's chains in its leading slots,
+        k being the largest usable count, and each other slot reads an
+        appended zero row with length 1 and proposal 0. The key mask hides
+        those slots, so their omega is exactly 0 and they add nothing to a
+        gradient. The prediction is the ω-weighted sum over each slot row,
+        the value training optimizes and predict_batch reports.
         """
         cfg = self.config
         chains = etoc.take(np.flatnonzero(self.stats.usable(etoc.source_attribute)))
-        sizes = chains.sizes
-        rows = np.flatnonzero(sizes)
-        if not rows.size:
+        sizes = chains.sizes[chains.sizes > 0]  # one slot row per query with a chain
+        if not sizes.size:
             return None
         src, relations = chains.source_attribute, chains.relations
         values_norm = self.stats.normalize(src, chains.source_value)
@@ -153,9 +175,8 @@ class Model:
         proposals = project_values(transferred, values_norm, self.heads)
 
         # each (B, k) slot's row, and in a pad slot the zero row appended last
-        b, k = rows.size, int(sizes.max())
-        mask = np.arange(k) < sizes[rows, None]
-        slot = np.full((b, k), len(chains))
+        mask = np.arange(sizes.max()) < sizes[:, None]
+        slot = np.full(mask.shape, len(chains))
         slot[mask] = np.arange(len(chains))
         proposals = take_rows(concat([proposals, Tensor(np.zeros(1))]), slot)
         if cfg.use_chain_weighting:
@@ -165,7 +186,7 @@ class Model:
         else:
             omega = Tensor(mask / mask.sum(axis=1, keepdims=True))
         prediction = aggregate(omega, proposals)
-        return ForwardResult(prediction, omega, proposals, chains, rows, mask)
+        return ForwardResult(prediction, omega.data[mask], proposals.data[mask], chains)
 
     def predict(self, kg: KnowledgeGraph, query: Query, seed: int = 0) -> PredictionTrace:
         """predict_batch for one query, as its trace, through the one-query
@@ -194,27 +215,22 @@ class Model:
         """One selection and one forward per chunk c of the n queries, over
         the chunk's trees trees_of(c)."""
         return Predictions.concatenate([self._predictions(self.select(trees_of(c), seeds[c]))
-                                        for c in self._chunks(n)])
+                                        for c in self.chunks(n)])
 
     def _predictions(self, etoc: TreeOfChains) -> Predictions:
         """One forward over the selected sets without gradients; a set with
         no usable chain falls back to its attribute's training mean."""
-        with no_grad():
-            result = self.forward(etoc)
-        chains = etoc.take([]) if result is None else result.chains
-        fallback = chains.sizes == 0
-        attrs = chains.query_attributes
+        with no_grad():  # no usable chain at all: an empty result, every set falls back
+            result = self.forward(etoc) or ForwardResult(
+                Tensor(np.empty(0)), np.empty(0), np.empty(0), etoc.take([]))
+        fallback, attrs = result.chains.sizes == 0, result.chains.query_attributes
         norm, value = np.full(len(attrs), np.nan), self.means[attrs]
-        omega = proposals = np.empty(0)
-        if result is not None:  # its rows are the queries that do not fall back
-            omega, proposals = result.omega.data[result.mask], result.proposals.data[result.mask]
-            # each row's own sum: one over its pad slots too can differ in the last bits
-            norm[~fallback] = [np.sum(w[m] * p[m]) for w, p, m in
-                               zip(result.omega.data, result.proposals.data, result.mask)]
+        norm[~fallback] = result.prediction.data
         value[~fallback] = self.stats.denormalize(attrs[~fallback], norm[~fallback])
         scaled = fallback & self.stats.usable(attrs)
         norm[scaled] = self.stats.normalize(attrs[scaled], value[scaled])
-        return Predictions(chains, norm, value, fallback, omega, proposals, self.stats)
+        return Predictions(result.chains, norm, value, fallback, result.omega,
+                           result.proposals, self.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +238,7 @@ class Model:
 
 
 def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for p in model.all_parameters():
-        key = f"param:{p.name}"
-        if key in arrays:
-            raise ValueError(f"duplicate parameter name {p.name!r}")
-        arrays[key] = p.data
+    arrays = {f"param:{name}": arr for name, arr in model.state().items()}
     arrays.update((f"stats:{k}", getattr(model.stats, k)) for k in ("mins", "maxs", "counts"))
     arrays["means"] = model.means
     meta = {
@@ -247,14 +258,6 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         stats = AttributeStats(*(data[f"stats:{k}"].copy() for k in ("mins", "maxs", "counts")))
         model = Model(meta["n_relations"], meta["n_attributes"], stats,
                       data["means"].copy(), config)
-        stored = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
-    own = {p.name: p for p in model.all_parameters()}
-    if set(stored) != set(own):
-        raise ValueError(f"checkpoint mismatch: missing {sorted(set(own) - set(stored))}, "
-                         f"surplus {sorted(set(stored) - set(own))}")
-    for name, arr in stored.items():
-        if own[name].data.shape != arr.shape:
-            raise ValueError(f"shape mismatch for {name}: "
-                             f"{own[name].data.shape} vs {arr.shape}")
-        own[name].data = arr.astype(np.float64)
+        model.load_state({k[len("param:"):]: data[k] for k in data.files
+                          if k.startswith("param:")})
     return model, meta["extra"]

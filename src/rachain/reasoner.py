@@ -6,9 +6,10 @@ readout), then a second transformer attends across the chain set (no
 positional encoding; a learned length embedding is added instead) and a
 masked softmax turns its outputs into mixture weights. The chain sets of a
 mini-batch run as one (B, k, dim) pass whose key mask hides the pad slots of
-smaller sets. The final prediction is the weight-averaged proposal,
-denormalized under the query attribute's training scale. A batch's results
-are one `Predictions` record of arrays and the used chains' `TreeOfChains`;
+smaller sets. The prediction is the weight-averaged proposal (`aggregate`),
+the one sum training optimizes and `Predictions` reports, denormalized
+under the query attribute's training scale. A batch's results are one
+`Predictions` record of arrays and the used chains' `TreeOfChains`;
 `Predictions.trace(i)` builds the trace of the one query that is shown.
 """
 

@@ -85,15 +85,6 @@ def validation_mae(model: Model, toc: TreeOfChains, seeds: list[int]) -> float:
     return float(np.mean(np.abs(predicted - targets)))
 
 
-def _snapshot(model: Model) -> dict[str, np.ndarray]:
-    return {p.name: p.data.copy() for p in model.all_parameters()}
-
-
-def _load_snapshot(model: Model, snap: dict[str, np.ndarray]) -> None:
-    for p in model.all_parameters():
-        p.data = snap[p.name].copy()
-
-
 def _step(model: Model, opt: Adam, etoc: TreeOfChains, epoch: int) -> tuple[float, int]:
     """One optimizer step on a mini-batch: one forward, one loss vector, one
     backward seeded with 1/B for the B queries with a usable chain. Returns
@@ -103,7 +94,7 @@ def _step(model: Model, opt: Adam, etoc: TreeOfChains, epoch: int) -> tuple[floa
     fwd = model.forward(etoc)
     if fwd is None:
         return 0.0, 0
-    queries = [fwd.chains.queries[i] for i in fwd.rows.tolist()]
+    queries = [fwd.chains.queries[i] for i in np.flatnonzero(fwd.chains.sizes).tolist()]
     targets = model.stats.normalize(np.array([q.attribute for q in queries]),
                                     np.array([q.target for q in queries]))
     terms = loss_term(fwd.prediction, targets, model.config.loss)
@@ -148,8 +139,8 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         total_loss = 0.0
         used = 0
         empty = 0
-        for lo in range(0, len(order), cfg.batch_size):
-            chunk = [int(qi) for qi in order[lo:lo + cfg.batch_size]]
+        for c in model.chunks(len(order)):
+            chunk = [int(qi) for qi in order[c]]
             toc = train_trees.trees(chunk) if cfg.cache_toc else model.retrieve(
                 kg, [train_queries[qi] for qi in chunk],
                 [seed_for(cfg.seed, 0, epoch, qi) for qi in chunk])
@@ -172,7 +163,7 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         if val_queries and val_mae < best_val:
             best_val = val_mae
             best_epoch = epoch
-            best_snap = _snapshot(model)
+            best_snap = model.state()
         if val_queries and epoch - best_epoch >= cfg.patience:
             result.stop_reason = "patience"
             break
@@ -182,7 +173,7 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         prev_loss = train_loss
 
     if best_snap is not None:
-        _load_snapshot(model, best_snap)
+        model.load_state(best_snap)
     result.best_val = best_val if best_epoch >= 0 else float("nan")
     result.best_epoch = best_epoch
     return result

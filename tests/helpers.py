@@ -751,25 +751,26 @@ def reference_parameters(model, trained: bool) -> list:
 
 
 # ---------------------------------------------------------------------------
-# prediction oracles: a trace per query from its padded forward row, and the
-# pattern ranking over traces with dict accumulators
+# prediction oracles: a trace per query from its chains' slice of the
+# forward, and the pattern ranking over traces with dict accumulators
 
 
 def reference_traces(model, etoc) -> list[PredictionTrace]:
     """What `Model.predict_trees(...).trace(i)` gives for every i: one
     forward over the record of selected sets without gradients, and a trace
-    per set from the first m slots of its row; a set with no usable chain
-    falls back to its attribute's training mean."""
+    per set from its chains' slice of omega and proposals, with the forward's
+    prediction; a set with no usable chain falls back to its attribute's
+    training mean."""
     with ad.no_grad():
         result = model.forward(etoc)
-    rows = {} if result is None else {i: row for row, i in enumerate(result.rows.tolist())}
+    predictions = iter(() if result is None else result.prediction.data.tolist())
     traces = []
     for i, query in enumerate(etoc.queries):
-        if i in rows:
-            row, used = rows[i], result.chains.trees([i])
-            m = len(used)
-            traces.append(reference_trace(query, used.chains, result.omega.data[row, :m],
-                                          result.proposals.data[row, :m], model.stats))
+        if result is not None and result.chains.sizes[i]:
+            rows = slice(*result.chains.offsets[i:i + 2])
+            traces.append(reference_trace(query, result.chains.trees([i]).chains,
+                                          result.omega[rows], result.proposals[rows],
+                                          model.stats, next(predictions)))
             continue
         value = float(model.means[query.attribute])
         norm = (model.stats.normalize(query.attribute, value)
@@ -779,10 +780,15 @@ def reference_traces(model, etoc) -> list[PredictionTrace]:
     return traces
 
 
-def reference_trace(query, chains, omega, proposals_norm, stats) -> PredictionTrace:
+def reference_trace(query, chains, omega, proposals_norm, stats,
+                    predicted_norm: float | None = None) -> PredictionTrace:
     """The trace of one query's m used chains with their weights and
-    proposals, largest weight first; the prediction is their own sum."""
+    proposals, largest weight first. The prediction is their own sum, or
+    predicted_norm when given, which must equal that sum within 1e-12."""
     final_norm = float(np.sum(omega * proposals_norm))
+    if predicted_norm is not None:
+        assert abs(predicted_norm - final_norm) <= 1e-12, (predicted_norm, final_norm)
+        final_norm = predicted_norm
     values = stats.denormalize(query.attribute, proposals_norm)
     contributions = [
         ChainContribution(chain=ch, weight=w, proposal_norm=p, proposal_value=v)

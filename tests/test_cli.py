@@ -11,6 +11,7 @@ import pytest
 import rachain
 from rachain.cli import _config_from_args, build_parser, main
 from rachain.config import TrainConfig
+from rachain.model import load_checkpoint
 
 
 # src spans [0, 10] thanks to the standalone facts while rule sources stay in
@@ -162,6 +163,31 @@ class TestEval:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err and "empty" in captured.err
+
+    @pytest.mark.parametrize("table, counts", [("relational", "relations"),
+                                               ("train", "attributes")])
+    def test_eval_on_a_graph_of_another_size_fails_cleanly(self, workspace, capsys,
+                                                           tmp_path, table, counts):
+        # each relation renamed per row, or one more attribute, than the
+        # checkpoint's graph has
+        data = workspace / "data"
+        rows = (data / f"{table}.tsv").read_text().splitlines()
+        if table == "relational":
+            rows = [f"{h}\t{r}{i}\t{t}" for i, (h, r, t) in
+                    enumerate(row.split("\t") for row in rows)]
+        else:
+            rows.append(rows[0].split("\t")[0] + "\textra\t1.0")
+        (tmp_path / f"{table}.tsv").write_text("\n".join(rows) + "\n")
+        paths = {name: str(data / f"{name}.tsv") for name in ("relational", "train", "test")}
+        paths[table] = str(tmp_path / f"{table}.tsv")
+        ckpt = workspace / "run" / "checkpoint.npz"
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     *(arg for name, path in paths.items() for arg in (f"--{name}", path))])
+        captured = capsys.readouterr()
+        stored = getattr(load_checkpoint(ckpt)[0], f"n_{counts}")
+        assert code == 1
+        assert f"but the checkpoint was trained with {stored}" in captured.err
+        assert f" {counts} " in captured.err
 
 
 class TestPredict:

@@ -33,6 +33,8 @@ def test_defaults_construct():
         ({"init_radius": 2.0}, "init_radius must lie in"),
         ({"init_radius": 0.0}, "init_radius must lie in"),
         ({"curvature": 4.0, "init_radius": 0.5}, "init_radius must lie in"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"patience": -2}, "patience must be >= 0"),
     ],
 )
 def test_invalid_values_rejected(kwargs, fragment):

@@ -123,6 +123,19 @@ class TestWeighting:
         assert tree_params.length_table.grad is not None
         assert np.any(tree_params.length_table.grad != 0.0)
 
+    def test_masked_slots_get_zero_weight_and_zero_gradient(self, tree_params, rng):
+        # sets of 2 and 4 chains in (2, 4) slots, random values in the pad slots
+        reps = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
+        lengths = rng.integers(1, 4, size=(2, 4))
+        mask = np.arange(4) < np.array([[2], [4]])
+        omega = R.weight_chains(reps, lengths, tree_params, mask)
+        ad.backward(ad.tensor_sum(ad.mul(omega, Tensor(rng.uniform(size=(2, 4))))))
+        assert np.all(omega.data[~mask] == 0.0)
+        assert np.all(reps.grad[~mask] == 0.0) and np.all(reps.grad[mask] != 0.0)
+        np.testing.assert_allclose(omega.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        alone = R.weight_chains(Tensor(reps.data[0, :2]), lengths[0, :2], tree_params)
+        np.testing.assert_allclose(omega.data[0, :2], alone.data, rtol=0, atol=1e-12)
+
 
 class TestAggregate:
     def test_matches_dot_product(self, rng):
