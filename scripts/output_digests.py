@@ -8,7 +8,9 @@ is built from the workload's config. The script then digests, per split
 
   trees/<split>/chunked      `Model.retrieve` (one pass per batch_size chunk)
   trees/<split>/one_by_one   `sample_tree` per query
-  selected/<split>           `Model.select` of the chunked trees
+  selected/<split>/chunked   `Model.select` of the chunked trees
+  selected/<split>/one_by_one  `Model.select` of each one_by_one tree on its
+                             own (the selection `Model.predict` makes)
   predict_batch/<split>      every `Predictions` array and its chains
   evaluate/<split>, explain/<split>, filter_composition/<split>
   predict/<split>            `Model.predict` traces of the first 60 queries
@@ -123,7 +125,9 @@ def workload_digests(workload, seed: int, traces: int, checkpoint_dir: Path | No
                       for q, s in zip(queries, seeds)]
         out[f"trees/{name}/chunked"] = tree_digest(chunked)
         out[f"trees/{name}/one_by_one"] = digest(*map(tree_digest, one_by_one))
-        out[f"selected/{name}"] = tree_digest(model.select(chunked, seeds))
+        out[f"selected/{name}/chunked"] = tree_digest(model.select(chunked, seeds))
+        out[f"selected/{name}/one_by_one"] = digest(*(tree_digest(model.select(t, [s]))
+                                                      for t, s in zip(one_by_one, seeds)))
     out.update(prediction_digests(model, kg, split, traces))
 
     trained = Model(kg.n_relations, kg.n_attributes, model.stats, model.means, config)

@@ -46,10 +46,6 @@ class MetricsReport:
     skipped_attributes: list[str] = field(default_factory=list)
 
 
-def _seeds(seed: int, channel: int, indices) -> list[int]:
-    return [seed_for(seed, channel, 0, i) for i in indices]
-
-
 def _attributes(queries: list[Query]) -> np.ndarray:
     return np.array([q.attribute for q in queries], dtype=np.int64)
 
@@ -88,7 +84,7 @@ def evaluate(model: Model, kg: KnowledgeGraph, triples, seed: int = 0) -> Metric
     """Predict every query in `triples` (`Model.predict_batch`, query i with
     channel-3 seed i) and score against its held-out value."""
     queries, skipped = _split_queries(kg, model, triples)
-    predictions = model.predict_batch(kg, queries, _seeds(seed, 3, range(len(queries))))
+    predictions = model.predict_batch(kg, queries, seed_for(seed, 3, 0, range(len(queries))))
     return _report(kg, model.stats, queries, predictions.predicted_value,
                    predictions.fallback, skipped)
 
@@ -186,8 +182,8 @@ def filter_composition(model: Model, kg: KnowledgeGraph, triples,
     counts = np.zeros((len(queries), 4), dtype=np.int64)
     for c in model.chunks(len(queries)):
         chunk = range(len(queries))[c]
-        toc = model.retrieve(kg, queries[c], _seeds(seed, 4, chunk))
-        etoc = model.select(toc, _seeds(seed, 5, chunk))
+        toc = model.retrieve(kg, queries[c], seed_for(seed, 4, 0, chunk))
+        etoc = model.select(toc, seed_for(seed, 5, 0, chunk))
         for j, t in enumerate((toc, etoc)):  # tree, then kept: columns j and 2 + j
             same = t.source_attribute == t.query_attributes[t.tree]
             counts[c, j] = t.sizes
@@ -223,4 +219,4 @@ def explain(model: Model, kg: KnowledgeGraph, triples,
     if not queries:
         raise ValueError("no queries to explain")
     return top_patterns(model.predict_batch(kg, queries,
-                                            _seeds(seed, 6, range(len(queries)))))
+                                            seed_for(seed, 6, 0, range(len(queries)))))

@@ -10,8 +10,11 @@ Scores are distances, so lower means more relevant and selection keeps the
 k smallest. Ties break on (length, entity path, relations, source
 attribute) so selection is a total order and reproducible.
 `select_top_k_batch` selects for a chunk's record of trees at once: one
-score per distinct pattern of the chunk, and one sort over its rows with the
-tree index as the primary key. `select_top_k` is its traced one-query name.
+score per distinct pattern of the chunk, ranked once as integers, then one
+integer sort of (tree, rank) keys whose k-th key per tree is read at the
+record's offsets, and one tie-break sort over the rows that can be kept,
+with the tree index as the primary key. `select_top_k` is its traced
+one-query name.
 """
 
 from __future__ import annotations
@@ -77,28 +80,34 @@ def chain_scores(source_attribute: np.ndarray, relations: np.ndarray, query_attr
     return lam * d_attr + (1.0 - lam) * d_fold
 
 
-def top_k_rows(scores: np.ndarray, tree: np.ndarray, source_attribute: np.ndarray,
+def top_k_rows(rank: np.ndarray, offsets: np.ndarray, source_attribute: np.ndarray,
                relations: np.ndarray, entity_path: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the k best rows of every tree, trees in ascending order
     and best first within each, with deterministic ties: per tree, the order
     of one stable sort on score, length, entity path, relations, source
-    attribute. `tree` holds each row's tree index.
+    attribute. `rank` holds each row's score as a non-negative integer in
+    score order, equal scores one rank; tree i holds rows
+    offsets[i]:offsets[i + 1].
 
-    A 2-key sort (tree, score) finds each tree's k-th best score; only the
-    rows at or better than it can be among a tree's k best, since score is
-    the primary key, so only they take the full tie-break sort.
+    One integer sort of the (tree, rank) keys leaves tree i's keys in rows
+    offsets[i]:offsets[i + 1], so its k-th best key is one read, at
+    offsets[i] + min(k, size_i) - 1. Only the rows at or better than it can
+    be among a tree's k best, since score is the primary key, so only they
+    take the full tie-break sort.
     """
-    by_score = np.lexsort((scores, tree))
-    grouped = tree[by_score]
-    start, end = np.searchsorted(grouped, grouped), np.searchsorted(grouped, grouped, "right")
-    kth = np.empty_like(scores)  # each row's tree's k-th best score
-    kth[by_score] = scores[by_score[np.minimum(start + k, end) - 1]]
-    rows = np.flatnonzero(~(scores > kth))  # NaN scores stay in, as in a full sort
+    sizes = offsets[1:] - offsets[:-1]
+    tree = np.repeat(np.arange(sizes.size), sizes)
+    key = tree * len(rank) + rank  # ranks are below the row count
+    # the sorted keys behind a -1, so the k-th best key of tree i is entry
+    # offsets[i] + min(k, size_i); a tree that keeps nothing (k = 0, or no
+    # rows) reads an entry below all of its keys: an earlier tree's, or the -1
+    kth = np.concatenate(([-1], np.sort(key)))[offsets[:-1] + np.minimum(sizes, k)]
+    rows = np.flatnonzero(key <= kth[tree])
     relations = relations.take(rows, axis=0)
     # np.lexsort sorts by its last key first
     keys = ([source_attribute.take(rows)] + list(relations.T[::-1])
             + list(entity_path.take(rows, axis=0).T[::-1])
-            + [chain_lengths(relations), scores.take(rows), tree.take(rows)])
+            + [chain_lengths(relations), key.take(rows)])
     order = rows[np.lexsort(keys)]
     grouped = tree[order]
     return order[np.arange(order.size) - np.searchsorted(grouped, grouped) < k]
@@ -109,15 +118,18 @@ def select_top_k_batch(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
     """Each tree's k best-scoring chains, best first, in one pass over the
     record. A score depends only on the chain's pattern
     (source attribute, relations, query attribute), so it is computed once
-    per distinct pattern and gathered back to every chain that has it. Tree
-    i's result does not depend on the other trees."""
-    tree = toc.tree
-    query_attribute = toc.query_attributes[tree]
+    per distinct pattern, ranked among the patterns' scores (equal scores
+    one rank, NaN after every number, as a sort places it) and the rank
+    gathered back to every chain that has it. Tree i's result does not
+    depend on the other trees."""
+    query_attribute = np.repeat(toc.query_attributes, toc.sizes)
     first, inverse = distinct_rows(np.column_stack([toc.source_attribute, toc.relations,
                                                     query_attribute]))
     scores = chain_scores(toc.source_attribute[first], toc.relations[first],
-                          query_attribute[first], embeddings, lam)[inverse]
-    rows = top_k_rows(scores, tree, toc.source_attribute, toc.relations, toc.entity_path, k)
+                          query_attribute[first], embeddings, lam)
+    rank = np.searchsorted(np.sort(scores), scores)
+    rows = top_k_rows(rank[inverse], toc.offsets, toc.source_attribute, toc.relations,
+                      toc.entity_path, k)
     return toc.take(rows)
 
 

@@ -84,7 +84,7 @@ class TreeOfChains:
     @property
     def sizes(self) -> np.ndarray:
         """Each tree's number of rows."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     @property
     def tree(self) -> np.ndarray:
@@ -103,7 +103,8 @@ class TreeOfChains:
     def take(self, rows) -> "TreeOfChains":
         """The chains of `rows` (ascending tree, any order within one), in
         that order; every tree keeps its slot."""
-        offsets = np.searchsorted(self.tree.take(rows), np.arange(len(self.queries) + 1))
+        tree = self.offsets.searchsorted(rows, "right") - 1  # each row's tree
+        offsets = tree.searchsorted(np.arange(len(self.queries) + 1))
         return self._gather(self.queries, offsets, rows)
 
     def trees(self, index) -> "TreeOfChains":
@@ -158,17 +159,37 @@ def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum.reduceat(order, starts.nonzero()[0]), inverse
 
 
+# distinct_rows dedupes through a dense table while its packed key space
+# holds at most this many entries per row, and sorts the keys past that, so
+# the table's memory stays linear in the rows.
+KEY_TABLE_PER_ROW = 1
+
+
 def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For the rows of an integer array (n, w) with entries >= -1: the index
     of the first occurrence of each distinct row, rows in ascending
     lexicographic order, and for every row the position of its row among
     those. Each row packs into one int64, mixed radix over the columns'
-    spans (max + 2, the -1 pad being digit 0), so one `first_occurrences`
-    dedupes them; raises OverflowError if the spans' product passes int64."""
-    spans = (keys.max(axis=0, initial=-1) + 2).tolist()
+    spans (max + 2, the -1 pad being digit 0); raises OverflowError if the
+    spans' product passes int64. While that key space holds at most
+    KEY_TABLE_PER_ROW entries per row, a dense table of each key's first
+    row (`np.minimum.at` over row ids) dedupes the keys, and a running count
+    of the keys present gives each one's position; past that, one
+    `first_occurrences` sorts them."""
+    columns = keys.T.copy()  # contiguous columns: their maxima and the packing read rows fast
+    spans = (columns.max(axis=1, initial=-1) + 2).tolist()
     _check_packable(*spans)
     radix = [math.prod(spans[j + 1:]) for j in range(len(spans))]  # of each column's digit
-    return first_occurrences(keys @ radix + sum(radix))  # (keys + 1) @ radix
+    packed = np.array(radix) @ columns + sum(radix)  # (keys + 1) @ radix
+    n, space = len(keys), math.prod(spans)
+    if space > KEY_TABLE_PER_ROW * n:
+        return first_occurrences(packed)
+    table = np.full(space, n)
+    np.minimum.at(table, packed, np.arange(n))
+    present = table < n
+    position = present.cumsum()
+    position -= 1
+    return table[present], position[packed]
 
 
 def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:

@@ -49,9 +49,55 @@ class TrainResult:
     stop_reason: str = "epochs"
 
 
-def seed_for(base: int, channel: int, epoch: int, index: int) -> int:
-    """Deterministic per-(purpose, epoch, query) RNG seed."""
-    return int(np.random.SeedSequence([base, channel, epoch, index]).generate_state(1)[0])
+def seed_for(base: int, channel: int, epoch: int, index):
+    """Deterministic per-(purpose, epoch, query) RNG seed,
+    SeedSequence([base, channel, epoch, index]).generate_state(1)[0], as an
+    int; for an array of indices, their seeds as an int64 array from one
+    numpy pass (`_first_state_word`) while every word is below 2**32, so
+    that the entropy is exactly the sequence's four-word pool, and from
+    SeedSequence one by one past that."""
+    if np.ndim(index) == 0:
+        return int(np.random.SeedSequence([base, channel, epoch, index]).generate_state(1)[0])
+    index = np.asarray(index)
+    words = (base, channel, epoch)
+    if all(0 <= w <= _MASK32 for w in words) and (
+            index.size == 0 or 0 <= index.min() and index.max() <= _MASK32):
+        return _first_state_word(*words, index.astype(np.uint64)).astype(np.int64)
+    return np.array([seed_for(*words, i) for i in index.ravel().tolist()],
+                    dtype=np.int64).reshape(index.shape)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _first_state_word(*words):
+    """SeedSequence(words).generate_state(1)[0] for four 32-bit words, each an
+    int or a uint64 array (the result broadcasts): the pool mix of
+    SeedSequence.mix_entropy and the first word of generate_state, every
+    product reduced mod 2**32."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    value = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32) & _MASK32
+    return value ^ (value >> 16)
 
 
 def loss_term(prediction: Tensor, target_norm, kind: str) -> Tensor:
@@ -73,7 +119,7 @@ def scoped_queries(kg: KnowledgeGraph, triples: np.ndarray, model: Model) -> lis
     return queries_from_triples(triples[keep])
 
 
-def validation_mae(model: Model, toc: TreeOfChains, seeds: list[int]) -> float:
+def validation_mae(model: Model, toc: TreeOfChains, seeds) -> float:
     """Mean absolute error in normalized space (fallbacks included) of the
     predictions from the sampled trees of `toc`, tree i's selection drawn
     with seeds[i] (`Model.predict_trees`)."""
@@ -123,10 +169,10 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
 
     opt = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
-    val_seeds = [seed_for(cfg.seed, 1, 0, i) for i in range(len(val_queries))]
+    val_seeds = seed_for(cfg.seed, 1, 0, range(len(val_queries)))
     val_trees = model.retrieve(kg, val_queries, val_seeds)
-    train_trees = model.retrieve(kg, train_queries, [
-        seed_for(cfg.seed, 0, 0, i) for i in range(len(train_queries))]) if cfg.cache_toc else None
+    train_trees = model.retrieve(kg, train_queries, seed_for(
+        cfg.seed, 0, 0, range(len(train_queries)))) if cfg.cache_toc else None
     result = TrainResult(model=model)
     best_snap: dict[str, np.ndarray] | None = None
     best_val = float("inf")
@@ -140,12 +186,11 @@ def train(model: Model, kg: KnowledgeGraph, split: DatasetSplit,
         used = 0
         empty = 0
         for c in model.chunks(len(order)):
-            chunk = [int(qi) for qi in order[c]]
+            chunk = order[c]
             toc = train_trees.trees(chunk) if cfg.cache_toc else model.retrieve(
-                kg, [train_queries[qi] for qi in chunk],
-                [seed_for(cfg.seed, 0, epoch, qi) for qi in chunk])
+                kg, [train_queries[qi] for qi in chunk], seed_for(cfg.seed, 0, epoch, chunk))
             etoc = model.select(toc, None if cfg.use_filter else
-                                [seed_for(cfg.seed, 2, epoch, qi) for qi in chunk])
+                                seed_for(cfg.seed, 2, epoch, chunk))
             batch_loss, batch_used = _step(model, opt, etoc, epoch)
             total_loss += batch_loss
             used += batch_used

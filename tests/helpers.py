@@ -468,9 +468,15 @@ def reference_distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
+def score_ranks(scores: np.ndarray) -> np.ndarray:
+    """The ranks `top_k_rows` takes: each score's position among the sorted
+    scores, equal scores (and every NaN) one rank."""
+    return np.searchsorted(np.sort(scores), scores)
+
+
 def top_k_order(scores: np.ndarray, toc: TreeOfChains, k: int) -> np.ndarray:
     """`top_k_rows` on one tree: the row indices of its k best chains."""
-    return top_k_rows(scores, np.zeros(len(toc), dtype=np.int64), toc.source_attribute,
+    return top_k_rows(score_ranks(scores), np.array([0, len(toc)]), toc.source_attribute,
                       toc.relations, toc.entity_path, k)
 
 

@@ -3,16 +3,23 @@ import pytest
 
 from helpers import (
     affinity_score,
+    assert_same_tree,
     chain_set,
     embed_chain,
     oracle_distance,
     oracle_mobius,
     reference_select_top_k,
+    score_ranks,
     top_k_order,
+    tree_arrays,
 )
+from perfbench.workloads import WORKLOADS, tiny
 from rachain import filter as F
-from rachain.kg import Query
-from rachain.retrieval import RAChain, TreeOfChains
+from rachain import training
+from rachain.config import TrainConfig
+from rachain.kg import AttributeStats, Query, attribute_means
+from rachain.model import Model
+from rachain.retrieval import RAChain, TreeOfChains, sample_tree
 
 
 def make_embeddings(rng, n_relations=6, n_attributes=4, dim=5):
@@ -223,16 +230,109 @@ class TestBatchedSelection:
         oracle = TestTopK().sort_oracle
         for _ in range(30):
             parts = [toc_with_scores(rng, int(rng.integers(0, 15))) for _ in range(4)]
-            tree = np.repeat(np.arange(4), [len(toc) for toc, _ in parts])
+            offsets = np.cumsum([0] + [len(toc) for toc, _ in parts])
             cat = [np.concatenate([getattr(toc, name) for toc, _ in parts])
                    for name in ("source_attribute", "relations", "entity_path")]
             scores = np.concatenate([s for _, s in parts])
             k = int(rng.integers(0, 8))
-            got = F.top_k_rows(scores, tree, *cat, k)
-            offsets = np.cumsum([0] + [len(toc) for toc, _ in parts])
+            got = F.top_k_rows(score_ranks(scores), offsets, *cat, k)
             want = [offsets[t] + i for t, (toc, s) in enumerate(parts)
                     for i in oracle(s, toc.chains, k)]
             assert got.tolist() == want
+
+
+def assert_selects_like_references(toc, emb, k, lam=0.5):
+    """select_top_k_batch over the record, tree by tree, against
+    reference_select_top_k, TestTopK.sort_oracle (a NaN score sorting after
+    every number, as lexsort places it) and select_top_k on the tree alone."""
+    got = F.select_top_k_batch(toc, emb, k, lam)
+    assert got.queries == toc.queries
+    assert got.sizes.tolist() == np.minimum(toc.sizes, k).tolist()
+    oracle = TestTopK().sort_oracle
+    for i in range(len(toc.queries)):
+        tree, kept = toc.trees([i]), tree_arrays(got, i)
+        scores = F.chain_scores(tree.source_attribute, tree.relations,
+                                tree.queries[0].attribute, emb, lam)
+        by_oracle = oracle(np.where(np.isnan(scores), np.inf, scores), tree.chains, k)
+        for want in (reference_select_top_k(tree, emb, k, lam), tree.take(by_oracle),
+                     F.select_top_k(tree, emb, k, lam)):
+            assert_same_tree(kept, tree_arrays(want, 0))
+    return got
+
+
+class TestSelectionEdges:
+    """Chunk selection where the k-th key read and the integer score ranks
+    could go wrong: NaN scores, k = 0, empty trees and exact score ties."""
+
+    def test_nan_scores_in_trees_larger_and_smaller_than_k(self, rng):
+        emb = make_embeddings(rng)
+        emb.relations.data[5] = np.nan  # every chain through relation 5 scores NaN
+        patterns = [(0, (5,)), (2, (1,)), (1, (2, 5)), (3, (4, 0)), (1, (3,))]
+        # tree i takes the patterns in turn, on paths that repeat every 7 chains
+        toc = TreeOfChains.concatenate([chain_set(Query(i, 1 + i % 2), [
+            make_chain(*patterns[j % 5], value=float(j % 3), path_start=10 * (j % 7))
+            for j in range(n)]) for i, n in enumerate([30, 3, 0, 12, 5])])
+        nan = np.isnan(F.chain_scores(toc.source_attribute, toc.relations,
+                                      toc.query_attributes[toc.tree], emb))
+        for i in (0, 1, 3, 4):  # trees above and below k = 6 hold NaN and numbers
+            assert 0 < nan[toc.tree == i].sum() < toc.sizes[i]
+        for k in (1, 2, 4, 6, 40):
+            assert_selects_like_references(toc, emb, k)
+
+    def test_k_zero_keeps_nothing(self, rng):
+        emb = make_embeddings(rng)
+        patterns = random_patterns(rng, 4)
+        toc = TreeOfChains.concatenate([random_tree(rng, Query(i, 1), n, patterns)
+                                        for i, n in enumerate([9, 0, 1])])
+        got = assert_selects_like_references(toc, emb, 0)
+        assert len(got) == 0 and got.sizes.tolist() == [0, 0, 0]
+
+    def test_all_empty_record(self, rng):
+        emb = make_embeddings(rng)
+        toc = TreeOfChains.concatenate([chain_set(Query(i, 0), []) for i in range(3)])
+        for k in (0, 1, 5):
+            got = assert_selects_like_references(toc, emb, k)
+            assert got.offsets.tolist() == [0, 0, 0, 0]
+
+    def test_empty_trees_between_full_ones(self, rng):
+        emb = make_embeddings(rng)
+        patterns = random_patterns(rng, 5)
+        toc = TreeOfChains.concatenate([random_tree(rng, Query(i, 1 + i % 2), n, patterns)
+                                        for i, n in enumerate([0, 14, 0, 0, 9, 0, 20, 0])])
+        for k in (1, 3, 9, 10, 25):
+            assert_selects_like_references(toc, emb, k)
+
+    def test_different_patterns_tie_exactly(self, rng):
+        # lam = 1 scores only d(source attribute, query attribute), so every
+        # pattern with one source attribute ties, whatever its relations
+        emb = make_embeddings(rng)
+        patterns = [(src, rels) for src in (0, 2) for rels in [(1,), (3, 4), (5, 0, 2)]]
+        toc = TreeOfChains.concatenate([random_tree(rng, Query(i, 1), n, patterns)
+                                        for i, n in enumerate([18, 7, 25])])
+        scores = F.chain_scores(toc.source_attribute, toc.relations, 1, emb, lam=1.0)
+        assert np.unique(scores).size == 2
+        assert np.unique(toc.relations[scores == scores.min()], axis=0).shape[0] > 1
+        for k in (1, 5, 8, 30):
+            assert_selects_like_references(toc, emb, k, lam=1.0)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_chunk_matches_per_tree_on_bench_graphs(self, bench_graph, name):
+        kg, split = bench_graph
+        config = TrainConfig.from_dict(tiny(WORKLOADS[name]).config)
+        model = Model(kg.n_relations, kg.n_attributes,
+                      AttributeStats.from_triples(split.train, kg.n_attributes),
+                      attribute_means(split.train, kg.n_attributes), config)
+        queries = training.scoped_queries(
+            kg, np.concatenate([split.test, split.valid, split.train[:24]]), model)
+        seeds = list(range(len(queries)))
+        toc = model.retrieve(kg, queries, seeds)
+        assert len(queries) > config.batch_size and len(toc) > config.top_k
+        got = model.select(toc, seeds)
+        for i, (query, seed) in enumerate(zip(queries, seeds)):
+            tree = sample_tree(kg, query, config.walks, config.max_hops, seed)
+            one = F.select_top_k(tree, model.embeddings, config.top_k, config.lam)
+            assert_same_tree(tree_arrays(got, i), tree_arrays(one, 0))
+        assert_selects_like_references(toc, model.embeddings, config.top_k, config.lam)
 
 
 class TestRandomK:

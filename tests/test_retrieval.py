@@ -130,17 +130,50 @@ class TestFirstOccurrences:
             np.testing.assert_array_equal(g, w)
 
 
+DISTINCT_ROW_CASES = [
+    ((400, 5), -1, 3), ((400, 5), -1, 40), ((300, 1), -1, 6), ((1, 4), -1, 2),
+    ((0, 5), -1, 3), ((0, 1), -1, 3), ((50, 1), -1, 0), ((200, 3), -1, 0),
+]
+
+
 class TestDistinctRows:
     """distinct_rows against np.unique(axis=0)."""
 
-    @pytest.mark.parametrize("shape,low,high", [
-        ((400, 5), -1, 3), ((400, 5), -1, 40), ((300, 1), -1, 6), ((1, 4), -1, 2),
-        ((0, 5), -1, 3), ((0, 1), -1, 3),
-    ])
+    @pytest.mark.parametrize("shape,low,high", DISTINCT_ROW_CASES)
     def test_matches_np_unique_rows(self, shape, low, high):
         keys = np.random.default_rng(shape[0] + high).integers(low, high, size=shape)
         for got, want in zip(R.distinct_rows(keys), reference_distinct_rows(keys)):
             np.testing.assert_array_equal(got, want)
+
+    def test_an_all_pad_column_among_others(self):
+        keys = np.random.default_rng(5).integers(-1, 4, size=(300, 4))
+        keys[:, 2] = -1
+        for got, want in zip(R.distinct_rows(keys), reference_distinct_rows(keys)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("per_row", [0, 10 ** 9], ids=["always_sort", "always_table"])
+    def test_both_key_dedupes_match_np_unique(self, monkeypatch, per_row):
+        # the dense key table and the sort it falls back to give the same rows
+        monkeypatch.setattr(R, "KEY_TABLE_PER_ROW", per_row)
+        for case in DISTINCT_ROW_CASES:
+            self.test_matches_np_unique_rows(*case)
+        self.test_an_all_pad_column_among_others()
+        self.test_pattern_rows_with_pads()
+        self.test_overflow_raises()
+
+    def test_a_wide_key_space_sorts(self):
+        # three columns of span 10**4: a table would hold 10**12 entries
+        keys = np.random.default_rng(6).integers(-1, 10 ** 4 - 1, size=(1000, 3))
+        keys[0] = 10 ** 4 - 2
+        tracemalloc.start()
+        try:
+            got = R.distinct_rows(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for g, w in zip(got, reference_distinct_rows(keys)):
+            np.testing.assert_array_equal(g, w)
 
     def test_pattern_rows_with_pads(self):
         # (source attribute, -1-padded relations, query attribute)

@@ -59,6 +59,31 @@ class TestSeeds:
         assert T.seed_for(0, 0, 1, 0) != T.seed_for(0, 0, 2, 0)
         assert T.seed_for(0, 0, 1, 0) != T.seed_for(0, 0, 1, 1)
 
+    def test_seed_for_an_array_matches_seed_sequence(self):
+        # words below 2**32 take the numpy pass, any larger word SeedSequence
+        indices = [0, 1, 5, 2 ** 31, 2 ** 32 - 1]
+        for base in (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3):
+            for channel in range(7):
+                for epoch in range(301):
+                    got = T.seed_for(base, channel, epoch, indices)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == [
+                        int(np.random.SeedSequence([base, channel, epoch, i]).generate_state(1)[0])
+                        for i in indices]
+
+    def test_seed_for_a_scalar_and_edge_arrays(self):
+        want = int(np.random.SeedSequence([7, 2, 3, 9]).generate_state(1)[0])
+        assert T.seed_for(7, 2, 3, 9) == want and type(T.seed_for(7, 2, 3, 9)) is int
+        assert T.seed_for(7, 2, 3, np.int64(9)) == want
+        assert T.seed_for(7, 2, 3, range(8, 11)).tolist()[1] == want
+        assert T.seed_for(7, 2, 3, np.array([[9], [9]])).tolist() == [[want], [want]]
+        assert T.seed_for(7, 2, 3, []).shape == (0,)
+        # one index past 2**32 sends the whole array to SeedSequence
+        big = [9, 2 ** 32]
+        assert T.seed_for(7, 2, 3, big).tolist() == [want, T.seed_for(7, 2, 3, 2 ** 32)]
+        with pytest.raises(ValueError):
+            T.seed_for(7, 2, 3, [9, -1])
+
 
 class TestLossTerm:
     def test_l2(self):
@@ -292,7 +317,7 @@ class TestSelectionSeeds:
         seed_for = T.seed_for
 
         def counting(base, channel, epoch, index):
-            calls.append(channel)
+            calls.extend([channel] * np.size(index))  # one per seed derived
             return seed_for(base, channel, epoch, index)
 
         monkeypatch.setattr(T, "seed_for", counting)
