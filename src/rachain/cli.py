@@ -206,7 +206,13 @@ def _trace_to_dict(trace, kg: KnowledgeGraph) -> dict:
     }
 
 
+def _check_count(value: int, flag: str) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be non-negative, got {value}")
+
+
 def cmd_predict(args) -> int:
+    _check_count(args.top, "--top")
     model, _, kg, _ = _load_model_and_data(args)
     if args.entity not in kg.entity_index:
         raise ValueError(f"unknown entity {args.entity!r}")
@@ -229,6 +235,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    _check_count(args.limit, "--limit")
     model, _, kg, split = _load_model_and_data(args)
     triples = getattr(split, args.split)
     if args.attribute:

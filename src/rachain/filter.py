@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import Parameter
 from .hyperbolic import distance_raw, mobius_add_raw, random_ball_rows
-from .retrieval import TreeOfChains, chain_lengths, distinct_rows
+from .retrieval import TreeOfChains, chain_lengths
 
 
 @dataclass
@@ -116,17 +116,14 @@ def top_k_rows(rank: np.ndarray, offsets: np.ndarray, source_attribute: np.ndarr
 def select_top_k_batch(toc: TreeOfChains, embeddings: FilterEmbeddings, k: int,
                        lam: float = 0.5) -> TreeOfChains:
     """Each tree's k best-scoring chains, best first, in one pass over the
-    record. A score depends only on the chain's pattern
-    (source attribute, relations, query attribute), so it is computed once
-    per distinct pattern, ranked among the patterns' scores (equal scores
-    one rank, NaN after every number, as a sort places it) and the rank
-    gathered back to every chain that has it. Tree i's result does not
-    depend on the other trees."""
-    query_attribute = np.repeat(toc.query_attributes, toc.sizes)
-    first, inverse = distinct_rows(np.column_stack([toc.source_attribute, toc.relations,
-                                                    query_attribute]))
-    scores = chain_scores(toc.source_attribute[first], toc.relations[first],
-                          query_attribute[first], embeddings, lam)
+    record. A score depends only on the chain's pattern (source attribute,
+    relations, query attribute), so it is computed once per distinct
+    pattern (`TreeOfChains.patterns`), ranked among the patterns' scores
+    (equal scores one rank, NaN after every number, as a sort places it)
+    and the rank gathered back to every chain that has it. Tree i's result
+    does not depend on the other trees."""
+    patterns, inverse = toc.patterns()
+    scores = chain_scores(*patterns, embeddings, lam)
     rank = np.searchsorted(np.sort(scores), scores)
     rows = top_k_rows(rank[inverse], toc.offsets, toc.source_attribute, toc.relations,
                       toc.entity_path, k)

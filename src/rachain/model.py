@@ -34,7 +34,7 @@ from .reasoner import (
     project_values,
     weight_chains,
 )
-from .retrieval import TreeOfChains, chain_lengths, distinct_rows, sample_tree, sample_trees
+from .retrieval import TreeOfChains, sample_tree, sample_trees
 
 
 @dataclass
@@ -138,31 +138,29 @@ class Model:
         a chain with a normalizable source value.
 
         The per-chain layers run on the usable chains as flat rows, in record
-        order. Their distinct patterns are encoded in one left-padded, masked
-        pass and gathered back to the rows, so a repeated pattern costs one
-        encoder row and its gradient is the sum over its repeats. The value
-        transfer builds E_a once per group of chains that share a normalized
-        source value (see encoder.affine_transfer), and the heads project
-        every row. Only the treeformer looks across a query's chains, so only
-        it and the prediction sum see the (B, k) slots, none of which leaves
-        this call: row j holds the j-th query's chains in its leading slots,
-        k being the largest usable count, and each other slot reads an
-        appended zero row with length 1 and proposal 0. The key mask hides
-        those slots, so their omega is exactly 0 and they add nothing to a
-        gradient. The prediction is the ω-weighted sum over each slot row,
-        the value training optimizes and predict_batch reports.
+        order. Their distinct patterns (`TreeOfChains.patterns`) are encoded
+        in one left-padded, masked pass and gathered back to the rows, so a
+        repeated pattern costs one encoder row and its gradient is the sum
+        over its repeats. The value transfer builds E_a once per group of
+        chains that share a normalized source value (see
+        encoder.affine_transfer), and the heads project every row. Only the
+        treeformer looks across a query's chains, so only it and the
+        prediction sum see the (B, k) slots, none of which leaves this call:
+        row j holds the j-th query's chains in its leading slots, k being the
+        largest usable count, and each other slot reads an appended zero row
+        with length 1 and proposal 0. The key mask hides those slots, so their
+        omega is exactly 0 and they add nothing to a gradient. The prediction
+        is the ω-weighted sum over each slot row, the value training optimizes
+        and predict_batch reports.
         """
         cfg = self.config
         chains = etoc.take(np.flatnonzero(self.stats.usable(etoc.source_attribute)))
         sizes = chains.sizes[chains.sizes > 0]  # one slot row per query with a chain
         if not sizes.size:
             return None
-        src, relations = chains.source_attribute, chains.relations
-        values_norm = self.stats.normalize(src, chains.source_value)
-        query_attributes = chains.query_attributes[chains.tree]
+        values_norm = self.stats.normalize(chains.source_attribute, chains.source_value)
 
-        first, inverse = distinct_rows(np.column_stack([src, relations, query_attributes]))
-        patterns = (src[first], relations[first], query_attributes[first])
+        patterns, inverse = chains.patterns()
         if cfg.use_chain_encoder:
             distinct = encode_chains(*patterns, self.embeddings, self.encoder)
         else:
@@ -181,7 +179,7 @@ class Model:
         proposals = take_rows(concat([proposals, Tensor(np.zeros(1))]), slot)
         if cfg.use_chain_weighting:
             slotted = take_rows(concat([reps, Tensor(np.zeros((1, reps.shape[-1])))]), slot)
-            lengths = np.append(chain_lengths(relations), 1)[slot]
+            lengths = np.append(chains.lengths, 1)[slot]
             omega = weight_chains(slotted, lengths, self.tree, mask)
         else:
             omega = Tensor(mask / mask.sum(axis=1, keepdims=True))

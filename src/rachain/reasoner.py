@@ -219,7 +219,7 @@ def top_patterns(predictions: Predictions) -> list[tuple[tuple, float, int]]:
     chains = predictions.chains
     order = np.lexsort((-predictions.omega, chains.tree))
     src, relations = chains.source_attribute[order], chains.relations[order]
-    first, inverse = distinct_rows(np.column_stack([src, relations]))
+    first, inverse = distinct_rows([src, *relations.T])
     totals = np.bincount(inverse, weights=predictions.omega[order])
     ranked = np.lexsort((first, -totals))
     rows, lengths = first[ranked], chain_lengths(relations)

@@ -15,8 +15,9 @@ record; `sample_tree` remains only as the one-query name a single
 prediction is traced under. A tree is the one the sequential loop (walk by
 walk, hop by hop, reading the same uniforms) would give, chain order
 included. The uniforms replaced one `rng.integers` call per hop, so a given
-seed now samples a different tree than it did under that stream. The
-filter and the model dedupe chain patterns with `distinct_rows`.
+seed now samples a different tree than it did under that stream. Every
+integer dedupe is one `first_occurrences`, and `TreeOfChains.patterns`
+builds the chain pattern key that the filter and the encoder share.
 """
 
 from __future__ import annotations
@@ -100,6 +101,15 @@ class TreeOfChains:
     def lengths(self) -> np.ndarray:
         return chain_lengths(self.relations)
 
+    def patterns(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """The distinct chain patterns (source attribute, relations, query
+        attribute), in ascending lexicographic order, and each row's pattern
+        index; a chain's filter score and encoding depend only on these."""
+        query_attribute = np.repeat(self.query_attributes, self.sizes)
+        first, inverse = distinct_rows([self.source_attribute, *self.relations.T, query_attribute])
+        return (self.source_attribute[first], self.relations[first],
+                query_attribute[first]), inverse
+
     def take(self, rows) -> "TreeOfChains":
         """The chains of `rows` (ascending tree, any order within one), in
         that order; every tree keeps its slot."""
@@ -140,16 +150,32 @@ def chain_lengths(relations: np.ndarray) -> np.ndarray:
     return sum(relations[:, j] >= 0 for j in range(relations.shape[1]))
 
 
-def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For 1-D integer keys: the index of the first occurrence of each
-    distinct key, in ascending key order, and for every key the position of
-    its key among those; the arrays of np.unique(keys, return_index=True,
-    return_inverse=True)[1:]. One unstable argsort: equal keys form a run of
-    the sorted order, in no particular order within it, so a run's first
-    index is its smallest."""
+# first_occurrences dedupes through a dense table while the key space holds
+# at most this many entries per key, and sorts the keys past that, so the
+# table's memory stays linear in the keys.
+TABLE_PER_KEY = 4
+
+
+def first_occurrences(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """For 1-D integer keys in [0, space): the index of the first occurrence
+    of each distinct key, in ascending key order, and for every key the
+    position of its key among those; the arrays of np.unique(keys,
+    return_index=True, return_inverse=True)[1:]. While `space` holds at most
+    TABLE_PER_KEY entries per key, a dense table of each key's first index
+    (`np.minimum.at`), refilled with their positions, gives both. Past that,
+    one unstable argsort: equal keys form a run of the sorted order, in no
+    particular order within it, so a run's first index is its smallest."""
+    n = keys.size
+    if space <= TABLE_PER_KEY * n:
+        table = np.full(space, n)
+        np.minimum.at(table, keys, np.arange(n))
+        distinct = (table < n).nonzero()[0]
+        first = table[distinct]
+        table[distinct] = np.arange(distinct.size)
+        return first, table[keys]
     order = np.argsort(keys)
     ordered = keys[order]
-    starts = np.empty(keys.size, dtype=bool)  # where a run of equal keys begins
+    starts = np.empty(n, dtype=bool)  # where a run of equal keys begins
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     run = starts.cumsum()
@@ -159,37 +185,22 @@ def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum.reduceat(order, starts.nonzero()[0]), inverse
 
 
-# distinct_rows dedupes through a dense table while its packed key space
-# holds at most this many entries per row, and sorts the keys past that, so
-# the table's memory stays linear in the rows.
-KEY_TABLE_PER_ROW = 1
-
-
-def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the rows of an integer array (n, w) with entries >= -1: the index
-    of the first occurrence of each distinct row, rows in ascending
-    lexicographic order, and for every row the position of its row among
-    those. Each row packs into one int64, mixed radix over the columns'
-    spans (max + 2, the -1 pad being digit 0); raises OverflowError if the
-    spans' product passes int64. While that key space holds at most
-    KEY_TABLE_PER_ROW entries per row, a dense table of each key's first
-    row (`np.minimum.at` over row ids) dedupes the keys, and a running count
-    of the keys present gives each one's position; past that, one
-    `first_occurrences` sorts them."""
-    columns = keys.T.copy()  # contiguous columns: their maxima and the packing read rows fast
-    spans = (columns.max(axis=1, initial=-1) + 2).tolist()
+def distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """For rows given as 1-D integer key columns (at least one, all of one
+    length, entries >= -1): the index of the first occurrence of each
+    distinct row, rows in ascending lexicographic order, and for every row
+    the position of its row among those. Each row packs into one int64,
+    column by column in mixed radix over the columns' spans (max + 2, the -1
+    pad being digit 0), for one `first_occurrences`; raises OverflowError if
+    the spans' product passes int64."""
+    spans = [int(column.max(initial=-1)) + 2 for column in columns]
     _check_packable(*spans)
-    radix = [math.prod(spans[j + 1:]) for j in range(len(spans))]  # of each column's digit
-    packed = np.array(radix) @ columns + sum(radix)  # (keys + 1) @ radix
-    n, space = len(keys), math.prod(spans)
-    if space > KEY_TABLE_PER_ROW * n:
-        return first_occurrences(packed)
-    table = np.full(space, n)
-    np.minimum.at(table, packed, np.arange(n))
-    present = table < n
-    position = present.cumsum()
-    position -= 1
-    return table[present], position[packed]
+    packed = columns[0] + 1
+    for column, span in zip(columns[1:], spans[1:]):
+        packed *= span
+        packed += column
+        packed += 1
+    return first_occurrences(packed, math.prod(spans))
 
 
 def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
@@ -202,12 +213,6 @@ def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
                           & (entity_path[:, i, None] >= 0))
                    for i in range(entity_path.shape[1] - 1))):
         raise ValueError("a sampled chain is not a simple path of its relations")
-
-
-# A hop finds its distinct slots with a dense table while the table holds at
-# most this many entries per walk, and sorts them past that (a hub on the
-# frontier), so its memory stays linear in the walks.
-SLOT_TABLE_PER_WALK = 4
 
 
 def sample_tree(kg: KnowledgeGraph, query: Query, walks: int, max_hops: int,
@@ -229,11 +234,10 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     one hop at a time, each carrying only its prefix id; a prefix holds its
     walk's row (entities and relations back to the query). A walk's slot at
     a hop is prefix * width + the offset of its edge, width being the
-    largest degree on the frontier. The hop's distinct slots and each one's
-    first walk come from a dense table (`np.minimum.at` over walk ids) while
-    it holds at most SLOT_TABLE_PER_WALK entries per walk, and from
-    `first_occurrences` past that. The edge gathers and the revisit check
-    run once per distinct slot, and each kept slot becomes a new prefix;
+    largest degree on the frontier. One `first_occurrences` gives the hop's
+    distinct slots, each one's first walk and each walk's slot (a table, or
+    a sort when a hub is on the frontier). The edge gathers and the revisit
+    check run once per distinct slot, and each kept slot becomes a new prefix;
     slots whose parallel edges give one prefix the same (relation, tail)
     become one, found by the first of their walks. Every walk's prefix
     starts at its query's index, so the prefixes of two queries never merge,
@@ -256,8 +260,7 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     indptr, edge_rel, edge_tail = kg.edge_indptr, kg.edge_rel, kg.edge_tail
     # walk g (query g // walks's) stands on prefix[g]; a walk that stopped
     # stands on the last prefix id, one past the real ones, whose degree is 0
-    walk = np.arange(n_walks)
-    prefix = walk // walks
+    prefix = np.arange(n_walks) // walks
     # each prefix's row: its walk read backwards, alternating entity and
     # relation from its end to its query (end, relation oriented toward the
     # query, entity, ..., query), -1 padded; at hop 0 the prefixes are the
@@ -277,18 +280,12 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
         # a walk's slot: its prefix and the offset of the edge it takes
         slot = (u[:, hop] * degree[prefix].reshape(u[:, hop].shape)).astype(np.int64).ravel()
         slot += prefix * width
-        # the distinct slots, ascending, with each one's first walk
+        # the distinct slots, ascending, with each one's first walk (a walk's
+        # index is its id)
         n_slots = len(degree) * width
-        tabled = n_slots <= SLOT_TABLE_PER_WALK * n_walks
-        if tabled:
-            table = np.full(n_slots, n_walks)
-            np.minimum.at(table, slot, walk)
-            distinct = (table < n_walks).nonzero()[0]
-            first_walk = table[distinct]
-        else:  # a hub on the frontier: sort the slots (a walk's index is its id)
-            _check_packable(n_slots)
-            first_walk, inverse = first_occurrences(slot)
-            distinct = slot[first_walk]
+        _check_packable(n_slots)
+        first_walk, inverse = first_occurrences(slot, n_slots)
+        distinct = slot[first_walk]
         # once per slot: its edge, and whether it is a dead end, the stopped
         # walks' slot (its prefix has no row, so reads of it are clipped) or
         # a revisit
@@ -306,11 +303,11 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
         # parallel edges: the slots of one prefix that reach one (relation,
         # tail) are one new prefix, found by the first of their walks; a hop
         # seldom has any, and the merge is skipped unless a key repeats
-        key =(owner * n_relations + rel) * n_entities + nxt
+        key = (owner * n_relations + rel) * n_entities + nxt
         ordered = np.sort(key)
         new_prefix = np.arange(kept.size)
         if (ordered[1:] == ordered[:-1]).any():
-            first, new_prefix = first_occurrences(key)
+            first, new_prefix = first_occurrences(key, n_walks * n_relations * n_entities)
             owner, rel, nxt, slot_walk = owner[first], rel[first], nxt[first], first_walk
             first_walk = np.full(first.size, n_walks)
             np.minimum.at(first_walk, new_prefix, slot_walk)
@@ -325,14 +322,10 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
         # past the new prefixes)
         to = np.full(distinct.size, len(path))
         to[kept] = new_prefix
-        if tabled:
-            table[distinct] = to
-            prefix = table[slot]
-        else:
-            prefix = to[inverse]
+        prefix = to[inverse]
 
     path = np.concatenate([path[:0]] + paths)
-    walk = np.concatenate([walk[:0]] + finder)
+    walk = np.concatenate([prefix[:0]] + finder)
     hop = np.repeat(np.arange(len(finder)), [f.size for f in finder])
     order = np.argsort(walk * max_hops + hop)  # a walk finds one prefix per hop at most
     walk = walk[order]
@@ -341,7 +334,8 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     count = kg.fact_indptr[end + 1] - lo
     owner = np.repeat(np.arange(end.size), count)   # facts of each prefix's end, in order
     fact = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    first = np.sort(first_occurrences(owner * kg.n_attributes + kg.fact_attr[fact])[0])
+    first = np.sort(first_occurrences(owner * kg.n_attributes + kg.fact_attr[fact],
+                                      end.size * kg.n_attributes)[0])
     # the first `walks` chains of each tree; a tree's chains are contiguous
     tree = walk[owner[first]] // walks
     rank = np.arange(first.size) - np.searchsorted(tree, tree)
@@ -359,5 +353,5 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
 
 def _check_packable(*sizes: int) -> None:
     """Raise if keys mixed-radix packed over `sizes` could overflow int64."""
-    if math.prod(sizes) > np.iinfo(np.int64).max:
+    if math.prod(sizes) > 2 ** 63 - 1:
         raise OverflowError(f"packed key over sizes {sizes} would overflow int64")

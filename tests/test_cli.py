@@ -243,6 +243,15 @@ class TestPredict:
         assert code == 1
         assert "unknown attribute 'mass'" in captured.err
 
+    def test_negative_top_fails_cleanly(self, workspace, capsys):
+        # a negative slice bound would drop the last contributions silently
+        ckpt = workspace / "run" / "checkpoint.npz"
+        code = main(["predict", "--checkpoint", str(ckpt),
+                     "--entity", "r0_t0", "--attribute", "dst", "--top", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --top must be non-negative, got -1\n"
+
 
 class TestExplain:
     def test_explain_ranks_the_generating_pattern(self, workspace, capsys):
@@ -255,6 +264,15 @@ class TestExplain:
         assert "pattern" in captured.out
         assert "[src] p" in captured.out
         assert out.read_text() == captured.out
+
+    def test_negative_limit_fails_cleanly(self, workspace, capsys):
+        # a negative slice bound would drop the last patterns silently
+        ckpt = workspace / "run" / "checkpoint.npz"
+        code = main(["explain", "--checkpoint", str(ckpt), "--split", "test",
+                     "--limit", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --limit must be non-negative, got -1\n"
 
     def test_explain_without_queries_fails_cleanly(self, workspace, capsys):
         ckpt = workspace / "run" / "checkpoint.npz"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (assert_same_tree, chain_is_valid, chain_set, each_tree,
+from helpers import (assert_same_tree, chain_is_valid, chain_set, chain_sets, each_tree,
                      enumerate_all_chains, facts, out_edges, reference_check_rows,
                      reference_distinct_rows, reference_sample_tree, tree_arrays)
 from rachain import kg as K
@@ -116,18 +116,22 @@ class TestRowCheck:
 class TestFirstOccurrences:
     """first_occurrences against np.unique(return_index, return_inverse)."""
 
-    @pytest.mark.parametrize("keys", [
-        [], [7], [3, 3, 3, 3], [5, 0, 9, 2, 7], [-4, 2, -4, -1, 0, -9, 2],
-        [np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max],
-        np.random.default_rng(4).integers(-30, 30, size=5000),
+    @pytest.mark.parametrize("keys,space", [
+        ([], 0), ([7], 8), ([3, 3, 3, 3], 4), ([5, 0, 9, 2, 7], 10),
+        ([5, 11, 5, 8, 9, 0, 11], 12),  # [-4, 2, -4, -1, 0, -9, 2] shifted by 9
+        ([2 ** 63 - 2, 0, 2 ** 62, 2 ** 63 - 2], 2 ** 63 - 1),  # the largest int64 space
+        (np.random.default_rng(4).integers(0, 60, size=5000), 60),
     ], ids=["empty", "one", "all_equal", "all_distinct", "negative", "extremes", "repeats"])
-    def test_matches_np_unique(self, keys):
+    def test_matches_np_unique(self, monkeypatch, keys, space):
+        # the dense table and the sort it falls back to give the same arrays
         keys = np.asarray(keys, dtype=np.int64)
-        got = R.first_occurrences(keys)
         want = np.unique(keys, return_index=True, return_inverse=True)[1:]
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+        for per_key in (0, 10 ** 9):  # always sort, then table wherever space allows
+            monkeypatch.setattr(R, "TABLE_PER_KEY", per_key)
+            got = R.first_occurrences(keys, space)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
 
 
 DISTINCT_ROW_CASES = [
@@ -142,19 +146,19 @@ class TestDistinctRows:
     @pytest.mark.parametrize("shape,low,high", DISTINCT_ROW_CASES)
     def test_matches_np_unique_rows(self, shape, low, high):
         keys = np.random.default_rng(shape[0] + high).integers(low, high, size=shape)
-        for got, want in zip(R.distinct_rows(keys), reference_distinct_rows(keys)):
+        for got, want in zip(R.distinct_rows(list(keys.T)), reference_distinct_rows(keys)):
             np.testing.assert_array_equal(got, want)
 
     def test_an_all_pad_column_among_others(self):
         keys = np.random.default_rng(5).integers(-1, 4, size=(300, 4))
         keys[:, 2] = -1
-        for got, want in zip(R.distinct_rows(keys), reference_distinct_rows(keys)):
+        for got, want in zip(R.distinct_rows(list(keys.T)), reference_distinct_rows(keys)):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("per_row", [0, 10 ** 9], ids=["always_sort", "always_table"])
-    def test_both_key_dedupes_match_np_unique(self, monkeypatch, per_row):
+    @pytest.mark.parametrize("per_key", [0, 10 ** 9], ids=["always_sort", "always_table"])
+    def test_both_key_dedupes_match_np_unique(self, monkeypatch, per_key):
         # the dense key table and the sort it falls back to give the same rows
-        monkeypatch.setattr(R, "KEY_TABLE_PER_ROW", per_row)
+        monkeypatch.setattr(R, "TABLE_PER_KEY", per_key)
         for case in DISTINCT_ROW_CASES:
             self.test_matches_np_unique_rows(*case)
         self.test_an_all_pad_column_among_others()
@@ -167,7 +171,7 @@ class TestDistinctRows:
         keys[0] = 10 ** 4 - 2
         tracemalloc.start()
         try:
-            got = R.distinct_rows(keys)
+            got = R.distinct_rows(list(keys.T))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -179,17 +183,17 @@ class TestDistinctRows:
         # (source attribute, -1-padded relations, query attribute)
         keys = np.array([[0, 3, -1, -1, 1], [0, 3, 2, -1, 1], [0, 3, -1, -1, 1],
                          [2, -1, -1, -1, 1], [0, 3, 2, -1, 0], [2, -1, -1, -1, 1]])
-        first, inverse = R.distinct_rows(keys)
+        first, inverse = R.distinct_rows(list(keys.T))
         np.testing.assert_array_equal(keys[first][inverse], keys)
         assert first.tolist() == [0, 4, 1, 3]  # a pad sorts before every relation
         assert inverse.tolist() == [0, 2, 0, 3, 1, 3]
 
     def test_overflow_raises(self):
         # spans max + 2: 2**31 * (2**32 - 1) fits in int64, 2**31 * 2**32 does not
-        first, inverse = R.distinct_rows(np.array([[2 ** 31 - 2, 2 ** 32 - 3]] * 2))
+        first, inverse = R.distinct_rows(list(np.array([[2 ** 31 - 2, 2 ** 32 - 3]] * 2).T))
         assert first.tolist() == [0] and inverse.tolist() == [0, 0]
         with pytest.raises(OverflowError, match="overflow int64"):
-            R.distinct_rows(np.array([[2 ** 31 - 2, 2 ** 32 - 2]]))
+            R.distinct_rows(list(np.array([[2 ** 31 - 2, 2 ** 32 - 2]]).T))
 
 
 class TestEnumeration:
@@ -539,11 +543,11 @@ class TestBatchedSampling:
         with pytest.raises(OverflowError, match="overflow int64"):
             R.sample_trees(kg, [query, query], walks, 3, [0, 1])
 
-    @pytest.mark.parametrize("per_walk", [0, 10 ** 9], ids=["always_sort", "always_table"])
+    @pytest.mark.parametrize("per_key", [0, 10 ** 9], ids=["always_sort", "always_table"])
     @pytest.mark.parametrize("case", ["on_random_graphs", "at_chunk_scale"])
-    def test_both_slot_dedupes_match_the_per_query_loop(self, monkeypatch, per_walk, case):
-        # the slot table and the sort it falls back to give the same trees
-        monkeypatch.setattr(R, "SLOT_TABLE_PER_WALK", per_walk)
+    def test_both_slot_dedupes_match_the_per_query_loop(self, monkeypatch, per_key, case):
+        # the dense tables and the sorts they fall back to give the same trees
+        monkeypatch.setattr(R, "TABLE_PER_KEY", per_key)
         getattr(self, f"test_matches_per_query_loop_{case}")()
 
     def test_a_hub_on_the_frontier_sorts_its_slots(self):
@@ -668,3 +672,45 @@ class TestRecord:
         assert kept.offsets.tolist() == [0, 1, 2]
         assert kept.chains == [a[1], b[0]]
         assert toc.trees([1, 0]).chains == b + a
+
+
+class TestPatterns:
+    """TreeOfChains.patterns: the distinct (source attribute, relations,
+    query attribute) keys and each row's index among them."""
+
+    @staticmethod
+    def assert_matches_reference(toc):
+        query_attribute = np.repeat(toc.query_attributes, toc.sizes)
+        rows = np.column_stack([toc.source_attribute, toc.relations, query_attribute])
+        first, inverse = reference_distinct_rows(rows)
+        (src, relations, qa), index = toc.patterns()
+        for got, want in ((src, toc.source_attribute[first]), (relations, toc.relations[first]),
+                          (qa, query_attribute[first]), (index, inverse)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_the_query_attribute_splits_a_pattern(self):
+        # one (source attribute, relations) pair in two trees with different
+        # query attributes, and again in a third tree with the first's
+        chain = R.RAChain(0, (1, 2), 0, 1.0, (5, 6, 9))
+        toc = R.TreeOfChains.concatenate([chain_set(K.Query(9, 0), [chain]),
+                                          chain_set(K.Query(9, 1), [chain]),
+                                          chain_set(K.Query(9, 0), [chain])])
+        (src, relations, qa), index = toc.patterns()
+        assert src.tolist() == [0, 0] and qa.tolist() == [0, 1]
+        assert relations.tolist() == [[1, 2, -1]] * 2
+        assert index.tolist() == [0, 1, 0]
+        self.assert_matches_reference(toc)
+
+    def test_matches_the_reference_on_sampled_records(self):
+        for case in range(20):
+            kg, queries, seeds = TestRecord.chunk(case)
+            self.assert_matches_reference(R.sample_trees(kg, queries, 8, 3, seeds))
+
+    def test_an_empty_record_has_no_pattern(self):
+        for queries in ([], [K.Query(2, 0)]):
+            toc = chain_sets(queries, [[] for _ in queries])
+            (src, relations, qa), index = toc.patterns()
+            assert src.shape == qa.shape == index.shape == (0,)
+            assert relations.shape == (0, 3)
+            self.assert_matches_reference(toc)
