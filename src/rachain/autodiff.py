@@ -203,6 +203,16 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
+def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+    """Swap two axes (a numpy view); the backward swaps them back."""
+    a = _as_tensor(a)
+
+    def backward_fn(g):
+        _accumulate(a, np.swapaxes(g, ax1, ax2))
+
+    return _make(np.swapaxes(a.data, ax1, ax2), (a,), backward_fn)
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -235,7 +245,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows along axis 0; repeated indices scatter-add in backward.
 
     The backward sorts the indices stably and sums each run of equal ones
-    with np.add.reduceat, so repeats add up in the order they appear."""
+    with np.add.reduceat, so repeats add up in the order they appear. When
+    no index repeats, the rows are written as they are: reduceat would cost
+    a call per row and column."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out_data = a.data[idx]
@@ -248,7 +260,8 @@ def take_rows(a: Tensor, idx) -> Tensor:
             ids = flat[order]
             starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
             rows = g.reshape((flat.size,) + a.data.shape[1:])[order]
-            buf[ids[starts]] = np.add.reduceat(rows, starts, axis=0)
+            buf[ids[starts]] = (rows if starts.size == flat.size
+                                else np.add.reduceat(rows, starts, axis=0))
         _accumulate(a, buf)
 
     return _make(out_data, (a,), backward_fn)

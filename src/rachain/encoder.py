@@ -25,9 +25,12 @@ The numerical-aware affine transfer conditions that representation on the
 source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
 drives two MLPs producing a matrix E_a and shift E_b, giving
 E_a^T e_chain + E_b. At initialization E_a is the identity and E_b zero.
-E_a and E_b depend only on the value's bits, so rows that share a value
-share them: the rows are grouped by value (value_groups) and each group's
-E_a is built once and applied to the group's rows in one batched matmul,
+E_a is bilinear in the value's hidden activation and the chain's pattern
+representation, so the transfer contracts with whichever repeats more:
+rows that share a value share E_a, built once per value group, and rows
+that share a pattern share e^T W2a, built once per pattern group when the
+values form many groups per pattern (affine_transfer). Rows are grouped by
+an integer key (key_groups) and each group applied in one batched matmul,
 never as a per-row (m, d, d) tensor.
 """
 
@@ -50,6 +53,7 @@ from .autodiff import (
     matmul,
     relu,
     reshape,
+    swapaxes,
     take_rows,
 )
 from .filter import FilterEmbeddings
@@ -272,65 +276,93 @@ class AffineNets:
         )
 
 
-def value_groups(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows grouped by source value for the batched affine transfer.
+def key_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows grouped by an integer key for a batched per-group product.
 
-    Rows are keyed on their float64 bits, so -0.0 and 0.0 (whose bit
-    streams differ) stay apart. With n distinct values among m rows and
-    width = ceil(m / n), each value's rows, in row order, are cut into
-    groups of at most `width`, so there are G <= 2n groups and fewer than
-    3m slots in the (G, width) layout; all-distinct values give width 1 and
-    G = m. Returns (distinct (n,) values, group_value (G,) index of each
-    group's value in distinct, source (G, width) the row in each slot, row 0
-    in pad slots, slot (m,) each row's flat index into source).
+    With n distinct keys among m rows and width = ceil(m / n), each key's
+    rows, in row order, are cut into groups of at most `width`, so there are
+    G <= 2n groups and fewer than 3m slots in the (G, width) layout;
+    all-distinct keys give width 1 and G = m. Returns (distinct (n,) keys,
+    group_key (G,) index of each group's key in distinct,
+    source (G, width) the row in each slot, row 0 in pad slots, slot (m,)
+    each row's flat index into source).
     """
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    m = len(values)
-    # a set is the cheapest test at prediction size; it merges 0.0 and
-    # -0.0, which only sends such a batch down the bit-keyed path below
-    if len(set(values.tolist())) == m:
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    m = len(keys)
+    # a set is the cheapest test at prediction size
+    if len(set(keys.tolist())) == m:
         rows = np.arange(m)
-        return values, rows, rows.reshape(m, 1), rows
-    order = np.argsort(values.view(np.int64), kind="stable")
-    keys = values.view(np.int64)[order]
-    # bounds of each value's run of rows in sorted order, then m
+        return keys, rows, rows.reshape(m, 1), rows
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    # bounds of each key's run of rows in sorted order, then m
     is_bound = np.empty(m + 1, dtype=bool)
     is_bound[0] = is_bound[m] = True
-    np.not_equal(keys[1:], keys[:-1], out=is_bound[1:m])
+    np.not_equal(ordered[1:], ordered[:-1], out=is_bound[1:m])
     bounds = np.flatnonzero(is_bound)
     starts = bounds[:-1]
     counts = bounds[1:] - starts
     width = -(-m // len(starts))
     groups = (counts + (width - 1)) // width
-    # a value's r-th row takes slot r of its first group: its sorted
-    # position shifted by the pad slots of the values before it
+    # a key's r-th row takes slot r of its first group: its sorted position
+    # shifted by the pad slots of the keys before it
     pad_before = (np.cumsum(groups) - groups) * width - starts
     slot = np.empty(m, dtype=np.int64)
     slot[order] = np.arange(m) + np.repeat(pad_before, counts)
-    group_value = np.repeat(np.arange(len(starts)), groups)
-    source = np.zeros((len(group_value), width), dtype=np.int64)
+    group_key = np.repeat(np.arange(len(starts)), groups)
+    source = np.zeros((len(group_key), width), dtype=np.int64)
     source.reshape(-1)[slot] = np.arange(m)
-    return values[order[starts]], group_value, source, slot
+    return ordered[starts], group_key, source, slot
 
 
-def affine_transfer(chain_reps: Tensor, values, nets: AffineNets) -> Tensor:
-    """E_a(value)^T e_chain + E_b(value), batched over m chains.
+# The transfer contracts on the pattern side when the source values form at
+# least this many groups per pattern. Forward and backward on 512-row
+# training batches break even near 2 (dim 32); a one-query forward (16 rows)
+# is 1.5x slower there at every ratio seen, and none of 576 one-query
+# predictions on the predict_dense benchmark graphs reached 4 (at most 3.2).
+GROUPS_PER_PATTERN = 4
 
-    The bits of each distinct value are encoded once, and E_a and E_b are
-    built once per value group (see value_groups), never per row. The chains
-    are laid out as (G, width, d), transferred with one (G, width, d) @
-    (G, d, d) matmul plus each group's E_b, and gathered back to (m, d). A
-    pad slot of the layout reads row 0 of chain_reps; its output is never
-    gathered back, so it adds exactly zero to every gradient.
+
+def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Tensor:
+    """E_a(value)^T e_chain + E_b(value), batched over m chains; rows with
+    one pattern index (pattern (m,), in [0, P)) hold one representation.
+
+    E_a^T e = sum_k h_k e^T W_k + e^T B is bilinear in e and the value's
+    hidden activation h = relu(bits W1a + b1a) (W_k is row k of W2a and B
+    is b2a, each as a (d, d) matrix), so it contracts on either side. The
+    rows are grouped by their values' bits (key_groups; -0.0 and 0.0 stay
+    apart) into G groups. Below GROUPS_PER_PATTERN * P groups, E_a and E_b
+    are built once per value group and applied with one (G, width, d) @
+    (G, d, d) matmul. Otherwise the rows are grouped by pattern, e^T W_k
+    and e^T B are built once per pattern group (from its first row), and
+    each row's own h takes one (G', width, H) @ (G', H, d) matmul. The rule
+    reads only what the value side computes anyway. A pad slot reads row 0;
+    its output is never gathered back, so it adds exactly zero to every
+    gradient.
     """
     d = nets.dim
-    distinct, group_value, source, slot = value_groups(values)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    keys, group_value, source, slot = key_groups(values.view(np.int64))
     g = len(group_value)
-    bits = Tensor(encode_values(distinct)[group_value])
-    ha = relu(linear(bits, nets.w1a, nets.b1a))
-    ea = reshape(linear(ha, nets.w2a, nets.b2a), (g, d, d))
-    hb = relu(linear(bits, nets.w1b, nets.b1b))
-    eb = reshape(linear(hb, nets.w2b, nets.b2b), (g, 1, d))
-    # row-vector form: (e^T E_a)^T == E_a^T e
-    grouped = add(matmul(take_rows(chain_reps, source), ea), eb)
+    if g < GROUPS_PER_PATTERN * (int(np.max(pattern, initial=0)) + 1):
+        bits = Tensor(encode_values(keys.view(np.float64))[group_value])
+        ha = relu(linear(bits, nets.w1a, nets.b1a))
+        ea = reshape(linear(ha, nets.w2a, nets.b2a), (g, d, d))
+        hb = relu(linear(bits, nets.w1b, nets.b1b))
+        eb = reshape(linear(hb, nets.w2b, nets.b2b), (g, 1, d))
+        # row-vector form: (e^T E_a)^T == E_a^T e
+        grouped = add(matmul(take_rows(chain_reps, source), ea), eb)
+    else:
+        _, _, source, slot = key_groups(pattern)
+        g = len(source)
+        # the hidden layers run per slot, so no per-value gather is scattered back
+        bits = Tensor(encode_values(values[source]).reshape(source.shape + (64,)))
+        ha = relu(linear(bits, nets.w1a, nets.b1a))
+        eb = linear(relu(linear(bits, nets.w1b, nets.b1b)), nets.w2b, nets.b2b)
+        e = take_rows(chain_reps, source[:, 0])
+        # W2a as (d, H d): row i holds row i of every W_k
+        w = reshape(swapaxes(reshape(nets.w2a, (-1, d, d)), 0, 1), (d, -1))
+        y = reshape(linear(e, w), (g, -1, d))
+        eb = add(eb, reshape(linear(e, reshape(nets.b2a, (d, d))), (g, 1, d)))
+        grouped = add(matmul(ha, y), eb)
     return take_rows(reshape(grouped, (source.size, d)), slot)

@@ -141,9 +141,13 @@ class Model:
         order. Their distinct patterns (`TreeOfChains.patterns`) are encoded
         in one left-padded, masked pass and gathered back to the rows, so a
         repeated pattern costs one encoder row and its gradient is the sum
-        over its repeats. The value transfer builds E_a once per group of
-        chains that share a normalized source value (see
-        encoder.affine_transfer), and the heads project every row. Only the
+        over its repeats. The value transfer gets the rows and their pattern
+        index (the rows, so that a row's transfer and treeformer gradients
+        add up before the gather sums a pattern's repeats), and builds its
+        map once per group of chains that share a normalized source value,
+        or once per group that shares a pattern when the values form many
+        groups per pattern (see encoder.affine_transfer); the heads project
+        every row. Only the
         treeformer looks across a query's chains, so only it and the
         prediction sum see the (B, k) slots, none of which leaves this call:
         row j holds the j-th query's chains in its leading slots, k being the
@@ -168,7 +172,7 @@ class Model:
                                             include_end=False)
             distinct = mul(tensor_sum(tokens, axis=1), 1.0 / key_mask.sum(axis=1, keepdims=True))
         reps = take_rows(distinct, inverse)
-        transferred = (affine_transfer(reps, values_norm, self.affine)
+        transferred = (affine_transfer(reps, inverse, values_norm, self.affine)
                        if cfg.use_numerical_aware else reps)
         proposals = project_values(transferred, values_norm, self.heads)
 

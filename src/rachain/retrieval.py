@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +93,10 @@ class TreeOfChains:
         """Each row's tree index."""
         return np.repeat(np.arange(len(self.queries)), self.sizes)
 
-    @property
+    @cached_property
     def query_attributes(self) -> np.ndarray:
-        """Each tree's query attribute."""
+        """Each tree's query attribute, built once per record; `take` hands
+        it on, since the trees keep their queries."""
         return np.array([q.attribute for q in self.queries], dtype=np.int64)
 
     @property
@@ -115,7 +117,9 @@ class TreeOfChains:
         that order; every tree keeps its slot."""
         tree = self.offsets.searchsorted(rows, "right") - 1  # each row's tree
         offsets = tree.searchsorted(np.arange(len(self.queries) + 1))
-        return self._gather(self.queries, offsets, rows)
+        taken = self._gather(self.queries, offsets, rows)
+        taken.query_attributes = self.query_attributes
+        return taken
 
     def trees(self, index) -> "TreeOfChains":
         """Trees `index` (in that order, repeats allowed) with all their rows."""

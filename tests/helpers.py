@@ -558,13 +558,6 @@ def broadcast_to(a, shape):
                     lambda g: ad._accumulate(a, ad._unbroadcast(g, a.data.shape)))
 
 
-def swapaxes(a, ax1: int, ax2: int):
-    """Swap two axes as a tape node."""
-    a = ad._as_tensor(a)
-    return ad._make(np.swapaxes(a.data, ax1, ax2), (a,),
-                    lambda g: ad._accumulate(a, np.swapaxes(g, ax1, ax2)))
-
-
 def mean(a, axis=None, keepdims: bool = False):
     """Mean over `axis` (all axes when None) as a sum times 1/count."""
     a = ad._as_tensor(a)
@@ -594,12 +587,12 @@ def reference_attention(q, k, v, heads: int, key_mask=None, scale: float = 1.0):
     b, lq, dim = q.shape
 
     def split(t):
-        return swapaxes(ad.reshape(t, (b, t.shape[1], heads, dim // heads)), 1, 2)
+        return ad.swapaxes(ad.reshape(t, (b, t.shape[1], heads, dim // heads)), 1, 2)
 
-    scores = ad.mul(ad.matmul(split(q), swapaxes(split(k), -1, -2)), scale)
+    scores = ad.mul(ad.matmul(split(q), ad.swapaxes(split(k), -1, -2)), scale)
     mask = None if key_mask is None else key_mask[:, None, None, :]
     ctx = ad.matmul(ad.softmax(scores, mask=mask), split(v))
-    return ad.reshape(swapaxes(ctx, 1, 2), (b, lq, dim))
+    return ad.reshape(ad.swapaxes(ctx, 1, 2), (b, lq, dim))
 
 
 def composite_log_map(x, curvature: float = 1.0):
@@ -1040,7 +1033,11 @@ def grad_cases(rng: np.random.Generator):
     case("reshape_swap",
          {"a": rng.standard_normal((2, 3, 4))},
          lambda p: ad.tensor_sum(ad.square(
-             swapaxes(ad.reshape(p["a"], (2, 12, 1)), 0, 1))))
+             ad.swapaxes(ad.reshape(p["a"], (2, 12, 1)), 0, 1))))
+    swapped = rng.standard_normal((4, 3, 2))
+    case("swapaxes",
+         {"a": rng.standard_normal((2, 3, 4))},
+         lambda p: ad.tensor_sum(ad.mul(ad.swapaxes(p["a"], 0, 2), swapped)))
     case("broadcast_to",
          {"a": rng.standard_normal((1, 4))},
          lambda p: ad.tensor_sum(ad.square(broadcast_to(p["a"], (3, 4)))))

@@ -113,7 +113,7 @@ def test_criterion_02_gradient_suite():
     def build_affine(p):
         nets = dataclasses.replace(nets_const, w1a=p["w1a"], w2a=p["w2a"],
                                    b2a=p["b2a"], w2b=p["w2b"], b2b=p["b2b"])
-        out = E.affine_transfer(p["reps"], [0.6, -0.3], nets)
+        out = E.affine_transfer(p["reps"], np.arange(2), [0.6, -0.3], nets)
         return ad.tensor_sum(ad.mul(out, mix_aff))
 
     check_gradients(build_affine, {

@@ -98,6 +98,17 @@ class TestOps:
         np.add.at(want, idx, g)
         np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
 
+    def test_take_rows_backward_adds_repeats_in_order(self, rng):
+        # indices read once take their row as is, runs add up left to right
+        idx = np.array([5, 2, 0, 5, 3, 5, 0])
+        p = ad.Parameter(np.zeros((7, 3)))
+        g = rng.normal(size=(len(idx), 3)) * 10.0 ** rng.integers(-8, 8, size=(len(idx), 1))
+        ad.backward(ad.tensor_sum(ad.mul(ad.take_rows(p, idx), g)))
+        want = np.zeros_like(p.data)
+        for i, row in zip(idx, g):
+            want[i] += row
+        np.testing.assert_array_equal(p.grad, want)
+
     def test_softmax_rows_sum_to_one(self, rng):
         x = ad.Tensor(rng.standard_normal((4, 7)))
         p = ad.softmax(x)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -399,7 +401,7 @@ class TestAffineTransfer:
     def test_identity_at_initialization(self, rng):
         nets = E.AffineNets.create(rng, dim=6, hidden=16)
         reps = Tensor(rng.standard_normal((4, 6)))
-        out = E.affine_transfer(reps, [0.3, -2.0, 1e6, 0.0], nets)
+        out = E.affine_transfer(reps, np.arange(4), [0.3, -2.0, 1e6, 0.0], nets)
         np.testing.assert_array_equal(out.data, reps.data)
 
     def test_matches_hand_computed_affine_map(self, rng):
@@ -420,22 +422,22 @@ class TestAffineTransfer:
         eb = hb @ nets.w2b.data + nets.b2b.data
         expected = np.einsum("mk,mkj->mj", reps, ea) + eb
 
-        out = E.affine_transfer(Tensor(reps), values, nets)
+        out = E.affine_transfer(Tensor(reps), np.arange(m), values, nets)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_output_depends_on_value(self, rng):
         nets = E.AffineNets.create(rng, dim=4, hidden=8)
         nets.w2a.data[:] = rng.standard_normal((8, 16)) * 0.1
         reps = Tensor(rng.standard_normal((2, 4)))
-        a = E.affine_transfer(reps, [1.0, 1.0], nets).data
-        b = E.affine_transfer(reps, [1.0, 2.0], nets).data
+        a = E.affine_transfer(reps, np.arange(2), [1.0, 1.0], nets).data
+        b = E.affine_transfer(reps, np.arange(2), [1.0, 2.0], nets).data
         np.testing.assert_array_equal(a[0], b[0])
         assert not np.allclose(a[1], b[1])
 
     def test_gradients_flow_to_reps_and_nets(self, rng):
         nets = E.AffineNets.create(rng, dim=3, hidden=4)
         reps = Parameter(rng.standard_normal((2, 3)), name="reps")
-        out = E.affine_transfer(reps, [0.5, -1.5], nets)
+        out = E.affine_transfer(reps, np.arange(2), [0.5, -1.5], nets)
         ad.backward(ad.tensor_sum(ad.square(out)))
         assert reps.grad is not None and np.any(reps.grad != 0.0)
         assert nets.w2a.grad is not None and np.any(nets.w2a.grad != 0.0)
@@ -448,6 +450,11 @@ pooled_values = st.lists(
         -1e6, 1e6, allow_nan=False), min_size=1, max_size=60)
 
 
+def value_groups(values):
+    """key_groups of the values' float64 bits, the transfer's value side."""
+    return E.key_groups(np.asarray(values, dtype=np.float64).view(np.int64))
+
+
 class TestValueGroups:
     @given(pooled_values)
     @settings(max_examples=300, deadline=None)
@@ -456,7 +463,7 @@ class TestValueGroups:
         m = len(values)
         bits = values.view(np.int64)
         n = len(np.unique(bits))
-        distinct, group_value, source, slot = E.value_groups(values)
+        distinct, group_value, source, slot = value_groups(values)
         g, width = source.shape
         assert g == len(group_value)
         assert width == -(-m // n)
@@ -482,7 +489,7 @@ class TestValueGroups:
         if len(values) % 2:  # half the examples also hold both signed zeros
             seen = {np.float64(v).view(np.int64) for v in values}
             values = values + [z for z in (0.0, -0.0) if np.float64(z).view(np.int64) not in seen]
-        distinct, group_value, source, slot = E.value_groups(values)
+        distinct, group_value, source, slot = value_groups(values)
         m = len(values)
         assert source.shape == (m, 1) and len(group_value) == m
         np.testing.assert_array_equal(source[slot, 0], np.arange(m))
@@ -490,7 +497,7 @@ class TestValueGroups:
                                       np.array(values).view(np.int64))
 
     def test_signed_zeros_stay_apart(self):
-        distinct, group_value, source, slot = E.value_groups([0.0, -0.0, 0.0, -0.0])
+        distinct, group_value, source, slot = value_groups([0.0, -0.0, 0.0, -0.0])
         assert len(distinct) == 2 and source.shape == (2, 2)
         assert slot[0] // 2 == slot[2] // 2 != slot[1] // 2 == slot[3] // 2
 
@@ -512,23 +519,30 @@ VALUE_SETS = pytest.mark.parametrize("values", [
 ], ids=["distinct", "equal", "dominant", "signed_zeros", "pad_zeros"])
 
 
+def against_reference(rng, pattern, values, d: int = 4):
+    """Assert that affine_transfer matches the per-row reference, in value and
+    in the gradients of one representation per pattern (gathered to the
+    rows by `pattern`) and of all 8 nets parameters."""
+    pattern = np.asarray(pattern)
+    nets = generic_nets(rng, d, 6)
+    base = Parameter(rng.standard_normal((pattern.max() + 1, d)), name="patterns")
+    mix = rng.standard_normal((len(pattern), d))
+    results = []
+    for transfer in (partial(E.affine_transfer, pattern=pattern), reference_affine_transfer):
+        for p in [base] + parameters(nets):
+            p.grad = None
+        out = transfer(ad.take_rows(base, pattern), values=values, nets=nets)
+        ad.backward(ad.tensor_sum(ad.mul(out, mix)))
+        results.append([out.data] + [p.grad for p in [base] + parameters(nets)])
+    names = ["out", "patterns"] + [p.name for p in parameters(nets)]
+    for name, got, want in zip(names, *results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestGroupedTransfer:
     @VALUE_SETS
     def test_matches_per_row_transfer(self, values, rng):
-        d = 4
-        nets = generic_nets(rng, d, 6)
-        reps = Parameter(rng.standard_normal((len(values), d)), name="reps")
-        mix = rng.standard_normal((len(values), d))
-        results = []
-        for transfer in (E.affine_transfer, reference_affine_transfer):
-            for p in [reps] + parameters(nets):
-                p.grad = None
-            out = transfer(reps, values, nets)
-            ad.backward(ad.tensor_sum(ad.mul(out, mix)))
-            results.append([out.data] + [p.grad for p in [reps] + parameters(nets)])
-        names = ["out", "reps"] + [p.name for p in parameters(nets)]
-        for name, got, want in zip(names, *results):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+        against_reference(rng, np.arange(len(values)), values)
 
     def test_finite_differences_with_repeated_values(self, rng):
         import dataclasses
@@ -541,7 +555,8 @@ class TestGroupedTransfer:
         def build(p):
             nets = dataclasses.replace(nets_const, w1a=p["w1a"], w2a=p["w2a"], b2a=p["b2a"],
                                        w1b=p["w1b"], w2b=p["w2b"])
-            return ad.tensor_sum(ad.mul(E.affine_transfer(p["reps"], values, nets), mix))
+            out = E.affine_transfer(p["reps"], np.arange(len(values)), values, nets)
+            return ad.tensor_sum(ad.mul(out, mix))
 
         check_gradients(build, {
             "reps": rng.standard_normal((len(values), d)),
@@ -564,10 +579,80 @@ class TestGroupedTransfer:
             return linear(x, w, b)
 
         monkeypatch.setattr(E, "linear", recording)
-        E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))), values, nets)
+        E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))),
+                          np.arange(len(values)), values, nets)
         n = len(np.unique(np.array(values).view(np.int64)))
         (seen,) = rows
         assert seen <= 2 * n
+
+
+PATTERN_CASES = pytest.mark.parametrize("pattern,values", [
+    ([0, 1, 2] * 8, np.linspace(-3.0, 3.0, 24)),
+    ([3, 1, 0, 5, 2, 4], [0.25, -7.5, 3.0, 0.125, 1e6, -2.0]),
+    ([0] * 7, [0.5, 1.5, -2.0, 0.5, 3.0, 7.25, 0.0]),
+    ([0], [0.75]),
+    ([1, 0, 1, 1, 0, 1, 0], [0.0, -0.0, 0.0, 0.3, -0.0, 0.0, 0.0]),
+], ids=["few_patterns", "one_pattern_per_value", "one_pattern", "one_row", "signed_zeros"])
+
+
+class TestPatternSide:
+    @PATTERN_CASES
+    def test_matches_per_row_transfer(self, pattern, values, rng, monkeypatch):
+        monkeypatch.setattr(E, "GROUPS_PER_PATTERN", 0)  # the pattern side at any counts
+        against_reference(rng, pattern, values)
+
+    def test_finite_differences_with_repeated_patterns(self, rng, monkeypatch):
+        import dataclasses
+
+        monkeypatch.setattr(E, "GROUPS_PER_PATTERN", 0)
+        d = 3
+        nets_const = generic_nets(rng, d, 4)
+        pattern = np.array([1, 0, 1, 2, 1, 0, 1])
+        values = [0.5, -0.0, 0.5, 0.0, 0.75, 1.25, -3.0]
+        mix = rng.standard_normal((len(values), d))
+
+        def build(p):
+            nets = dataclasses.replace(nets_const, **{k: p[k] for k in p if k != "patterns"})
+            out = E.affine_transfer(ad.take_rows(p["patterns"], pattern), pattern, values, nets)
+            return ad.tensor_sum(ad.mul(out, mix))
+
+        check_gradients(build, {
+            "patterns": rng.standard_normal((3, d)),
+            "w1a": rng.standard_normal((64, 4)) * 0.1,
+            "b1a": rng.standard_normal(4) * 0.1,
+            "w2a": rng.standard_normal((4, d * d)) * 0.1,
+            "b2a": rng.standard_normal(d * d) * 0.1,
+            "w1b": rng.standard_normal((64, 4)) * 0.1,
+            "b1b": rng.standard_normal(4) * 0.1,
+            "w2b": rng.standard_normal((4, d)) * 0.1,
+            "b2b": rng.standard_normal(d) * 0.1,
+        }, tol=1e-4)
+
+    def test_side_follows_value_groups_per_pattern(self, rng, monkeypatch):
+        grouped = []
+        key_groups = E.key_groups
+
+        def recording(keys):
+            grouped.append(keys)
+            return key_groups(keys)
+
+        monkeypatch.setattr(E, "key_groups", recording)
+        nets = generic_nets(rng, 3, 4)
+
+        def side(pattern, values):
+            grouped.clear()
+            E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))), np.array(pattern),
+                              values, nets)
+            return ["value", "pattern"][len(grouped) - 1]  # the pattern side groups twice
+
+        ratio = E.GROUPS_PER_PATTERN
+        cases = [
+            ([0, 1] * ratio, np.arange(2.0 * ratio)),  # ratio value groups per pattern
+            ([0, 1] * ratio, np.r_[np.arange(2.0 * ratio - 1), 0.0]),  # one group fewer
+            (np.arange(16) % 5, np.linspace(0.0, 1.0, 16)),  # a one-query forward's counts
+            (np.arange(4), [0.1, 0.2, 0.3, 0.4]),  # a pattern per chain
+        ]
+        assert [side(*case) for case in cases] == ["pattern", "value", "value", "value"]
 
 
 class TestEndToEndGradient:
@@ -596,7 +681,7 @@ class TestEndToEndGradient:
                                               lift=p["lift"])
                 nets = dataclasses.replace(nets_const, w2a=p["w2a"], b2b=p["b2b"])
                 reps = encode_of(chains, 2, emb, params)
-                out = E.affine_transfer(reps, values, nets)
+                out = E.affine_transfer(reps, np.arange(len(chains)), values, nets)
                 return ad.tensor_sum(ad.mul(out, mix))
 
             arrays = {

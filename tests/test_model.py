@@ -225,6 +225,14 @@ class TestBatchedEquivalence:
         assert result.prediction.shape == (4,)
 
     @VARIANTS
+    def test_pattern_side_transfer_matches_per_query_forward(self, kw, rng, monkeypatch):
+        import rachain.encoder as encoder_module
+        monkeypatch.setattr(encoder_module, "GROUPS_PER_PATTERN", 0)  # at any counts
+        model = make_model(**kw)
+        _kick_zero_opens(model, rng)
+        assert_matches_reference(model, pattern_batch(), rng.uniform(0.0, 1.0, 4))
+
+    @VARIANTS
     def test_encodes_each_distinct_pattern_once(self, kw, rng, monkeypatch):
         import rachain.model as model_module
         # the mean-pool variant tokenizes the patterns without the encoder
