@@ -20,12 +20,12 @@ def mobius_add_raw(x: np.ndarray, y: np.ndarray, c: float = 1.0) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    xy = np.sum(x * y, axis=-1, keepdims=True)
-    xx = np.sum(x * x, axis=-1, keepdims=True)
-    yy = np.sum(y * y, axis=-1, keepdims=True)
-    num = (1.0 + 2.0 * c * xy + c * yy) * x + (1.0 - c * xx) * y
-    den = 1.0 + 2.0 * c * xy + (c * c) * xx * yy
-    return num / den
+    xy = (x * y).sum(axis=-1, keepdims=True)
+    xx = (x * x).sum(axis=-1, keepdims=True)
+    yy = (y * y).sum(axis=-1, keepdims=True)
+    cross = 1.0 + 2.0 * c * xy
+    num = (cross + c * yy) * x + (1.0 - c * xx) * y
+    return num / (cross + (c * c) * xx * yy)
 
 
 def distance_raw(x: np.ndarray, y: np.ndarray, c: float = 1.0) -> np.ndarray:

@@ -19,13 +19,24 @@ stably by head, so each entity keeps input order: every relational row's edge
 followed by its inverse, and the training facts in file order. Duplicate
 rows stay as separate entries. `len(kg.edge_tail)` counts the edges,
 inverses included, and `len(kg.fact_attr)` the training facts.
+
+Two tables are derived from these once, when the graph is built, so that
+retrieval never re-derives them per walk: `edge_canon[i]`, aligned with the
+edges, is the index of the first edge of the same head with the same
+relation and tail (i itself unless edge i repeats an earlier one), and
+`first_fact[first_fact_indptr[e]:first_fact_indptr[e + 1]]` are the indices
+of entity e's first training fact of each attribute, in file order. For
+each, one sort finds the entities where a key repeats, and only their
+entries go through `first_occurrences`, the package's one integer dedupe;
+on a graph with no parallel edges or no repeated facts that sort is all
+the work.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import InitVar, dataclass, field
-from math import isfinite
+from math import isfinite, prod
 
 import numpy as np
 
@@ -133,6 +144,9 @@ class KnowledgeGraph:
     fact_indptr: np.ndarray = field(init=False, repr=False, compare=False)
     fact_attr: np.ndarray = field(init=False, repr=False, compare=False)
     fact_value: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_canon: np.ndarray = field(init=False, repr=False, compare=False)
+    first_fact_indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    first_fact: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, edges, train_facts):
         for names, index in ((self.entity_names, self.entity_index),
@@ -145,6 +159,14 @@ class KnowledgeGraph:
         self.edge_indptr, (self.edge_rel, self.edge_tail) = _csr(edges[:, 0], n, *edges[:, 1:].T)
         self.fact_indptr, (self.fact_attr, self.fact_value) = _csr(
             train_facts["entity"], n, train_facts["attribute"], train_facts["value"])
+        # each edge's first edge of its head with the same (relation, tail),
+        # and each fact's first fact of its entity with the same attribute
+        self.edge_canon = _first_in_row(self.edge_indptr, self.edge_rel * n + self.edge_tail,
+                                        self.n_relations * n)
+        first = _first_in_row(self.fact_indptr, self.fact_attr, self.n_attributes)
+        is_first = first == np.arange(len(first))
+        self.first_fact = is_first.nonzero()[0]
+        self.first_fact_indptr = np.append(0, np.cumsum(is_first))[self.fact_indptr]
 
     @property
     def n_entities(self) -> int:
@@ -173,6 +195,66 @@ def _csr(rows: np.ndarray, n_rows: int, *columns: np.ndarray):
     bits = len(rows).bit_length()
     order = np.sort((rows << bits) | np.arange(len(rows))) & ((1 << bits) - 1)
     return indptr, tuple(c[order] for c in columns)
+
+
+def _first_in_row(indptr: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
+    """For CSR rows of entries whose keys lie in [0, width): each entry's
+    index of the first entry of its row with an equal key. One sort of the
+    (row, key) pairs packed into int64s finds the rows where a key repeats,
+    and only those rows' entries go through `first_occurrences`."""
+    n_rows = len(indptr) - 1
+    _check_packable(n_rows, width)
+    packed = np.repeat(np.arange(n_rows) * width, np.diff(indptr)) + keys
+    ordered = np.sort(packed)
+    rows = np.unique(ordered[1:][ordered[1:] == ordered[:-1]] // width)
+    first = np.arange(len(keys))
+    if rows.size:
+        lo, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+        some = np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)
+        head, inverse = first_occurrences(packed[some], n_rows * width)
+        first[some] = some[head[inverse]]
+    return first
+
+
+# first_occurrences dedupes through a dense table while the key space holds
+# at most this many entries per key, and sorts the keys past that, so the
+# table's memory stays linear in the keys.
+TABLE_PER_KEY = 4
+
+
+def first_occurrences(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """For 1-D integer keys in [0, space): the index of the first occurrence
+    of each distinct key, in ascending key order, and for every key the
+    position of its key among those; the arrays of np.unique(keys,
+    return_index=True, return_inverse=True)[1:]. While `space` holds at most
+    TABLE_PER_KEY entries per key, a dense table of each key's first index
+    (`np.minimum.at`), refilled with their positions, gives both. Past that,
+    one unstable argsort: equal keys form a run of the sorted order, in no
+    particular order within it, so a run's first index is its smallest."""
+    n = keys.size
+    if space <= TABLE_PER_KEY * n:
+        table = np.full(space, n)
+        np.minimum.at(table, keys, np.arange(n))
+        distinct = (table < n).nonzero()[0]
+        first = table[distinct]
+        table[distinct] = np.arange(distinct.size)
+        return first, table[keys]
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.empty(n, dtype=bool)  # where a run of equal keys begins
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    run = starts.cumsum()
+    run -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = run
+    return np.minimum.reduceat(order, starts.nonzero()[0]), inverse
+
+
+def _check_packable(*sizes: int) -> None:
+    """Raise if keys mixed-radix packed over `sizes` could overflow int64."""
+    if prod(sizes) > 2 ** 63 - 1:
+        raise OverflowError(f"packed key over sizes {sizes} would overflow int64")
 
 
 class _Ids(dict):

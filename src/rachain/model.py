@@ -113,8 +113,8 @@ class Model:
         """The trees of `queries` as one record, query i's sampled with
         seeds[i]; one pass per chunk of config.batch_size queries. Training
         keeps such records across epochs; predict_batch keeps none."""
-        return TreeOfChains.concatenate([self._sample(kg, queries[c], seeds[c])
-                                         for c in self.chunks(len(queries))])
+        parts = [self._sample(kg, queries[c], seeds[c]) for c in self.chunks(len(queries))]
+        return parts[0] if len(parts) == 1 else TreeOfChains.concatenate(parts)
 
     def _sample(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> TreeOfChains:
         return sample_trees(kg, queries, self.config.walks, self.config.max_hops, seeds)

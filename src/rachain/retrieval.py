@@ -15,9 +15,13 @@ record; `sample_tree` remains only as the one-query name a single
 prediction is traced under. A tree is the one the sequential loop (walk by
 walk, hop by hop, reading the same uniforms) would give, chain order
 included. The uniforms replaced one `rng.integers` call per hop, so a given
-seed now samples a different tree than it did under that stream. Every
-integer dedupe is one `first_occurrences`, and `TreeOfChains.patterns`
-builds the chain pattern key that the filter and the encoder share.
+seed now samples a different tree than it did under that stream. What the
+walks read of the graph beyond its CSR arrays is derived once, when the
+graph is built (see `kg`): each edge's canonical edge, which names parallel
+edges, and each entity's first fact of each attribute. Every integer dedupe
+is one `first_occurrences` (it lives in `kg`, which builds those tables with
+it), and `TreeOfChains.patterns` builds the chain pattern key that the
+filter and the encoder share.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Query
+from .kg import KnowledgeGraph, Query, _check_packable, first_occurrences
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,41 +158,6 @@ def chain_lengths(relations: np.ndarray) -> np.ndarray:
     return sum(relations[:, j] >= 0 for j in range(relations.shape[1]))
 
 
-# first_occurrences dedupes through a dense table while the key space holds
-# at most this many entries per key, and sorts the keys past that, so the
-# table's memory stays linear in the keys.
-TABLE_PER_KEY = 4
-
-
-def first_occurrences(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """For 1-D integer keys in [0, space): the index of the first occurrence
-    of each distinct key, in ascending key order, and for every key the
-    position of its key among those; the arrays of np.unique(keys,
-    return_index=True, return_inverse=True)[1:]. While `space` holds at most
-    TABLE_PER_KEY entries per key, a dense table of each key's first index
-    (`np.minimum.at`), refilled with their positions, gives both. Past that,
-    one unstable argsort: equal keys form a run of the sorted order, in no
-    particular order within it, so a run's first index is its smallest."""
-    n = keys.size
-    if space <= TABLE_PER_KEY * n:
-        table = np.full(space, n)
-        np.minimum.at(table, keys, np.arange(n))
-        distinct = (table < n).nonzero()[0]
-        first = table[distinct]
-        table[distinct] = np.arange(distinct.size)
-        return first, table[keys]
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.empty(n, dtype=bool)  # where a run of equal keys begins
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    run = starts.cumsum()
-    run -= 1
-    inverse = np.empty_like(order)
-    inverse[order] = run
-    return np.minimum.reduceat(order, starts.nonzero()[0]), inverse
-
-
 def distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """For rows given as 1-D integer key columns (at least one, all of one
     length, entries >= -1): the index of the first occurrence of each
@@ -210,12 +179,18 @@ def distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
     """RAChain's checks on every row at once: a relation at least, one more
     entity than relations, and no entity visited twice (each column against
-    the columns after it)."""
+    the columns after it), ORed into one mask by 1-D column compares."""
     n_rel = chain_lengths(relations)
-    if (np.any(n_rel < 1) or np.any((entity_path >= 0).sum(axis=1) != n_rel + 1)
-            or any(np.any((entity_path[:, i + 1:] == entity_path[:, i, None])
-                          & (entity_path[:, i, None] >= 0))
-                   for i in range(entity_path.shape[1] - 1))):
+    columns = list(np.ascontiguousarray(entity_path.T))
+    bad = n_rel < 1
+    bad |= sum(column >= 0 for column in columns) != n_rel + 1
+    for i, column in enumerate(columns[:-1]):
+        revisit = column == columns[i + 1]
+        for later in columns[i + 2:]:
+            revisit |= column == later
+        revisit &= column >= 0
+        bad |= revisit
+    if bad.any():
         raise ValueError("a sampled chain is not a simple path of its relations")
 
 
@@ -242,11 +217,14 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     distinct slots, each one's first walk and each walk's slot (a table, or
     a sort when a hub is on the frontier). The edge gathers and the revisit
     check run once per distinct slot, and each kept slot becomes a new prefix;
-    slots whose parallel edges give one prefix the same (relation, tail)
-    become one, found by the first of their walks. Every walk's prefix
-    starts at its query's index, so the prefixes of two queries never merge,
-    even for the same query twice. Each prefix yields one chain per
-    attribute of its end entity (the first fact in index order when an
+    slots of one prefix whose parallel edges share a canonical edge
+    (`kg.edge_canon`: same relation and tail) become one, found by the first
+    of their walks; that merge is a dedupe of (prefix, canonical offset) in
+    the hop's slot space, run only at a hop where some kept edge is not its
+    own canonical edge. Every walk's prefix starts at its query's index, so
+    the prefixes of two queries never merge, even for the same query twice.
+    Each prefix yields one chain per attribute of its end entity, from the
+    entity's first facts (`kg.first_fact`: the first in file order when an
     attribute repeats). A tree's chains come out in first-found order (walk,
     then hop, then fact index) and stop at `walks`, so a tree has at most
     `walks` rows. Every row is checked by `_check_rows` before it is returned.
@@ -302,16 +280,15 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
         kept = kept.nonzero()[0]
         if kept.size == 0:
             break
-        owner, nxt, first_walk = owner[kept], nxt[kept], first_walk[kept]
-        rel = edge_rel[edge[kept]]
-        # parallel edges: the slots of one prefix that reach one (relation,
-        # tail) are one new prefix, found by the first of their walks; a hop
-        # seldom has any, and the merge is skipped unless a key repeats
-        key = (owner * n_relations + rel) * n_entities + nxt
-        ordered = np.sort(key)
+        owner, nxt, first_walk, edge = owner[kept], nxt[kept], first_walk[kept], edge[kept]
+        rel = edge_rel[edge]
+        # parallel edges: the slots of one prefix whose edges share a
+        # canonical edge (same relation and tail) are one new prefix, found
+        # by the first of their walks; a hop seldom has any
+        canon = kg.edge_canon[edge]
         new_prefix = np.arange(kept.size)
-        if (ordered[1:] == ordered[:-1]).any():
-            first, new_prefix = first_occurrences(key, n_walks * n_relations * n_entities)
+        if (canon != edge).any():
+            first, new_prefix = first_occurrences(owner * width + canon - lo[owner], n_slots)
             owner, rel, nxt, slot_walk = owner[first], rel[first], nxt[first], first_walk
             first_walk = np.full(first.size, n_walks)
             np.minimum.at(first_walk, new_prefix, slot_walk)
@@ -334,28 +311,21 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     order = np.argsort(walk * max_hops + hop)  # a walk finds one prefix per hop at most
     walk = walk[order]
     end = path[:, 0].take(order)
-    lo = kg.fact_indptr[end]
-    count = kg.fact_indptr[end + 1] - lo
-    owner = np.repeat(np.arange(end.size), count)   # facts of each prefix's end, in order
-    fact = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    first = np.sort(first_occurrences(owner * kg.n_attributes + kg.fact_attr[fact],
-                                      end.size * kg.n_attributes)[0])
+    lo = kg.first_fact_indptr[end]
+    count = kg.first_fact_indptr[end + 1] - lo
+    owner = np.repeat(np.arange(end.size), count)   # first facts of each prefix's end
+    fact = kg.first_fact[np.arange(owner.size) + (lo + count - np.cumsum(count))[owner]]
     # the first `walks` chains of each tree; a tree's chains are contiguous
-    tree = walk[owner[first]] // walks
-    rank = np.arange(first.size) - np.searchsorted(tree, tree)
-    keep = first[rank < walks]
+    tree = walk[owner] // walks
+    starts = tree.searchsorted(np.arange(len(queries) + 1))
+    keep = np.arange(owner.size) - starts[tree] < walks
     owner, fact = owner[keep], fact[keep]
+    offsets = np.append(0, np.cumsum(np.minimum(np.diff(starts), walks)))
 
     rows = order[owner]
     entity_path = path[:, ::2].take(rows, axis=0)
     relations = path[:, 1::2].take(rows, axis=0)
     _check_rows(relations, entity_path)
-    offsets = np.searchsorted(walk[owner] // walks, np.arange(len(queries) + 1))
     return TreeOfChains(list(queries), offsets, kg.fact_attr[fact], kg.fact_value[fact],
                         relations, entity_path)
 
-
-def _check_packable(*sizes: int) -> None:
-    """Raise if keys mixed-radix packed over `sizes` could overflow int64."""
-    if math.prod(sizes) > 2 ** 63 - 1:
-        raise OverflowError(f"packed key over sizes {sizes} would overflow int64")

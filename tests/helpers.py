@@ -31,6 +31,7 @@ from rachain.kg import (
     DatasetSplit,
     KnowledgeGraph,
     Query,
+    as_facts,
 )
 from rachain.reasoner import (
     ChainContribution,
@@ -275,6 +276,31 @@ def reference_csr(rows: np.ndarray, n_rows: int, *columns: np.ndarray):
     return indptr, tuple(c[order] for c in columns)
 
 
+def reference_edge_canon(kg) -> np.ndarray:
+    """Per entity, each out-edge's first edge of the same (relation, tail),
+    by a dict over the entity's edge list."""
+    canon = []
+    for e in range(kg.n_entities):
+        first: dict[tuple[int, int], int] = {}
+        for i in range(kg.edge_indptr[e], kg.edge_indptr[e + 1]):
+            canon.append(first.setdefault((int(kg.edge_rel[i]), int(kg.edge_tail[i])), int(i)))
+    return np.array(canon, dtype=np.int64)
+
+
+def reference_first_facts(kg) -> tuple[np.ndarray, np.ndarray]:
+    """Per entity, the index of its first training fact of each attribute in
+    file order, as (offsets, indices), by a set over the entity's facts."""
+    indptr, first = [0], []
+    for e in range(kg.n_entities):
+        seen: set[int] = set()
+        for i in range(kg.fact_indptr[e], kg.fact_indptr[e + 1]):
+            if int(kg.fact_attr[i]) not in seen:
+                seen.add(int(kg.fact_attr[i]))
+                first.append(int(i))
+        indptr.append(len(first))
+    return np.array(indptr, dtype=np.int64), np.array(first, dtype=np.int64)
+
+
 def _reference_parse_rows(lines, n_cols: int, source: str):
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n").rstrip("\r")
@@ -338,13 +364,16 @@ def _reference_build_dataset(relational_rows, train_rows, valid_rows, test_rows,
         edges[:, 0], kg.n_entities, edges[:, 1], edges[:, 2])
     kg.fact_indptr, (kg.fact_attr, kg.fact_value) = reference_csr(
         train["entity"], kg.n_entities, train["attribute"], train["value"])
+    kg.edge_canon = reference_edge_canon(kg)
+    kg.first_fact_indptr, kg.first_fact = reference_first_facts(kg)
     return kg, DatasetSplit(train=train, valid=valid, test=test)
 
 
 def reference_load_dataset(relational_path, train_path, valid_path=None, test_path=None):
     """(graph, split) as `rachain.kg.load_dataset` gives them, by the row-generator
     loader: relational rows through two generator layers, numerical files read
-    whole, `setdefault` interning and CSR arrays from `reference_csr`."""
+    whole, `setdefault` interning, CSR arrays from `reference_csr` and the
+    derived tables from `reference_edge_canon` and `reference_first_facts`."""
     paths = (train_path, valid_path, test_path)
     with open(relational_path, encoding="utf-8") as fh:
         return _reference_build_dataset(
@@ -356,6 +385,20 @@ def reference_load_dataset(relational_path, train_path, valid_path=None, test_pa
 
 # ---------------------------------------------------------------------------
 # retrieval oracles (plain python over per-entity lists)
+
+
+def raw_graph(n_entities, n_base, triples, facts):
+    """A graph built straight from id triples: edges need not come with their
+    inverses, so entities can be dead ends or fully isolated."""
+    return KnowledgeGraph(
+        entity_names=[f"e{i}" for i in range(n_entities)],
+        relation_names=[f"r{i}" for i in range(n_base)]
+        + [f"r{i}_inv" for i in range(n_base)],
+        attribute_names=["a0", "a1", "a2"],
+        edges=triples,
+        train_facts=as_facts(facts),
+        num_base_relations=n_base,
+    )
 
 
 def out_edges(kg, entity: int) -> tuple[np.ndarray, np.ndarray]:

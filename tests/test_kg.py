@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from helpers import (
     facts,
     out_edges,
+    raw_graph,
     reference_attribute_stats,
     reference_csr,
+    reference_edge_canon,
+    reference_first_facts,
     reference_load_dataset,
 )
 from rachain import kg as K
@@ -306,8 +309,8 @@ class TestLoadMatchesReference:
             with pytest.raises(KeyError):
                 index["no such name"]
             assert "no such name" not in index
-        for name in ("edge_indptr", "edge_rel", "edge_tail",
-                     "fact_indptr", "fact_attr", "fact_value"):
+        for name in ("edge_indptr", "edge_rel", "edge_tail", "fact_indptr", "fact_attr",
+                     "fact_value", "edge_canon", "first_fact_indptr", "first_fact"):
             got, want = getattr(kg, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for got, want in zip((split.train, split.valid, split.test),
@@ -349,6 +352,65 @@ class TestCsr:
         want = reference_csr(rows, 1200, np.arange(len(rows)))
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1][0].tobytes() == want[1][0].tobytes()
+
+
+class TestDerivedTables:
+    """`edge_canon` and the first facts against per-entity loops."""
+
+    @staticmethod
+    def check(kg):
+        canon = reference_edge_canon(kg)
+        indptr, first = reference_first_facts(kg)
+        for got, want in ((kg.edge_canon, canon), (kg.first_fact_indptr, indptr),
+                          (kg.first_fact, first)):
+            assert got.dtype == want.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["simple", "parallel"])
+    @pytest.mark.parametrize("repeat", [False, True], ids=["distinct_facts", "repeat_facts"])
+    def test_matches_per_entity_loops_on_random_graphs(self, monkeypatch, parallel, repeat):
+        rng = np.random.default_rng(10 * parallel + repeat)
+        seen_parallel = seen_repeat = 0
+        for case in range(40):
+            # the dense table and the sort it falls back to, case by case
+            monkeypatch.setattr(K, "TABLE_PER_KEY", (0, 10 ** 9)[case % 2])
+            n, n_base = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            pairs = {(int(h), int(r), int(t)) for h, r, t in zip(
+                rng.integers(0, n, 60), rng.integers(0, 2 * n_base, 60), rng.integers(0, n, 60))}
+            triples = list(pairs)
+            if parallel:  # repeats of some edges, anywhere in the input
+                triples += [triples[i] for i in rng.integers(0, len(triples), 8)]
+                rng.shuffle(triples)
+            facts = {(int(e), int(a)): float(v) for e, a, v in zip(
+                rng.integers(0, n, 40), rng.integers(0, 3, 40), rng.normal(size=40))}
+            facts = [(e, a, v) for (e, a), v in facts.items()]
+            if repeat:  # the same (entity, attribute) again, with another value
+                facts += [(e, a, v + 1.0) for e, a, v in facts[::3]]
+                rng.shuffle(facts)
+            kg = raw_graph(n, n_base, triples, facts)
+            self.check(kg)
+            seen_parallel += bool(np.any(kg.edge_canon != np.arange(len(kg.edge_canon))))
+            seen_repeat += len(kg.first_fact) < len(kg.fact_attr)
+        assert bool(seen_parallel) == parallel and bool(seen_repeat) == repeat
+
+    def test_canonical_edge_is_the_first_of_its_head(self):
+        # e0's edges, in CSR order: (r0, e1), (r1, e1), (r0, e1), (r0, e1);
+        # e1's (r0, e1) is its own, a different head's
+        kg = raw_graph(2, 1, [(0, 0, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1), (0, 0, 1)],
+                       [(1, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0), (1, 0, 4.0)])
+        assert kg.edge_canon.tolist() == [0, 1, 0, 0, 4]
+        assert kg.first_fact_indptr.tolist() == [0, 1, 3]
+        assert kg.fact_attr[kg.first_fact].tolist() == [1, 0, 1]
+        assert kg.fact_value[kg.first_fact].tolist() == [2.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("n_entities", [0, 3])
+    def test_empty_graphs(self, n_entities):
+        kg = raw_graph(n_entities, 1, [], [])
+        self.check(kg)
+        assert kg.edge_canon.shape == kg.first_fact.shape == (0,)
+        assert kg.first_fact_indptr.tolist() == [0] * (n_entities + 1)
+
+    def test_bench_graph(self, bench_graph):
+        self.check(bench_graph[0])
 
 
 class TestFacts:

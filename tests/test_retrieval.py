@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (assert_same_tree, chain_is_valid, chain_set, chain_sets, each_tree,
-                     enumerate_all_chains, facts, out_edges, reference_check_rows,
+                     enumerate_all_chains, facts, out_edges, raw_graph, reference_check_rows,
                      reference_distinct_rows, reference_sample_tree, tree_arrays)
 from rachain import kg as K
 from rachain import retrieval as R
@@ -127,7 +127,7 @@ class TestFirstOccurrences:
         keys = np.asarray(keys, dtype=np.int64)
         want = np.unique(keys, return_index=True, return_inverse=True)[1:]
         for per_key in (0, 10 ** 9):  # always sort, then table wherever space allows
-            monkeypatch.setattr(R, "TABLE_PER_KEY", per_key)
+            monkeypatch.setattr(K, "TABLE_PER_KEY", per_key)
             got = R.first_occurrences(keys, space)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
@@ -160,7 +160,7 @@ class TestDistinctRows:
         # the dense key table and the sort it falls back to give the same rows;
         # a forced table runs only where the key space (at most high + 1 per
         # column) has 10**7 entries or fewer, so that no case fills gigabytes
-        monkeypatch.setattr(R, "TABLE_PER_KEY", per_key)
+        monkeypatch.setattr(K, "TABLE_PER_KEY", per_key)
         for shape, low, high in DISTINCT_ROW_CASES:
             if not per_key or (high + 1) ** shape[1] <= 10 ** 7:
                 self.test_matches_np_unique_rows(shape, low, high)
@@ -325,20 +325,6 @@ class TestSampling:
                    for c in toc.chains}
         assert sampled <= oracle
         assert len(sampled) >= 0.99 * len(oracle)
-
-
-def raw_graph(n_entities, n_base, triples, facts):
-    """A graph built straight from id triples: edges need not come with their
-    inverses, so entities can be dead ends or fully isolated."""
-    return K.KnowledgeGraph(
-        entity_names=[f"e{i}" for i in range(n_entities)],
-        relation_names=[f"r{i}" for i in range(n_base)]
-        + [f"r{i}_inv" for i in range(n_base)],
-        attribute_names=["a0", "a1", "a2"],
-        edges=triples,
-        train_facts=K.as_facts(facts),
-        num_base_relations=n_base,
-    )
 
 
 def random_graph(rng):
@@ -550,7 +536,7 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("case", ["on_random_graphs", "at_chunk_scale"])
     def test_both_slot_dedupes_match_the_per_query_loop(self, monkeypatch, per_key, case):
         # the dense tables and the sorts they fall back to give the same trees
-        monkeypatch.setattr(R, "TABLE_PER_KEY", per_key)
+        monkeypatch.setattr(K, "TABLE_PER_KEY", per_key)
         getattr(self, f"test_matches_per_query_loop_{case}")()
 
     def test_a_hub_on_the_frontier_sorts_its_slots(self):
