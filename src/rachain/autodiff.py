@@ -360,19 +360,29 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b for x (..., n), w (n, p) and b (p,) or None."""
+    """x @ w + b for x (..., n), w (n, p) and b (p,) or None.
+
+    The input gradient is one 2-D GEMM over the flattened rows: numpy runs
+    a stacked gradient times w.T as a slower batched product. The forward
+    flattens only an (m, 1, n) input, a free view, for the same reason; a
+    stack of longer (L, n) blocks times w runs faster batched than
+    flattened, so it stays 3-D."""
     x, w = _as_tensor(x), _as_tensor(w)
-    out_data = x.data @ w.data
+    n, p = w.data.shape
+    if x.ndim > 2 and x.data.size == x.shape[0] * n:
+        out_data = (x.data.reshape(-1, n) @ w.data).reshape(x.shape[:-1] + (p,))
+    else:
+        out_data = x.data @ w.data
     if b is not None:
         b = _as_tensor(b)
         out_data += b.data
 
     def backward_fn(g):
+        g2 = g.reshape(-1, p)
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        g2 = g.reshape(-1, g.shape[-1])
+            _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
         if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, w.data.shape[0]).T @ g2)
+            _accumulate(w, x.data.reshape(-1, n).T @ g2)
         if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=0))
 
@@ -384,9 +394,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean and unit variance, then scale by
     gain and shift by bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    xhat = centered / std
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat /= std
     rstd = 1.0 / std
 
     def backward_fn(g):
@@ -397,10 +407,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accumulate(bias, g.sum(axis=axes))
         if x.requires_grad:
             gx = g * gain.data
-            gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, gx * rstd)
+            corr = gx * xhat  # then mean(gx) + xhat * mean(gx * xhat), in place
+            np.multiply(xhat, corr.mean(axis=-1, keepdims=True), out=corr)
+            corr += gx.mean(axis=-1, keepdims=True)
+            gx -= corr
+            gx *= rstd
+            _accumulate(x, gx)
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn)
+    out_data = xhat * gain.data
+    out_data += bias.data
+    return _make(out_data, (x, gain, bias), backward_fn)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -443,8 +459,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         if v.requires_grad:
             _accumulate(v, merge(p.transpose(0, 1, 3, 2) @ g))
         if q.requires_grad or k.requires_grad:
-            dp = g @ vh.transpose(0, 1, 3, 2)
-            ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+            ds = g @ vh.transpose(0, 1, 3, 2)  # dp, turned into ds in place
+            ds -= np.sum(ds * p, axis=-1, keepdims=True)
+            ds *= p
             ds *= scale
             if q.requires_grad:
                 _accumulate(q, merge(ds @ kh))

@@ -78,6 +78,80 @@ class TestEngine:
         np.testing.assert_allclose(p.grad, [1.0], atol=0)
 
 
+def _hand_out(t, given):
+    """A test node on t whose backward hands the array `given` to t."""
+    return ad._make(t.data, (t,), lambda g: ad._accumulate(t, given))
+
+
+def _total(nodes):
+    out = ad.tensor_sum(nodes[0])
+    for node in nodes[1:]:
+        out = ad.add(out, ad.tensor_sum(node))
+    return out
+
+
+def _ints(rng, shape):
+    # small integers, so every sum and product below is exact in any order
+    return rng.integers(-4, 5, size=shape).astype(np.float64)
+
+
+class TestGradientOwnership:
+    """Gradients from several consumers sum exactly, an array an op hands out
+    is never written, and a leaf's `.grad` is its own array."""
+
+    @pytest.mark.parametrize("through_op", [True, False], ids=["op", "leaf"])
+    def test_transformer_layer_reads_sum_exactly(self, rng, through_op):
+        # x feeds the q, k and v projections and the residual add, as in
+        # encoder.transformer_stack
+        p = ad.Parameter(_ints(rng, (3, 2, 4)))
+        x = ad.mul(p, 1.0) if through_op else p
+        ws = [ad.Parameter(_ints(rng, (4, 4))) for _ in range(3)]
+        mixes = [_ints(rng, (3, 2, 4)) for _ in range(4)]
+        res = ad.Parameter(_ints(rng, (3, 2, 4)))
+        branches = [ad.linear(x, w) for w in ws] + [ad.add(x, res)]
+        ad.backward(_total([ad.mul(b, m) for b, m in zip(branches, mixes)]))
+        want = mixes[3] + sum(m @ w.data.T for m, w in zip(mixes, ws))
+        np.testing.assert_array_equal(p.grad, want)
+        np.testing.assert_array_equal(res.grad, mixes[3])
+
+    def test_add_gradient_handed_to_both_parents_is_not_written(self, rng):
+        p, q = ad.Parameter(_ints(rng, (3, 4))), ad.Parameter(_ints(rng, (3, 4)))
+        x, z = ad.mul(p, 1.0), ad.mul(q, 1.0)
+        given = _ints(rng, (3, 4))
+        kept = given.copy()
+        others = [_ints(rng, (3, 4)) for _ in range(4)]
+        nodes = [_hand_out(ad.add(x, z), given)]
+        nodes += [_hand_out(x, o) for o in others[:2]] + [_hand_out(z, o) for o in others[2:]]
+        ad.backward(_total(nodes))
+        np.testing.assert_array_equal(given, kept)
+        np.testing.assert_array_equal(p.grad, given + others[0] + others[1])
+        np.testing.assert_array_equal(q.grad, given + others[2] + others[3])
+
+    def test_reshape_view_handed_out_is_not_written(self, rng):
+        p = ad.Parameter(_ints(rng, (3, 4)))
+        x = ad.mul(p, 1.0)
+        given = _ints(rng, (12,))
+        kept = given.copy()
+        others = [_ints(rng, (3, 4)) for _ in range(3)]
+        nodes = [_hand_out(ad.reshape(x, (12,)), given)] + [_hand_out(x, o) for o in others]
+        ad.backward(_total(nodes))
+        np.testing.assert_array_equal(given, kept)
+        np.testing.assert_array_equal(p.grad, given.reshape(3, 4) + sum(others))
+
+    def test_leaf_grad_does_not_alias_the_op_gradient(self, rng):
+        # add hands one array to both leaves; each .grad is a copy of its own
+        p, q = ad.Parameter(_ints(rng, (3, 4))), ad.Parameter(_ints(rng, (3, 4)))
+        mix = _ints(rng, (3, 4))
+        ad.backward(ad.tensor_sum(ad.mul(ad.add(p, q), mix)))
+        assert not np.shares_memory(p.grad, q.grad)
+        p.grad *= 2.0
+        np.testing.assert_array_equal(q.grad, mix)
+        given = _ints(rng, (3, 4))
+        r = ad.Parameter(_ints(rng, (3, 4)))
+        ad.backward(ad.tensor_sum(_hand_out(r, given)))
+        assert not np.shares_memory(r.grad, given)
+
+
 class TestOps:
     def test_take_rows_scatter_add(self):
         p = ad.Parameter(np.arange(6.0).reshape(3, 2))
@@ -194,6 +268,34 @@ class TestFusedOps:
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
         for name in arrays:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape", [(7, 1, 5), (4, 3, 5), (6, 5)],
+                             ids=["m1n", "mLn", "2d"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_linear_matches_per_row_dot(self, rng, x_shape, bias):
+        # (m, 1, n) runs forward and backward as (m, n) GEMMs, (m, L, n) its
+        # input gradient; every path against one np.dot per row
+        x, w = rng.standard_normal(x_shape), rng.standard_normal((5, 3))
+        b = rng.standard_normal(3) if bias else np.zeros(3)
+        arrays = {"x": x, "w": w, **({"b": b} if bias else {})}
+        mix = rng.standard_normal(x_shape[:-1] + (3,))
+        out, grads = _values_and_grads(ad.linear, arrays, mix)
+        rows, g_rows = x.reshape(-1, 5), mix.reshape(-1, 3)
+        want = {"x": np.array([np.dot(g, w.T) for g in g_rows]).reshape(x_shape),
+                "w": sum(np.outer(r, g) for r, g in zip(rows, g_rows)),
+                "b": sum(g_rows)}
+        np.testing.assert_allclose(
+            out, np.array([np.dot(r, w) + b for r in rows]).reshape(mix.shape),
+            rtol=0, atol=1e-12)
+        for name in arrays:
+            np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-12)
+
+    def test_linear_single_row_stack_against_finite_differences(self, rng):
+        arrays = {"x": rng.standard_normal((4, 1, 5)), "w": rng.standard_normal((5, 3)),
+                  "b": rng.standard_normal(3)}
+        mix = rng.standard_normal((4, 1, 3))
+        check_gradients(lambda p: ad.tensor_sum(ad.mul(ad.linear(p["x"], p["w"], p["b"]), mix)),
+                        arrays)
 
     @pytest.mark.parametrize("x_shape", [(5, 6), (2, 3, 6)], ids=["2d", "3d"])
     def test_layer_norm_matches_composite(self, rng, x_shape):

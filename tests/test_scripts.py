@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -44,3 +46,24 @@ def test_run_synthetic_writes_metrics_and_patterns(tmp_path):
     patterns = (tmp_path / "patterns.txt").read_text(encoding="utf-8").splitlines()
     assert patterns[0].split() == ["total", "weight", "chains", "pattern"]
     assert len(patterns) > 1
+
+
+@pytest.mark.parametrize("what", ["train", "evaluate", "predict"])
+def test_ab_inprocess_times_the_repo_against_itself(tmp_path, what):
+    root = SCRIPTS.parent
+    before = sorted(p for p in root.rglob("*") if ".git" not in p.parts)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "ab_inprocess.py"), str(root), str(root),
+                           "--workload", "train_small", "--what", what, "--pairs", "3",
+                           "--seed", "7", "--tiny"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["pairs"] == 3 and 0 <= result["change_won"] <= 3
+    for side in ("parent", "change"):
+        times = result["times"][side]
+        assert len(times) == 3 and min(times) > 0
+        assert result[side]["q1"] <= result[side]["median"] <= result[side]["q3"]
+    assert result["median_ratio"] > 0
+    assert "change won" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(p for p in root.rglob("*") if ".git" not in p.parts) == before
