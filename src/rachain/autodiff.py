@@ -7,7 +7,8 @@ against central finite differences in the test suite. The layers the model
 runs most (`linear`, `layer_norm`, masked scaled multi-head `attention`,
 which splits and merges its heads itself, and the origin `log_map` of the
 Poincare ball) are fused: one tape node each, keeping only what their
-backward reads.
+backward reads. The value transfer's two fused nodes are built the same way
+in `encoder`, from `_make` and `_accumulate`.
 
 Model parts are dataclasses of Parameters and lists of parts; `parameters`
 walks their fields, so a part's fields are the one list of what it trains.
@@ -449,7 +450,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         key_mask = np.asarray(key_mask, dtype=bool)
         if not key_mask.any(axis=-1).all():
             raise ValueError("attention key_mask removes every key of some row")
-        np.copyto(p, -np.inf, where=~key_mask[:, None, None, :])
+        if not key_mask.all():
+            np.copyto(p, -np.inf, where=~key_mask[:, None, None, :])
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

@@ -26,12 +26,15 @@ source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
 drives two MLPs producing a matrix E_a and shift E_b, giving
 E_a^T e_chain + E_b. At initialization E_a is the identity and E_b zero.
 E_a is bilinear in the value's hidden activation and the chain's pattern
-representation, so the transfer contracts with whichever repeats more:
-rows that share a value share E_a, built once per value group, and rows
-that share a pattern share e^T W2a, built once per pattern group when the
-values form many groups per pattern (affine_transfer). Rows are grouped by
-an integer key (key_groups) and each group applied in one batched matmul,
-never as a per-row (m, d, d) tensor.
+representation, so the transfer contracts on either side: rows that share
+a value share E_a, built once per value group, and rows that share a
+pattern share e^T W2a, built once per pattern group. It takes the pattern
+side when the value side would build more than MAP_ALLOWANCE maps more
+(affine_transfer). Rows are grouped by an integer key (key_groups) and each
+group applied in one batched matmul, never as a per-row (m, d, d) tensor.
+Either side is one fused tape node whose backward keeps only what it
+reads; the value side repeats the arithmetic of the composite ops bit for
+bit.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
+    _accumulate,
+    _make,
     add,
     attention,
     concat,
@@ -50,10 +55,8 @@ from .autodiff import (
     layer_norm,
     linear,
     log_map,
-    matmul,
     relu,
     reshape,
-    swapaxes,
     take_rows,
 )
 from .filter import FilterEmbeddings
@@ -315,12 +318,23 @@ def key_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return ordered[starts], group_key, source, slot
 
 
-# The transfer contracts on the pattern side when the source values form at
-# least this many groups per pattern. Forward and backward on 512-row
-# training batches break even near 2 (dim 32); a one-query forward (16 rows)
-# is 1.5x slower there at every ratio seen, and none of 576 one-query
-# predictions on the predict_dense benchmark graphs reached 4 (at most 3.2).
-GROUPS_PER_PATTERN = 4
+# The transfer contracts on the pattern side when the value side would build
+# more than this many maps more than the pattern side: the pattern side pays
+# a fixed cost per call (a second grouping, per-slot gathers of the hidden
+# activations) that the maps it saves must outweigh. On the benchmark graphs
+# (seed 7) the value side builds 69-168 maps more on train_small training
+# batches, where the pattern side's forward and backward take 0.42-0.98 of
+# its time, and 106 more on the train_small evaluate chunk; at most 10 more
+# on any one-query forward (the pattern side up to 1.4x slower at dim 32)
+# and 19 more on a train_wide evaluate chunk, which keep the value side.
+MAP_ALLOWANCE = 32
+
+
+def pattern_group_count(pattern: np.ndarray) -> int:
+    """The number of groups key_groups(pattern) makes, from the counts alone."""
+    counts = np.bincount(pattern)
+    width = -(-len(pattern) // np.count_nonzero(counts))
+    return int(((counts + (width - 1)) // width).sum())
 
 
 def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Tensor:
@@ -331,38 +345,151 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
     hidden activation h = relu(bits W1a + b1a) (W_k is row k of W2a and B
     is b2a, each as a (d, d) matrix), so it contracts on either side. The
     rows are grouped by their values' bits (key_groups; -0.0 and 0.0 stay
-    apart) into G groups. Below GROUPS_PER_PATTERN * P groups, E_a and E_b
-    are built once per value group and applied with one (G, width, d) @
-    (G, d, d) matmul. Otherwise the rows are grouped by pattern, e^T W_k
-    and e^T B are built once per pattern group (from its first row), and
-    each row's own h takes one (G', width, H) @ (G', H, d) matmul. The rule
-    reads only what the value side computes anyway. A pad slot reads row 0;
-    its output is never gathered back, so it adds exactly zero to every
-    gradient.
+    apart) into G groups, and by pattern into G' groups. Each side builds
+    one map per group: E_a (d, d) per value group, or e^T W2a (H, d) per
+    pattern group, each H d^2 multiply-adds. The pattern side is taken when
+    G - G' > MAP_ALLOWANCE, so a one-query forward keeps the value side.
+
+    Either side is one fused tape node (_value_side, _pattern_side) whose
+    hand-written backward keeps only what it reads.
     """
-    d = nets.dim
     values = np.asarray(values, dtype=np.float64).reshape(-1)
+    pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
     keys, group_value, source, slot = key_groups(values.view(np.int64))
-    g = len(group_value)
-    if g < GROUPS_PER_PATTERN * (int(np.max(pattern, initial=0)) + 1):
-        bits = Tensor(encode_values(keys.view(np.float64))[group_value])
-        ha = relu(linear(bits, nets.w1a, nets.b1a))
-        ea = reshape(linear(ha, nets.w2a, nets.b2a), (g, d, d))
-        hb = relu(linear(bits, nets.w1b, nets.b1b))
-        eb = reshape(linear(hb, nets.w2b, nets.b2b), (g, 1, d))
-        # row-vector form: (e^T E_a)^T == E_a^T e
-        grouped = add(matmul(take_rows(chain_reps, source), ea), eb)
-    else:
-        _, _, source, slot = key_groups(pattern)
-        g = len(source)
-        # the hidden layers run per slot, so no per-value gather is scattered back
-        bits = Tensor(encode_values(values[source]).reshape(source.shape + (64,)))
-        ha = relu(linear(bits, nets.w1a, nets.b1a))
-        eb = linear(relu(linear(bits, nets.w1b, nets.b1b)), nets.w2b, nets.b2b)
-        e = take_rows(chain_reps, source[:, 0])
-        # W2a as (d, H d): row i holds row i of every W_k
-        w = reshape(swapaxes(reshape(nets.w2a, (-1, d, d)), 0, 1), (d, -1))
-        y = reshape(linear(e, w), (g, -1, d))
-        eb = add(eb, reshape(linear(e, reshape(nets.b2a, (d, d))), (g, 1, d)))
-        grouped = add(matmul(ha, y), eb)
-    return take_rows(reshape(grouped, (source.size, d)), slot)
+    if len(group_value) - pattern_group_count(pattern) > MAP_ALLOWANCE:
+        return _pattern_side(chain_reps, pattern, keys, group_value, source, slot, nets)
+    return _value_side(chain_reps, keys, group_value, source, slot, nets)
+
+
+def _hidden(bits: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """relu(bits @ w + b), as `linear` and `relu` compute it."""
+    h = bits @ w.data
+    h += b.data
+    return np.maximum(h, 0.0, out=h)
+
+
+def _output_grads(h: np.ndarray, g: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """Accumulate the gradients of w and b in h @ w + b for its gradient g
+    (rows, p); returns the gradient of h."""
+    _accumulate(w, h.T @ g)
+    _accumulate(b, g.sum(axis=0))
+    return g @ w.data.T
+
+
+def _hidden_grads(bits: np.ndarray, h: np.ndarray, dh: np.ndarray, w: Tensor,
+                  b: Tensor) -> None:
+    """Accumulate the gradients of w and b in h = relu(bits @ w + b)."""
+    dpre = dh * (h > 0.0)
+    _accumulate(w, bits.T @ dpre)
+    _accumulate(b, dpre.sum(axis=0))
+
+
+def _slotted(g: np.ndarray, slot: np.ndarray, groups: int, width: int) -> np.ndarray:
+    """The (m, d) row gradient g in a (groups, width, d) layout, zero in pad slots."""
+    out = np.zeros((groups * width, g.shape[1]))
+    out[slot] = g
+    return out.reshape(groups, width, -1)
+
+
+def _value_side(chain_reps: Tensor, keys, group_value, source, slot,
+                nets: AffineNets) -> Tensor:
+    """E_a and E_b built once per value group and applied with one
+    (G, width, d) @ (G, d, d) matmul.
+
+    The arithmetic is that of the composite (linear, relu, reshape, a row
+    gather, matmul, add, a slot gather), so output and gradients are
+    bit-identical to it. A pad slot reads row 0 and its output is never
+    gathered back; the backward gives it a zero gradient and reads each row's
+    gradient from its own slot, so neither final gather is scattered back."""
+    d = nets.dim
+    g, width = source.shape
+    parents = (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
+               nets.w1b, nets.b1b, nets.w2b, nets.b2b)
+    bits = encode_values(keys.view(np.float64)[group_value])
+    ha = _hidden(bits, nets.w1a, nets.b1a)
+    ea = ha @ nets.w2a.data
+    ea += nets.b2a.data
+    ea = ea.reshape(g, d, d)
+    hb = _hidden(bits, nets.w1b, nets.b1b)
+    eb = hb @ nets.w2b.data
+    eb += nets.b2b.data
+    xs = chain_reps.data[source]
+    # row-vector form: (e^T E_a)^T == E_a^T e
+    grouped = xs @ ea
+    grouped += eb[:, None]
+
+    def backward_fn(gout):
+        gg = _slotted(gout, slot, g, width)
+        dhb = _output_grads(hb, gg.sum(axis=1), nets.w2b, nets.b2b)
+        _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
+        if chain_reps.requires_grad:
+            _accumulate(chain_reps, (gg @ np.moveaxis(ea, -1, -2)).reshape(-1, d)[slot])
+        dea = (np.moveaxis(xs, -1, -2) @ gg).reshape(g, d * d)
+        dha = _output_grads(ha, dea, nets.w2a, nets.b2a)
+        _hidden_grads(bits, ha, dha, nets.w1a, nets.b1a)
+
+    return _make(grouped.reshape(-1, d)[slot], parents, backward_fn)
+
+
+def _pattern_side(chain_reps: Tensor, pattern, keys, group_value, source, slot,
+                  nets: AffineNets) -> Tensor:
+    """e^T W_k and e^T B built once per pattern group, from its first row,
+    and contracted with each row's own hidden activation by one
+    (G', width, H) @ (G', H, d) matmul.
+
+    Both hidden layers, and E_b, run once per distinct value (key_groups of
+    the values: keys, group_value, source, slot); the backward sums each
+    value's rows through that value layout. W2a is read as the (H, d, d)
+    view it is stored as: e^T W_k for all k is one (G', d) @ (H, d, d)
+    product, kept as (H, G', d), and the gradient of e is one product with
+    W2a's (H d, d) transpose. Rounding differs from the value side's."""
+    d = nets.dim
+    vg, vwidth = source.shape
+    row_value = group_value[slot // vwidth]
+    _, _, psource, pslot = key_groups(pattern)
+    pg, pwidth = psource.shape
+    parents = (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
+               nets.w1b, nets.b1b, nets.w2b, nets.b2b)
+    bits = encode_values(keys.view(np.float64))
+    ha = _hidden(bits, nets.w1a, nets.b1a)
+    hb = _hidden(bits, nets.w1b, nets.b1b)
+    eb = hb @ nets.w2b.data
+    eb += nets.b2b.data
+    first = psource[:, 0]
+    e = chain_reps.data[first]
+    w3 = nets.w2a.data.reshape(-1, d, d)
+    bias = nets.b2a.data.reshape(d, d)
+    y = np.matmul(e, w3)  # (H, G', d)
+    hs = ha[row_value[psource]]
+    grouped = hs @ y.transpose(1, 0, 2)
+    grouped += (e @ bias)[:, None]
+    out = grouped.reshape(-1, d)[pslot]
+    out += eb[row_value]
+
+    value_starts = None
+    if vg > len(keys):
+        value_starts = np.flatnonzero(np.r_[True, group_value[1:] != group_value[:-1]])
+
+    def per_value(rows):  # (m, c) row gradients summed per distinct value
+        sums = _slotted(rows, slot, vg, vwidth).sum(axis=1)
+        return sums if value_starts is None else np.add.reduceat(sums, value_starts, axis=0)
+
+    def backward_fn(gout):
+        gg = _slotted(gout, pslot, pg, pwidth)
+        dhb = _output_grads(hb, per_value(gout), nets.w2b, nets.b2b)
+        _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
+        dhs = gg @ y.transpose(1, 2, 0)
+        _hidden_grads(bits, ha, per_value(dhs.reshape(-1, dhs.shape[-1])[pslot]),
+                      nets.w1a, nets.b1a)
+        dy = np.matmul(hs.transpose(0, 2, 1), gg)  # (G', H, d)
+        gsum = gg.sum(axis=1)
+        _accumulate(nets.w2a, np.matmul(e.T, dy.transpose(1, 0, 2)).reshape(-1, d * d))
+        _accumulate(nets.b2a, (e.T @ gsum).reshape(-1))
+        if chain_reps.requires_grad:
+            de = gsum @ bias.T
+            de += dy.reshape(pg, -1) @ w3.transpose(0, 2, 1).reshape(-1, d)
+            drows = np.zeros_like(chain_reps.data)
+            drows[first] = de
+            _accumulate(chain_reps, drows)
+
+    return _make(out, parents, backward_fn)

@@ -114,7 +114,7 @@ class Model:
         seeds[i]; one pass per chunk of config.batch_size queries. Training
         keeps such records across epochs; predict_batch keeps none."""
         parts = [self._sample(kg, queries[c], seeds[c]) for c in self.chunks(len(queries))]
-        return parts[0] if len(parts) == 1 else TreeOfChains.concatenate(parts)
+        return TreeOfChains.concatenate(parts)
 
     def _sample(self, kg: KnowledgeGraph, queries: list[Query], seeds) -> TreeOfChains:
         return sample_trees(kg, queries, self.config.walks, self.config.max_hops, seeds)
@@ -145,9 +145,9 @@ class Model:
         index (the rows, so that a row's transfer and treeformer gradients
         add up before the gather sums a pattern's repeats), and builds its
         map once per group of chains that share a normalized source value,
-        or once per group that shares a pattern when the values form many
-        groups per pattern (see encoder.affine_transfer); the heads project
-        every row. Only the
+        or once per group that shares a pattern when that builds more than
+        encoder.MAP_ALLOWANCE fewer maps, in one fused tape node (see
+        encoder.affine_transfer); the heads project every row. Only the
         treeformer looks across a query's chains, so only it and the
         prediction sum see the (B, k) slots, none of which leaves this call:
         row j holds the j-th query's chains in its leading slots, k being the

@@ -138,7 +138,10 @@ class TreeOfChains:
 
     @classmethod
     def concatenate(cls, parts: list["TreeOfChains"]) -> "TreeOfChains":
-        """The trees of `parts` (at least one) one after another."""
+        """The trees of `parts` (at least one) one after another; a lone
+        part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
         offsets = np.append(0, np.cumsum(np.concatenate([p.sizes for p in parts])))
         return cls([q for p in parts for q in p.queries], offsets,
                    *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)[2:]))

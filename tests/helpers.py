@@ -5,11 +5,12 @@ loader and stable-argsort CSR, a graph's out-edges and facts, the exhaustive
 chain enumerator, the sequential chain sampler, the sort-based row check, the
 np.unique row dedupe, the per-tree top-k selection, test-only autodiff ops
 and the composite forms of the fused layers, the per-token chain tokens, the
-unfused full-row transformer, the per-row affine transfer, the per-query
-model forward, the hand-written parameter lists, the per-query prediction
-traces and dict-accumulator pattern ranking, predictions that used no chain,
-the per-triple attribute statistics and query scoping, the dict-accumulator
-evaluation reports and filter audit, and finite differences."""
+unfused full-row transformer, the per-row and the composite grouped affine
+transfers, the per-query model forward, the hand-written parameter lists,
+the per-query prediction traces and dict-accumulator pattern ranking,
+predictions that used no chain, the per-triple attribute statistics and
+query scoping, the dict-accumulator evaluation reports and filter audit, and
+finite differences."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from rachain import autodiff as ad
 from rachain import evaluation as EV
-from rachain.encoder import AffineNets, encode_values
+from rachain.encoder import AffineNets, encode_values, key_groups
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
 from rachain.kg import (
@@ -707,9 +708,9 @@ def reference_encode_chains(source_attribute, relations, query_attributes, embed
     return ad.getitem(out, (slice(None), -1))
 
 
-def reference_affine_transfer(chain_reps, values, nets: AffineNets):
-    """The per-row transfer that `encoder.affine_transfer` groups by value:
-    one E_a (d, d) and one E_b built from every row's own bit stream."""
+def per_row_affine_transfer(chain_reps, values, nets: AffineNets):
+    """The per-row transfer that `encoder.affine_transfer` groups: one E_a
+    (d, d) and one E_b built from every row's own bit stream."""
     m = chain_reps.shape[0]
     d = nets.dim
     bits = ad.Tensor(encode_values(values))
@@ -719,6 +720,41 @@ def reference_affine_transfer(chain_reps, values, nets: AffineNets):
     eb = ad.linear(hb, nets.w2b, nets.b2b)
     transferred = ad.reshape(ad.matmul(ad.reshape(chain_reps, (m, 1, d)), ea), (m, d))
     return ad.add(transferred, eb)
+
+
+def reference_affine_transfer(chain_reps, pattern, values, nets: AffineNets, side: str):
+    """The grouped transfer as composite tape ops, on the given side.
+
+    side="value": E_a and E_b built once per value group (key_groups of the
+    values' bits) and applied with one batched matmul; the fused value side
+    repeats this arithmetic bit for bit. side="pattern": the rows grouped by
+    pattern, e^T W2a and e^T B built once per pattern group (from its first
+    row) and both hidden layers run per slot. Pad slots read row 0; their
+    output is never gathered back."""
+    d = nets.dim
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if side == "value":
+        keys, group_value, source, slot = key_groups(values.view(np.int64))
+        g = len(group_value)
+        bits = ad.Tensor(encode_values(keys.view(np.float64))[group_value])
+        ha = ad.relu(ad.linear(bits, nets.w1a, nets.b1a))
+        ea = ad.reshape(ad.linear(ha, nets.w2a, nets.b2a), (g, d, d))
+        hb = ad.relu(ad.linear(bits, nets.w1b, nets.b1b))
+        eb = ad.reshape(ad.linear(hb, nets.w2b, nets.b2b), (g, 1, d))
+        grouped = ad.add(ad.matmul(ad.take_rows(chain_reps, source), ea), eb)
+    else:
+        _, _, source, slot = key_groups(pattern)
+        g = len(source)
+        bits = ad.Tensor(encode_values(values[source]).reshape(source.shape + (64,)))
+        ha = ad.relu(ad.linear(bits, nets.w1a, nets.b1a))
+        eb = ad.linear(ad.relu(ad.linear(bits, nets.w1b, nets.b1b)), nets.w2b, nets.b2b)
+        e = ad.take_rows(chain_reps, source[:, 0])
+        # W2a as (d, H d): row i holds row i of every W_k
+        w = ad.reshape(ad.swapaxes(ad.reshape(nets.w2a, (-1, d, d)), 0, 1), (d, -1))
+        y = ad.reshape(ad.linear(e, w), (g, -1, d))
+        eb = ad.add(eb, ad.reshape(ad.linear(e, ad.reshape(nets.b2a, (d, d))), (g, 1, d)))
+        grouped = ad.add(ad.matmul(ha, y), eb)
+    return ad.take_rows(ad.reshape(grouped, (source.size, d)), slot)
 
 
 def reference_forward(model, etoc, i: int = 0):
@@ -748,7 +784,7 @@ def reference_forward(model, etoc, i: int = 0):
                                                   include_end=False)
         reps = ad.mul(ad.tensor_sum(tokens, axis=1),
                       1.0 / key_mask.sum(axis=1, keepdims=True))
-    transferred = (reference_affine_transfer(reps, values_norm, model.affine)
+    transferred = (per_row_affine_transfer(reps, values_norm, model.affine)
                    if cfg.use_numerical_aware else reps)
     proposals = project_values(transferred, values_norm, model.heads)
     if cfg.use_chain_weighting:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (chain_set, check_gradients, decode_value, encode_value, oracle_log_map,
-                     random_inball, reference_affine_transfer, reference_chain_tokens,
+                     per_row_affine_transfer, random_inball, reference_affine_transfer,
+                     reference_chain_tokens,
                      reference_encode_chains)
 from rachain import autodiff as ad
 from rachain import encoder as E
@@ -520,70 +521,64 @@ VALUE_SETS = pytest.mark.parametrize("values", [
 
 
 def against_reference(rng, pattern, values, d: int = 4):
-    """Assert that affine_transfer matches the per-row reference, in value and
+    """Assert that affine_transfer matches the per-row transfer, in value and
     in the gradients of one representation per pattern (gathered to the
     rows by `pattern`) and of all 8 nets parameters."""
     pattern = np.asarray(pattern)
     nets = generic_nets(rng, d, 6)
-    base = Parameter(rng.standard_normal((pattern.max() + 1, d)), name="patterns")
+    base = rng.standard_normal((pattern.max() + 1, d))
     mix = rng.standard_normal((len(pattern), d))
-    results = []
-    for transfer in (partial(E.affine_transfer, pattern=pattern), reference_affine_transfer):
-        for p in [base] + parameters(nets):
-            p.grad = None
-        out = transfer(ad.take_rows(base, pattern), values=values, nets=nets)
-        ad.backward(ad.tensor_sum(ad.mul(out, mix)))
-        results.append([out.data] + [p.grad for p in [base] + parameters(nets)])
+    got = transfer_and_grads(partial(E.affine_transfer, pattern=pattern), base, pattern,
+                             values, nets, mix)
+    want = transfer_and_grads(per_row_affine_transfer, base, pattern, values, nets, mix)
     names = ["out", "patterns"] + [p.name for p in parameters(nets)]
-    for name, got, want in zip(names, *results):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+    for name, a, b in zip(names, got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
 
-class TestGroupedTransfer:
-    @VALUE_SETS
-    def test_matches_per_row_transfer(self, values, rng):
-        against_reference(rng, np.arange(len(values)), values)
+def transfer_and_grads(transfer, base, pattern, values, nets, mix) -> list:
+    """The output of transfer(rows, values=, nets=) on the rows of `base`
+    gathered by `pattern`, then the gradients of sum(out * mix) with respect
+    to base and the 8 nets parameters."""
+    patterns = Parameter(base, name="patterns")
+    for p in parameters(nets):
+        p.grad = None
+    out = transfer(ad.take_rows(patterns, pattern), values=values, nets=nets)
+    ad.backward(ad.tensor_sum(ad.mul(out, mix)))
+    return [out.data] + [p.grad for p in [patterns] + parameters(nets)]
 
-    def test_finite_differences_with_repeated_values(self, rng):
-        import dataclasses
 
-        d = 3
-        nets_const = generic_nets(rng, d, 4)
-        values = [0.5, -0.0, 0.5, 0.0, 0.5, 1.25, 0.5]
-        mix = rng.standard_normal((len(values), d))
+def against_composite(rng, pattern, values, side, reps=None, atol=None):
+    """Assert that the fused side of affine_transfer matches the composite
+    one (helpers.reference_affine_transfer): bit for bit (atol None) or
+    within atol, in value and gradients. reps, when given, holds one
+    representation per pattern."""
+    pattern = np.asarray(pattern)
+    d = 4 if reps is None else reps.shape[1]
+    nets = generic_nets(rng, d, 6)
+    base = rng.standard_normal((pattern.max() + 1, d)) if reps is None else reps
+    mix = rng.standard_normal((len(pattern), d))
+    fused = {"value": E._value_side, "pattern": E._pattern_side}[side]
+    ran = []
 
-        def build(p):
-            nets = dataclasses.replace(nets_const, w1a=p["w1a"], w2a=p["w2a"], b2a=p["b2a"],
-                                       w1b=p["w1b"], w2b=p["w2b"])
-            out = E.affine_transfer(p["reps"], np.arange(len(values)), values, nets)
-            return ad.tensor_sum(ad.mul(out, mix))
+    def recording(*args):
+        ran.append(side)
+        return fused(*args)
 
-        check_gradients(build, {
-            "reps": rng.standard_normal((len(values), d)),
-            "w1a": rng.standard_normal((64, 4)) * 0.1,
-            "w2a": rng.standard_normal((4, d * d)) * 0.1,
-            "b2a": rng.standard_normal(d * d) * 0.1,
-            "w1b": rng.standard_normal((64, 4)) * 0.1,
-            "w2b": rng.standard_normal((4, d)) * 0.1,
-        }, tol=1e-4)
-
-    @VALUE_SETS
-    def test_e_a_is_built_per_group(self, values, rng, monkeypatch):
-        nets = generic_nets(rng, 3, 4)
-        rows = []
-        linear = E.linear
-
-        def recording(x, w, b=None):
-            if w is nets.w1a:
-                rows.append(x.shape[0])
-            return linear(x, w, b)
-
-        monkeypatch.setattr(E, "linear", recording)
-        E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))),
-                          np.arange(len(values)), values, nets)
-        n = len(np.unique(np.array(values).view(np.int64)))
-        (seen,) = rows
-        assert seen <= 2 * n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(E, f"_{side}_side", recording)
+        mp.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE if side == "value" else PATTERN_SIDE)
+        got = transfer_and_grads(partial(E.affine_transfer, pattern=pattern), base, pattern,
+                                 values, nets, mix)
+    assert ran == [side]
+    want = transfer_and_grads(partial(reference_affine_transfer, pattern=pattern, side=side),
+                              base, pattern, values, nets, mix)
+    names = ["out", "patterns"] + [p.name for p in parameters(nets)]
+    for name, a, b in zip(names, got, want):
+        if atol is None:
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0, atol=atol, err_msg=name)
 
 
 PATTERN_CASES = pytest.mark.parametrize("pattern,values", [
@@ -594,65 +589,230 @@ PATTERN_CASES = pytest.mark.parametrize("pattern,values", [
     ([1, 0, 1, 1, 0, 1, 0], [0.0, -0.0, 0.0, 0.3, -0.0, 0.0, 0.0]),
 ], ids=["few_patterns", "one_pattern_per_value", "one_pattern", "one_row", "signed_zeros"])
 
+@pytest.fixture(scope="module")
+def bench_batches(tmp_path_factory):
+    """Transfer inputs (reps, pattern, values) captured from the model on
+    the train_small benchmark graph (seed 7): the first training batch under
+    the train_small and the train_wide configs, and 40 one-query forwards
+    under each."""
+    from perfbench import harness
+    from perfbench.workloads import WORKLOADS
+    from rachain import model as model_module
+    from rachain import training
+    from rachain.config import TrainConfig
+
+    data_dir = harness.generate(WORKLOADS["train_small"], 7, tmp_path_factory.mktemp("graph"))
+    seen = []
+    inner = model_module.affine_transfer
+
+    def capture(reps, pattern, values, nets):
+        seen.append((reps.data.copy(), np.array(pattern), np.array(values)))
+        return inner(reps, pattern, values, nets)
+
+    out = {}
+    model_module.affine_transfer = capture
+    try:
+        for name in ("train_small", "train_wide"):
+            kg, split, model = harness._set_up(data_dir, TrainConfig.from_dict(
+                WORKLOADS[name].config))
+            queries = training.scoped_queries(kg, split.train, model)
+            batch = list(range(model.config.batch_size))
+            seen.clear()
+            model.forward(model.select(model.retrieve(kg, [queries[i] for i in batch], batch),
+                                       None))
+            out[f"{name}/batch"] = seen[0]
+            seen.clear()
+            test_queries = training.scoped_queries(kg, split.test, model)
+            for i in range(40):
+                model.predict(kg, test_queries[i % len(test_queries)], seed=i)
+            out[f"{name}/one_query"] = list(seen)
+    finally:
+        model_module.affine_transfer = inner
+    return out
+
+
+def distinct_reps(batch):
+    """One representation per pattern index, as the rows hold them."""
+    reps, pattern, values = batch
+    base = np.empty((pattern.max() + 1, reps.shape[1]))
+    base[pattern] = reps
+    return base, pattern, values
+
+
+VALUE_SIDE, PATTERN_SIDE = 10**9, -10**9  # MAP_ALLOWANCE values that force a side
+
+
+def fd_check(rng, pattern, values):
+    """check_gradients of sum(affine_transfer * mix) in one representation
+    per pattern and all 8 nets parameters."""
+    import dataclasses
+
+    d = 3
+    nets_const = generic_nets(rng, d, 4)
+    pattern = np.array(pattern)
+    mix = rng.standard_normal((len(values), d))
+
+    def build(p):
+        nets = dataclasses.replace(nets_const, **{k: p[k] for k in p if k != "patterns"})
+        out = E.affine_transfer(ad.take_rows(p["patterns"], pattern), pattern, values, nets)
+        return ad.tensor_sum(ad.mul(out, mix))
+
+    check_gradients(build, {
+        "patterns": rng.standard_normal((pattern.max() + 1, d)),
+        "w1a": rng.standard_normal((64, 4)) * 0.1,
+        "b1a": rng.standard_normal(4) * 0.1,
+        "w2a": rng.standard_normal((4, d * d)) * 0.1,
+        "b2a": rng.standard_normal(d * d) * 0.1,
+        "w1b": rng.standard_normal((64, 4)) * 0.1,
+        "b1b": rng.standard_normal(4) * 0.1,
+        "w2b": rng.standard_normal((4, d)) * 0.1,
+        "b2b": rng.standard_normal(d) * 0.1,
+    }, tol=1e-4)
+
+
+def encoded_counts(rng, monkeypatch, values):
+    """The lengths of the value lists affine_transfer encodes (one call per
+    encode_values), on rows with three patterns."""
+    encoded = []
+    encode_values = E.encode_values
+
+    def recording(v):
+        encoded.append(len(v))
+        return encode_values(v)
+
+    monkeypatch.setattr(E, "encode_values", recording)
+    out = E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))),
+                            np.arange(len(values)) % 3, values, generic_nets(rng, 3, 4))
+    assert out.shape == (len(values), 3)
+    return encoded
+
+
+class TestGroupedTransfer:
+    """The value side: E_a built once per value group."""
+
+    @VALUE_SETS
+    def test_matches_per_row_transfer(self, values, rng):
+        against_reference(rng, np.arange(len(values)), values)
+
+    @VALUE_SETS
+    def test_is_the_composite_bit_for_bit(self, values, rng):
+        against_composite(rng, np.arange(len(values)), values, "value")
+        against_composite(rng, np.arange(len(values)) % 2, values, "value")
+
+    @PATTERN_CASES
+    def test_is_the_composite_bit_for_bit_on_pattern_cases(self, pattern, values, rng):
+        against_composite(rng, pattern, values, "value")
+
+    def test_is_the_composite_bit_for_bit_on_a_bench_batch(self, bench_batches, rng):
+        base, pattern, values = distinct_reps(bench_batches["train_small/batch"])
+        against_composite(rng, pattern, values, "value", reps=base)
+
+    def test_finite_differences_with_repeated_values(self, rng, monkeypatch):
+        # 0.5 fills two groups of width 2; -0.0, 0.0 and 1.25 leave pad slots
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE)
+        fd_check(rng, [0, 0, 1, 0, 1, 0, 0], [0.5, -0.0, 0.5, 0.0, 0.5, 1.25, 0.5])
+
+    def test_finite_differences_on_one_row(self, rng, monkeypatch):
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE)
+        fd_check(rng, [0], [0.75])
+
+    @VALUE_SETS
+    def test_e_a_is_built_per_group(self, values, rng, monkeypatch):
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE)
+        n = len(np.unique(np.array(values).view(np.int64)))
+        groups = len(value_groups(values)[1])
+        assert encoded_counts(rng, monkeypatch, values) == [groups]  # one map per group
+        assert n <= groups <= 2 * n
+
+    def test_is_one_tape_node(self, rng):
+        nets = generic_nets(rng, 3, 4)
+        reps = Parameter(rng.standard_normal((5, 3)), name="reps")
+        out = E.affine_transfer(reps, np.arange(5), [0.5, 0.5, 1.0, 2.0, 0.5], nets)
+        assert out._parents == (reps, *parameters(nets))
+
 
 class TestPatternSide:
+    """The pattern side: e^T W2a built once per pattern group."""
+
     @PATTERN_CASES
     def test_matches_per_row_transfer(self, pattern, values, rng, monkeypatch):
-        monkeypatch.setattr(E, "GROUPS_PER_PATTERN", 0)  # the pattern side at any counts
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
         against_reference(rng, pattern, values)
 
+    @VALUE_SETS
+    def test_matches_per_row_transfer_on_value_sets(self, values, rng, monkeypatch):
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        against_reference(rng, np.arange(len(values)) % 2, values)
+
+    @PATTERN_CASES
+    def test_matches_the_composite(self, pattern, values, rng):
+        against_composite(rng, pattern, values, "pattern", atol=1e-12)
+
+    def test_matches_the_composite_on_a_bench_batch(self, bench_batches, rng):
+        base, pattern, values = distinct_reps(bench_batches["train_small/batch"])
+        against_composite(rng, pattern, values, "pattern", reps=base, atol=1e-12)
+
     def test_finite_differences_with_repeated_patterns(self, rng, monkeypatch):
-        import dataclasses
+        # pattern 1 fills a group of width 3 and a padded one; both zeros
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        fd_check(rng, [1, 0, 1, 2, 1, 0, 1], [0.5, -0.0, 0.5, 0.0, 0.75, 1.25, -3.0])
 
-        monkeypatch.setattr(E, "GROUPS_PER_PATTERN", 0)
-        d = 3
-        nets_const = generic_nets(rng, d, 4)
-        pattern = np.array([1, 0, 1, 2, 1, 0, 1])
-        values = [0.5, -0.0, 0.5, 0.0, 0.75, 1.25, -3.0]
-        mix = rng.standard_normal((len(values), d))
+    def test_finite_differences_with_repeated_values(self, rng, monkeypatch):
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        fd_check(rng, [0, 0, 1, 0, 1, 0, 0], [0.5, -0.0, 0.5, 0.0, 0.5, 1.25, 0.5])
 
-        def build(p):
-            nets = dataclasses.replace(nets_const, **{k: p[k] for k in p if k != "patterns"})
-            out = E.affine_transfer(ad.take_rows(p["patterns"], pattern), pattern, values, nets)
-            return ad.tensor_sum(ad.mul(out, mix))
+    def test_finite_differences_on_one_row(self, rng, monkeypatch):
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        fd_check(rng, [0], [0.75])
 
-        check_gradients(build, {
-            "patterns": rng.standard_normal((3, d)),
-            "w1a": rng.standard_normal((64, 4)) * 0.1,
-            "b1a": rng.standard_normal(4) * 0.1,
-            "w2a": rng.standard_normal((4, d * d)) * 0.1,
-            "b2a": rng.standard_normal(d * d) * 0.1,
-            "w1b": rng.standard_normal((64, 4)) * 0.1,
-            "b1b": rng.standard_normal(4) * 0.1,
-            "w2b": rng.standard_normal((4, d)) * 0.1,
-            "b2b": rng.standard_normal(d) * 0.1,
-        }, tol=1e-4)
+    @VALUE_SETS
+    def test_hidden_layers_run_per_distinct_value(self, values, rng, monkeypatch):
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        n = len(np.unique(np.array(values).view(np.int64)))
+        assert encoded_counts(rng, monkeypatch, values) == [n]
 
-    def test_side_follows_value_groups_per_pattern(self, rng, monkeypatch):
-        grouped = []
-        key_groups = E.key_groups
-
-        def recording(keys):
-            grouped.append(keys)
-            return key_groups(keys)
-
-        monkeypatch.setattr(E, "key_groups", recording)
+    def test_is_one_tape_node(self, rng, monkeypatch):
+        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
         nets = generic_nets(rng, 3, 4)
+        reps = Parameter(rng.standard_normal((5, 3)), name="reps")
+        out = E.affine_transfer(reps, np.array([0, 1, 0, 1, 0]), [0.5, 0.5, 1.0, 2.0, 0.5], nets)
+        assert out._parents == (reps, *parameters(nets))
 
-        def side(pattern, values):
-            grouped.clear()
-            E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))), np.array(pattern),
-                              values, nets)
-            return ["value", "pattern"][len(grouped) - 1]  # the pattern side groups twice
+    def test_side_follows_value_groups_per_pattern(self, bench_batches, rng, monkeypatch):
+        """The value side unless it builds more than MAP_ALLOWANCE maps more
+        than the pattern side: one-query forwards and a train_wide batch
+        keep it, a train_small batch does not."""
+        ran = []
+        for side in ("value", "pattern"):
+            fused = getattr(E, f"_{side}_side")
 
-        ratio = E.GROUPS_PER_PATTERN
-        cases = [
-            ([0, 1] * ratio, np.arange(2.0 * ratio)),  # ratio value groups per pattern
-            ([0, 1] * ratio, np.r_[np.arange(2.0 * ratio - 1), 0.0]),  # one group fewer
-            (np.arange(16) % 5, np.linspace(0.0, 1.0, 16)),  # a one-query forward's counts
-            (np.arange(4), [0.1, 0.2, 0.3, 0.4]),  # a pattern per chain
-        ]
-        assert [side(*case) for case in cases] == ["pattern", "value", "value", "value"]
+            def recording(*args, side=side, fused=fused):
+                ran.append(side)
+                return fused(*args)
+            monkeypatch.setattr(E, f"_{side}_side", recording)
+
+        def sides(calls):
+            ran.clear()
+            for reps, pattern, values in calls:
+                E.affine_transfer(Tensor(reps), pattern, values,
+                                  generic_nets(rng, reps.shape[1], 4))
+            return set(ran)
+
+        one_query = bench_batches["train_small/one_query"] + bench_batches["train_wide/one_query"]
+        assert len(one_query) == 80
+        assert sides(one_query) == {"value"}
+        assert sides([bench_batches["train_small/batch"]]) == {"pattern"}
+        assert sides([bench_batches["train_wide/batch"]]) == {"value"}
+        # either side of the allowance: m rows with distinct values (G = m
+        # maps) and a pattern per pair of rows (G' = m / 2)
+        for m, side in ((2 * E.MAP_ALLOWANCE, "value"), (2 * E.MAP_ALLOWANCE + 2, "pattern")):
+            assert sides([(rng.standard_normal((m, 3)), np.arange(m) // 2,
+                           np.arange(m) * 0.5)]) == {side}
+
+    def test_pattern_group_count(self):
+        for pattern in ([0], [0, 0, 1], [2, 0, 2, 2, 1, 2, 2], np.arange(30) % 7, [1, 1, 1]):
+            pattern = np.array(pattern)
+            assert E.pattern_group_count(pattern) == len(E.key_groups(pattern)[1])
 
 
 class TestEndToEndGradient:

@@ -227,7 +227,7 @@ class TestBatchedEquivalence:
     @VARIANTS
     def test_pattern_side_transfer_matches_per_query_forward(self, kw, rng, monkeypatch):
         import rachain.encoder as encoder_module
-        monkeypatch.setattr(encoder_module, "GROUPS_PER_PATTERN", 0)  # at any counts
+        monkeypatch.setattr(encoder_module, "MAP_ALLOWANCE", -10**9)  # at any counts
         model = make_model(**kw)
         _kick_zero_opens(model, rng)
         assert_matches_reference(model, pattern_batch(), rng.uniform(0.0, 1.0, 4))

@@ -67,3 +67,25 @@ def test_ab_inprocess_times_the_repo_against_itself(tmp_path, what):
     assert "change won" in proc.stdout
     assert list(tmp_path.iterdir()) == []
     assert sorted(p for p in root.rglob("*") if ".git" not in p.parts) == before
+
+
+def test_ab_inprocess_in_fresh_processes(tmp_path):
+    """--processes times each side in its own child processes and reports
+    their page faults, leaving no file behind."""
+    root = SCRIPTS.parent
+    before = sorted(p for p in root.rglob("*") if ".git" not in p.parts)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "ab_inprocess.py"), str(root), str(root),
+                           "--workload", "train_small", "--what", "evaluate", "--pairs", "2",
+                           "--calls", "2", "--seed", "7", "--tiny", "--processes"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["processes"] and result["pairs"] == 2
+    for side in ("parent", "change"):
+        assert len(result["times"][side]) == 2 and min(result["times"][side]) > 0
+        assert len(result["minflt"][side]) == 2 and min(result["minflt"][side]) >= 0
+        faults = result[side]["minflt"]
+        assert faults["q1"] <= faults["median"] <= faults["q3"]
+    assert "minor page faults per call" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(p for p in root.rglob("*") if ".git" not in p.parts) == before
