@@ -520,6 +520,9 @@ VALUE_SETS = pytest.mark.parametrize("values", [
 ], ids=["distinct", "equal", "dominant", "signed_zeros", "pad_zeros"])
 
 
+VALUE_SIDE, PATTERN_SIDE = 10**9, -10**9  # MAP_ALLOWANCE values that force a side
+
+
 def against_reference(rng, pattern, values, d: int = 4):
     """Assert that affine_transfer matches the per-row transfer, in value and
     in the gradients of one representation per pattern (gathered to the
@@ -589,12 +592,13 @@ PATTERN_CASES = pytest.mark.parametrize("pattern,values", [
     ([1, 0, 1, 1, 0, 1, 0], [0.0, -0.0, 0.0, 0.3, -0.0, 0.0, 0.0]),
 ], ids=["few_patterns", "one_pattern_per_value", "one_pattern", "one_row", "signed_zeros"])
 
+
 @pytest.fixture(scope="module")
 def bench_batches(tmp_path_factory):
     """Transfer inputs (reps, pattern, values) captured from the model on
-    the train_small benchmark graph (seed 7): the first training batch under
-    the train_small and the train_wide configs, and 40 one-query forwards
-    under each."""
+    the train_small benchmark graph (seed 7): one batch of the first
+    batch_size training queries under the train_small and the train_wide
+    configs, and 40 one-query forwards under each."""
     from perfbench import harness
     from perfbench.workloads import WORKLOADS
     from rachain import model as model_module
@@ -637,9 +641,6 @@ def distinct_reps(batch):
     base = np.empty((pattern.max() + 1, reps.shape[1]))
     base[pattern] = reps
     return base, pattern, values
-
-
-VALUE_SIDE, PATTERN_SIDE = 10**9, -10**9  # MAP_ALLOWANCE values that force a side
 
 
 def fd_check(rng, pattern, values):
