@@ -3,7 +3,7 @@
 alternating fresh processes.
 
     python3 scripts/ab_inprocess.py PARENT_TREE CHANGE_TREE --workload train_wide \\
-        --what train --pairs 12 --seed 7 [--processes --calls 3]
+        --what train --pairs 12 --seed 7 [--processes]
 
 Each tree is a checkout (its package sits at TREE/src/rachain). For each
 side this repo's `perfbench/harness.py` is executed afresh with the tree's
@@ -27,7 +27,7 @@ the sides then share one heap, and a change that alters the size of its
 temporaries can read faster in one process and slower in the benchmark,
 which runs each side in a process of its own. With --processes each pair
 starts a fresh process per side, alternating which starts first; the
-process sets up, makes one untimed call and times --calls calls, and its
+process sets up, makes one untimed call and times CALLS (3) calls, and its
 sample is their median, with the minor page faults (`ru_minflt`) per timed
 call. Use it to confirm an in-process result for any change that moves
 allocation sizes, or whenever the benchmark disagrees with this script.
@@ -67,6 +67,7 @@ from perfbench.harness import generate  # noqa: E402
 from perfbench.workloads import WORKLOADS, tiny  # noqa: E402
 
 SIDES = ("parent", "change")
+CALLS = 3  # timed calls per fresh process with --processes
 
 
 def load_harness(tree: Path, side: str):
@@ -144,7 +145,7 @@ def quartiles(samples) -> dict:
 
 
 def child(args) -> int:
-    """One side in this process: set up, one untimed call, then --calls
+    """One side in this process: set up, one untimed call, then CALLS
     timed ones; prints their median seconds and minor page faults per call."""
     tree = args.parent if args.child == "parent" else args.change
     workload = WORKLOADS[args.workload]
@@ -152,9 +153,9 @@ def child(args) -> int:
     side = Side(load_harness(tree.resolve(), args.child), workload, args.data_dir, args.seed)
     side.run(args.what)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    seconds = [side.run(args.what) for _ in range(args.calls)]
+    seconds = [side.run(args.what) for _ in range(CALLS)]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    print(json.dumps({"seconds": float(np.median(seconds)), "minflt": faults / args.calls}))
+    print(json.dumps({"seconds": float(np.median(seconds)), "minflt": faults / CALLS}))
     return 0
 
 
@@ -165,7 +166,7 @@ def in_processes(args, data_dir: Path) -> tuple[dict, dict]:
     faults: dict[str, list[float]] = {side: [] for side in SIDES}
     base = [sys.executable, str(Path(__file__).resolve()), str(args.parent), str(args.change),
             "--workload", args.workload, "--what", args.what, "--seed", str(args.seed),
-            "--calls", str(args.calls), "--data-dir", str(data_dir)]
+            "--data-dir", str(data_dir)]
     base += ["--tiny"] if args.tiny else []
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     for pair in range(args.pairs):
@@ -192,8 +193,6 @@ def main(argv=None) -> int:
                         help="the workload's small smoke-test form (perfbench.workloads.tiny)")
     parser.add_argument("--processes", action="store_true",
                         help="time each side in alternating fresh processes")
-    parser.add_argument("--calls", type=int, default=3,
-                        help="timed calls per process with --processes")
     parser.add_argument("--child", choices=SIDES, help=argparse.SUPPRESS)
     parser.add_argument("--data-dir", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

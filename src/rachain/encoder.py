@@ -320,21 +320,15 @@ def key_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 # The transfer contracts on the pattern side when the value side would build
 # more than this many maps more than the pattern side: the pattern side pays
-# a fixed cost per call (a second grouping, per-slot gathers of the hidden
-# activations) that the maps it saves must outweigh. On the benchmark graphs
-# (seed 7) the value side builds 69-168 maps more on train_small training
-# batches, where the pattern side's forward and backward take 0.42-0.98 of
-# its time, and 106 more on the train_small evaluate chunk; at most 10 more
-# on any one-query forward (the pattern side up to 1.4x slower at dim 32)
-# and 19 more on a train_wide evaluate chunk, which keep the value side.
+# a fixed cost per call (per-slot gathers of the hidden activations, per-value
+# sums in its backward) that the maps it saves must outweigh. On the benchmark
+# graphs (seed 7) the value side builds 69-168 maps more on train_small
+# training batches, where the pattern side's forward and backward take
+# 0.42-0.98 of its time, and 106 more on the train_small evaluate chunk; at
+# most 13 more on the one-query forwards measured (the pattern side up to
+# 1.4x slower at dim 32) and 19 more on a train_wide evaluate chunk, which
+# keep the value side.
 MAP_ALLOWANCE = 32
-
-
-def pattern_group_count(pattern: np.ndarray) -> int:
-    """The number of groups key_groups(pattern) makes, from the counts alone."""
-    counts = np.bincount(pattern)
-    width = -(-len(pattern) // np.count_nonzero(counts))
-    return int(((counts + (width - 1)) // width).sum())
 
 
 def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Tensor:
@@ -348,7 +342,10 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
     apart) into G groups, and by pattern into G' groups. Each side builds
     one map per group: E_a (d, d) per value group, or e^T W2a (H, d) per
     pattern group, each H d^2 multiply-adds. The pattern side is taken when
-    G - G' > MAP_ALLOWANCE, so a one-query forward keeps the value side.
+    G - G' > MAP_ALLOWANCE. That keeps the value side on every one-query
+    forward measured on the benchmark graphs (G - G' at most 13), but it is
+    not a bound: one query whose 64 chains hold distinct values over 31 or
+    fewer patterns has G - G' >= 33 and takes the pattern side.
 
     Either side is one fused tape node (_value_side, _pattern_side) whose
     hand-written backward keeps only what it reads.
@@ -356,8 +353,9 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
     keys, group_value, source, slot = key_groups(values.view(np.int64))
-    if len(group_value) - pattern_group_count(pattern) > MAP_ALLOWANCE:
-        return _pattern_side(chain_reps, pattern, keys, group_value, source, slot, nets)
+    _, group_pattern, psource, pslot = key_groups(pattern)
+    if len(group_value) - len(group_pattern) > MAP_ALLOWANCE:
+        return _pattern_side(chain_reps, psource, pslot, keys, group_value, source, slot, nets)
     return _value_side(chain_reps, keys, group_value, source, slot, nets)
 
 
@@ -431,22 +429,23 @@ def _value_side(chain_reps: Tensor, keys, group_value, source, slot,
     return _make(grouped.reshape(-1, d)[slot], parents, backward_fn)
 
 
-def _pattern_side(chain_reps: Tensor, pattern, keys, group_value, source, slot,
+def _pattern_side(chain_reps: Tensor, psource, pslot, keys, group_value, source, slot,
                   nets: AffineNets) -> Tensor:
     """e^T W_k and e^T B built once per pattern group, from its first row,
     and contracted with each row's own hidden activation by one
     (G', width, H) @ (G', H, d) matmul.
 
-    Both hidden layers, and E_b, run once per distinct value (key_groups of
-    the values: keys, group_value, source, slot); the backward sums each
-    value's rows through that value layout. W2a is read as the (H, d, d)
-    view it is stored as: e^T W_k for all k is one (G', d) @ (H, d, d)
-    product, kept as (H, G', d), and the gradient of e is one product with
-    W2a's (H d, d) transpose. Rounding differs from the value side's."""
+    The rows' pattern groups are psource and pslot (key_groups of the
+    pattern). Both hidden layers, and E_b, run once per distinct value
+    (key_groups of the values: keys, group_value, source, slot); the
+    backward sums each value's rows through that value layout. W2a is read
+    as the (H, d, d) view it is stored as: e^T W_k for all k is one
+    (G', d) @ (H, d, d) product, kept as (H, G', d), and the gradient of e is
+    one product with W2a's (H d, d) transpose. Rounding differs from the
+    value side's."""
     d = nets.dim
     vg, vwidth = source.shape
     row_value = group_value[slot // vwidth]
-    _, _, psource, pslot = key_groups(pattern)
     pg, pwidth = psource.shape
     parents = (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
                nets.w1b, nets.b1b, nets.w2b, nets.b2b)
@@ -466,13 +465,11 @@ def _pattern_side(chain_reps: Tensor, pattern, keys, group_value, source, slot,
     out = grouped.reshape(-1, d)[pslot]
     out += eb[row_value]
 
-    value_starts = None
-    if vg > len(keys):
-        value_starts = np.flatnonzero(np.r_[True, group_value[1:] != group_value[:-1]])
+    value_starts = np.flatnonzero(np.r_[True, group_value[1:] != group_value[:-1]])
 
     def per_value(rows):  # (m, c) row gradients summed per distinct value
-        sums = _slotted(rows, slot, vg, vwidth).sum(axis=1)
-        return sums if value_starts is None else np.add.reduceat(sums, value_starts, axis=0)
+        return np.add.reduceat(_slotted(rows, slot, vg, vwidth).sum(axis=1), value_starts,
+                               axis=0)
 
     def backward_fn(gout):
         gg = _slotted(gout, pslot, pg, pwidth)

@@ -189,10 +189,7 @@ class Predictions:
 
     @classmethod
     def concatenate(cls, parts: list["Predictions"]) -> "Predictions":
-        """The predictions of `parts` (at least one) one after another; a
-        lone part is returned as it is."""
-        if len(parts) == 1:
-            return parts[0]
+        """The predictions of `parts` (at least one) one after another."""
         arrays = [np.concatenate([getattr(p, name) for p in parts]) for name in
                   ("predicted_norm", "predicted_value", "fallback", "omega", "proposals")]
         return cls(TreeOfChains.concatenate([p.chains for p in parts]), *arrays, parts[0].stats)

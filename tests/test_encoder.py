@@ -810,11 +810,6 @@ class TestPatternSide:
             assert sides([(rng.standard_normal((m, 3)), np.arange(m) // 2,
                            np.arange(m) * 0.5)]) == {side}
 
-    def test_pattern_group_count(self):
-        for pattern in ([0], [0, 0, 1], [2, 0, 2, 2, 1, 2, 2], np.arange(30) % 7, [1, 1, 1]):
-            pattern = np.array(pattern)
-            assert E.pattern_group_count(pattern) == len(E.key_groups(pattern)[1])
-
 
 class TestEndToEndGradient:
     def test_finite_differences_through_encoder_and_transfer(self, rng):

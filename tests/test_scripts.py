@@ -76,7 +76,7 @@ def test_ab_inprocess_in_fresh_processes(tmp_path):
     before = sorted(p for p in root.rglob("*") if ".git" not in p.parts)
     proc = subprocess.run([sys.executable, str(SCRIPTS / "ab_inprocess.py"), str(root), str(root),
                            "--workload", "train_small", "--what", "evaluate", "--pairs", "2",
-                           "--calls", "2", "--seed", "7", "--tiny", "--processes"],
+                           "--seed", "7", "--tiny", "--processes"],
                           capture_output=True, text=True, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
