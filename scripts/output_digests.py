@@ -27,6 +27,10 @@ is first written from this run's trained model, so a run on one commit
 saves the checkpoints and a run on another predicts from the same
 parameters.
 
+BLAS is pinned to one thread in this process's own environment, before
+NumPy is imported (as in perfbench/run.py), because threaded BLAS sums some
+products in another order; the JSON records the count as `blas_threads`.
+
 The repository is only read. One JSON object goes to stdout, or to --out:
 
     python3 scripts/output_digests.py --seed 7 --out digests.json
@@ -37,11 +41,16 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+PINNED_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = PINNED_THREADS
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -165,6 +174,7 @@ def main(argv=None) -> int:
             digests[name] = workload_digests(workload, args.seed, traces,
                                              args.checkpoint_dir, Path(tmp))
     digests["all"] = digest(digests)
+    digests["blas_threads"] = int(PINNED_THREADS)
     text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -7,8 +7,9 @@ against central finite differences in the test suite. The layers the model
 runs most (`linear`, `layer_norm`, masked scaled multi-head `attention`,
 which splits and merges its heads itself, and the origin `log_map` of the
 Poincare ball) are fused: one tape node each, keeping only what their
-backward reads. The value transfer's two fused nodes are built the same way
-in `encoder`, from `_make` and `_accumulate`.
+backward reads. The value transfer's fused nodes (value side, pattern side
+and their split) are built the same way in `encoder`, from `_make` and
+`_accumulate`.
 
 Model parts are dataclasses of Parameters and lists of parts; `parameters`
 walks their fields, so a part's fields are the one list of what it trains.
@@ -202,16 +203,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         _accumulate(a, g.reshape(a.data.shape))
 
     return _make(out_data, (a,), backward_fn)
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    """Swap two axes (a numpy view); the backward swaps them back."""
-    a = _as_tensor(a)
-
-    def backward_fn(g):
-        _accumulate(a, np.swapaxes(g, ax1, ax2))
-
-    return _make(np.swapaxes(a.data, ax1, ax2), (a,), backward_fn)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -26,15 +26,17 @@ source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
 drives two MLPs producing a matrix E_a and shift E_b, giving
 E_a^T e_chain + E_b. At initialization E_a is the identity and E_b zero.
 E_a is bilinear in the value's hidden activation and the chain's pattern
-representation, so the transfer contracts on either side: rows that share
+representation, so each row can be served on either side: rows that share
 a value share E_a, built once per value group, and rows that share a
-pattern share e^T W2a, built once per pattern group. It takes the pattern
-side when the value side would build more than MAP_ALLOWANCE maps more
+pattern share e^T W2a, built once per pattern group. A call runs on the
+value side, on the pattern side when the value side would build more than
+MAP_ALLOWANCE maps more, or split between the sides by a cover of its
+(value, pattern) pairs (cover_rows) when the cover holds more than
+MAP_ALLOWANCE fewer values and patterns than the side so picked
 (affine_transfer). Rows are grouped by an integer key (key_groups) and each
 group applied in one batched matmul, never as a per-row (m, d, d) tensor.
-Either side is one fused tape node whose backward keeps only what it
-reads; the value side repeats the arithmetic of the composite ops bit for
-bit.
+Each plan is one fused tape node whose backward keeps only what it reads;
+the value side repeats the arithmetic of the composite ops bit for bit.
 """
 
 from __future__ import annotations
@@ -279,14 +281,17 @@ class AffineNets:
         )
 
 
-def key_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def key_groups(keys, map_cost: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows grouped by an integer key for a batched per-group product.
 
     With n distinct keys among m rows and width = ceil(m / n), each key's
     rows, in row order, are cut into groups of at most `width`, so there are
     G <= 2n groups and fewer than 3m slots in the (G, width) layout;
-    all-distinct keys give width 1 and G = m. Returns (distinct (n,) keys,
-    group_key (G,) index of each group's key in distinct,
+    all-distinct keys give width 1 and G = m. Given map_cost, a group's
+    cost in slots, the width is instead the largest count (one group per
+    key) when that makes G * (map_cost + width) smaller. Returns (distinct
+    (n,) keys, group_key (G,) index of each group's key in distinct,
     source (G, width) the row in each slot, row 0 in pad slots, slot (m,)
     each row's flat index into source).
     """
@@ -307,6 +312,10 @@ def key_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     counts = bounds[1:] - starts
     width = -(-m // len(starts))
     groups = (counts + (width - 1)) // width
+    if map_cost is not None:
+        widest = int(counts.max())
+        if len(starts) * (map_cost + widest) < groups.sum() * (map_cost + width):
+            width, groups = widest, np.ones_like(counts)
     # a key's r-th row takes slot r of its first group: its sorted position
     # shifted by the pad slots of the keys before it
     pad_before = (np.cumsum(groups) - groups) * width - starts
@@ -318,16 +327,18 @@ def key_groups(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return ordered[starts], group_key, source, slot
 
 
-# The transfer contracts on the pattern side when the value side would build
-# more than this many maps more than the pattern side: the pattern side pays
-# a fixed cost per call (per-slot gathers of the hidden activations, per-value
-# sums in its backward) that the maps it saves must outweigh. On the benchmark
-# graphs (seed 7) the value side builds 69-168 maps more on train_small
-# training batches, where the pattern side's forward and backward take
-# 0.42-0.98 of its time, and 106 more on the train_small evaluate chunk; at
-# most 13 more on the one-query forwards measured (the pattern side up to
-# 1.4x slower at dim 32) and 19 more on a train_wide evaluate chunk, which
-# keep the value side.
+# A call leaves the value side only for a plan that builds more than this many
+# maps fewer: the pattern side, counted in groups, and then a split by the
+# cover, counted in the distinct values and patterns it holds against the
+# picked side's. Either pays a fixed cost per call (per-slot gathers of the
+# hidden activations, per-value sums in its backward) that the maps it saves
+# must outweigh. On the benchmark graphs (seed 7) train_small calls take the
+# pattern side, whose 86-184 patterns the cover beats by at most 18, and
+# predict_dense calls take it with the cover no smaller; train_wide training
+# batches split (cover 190-240 against 298-389 values) and so does its
+# evaluate chunk (198 against 334). One-query forwards keep the value side:
+# the cover saves at most 14 maps there. The matching bound, which spares
+# computing the cover, allows at most 14 there and 24 on train_small calls.
 MAP_ALLOWANCE = 32
 
 
@@ -337,26 +348,106 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
 
     E_a^T e = sum_k h_k e^T W_k + e^T B is bilinear in e and the value's
     hidden activation h = relu(bits W1a + b1a) (W_k is row k of W2a and B
-    is b2a, each as a (d, d) matrix), so it contracts on either side. The
-    rows are grouped by their values' bits (key_groups; -0.0 and 0.0 stay
-    apart) into G groups, and by pattern into G' groups. Each side builds
-    one map per group: E_a (d, d) per value group, or e^T W2a (H, d) per
-    pattern group, each H d^2 multiply-adds. The pattern side is taken when
-    G - G' > MAP_ALLOWANCE. That keeps the value side on every one-query
-    forward measured on the benchmark graphs (G - G' at most 13), but it is
-    not a bound: one query whose 64 chains hold distinct values over 31 or
-    fewer patterns has G - G' >= 33 and takes the pattern side.
+    is b2a, each as a (d, d) matrix), so a row can be served by its value's
+    map E_a (d, d) or by its pattern's map e^T W2a (H, d), each H d^2
+    multiply-adds. The rows are grouped by their values' bits (key_groups;
+    -0.0 and 0.0 stay apart) into G groups, and by pattern into G' groups;
+    each side builds one map per group. The pattern side is picked when
+    G - G' > MAP_ALLOWANCE. Then, unless a cheap bound (_matching_size) shows
+    that it cannot, the rows are split by cover_rows, a small set of values
+    and patterns whose maps serve every row. The call splits when that cover
+    holds more than MAP_ALLOWANCE fewer values and patterns than the picked
+    side has distinct keys.
 
-    Either side is one fused tape node (_value_side, _pattern_side) whose
-    hand-written backward keeps only what it reads.
+    Each plan is one fused tape node (_value_side, _pattern_side, _split)
+    whose hand-written backward keeps only what it reads.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
-    keys, group_value, source, slot = key_groups(values.view(np.int64))
-    _, group_pattern, psource, pslot = key_groups(pattern)
-    if len(group_value) - len(group_pattern) > MAP_ALLOWANCE:
-        return _pattern_side(chain_reps, psource, pslot, keys, group_value, source, slot, nets)
-    return _value_side(chain_reps, keys, group_value, source, slot, nets)
+    value_layout = key_groups(values.view(np.int64))
+    pattern_layout = key_groups(pattern)
+    on_pattern = len(value_layout[1]) - len(pattern_layout[1]) > MAP_ALLOWANCE
+    picked = len((pattern_layout if on_pattern else value_layout)[0])
+    if picked - 1 > MAP_ALLOWANCE:  # a cover holds at least one value or pattern
+        row_value, row_pattern = _row_keys(value_layout), _row_keys(pattern_layout)
+        bound = _matching_size(row_value, row_pattern, len(pattern_layout[0]))
+        if picked - bound > MAP_ALLOWANCE:
+            on_value = cover_rows(row_value, row_pattern)
+            maps = _distinct(row_value[on_value]) + _distinct(row_pattern[~on_value])
+            if picked - maps > MAP_ALLOWANCE:
+                if on_value.any() and not on_value.all():
+                    return _split(chain_reps, value_layout, row_value, row_pattern, on_value,
+                                  nets)
+                on_pattern = not on_value.any()
+    if on_pattern:
+        return _pattern_side(chain_reps, pattern_layout, value_layout, nets)
+    return _value_side(chain_reps, value_layout, nets)
+
+
+def _row_keys(layout) -> np.ndarray:
+    """Each row's key as an index into the distinct keys of its key_groups layout."""
+    _, group_key, source, slot = layout
+    return group_key[slot // source.shape[1]]
+
+
+def _distinct(ids: np.ndarray) -> int:
+    return int(np.count_nonzero(np.bincount(ids)))
+
+
+def _matching_size(value: np.ndarray, pattern: np.ndarray, n_pattern: int) -> int:
+    """The size of one matching of the (value, pattern) row pairs, a lower
+    bound on the size of any cover: each pattern takes its row whose value
+    has the fewest rows (the first such row), and each value so taken counts
+    once."""
+    m = len(value)
+    best = np.full(n_pattern, m * m + m)
+    np.minimum.at(best, pattern, np.bincount(value)[value] * m + np.arange(m))
+    return _distinct(value[best % m])
+
+
+def cover_rows(value: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """For each row (value (m,) and pattern (m,) indices from 0) whether its
+    value's map serves it (True) or its pattern's map (False).
+
+    The values and patterns whose maps are built form a vertex cover of the
+    bipartite graph of distinct (value, pattern) pairs, found by leaf
+    peeling in rounds. In a round, every value or pattern with one remaining
+    partner hands its rows to that partner, and rows whose value and pattern
+    are both taken stay on the value side (so does a value and pattern pair
+    with no other partner). A round with no such leaf takes the value or
+    pattern with the most remaining rows (values first on ties, then the
+    lowest index). The partners of leaves all belong to one minimum cover,
+    so the cover is minimum on forests; elsewhere it can exceed the minimum
+    (the size of a maximum matching, by Koenig's theorem). It is
+    deterministic, a function of the indices alone. A round costs O(pairs),
+    and a round with no leaf removes one value or pattern.
+    """
+    n_pattern = int(pattern.max()) + 1
+    edges, row_edge = np.unique(value * n_pattern + pattern, return_inverse=True)
+    edge_value, edge_pattern = np.divmod(edges, n_pattern)
+    edge_rows = np.bincount(row_edge)
+    on_value = np.zeros(len(edges), dtype=bool)
+    live = np.arange(len(edges))
+    while live.size:
+        v, p = edge_value[live], edge_pattern[live]
+        value_degree, pattern_degree = np.bincount(v), np.bincount(p)
+        value_leaf, pattern_leaf = value_degree[v] == 1, pattern_degree[p] == 1
+        taken_value = np.zeros(len(value_degree), dtype=bool)
+        taken_pattern = np.zeros(len(pattern_degree), dtype=bool)
+        if value_leaf.any() or pattern_leaf.any():
+            taken_value[v[pattern_leaf]] = True
+            taken_pattern[p[value_leaf]] = True
+        else:
+            value_rows = np.bincount(v, edge_rows[live])
+            pattern_rows = np.bincount(p, edge_rows[live])
+            if value_rows.max() >= pattern_rows.max():
+                taken_value[value_rows.argmax()] = True
+            else:
+                taken_pattern[pattern_rows.argmax()] = True
+        by_value = taken_value[v]
+        on_value[live[by_value]] = True
+        live = live[~(by_value | taken_pattern[p])]
+    return on_value[row_edge]
 
 
 def _hidden(bits: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
@@ -389,8 +480,60 @@ def _slotted(g: np.ndarray, slot: np.ndarray, groups: int, width: int) -> np.nda
     return out.reshape(groups, width, -1)
 
 
-def _value_side(chain_reps: Tensor, keys, group_value, source, slot,
-                nets: AffineNets) -> Tensor:
+def _value_maps(ha: np.ndarray, nets: AffineNets) -> np.ndarray:
+    """E_a (rows, d, d) for hidden activations ha (rows, H)."""
+    ea = ha @ nets.w2a.data
+    ea += nets.b2a.data
+    return ea.reshape(len(ha), nets.dim, nets.dim)
+
+
+def _value_map_grads(ha: np.ndarray, xs: np.ndarray, ea: np.ndarray, gg: np.ndarray,
+                     nets: AffineNets, need_xs: bool):
+    """For grouped = xs @ ea (G, width, d) and its gradient gg: accumulate
+    the gradients of W2a and b2a, and return those of ha and (when need_xs,
+    else None) xs."""
+    dxs = gg @ np.moveaxis(ea, -1, -2) if need_xs else None
+    dea = (np.moveaxis(xs, -1, -2) @ gg).reshape(len(ha), -1)
+    return _output_grads(ha, dea, nets.w2a, nets.b2a), dxs
+
+
+def _pattern_maps(e: np.ndarray, hs: np.ndarray, nets: AffineNets):
+    """The pattern side's product for group representations e (G', d) and
+    per-slot hidden activations hs (G', width, H): y = e^T W_k for all k as
+    (H, G', d), from the (H, d, d) view W2a is stored as, and
+    grouped = hs @ y + e^T B (G', width, d)."""
+    d = nets.dim
+    y = np.matmul(e, nets.w2a.data.reshape(-1, d, d))
+    grouped = hs @ y.transpose(1, 0, 2)
+    grouped += (e @ nets.b2a.data.reshape(d, d))[:, None]
+    return y, grouped
+
+
+def _pattern_map_grads(e: np.ndarray, hs: np.ndarray, y: np.ndarray, gg: np.ndarray,
+                       nets: AffineNets, need_e: bool):
+    """For _pattern_maps and the gradient gg of grouped: accumulate the
+    gradients of W2a and b2a, and return those of hs and (when need_e, else
+    None) e. The gradient of e is one product with W2a's (H d, d) transpose."""
+    d = nets.dim
+    dhs = gg @ y.transpose(1, 2, 0)
+    dy = np.matmul(hs.transpose(0, 2, 1), gg)  # (G', H, d)
+    gsum = gg.sum(axis=1)
+    _accumulate(nets.w2a, np.matmul(e.T, dy.transpose(1, 0, 2)).reshape(-1, d * d))
+    _accumulate(nets.b2a, (e.T @ gsum).reshape(-1))
+    if not need_e:
+        return dhs, None
+    w3 = nets.w2a.data.reshape(-1, d, d)
+    de = gsum @ nets.b2a.data.reshape(d, d).T
+    de += dy.reshape(len(e), -1) @ w3.transpose(0, 2, 1).reshape(-1, d)
+    return dhs, de
+
+
+def _parents(chain_reps: Tensor, nets: AffineNets) -> tuple:
+    return (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
+            nets.w1b, nets.b1b, nets.w2b, nets.b2b)
+
+
+def _value_side(chain_reps: Tensor, value_layout, nets: AffineNets) -> Tensor:
     """E_a and E_b built once per value group and applied with one
     (G, width, d) @ (G, d, d) matmul.
 
@@ -399,15 +542,11 @@ def _value_side(chain_reps: Tensor, keys, group_value, source, slot,
     bit-identical to it. A pad slot reads row 0 and its output is never
     gathered back; the backward gives it a zero gradient and reads each row's
     gradient from its own slot, so neither final gather is scattered back."""
-    d = nets.dim
+    keys, group_value, source, slot = value_layout
     g, width = source.shape
-    parents = (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
-               nets.w1b, nets.b1b, nets.w2b, nets.b2b)
     bits = encode_values(keys.view(np.float64)[group_value])
     ha = _hidden(bits, nets.w1a, nets.b1a)
-    ea = ha @ nets.w2a.data
-    ea += nets.b2a.data
-    ea = ea.reshape(g, d, d)
+    ea = _value_maps(ha, nets)
     hb = _hidden(bits, nets.w1b, nets.b1b)
     eb = hb @ nets.w2b.data
     eb += nets.b2b.data
@@ -420,73 +559,127 @@ def _value_side(chain_reps: Tensor, keys, group_value, source, slot,
         gg = _slotted(gout, slot, g, width)
         dhb = _output_grads(hb, gg.sum(axis=1), nets.w2b, nets.b2b)
         _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
-        if chain_reps.requires_grad:
-            _accumulate(chain_reps, (gg @ np.moveaxis(ea, -1, -2)).reshape(-1, d)[slot])
-        dea = (np.moveaxis(xs, -1, -2) @ gg).reshape(g, d * d)
-        dha = _output_grads(ha, dea, nets.w2a, nets.b2a)
+        dha, dxs = _value_map_grads(ha, xs, ea, gg, nets, chain_reps.requires_grad)
+        if dxs is not None:
+            _accumulate(chain_reps, dxs.reshape(-1, nets.dim)[slot])
         _hidden_grads(bits, ha, dha, nets.w1a, nets.b1a)
 
-    return _make(grouped.reshape(-1, d)[slot], parents, backward_fn)
+    return _make(grouped.reshape(-1, nets.dim)[slot], _parents(chain_reps, nets), backward_fn)
 
 
-def _pattern_side(chain_reps: Tensor, psource, pslot, keys, group_value, source, slot,
-                  nets: AffineNets) -> Tensor:
-    """e^T W_k and e^T B built once per pattern group, from its first row,
-    and contracted with each row's own hidden activation by one
-    (G', width, H) @ (G', H, d) matmul.
+def _value_sums(value_layout):
+    """A function summing (m, c) row arrays per distinct value, through the
+    values' key_groups layout: each group's slots, then each value's groups."""
+    _, group_value, source, slot = value_layout
+    g, width = source.shape
+    starts = _key_starts(group_value)
+    return lambda rows: np.add.reduceat(_slotted(rows, slot, g, width).sum(axis=1), starts,
+                                        axis=0)
 
-    The rows' pattern groups are psource and pslot (key_groups of the
-    pattern). Both hidden layers, and E_b, run once per distinct value
-    (key_groups of the values: keys, group_value, source, slot); the
-    backward sums each value's rows through that value layout. W2a is read
-    as the (H, d, d) view it is stored as: e^T W_k for all k is one
-    (G', d) @ (H, d, d) product, kept as (H, G', d), and the gradient of e is
-    one product with W2a's (H d, d) transpose. Rounding differs from the
-    value side's."""
-    d = nets.dim
-    vg, vwidth = source.shape
-    row_value = group_value[slot // vwidth]
-    pg, pwidth = psource.shape
-    parents = (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
-               nets.w1b, nets.b1b, nets.w2b, nets.b2b)
+
+def _key_starts(group_key: np.ndarray) -> np.ndarray:
+    """The first group of each key, its groups being consecutive."""
+    return np.flatnonzero(np.r_[True, group_key[1:] != group_key[:-1]])
+
+
+def _distinct_value_nets(keys: np.ndarray, nets: AffineNets):
+    """The bits, both hidden activations and E_b of each distinct value."""
     bits = encode_values(keys.view(np.float64))
     ha = _hidden(bits, nets.w1a, nets.b1a)
     hb = _hidden(bits, nets.w1b, nets.b1b)
     eb = hb @ nets.w2b.data
     eb += nets.b2b.data
+    return bits, ha, hb, eb
+
+
+def _pattern_side(chain_reps: Tensor, pattern_layout, value_layout, nets: AffineNets) -> Tensor:
+    """e^T W_k and e^T B built once per pattern group, from its first row,
+    and contracted with each row's own hidden activation by one
+    (G', width, H) @ (G', H, d) matmul (_pattern_maps).
+
+    Both hidden layers, and E_b, run once per distinct value (key_groups of
+    the values); the backward sums each value's rows through that value
+    layout. Rounding differs from the value side's."""
+    _, _, psource, pslot = pattern_layout
+    row_value = _row_keys(value_layout)
+    per_value = _value_sums(value_layout)
+    bits, ha, hb, eb = _distinct_value_nets(value_layout[0], nets)
     first = psource[:, 0]
     e = chain_reps.data[first]
-    w3 = nets.w2a.data.reshape(-1, d, d)
-    bias = nets.b2a.data.reshape(d, d)
-    y = np.matmul(e, w3)  # (H, G', d)
     hs = ha[row_value[psource]]
-    grouped = hs @ y.transpose(1, 0, 2)
-    grouped += (e @ bias)[:, None]
-    out = grouped.reshape(-1, d)[pslot]
+    y, grouped = _pattern_maps(e, hs, nets)
+    out = grouped.reshape(-1, nets.dim)[pslot]
     out += eb[row_value]
 
-    value_starts = np.flatnonzero(np.r_[True, group_value[1:] != group_value[:-1]])
-
-    def per_value(rows):  # (m, c) row gradients summed per distinct value
-        return np.add.reduceat(_slotted(rows, slot, vg, vwidth).sum(axis=1), value_starts,
-                               axis=0)
-
     def backward_fn(gout):
-        gg = _slotted(gout, pslot, pg, pwidth)
         dhb = _output_grads(hb, per_value(gout), nets.w2b, nets.b2b)
         _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
-        dhs = gg @ y.transpose(1, 2, 0)
+        gg = _slotted(gout, pslot, *psource.shape)
+        dhs, de = _pattern_map_grads(e, hs, y, gg, nets, chain_reps.requires_grad)
         _hidden_grads(bits, ha, per_value(dhs.reshape(-1, dhs.shape[-1])[pslot]),
                       nets.w1a, nets.b1a)
-        dy = np.matmul(hs.transpose(0, 2, 1), gg)  # (G', H, d)
-        gsum = gg.sum(axis=1)
-        _accumulate(nets.w2a, np.matmul(e.T, dy.transpose(1, 0, 2)).reshape(-1, d * d))
-        _accumulate(nets.b2a, (e.T @ gsum).reshape(-1))
-        if chain_reps.requires_grad:
-            de = gsum @ bias.T
-            de += dy.reshape(pg, -1) @ w3.transpose(0, 2, 1).reshape(-1, d)
+        if de is not None:
             drows = np.zeros_like(chain_reps.data)
             drows[first] = de
             _accumulate(chain_reps, drows)
 
-    return _make(out, parents, backward_fn)
+    return _make(out, _parents(chain_reps, nets), backward_fn)
+
+
+def _split(chain_reps: Tensor, value_layout, row_value: np.ndarray, row_pattern: np.ndarray,
+           on_value: np.ndarray, nets: AffineNets) -> Tensor:
+    """The rows on_value served by their value groups' E_a, as on the value
+    side, and the others by their pattern groups' e^T W2a, as on the pattern
+    side; row_value and row_pattern are the rows' indices into the distinct
+    values and patterns.
+
+    Both hidden layers and E_b run once per distinct value, and E_b is added
+    per row, as on the pattern side. Each part's rows are grouped on their
+    own (key_groups, weighing a map against its slots): the cover's values
+    and patterns hold the most rows, so one group per key, one map per
+    cover member, usually costs less than narrower groups. The backward
+    sums the hidden activations' gradients of both parts per distinct value
+    before one pass through the hidden layers."""
+    d = nets.dim
+    vrows, prows = np.flatnonzero(on_value), np.flatnonzero(~on_value)
+    # a value group's map costs H d^2 and each slot d^2; a pattern group's
+    # map H d^2 and each slot H d
+    vkeys, vgroup, vsource, vslot = key_groups(row_value[vrows], map_cost=nets.w2a.shape[0])
+    _, _, psource, pslot = key_groups(row_pattern[prows], map_cost=d)
+    per_value = _value_sums(value_layout)
+    bits, ha, hb, eb = _distinct_value_nets(value_layout[0], nets)
+
+    group_value = vkeys[vgroup]
+    ha_groups = ha[group_value]
+    ea = _value_maps(ha_groups, nets)
+    xs = chain_reps.data[vrows[vsource]]
+    first = prows[psource[:, 0]]
+    e = chain_reps.data[first]
+    hs = ha[row_value[prows][psource]]
+    y, grouped = _pattern_maps(e, hs, nets)
+    out = np.empty((len(row_value), d))
+    out[vrows] = (xs @ ea).reshape(-1, d)[vslot]
+    out[prows] = grouped.reshape(-1, d)[pslot]
+    out += eb[row_value]
+    vstarts = _key_starts(group_value)
+
+    def backward_fn(gout):
+        dhb = _output_grads(hb, per_value(gout), nets.w2b, nets.b2b)
+        _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
+        gv = _slotted(gout[vrows], vslot, *vsource.shape)
+        dha_groups, dxs = _value_map_grads(ha_groups, xs, ea, gv, nets,
+                                           chain_reps.requires_grad)
+        gp = _slotted(gout[prows], pslot, *psource.shape)
+        dhs, de = _pattern_map_grads(e, hs, y, gp, nets, chain_reps.requires_grad)
+        dha_rows = np.zeros((len(row_value), ha.shape[1]))
+        dha_rows[prows] = dhs.reshape(-1, ha.shape[1])[pslot]
+        dha = per_value(dha_rows)
+        dha[vkeys] += np.add.reduceat(dha_groups, vstarts, axis=0)
+        _hidden_grads(bits, ha, dha, nets.w1a, nets.b1a)
+        if de is not None:
+            drows = np.zeros_like(chain_reps.data)
+            drows[vrows] = dxs.reshape(-1, d)[vslot]
+            drows[first] = de
+            _accumulate(chain_reps, drows)
+
+    return _make(out, _parents(chain_reps, nets), backward_fn)

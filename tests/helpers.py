@@ -6,11 +6,12 @@ chain enumerator, the sequential chain sampler, the sort-based row check, the
 np.unique row dedupe, the per-tree top-k selection, test-only autodiff ops
 and the composite forms of the fused layers, the per-token chain tokens, the
 unfused full-row transformer, the per-row and the composite grouped affine
-transfers, the per-query model forward, the hand-written parameter lists,
-the per-query prediction traces and dict-accumulator pattern ranking,
-predictions that used no chain, the per-triple attribute statistics and
-query scoping, the dict-accumulator evaluation reports and filter audit, and
-finite differences."""
+transfers, a forced and a recorded transfer plan and the augmenting-path
+maximum matching that sizes a minimum cover, the per-query model forward,
+the hand-written parameter lists, the per-query prediction traces and
+dict-accumulator pattern ranking, predictions that used no chain, the
+per-triple attribute statistics and query scoping, the dict-accumulator
+evaluation reports and filter audit, and finite differences."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rachain import autodiff as ad
+from rachain import encoder as E
 from rachain import evaluation as EV
 from rachain.encoder import AffineNets, encode_values, key_groups
 from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
@@ -602,6 +604,13 @@ def broadcast_to(a, shape):
                     lambda g: ad._accumulate(a, ad._unbroadcast(g, a.data.shape)))
 
 
+def swapaxes(a, ax1: int, ax2: int):
+    """Swap two axes (a numpy view) as a tape node; the backward swaps them back."""
+    a = ad._as_tensor(a)
+    return ad._make(np.swapaxes(a.data, ax1, ax2), (a,),
+                    lambda g: ad._accumulate(a, np.swapaxes(g, ax1, ax2)))
+
+
 def mean(a, axis=None, keepdims: bool = False):
     """Mean over `axis` (all axes when None) as a sum times 1/count."""
     a = ad._as_tensor(a)
@@ -631,12 +640,12 @@ def reference_attention(q, k, v, heads: int, key_mask=None, scale: float = 1.0):
     b, lq, dim = q.shape
 
     def split(t):
-        return ad.swapaxes(ad.reshape(t, (b, t.shape[1], heads, dim // heads)), 1, 2)
+        return swapaxes(ad.reshape(t, (b, t.shape[1], heads, dim // heads)), 1, 2)
 
-    scores = ad.mul(ad.matmul(split(q), ad.swapaxes(split(k), -1, -2)), scale)
+    scores = ad.mul(ad.matmul(split(q), swapaxes(split(k), -1, -2)), scale)
     mask = None if key_mask is None else key_mask[:, None, None, :]
     ctx = ad.matmul(ad.softmax(scores, mask=mask), split(v))
-    return ad.reshape(ad.swapaxes(ctx, 1, 2), (b, lq, dim))
+    return ad.reshape(swapaxes(ctx, 1, 2), (b, lq, dim))
 
 
 def composite_log_map(x, curvature: float = 1.0):
@@ -750,11 +759,56 @@ def reference_affine_transfer(chain_reps, pattern, values, nets: AffineNets, sid
         eb = ad.linear(ad.relu(ad.linear(bits, nets.w1b, nets.b1b)), nets.w2b, nets.b2b)
         e = ad.take_rows(chain_reps, source[:, 0])
         # W2a as (d, H d): row i holds row i of every W_k
-        w = ad.reshape(ad.swapaxes(ad.reshape(nets.w2a, (-1, d, d)), 0, 1), (d, -1))
+        w = ad.reshape(swapaxes(ad.reshape(nets.w2a, (-1, d, d)), 0, 1), (d, -1))
         y = ad.reshape(ad.linear(e, w), (g, -1, d))
         eb = ad.add(eb, ad.reshape(ad.linear(e, ad.reshape(nets.b2a, (d, d))), (g, 1, d)))
         grouped = ad.add(ad.matmul(ha, y), eb)
     return ad.take_rows(ad.reshape(grouped, (source.size, d)), slot)
+
+
+def force_transfer_plan(monkeypatch, plan: str) -> None:
+    """Make `encoder.affine_transfer` take one plan at any map counts:
+    "value", "pattern", or "split" (the rows split as cover_rows says; a
+    cover that holds only values or only patterns still runs one side)."""
+    monkeypatch.setattr(E, "MAP_ALLOWANCE", 10**9 if plan == "value" else -10**9)
+    if plan == "pattern":
+        monkeypatch.setattr(E, "cover_rows", lambda value, pattern: np.zeros(len(value), bool))
+
+
+def recorded_plans(monkeypatch) -> list:
+    """A list that each fused node of `encoder.affine_transfer` appends its
+    plan ("value", "pattern" or "split") to when it runs."""
+    ran = []
+    for plan, name in (("value", "_value_side"), ("pattern", "_pattern_side"),
+                       ("split", "_split")):
+        fused = getattr(E, name)
+
+        def recording(*args, plan=plan, fused=fused):
+            ran.append(plan)
+            return fused(*args)
+        monkeypatch.setattr(E, name, recording)
+    return ran
+
+
+def maximum_matching(value, pattern) -> int:
+    """The size of a maximum matching of the distinct (value, pattern) row
+    pairs, by augmenting paths (Kuhn); by Koenig's theorem it is the size of
+    a minimum vertex cover of the same bipartite graph."""
+    partners: dict[int, list[int]] = {}
+    for v, p in sorted(set(zip(np.asarray(value).tolist(), np.asarray(pattern).tolist()))):
+        partners.setdefault(v, []).append(p)
+    matched: dict[int, int] = {}  # pattern -> value
+
+    def augment(v, seen) -> bool:
+        for p in partners[v]:
+            if p not in seen:
+                seen.add(p)
+                if p not in matched or augment(matched[p], seen):
+                    matched[p] = v
+                    return True
+        return False
+
+    return sum(augment(v, set()) for v in partners)
 
 
 def reference_forward(model, etoc, i: int = 0):
@@ -1112,11 +1166,11 @@ def grad_cases(rng: np.random.Generator):
     case("reshape_swap",
          {"a": rng.standard_normal((2, 3, 4))},
          lambda p: ad.tensor_sum(ad.square(
-             ad.swapaxes(ad.reshape(p["a"], (2, 12, 1)), 0, 1))))
+             swapaxes(ad.reshape(p["a"], (2, 12, 1)), 0, 1))))
     swapped = rng.standard_normal((4, 3, 2))
     case("swapaxes",
          {"a": rng.standard_normal((2, 3, 4))},
-         lambda p: ad.tensor_sum(ad.mul(ad.swapaxes(p["a"], 0, 2), swapped)))
+         lambda p: ad.tensor_sum(ad.mul(swapaxes(p["a"], 0, 2), swapped)))
     case("broadcast_to",
          {"a": rng.standard_normal((1, 4))},
          lambda p: ad.tensor_sum(ad.square(broadcast_to(p["a"], (3, 4)))))

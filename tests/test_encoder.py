@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (chain_set, check_gradients, decode_value, encode_value, oracle_log_map,
-                     per_row_affine_transfer, random_inball, reference_affine_transfer,
-                     reference_chain_tokens,
-                     reference_encode_chains)
+from helpers import (chain_set, check_gradients, decode_value, encode_value,
+                     force_transfer_plan, maximum_matching, oracle_log_map,
+                     per_row_affine_transfer, random_inball, recorded_plans,
+                     reference_affine_transfer, reference_chain_tokens, reference_encode_chains)
 from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain.autodiff import Parameter, Tensor, parameters
@@ -497,6 +497,30 @@ class TestValueGroups:
         np.testing.assert_array_equal(distinct[group_value[slot]].view(np.int64),
                                       np.array(values).view(np.int64))
 
+    @given(pooled_values, st.sampled_from([0, 1, 8, 64, 10**6]))
+    @settings(max_examples=300, deadline=None)
+    def test_layout_with_a_map_cost(self, values, map_cost):
+        """With map_cost the layout stays valid, and it is one group per key
+        whenever that costs less in groups * (map_cost + width)."""
+        bits = np.array(values).view(np.int64)
+        m, n = len(bits), len(np.unique(bits))
+        default = E.key_groups(bits)
+        distinct, group_key, source, slot = E.key_groups(bits, map_cost=map_cost)
+        g, width = source.shape
+        np.testing.assert_array_equal(distinct, default[0])
+        np.testing.assert_array_equal(source.reshape(-1)[slot], np.arange(m))
+        np.testing.assert_array_equal(distinct[group_key[slot // width]], bits)
+        for key in np.unique(bits):
+            assert np.all(np.diff(slot[bits == key]) > 0)
+        widest = np.unique(bits, return_counts=True)[1].max()
+        one_per_key = n * (map_cost + widest)
+        cost = g * (map_cost + width)
+        assert cost == min(one_per_key, len(default[1]) * (map_cost + default[2].shape[1]))
+        if one_per_key < len(default[1]) * (map_cost + default[2].shape[1]):
+            assert (g, width) == (n, widest)
+        else:
+            np.testing.assert_array_equal(source, default[2])
+
     def test_signed_zeros_stay_apart(self):
         distinct, group_value, source, slot = value_groups([0.0, -0.0, 0.0, -0.0])
         assert len(distinct) == 2 and source.shape == (2, 2)
@@ -518,9 +542,6 @@ VALUE_SETS = pytest.mark.parametrize("values", [
     [0.0, -0.0, 0.0, 0.3, -0.0, 0.0],
     [0.6, 0.2, 0.6, 0.9] + [0.0] * 5,  # one value on most rows, after distinct ones
 ], ids=["distinct", "equal", "dominant", "signed_zeros", "pad_zeros"])
-
-
-VALUE_SIDE, PATTERN_SIDE = 10**9, -10**9  # MAP_ALLOWANCE values that force a side
 
 
 def against_reference(rng, pattern, values, d: int = 4):
@@ -552,29 +573,24 @@ def transfer_and_grads(transfer, base, pattern, values, nets, mix) -> list:
 
 
 def against_composite(rng, pattern, values, side, reps=None, atol=None):
-    """Assert that the fused side of affine_transfer matches the composite
-    one (helpers.reference_affine_transfer): bit for bit (atol None) or
-    within atol, in value and gradients. reps, when given, holds one
-    representation per pattern."""
+    """Assert that the fused node of affine_transfer's plan `side` ("value",
+    "pattern" or "split") matches the composite one
+    (helpers.reference_affine_transfer; its value side for a split): bit
+    for bit (atol None) or within atol, in value and gradients. reps, when
+    given, holds one representation per pattern."""
     pattern = np.asarray(pattern)
     d = 4 if reps is None else reps.shape[1]
     nets = generic_nets(rng, d, 6)
     base = rng.standard_normal((pattern.max() + 1, d)) if reps is None else reps
     mix = rng.standard_normal((len(pattern), d))
-    fused = {"value": E._value_side, "pattern": E._pattern_side}[side]
-    ran = []
-
-    def recording(*args):
-        ran.append(side)
-        return fused(*args)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(E, f"_{side}_side", recording)
-        mp.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE if side == "value" else PATTERN_SIDE)
+        ran = recorded_plans(mp)
+        force_transfer_plan(mp, side)
         got = transfer_and_grads(partial(E.affine_transfer, pattern=pattern), base, pattern,
                                  values, nets, mix)
     assert ran == [side]
-    want = transfer_and_grads(partial(reference_affine_transfer, pattern=pattern, side=side),
+    want = transfer_and_grads(partial(reference_affine_transfer, pattern=pattern,
+                                      side="value" if side == "split" else side),
                               base, pattern, values, nets, mix)
     names = ["out", "patterns"] + [p.name for p in parameters(nets)]
     for name, a, b in zip(names, got, want):
@@ -710,16 +726,16 @@ class TestGroupedTransfer:
 
     def test_finite_differences_with_repeated_values(self, rng, monkeypatch):
         # 0.5 fills two groups of width 2; -0.0, 0.0 and 1.25 leave pad slots
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE)
+        force_transfer_plan(monkeypatch, "value")
         fd_check(rng, [0, 0, 1, 0, 1, 0, 0], [0.5, -0.0, 0.5, 0.0, 0.5, 1.25, 0.5])
 
     def test_finite_differences_on_one_row(self, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE)
+        force_transfer_plan(monkeypatch, "value")
         fd_check(rng, [0], [0.75])
 
     @VALUE_SETS
     def test_e_a_is_built_per_group(self, values, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", VALUE_SIDE)
+        force_transfer_plan(monkeypatch, "value")
         n = len(np.unique(np.array(values).view(np.int64)))
         groups = len(value_groups(values)[1])
         assert encoded_counts(rng, monkeypatch, values) == [groups]  # one map per group
@@ -737,12 +753,12 @@ class TestPatternSide:
 
     @PATTERN_CASES
     def test_matches_per_row_transfer(self, pattern, values, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        force_transfer_plan(monkeypatch, "pattern")
         against_reference(rng, pattern, values)
 
     @VALUE_SETS
     def test_matches_per_row_transfer_on_value_sets(self, values, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        force_transfer_plan(monkeypatch, "pattern")
         against_reference(rng, np.arange(len(values)) % 2, values)
 
     @PATTERN_CASES
@@ -755,44 +771,37 @@ class TestPatternSide:
 
     def test_finite_differences_with_repeated_patterns(self, rng, monkeypatch):
         # pattern 1 fills a group of width 3 and a padded one; both zeros
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        force_transfer_plan(monkeypatch, "pattern")
         fd_check(rng, [1, 0, 1, 2, 1, 0, 1], [0.5, -0.0, 0.5, 0.0, 0.75, 1.25, -3.0])
 
     def test_finite_differences_with_repeated_values(self, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        force_transfer_plan(monkeypatch, "pattern")
         fd_check(rng, [0, 0, 1, 0, 1, 0, 0], [0.5, -0.0, 0.5, 0.0, 0.5, 1.25, 0.5])
 
     def test_finite_differences_on_one_row(self, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        force_transfer_plan(monkeypatch, "pattern")
         fd_check(rng, [0], [0.75])
 
     @VALUE_SETS
     def test_hidden_layers_run_per_distinct_value(self, values, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        force_transfer_plan(monkeypatch, "pattern")
         n = len(np.unique(np.array(values).view(np.int64)))
         assert encoded_counts(rng, monkeypatch, values) == [n]
 
     def test_is_one_tape_node(self, rng, monkeypatch):
-        monkeypatch.setattr(E, "MAP_ALLOWANCE", PATTERN_SIDE)
+        force_transfer_plan(monkeypatch, "pattern")
         nets = generic_nets(rng, 3, 4)
         reps = Parameter(rng.standard_normal((5, 3)), name="reps")
         out = E.affine_transfer(reps, np.array([0, 1, 0, 1, 0]), [0.5, 0.5, 1.0, 2.0, 0.5], nets)
         assert out._parents == (reps, *parameters(nets))
 
     def test_side_follows_value_groups_per_pattern(self, bench_batches, rng, monkeypatch):
-        """The value side unless it builds more than MAP_ALLOWANCE maps more
-        than the pattern side: one-query forwards and a train_wide batch
-        keep it, a train_small batch does not."""
-        ran = []
-        for side in ("value", "pattern"):
-            fused = getattr(E, f"_{side}_side")
+        """The value side unless another plan builds more than MAP_ALLOWANCE
+        maps fewer: one-query forwards keep it, a train_small batch takes
+        the pattern side, and a train_wide batch splits."""
+        ran = recorded_plans(monkeypatch)
 
-            def recording(*args, side=side, fused=fused):
-                ran.append(side)
-                return fused(*args)
-            monkeypatch.setattr(E, f"_{side}_side", recording)
-
-        def sides(calls):
+        def plans(calls):
             ran.clear()
             for reps, pattern, values in calls:
                 E.affine_transfer(Tensor(reps), pattern, values,
@@ -801,14 +810,167 @@ class TestPatternSide:
 
         one_query = bench_batches["train_small/one_query"] + bench_batches["train_wide/one_query"]
         assert len(one_query) == 80
-        assert sides(one_query) == {"value"}
-        assert sides([bench_batches["train_small/batch"]]) == {"pattern"}
-        assert sides([bench_batches["train_wide/batch"]]) == {"value"}
+        assert plans(one_query) == {"value"}
+        assert plans([bench_batches["train_small/batch"]]) == {"pattern"}
+        assert plans([bench_batches["train_wide/batch"]]) == {"split"}
         # either side of the allowance: m rows with distinct values (G = m
         # maps) and a pattern per pair of rows (G' = m / 2)
         for m, side in ((2 * E.MAP_ALLOWANCE, "value"), (2 * E.MAP_ALLOWANCE + 2, "pattern")):
-            assert sides([(rng.standard_normal((m, 3)), np.arange(m) // 2,
+            assert plans([(rng.standard_normal((m, 3)), np.arange(m) // 2,
                            np.arange(m) * 0.5)]) == {side}
+        # s two-value patterns and s two-pattern values: 3s values, 3s
+        # patterns and as many groups on either side, a cover of 2s
+        for s, plan in ((E.MAP_ALLOWANCE, "value"), (E.MAP_ALLOWANCE + 1, "split")):
+            pattern, values = two_stars(s)
+            assert plans([(rng.standard_normal((4 * s, 3)), pattern, values)]) == {plan}
+
+
+def two_stars(s: int):
+    """(pattern, values) of 4s rows: pattern i < s holds two single-row
+    values, and each of s more values holds two single-row patterns."""
+    pattern = np.r_[np.repeat(np.arange(s), 2), s + np.arange(2 * s)]
+    values = np.r_[np.arange(2 * s) * 0.5, np.repeat(-1.0 - np.arange(s), 2)]
+    return pattern, values
+
+
+def cover_size(value, pattern) -> int:
+    """The maps cover_rows builds: its values and its patterns."""
+    on_value = E.cover_rows(value, pattern)
+    return len(np.unique(value[on_value])) + len(np.unique(pattern[~on_value]))
+
+
+def random_forest(rng, size: int):
+    """(value, pattern) rows of a random bipartite forest on `size`
+    vertices: each new vertex, a value or a pattern, joins a random earlier
+    vertex of the other kind or starts a tree; each edge holds 1-3 rows, in
+    random order."""
+    kinds = rng.integers(0, 2, size)  # 0 value, 1 pattern
+    ids = np.zeros(size, dtype=np.int64)
+    for kind in (0, 1):
+        ids[kinds == kind] = np.arange(np.count_nonzero(kinds == kind))
+    edges = []
+    for i in range(1, size):
+        earlier = np.flatnonzero(kinds[:i] != kinds[i])
+        if earlier.size and rng.random() < 0.9:
+            j = rng.choice(earlier)
+            value, pattern = (i, j) if kinds[i] == 0 else (j, i)
+            edges += [(ids[value], ids[pattern])] * int(rng.integers(1, 4))
+    if not edges:
+        edges = [(0, 0)]
+    rows = np.array(edges)[rng.permutation(len(edges))]
+    return rows[:, 0], rows[:, 1]
+
+
+pair_rows = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=50)
+
+
+class TestCover:
+    """cover_rows: which rows the value side serves in a split."""
+
+    @given(pair_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_serves_every_row_from_a_cover(self, rows):
+        value, pattern = np.array(rows).T
+        on_value = E.cover_rows(value, pattern)
+        assert on_value.dtype == bool and on_value.shape == value.shape
+        # each row's map is built: the value's when the row is on the value
+        # side, else the pattern's; the rows of one pair share a side
+        for pair in set(rows):
+            same = (value == pair[0]) & (pattern == pair[1])
+            assert len(set(on_value[same].tolist())) == 1
+        assert cover_size(value, pattern) >= maximum_matching(value, pattern)
+        np.testing.assert_array_equal(E.cover_rows(value, pattern), on_value)
+
+    @pytest.mark.parametrize("value,pattern,on_value", [
+        ([0], [0], [True]),
+        ([3, 3, 3, 3], [0, 2, 1, 2], [True] * 4),  # one value
+        ([0, 4, 2, 1], [5, 5, 5, 5], [False] * 4),  # one pattern
+        ([0, 1, 2, 3], [3, 0, 2, 1], [True] * 4),  # all distinct: the value side
+    ], ids=["one_row", "one_value", "one_pattern", "all_distinct"])
+    def test_degenerate_inputs(self, value, pattern, on_value):
+        np.testing.assert_array_equal(E.cover_rows(np.array(value), np.array(pattern)),
+                                      on_value)
+
+    def test_is_deterministic(self, rng):
+        value, pattern = rng.integers(0, 30, (2, 400))
+        first = E.cover_rows(value, pattern)
+        for _ in range(3):
+            np.testing.assert_array_equal(E.cover_rows(value.copy(), pattern.copy()), first)
+
+    def test_is_minimum_on_forests(self, rng):
+        for size in list(range(1, 12)) * 10 + [60, 200, 500]:
+            value, pattern = random_forest(rng, size)
+            assert cover_size(value, pattern) == maximum_matching(value, pattern)
+
+    @pytest.mark.parametrize("value,pattern,on_value", [
+        ([0, 0, 1, 1, 1], [0, 1, 0, 1, 1], True),  # value 1 has the most rows
+        ([0, 0, 1, 1, 0], [0, 1, 0, 1, 1], True),  # value 0 ties with pattern 1
+        ([0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 1, 1], False),  # pattern 1 has the most
+    ], ids=["value", "tie", "pattern"])
+    def test_a_cycle_takes_the_most_rows_first(self, value, pattern, on_value):
+        # a 4-cycle has no leaf; once the first pick is made, the other
+        # side's two are leaves of one partner, which takes the rest
+        value, pattern = np.array(value), np.array(pattern)
+        np.testing.assert_array_equal(E.cover_rows(value, pattern), on_value)
+        assert cover_size(value, pattern) == 2 == maximum_matching(value, pattern)
+
+    def test_is_minimum_on_bench_batches(self, bench_batches):
+        calls = ([bench_batches["train_small/batch"], bench_batches["train_wide/batch"]]
+                 + bench_batches["train_small/one_query"] + bench_batches["train_wide/one_query"])
+        for _, pattern, values in calls:
+            value = np.unique(values.view(np.int64), return_inverse=True)[1]
+            assert cover_size(value, pattern) == maximum_matching(value, pattern)
+
+
+SPLIT_CASES = pytest.mark.parametrize("pattern,values", [
+    ([0, 0, 0, 1, 2, 3], [0.5, 1.5, 2.5, 3.0, 3.0, 3.0]),
+    ([0, 0, 1, 2, 3, 3, 4], [0.0, -0.0, 7.0, 7.0, 1.0, 1.0, 2.0]),
+    ([0, 1, 0, 1, 0, 2, 3, 3], [0.5, 0.5, 1.5, 1.5, 0.5, 4.0, -1.0, 5.0]),
+], ids=["two_stars", "signed_zeros_and_pairs", "cycle"])
+
+
+class TestSplit:
+    """Rows split between the value side and the pattern side by the cover."""
+
+    @SPLIT_CASES
+    def test_matches_per_row_transfer(self, pattern, values, rng, monkeypatch):
+        ran = recorded_plans(monkeypatch)
+        force_transfer_plan(monkeypatch, "split")
+        against_reference(rng, pattern, values)
+        assert ran == ["split"]
+
+    @SPLIT_CASES
+    def test_matches_the_composite(self, pattern, values, rng):
+        against_composite(rng, pattern, values, "split", atol=1e-12)
+
+    def test_matches_the_composite_on_a_bench_batch(self, bench_batches, rng):
+        base, pattern, values = distinct_reps(bench_batches["train_wide/batch"])
+        against_composite(rng, pattern, values, "split", reps=base, atol=1e-12)
+
+    def test_finite_differences(self, rng, monkeypatch):
+        ran = recorded_plans(monkeypatch)
+        force_transfer_plan(monkeypatch, "split")
+        fd_check(rng, [0, 1, 0, 1, 0, 2, 3, 3], [0.5, 0.5, 1.5, 1.5, 0.5, 4.0, -1.0, 5.0])
+        assert set(ran) == {"split"}
+
+    def test_is_one_tape_node(self, rng, monkeypatch):
+        ran = recorded_plans(monkeypatch)
+        force_transfer_plan(monkeypatch, "split")
+        nets = generic_nets(rng, 3, 4)
+        reps = Parameter(rng.standard_normal((6, 3)), name="reps")
+        out = E.affine_transfer(reps, np.array([0, 0, 0, 1, 2, 3]),
+                                [0.5, 1.5, 2.5, 3.0, 3.0, 3.0], nets)
+        assert ran == ["split"]
+        assert out._parents == (reps, *parameters(nets))
+
+    @pytest.mark.parametrize("on_value", [[True] * 6, [False] * 6], ids=["values", "patterns"])
+    def test_a_one_sided_cover_runs_that_side(self, on_value, rng, monkeypatch):
+        ran = recorded_plans(monkeypatch)
+        force_transfer_plan(monkeypatch, "split")
+        monkeypatch.setattr(E, "cover_rows", lambda value, pattern: np.array(on_value))
+        E.affine_transfer(Tensor(rng.standard_normal((6, 3))), np.array([0, 0, 0, 1, 2, 3]),
+                          [0.5, 1.5, 2.5, 3.0, 3.0, 3.0], generic_nets(rng, 3, 4))
+        assert ran == ["value" if on_value[0] else "pattern"]
 
 
 class TestEndToEndGradient:

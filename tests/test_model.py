@@ -7,6 +7,8 @@ import pytest
 
 from helpers import (
     chain_set,
+    force_transfer_plan,
+    recorded_plans,
     reference_forward,
     reference_parameters,
     reference_top_patterns,
@@ -226,11 +228,20 @@ class TestBatchedEquivalence:
 
     @VARIANTS
     def test_pattern_side_transfer_matches_per_query_forward(self, kw, rng, monkeypatch):
-        import rachain.encoder as encoder_module
-        monkeypatch.setattr(encoder_module, "MAP_ALLOWANCE", -10**9)  # at any counts
+        force_transfer_plan(monkeypatch, "pattern")
         model = make_model(**kw)
         _kick_zero_opens(model, rng)
         assert_matches_reference(model, pattern_batch(), rng.uniform(0.0, 1.0, 4))
+
+    @VARIANTS
+    def test_split_transfer_matches_per_query_forward(self, kw, rng, monkeypatch):
+        force_transfer_plan(monkeypatch, "split")
+        ran = recorded_plans(monkeypatch)
+        model = make_model(**kw)
+        _kick_zero_opens(model, rng)
+        assert_matches_reference(model, pattern_batch(), rng.uniform(0.0, 1.0, 4))
+        # the value 1.0 serves two patterns, and (0, (1, 2)) three values
+        assert ran == (["split"] if kw.get("use_numerical_aware", True) else [])
 
     @VARIANTS
     def test_encodes_each_distinct_pattern_once(self, kw, rng, monkeypatch):

@@ -12,7 +12,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def test_output_digests_repeat_with_the_same_seed(tmp_path):
     """Same seed, same run: two runs on the small workloads digest alike,
-    the checkpoint the first one saves included."""
+    the checkpoint the first one saves included, both at one BLAS thread."""
     runs = []
     for i in range(2):
         out = tmp_path / f"digests{i}.json"
@@ -24,6 +24,7 @@ def test_output_digests_repeat_with_the_same_seed(tmp_path):
         runs.append(json.loads(out.read_text(encoding="utf-8")))
     first, second = runs
     assert first == second
+    assert first["blas_threads"] == 1
     assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
         "predict_dense.npz", "train_small.npz", "train_wide.npz"]
     for name in ("train_small", "predict_dense", "train_wide"):
