@@ -17,15 +17,20 @@ is built from the workload's config. The script then digests, per split
                              (8 with --tiny)
 
 and a 2-epoch `train` on the workload's train subset (the benchmark's
-selection of training queries, `perfbench.harness._train_split`): epoch losses, validation MAE, best epoch,
-stop reason and the final parameters. Floats are digested by their bits
-(arrays) or as hex (scalars), so equal digests mean bit-identical outputs.
+selection of training queries, `perfbench.harness._train_split`): epoch
+losses, validation MAE, best epoch, stop reason and the final parameters.
+Floats are digested by their bits (arrays) or as hex (scalars), so equal
+digests mean bit-identical outputs.
 
 With --checkpoint-dir DIR, the prediction digests are repeated (keys
 prefixed `checkpoint/`) for the model in DIR/<workload>.npz. A missing file
 is first written from this run's trained model, so a run on one commit
 saves the checkpoints and a run on another predicts from the same
-parameters.
+parameters. The untrained model's `affine.w2a` and `affine.w2b` are zero,
+so its value transfer is exactly the identity on every plan and the
+prediction digests without the prefix cannot see a change to the
+transfer's arithmetic: compare such a change with a --checkpoint-dir
+written by the parent commit.
 
 BLAS is pinned to one thread in this process's own environment, before
 NumPy is imported (as in perfbench/run.py), because threaded BLAS sums some

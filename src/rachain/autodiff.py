@@ -7,9 +7,8 @@ against central finite differences in the test suite. The layers the model
 runs most (`linear`, `layer_norm`, masked scaled multi-head `attention`,
 which splits and merges its heads itself, and the origin `log_map` of the
 Poincare ball) are fused: one tape node each, keeping only what their
-backward reads. The value transfer's fused nodes (value side, pattern side
-and their split) are built the same way in `encoder`, from `_make` and
-`_accumulate`.
+backward reads. The value transfer's fused node, one for every plan, is
+built the same way in `encoder`, from `_make` and `_accumulate`.
 
 Model parts are dataclasses of Parameters and lists of parts; `parameters`
 walks their fields, so a part's fields are the one list of what it trains.
@@ -172,20 +171,6 @@ def mul(a, b) -> Tensor:
     def backward_fn(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), backward_fn)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product with broadcasting over leading batch axes (operands >= 2-D)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs >= 2-D operands, got {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g @ np.moveaxis(b.data, -1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(np.moveaxis(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), backward_fn)
 

@@ -35,8 +35,8 @@ MAP_ALLOWANCE maps more, or split between the sides by a cover of its
 MAP_ALLOWANCE fewer values and patterns than the side so picked
 (affine_transfer). Rows are grouped by an integer key (key_groups) and each
 group applied in one batched matmul, never as a per-row (m, d, d) tensor.
-Each plan is one fused tape node whose backward keeps only what it reads;
-the value side repeats the arithmetic of the composite ops bit for bit.
+Every plan is the same fused tape node (_transfer), given the rows of each
+side; its backward keeps only what it reads.
 """
 
 from __future__ import annotations
@@ -330,15 +330,16 @@ def key_groups(keys, map_cost: int | None = None
 # A call leaves the value side only for a plan that builds more than this many
 # maps fewer: the pattern side, counted in groups, and then a split by the
 # cover, counted in the distinct values and patterns it holds against the
-# picked side's. Either pays a fixed cost per call (per-slot gathers of the
-# hidden activations, per-value sums in its backward) that the maps it saves
-# must outweigh. On the benchmark graphs (seed 7) train_small calls take the
-# pattern side, whose 86-184 patterns the cover beats by at most 18, and
-# predict_dense calls take it with the cover no smaller; train_wide training
-# batches split (cover 190-240 against 298-389 values) and so does its
-# evaluate chunk (198 against 334). One-query forwards keep the value side:
-# the cover saves at most 14 maps there. The matching bound, which spares
-# computing the cover, allows at most 14 there and 24 on train_small calls.
+# picked side's. Either pays a fixed cost per call that the maps it saves
+# must outweigh: per-slot gathers of the hidden activations and, for a
+# split, the cover and a second grouping of the rows. On the benchmark
+# graphs (seed 7) train_small calls take the pattern side, whose 86-184
+# patterns the cover beats by at most 18, and predict_dense calls take it
+# with the cover no smaller; train_wide training batches split (cover
+# 190-240 against 298-389 values) and so does its evaluate chunk (198
+# against 334). One-query forwards keep the value side: the cover saves at
+# most 14 maps there. The matching bound, which spares computing the cover,
+# allows at most 14 there and 24 on train_small calls.
 MAP_ALLOWANCE = 32
 
 
@@ -359,8 +360,12 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
     holds more than MAP_ALLOWANCE fewer values and patterns than the picked
     side has distinct keys.
 
-    Each plan is one fused tape node (_value_side, _pattern_side, _split)
-    whose hand-written backward keeps only what it reads.
+    Every plan runs the one fused tape node _transfer: a single side gets
+    the layout its rule was decided on as its part, over every row; a split
+    groups each part's rows again (key_groups, weighing a map against its
+    slots), since the cover's values and patterns hold the most rows and
+    one group per key, one map per cover member, usually costs less than
+    narrower groups.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
@@ -376,12 +381,21 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
             maps = _distinct(row_value[on_value]) + _distinct(row_pattern[~on_value])
             if picked - maps > MAP_ALLOWANCE:
                 if on_value.any() and not on_value.all():
-                    return _split(chain_reps, value_layout, row_value, row_pattern, on_value,
-                                  nets)
+                    # a value group's map costs H d^2 and each slot d^2; a
+                    # pattern group's map H d^2 and each slot H d
+                    vrows, prows = np.flatnonzero(on_value), np.flatnonzero(~on_value)
+                    vkeys, vgroup, vsource, vslot = key_groups(row_value[vrows],
+                                                               map_cost=nets.w2a.shape[0])
+                    pkeys, pgroup, psource, pslot = key_groups(row_pattern[prows],
+                                                               map_cost=nets.dim)
+                    return _transfer(chain_reps, value_layout,
+                                     (vrows, vkeys[vgroup], vrows[vsource], vslot),
+                                     (prows, pkeys[pgroup], prows[psource], pslot), nets)
                 on_pattern = not on_value.any()
+    every = slice(None)
     if on_pattern:
-        return _pattern_side(chain_reps, pattern_layout, value_layout, nets)
-    return _value_side(chain_reps, value_layout, nets)
+        return _transfer(chain_reps, value_layout, None, (every, *pattern_layout[1:]), nets)
+    return _transfer(chain_reps, value_layout, (every, *value_layout[1:]), None, nets)
 
 
 def _row_keys(layout) -> np.ndarray:
@@ -487,199 +501,111 @@ def _value_maps(ha: np.ndarray, nets: AffineNets) -> np.ndarray:
     return ea.reshape(len(ha), nets.dim, nets.dim)
 
 
-def _value_map_grads(ha: np.ndarray, xs: np.ndarray, ea: np.ndarray, gg: np.ndarray,
-                     nets: AffineNets, need_xs: bool):
-    """For grouped = xs @ ea (G, width, d) and its gradient gg: accumulate
-    the gradients of W2a and b2a, and return those of ha and (when need_xs,
-    else None) xs."""
-    dxs = gg @ np.moveaxis(ea, -1, -2) if need_xs else None
-    dea = (np.moveaxis(xs, -1, -2) @ gg).reshape(len(ha), -1)
-    return _output_grads(ha, dea, nets.w2a, nets.b2a), dxs
-
-
-def _pattern_maps(e: np.ndarray, hs: np.ndarray, nets: AffineNets):
-    """The pattern side's product for group representations e (G', d) and
-    per-slot hidden activations hs (G', width, H): y = e^T W_k for all k as
-    (H, G', d), from the (H, d, d) view W2a is stored as, and
-    grouped = hs @ y + e^T B (G', width, d)."""
-    d = nets.dim
-    y = np.matmul(e, nets.w2a.data.reshape(-1, d, d))
-    grouped = hs @ y.transpose(1, 0, 2)
-    grouped += (e @ nets.b2a.data.reshape(d, d))[:, None]
-    return y, grouped
-
-
-def _pattern_map_grads(e: np.ndarray, hs: np.ndarray, y: np.ndarray, gg: np.ndarray,
-                       nets: AffineNets, need_e: bool):
-    """For _pattern_maps and the gradient gg of grouped: accumulate the
-    gradients of W2a and b2a, and return those of hs and (when need_e, else
-    None) e. The gradient of e is one product with W2a's (H d, d) transpose."""
-    d = nets.dim
-    dhs = gg @ y.transpose(1, 2, 0)
-    dy = np.matmul(hs.transpose(0, 2, 1), gg)  # (G', H, d)
-    gsum = gg.sum(axis=1)
-    _accumulate(nets.w2a, np.matmul(e.T, dy.transpose(1, 0, 2)).reshape(-1, d * d))
-    _accumulate(nets.b2a, (e.T @ gsum).reshape(-1))
-    if not need_e:
-        return dhs, None
-    w3 = nets.w2a.data.reshape(-1, d, d)
-    de = gsum @ nets.b2a.data.reshape(d, d).T
-    de += dy.reshape(len(e), -1) @ w3.transpose(0, 2, 1).reshape(-1, d)
-    return dhs, de
-
-
-def _parents(chain_reps: Tensor, nets: AffineNets) -> tuple:
-    return (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
-            nets.w1b, nets.b1b, nets.w2b, nets.b2b)
-
-
-def _value_side(chain_reps: Tensor, value_layout, nets: AffineNets) -> Tensor:
-    """E_a and E_b built once per value group and applied with one
-    (G, width, d) @ (G, d, d) matmul.
-
-    The arithmetic is that of the composite (linear, relu, reshape, a row
-    gather, matmul, add, a slot gather), so output and gradients are
-    bit-identical to it. A pad slot reads row 0 and its output is never
-    gathered back; the backward gives it a zero gradient and reads each row's
-    gradient from its own slot, so neither final gather is scattered back."""
-    keys, group_value, source, slot = value_layout
-    g, width = source.shape
-    bits = encode_values(keys.view(np.float64)[group_value])
-    ha = _hidden(bits, nets.w1a, nets.b1a)
-    ea = _value_maps(ha, nets)
-    hb = _hidden(bits, nets.w1b, nets.b1b)
-    eb = hb @ nets.w2b.data
-    eb += nets.b2b.data
-    xs = chain_reps.data[source]
-    # row-vector form: (e^T E_a)^T == E_a^T e
-    grouped = xs @ ea
-    grouped += eb[:, None]
-
-    def backward_fn(gout):
-        gg = _slotted(gout, slot, g, width)
-        dhb = _output_grads(hb, gg.sum(axis=1), nets.w2b, nets.b2b)
-        _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
-        dha, dxs = _value_map_grads(ha, xs, ea, gg, nets, chain_reps.requires_grad)
-        if dxs is not None:
-            _accumulate(chain_reps, dxs.reshape(-1, nets.dim)[slot])
-        _hidden_grads(bits, ha, dha, nets.w1a, nets.b1a)
-
-    return _make(grouped.reshape(-1, nets.dim)[slot], _parents(chain_reps, nets), backward_fn)
-
-
-def _value_sums(value_layout):
-    """A function summing (m, c) row arrays per distinct value, through the
-    values' key_groups layout: each group's slots, then each value's groups."""
-    _, group_value, source, slot = value_layout
-    g, width = source.shape
-    starts = _key_starts(group_value)
-    return lambda rows: np.add.reduceat(_slotted(rows, slot, g, width).sum(axis=1), starts,
-                                        axis=0)
-
-
 def _key_starts(group_key: np.ndarray) -> np.ndarray:
     """The first group of each key, its groups being consecutive."""
-    return np.flatnonzero(np.r_[True, group_key[1:] != group_key[:-1]])
+    is_start = np.ones(len(group_key), dtype=bool)
+    np.not_equal(group_key[1:], group_key[:-1], out=is_start[1:])
+    return np.flatnonzero(is_start)
 
 
-def _distinct_value_nets(keys: np.ndarray, nets: AffineNets):
-    """The bits, both hidden activations and E_b of each distinct value."""
+def _transfer(chain_reps: Tensor, value_layout, value_part, pattern_part,
+              nets: AffineNets) -> Tensor:
+    """The transfer of every plan as one tape node.
+
+    value_layout is the key_groups layout of the rows' values. Each part is
+    None or (rows, group key, source rows, slot): the rows it serves (an
+    index array, or a slice for all of them) in a key_groups layout whose
+    source holds row ids and whose slot gives each of those rows' flat
+    index into source. The value part's groups each build E_a from the
+    distinct value their group key indexes and apply it with one
+    (G, width, d) @ (G, d, d) matmul. The pattern part's groups each build
+    y = e^T W_k for all k from their first row's representation e, with
+    W2a viewed as (H, d, d), and contract it with each slot's hidden
+    activation in one (G', width, H) @ (G', H, d) matmul, adding e^T B; its
+    group keys are not read. A pad slot reads row 0 and its output is never
+    gathered back.
+
+    Both hidden layers and E_b run once per distinct value. A single part's
+    output is the node's; a split places each part's rows. E_b is then
+    added per row. The backward gives pad slots a zero gradient, sums E_b's
+    and both parts' hidden-activation gradients per distinct value (through
+    value_layout: each group's slots, then each value's groups) and makes
+    one pass through each hidden layer. The gradient of a pattern group's
+    rows goes to its first row, as one product with W2a's (H d, d)
+    transpose."""
+    d = nets.dim
+    keys, group_value, source, slot = value_layout
     bits = encode_values(keys.view(np.float64))
     ha = _hidden(bits, nets.w1a, nets.b1a)
     hb = _hidden(bits, nets.w1b, nets.b1b)
     eb = hb @ nets.w2b.data
     eb += nets.b2b.data
-    return bits, ha, hb, eb
-
-
-def _pattern_side(chain_reps: Tensor, pattern_layout, value_layout, nets: AffineNets) -> Tensor:
-    """e^T W_k and e^T B built once per pattern group, from its first row,
-    and contracted with each row's own hidden activation by one
-    (G', width, H) @ (G', H, d) matmul (_pattern_maps).
-
-    Both hidden layers, and E_b, run once per distinct value (key_groups of
-    the values); the backward sums each value's rows through that value
-    layout. Rounding differs from the value side's."""
-    _, _, psource, pslot = pattern_layout
     row_value = _row_keys(value_layout)
-    per_value = _value_sums(value_layout)
-    bits, ha, hb, eb = _distinct_value_nets(value_layout[0], nets)
-    first = psource[:, 0]
-    e = chain_reps.data[first]
-    hs = ha[row_value[psource]]
-    y, grouped = _pattern_maps(e, hs, nets)
-    out = grouped.reshape(-1, nets.dim)[pslot]
-    out += eb[row_value]
+    parts = []  # (rows, their output before E_b) of each part
+    if value_part is not None:
+        vrows, vkey, vsource, vslot = value_part
+        ha_groups = ha.take(vkey, axis=0)
+        ea = _value_maps(ha_groups, nets)
+        xs = chain_reps.data.take(vsource, axis=0)
+        # row-vector form: (e^T E_a)^T == E_a^T e
+        parts.append((vrows, (xs @ ea).reshape(-1, d).take(vslot, axis=0)))
+    if pattern_part is not None:
+        prows, _, psource, pslot = pattern_part
+        first = psource[:, 0]
+        e = chain_reps.data.take(first, axis=0)
+        hs = ha.take(row_value[psource], axis=0)
+        w3 = nets.w2a.data.reshape(-1, d, d)
+        y = np.matmul(e, w3)  # (H, G', d)
+        grouped = hs @ y.transpose(1, 0, 2)
+        grouped += (e @ nets.b2a.data.reshape(d, d))[:, None]
+        parts.append((prows, grouped.reshape(-1, d).take(pslot, axis=0)))
+    if len(parts) == 1:
+        out = parts[0][1]
+    else:
+        out = np.empty((len(row_value), d))
+        for rows, rows_out in parts:
+            out[rows] = rows_out
+    out += eb.take(row_value, axis=0)
 
     def backward_fn(gout):
+        starts = _key_starts(group_value)
+
+        def per_value(g: np.ndarray, rows=slice(None)) -> np.ndarray:
+            """g, the (rows, c) gradient of `rows`, summed per distinct value."""
+            groups = _slotted(g, slot[rows], *source.shape).sum(axis=1)
+            return np.add.reduceat(groups, starts, axis=0)
+
         dhb = _output_grads(hb, per_value(gout), nets.w2b, nets.b2b)
         _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
-        gg = _slotted(gout, pslot, *psource.shape)
-        dhs, de = _pattern_map_grads(e, hs, y, gg, nets, chain_reps.requires_grad)
-        _hidden_grads(bits, ha, per_value(dhs.reshape(-1, dhs.shape[-1])[pslot]),
-                      nets.w1a, nets.b1a)
-        if de is not None:
-            drows = np.zeros_like(chain_reps.data)
-            drows[first] = de
-            _accumulate(chain_reps, drows)
-
-    return _make(out, _parents(chain_reps, nets), backward_fn)
-
-
-def _split(chain_reps: Tensor, value_layout, row_value: np.ndarray, row_pattern: np.ndarray,
-           on_value: np.ndarray, nets: AffineNets) -> Tensor:
-    """The rows on_value served by their value groups' E_a, as on the value
-    side, and the others by their pattern groups' e^T W2a, as on the pattern
-    side; row_value and row_pattern are the rows' indices into the distinct
-    values and patterns.
-
-    Both hidden layers and E_b run once per distinct value, and E_b is added
-    per row, as on the pattern side. Each part's rows are grouped on their
-    own (key_groups, weighing a map against its slots): the cover's values
-    and patterns hold the most rows, so one group per key, one map per
-    cover member, usually costs less than narrower groups. The backward
-    sums the hidden activations' gradients of both parts per distinct value
-    before one pass through the hidden layers."""
-    d = nets.dim
-    vrows, prows = np.flatnonzero(on_value), np.flatnonzero(~on_value)
-    # a value group's map costs H d^2 and each slot d^2; a pattern group's
-    # map H d^2 and each slot H d
-    vkeys, vgroup, vsource, vslot = key_groups(row_value[vrows], map_cost=nets.w2a.shape[0])
-    _, _, psource, pslot = key_groups(row_pattern[prows], map_cost=d)
-    per_value = _value_sums(value_layout)
-    bits, ha, hb, eb = _distinct_value_nets(value_layout[0], nets)
-
-    group_value = vkeys[vgroup]
-    ha_groups = ha[group_value]
-    ea = _value_maps(ha_groups, nets)
-    xs = chain_reps.data[vrows[vsource]]
-    first = prows[psource[:, 0]]
-    e = chain_reps.data[first]
-    hs = ha[row_value[prows][psource]]
-    y, grouped = _pattern_maps(e, hs, nets)
-    out = np.empty((len(row_value), d))
-    out[vrows] = (xs @ ea).reshape(-1, d)[vslot]
-    out[prows] = grouped.reshape(-1, d)[pslot]
-    out += eb[row_value]
-    vstarts = _key_starts(group_value)
-
-    def backward_fn(gout):
-        dhb = _output_grads(hb, per_value(gout), nets.w2b, nets.b2b)
-        _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
-        gv = _slotted(gout[vrows], vslot, *vsource.shape)
-        dha_groups, dxs = _value_map_grads(ha_groups, xs, ea, gv, nets,
-                                           chain_reps.requires_grad)
-        gp = _slotted(gout[prows], pslot, *psource.shape)
-        dhs, de = _pattern_map_grads(e, hs, y, gp, nets, chain_reps.requires_grad)
-        dha_rows = np.zeros((len(row_value), ha.shape[1]))
-        dha_rows[prows] = dhs.reshape(-1, ha.shape[1])[pslot]
-        dha = per_value(dha_rows)
-        dha[vkeys] += np.add.reduceat(dha_groups, vstarts, axis=0)
+        dha = np.zeros_like(ha) if pattern_part is None else None
+        row_grads = []  # (rows, their gradient) of each part, for chain_reps
+        if pattern_part is not None:
+            gp = _slotted(gout[prows], pslot, *psource.shape)
+            dy = np.matmul(hs.transpose(0, 2, 1), gp)  # (G', H, d)
+            gsum = gp.sum(axis=1)
+            _accumulate(nets.w2a, np.matmul(e.T, dy.transpose(1, 0, 2)).reshape(-1, d * d))
+            _accumulate(nets.b2a, (e.T @ gsum).reshape(-1))
+            dhs = gp @ y.transpose(1, 2, 0)
+            dha = per_value(dhs.reshape(-1, ha.shape[1]).take(pslot, axis=0), prows)
+            if chain_reps.requires_grad:
+                de = gsum @ nets.b2a.data.reshape(d, d).T
+                de += dy.reshape(len(e), -1) @ w3.transpose(0, 2, 1).reshape(-1, d)
+                row_grads.append((first, de))
+        if value_part is not None:
+            gv = _slotted(gout[vrows], vslot, *vsource.shape)
+            dea = (np.moveaxis(xs, -1, -2) @ gv).reshape(len(ha_groups), -1)
+            dha_groups = _output_grads(ha_groups, dea, nets.w2a, nets.b2a)
+            vstarts = _key_starts(vkey)
+            dha[vkey[vstarts]] += np.add.reduceat(dha_groups, vstarts, axis=0)
+            if chain_reps.requires_grad:
+                dxs = gv @ np.moveaxis(ea, -1, -2)
+                row_grads.append((vrows, dxs.reshape(-1, d).take(vslot, axis=0)))
         _hidden_grads(bits, ha, dha, nets.w1a, nets.b1a)
-        if de is not None:
+        if row_grads:
             drows = np.zeros_like(chain_reps.data)
-            drows[vrows] = dxs.reshape(-1, d)[vslot]
-            drows[first] = de
+            for rows, g in row_grads:
+                drows[rows] = g
             _accumulate(chain_reps, drows)
 
-    return _make(out, _parents(chain_reps, nets), backward_fn)
+    return _make(out, (chain_reps, nets.w1a, nets.b1a, nets.w2a, nets.b2a,
+                       nets.w1b, nets.b1b, nets.w2b, nets.b2b), backward_fn)

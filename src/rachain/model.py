@@ -147,11 +147,11 @@ class Model:
         map once per group of chains that share a normalized source value,
         once per group that shares a pattern, or, split by a cover of the
         (value, pattern) pairs, for each value and pattern of the cover,
-        whichever plan builds more than encoder.MAP_ALLOWANCE fewer maps,
-        in one fused tape node (see encoder.affine_transfer); the heads
-        project every row. Only the treeformer looks across a query's
-        chains, so only it and the prediction sum see the (B, k) slots, none
-        of which leaves this call:
+        whichever plan builds more than encoder.MAP_ALLOWANCE fewer maps;
+        every plan is the same fused tape node (see encoder.affine_transfer).
+        The heads project every row. Only the treeformer looks across a
+        query's chains, so only it and the prediction sum see the (B, k)
+        slots, none of which leaves this call:
         row j holds the j-th query's chains in its leading slots, k being the
         largest usable count, and each other slot reads an appended zero row
         with length 1 and proposal 0. The key mask hides those slots, so their

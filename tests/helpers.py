@@ -604,6 +604,20 @@ def broadcast_to(a, shape):
                     lambda g: ad._accumulate(a, ad._unbroadcast(g, a.data.shape)))
 
 
+def matmul(a, b):
+    """Matrix product with broadcasting over leading batch axes (operands >= 2-D)
+    as a tape node."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs >= 2-D operands, got {a.shape} @ {b.shape}")
+
+    def backward_fn(g):
+        ad._accumulate(a, ad._unbroadcast(g @ np.moveaxis(b.data, -1, -2), a.data.shape))
+        ad._accumulate(b, ad._unbroadcast(np.moveaxis(a.data, -1, -2) @ g, b.data.shape))
+
+    return ad._make(a.data @ b.data, (a, b), backward_fn)
+
+
 def swapaxes(a, ax1: int, ax2: int):
     """Swap two axes (a numpy view) as a tape node; the backward swaps them back."""
     a = ad._as_tensor(a)
@@ -621,7 +635,7 @@ def mean(a, axis=None, keepdims: bool = False):
 
 
 def composite_linear(x, w, b=None):
-    out = ad.matmul(x, w)
+    out = matmul(x, w)
     return out if b is None else ad.add(out, b)
 
 
@@ -642,9 +656,9 @@ def reference_attention(q, k, v, heads: int, key_mask=None, scale: float = 1.0):
     def split(t):
         return swapaxes(ad.reshape(t, (b, t.shape[1], heads, dim // heads)), 1, 2)
 
-    scores = ad.mul(ad.matmul(split(q), swapaxes(split(k), -1, -2)), scale)
+    scores = ad.mul(matmul(split(q), swapaxes(split(k), -1, -2)), scale)
     mask = None if key_mask is None else key_mask[:, None, None, :]
-    ctx = ad.matmul(ad.softmax(scores, mask=mask), split(v))
+    ctx = matmul(ad.softmax(scores, mask=mask), split(v))
     return ad.reshape(swapaxes(ctx, 1, 2), (b, lq, dim))
 
 
@@ -727,15 +741,16 @@ def per_row_affine_transfer(chain_reps, values, nets: AffineNets):
     ea = ad.reshape(ad.linear(ha, nets.w2a, nets.b2a), (m, d, d))
     hb = ad.relu(ad.linear(bits, nets.w1b, nets.b1b))
     eb = ad.linear(hb, nets.w2b, nets.b2b)
-    transferred = ad.reshape(ad.matmul(ad.reshape(chain_reps, (m, 1, d)), ea), (m, d))
+    transferred = ad.reshape(matmul(ad.reshape(chain_reps, (m, 1, d)), ea), (m, d))
     return ad.add(transferred, eb)
 
 
 def reference_affine_transfer(chain_reps, pattern, values, nets: AffineNets, side: str):
     """The grouped transfer as composite tape ops, on the given side.
 
-    side="value": E_a and E_b built once per value group (key_groups of the
-    values' bits) and applied with one batched matmul; the fused value side
+    side="value": both hidden layers and E_b run once per distinct value
+    (key_groups of the values' bits) and are gathered to the value groups,
+    where E_a is built and applied with one batched matmul; the fused node
     repeats this arithmetic bit for bit. side="pattern": the rows grouped by
     pattern, e^T W2a and e^T B built once per pattern group (from its first
     row) and both hidden layers run per slot. Pad slots read row 0; their
@@ -745,12 +760,12 @@ def reference_affine_transfer(chain_reps, pattern, values, nets: AffineNets, sid
     if side == "value":
         keys, group_value, source, slot = key_groups(values.view(np.int64))
         g = len(group_value)
-        bits = ad.Tensor(encode_values(keys.view(np.float64))[group_value])
-        ha = ad.relu(ad.linear(bits, nets.w1a, nets.b1a))
+        bits = ad.Tensor(encode_values(keys.view(np.float64)))
+        ha = ad.take_rows(ad.relu(ad.linear(bits, nets.w1a, nets.b1a)), group_value)
         ea = ad.reshape(ad.linear(ha, nets.w2a, nets.b2a), (g, d, d))
-        hb = ad.relu(ad.linear(bits, nets.w1b, nets.b1b))
-        eb = ad.reshape(ad.linear(hb, nets.w2b, nets.b2b), (g, 1, d))
-        grouped = ad.add(ad.matmul(ad.take_rows(chain_reps, source), ea), eb)
+        eb = ad.linear(ad.relu(ad.linear(bits, nets.w1b, nets.b1b)), nets.w2b, nets.b2b)
+        eb = ad.reshape(ad.take_rows(eb, group_value), (g, 1, d))
+        grouped = ad.add(matmul(ad.take_rows(chain_reps, source), ea), eb)
     else:
         _, _, source, slot = key_groups(pattern)
         g = len(source)
@@ -762,7 +777,7 @@ def reference_affine_transfer(chain_reps, pattern, values, nets: AffineNets, sid
         w = ad.reshape(swapaxes(ad.reshape(nets.w2a, (-1, d, d)), 0, 1), (d, -1))
         y = ad.reshape(ad.linear(e, w), (g, -1, d))
         eb = ad.add(eb, ad.reshape(ad.linear(e, ad.reshape(nets.b2a, (d, d))), (g, 1, d)))
-        grouped = ad.add(ad.matmul(ha, y), eb)
+        grouped = ad.add(matmul(ha, y), eb)
     return ad.take_rows(ad.reshape(grouped, (source.size, d)), slot)
 
 
@@ -776,17 +791,17 @@ def force_transfer_plan(monkeypatch, plan: str) -> None:
 
 
 def recorded_plans(monkeypatch) -> list:
-    """A list that each fused node of `encoder.affine_transfer` appends its
-    plan ("value", "pattern" or "split") to when it runs."""
+    """A list that the fused node of `encoder.affine_transfer` appends its
+    plan to when it runs: "value" or "pattern" when it gets only that part,
+    "split" when it gets both."""
     ran = []
-    for plan, name in (("value", "_value_side"), ("pattern", "_pattern_side"),
-                       ("split", "_split")):
-        fused = getattr(E, name)
+    fused = E._transfer
 
-        def recording(*args, plan=plan, fused=fused):
-            ran.append(plan)
-            return fused(*args)
-        monkeypatch.setattr(E, name, recording)
+    def recording(chain_reps, value_layout, value_part, pattern_part, nets):
+        ran.append("pattern" if value_part is None else
+                   "value" if pattern_part is None else "split")
+        return fused(chain_reps, value_layout, value_part, pattern_part, nets)
+    monkeypatch.setattr(E, "_transfer", recording)
     return ran
 
 
@@ -1156,13 +1171,13 @@ def grad_cases(rng: np.random.Generator):
          lambda p: ad.tensor_sum(div(p["a"], p["b"])))
     case("matmul",
          {"a": rng.standard_normal((3, 5)), "b": rng.standard_normal((5, 4))},
-         lambda p: ad.tensor_sum(ad.square(ad.matmul(p["a"], p["b"]))))
+         lambda p: ad.tensor_sum(ad.square(matmul(p["a"], p["b"]))))
     case("matmul_batched",
          {"a": rng.standard_normal((2, 3, 4)), "b": rng.standard_normal((2, 4, 3))},
-         lambda p: ad.tensor_sum(ad.matmul(p["a"], p["b"])))
+         lambda p: ad.tensor_sum(matmul(p["a"], p["b"])))
     case("matmul_broadcast",
          {"a": rng.standard_normal((2, 3, 4)), "b": rng.standard_normal((4, 5))},
-         lambda p: ad.tensor_sum(ad.square(ad.matmul(p["a"], p["b"]))))
+         lambda p: ad.tensor_sum(ad.square(matmul(p["a"], p["b"]))))
     case("reshape_swap",
          {"a": rng.standard_normal((2, 3, 4))},
          lambda p: ad.tensor_sum(ad.square(

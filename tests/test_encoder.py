@@ -687,21 +687,22 @@ def fd_check(rng, pattern, values):
     }, tol=1e-4)
 
 
-def encoded_counts(rng, monkeypatch, values):
-    """The lengths of the value lists affine_transfer encodes (one call per
-    encode_values), on rows with three patterns."""
-    encoded = []
-    encode_values = E.encode_values
+def recorded_lengths(rng, monkeypatch, name, values):
+    """The lengths of the first argument of each call affine_transfer makes
+    to encoder function `name`, on rows with three patterns: the values
+    encode_values encodes, or the E_a maps _value_maps builds."""
+    lengths = []
+    inner = getattr(E, name)
 
-    def recording(v):
-        encoded.append(len(v))
-        return encode_values(v)
+    def recording(first, *args):
+        lengths.append(len(first))
+        return inner(first, *args)
 
-    monkeypatch.setattr(E, "encode_values", recording)
+    monkeypatch.setattr(E, name, recording)
     out = E.affine_transfer(Tensor(rng.standard_normal((len(values), 3))),
                             np.arange(len(values)) % 3, values, generic_nets(rng, 3, 4))
     assert out.shape == (len(values), 3)
-    return encoded
+    return lengths
 
 
 class TestGroupedTransfer:
@@ -738,7 +739,8 @@ class TestGroupedTransfer:
         force_transfer_plan(monkeypatch, "value")
         n = len(np.unique(np.array(values).view(np.int64)))
         groups = len(value_groups(values)[1])
-        assert encoded_counts(rng, monkeypatch, values) == [groups]  # one map per group
+        assert recorded_lengths(rng, monkeypatch, "_value_maps", values) == [groups]
+        assert recorded_lengths(rng, monkeypatch, "encode_values", values) == [n]
         assert n <= groups <= 2 * n
 
     def test_is_one_tape_node(self, rng):
@@ -786,7 +788,7 @@ class TestPatternSide:
     def test_hidden_layers_run_per_distinct_value(self, values, rng, monkeypatch):
         force_transfer_plan(monkeypatch, "pattern")
         n = len(np.unique(np.array(values).view(np.int64)))
-        assert encoded_counts(rng, monkeypatch, values) == [n]
+        assert recorded_lengths(rng, monkeypatch, "encode_values", values) == [n]
 
     def test_is_one_tape_node(self, rng, monkeypatch):
         force_transfer_plan(monkeypatch, "pattern")
@@ -962,6 +964,21 @@ class TestSplit:
                                 [0.5, 1.5, 2.5, 3.0, 3.0, 3.0], nets)
         assert ran == ["split"]
         assert out._parents == (reps, *parameters(nets))
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, -0.0, 0.5, -1.5, 3.0]),
+                              st.booleans()), min_size=1, max_size=16),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_transfer_on_any_partition(self, rows, seed):
+        # rows of one value or one pattern may sit on both sides
+        pattern, values, on_value = (np.array(column) for column in zip(*rows))
+        with pytest.MonkeyPatch.context() as mp:
+            ran = recorded_plans(mp)
+            force_transfer_plan(mp, "split")
+            mp.setattr(E, "cover_rows", lambda value, pattern: on_value)
+            against_reference(np.random.default_rng(seed), pattern, values)
+        assert ran == ["split" if 0 < on_value.sum() < len(rows) else
+                       "value" if on_value[0] else "pattern"]
 
     @pytest.mark.parametrize("on_value", [[True] * 6, [False] * 6], ids=["values", "patterns"])
     def test_a_one_sided_cover_runs_that_side(self, on_value, rng, monkeypatch):
