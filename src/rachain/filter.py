@@ -6,6 +6,14 @@ affinity score mixes two geodesic distances to the query attribute,
 
     score = lam * d(source_attr, query_attr) + (1 - lam) * d(fold, query_attr).
 
+Both distances and the fold are functions of inner products alone (see
+`hyperbolic`), so `chain_scores` works from the Gram matrix of the
+vocabulary rows [relations; attributes; zero]: V^2 filter_dim multiply-adds
+once per call (V the vocabulary size), then a few dozen scalar operations
+per row, with no vector of filter_dim ever formed per row. A -1 pad reads
+the zero row, which leaves the fold's scalars exactly unchanged, as
+x (+) 0 == x leaves the point.
+
 Scores are distances, so lower means more relevant and selection keeps the
 k smallest. Ties break on (length, entity path, relations, source
 attribute) so selection is a total order and reproducible.
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter
-from .hyperbolic import distance_raw, mobius_add_raw, random_ball_rows
+from .hyperbolic import gram_distance, mobius_scalars, random_ball_rows
 from .retrieval import TreeOfChains, chain_lengths
 
 
@@ -57,26 +65,49 @@ class FilterEmbeddings:
         return self.relations.data.shape[1]
 
 
-def fold_relations(rel_rows: np.ndarray, curvature: float = 1.0) -> np.ndarray:
-    """Left fold by Mobius addition along axis -2: ((r1 (+) r2) (+) r3) ..."""
-    acc = rel_rows[..., 0, :]
-    for i in range(1, rel_rows.shape[-2]):
-        acc = mobius_add_raw(acc, rel_rows[..., i, :], curvature)
-    return acc
-
-
 def chain_scores(source_attribute: np.ndarray, relations: np.ndarray, query_attribute,
                  embeddings: FilterEmbeddings, lam: float = 0.5) -> np.ndarray:
     """Affinity score of chain rows (source attribute, -1-padded relations)
     against their query attributes, one per row or one for all rows.
 
-    Every row folds at once over its relation ids, the -1 pads indexing an
-    appended origin row; that is exact because x (+) 0 == x.
+    Both distances and the fold are read from the Gram matrix of the
+    vocabulary rows [relations; attributes; zero], built once per call by
+    np.einsum, which uses no BLAS: each entry is one sum over the
+    coordinates in one order, so the matrix is exactly symmetric and the
+    same at any BLAS thread count. A row gathers the block of its ids
+    (relations, query attribute, source attribute), a -1 pad reading the
+    zero row, and folds as a scalar recursion: with x (+) y = (a x + b y)
+    / den (`mobius_scalars`), ||acc||^2 and acc's dot products with the
+    row's ids follow from the old ones and the block. A pad leaves them
+    unchanged exactly (a = den = 1 and its dot products are 0), as
+    x (+) 0 == x does. `gram_distance` then gives both distances. A row's
+    score depends only on its own ids, so scoring rows and scoring their
+    distinct patterns agree bit for bit.
     """
     c, rel, att = embeddings.curvature, embeddings.relations.data, embeddings.attributes.data
-    folded = fold_relations(np.concatenate([rel, np.zeros((1, rel.shape[1]))])[relations], c)
-    aq = att[query_attribute]
-    d_attr, d_fold = distance_raw(att[source_attribute], aq, c), distance_raw(folded, aq, c)
+    vocab = np.concatenate([rel, att, np.zeros((1, rel.shape[1]))])
+    gram = np.einsum("id,jd->ij", vocab, vocab).ravel()
+    n, hops = len(vocab), relations.shape[1]
+    q, s = hops, hops + 1
+    # each row's vocabulary ids: its relations (a -1 pad, as -1 % n, is the
+    # zero row), its query attribute and its source attribute
+    ids = np.empty((len(relations), hops + 2), dtype=np.int64)
+    np.remainder(relations, n, out=ids[:, :hops])
+    ids[:, q], ids[:, s] = query_attribute, source_attribute
+    ids[:, q:] += len(rel)
+    block = gram.take(ids[:, :, None] * n + ids[:, None])
+    # the fold so far, r_1: its squared norm and its dot product with each id
+    xx, dots = block[:, 0, 0], block[:, 0]
+    for i in range(1, hops):
+        xy = dots[:, i]
+        a, b, den = mobius_scalars(xx, xy, block[:, i, i], c)
+        a /= den
+        b /= den
+        dots = a[:, None] * dots + b[:, None] * block[:, i]
+        xx = a * (a * xx + b * xy) + b * dots[:, i]
+    # the source attribute's and the fold's distance to the query attribute
+    d_attr, d_fold = gram_distance(np.stack([block[:, s, s], xx]),
+                                   np.stack([block[:, s, q], dots[:, q]]), block[:, q, q], c)
     return lam * d_attr + (1.0 - lam) * d_fold
 
 

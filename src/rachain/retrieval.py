@@ -65,6 +65,11 @@ class RAChain:
         return self.entity_path[0]
 
 
+# RAChain's slot setters in field order, which build a chain without
+# __post_init__ (TreeOfChains.checked_chains)
+_FIELD_SETTERS = tuple(getattr(RAChain, name).__set__ for name in RAChain.__slots__)
+
+
 @dataclass(eq=False)
 class TreeOfChains:
     """The chain sets (trees) of n queries as parallel arrays, one row per
@@ -74,7 +79,7 @@ class TreeOfChains:
     fills relations[r, :l] (source-adjacent relation first) and
     entity_path[r, :l + 1] (source first, query last); every row has a
     relation at least. Every field after `offsets` has one entry per row.
-    RAChain objects are built only by `chains`.
+    RAChain objects are built only by `chains` and `checked_chains`.
     """
 
     queries: list[Query]          # (n,)
@@ -148,12 +153,27 @@ class TreeOfChains:
 
     @property
     def chains(self) -> list[RAChain]:
-        """The rows as RAChain objects, tree after tree, for display and checks."""
-        return [RAChain(a, tuple(rels[:n]), qa, v, tuple(path[:n + 1]))
-                for qa, a, v, rels, path, n in zip(
-                    np.repeat(self.query_attributes, self.sizes).tolist(),
-                    self.source_attribute.tolist(), self.source_value.tolist(),
-                    self.relations.tolist(), self.entity_path.tolist(), self.lengths.tolist())]
+        """The rows as RAChain objects, tree after tree, for display and
+        checks; each is checked as it is built."""
+        return list(map(RAChain, *self._chain_columns()))
+
+    def checked_chains(self) -> list[RAChain]:
+        """`chains` for rows that are known to pass RAChain's checks, built
+        without them: every sampled row has passed `_check_rows`, and every
+        row of a record built from RAChain objects passed their own."""
+        chains = [object.__new__(RAChain) for _ in range(len(self))]
+        for set_field, column in zip(_FIELD_SETTERS, self._chain_columns()):
+            list(map(set_field, chains, column))
+        return chains
+
+    def _chain_columns(self) -> tuple[list, ...]:
+        """The rows' RAChain fields as one list per field, in field order."""
+        lengths = self.lengths.tolist()
+        return (self.source_attribute.tolist(),
+                [tuple(rels[:n]) for rels, n in zip(self.relations.tolist(), lengths)],
+                np.repeat(self.query_attributes, self.sizes).tolist(),
+                self.source_value.tolist(),
+                [tuple(path[:n + 1]) for path, n in zip(self.entity_path.tolist(), lengths)])
 
 
 def chain_lengths(relations: np.ndarray) -> np.ndarray:
@@ -197,6 +217,19 @@ def _check_rows(relations: np.ndarray, entity_path: np.ndarray) -> None:
         raise ValueError("a sampled chain is not a simple path of its relations")
 
 
+def _check_walk_keys(kg: KnowledgeGraph, n_queries: int, walks: int, max_hops: int) -> None:
+    """Raise OverflowError, before anything is allocated, if a key that
+    `sample_trees` packs for the walks of n_queries queries could pass
+    int64: a hop's slots (and the parallel-edge merge in their space),
+    prefix * width + edge offset, below (prefixes + 1) * the largest
+    degree, a hop having at most one prefix per walk (the queries at hop 0)
+    and no degree above the edge count; and the (walk, hop) key below
+    walks * max_hops, the uniforms' count."""
+    n_walks = n_queries * walks
+    _check_packable(max(n_walks, n_queries) + 1, len(kg.edge_tail))
+    _check_packable(n_walks, max_hops)
+
+
 def sample_tree(kg: KnowledgeGraph, query: Query, walks: int, max_hops: int,
                 seed: int) -> TreeOfChains:
     """One query's case of `sample_trees`, the name a prediction is traced under."""
@@ -232,12 +265,8 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
     then hop, then fact index) and stop at `walks`, so a tree has at most
     `walks` rows. Every row is checked by `_check_rows` before it is returned.
     """
-    n_entities, n_relations = kg.n_entities, kg.n_relations
     n_walks = len(queries) * walks
-    # prefix ids restart at every hop, so a parent id is below n_walks; the
-    # pass has at most n_walks * max_hops prefixes
-    _check_packable(n_walks, n_relations, n_entities)
-    _check_packable(n_walks * max_hops, kg.n_attributes)
+    _check_walk_keys(kg, len(queries), walks, max_hops)
     # query i's uniforms, u[i, h, w] for its walk w at hop h
     u = np.empty((len(queries), max_hops, walks))
     for seed, block in zip(seeds, u):
@@ -268,7 +297,6 @@ def sample_trees(kg: KnowledgeGraph, queries: list[Query], walks: int, max_hops:
         # the distinct slots, ascending, with each one's first walk (a walk's
         # index is its id)
         n_slots = len(degree) * width
-        _check_packable(n_slots)
         first_walk, inverse = first_occurrences(slot, n_slots)
         distinct = slot[first_walk]
         # once per slot: its edge, and whether it is a dead end, the stopped

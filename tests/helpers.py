@@ -1,17 +1,18 @@
-"""Shared test utilities: independent scalar oracles, the array origin log
-map, the single-value bit codec, validated single-point geometry and
-per-chain filter scoring, hand-built chain sets, the row-generator graph
-loader and stable-argsort CSR, a graph's out-edges and facts, the exhaustive
-chain enumerator, the sequential chain sampler, the sort-based row check, the
-np.unique row dedupe, the per-tree top-k selection, test-only autodiff ops
-and the composite forms of the fused layers, the per-token chain tokens, the
-unfused full-row transformer, the per-row and the composite grouped affine
-transfers, a forced and a recorded transfer plan and the augmenting-path
-maximum matching that sizes a minimum cover, the per-query model forward,
-the hand-written parameter lists, the per-query prediction traces and
-dict-accumulator pattern ranking, predictions that used no chain, the
-per-triple attribute statistics and query scoping, the dict-accumulator
-evaluation reports and filter audit, and finite differences."""
+"""Shared test utilities: independent scalar oracles, the array origin log map,
+the single-value bit codec, validated single-point geometry, the vector-form
+fold and chain scores and per-chain filter scoring, hand-built chain sets,
+the row-generator graph loader and stable-argsort CSR, a graph's out-edges
+and facts, the exhaustive chain enumerator, the sequential chain sampler,
+the sort-based row check, the np.unique row dedupe, the per-tree top-k
+selection, test-only autodiff ops and the composite forms of the fused
+layers, the per-token chain tokens, the unfused full-row transformer, the
+per-row and the composite grouped affine transfers, a forced and a recorded
+transfer plan and the augmenting-path maximum matching that sizes a minimum
+cover, the per-query model forward, the hand-written parameter lists, the
+per-query prediction traces and dict-accumulator pattern ranking,
+predictions that used no chain, the per-triple attribute statistics and
+query scoping, the dict-accumulator evaluation reports and filter audit, and
+finite differences."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain import evaluation as EV
 from rachain.encoder import AffineNets, encode_values, key_groups
-from rachain.filter import FilterEmbeddings, chain_scores, fold_relations, top_k_rows
+from rachain.filter import FilterEmbeddings, chain_scores, top_k_rows
 from rachain.hyperbolic import BALL_MARGIN, distance_raw, mobius_add_raw, project_rows
 from rachain.kg import (
     FACT,
@@ -202,7 +203,29 @@ def project_to_ball(
 
 
 # ---------------------------------------------------------------------------
-# filter oracles: one chain at a time
+# filter oracles: the vector-form fold and scores, and one chain at a time
+
+
+def fold_relations(rel_rows: np.ndarray, curvature: float = 1.0) -> np.ndarray:
+    """Left fold by Mobius addition along axis -2: ((r1 (+) r2) (+) r3) ..."""
+    acc = rel_rows[..., 0, :]
+    for i in range(1, rel_rows.shape[-2]):
+        acc = mobius_add_raw(acc, rel_rows[..., i, :], curvature)
+    return acc
+
+
+def reference_chain_scores(source_attribute: np.ndarray, relations: np.ndarray,
+                           query_attribute, embeddings: FilterEmbeddings,
+                           lam: float = 0.5) -> np.ndarray:
+    """`chain_scores` on vectors, the form the Gram-matrix scores replaced:
+    every row folds its relation rows at once, the -1 pads indexing an
+    appended origin row (exact, since x (+) 0 == x), and both distances are
+    `distance_raw` of the points."""
+    c, rel, att = embeddings.curvature, embeddings.relations.data, embeddings.attributes.data
+    folded = fold_relations(np.concatenate([rel, np.zeros((1, rel.shape[1]))])[relations], c)
+    aq = att[query_attribute]
+    d_attr, d_fold = distance_raw(att[source_attribute], aq, c), distance_raw(folded, aq, c)
+    return lam * d_attr + (1.0 - lam) * d_fold
 
 
 def embed_chain(chain: RAChain, embeddings: FilterEmbeddings) -> np.ndarray:

@@ -1,13 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rachain
 from helpers import (
     affinity_score,
     assert_same_tree,
     chain_set,
     embed_chain,
+    fold_relations,
     oracle_distance,
     oracle_mobius,
+    reference_chain_scores,
     reference_select_top_k,
     score_ranks,
     top_k_order,
@@ -35,13 +45,13 @@ class TestFold:
     def test_fold_matches_scalar_oracle(self, rng):
         emb = make_embeddings(rng)
         rows = emb.relations.data[[0, 3, 1]]
-        folded = F.fold_relations(rows[None])[0]
+        folded = fold_relations(rows[None])[0]
         expected = oracle_mobius(oracle_mobius(rows[0], rows[1]), rows[2])
         np.testing.assert_allclose(folded, expected, atol=1e-12)
 
     def test_single_relation_folds_to_itself(self, rng):
         emb = make_embeddings(rng)
-        folded = F.fold_relations(emb.relations.data[[2]][None])[0]
+        folded = fold_relations(emb.relations.data[[2]][None])[0]
         np.testing.assert_allclose(folded, emb.relations.data[2], atol=0)
 
     def test_embed_chain_uses_chain_relations(self, rng):
@@ -90,6 +100,142 @@ class TestAffinity:
         toc = chain_set(Query(0, 2), [a, b])
         scores = F.chain_scores(toc.source_attribute, toc.relations, 2, emb)
         assert scores[0] == scores[1]
+
+
+def random_rows(rng, n, n_relations, n_attributes, max_hops):
+    """n pattern rows (source attribute, -1-padded relations, query
+    attribute) whose lengths cycle through 1..max_hops."""
+    relations = rng.integers(n_relations, size=(n, max_hops))
+    relations[np.arange(max_hops) >= (np.arange(n) % max_hops + 1)[:, None]] = -1
+    return rng.integers(n_attributes, size=n), relations, rng.integers(n_attributes, size=n)
+
+
+def ball_embeddings(rng, curvature, radius, n_relations=7, n_attributes=4, dim=6):
+    """Embeddings whose rows lie within sqrt(c) * ||row|| <= radius."""
+    return F.FilterEmbeddings.create(rng, n_relations, n_attributes, dim, curvature,
+                                     radius / np.sqrt(curvature))
+
+
+def longdouble_scores(source_attribute, relations, query_attribute, emb, lam):
+    """The vector-form scores in np.longdouble, and how much each score
+    stretches a rounding of its distances' arctanh arguments: lam and 1 - lam
+    times each distance's derivative in its argument, (2 / sqrt(c)) / (1 -
+    c ||(-x) (+) y||^2)."""
+    c = np.longdouble(emb.curvature)
+
+    def mobius(x, y):
+        xy, xx, yy = ((u * v).sum(-1, keepdims=True) for u, v in ((x, y), (x, x), (y, y)))
+        cross = 1 + 2 * c * xy
+        return ((cross + c * yy) * x + (1 - c * xx) * y) / (cross + c * c * xx * yy)
+
+    def distance(x, y):
+        sq = c * (mobius(-x, y) ** 2).sum(-1)
+        return 2 / np.sqrt(c) * np.arctanh(np.sqrt(sq)), 2 / np.sqrt(c) / (1 - sq)
+
+    rel = np.concatenate([emb.relations.data, np.zeros((1, emb.dim))]).astype(np.longdouble)
+    att = emb.attributes.data.astype(np.longdouble)
+    folded = rel[relations[:, 0]]
+    for column in relations.T[1:]:
+        folded = mobius(folded, rel[column])
+    (d_attr, k_attr), (d_fold, k_fold) = (distance(x, att[query_attribute])
+                                          for x in (att[source_attribute], folded))
+    return lam * d_attr + (1 - lam) * d_fold, lam * k_attr + (1 - lam) * k_fold
+
+
+class TestGramScores:
+    """chain_scores from the vocabulary's Gram matrix against the vector
+    form it replaced (reference_chain_scores) and a long-double one."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 1.0, 2.0]),
+           st.floats(0.01, 0.9), st.integers(1, 4), st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_vector_form(self, seed, curvature, radius, max_hops, lam):
+        rng = np.random.default_rng(seed)
+        emb = ball_embeddings(rng, curvature, radius)
+        rows = random_rows(rng, 24, 7, 4, max_hops)
+        got = F.chain_scores(*rows, emb, lam)
+        want = reference_chain_scores(*rows, emb, lam)
+        # near the boundary arctanh stretches either form's roundings, so
+        # the bound grows with the stretch
+        _, stretch = longdouble_scores(*rows, emb, lam)
+        tolerance = np.maximum(1e-12, 16 * np.finfo(float).eps * stretch.astype(float))
+        assert np.all(np.abs(got - want) <= tolerance)
+
+    def test_a_nan_row_gives_nan_exactly_where_it_is_used(self, rng):
+        emb = ball_embeddings(rng, 1.0, 0.5)
+        source, relations, query = rows = random_rows(rng, 400, 7, 4, 3)
+        for table, row, used in ((emb.relations, 3, (relations == 3).any(axis=1)),
+                                 (emb.attributes, 1, (source == 1) | (query == 1))):
+            saved = table.data[row].copy()
+            table.data[row, 2] = np.nan
+            try:
+                assert 0 < used.sum() < len(used)
+                for lam in (0.0, 0.5, 1.0):
+                    assert np.array_equal(np.isnan(F.chain_scores(*rows, emb, lam)),
+                                          np.isnan(reference_chain_scores(*rows, emb, lam)))
+                assert np.array_equal(np.isnan(F.chain_scores(*rows, emb)), used)
+            finally:
+                table.data[row] = saved
+
+    def test_rows_and_their_patterns_score_alike_bit_for_bit(self, rng):
+        # reference_select_top_k scores rows and select_top_k_batch patterns
+        emb = ball_embeddings(rng, 1.0, 0.9, dim=16)
+        patterns = random_patterns(rng, 12)
+        toc = TreeOfChains.concatenate([random_tree(rng, Query(i, i % 4), 150, patterns)
+                                        for i in range(4)])
+        (source, relations, query), inverse = toc.patterns()
+        by_row = F.chain_scores(toc.source_attribute, toc.relations,
+                                np.repeat(toc.query_attributes, toc.sizes), emb)
+        assert np.array_equal(F.chain_scores(source, relations, query, emb)[inverse], by_row)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is float64 on this platform")
+    @pytest.mark.parametrize("curvature", [0.5, 1.0, 2.0])
+    def test_error_against_long_double(self, curvature):
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        for radius in (0.1, 0.5, 0.9):
+            emb = ball_embeddings(rng, curvature, radius, 12, 5, 16)
+            rows = random_rows(rng, 3000, 12, 5, 3)
+            exact, stretch = longdouble_scores(*rows, emb, 0.5)
+            err = np.abs(F.chain_scores(*rows, emb) - exact).astype(float)
+            assert np.all(err <= 4 * eps * stretch.astype(float))
+            if radius <= 0.5:
+                assert err.max() <= 1e-14
+
+
+def test_scores_do_not_depend_on_blas_threads(bench_files):
+    """A tiny graph's pattern scores, bit for bit, at 1 and 2 BLAS threads."""
+    script = """
+import sys
+import numpy as np
+from perfbench.workloads import WORKLOADS, tiny
+from rachain import filter as F, training
+from rachain.config import TrainConfig
+from rachain.kg import AttributeStats, attribute_means, load_dataset
+from rachain.model import Model
+kg, split = load_dataset(*sys.argv[1:])
+config = TrainConfig.from_dict(tiny(WORKLOADS["train_small"]).config)
+model = Model(kg.n_relations, kg.n_attributes,
+              AttributeStats.from_triples(split.train, kg.n_attributes),
+              attribute_means(split.train, kg.n_attributes), config)
+queries = training.scoped_queries(kg, split.test, model)
+toc = model.retrieve(kg, queries, list(range(len(queries))))
+patterns, _ = toc.patterns()
+print(len(patterns[0]), F.chain_scores(*patterns, model.embeddings, config.lam).tobytes().hex())
+"""
+    package_root = str(Path(rachain.__file__).resolve().parent.parent)
+    repo_root = str(Path(__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, repo_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, bench_files)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert int(outputs[0].split()[0]) > 0
+    assert outputs[0] == outputs[1]
 
 
 def toc_with_scores(rng, n):

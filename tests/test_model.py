@@ -591,6 +591,14 @@ class TestTracesOnlyWhereShown:
         counting(ChainContribution, "__init__", "ChainContribution")
         counting(PredictionTrace, "__init__", "PredictionTrace")
         counting(TreeOfChains, "__init__", "TreeOfChains")
+        # the other way RAChain objects are built: without __post_init__
+        checked_chains = TreeOfChains.checked_chains
+
+        def counting_checked_chains(self):
+            chains = checked_chains(self)
+            counts["RAChain"] += len(chains)
+            return chains
+        monkeypatch.setattr(TreeOfChains, "checked_chains", counting_checked_chains)
         return counts
 
     def test_scoring_builds_no_trace_object(self, bench_graph, built):

@@ -25,6 +25,14 @@ def line_graph():
 
 
 class TestRAChain:
+    def test_checked_chains_are_the_checked_build(self):
+        kg, query = random_graph(np.random.default_rng(5))
+        trees = R.sample_trees(kg, [query, query], 40, 3, [1, 2])
+        assert len(trees) > 0
+        checked = trees.checked_chains()
+        assert checked == trees.chains
+        assert all(type(ch) is R.RAChain for ch in checked)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one relation"):
             R.RAChain(0, (), 0, 1.0, (0,))
@@ -527,10 +535,15 @@ class TestBatchedSampling:
     def test_packed_key_overflow_counts_every_walk_of_the_chunk(self):
         kg = line_graph()
         query = K.Query(kg.entity_index["c"], kg.attribute_index["v"])
-        walks = 2 ** 59  # one query's keys fit in int64; two queries' do not
-        R._check_packable(walks, kg.n_relations, kg.n_entities)
+        assert len(kg.edge_tail) == 4  # two edges and their inverses
+        # one query's keys fit in int64: slots below (2^60 + 1) * 4 edges
+        # and (walk, hop) keys below 2^60 * 3; two queries' slots do not
+        walks = 2 ** 60
+        R._check_walk_keys(kg, 1, walks, 3)
         with pytest.raises(OverflowError, match="overflow int64"):
             R.sample_trees(kg, [query, query], walks, 3, [0, 1])
+        with pytest.raises(OverflowError, match="overflow int64"):
+            R._check_walk_keys(kg, 1, 2 * walks, 3)
 
     @pytest.mark.parametrize("per_key", [0, 10 ** 9], ids=["always_sort", "always_table"])
     @pytest.mark.parametrize("case", ["on_random_graphs", "at_chunk_scale"])
