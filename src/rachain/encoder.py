@@ -530,12 +530,9 @@ def _transfer(chain_reps: Tensor, value_layout, value_part, pattern_part,
     added per row. The backward gives pad slots a zero gradient, sums E_b's
     and both parts' hidden-activation gradients per distinct value (through
     value_layout: each group's slots, then each value's groups) and makes
-    one pass through each hidden layer. A value part that serves every row
-    has value_layout's groups, so it reads the output gradient in the slots
-    E_b's sum made and sums per value by the same groups, and its row
-    gradients are the chain gradient as they are. The gradient of a
-    pattern group's rows goes to its first row, as one product with W2a's
-    (H d, d) transpose."""
+    one pass through each hidden layer. The gradient of a pattern group's
+    rows goes to its first row, as one product with W2a's (H d, d)
+    transpose."""
     d = nets.dim
     keys, group_value, source, slot = value_layout
     bits = encode_values(keys.view(np.float64))
@@ -573,13 +570,14 @@ def _transfer(chain_reps: Tensor, value_layout, value_part, pattern_part,
     def backward_fn(gout):
         starts = _key_starts(group_value)
 
-        def per_value(slotted: np.ndarray) -> np.ndarray:
-            """A gradient in value_layout's slots, summed per distinct value."""
-            return np.add.reduceat(slotted.sum(axis=1), starts, axis=0)
+        def per_value(g: np.ndarray, rows=slice(None)) -> np.ndarray:
+            """g, the (rows, c) gradient of `rows`, summed per distinct value."""
+            groups = _slotted(g, slot[rows], *source.shape).sum(axis=1)
+            return np.add.reduceat(groups, starts, axis=0)
 
-        gslots = _slotted(gout, slot, *source.shape)
-        dhb = _output_grads(hb, per_value(gslots), nets.w2b, nets.b2b)
+        dhb = _output_grads(hb, per_value(gout), nets.w2b, nets.b2b)
         _hidden_grads(bits, hb, dhb, nets.w1b, nets.b1b)
+        dha = np.zeros_like(ha) if pattern_part is None else None
         row_grads = []  # (rows, their gradient) of each part, for chain_reps
         if pattern_part is not None:
             gp = _slotted(gout[prows], pslot, *psource.shape)
@@ -588,30 +586,22 @@ def _transfer(chain_reps: Tensor, value_layout, value_part, pattern_part,
             _accumulate(nets.w2a, np.matmul(e.T, dy.transpose(1, 0, 2)).reshape(-1, d * d))
             _accumulate(nets.b2a, (e.T @ gsum).reshape(-1))
             dhs = gp @ y.transpose(1, 2, 0)
-            dha = per_value(_slotted(dhs.reshape(-1, ha.shape[1]).take(pslot, axis=0),
-                                     slot[prows], *source.shape))
+            dha = per_value(dhs.reshape(-1, ha.shape[1]).take(pslot, axis=0), prows)
             if chain_reps.requires_grad:
                 de = gsum @ nets.b2a.data.reshape(d, d).T
                 de += dy.reshape(len(e), -1) @ w3.transpose(0, 2, 1).reshape(-1, d)
                 row_grads.append((first, de))
         if value_part is not None:
-            # a value part that serves every row has value_layout's groups
-            gv = gslots if pattern_part is None else _slotted(gout[vrows], vslot,
-                                                              *vsource.shape)
-            dea = (xs.transpose(0, 2, 1) @ gv).reshape(len(ha_groups), -1)
+            gv = _slotted(gout[vrows], vslot, *vsource.shape)
+            dea = (np.moveaxis(xs, -1, -2) @ gv).reshape(len(ha_groups), -1)
             dha_groups = _output_grads(ha_groups, dea, nets.w2a, nets.b2a)
-            if pattern_part is None:
-                dha = np.add.reduceat(dha_groups, starts, axis=0)
-            else:
-                vstarts = _key_starts(vkey)
-                dha[vkey[vstarts]] += np.add.reduceat(dha_groups, vstarts, axis=0)
+            vstarts = _key_starts(vkey)
+            dha[vkey[vstarts]] += np.add.reduceat(dha_groups, vstarts, axis=0)
             if chain_reps.requires_grad:
-                dxs = gv @ ea.transpose(0, 2, 1)
+                dxs = gv @ np.moveaxis(ea, -1, -2)
                 row_grads.append((vrows, dxs.reshape(-1, d).take(vslot, axis=0)))
         _hidden_grads(bits, ha, dha, nets.w1a, nets.b1a)
-        if pattern_part is None and row_grads:  # the value part's rows are every row
-            _accumulate(chain_reps, row_grads[0][1])
-        elif row_grads:
+        if row_grads:
             drows = np.zeros_like(chain_reps.data)
             for rows, g in row_grads:
                 drows[rows] = g

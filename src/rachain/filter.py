@@ -8,9 +8,11 @@ affinity score mixes two geodesic distances to the query attribute,
 
 Both distances and the fold are functions of inner products alone (see
 `hyperbolic`), so `chain_scores` works from the Gram matrix of the
-vocabulary rows [relations; attributes; zero]: V^2 filter_dim multiply-adds
-once per call (V the vocabulary size), then a few dozen scalar operations
-per row, with no vector of filter_dim ever formed per row. A -1 pad reads
+vocabulary rows [relations; attributes; zero] that the call's rows use:
+U^2 filter_dim multiply-adds once per call, U the number of those rows (at
+most the vocabulary size, and at most hops + 2 per row), then a few dozen
+scalar operations per row, with no vector of filter_dim ever formed per
+row. A -1 pad reads
 the zero row, which leaves the fold's scalars exactly unchanged, as
 x (+) 0 == x leaves the point.
 
@@ -71,10 +73,12 @@ def chain_scores(source_attribute: np.ndarray, relations: np.ndarray, query_attr
     against their query attributes, one per row or one for all rows.
 
     Both distances and the fold are read from the Gram matrix of the
-    vocabulary rows [relations; attributes; zero], built once per call by
-    np.einsum, which uses no BLAS: each entry is one sum over the
-    coordinates in one order, so the matrix is exactly symmetric and the
-    same at any BLAS thread count. A row gathers the block of its ids
+    vocabulary rows [relations; attributes; zero] that the rows use, built
+    once per call by np.einsum, which uses no BLAS: each entry is one sum
+    over the coordinates in one order, whichever other rows the matrix
+    holds, so the matrix is exactly symmetric, the same at any BLAS thread
+    count, and its entries do not depend on the call's other rows. A row
+    gathers the block of its ids
     (relations, query attribute, source attribute), a -1 pad reading the
     zero row, and folds as a scalar recursion: with x (+) y = (a x + b y)
     / den (`mobius_scalars`), ||acc||^2 and acc's dot products with the
@@ -86,15 +90,21 @@ def chain_scores(source_attribute: np.ndarray, relations: np.ndarray, query_attr
     """
     c, rel, att = embeddings.curvature, embeddings.relations.data, embeddings.attributes.data
     vocab = np.concatenate([rel, att, np.zeros((1, rel.shape[1]))])
-    gram = np.einsum("id,jd->ij", vocab, vocab).ravel()
-    n, hops = len(vocab), relations.shape[1]
+    hops = relations.shape[1]
     q, s = hops, hops + 1
-    # each row's vocabulary ids: its relations (a -1 pad, as -1 % n, is the
+    # each row's vocabulary ids: its relations (a -1 pad, as -1 % V, is the
     # zero row), its query attribute and its source attribute
     ids = np.empty((len(relations), hops + 2), dtype=np.int64)
-    np.remainder(relations, n, out=ids[:, :hops])
+    np.remainder(relations, len(vocab), out=ids[:, :hops])
     ids[:, q], ids[:, s] = query_attribute, source_attribute
     ids[:, q:] += len(rel)
+    # the Gram matrix of the used rows only, ids renumbered into it
+    used = np.zeros(len(vocab), dtype=bool)
+    used[ids] = True
+    ids = (np.cumsum(used) - 1).take(ids)
+    vocab = vocab[used]
+    n = len(vocab)
+    gram = np.einsum("id,jd->ij", vocab, vocab).ravel()
     block = gram.take(ids[:, :, None] * n + ids[:, None])
     # the fold so far, r_1: its squared norm and its dot product with each id
     xx, dots = block[:, 0, 0], block[:, 0]

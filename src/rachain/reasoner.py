@@ -203,7 +203,7 @@ class Predictions:
         values = (self.stats.denormalize(query.attribute, proposals).tolist()
                   if len(toc) else [])
         contributions = [ChainContribution(*row) for row in zip(
-            toc.checked_chains(), omega.tolist(), proposals.tolist(), values)]
+            toc.chains, omega.tolist(), proposals.tolist(), values)]
         contributions.sort(key=lambda c: -c.weight)
         return PredictionTrace(query, float(self.predicted_norm[i]),
                                float(self.predicted_value[i]), contributions,

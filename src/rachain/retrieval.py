@@ -66,7 +66,7 @@ class RAChain:
 
 
 # RAChain's slot setters in field order, which build a chain without
-# __post_init__ (TreeOfChains.checked_chains)
+# __post_init__ (TreeOfChains.chains)
 _FIELD_SETTERS = tuple(getattr(RAChain, name).__set__ for name in RAChain.__slots__)
 
 
@@ -79,7 +79,7 @@ class TreeOfChains:
     fills relations[r, :l] (source-adjacent relation first) and
     entity_path[r, :l + 1] (source first, query last); every row has a
     relation at least. Every field after `offsets` has one entry per row.
-    RAChain objects are built only by `chains` and `checked_chains`.
+    RAChain objects are built only by `chains`.
     """
 
     queries: list[Query]          # (n,)
@@ -154,26 +154,20 @@ class TreeOfChains:
     @property
     def chains(self) -> list[RAChain]:
         """The rows as RAChain objects, tree after tree, for display and
-        checks; each is checked as it is built."""
-        return list(map(RAChain, *self._chain_columns()))
-
-    def checked_chains(self) -> list[RAChain]:
-        """`chains` for rows that are known to pass RAChain's checks, built
-        without them: every sampled row has passed `_check_rows`, and every
-        row of a record built from RAChain objects passed their own."""
-        chains = [object.__new__(RAChain) for _ in range(len(self))]
-        for set_field, column in zip(_FIELD_SETTERS, self._chain_columns()):
+        checks. They are built without RAChain's checks (`__post_init__`),
+        which the rows have passed already: every sampled row by
+        `_check_rows`, every row of a record built from RAChain objects by
+        their own."""
+        lengths = self.lengths.tolist()
+        columns = (self.source_attribute.tolist(),
+                   [tuple(rels[:n]) for rels, n in zip(self.relations.tolist(), lengths)],
+                   np.repeat(self.query_attributes, self.sizes).tolist(),
+                   self.source_value.tolist(),
+                   [tuple(path[:n + 1]) for path, n in zip(self.entity_path.tolist(), lengths)])
+        chains = [object.__new__(RAChain) for _ in lengths]
+        for set_field, column in zip(_FIELD_SETTERS, columns):
             list(map(set_field, chains, column))
         return chains
-
-    def _chain_columns(self) -> tuple[list, ...]:
-        """The rows' RAChain fields as one list per field, in field order."""
-        lengths = self.lengths.tolist()
-        return (self.source_attribute.tolist(),
-                [tuple(rels[:n]) for rels, n in zip(self.relations.tolist(), lengths)],
-                np.repeat(self.query_attributes, self.sizes).tolist(),
-                self.source_value.tolist(),
-                [tuple(path[:n + 1]) for path, n in zip(self.entity_path.tolist(), lengths)])
 
 
 def chain_lengths(relations: np.ndarray) -> np.ndarray:

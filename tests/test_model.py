@@ -587,18 +587,17 @@ class TestTracesOnlyWhereShown:
                 return original(self, *args, **kwargs)
             monkeypatch.setattr(cls, method, wrapper)
 
-        counting(RAChain, "__post_init__", "RAChain")
         counting(ChainContribution, "__init__", "ChainContribution")
         counting(PredictionTrace, "__init__", "PredictionTrace")
         counting(TreeOfChains, "__init__", "TreeOfChains")
-        # the other way RAChain objects are built: without __post_init__
-        checked_chains = TreeOfChains.checked_chains
+        # RAChain objects come from TreeOfChains.chains, which skips __init__
+        chains = TreeOfChains.chains.fget
 
-        def counting_checked_chains(self):
-            chains = checked_chains(self)
-            counts["RAChain"] += len(chains)
-            return chains
-        monkeypatch.setattr(TreeOfChains, "checked_chains", counting_checked_chains)
+        def counting_chains(toc):
+            built = chains(toc)
+            counts["RAChain"] += len(built)
+            return built
+        monkeypatch.setattr(TreeOfChains, "chains", property(counting_chains))
         return counts
 
     def test_scoring_builds_no_trace_object(self, bench_graph, built):

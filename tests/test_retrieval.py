@@ -25,14 +25,6 @@ def line_graph():
 
 
 class TestRAChain:
-    def test_checked_chains_are_the_checked_build(self):
-        kg, query = random_graph(np.random.default_rng(5))
-        trees = R.sample_trees(kg, [query, query], 40, 3, [1, 2])
-        assert len(trees) > 0
-        checked = trees.checked_chains()
-        assert checked == trees.chains
-        assert all(type(ch) is R.RAChain for ch in checked)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one relation"):
             R.RAChain(0, (), 0, 1.0, (0,))
