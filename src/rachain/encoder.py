@@ -337,9 +337,13 @@ def key_groups(keys, map_cost: int | None = None
 # patterns the cover beats by at most 18, and predict_dense calls take it
 # with the cover no smaller; train_wide training batches split (cover
 # 190-240 against 298-389 values) and so does its evaluate chunk (198
-# against 334). One-query forwards keep the value side: the cover saves at
-# most 14 maps there. The matching bound, which spares computing the cover,
-# allows at most 14 there and 24 on train_small calls.
+# against 334). A call of at most MAP_ALLOWANCE + 1 value groups cannot
+# leave the value side (neither plan saves more than G - 1 maps), so it
+# returns before grouping the patterns: every one-query forward of
+# train_small and predict_dense does (top_k 16 rows). train_wide's wider
+# one-query forwards keep the value side too: the cover saves at most 14
+# maps there. The matching bound, which spares computing the cover, allows
+# at most 14 there and 24 on train_small calls.
 MAP_ALLOWANCE = 32
 
 
@@ -353,12 +357,15 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
     map E_a (d, d) or by its pattern's map e^T W2a (H, d), each H d^2
     multiply-adds. The rows are grouped by their values' bits (key_groups;
     -0.0 and 0.0 stay apart) into G groups, and by pattern into G' groups;
-    each side builds one map per group. The pattern side is picked when
-    G - G' > MAP_ALLOWANCE. Then, unless a cheap bound (_matching_size) shows
-    that it cannot, the rows are split by cover_rows, a small set of values
-    and patterns whose maps serve every row. The call splits when that cover
-    holds more than MAP_ALLOWANCE fewer values and patterns than the picked
-    side has distinct keys.
+    each side builds one map per group. A call of G <= MAP_ALLOWANCE + 1
+    stays on the value side before the patterns are grouped: the pattern
+    side saves G - G' <= G - 1 maps and a cover at most (distinct values)
+    - 1 <= G - 1, neither more than MAP_ALLOWANCE. Otherwise the pattern
+    side is picked when G - G' > MAP_ALLOWANCE. Then, unless a cheap bound
+    (_matching_size) shows that it cannot, the rows are split by
+    cover_rows, a small set of values and patterns whose maps serve every
+    row. The call splits when that cover holds more than MAP_ALLOWANCE
+    fewer values and patterns than the picked side has distinct keys.
 
     Every plan runs the one fused tape node _transfer: a single side gets
     the layout its rule was decided on as its part, over every row; a split
@@ -370,6 +377,9 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
     value_layout = key_groups(values.view(np.int64))
+    every = slice(None)
+    if len(value_layout[1]) <= MAP_ALLOWANCE + 1:
+        return _transfer(chain_reps, value_layout, (every, *value_layout[1:]), None, nets)
     pattern_layout = key_groups(pattern)
     on_pattern = len(value_layout[1]) - len(pattern_layout[1]) > MAP_ALLOWANCE
     picked = len((pattern_layout if on_pattern else value_layout)[0])
@@ -392,7 +402,6 @@ def affine_transfer(chain_reps: Tensor, pattern, values, nets: AffineNets) -> Te
                                      (vrows, vkeys[vgroup], vrows[vsource], vslot),
                                      (prows, pkeys[pgroup], prows[psource], pslot), nets)
                 on_pattern = not on_value.any()
-    every = slice(None)
     if on_pattern:
         return _transfer(chain_reps, value_layout, None, (every, *pattern_layout[1:]), nets)
     return _transfer(chain_reps, value_layout, (every, *value_layout[1:]), None, nets)

@@ -3,10 +3,13 @@
 Criteria 1-6 are oracle and contract checks on the numerical core; criteria
 7, 8, and 10 share a single synthetic-graph experiment whose trained models
 live in module-scoped fixtures; criterion 9 runs against a prepared
-real-world dataset and skips honestly when the data is not present.
+real-world dataset and skips honestly when the data is not present. The
+experiments' specs and configs are the files under scripts/experiments/ that
+scripts/run_synthetic.py and scripts/run_yago_desk.py run.
 """
 
 import dataclasses
+import json
 import os
 import struct
 import time
@@ -325,37 +328,28 @@ def test_criterion_06_value_bitstream():
 # ---------------------------------------------------------------------------
 # shared synthetic experiment (criteria 7, 8, 10)
 #
-# 500 entities: 160 instances of "value doubles along the path p -> q"
-# (source, intermediate, target) plus 20 padding entities; the 160
-# intermediates carry an unrelated attribute and are wired together by 600
-# noise edges over 10 distractor relations, so sampled trees mix the
-# generative chain with wrong-pattern and wrong-attribute ones.
+# The graph of scripts/experiments/acceptance.spec.json, trained with
+# acceptance.config.json. 500 entities: 160 instances of "value doubles
+# along the path p -> q" (source, intermediate, target) plus 20 padding
+# entities; the 160 intermediates carry an unrelated attribute and are
+# wired together by 600 noise edges over 10 distractor relations, so
+# sampled trees mix the generative chain with wrong-pattern and
+# wrong-attribute ones.
 
 DATASET_SEED = 101
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "scripts" / "experiments"
 
 
-def _experiment_config(**overrides):
-    base = dict(walks=128, max_hops=3, top_k=16, lam=0.5,
-                dim=32, filter_dim=16, layers=1, heads=4, affine_hidden=32,
-                mode="scaling", epochs=50, lr=0.01, batch_size=32, loss="l2",
-                epsilon=1e-9, patience=10, seed=0, attributes=("val",))
-    base.update(overrides)
-    return TrainConfig(**base)
+def _experiment_config(name="acceptance", **overrides):
+    """scripts/experiments/<name>.config.json with `overrides` on top."""
+    path = EXPERIMENTS / f"{name}.config.json"
+    return TrainConfig.from_dict({**json.loads(path.read_text("utf-8")), **overrides})
 
 
 @pytest.fixture(scope="module")
 def synthetic_task(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance-synth")
-    spec = synth.SynthSpec(
-        rules=[synth.ValueRule(
-            target_attribute="val", source_attribute="val", path=("p", "q"),
-            alpha=2.0, beta=0.0, instances=160, source_range=(0.0, 5.0),
-            mid_attribute="aux", mid_range=(0.0, 1.0))],
-        noise_relations=10,
-        noise_edges=600,
-        standalone=[synth.StandaloneValues("pad", 20, (0.0, 1.0))],
-        split=(0.8, 0.1, 0.1),
-    )
+    spec = synth.SynthSpec.from_file(EXPERIMENTS / "acceptance.spec.json")
     meta = synth.generate(spec, seed=DATASET_SEED, out_dir=out)
     kg, split = load_dataset(out / "relational.tsv", out / "train.tsv",
                              out / "valid.tsv", out / "test.tsv")
@@ -461,12 +455,7 @@ def test_criterion_09_real_data_desk_check():
     assert len(kg.edge_tail) == 2 * 122886
     assert len(split.train) + len(split.valid) + len(split.test) == 23520
 
-    config = TrainConfig(
-        walks=256, max_hops=3, top_k=32, lam=0.5,
-        dim=64, filter_dim=32, layers=1, heads=4, affine_hidden=64,
-        mode="scaling", epochs=30, lr=0.01, batch_size=64, loss="l2",
-        epsilon=1e-9, patience=5, seed=0,
-        attributes=("latitude", "longitude"))
+    config = _experiment_config("yago_desk")
     stats = AttributeStats.from_triples(split.train, kg.n_attributes)
     means = attribute_means(split.train, kg.n_attributes)
     model = Model(kg.n_relations, kg.n_attributes, stats, means, config)

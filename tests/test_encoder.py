@@ -826,6 +826,31 @@ class TestPatternSide:
             pattern, values = two_stars(s)
             assert plans([(rng.standard_normal((4 * s, 3)), pattern, values)]) == {plan}
 
+    def test_few_value_groups_skip_the_pattern_layout(self, bench_batches, rng, monkeypatch):
+        """A call of at most MAP_ALLOWANCE + 1 value groups, such as every
+        train_small one-query forward (16 rows), groups only its values; a
+        call with more groups its patterns too."""
+        grouped = []
+        inner = E.key_groups
+
+        def counting(keys, map_cost=None):
+            grouped.append(len(keys))
+            return inner(keys, map_cost)
+        monkeypatch.setattr(E, "key_groups", counting)
+
+        def layouts(reps, pattern, values):
+            grouped.clear()
+            E.affine_transfer(Tensor(reps), pattern, values, generic_nets(rng, reps.shape[1], 4))
+            return len(grouped)
+
+        one_query = bench_batches["train_small/one_query"]
+        assert {len(values) for _, _, values in one_query} == {16}
+        assert [layouts(*call) for call in one_query] == [1] * 40
+        # m rows with distinct values, a pattern per pair of rows: G = m
+        for m, count in ((E.MAP_ALLOWANCE + 1, 1), (E.MAP_ALLOWANCE + 2, 2)):
+            assert layouts(rng.standard_normal((m, 3)), np.arange(m) // 2,
+                           np.arange(m) * 0.5) == count
+
 
 def two_stars(s: int):
     """(pattern, values) of 4s rows: pattern i < s holds two single-row

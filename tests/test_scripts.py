@@ -1,4 +1,6 @@
-"""Smoke tests of the experiment scripts: each runs as a child process."""
+"""Smoke tests of the experiment scripts: each runs as a child process.
+Also a guard that the experiment files the scripts run keep to the graph
+and config the benchmark times."""
 
 import json
 import subprocess
@@ -7,7 +9,25 @@ from pathlib import Path
 
 import pytest
 
+from perfbench.workloads import ACCEPTANCE_SPEC, SMALL_CONFIG
+from rachain import synth
+from rachain.config import TrainConfig
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+EXPERIMENTS = SCRIPTS / "experiments"
+
+
+def test_acceptance_experiment_is_the_benchmark_graph_and_config():
+    """The benchmark's graph is the acceptance spec, and its config the
+    acceptance config but for epsilon and patience, which the benchmark
+    fixes so that every train call does the same work."""
+    spec = synth.SynthSpec.from_file(EXPERIMENTS / "acceptance.spec.json")
+    assert spec == synth.SynthSpec.from_dict(ACCEPTANCE_SPEC)
+    data = json.loads((EXPERIMENTS / "acceptance.config.json").read_text("utf-8"))
+    assert set(data) == set(SMALL_CONFIG) | {"epochs"}
+    config = TrainConfig.from_dict(data).to_dict()
+    bench = TrainConfig.from_dict(SMALL_CONFIG).to_dict()
+    assert {k for k in SMALL_CONFIG if config[k] != bench[k]} == {"epsilon", "patience"}
 
 
 def test_output_digests_repeat_with_the_same_seed(tmp_path):
@@ -47,6 +67,29 @@ def test_run_synthetic_writes_metrics_and_patterns(tmp_path):
     patterns = (tmp_path / "patterns.txt").read_text(encoding="utf-8").splitlines()
     assert patterns[0].split() == ["total", "weight", "chains", "pattern"]
     assert len(patterns) > 1
+    comparison = (tmp_path / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    assert comparison[0] == "variant,mae_norm,rmse_norm,epochs,stop_reason"
+    assert len(comparison) == 2 and comparison[1].startswith("full,")
+
+
+def test_run_yago_desk_on_a_tiny_graph(tmp_path):
+    """The desk run's commands write their files, and the script prints the
+    gain over the baseline from them."""
+    spec = synth.SynthSpec(rules=[synth.ValueRule("val", "val", ("p", "q"), alpha=2.0,
+                                                  instances=24)],
+                           noise_relations=2, noise_edges=30)
+    synth.generate(spec, 3, tmp_path / "data")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_yago_desk.py"),
+                           "--data", str(tmp_path / "data"), "--attributes", "val",
+                           "--epochs", "1", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("summary.json", "checkpoint.npz", "config.json", "epochs.csv",
+                 "metrics.csv", "baseline.csv"):
+        assert (out / name).exists(), name
+    assert json.loads((out / "config.json").read_text("utf-8"))["attributes"] == ["val"]
+    assert "normalized MAE vs baseline: " in proc.stdout
 
 
 @pytest.mark.parametrize("what", ["train", "evaluate", "predict"])
