@@ -29,13 +29,14 @@ which runs each side in a process of its own. With --processes each pair
 starts a fresh process per side, alternating which starts first; the
 process sets up, makes one untimed call and times CALLS (3) calls, and its
 sample is their median, with the minor page faults (`ru_minflt`) per timed
-call. Use it to confirm an in-process result for any change that moves
+call and the process's maximum resident set size (`ru_maxrss`, in MB) at
+its end. Use it to confirm an in-process result for any change that moves
 allocation sizes, or whenever the benchmark disagrees with this script.
 
 The script prints each side's median and quartiles (and in --processes mode
-its median page faults per call), the median per-pair ratio (change over
-parent) and the pairs the change won, with a JSON object of the same figures
-as its last line. BLAS is pinned to one thread, as in the benchmark. Nothing
+its median page faults per call and median maximum RSS), the median
+per-pair ratio (change over parent) and the pairs the change won, with a
+JSON object of the same figures as its last line. BLAS is pinned to one thread, as in the benchmark. Nothing
 is written outside the temporary directory.
 """
 
@@ -68,6 +69,7 @@ from perfbench.workloads import WORKLOADS, tiny  # noqa: E402
 
 SIDES = ("parent", "change")
 CALLS = 3  # timed calls per fresh process with --processes
+USAGE = ("minflt", "maxrss_mb")  # what each fresh process reports beside its seconds
 
 
 def load_harness(tree: Path, side: str):
@@ -146,7 +148,8 @@ def quartiles(samples) -> dict:
 
 def child(args) -> int:
     """One side in this process: set up, one untimed call, then CALLS
-    timed ones; prints their median seconds and minor page faults per call."""
+    timed ones; prints their median seconds, minor page faults per call and
+    the process's maximum RSS in MB."""
     tree = args.parent if args.child == "parent" else args.change
     workload = WORKLOADS[args.workload]
     workload = tiny(workload) if args.tiny else workload
@@ -154,16 +157,19 @@ def child(args) -> int:
     side.run(args.what)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     seconds = [side.run(args.what) for _ in range(CALLS)]
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    print(json.dumps({"seconds": float(np.median(seconds)), "minflt": faults / CALLS}))
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(json.dumps({"seconds": float(np.median(seconds)),
+                      "minflt": (usage.ru_minflt - faults) / CALLS,
+                      "maxrss_mb": usage.ru_maxrss / 1024.0}))
     return 0
 
 
 def in_processes(args, data_dir: Path) -> tuple[dict, dict]:
     """Per side, one sample per fresh process, sides alternating which
-    starts first; returns the seconds and the page faults per call."""
+    starts first; returns the seconds and, keyed by "minflt" and
+    "maxrss_mb", the page faults per call and the maximum RSS."""
     times: dict[str, list[float]] = {side: [] for side in SIDES}
-    faults: dict[str, list[float]] = {side: [] for side in SIDES}
+    usage = {key: {side: [] for side in SIDES} for key in USAGE}
     base = [sys.executable, str(Path(__file__).resolve()), str(args.parent), str(args.change),
             "--workload", args.workload, "--what", args.what, "--seed", str(args.seed),
             "--data-dir", str(data_dir)]
@@ -177,8 +183,9 @@ def in_processes(args, data_dir: Path) -> tuple[dict, dict]:
                 raise SystemExit(f"{side} process failed:\n{proc.stderr}")
             sample = json.loads(proc.stdout.splitlines()[-1])
             times[side].append(sample["seconds"])
-            faults[side].append(sample["minflt"])
-    return times, faults
+            for key, samples in usage.items():
+                samples[side].append(sample[key])
+    return times, usage
 
 
 def main(argv=None) -> int:
@@ -202,11 +209,11 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     workload = tiny(workload) if args.tiny else workload
     times: dict[str, list[float]] = {side: [] for side in SIDES}
-    faults = None
+    usage = None
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = generate(workload, args.seed, Path(tmp))
         if args.processes:
-            times, faults = in_processes(args, data_dir)
+            times, usage = in_processes(args, data_dir)
         else:
             sides = {side: Side(load_harness(tree.resolve(), side), workload, data_dir,
                                 args.seed)
@@ -218,21 +225,23 @@ def main(argv=None) -> int:
                     times[side].append(sides[side].run(args.what))
 
     summary = summarize(times)
-    if faults is not None:
+    if usage is not None:
         for side in SIDES:
-            summary[side]["minflt"] = quartiles(faults[side])
+            summary[side].update({key: quartiles(samples[side])
+                                  for key, samples in usage.items()})
     for side in SIDES:
         s = summary[side]
         line = (f"{side:>6}: median {s['median'] * 1e3:.2f} ms "
                 f"(quartiles {s['q1'] * 1e3:.2f}-{s['q3'] * 1e3:.2f})")
-        if faults is not None:
-            line += f", {s['minflt']['median']:.0f} minor page faults per call"
+        if usage is not None:
+            line += (f", {s['minflt']['median']:.0f} minor page faults per call, "
+                     f"max RSS {s['maxrss_mb']['median']:.1f} MB")
         print(line)
     print(f"change/parent median per-pair ratio {summary['median_ratio']:.3f}, "
           f"change won {summary['change_won']} of {summary['pairs']} pairs")
     print(json.dumps({"workload": args.workload, "what": args.what, "seed": args.seed,
                       "tiny": args.tiny, "processes": args.processes, **summary,
-                      "times": times, "minflt": faults}))
+                      "times": times, **(usage or dict.fromkeys(USAGE))}))
     return 0
 
 

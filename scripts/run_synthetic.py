@@ -19,7 +19,6 @@ metrics.txt), patterns.txt, and comparison.csv.
 
 import argparse
 import csv
-import json
 import shutil
 import sys
 from pathlib import Path
@@ -64,8 +63,7 @@ def main() -> int:
     print("\ntraining full model ...")
     rachain("train", *dataset, "--config", EXPERIMENTS / "acceptance.config.json",
             *overrides, "--out", out)
-    config = TrainConfig.from_dict(json.loads((out / "config.json").read_text("utf-8")))
-    checkpoint = ["--checkpoint", out / "checkpoint.npz", "--seed", config.seed]
+    checkpoint = ["--checkpoint", out / "checkpoint.npz"]
     print("\ntest metrics:")
     rachain("eval", *checkpoint, "--baseline", "--filter-audit", "--out", out)
     print("\nchain patterns by aggregate attention weight:")
@@ -73,7 +71,8 @@ def main() -> int:
 
     with (out / "metrics.csv").open(newline="", encoding="utf-8") as fh:
         average = next(r for r in csv.DictReader(fh) if r["attribute"] == "AVERAGE")
-    _, extra = load_checkpoint(out / "checkpoint.npz")
+    model, extra = load_checkpoint(out / "checkpoint.npz")
+    config = model.config
     rows = [("full", float(average["mae_norm"]), float(average["rmse_norm"]),
              extra["epochs_run"], extra["stop_reason"])]
     if not args.skip_ablations:

@@ -14,7 +14,6 @@ gain over the baseline.
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -31,6 +30,12 @@ def rachain(*argv) -> None:
         raise SystemExit(f"rachain {argv[0]} failed")
 
 
+def data_dir() -> Path:
+    """Where the prepared dataset is looked for: RACHAIN_YAGO_DIR when it is
+    set, else data/yago15k in this repository."""
+    return Path(os.environ.get("RACHAIN_YAGO_DIR") or ROOT / "data" / "yago15k")
+
+
 def average_mae_norm(path) -> float:
     """The AVERAGE row's mae_norm in a metrics CSV that `rachain eval` wrote."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -40,8 +45,7 @@ def average_mae_norm(path) -> float:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--data", type=Path, default=Path(
-        os.environ.get("RACHAIN_YAGO_DIR") or ROOT / "data" / "yago15k"))
+    ap.add_argument("--data", type=Path, default=data_dir())
     ap.add_argument("--out", default="runs/yago-desk")
     ap.add_argument("--seed", type=int, help="training seed (default: the config's)")
     ap.add_argument("--epochs", type=int, help="epoch cap (default: the config's)")
@@ -64,10 +68,8 @@ def main() -> int:
     print("\ntraining ...")
     rachain("train", *dataset, "--config", ROOT / "scripts/experiments/yago_desk.config.json",
             *overrides, "--out", out)
-    seed = json.loads((out / "config.json").read_text("utf-8"))["seed"]
     print("\ntest metrics:")
-    rachain("eval", "--checkpoint", out / "checkpoint.npz", "--seed", seed, "--baseline",
-            "--out", out)
+    rachain("eval", "--checkpoint", out / "checkpoint.npz", "--baseline", "--out", out)
 
     model, baseline = (average_mae_norm(out / f"{k}.csv") for k in ("metrics", "baseline"))
     if baseline > 0:

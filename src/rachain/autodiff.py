@@ -4,11 +4,15 @@ A Tensor records the op that produced it (parent tensors + a backward
 closure); backward() topologically sorts that tape and accumulates gradients
 into .grad. Only the primitives the model needs are implemented, each checked
 against central finite differences in the test suite. The layers the model
-runs most (`linear`, `layer_norm`, masked scaled multi-head `attention`,
-which splits and merges its heads itself, and the origin `log_map` of the
-Poincare ball) are fused: one tape node each, keeping only what their
-backward reads. The value transfer's fused node, one for every plan, is
-built the same way in `encoder`, from `_make` and `_accumulate`.
+runs most (`linear`; masked scaled multi-head `attention`, which splits and
+merges its heads itself; the transformer's post-norm blocks, `post_norm`
+for the attention's output projection, residual sum and layer norm and
+`ffn_post_norm` for the feed-forward block, its sum and layer norm; and the
+origin `log_map` of the Poincare ball) are fused: one tape node each,
+keeping only what their backward reads, and running the operations of
+their composite in its order, so outputs and gradients are bit-identical
+to it. The value transfer's fused node, one for every plan, is built the
+same way in `encoder`, from `_make` and `_accumulate`.
 
 Model parts are dataclasses of Parameters and lists of parts; `parameters`
 walks their fields, so a part's fields are the one list of what it trains.
@@ -336,6 +340,62 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 # fused layers: one tape node each, keeping only what their backward reads
 
 
+def _affine(x: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """x @ w + b, flattening only an (m, 1, n) input (see `linear`)."""
+    n, p = w.data.shape
+    if x.ndim > 2 and x.size == x.shape[0] * n:
+        out = (x.reshape(-1, n) @ w.data).reshape(x.shape[:-1] + (p,))
+    else:
+        out = x @ w.data
+    if b is not None:
+        out += b.data
+    return out
+
+
+def _affine_params_backward(g2: np.ndarray, x: np.ndarray, w: Tensor,
+                            b: Tensor | None) -> None:
+    """Hand w and b their gradients of x @ w + b, given the output gradient
+    flattened to rows, g2 (-1, p)."""
+    if w.requires_grad:
+        _accumulate(w, x.reshape(-1, w.data.shape[0]).T @ g2)
+    if b is not None and b.requires_grad:
+        _accumulate(b, g2.sum(axis=0))
+
+
+def _normalize(s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The last axis of s at zero mean and unit variance, and 1 / std."""
+    xhat = s - s.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat /= std
+    return xhat, 1.0 / std
+
+
+def _norm_backward(g: np.ndarray, xhat: np.ndarray, rstd: np.ndarray, gain: Tensor,
+                   bias: Tensor, s_grad: bool) -> np.ndarray | None:
+    """Hand g's share to gain and bias, then return the gradient of the
+    normalized input when s_grad is set (else None)."""
+    axes = tuple(range(g.ndim - 1))
+    if gain.requires_grad:
+        _accumulate(gain, (g * xhat).sum(axis=axes))
+    if bias.requires_grad:
+        _accumulate(bias, g.sum(axis=axes))
+    if not s_grad:
+        return None
+    gx = g * gain.data
+    corr = gx * xhat  # then mean(gx) + xhat * mean(gx * xhat), in place
+    np.multiply(xhat, corr.mean(axis=-1, keepdims=True), out=corr)
+    corr += gx.mean(axis=-1, keepdims=True)
+    gx -= corr
+    gx *= rstd
+    return gx
+
+
+def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    out = xhat * gain.data
+    out += bias.data
+    return out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w + b for x (..., n), w (n, p) and b (p,) or None.
 
@@ -345,55 +405,74 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     stack of longer (L, n) blocks times w runs faster batched than
     flattened, so it stays 3-D."""
     x, w = _as_tensor(x), _as_tensor(w)
-    n, p = w.data.shape
-    if x.ndim > 2 and x.data.size == x.shape[0] * n:
-        out_data = (x.data.reshape(-1, n) @ w.data).reshape(x.shape[:-1] + (p,))
-    else:
-        out_data = x.data @ w.data
-    if b is not None:
-        b = _as_tensor(b)
-        out_data += b.data
+    b = None if b is None else _as_tensor(b)
 
     def backward_fn(g):
-        g2 = g.reshape(-1, p)
+        g2 = g.reshape(-1, w.data.shape[1])
         if x.requires_grad:
             _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, n).T @ g2)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+        _affine_params_backward(g2, x.data, w, b)
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(out_data, parents, backward_fn)
+    return _make(_affine(x.data, w, b), parents, backward_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale by
-    gain and shift by bias."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
-    xhat /= std
-    rstd = 1.0 / std
+def post_norm(residual: Tensor, h: Tensor, w: Tensor, b: Tensor | None,
+              gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer norm of residual + h @ w [+ b] over the last axis, scaled by
+    gain and shifted by bias: a post-norm block's output projection, residual
+    sum and norm as one node. It runs the operations of `linear`, the sum
+    and the layer norm in their order, so the output and every gradient are
+    bit-identical to that composite, but it keeps only the normalized rows
+    and 1 / std: neither the projection nor the sum is stored."""
+    residual, h, w, gain, bias = (_as_tensor(t) for t in (residual, h, w, gain, bias))
+    b = None if b is None else _as_tensor(b)
+    xhat, rstd = _normalize(residual.data + _affine(h.data, w, b), eps)
+    inner = tuple(t for t in (residual, h, w, b) if t is not None)
 
     def backward_fn(g):
-        axes = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            _accumulate(gain, (g * xhat).sum(axis=axes))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=axes))
-        if x.requires_grad:
-            gx = g * gain.data
-            corr = gx * xhat  # then mean(gx) + xhat * mean(gx * xhat), in place
-            np.multiply(xhat, corr.mean(axis=-1, keepdims=True), out=corr)
-            corr += gx.mean(axis=-1, keepdims=True)
-            gx -= corr
-            gx *= rstd
-            _accumulate(x, gx)
+        gs = _norm_backward(g, xhat, rstd, gain, bias, any(t.requires_grad for t in inner))
+        if gs is None:
+            return
+        _accumulate(residual, gs)
+        g2 = gs.reshape(-1, w.data.shape[1])
+        if h.requires_grad:
+            _accumulate(h, (g2 @ w.data.T).reshape(h.data.shape))
+        _affine_params_backward(g2, h.data, w, b)
 
-    out_data = xhat * gain.data
-    out_data += bias.data
-    return _make(out_data, (x, gain, bias), backward_fn)
+    return _make(_scale_shift(xhat, gain, bias), inner + (gain, bias), backward_fn)
+
+
+def ffn_post_norm(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                  gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer norm of x + relu(x @ w1 + b1) @ w2 + b2 over the last axis,
+    scaled by gain and shifted by bias: a post-norm feed-forward block as
+    one node. It runs the operations of two `linear`s, the ReLU, the sum
+    and the layer norm in their order, so the output and every gradient are
+    bit-identical to that composite, but it keeps only the ReLU's output
+    (whose positive slots are the ReLU's mask), the normalized rows and
+    1 / std."""
+    x, w1, b1, w2, b2, gain, bias = (_as_tensor(t) for t in (x, w1, b1, w2, b2, gain, bias))
+    inner = (x, w1, b1, w2, b2)
+    hidden = _affine(x.data, w1, b1)
+    np.maximum(hidden, 0.0, out=hidden)
+    xhat, rstd = _normalize(x.data + _affine(hidden, w2, b2), eps)
+
+    def backward_fn(g):
+        gs = _norm_backward(g, xhat, rstd, gain, bias, any(t.requires_grad for t in inner))
+        if gs is None:
+            return
+        _accumulate(x, gs)
+        g2 = gs.reshape(-1, w2.data.shape[1])
+        gh = (g2 @ w2.data.T).reshape(hidden.shape)
+        _affine_params_backward(g2, hidden, w2, b2)
+        gh *= hidden > 0.0
+        g1 = gh.reshape(-1, w1.data.shape[1])
+        if x.requires_grad:
+            _accumulate(x, (g1 @ w1.data.T).reshape(x.data.shape))
+        _affine_params_backward(g1, x.data, w1, b1)
+
+    return _make(_scale_shift(xhat, gain, bias), inner + (gain, bias), backward_fn)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,

@@ -141,7 +141,11 @@ def cmd_train(args) -> int:
 
 
 def _load_model_and_data(args) -> tuple[Model, dict, KnowledgeGraph, "object"]:
+    """The checkpoint's model and extras and its dataset; a missing --seed
+    becomes the seed of the checkpoint's config."""
     model, extra = load_checkpoint(args.checkpoint)
+    if args.seed is None:
+        args.seed = model.config.seed
     stored = extra.get("dataset", {})
     paths = [getattr(args, k) or stored.get(k) for k in ("relational", "train", "valid", "test")]
     if not paths[0] or not paths[1]:
@@ -251,6 +255,11 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _add_query_seed_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=None,
+                   help="query sampling seed (default: the checkpoint config's seed)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rachain",
@@ -279,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     _add_dataset_args(p, required=False)
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
-    p.add_argument("--seed", type=int, default=0)
+    _add_query_seed_arg(p)
     p.add_argument("--out", help="directory for metrics files")
     p.add_argument("--baseline", action="store_true",
                    help="also score the train-mean baseline")
@@ -292,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p, required=False)
     p.add_argument("--entity", required=True)
     p.add_argument("--attribute", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _add_query_seed_arg(p)
     p.add_argument("--top", type=int, default=5, help="contributions to print")
     p.add_argument("--trace", help="write the full contribution trace as JSON")
     p.set_defaults(fn=cmd_predict)
@@ -302,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p, required=False)
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.add_argument("--attribute", help="restrict to one attribute")
-    p.add_argument("--seed", type=int, default=0)
+    _add_query_seed_arg(p)
     p.add_argument("--limit", type=int, default=20)
     p.add_argument("--out", help="write the report to a file")
     p.set_defaults(fn=cmd_explain)

@@ -13,13 +13,15 @@ a batch's tokens are one gather from it. The chains of a whole mini-batch,
 of mixed lengths and queries, are one batch: shorter chains are left-padded
 with zero tokens that the attention masks out.
 An encoder-only transformer (post-norm, residual, multi-head attention
-scaled by 1/sqrt(model_dim)) contextualizes the sequence. A layer's
-attention is five tape nodes: the q, k and v projections, one fused
-`attention` node that splits the rows into heads and merges them back
-itself, and the output projection. The end token's output is the chain
-representation. Only that output is read, so the last layer computes the
-end token alone: its keys and values still come from every token, but its
-query, residual, layer norms and feed-forward run on one row per chain.
+scaled by 1/sqrt(model_dim)) contextualizes the sequence. A layer is six
+tape nodes: the q, k and v projections, one fused `attention` node that
+splits the rows into heads and merges them back itself, one `post_norm`
+node for the output projection, residual sum and layer norm, and one
+`ffn_post_norm` node for the feed-forward block, its residual sum and
+layer norm. The end token's output is the chain representation. Only that
+output is read, so the last layer computes the end token alone: its keys
+and values still come from every token, but its query, residual, layer
+norms and feed-forward run on one row per chain.
 
 The numerical-aware affine transfer conditions that representation on the
 source value: the value's Float64 big-endian bit pattern (64 zeros/ones)
@@ -50,14 +52,13 @@ from .autodiff import (
     Tensor,
     _accumulate,
     _make,
-    add,
     attention,
     concat,
+    ffn_post_norm,
     getitem,
-    layer_norm,
     linear,
     log_map,
-    relu,
+    post_norm,
     reshape,
     take_rows,
 )
@@ -145,7 +146,8 @@ def transformer_stack(x: Tensor, params: TransformerParams,
                       last_only: bool = False) -> Tensor:
     """Post-norm encoder: x = LN(x + attn(x)); x = LN(x + ffn(x)) per layer,
     attn projecting q, k and v, running the fused multi-head `attention`
-    node and projecting its merged heads with wo.
+    node and projecting its merged heads with wo; each block's residual sum
+    and norm are fused into its last node (`post_norm`, `ffn_post_norm`).
 
     A row depends on the other rows only through the keys and values, so
     with last_only the final layer computes only the last row of x (its
@@ -156,13 +158,11 @@ def transformer_stack(x: Tensor, params: TransformerParams,
         rows = x
         if last_only and i == len(params.layers) - 1:
             rows = getitem(x, (slice(None), slice(-1, None)))
-        attn_out = linear(attention(linear(rows, layer.wq), linear(x, layer.wk),
-                                    linear(x, layer.wv), params.heads, key_mask,
-                                    1.0 / np.sqrt(params.dim)), layer.wo)
-        x = layer_norm(add(rows, attn_out), layer.ln1_gain, layer.ln1_bias)
-        hidden = relu(linear(x, layer.ffn_w1, layer.ffn_b1))
-        ffn_out = linear(hidden, layer.ffn_w2, layer.ffn_b2)
-        x = layer_norm(add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
+        heads = attention(linear(rows, layer.wq), linear(x, layer.wk), linear(x, layer.wv),
+                          params.heads, key_mask, 1.0 / np.sqrt(params.dim))
+        x = post_norm(rows, heads, layer.wo, None, layer.ln1_gain, layer.ln1_bias)
+        x = ffn_post_norm(x, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2,
+                          layer.ln2_gain, layer.ln2_bias)
     return x
 
 

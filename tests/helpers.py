@@ -4,15 +4,15 @@ fold and chain scores and per-chain filter scoring, hand-built chain sets,
 the row-generator graph loader and stable-argsort CSR, a graph's out-edges
 and facts, the exhaustive chain enumerator, the sequential chain sampler,
 the sort-based row check, the np.unique row dedupe, the per-tree top-k
-selection, test-only autodiff ops and the composite forms of the fused
-layers, the per-token chain tokens, the unfused full-row transformer, the
-per-row and the composite grouped affine transfers, a forced and a recorded
-transfer plan and the augmenting-path maximum matching that sizes a minimum
-cover, the per-query model forward, the hand-written parameter lists, the
-per-query prediction traces and dict-accumulator pattern ranking,
-predictions that used no chain, the per-triple attribute statistics and
-query scoping, the dict-accumulator evaluation reports and filter audit, and
-finite differences."""
+selection, test-only autodiff ops, the layer norm node and the composite
+forms of the fused layers, the per-token chain tokens, the unfused
+full-row transformer, the per-row and the composite grouped affine
+transfers, a forced and a recorded transfer plan and the augmenting-path
+maximum matching that sizes a minimum cover, the per-query model forward,
+the hand-written parameter lists, the per-query prediction traces and
+dict-accumulator pattern ranking, predictions that used no chain, the
+per-triple attribute statistics and query scoping, the dict-accumulator
+evaluation reports and filter audit, and finite differences."""
 
 from __future__ import annotations
 
@@ -662,6 +662,49 @@ def composite_linear(x, w, b=None):
     return out if b is None else ad.add(out, b)
 
 
+def layer_norm(x, gain, bias, eps: float = 1e-5):
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    gain and shift by bias, as one tape node: the layer norm that
+    `ad.post_norm` and `ad.ffn_post_norm` fuse with the sums before it, the
+    oracle of their bit-identity."""
+    x, gain, bias = ad._as_tensor(x), ad._as_tensor(gain), ad._as_tensor(bias)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat /= std
+    rstd = 1.0 / std
+
+    def backward_fn(g):
+        axes = tuple(range(g.ndim - 1))
+        if gain.requires_grad:
+            ad._accumulate(gain, (g * xhat).sum(axis=axes))
+        if bias.requires_grad:
+            ad._accumulate(bias, g.sum(axis=axes))
+        if x.requires_grad:
+            gx = g * gain.data
+            corr = gx * xhat  # then mean(gx) + xhat * mean(gx * xhat), in place
+            np.multiply(xhat, corr.mean(axis=-1, keepdims=True), out=corr)
+            corr += gx.mean(axis=-1, keepdims=True)
+            gx -= corr
+            gx *= rstd
+            ad._accumulate(x, gx)
+
+    out_data = xhat * gain.data
+    out_data += bias.data
+    return ad._make(out_data, (x, gain, bias), backward_fn)
+
+
+def composite_post_norm(residual, h, w, b, gain, bias):
+    """The composite form of `ad.post_norm`: `linear`, `add` and `layer_norm`."""
+    return layer_norm(ad.add(residual, ad.linear(h, w, b)), gain, bias)
+
+
+def composite_ffn_post_norm(x, w1, b1, w2, b2, gain, bias):
+    """The composite form of `ad.ffn_post_norm`: `linear`, `relu`, `linear`,
+    `add` and `layer_norm`."""
+    hidden = ad.relu(ad.linear(x, w1, b1))
+    return layer_norm(ad.add(x, ad.linear(hidden, w2, b2)), gain, bias)
+
+
 def composite_layer_norm(x, gain, bias, eps: float = 1e-5):
     mu = mean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
@@ -698,18 +741,22 @@ def composite_log_map(x, curvature: float = 1.0):
 # transfer, one query per forward
 
 
-def reference_transformer_stack(x, params, key_mask=None):
-    """`encoder.transformer_stack` with composite attention, every layer
-    computing every row."""
-    for layer in params.layers:
-        ctx = reference_attention(ad.linear(x, layer.wq), ad.linear(x, layer.wk),
-                                  ad.linear(x, layer.wv), params.heads, key_mask,
-                                  1.0 / np.sqrt(params.dim))
-        attn_out = ad.linear(ctx, layer.wo)
-        x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
-        hidden = ad.relu(ad.linear(x, layer.ffn_w1, layer.ffn_b1))
-        ffn_out = ad.linear(hidden, layer.ffn_w2, layer.ffn_b2)
-        x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
+def reference_transformer_stack(x, params, key_mask=None, attend=reference_attention,
+                                last_only: bool = False):
+    """`encoder.transformer_stack` with unfused post-norm blocks (the
+    composites of `ad.post_norm` and `ad.ffn_post_norm`) and the attention
+    `attend`, composite by default; every layer computes every row unless
+    last_only, which slices the final layer's rows as the encoder does."""
+    for i, layer in enumerate(params.layers):
+        rows = x
+        if last_only and i == len(params.layers) - 1:
+            rows = ad.getitem(x, (slice(None), slice(-1, None)))
+        ctx = attend(ad.linear(rows, layer.wq), ad.linear(x, layer.wk),
+                     ad.linear(x, layer.wv), params.heads, key_mask,
+                     1.0 / np.sqrt(params.dim))
+        x = composite_post_norm(rows, ctx, layer.wo, None, layer.ln1_gain, layer.ln1_bias)
+        x = composite_ffn_post_norm(x, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2,
+                                    layer.ffn_b2, layer.ln2_gain, layer.ln2_bias)
     return x
 
 
@@ -1265,12 +1312,12 @@ def grad_cases(rng: np.random.Generator):
          {"a": rng.standard_normal((3, 6)),
           "g": rng.uniform(0.5, 1.5, 6),
           "b": rng.standard_normal(6)},
-         lambda p: ad.tensor_sum(ad.square(ad.layer_norm(p["a"], p["g"], p["b"]))))
+         lambda p: ad.tensor_sum(ad.square(layer_norm(p["a"], p["g"], p["b"]))))
     case("layer_norm_3d",
          {"a": rng.standard_normal((2, 3, 6)),
           "g": rng.uniform(0.5, 1.5, 6),
           "b": rng.standard_normal(6)},
-         lambda p: ad.tensor_sum(ad.mul(ad.layer_norm(p["a"], p["g"], p["b"]),
+         lambda p: ad.tensor_sum(ad.mul(layer_norm(p["a"], p["g"], p["b"]),
                                         rng_const_236)))
     case("linear",
          {"x": rng.standard_normal((3, 4)), "w": rng.standard_normal((4, 2)),
@@ -1303,6 +1350,30 @@ def grad_cases(rng: np.random.Generator):
     case("log_map",
          {"a": rows},
          lambda p: ad.tensor_sum(ad.mul(ad.log_map(p["a"], 0.8), rng_const_63)))
+
+    def norm_params(dim):
+        return {"g": rng.uniform(0.5, 1.5, dim), "beta": rng.standard_normal(dim)}
+
+    case("post_norm",
+         {"r": rng.standard_normal((3, 6)), "h": rng.standard_normal((3, 4)),
+          "w": rng.standard_normal((4, 6)), "b": rng.standard_normal(6), **norm_params(6)},
+         lambda p: ad.tensor_sum(ad.mul(ad.post_norm(p["r"], p["h"], p["w"], p["b"],
+                                                     p["g"], p["beta"]), rng_const_36)))
+    case("post_norm_one_row_no_bias",
+         {"r": rng.standard_normal((2, 1, 6)), "h": rng.standard_normal((2, 1, 6)),
+          "w": rng.standard_normal((6, 6)), **norm_params(6)},
+         lambda p: ad.tensor_sum(ad.mul(ad.post_norm(p["r"], p["h"], p["w"], None,
+                                                     p["g"], p["beta"]), rng_const_216)))
+    ffn = {"x": rng.standard_normal((2, 3, 6)), "w1": rng.standard_normal((6, 5)),
+           "b1": rng.standard_normal(5), "w2": rng.standard_normal((5, 6)),
+           "b2": rng.standard_normal(6), **norm_params(6)}
+    pre = ffn["x"] @ ffn["w1"] + ffn["b1"]
+    # both ReLU sides, each slot beyond the finite-difference step of the kink
+    assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
+    case("ffn_post_norm_3d", ffn,
+         lambda p: ad.tensor_sum(ad.mul(ad.ffn_post_norm(p["x"], p["w1"], p["b1"], p["w2"],
+                                                         p["b2"], p["g"], p["beta"]),
+                                        rng_const_236)))
     return cases
 
 
@@ -1313,3 +1384,5 @@ rng_const_35 = _mix_rng.standard_normal((3, 5))
 rng_const_236 = _mix_rng.standard_normal((2, 3, 6))
 rng_const_246 = _mix_rng.standard_normal((2, 4, 6))
 rng_const_63 = _mix_rng.standard_normal((6, 3))
+rng_const_36 = _mix_rng.standard_normal((3, 6))
+rng_const_216 = _mix_rng.standard_normal((2, 1, 6))

@@ -10,7 +10,6 @@ scripts/run_synthetic.py and scripts/run_yago_desk.py run.
 
 import dataclasses
 import json
-import os
 import struct
 import time
 from pathlib import Path
@@ -35,6 +34,7 @@ from rachain.kg import (AttributeStats, Query, attribute_means, build_dataset,
 from rachain.model import Model
 from rachain.retrieval import RAChain, sample_tree
 from rachain.training import train
+from scripts.run_yago_desk import data_dir as yago_data_dir
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +430,7 @@ def test_criterion_08_ablation_directions(full_run, ablation_runs):
 # 9. desk-scale real-data check
 
 
-def _real_data_dir() -> Path:
-    env = os.environ.get("RACHAIN_YAGO_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parent.parent / "data" / "yago15k"
-
-
-_YAGO_DIR = _real_data_dir()
+_YAGO_DIR = yago_data_dir()
 _YAGO_FILES = ("relational.tsv", "train.tsv", "valid.tsv", "test.tsv")
 _YAGO_READY = all((_YAGO_DIR / name).exists() for name in _YAGO_FILES)
 

@@ -5,10 +5,13 @@ import pytest
 
 from helpers import (
     check_gradients,
+    composite_ffn_post_norm,
     composite_layer_norm,
     composite_linear,
     composite_log_map,
+    composite_post_norm,
     grad_cases,
+    layer_norm,
     matmul,
     max_rel_err,
     numeric_grad,
@@ -233,7 +236,7 @@ class TestOps:
         x = ad.Tensor(rng.standard_normal((5, 16)) * 3 + 1)
         g = ad.Tensor(np.ones(16))
         b = ad.Tensor(np.zeros(16))
-        out = ad.layer_norm(x, g, b).data
+        out = layer_norm(x, g, b).data
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(5), atol=1e-12)
         np.testing.assert_allclose(out.std(axis=-1), np.ones(5), atol=1e-3)
 
@@ -254,8 +257,9 @@ def _values_and_grads(op, arrays, mix):
 
 
 class TestFusedOps:
-    """The fused linear, layer_norm, attention and log_map nodes against the
-    primitive-op composites they replace."""
+    """The fused linear, post-norm, attention and log_map nodes, and the
+    layer norm node the post-norm blocks fuse, against the composites they
+    replace."""
 
     @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
@@ -303,11 +307,46 @@ class TestFusedOps:
         arrays = {"x": rng.standard_normal(x_shape) * 3 + 1,
                   "gain": rng.uniform(0.5, 1.5, 6), "bias": rng.standard_normal(6)}
         mix = rng.standard_normal(x_shape)
-        fused, fused_grads = _values_and_grads(ad.layer_norm, arrays, mix)
+        fused, fused_grads = _values_and_grads(layer_norm, arrays, mix)
         ref, ref_grads = _values_and_grads(composite_layer_norm, arrays, mix)
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
         for name in arrays:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+    # the (m, 1, n) rows are the last_only layer's, whose linears flatten
+    @pytest.mark.parametrize("rows", [(5,), (2, 3), (4, 1)], ids=["2d", "3d", "3d_one_row"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_post_norm_is_its_composite_bit_for_bit(self, rng, rows, bias):
+        arrays = {"residual": rng.standard_normal(rows + (6,)),
+                  "h": rng.standard_normal(rows + (4,)), "w": rng.standard_normal((4, 6)),
+                  "gain": rng.uniform(0.5, 1.5, 6), "bias": rng.standard_normal(6)}
+        if bias:
+            arrays["b"] = rng.standard_normal(6)
+        mix = rng.standard_normal(rows + (6,))
+
+        def run(op):
+            return _values_and_grads(lambda b=None, **p: op(b=b, **p), arrays, mix)
+
+        fused, fused_grads = run(ad.post_norm)
+        ref, ref_grads = run(composite_post_norm)
+        np.testing.assert_array_equal(fused, ref)
+        for name in arrays:
+            np.testing.assert_array_equal(fused_grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("rows", [(5,), (2, 3), (4, 1)], ids=["2d", "3d", "3d_one_row"])
+    def test_ffn_post_norm_is_its_composite_bit_for_bit(self, rng, rows):
+        arrays = {"x": rng.standard_normal(rows + (6,)), "w1": rng.standard_normal((6, 5)),
+                  "b1": rng.standard_normal(5), "w2": rng.standard_normal((5, 6)),
+                  "b2": rng.standard_normal(6),
+                  "gain": rng.uniform(0.5, 1.5, 6), "bias": rng.standard_normal(6)}
+        mix = rng.standard_normal(rows + (6,))
+        fused, fused_grads = _values_and_grads(ad.ffn_post_norm, arrays, mix)
+        ref, ref_grads = _values_and_grads(composite_ffn_post_norm, arrays, mix)
+        hidden = arrays["x"] @ arrays["w1"] + arrays["b1"]
+        assert (hidden > 0).any() and (hidden < 0).any()  # the ReLU masks some slots
+        np.testing.assert_array_equal(fused, ref)
+        for name in arrays:
+            np.testing.assert_array_equal(fused_grads[name], ref_grads[name])
 
     @pytest.mark.parametrize("lq", [5, 1], ids=["full", "last"])
     @pytest.mark.parametrize("masked", [True, False], ids=["mask", "no_mask"])
@@ -364,7 +403,7 @@ class TestComposite:
 
         def build(p):
             h = ad.relu(ad.linear(p["x"], p["w"], p["b"]))
-            h = ad.layer_norm(h, p["g"], ad.Tensor(np.zeros(6)))
+            h = layer_norm(h, p["g"], ad.Tensor(np.zeros(6)))
             return ad.tensor_sum(ad.mul(ad.softmax(h), mix))
 
         check_gradients(build, arrays, tol=1e-4)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import rachain
+from rachain import evaluation
 from rachain.cli import _config_from_args, build_parser, main
 from rachain.config import TrainConfig
-from rachain.model import load_checkpoint
+from rachain.model import Model, load_checkpoint
 
 
 # src spans [0, 10] thanks to the standalone facts while rule sources stay in
@@ -188,6 +189,30 @@ class TestEval:
         assert code == 1
         assert f"but the checkpoint was trained with {stored}" in captured.err
         assert f" {counts} " in captured.err
+
+
+@pytest.mark.parametrize("flag,seed", [([], 9), (["--seed", "3"], 3)],
+                         ids=["checkpoint_seed", "flag"])
+@pytest.mark.parametrize("command,owner,name,extra", [
+    ("eval", evaluation, "evaluate", []),
+    ("predict", Model, "predict", ["--entity", "r0_t0", "--attribute", "dst"]),
+    ("explain", evaluation, "explain", []),
+], ids=["eval", "predict", "explain"])
+def test_query_seed_defaults_to_the_checkpoints(workspace, monkeypatch, capsys, command,
+                                                 owner, name, extra, flag, seed):
+    """The workspace model trained at seed 9: eval, predict and explain
+    sample their queries with it unless --seed is given."""
+    seeds, original = [], getattr(owner, name)
+
+    def spy(*args, **kw):
+        seeds.append(kw["seed"])
+        return original(*args, **kw)
+
+    monkeypatch.setattr(owner, name, spy)
+    ckpt = workspace / "run" / "checkpoint.npz"
+    assert main([command, "--checkpoint", str(ckpt), *extra, *flag]) == 0, \
+        capsys.readouterr().err
+    assert seeds == [seed]
 
 
 class TestPredict:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from helpers import (chain_set, check_gradients, decode_value, encode_value,
                      force_transfer_plan, maximum_matching, oracle_log_map,
                      per_row_affine_transfer, random_inball, recorded_plans,
-                     reference_affine_transfer, reference_chain_tokens, reference_encode_chains)
+                     reference_affine_transfer, reference_chain_tokens, reference_encode_chains,
+                     reference_transformer_stack)
 from rachain import autodiff as ad
 from rachain import encoder as E
 from rachain.autodiff import Parameter, Tensor, parameters
@@ -277,14 +278,39 @@ class TestTransformer:
             assert np.all(probs[1, :, :, 1] == 0.0)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("last_only,nodes", [(False, 12), (True, 13)],
+    @pytest.mark.parametrize("last_only,nodes", [(False, 6), (True, 7)],
                              ids=["all_rows", "last_only"])
-    def test_one_layer_is_twelve_tape_nodes(self, rng, last_only, nodes):
-        # q, k, v, attention, wo; add, layer norm; two linears, relu; add,
-        # layer norm; and the row slice of last_only
+    def test_one_layer_is_six_tape_nodes(self, rng, last_only, nodes):
+        # q, k, v, attention; post_norm (wo, add, layer norm); ffn_post_norm
+        # (two linears, relu, add, layer norm); and the row slice of last_only
         stack = E.TransformerParams.create(rng, dim=8, n_layers=1, heads=2)
         x = Parameter(rng.standard_normal((2, 4, 8)))
         assert op_nodes(E.transformer_stack(x, stack, last_only=last_only)) == nodes
+
+    @pytest.mark.parametrize("last_only", [False, True], ids=["all_rows", "last_only"])
+    def test_stack_is_its_unfused_blocks_bit_for_bit(self, rng, last_only):
+        """Two masked layers against the same layers with the post-norm
+        blocks unfused: equal outputs and equal gradients for the input and
+        every parameter, so the fused nodes sum each gradient in the
+        composite's order."""
+        stack = E.TransformerParams.create(rng, dim=8, n_layers=2, heads=2)
+        for p in parameters(stack):  # biases and norms away from their init
+            p.data = p.data + rng.standard_normal(p.data.shape) * 0.1
+        x = Parameter(rng.standard_normal((3, 5, 8)))
+        mask = np.arange(5) >= np.array([[0], [2], [4]])
+        mix = rng.standard_normal((3, 1 if last_only else 5, 8))
+        runs = []
+        for stack_fn in (E.transformer_stack,
+                         partial(reference_transformer_stack, attend=ad.attention)):
+            for p in [x] + parameters(stack):
+                p.grad = None
+            out = stack_fn(x, stack, key_mask=mask, last_only=last_only)
+            ad.backward(ad.tensor_sum(ad.mul(out, mix)))
+            runs.append((out.data, [p.grad for p in [x] + parameters(stack)]))
+        (fused, fused_grads), (ref, ref_grads) = runs
+        np.testing.assert_array_equal(fused, ref)
+        for a, b in zip(fused_grads, ref_grads):
+            np.testing.assert_array_equal(a, b)
 
     def test_deterministic(self, setup, rng):
         emb, params = setup
@@ -373,14 +399,28 @@ class TestEndTokenOnly:
                                                                    monkeypatch):
         emb, params = setup
         tree = TreeformerParams.create(rng, dim=8, n_layers=2, heads=2, max_hops=3)
+        # each weight with the shape of the rows it multiplies: the linears',
+        # wo's in post_norm (its residual rows alike) and the feed-forward's
+        # two in ffn_post_norm, whose hidden rows are its input's
         seen = []
-        linear = E.linear
+        linear, post_norm, ffn_post_norm = E.linear, E.post_norm, E.ffn_post_norm
 
-        def recording(x, w, b=None):
+        def recording_linear(x, w, b=None):
             seen.append((w.name, x.shape))
             return linear(x, w, b)
 
-        monkeypatch.setattr(E, "linear", recording)
+        def recording_post_norm(residual, h, w, *rest):
+            assert residual.shape[:2] == h.shape[:2]
+            seen.append((w.name, h.shape))
+            return post_norm(residual, h, w, *rest)
+
+        def recording_ffn_post_norm(x, w1, b1, w2, *rest):
+            seen.extend([(w1.name, x.shape), (w2.name, x.shape)])
+            return ffn_post_norm(x, w1, b1, w2, *rest)
+
+        monkeypatch.setattr(E, "linear", recording_linear)
+        monkeypatch.setattr(E, "post_norm", recording_post_norm)
+        monkeypatch.setattr(E, "ffn_post_norm", recording_ffn_post_norm)
         E.encode_chains(self.SOURCE, self.RELATIONS, self.QUERY, emb, params)
         slots = self.RELATIONS.shape[1] + 3
         shapes = dict(seen)

@@ -30,6 +30,15 @@ def test_acceptance_experiment_is_the_benchmark_graph_and_config():
     assert {k for k in SMALL_CONFIG if config[k] != bench[k]} == {"epsilon", "patience"}
 
 
+def test_yago_data_dir_is_the_environment_or_the_repo_default(monkeypatch, tmp_path):
+    """The desk run and criterion 09 look for the prepared dataset here."""
+    from scripts.run_yago_desk import data_dir
+    monkeypatch.setenv("RACHAIN_YAGO_DIR", str(tmp_path))
+    assert data_dir() == tmp_path
+    monkeypatch.delenv("RACHAIN_YAGO_DIR")
+    assert data_dir() == SCRIPTS.parent / "data" / "yago15k"
+
+
 def test_output_digests_repeat_with_the_same_seed(tmp_path):
     """Same seed, same run: two runs on the small workloads digest alike,
     the checkpoint the first one saves included, both at one BLAS thread."""
@@ -115,7 +124,7 @@ def test_ab_inprocess_times_the_repo_against_itself(tmp_path, what):
 
 def test_ab_inprocess_in_fresh_processes(tmp_path):
     """--processes times each side in its own child processes and reports
-    their page faults, leaving no file behind."""
+    their page faults and maximum RSS, leaving no file behind."""
     root = SCRIPTS.parent
     before = sorted(p for p in root.rglob("*") if ".git" not in p.parts)
     proc = subprocess.run([sys.executable, str(SCRIPTS / "ab_inprocess.py"), str(root), str(root),
@@ -128,8 +137,10 @@ def test_ab_inprocess_in_fresh_processes(tmp_path):
     for side in ("parent", "change"):
         assert len(result["times"][side]) == 2 and min(result["times"][side]) > 0
         assert len(result["minflt"][side]) == 2 and min(result["minflt"][side]) >= 0
-        faults = result[side]["minflt"]
-        assert faults["q1"] <= faults["median"] <= faults["q3"]
-    assert "minor page faults per call" in proc.stdout
+        assert len(result["maxrss_mb"][side]) == 2 and min(result["maxrss_mb"][side]) > 0
+        for key in ("minflt", "maxrss_mb"):
+            spread = result[side][key]
+            assert spread["q1"] <= spread["median"] <= spread["q3"]
+    assert "minor page faults per call, max RSS " in proc.stdout
     assert list(tmp_path.iterdir()) == []
     assert sorted(p for p in root.rglob("*") if ".git" not in p.parts) == before
